@@ -2,7 +2,8 @@
 
 Exit codes: 0 for pass/true verdicts, 1 for false verdicts (including
 obstructed extensions), 2 for input errors, 3 for internal invariant
-failures.  All numeric output uses the exact scalar grammar.
+failures and any other internal error (one line on stderr, no
+traceback).  All numeric output uses the exact scalar grammar.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ def _emit(data) -> None:
 
 def _write_or_emit(data, out) -> None:
     if out:
-        FsPath(out).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+        try:
+            FsPath(out).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+        except OSError as e:
+            raise InputError(f"{out}: {e}") from None
         _emit({"written": str(out)})
     else:
         _emit(data)
@@ -333,6 +337,10 @@ def main(argv=None) -> int:
         return 2
     except InternalInvariantError as e:
         print(f"internal invariant failure: {e}", file=sys.stderr)
+        return 3
+    except Exception as e:  # any other failure is internal: exit 3, no traceback
+        message = " ".join(str(e).split())
+        print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
         return 3
 
 

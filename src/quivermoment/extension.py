@@ -124,7 +124,7 @@ def flat_extend_tip_maximal(
         rows.append(row)
         rhs.append(Fraction(0))
 
-    solution = _solve_canonical(rows, rhs, 2 * nvars)
+    solution = linalg.solve_canonical(rows, rhs, 2 * nvars)
     if solution is None:
         if free_algebra:
             raise InternalInvariantError(
@@ -179,24 +179,6 @@ def flat_extend_tip_maximal(
             raise InternalInvariantError("one-step extension produced a non-flat functional")
         raise ExtensionObstructed("one-step extension is not flat on this quiver")
     return extended
-
-
-def _solve_canonical(rows, rhs, nvars) -> list[Fraction] | None:
-    """Rational least-constraint solve: RREF, free variables zero; None if inconsistent."""
-    if not rows:
-        return [Fraction(0)] * nvars
-    flat = []
-    for row, r in zip(rows, rhs):
-        flat.extend(Scalar(x) for x in row)
-        flat.append(Scalar(r))
-    aug = Matrix(len(rows), nvars + 1, flat)
-    red, pivots = linalg.rref(aug)
-    sol = [Fraction(0)] * nvars
-    for prow, pcol in enumerate(pivots):
-        if pcol == nvars:
-            return None
-        sol[pcol] = red.entry(prow, nvars).re
-    return sol
 
 
 class _PathNormalForms:

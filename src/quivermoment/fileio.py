@@ -148,20 +148,29 @@ def matrix_to_rows(m: Matrix) -> list[list[str]]:
 def functional_from_dict(data: dict, base_dir=".", source: str | None = None) -> TruncatedFunctional:
     if "quiver" not in data or "k" not in data:
         raise InputError(f"{_ctx(source)}functional needs 'quiver' and 'k'")
+    k = data["k"]
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise InputError(f"{_ctx(source)}'k' must be an integer, not {k!r}")
+    entries = data.get("entries", [])
+    if not isinstance(entries, list):
+        raise InputError(f"{_ctx(source)}'entries' must be a list, not {entries!r}")
     double = resolve_quiver(data["quiver"], base_dir, source)
     include_trivial = bool(data.get("include_trivial", True))
     values: dict[Path, Scalar] = {}
-    for ent in data.get("entries", []):
+    for ent in entries:
         try:
             ptext, vtext = ent["path"], ent["value"]
         except (KeyError, TypeError):
             raise InputError(f"{_ctx(source)}functional entry needs 'path' and 'value'") from None
+        for token in (ptext, vtext):
+            if not isinstance(token, str):
+                raise InputError(f"{_ctx(source)}functional entry {ent!r}: {token!r} is not a string")
         p = parse_path(double, ptext, source)
         v = Scalar.parse(vtext)
         if p in values and values[p] != v:
             raise InputError(f"{_ctx(source)}conflicting values for path {ptext!r}")
         values[p] = v
-    return TruncatedFunctional(double, int(data["k"]), values, include_trivial)
+    return TruncatedFunctional(double, k, values, include_trivial)
 
 
 def load_functional(path) -> TruncatedFunctional:

@@ -261,26 +261,13 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
         pq = compose(p, q.star())
         return ZERO if pq is ZERO_PATH else functional.value(pq)
 
-    # Greedy degree-graded coset representatives: columns of the full pairing
-    # matrix, kept when they enlarge the rank.  Ascending path order makes the
-    # span of the first j degrees equal the span of the chosen reps of degree
-    # <= j, which the multiplication operators below rely on.
-    reps: list[Path] = []
-    kept_cols: list[list[Scalar]] = []
-    current_rank = 0
-    for p in window:
-        col = [pair(w, p) for w in window]
-        cand = kept_cols + [col]
-        m = Matrix(
-            len(window),
-            len(cand),
-            [cand[j][i] for i in range(len(window)) for j in range(len(cand))],
-        )
-        if linalg.rank(m) > current_rank:
-            reps.append(p)
-            kept_cols.append(col)
-            current_rank += 1
-    basis = tuple(reps)
+    # Degree-graded coset representatives: the pivot columns of the full
+    # pairing matrix, i.e. each column that enlarges the span of the columns
+    # before it.  Ascending path order makes the span of the first j degrees
+    # equal the span of the chosen reps of degree <= j, which the
+    # multiplication operators below rely on.
+    pairing = Matrix(len(window), len(window), [pair(w, p) for w in window for p in window])
+    basis = tuple(window[j] for j in linalg.rref(pairing)[1])
     n = len(basis)
     gram = _pairing_matrix(functional, basis)
     ft = gram.transpose()

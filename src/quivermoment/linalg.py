@@ -1,16 +1,37 @@
-"""Exact linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals, run on Python integers.
 
-A single deterministic reduced-row-echelon engine backs rank, nullspace,
-and range-constrained solving; positive semidefiniteness is decided by exact
-diagonal pivoting with Schur complements.  Pivot selection is always the first
-nonzero entry in a column scanning rows top-down, so identical inputs yield
-identical outputs bit for bit.
+Each kernel scales its input to integers at the boundary: every row (for a
+product, every row of the left factor and every column of the right factor;
+for PSD pivoting, the whole matrix) is brought to a common denominator.  The
+loops then see plain ``int`` entries, or real parts followed by imaginary
+parts when some entry is non-real, and results go back to `Scalar` once, with
+one division per output entry.  Nothing is floating point.
+
+A single fraction-free Gauss-Jordan engine backs rref, rank, nullspace,
+range-constrained solving and the canonical solve of rational systems.  On
+real data a row with a nonzero entry in the pivot column is replaced by an
+integer combination of itself and the pivot row, divided by the gcd of its
+entries; rows the pivot does not touch are left alone.  A combined row is
+thus the primitive integer multiple of its rational row.  On non-real data
+every row is updated and divided exactly by the previous pivot in Z[i], as in
+Bareiss elimination (Bareiss 1968).  Either way every entry divides a minor
+of the scaled input.  Positive semidefiniteness is decided by diagonal
+pivoting with integer Schur complements, scaled the same way.  Pivot
+selection is always the first nonzero entry in a column scanning rows
+top-down, so identical inputs yield identical outputs bit for bit, equal to
+those of elimination over `Scalar`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
+
 from .errors import InternalInvariantError
 from .scalar import ONE, ZERO, Scalar
+
+_F0 = Fraction(0)
 
 
 class Matrix:
@@ -89,16 +110,22 @@ class Matrix:
     def __mul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
+        real = _is_real(self.entries) and _is_real(other.entries)
+        left = [_scaled(self.row(i), real) for i in range(self.rows)]
+        right = [_scaled(other.col(j), real) for j in range(other.cols)]
         out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a:
-                        acc = acc + a * other.entry(k, j)
-                out.append(acc)
+        if real:
+            for a, da in left:
+                out.extend(_scalar(sum(map(mul, a, b)), 0, da * db) for b, db in right)
+        else:
+            n = self.cols
+            right = [(b[:n], b[n:], db) for b, db in right]
+            for a, da in left:
+                ar, ai = a[:n], a[n:]
+                for br, bi, db in right:
+                    re = sum(map(mul, ar, br)) - sum(map(mul, ai, bi))
+                    im = sum(map(mul, ar, bi)) + sum(map(mul, ai, br))
+                    out.append(_scalar(re, im, da * db))
         return Matrix(self.rows, other.cols, out)
 
     def __eq__(self, other) -> bool:
@@ -130,52 +157,171 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
+# -- integer boundary -------------------------------------------------------------
+
+
+def _is_real(entries) -> bool:
+    return not any(e.im for e in entries)
+
+
+def _scaled(entries, real: bool) -> tuple[list[int], int]:
+    """Integers over one positive common denominator: (numerators, denominator).
+
+    Real data gives one int per entry; otherwise real parts come first, then
+    imaginary parts.
+    """
+    return _common([e.re for e in entries] if real else [e.re for e in entries] + [e.im for e in entries])
+
+
+def _common(parts: list[Fraction]) -> tuple[list[int], int]:
+    den = lcm(*[x.denominator for x in parts])
+    if den == 1:
+        return [x.numerator for x in parts], 1
+    return [x.numerator * (den // x.denominator) for x in parts], den
+
+
+def _scalar(re: int, im: int, den: int) -> Scalar:
+    """(re + im i) / den for a nonzero int den; zero is the shared ZERO."""
+    if not im:
+        return Scalar._make(Fraction(re, den), _F0) if re else ZERO
+    return Scalar._make(Fraction(re, den) if re else _F0, Fraction(im, den))
+
+
+def _entry(row: list[int], col: int, ncols: int) -> tuple[int, int]:
+    """Entry `col` of an integer row as an (re, im) pair."""
+    return (row[col], row[ncols + col]) if len(row) > ncols else (row[col], 0)
+
+
+def _ratio(x: tuple[int, int], a: tuple[int, int]) -> Scalar:
+    """x / a for Gaussian integers x and nonzero a."""
+    (xr, xi), (ar, ai) = x, a
+    if not ai:
+        return _scalar(xr, xi, ar)
+    return _scalar(xr * ar + xi * ai, xi * ar - xr * ai, ar * ar + ai * ai)
+
+
+# -- elimination ---------------------------------------------------------------------
+
+
+def _combine(dst: list[int], src: list[int], a: int, b: int) -> list[int]:
+    """Primitive part of a*dst - b*src for real integer rows."""
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    new = [a * x - b * y for x, y in zip(dst, src)]
+    g = gcd(*new)
+    return [x // g for x in new] if g > 1 else new
+
+
+def _bareiss(dst: list[int], src: list[int], a, b, prev, ncols: int) -> list[int]:
+    """(a*dst - b*src) / prev for rows in the (re, im) layout, exact in Z[i].
+
+    a, b and prev are Gaussian integers given as (re, im) pairs.
+    """
+    (ar, ai), (br, bi), (pr, pi) = a, b, prev
+    parts = list(zip(dst[:ncols], dst[ncols:], src[:ncols], src[ncols:]))
+    re = [ar * xr - ai * xi - br * yr + bi * yi for xr, xi, yr, yi in parts]
+    im = [ar * xi + ai * xr - br * yi - bi * yr for xr, xi, yr, yi in parts]
+    if not pi:
+        return re + im if pr == 1 else [x // pr for x in re + im]
+    norm = pr * pr + pi * pi
+    quot = [((x * pr + y * pi) // norm, (y * pr - x * pi) // norm) for x, y in zip(re, im)]
+    return [q for q, _ in quot] + [q for _, q in quot]
+
+
+def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Returns the pivot columns.  Afterwards row r < len(pivots) is an integer
+    multiple of row r of the reduced row echelon form, with its pivot at
+    column pivots[r]; the remaining rows are zero.
+
+    Real rows: a row with a nonzero entry in the pivot column becomes the
+    primitive part of a*row - b*pivot_row; rows the pivot does not touch stay
+    as they are.  Rows in the (re, im) layout: every row becomes
+    (a*row - b*pivot_row) / previous pivot, Bareiss's exact division in Z[i]
+    (a gcd in Z[i] would need a Euclidean algorithm run in Python).
+    """
+    pivots: list[int] = []
+    nrows = len(rows)
+    real = not rows or len(rows[0]) == ncols
+    prev = (1, 0)
+    for col in range(ncols):
+        prow = len(pivots)
+        if prow == nrows:
+            break
+        for sel in range(prow, nrows):
+            if _entry(rows[sel], col, ncols) != (0, 0):
+                break
+        else:
+            continue
+        rows[prow], rows[sel] = rows[sel], rows[prow]
+        src = rows[prow]
+        a = _entry(src, col, ncols)
+        for r in range(nrows):
+            if r == prow:
+                continue
+            b = _entry(rows[r], col, ncols)
+            if not real:
+                rows[r] = _bareiss(rows[r], src, a, b, prev, ncols)
+            elif b[0]:
+                rows[r] = _combine(rows[r], src, a[0], b[0])
+        prev = a
+        pivots.append(col)
+    return pivots
+
+
+def _eliminate(blocks: list[Matrix]) -> tuple[list[list[int]], list[int]]:
+    """Integer rows and pivot columns of the side-by-side block matrix [b0 | b1 | ...]."""
+    real = all(_is_real(b.entries) for b in blocks)
+    rows = [_scaled([e for b in blocks for e in b.row(i)], real)[0] for i in range(blocks[0].rows)]
+    return rows, _gauss_jordan(rows, sum(b.cols for b in blocks))
+
+
+def _reduced_block(rows, pivots, ncols: int, first: int, width: int) -> Matrix:
+    """Columns first .. first+width-1 of the RREF, one row per pivot."""
+    out = []
+    for r, p in enumerate(pivots):
+        a = _entry(rows[r], p, ncols)
+        out.extend(_ratio(_entry(rows[r], c, ncols), a) for c in range(first, first + width))
+    return Matrix(len(pivots), width, out)
+
+
+def _kernel(rows, pivots, ncols: int, width: int) -> list[tuple[Scalar, ...]]:
+    """Canonical kernel basis of the first `width` columns of a reduced system."""
+    pivot_set = set(pivots)
+    leads = [_entry(rows[r], p, ncols) for r, p in enumerate(pivots)]
+    basis = []
+    for f in range(width):
+        if f in pivot_set:
+            continue
+        vec = [ZERO] * width
+        vec[f] = ONE
+        for r, p in enumerate(pivots):
+            x = _entry(rows[r], f, ncols)
+            if x != (0, 0):
+                vec[p] = _ratio((-x[0], -x[1]), leads[r])
+        basis.append(tuple(vec))
+    return basis
+
+
+# -- public API ------------------------------------------------------------------------
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns.
 
     Pivot choice: first nonzero entry in the current column, lowest row index
     first.  Pivots are scaled to 1 and cleared above and below.
     """
-    data = [list(m.row(i)) for i in range(m.rows)]
-    pivots: list[int] = []
-    prow = 0
-    for col in range(m.cols):
-        if prow >= m.rows:
-            break
-        sel = None
-        for r in range(prow, m.rows):
-            if data[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        if sel != prow:
-            data[prow], data[sel] = data[sel], data[prow]
-        pv = data[prow][col]
-        if pv != ONE:
-            inv_row = data[prow]
-            for c in range(col, m.cols):
-                if inv_row[c]:
-                    inv_row[c] = inv_row[c] / pv
-        for r in range(m.rows):
-            if r == prow:
-                continue
-            f = data[r][col]
-            if f:
-                src = data[prow]
-                dst = data[r]
-                for c in range(col, m.cols):
-                    if src[c]:
-                        dst[c] = dst[c] - f * src[c]
-        pivots.append(col)
-        prow += 1
-    flat = [e for row_ in data for e in row_]
-    return Matrix(m.rows, m.cols, flat), tuple(pivots)
+    rows, pivots = _eliminate([m])
+    red = _reduced_block(rows, pivots, m.cols, 0, m.cols)
+    zeros = [ZERO] * ((m.rows - len(pivots)) * m.cols)
+    return Matrix(m.rows, m.cols, red.entries + tuple(zeros)), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
     """Exact rank over Q(i)."""
-    return len(rref(m)[1])
+    return len(_eliminate([m])[1])
 
 
 def nullspace(m: Matrix) -> list[tuple[Scalar, ...]]:
@@ -186,20 +332,8 @@ def nullspace(m: Matrix) -> list[tuple[Scalar, ...]]:
     basis vector has coordinate 0 at f, so the list is in reduced echelon
     form.  Empty for injective matrices.
     """
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        vec = [ZERO] * m.cols
-        vec[f] = ONE
-        for prow, pcol in enumerate(pivots):
-            e = red.entry(prow, f)
-            if e:
-                vec[pcol] = -e
-        basis.append(tuple(vec))
-    return basis
+    rows, pivots = _eliminate([m])
+    return _kernel(rows, pivots, m.cols, m.cols)
 
 
 def solve_in_range(a: Matrix, c: Matrix) -> Matrix | None:
@@ -208,50 +342,51 @@ def solve_in_range(a: Matrix, c: Matrix) -> Matrix | None:
     `a` must be hermitian.  Returns None when some column of c falls outside
     Ran(a).  The returned X is the particular RREF solution (free variables
     zero) projected onto Ran(a) = nullspace(a)^perp under the standard
-    sesquilinear pairing, which makes it canonical.
+    sesquilinear pairing, which makes it canonical.  It is computed as the
+    unique solution of a*X = c together with v^H X = 0 for every kernel
+    vector v.
     """
     if not a.is_hermitian():
         raise ValueError("solve_in_range requires a hermitian left-hand side")
     if a.rows != c.rows:
         raise ValueError("row count mismatch")
-    aug = Matrix(
-        a.rows,
-        a.cols + c.cols,
-        [e for i in range(a.rows) for e in (*a.row(i), *c.row(i))],
-    )
-    red, pivots = rref(aug)
-    for prow, pcol in enumerate(pivots):
-        if pcol >= a.cols:
-            return None  # a pivot in the augmented block: inconsistent system
-    # Particular solution with free variables set to zero.
-    x = [[ZERO] * c.cols for _ in range(a.cols)]
-    for prow, pcol in enumerate(pivots):
-        for j in range(c.cols):
-            x[pcol][j] = red.entry(prow, a.cols + j)
-    x0 = Matrix(a.cols, c.cols, [e for row_ in x for e in row_])
-    null = nullspace(a)
-    if not null:
-        return x0
-    # Project out the nullspace component: X = X0 - N (N^H N)^{-1} N^H X0.
-    n = Matrix(a.cols, len(null), [null[k][i] for i in range(a.cols) for k in range(len(null))])
-    nh = n.conj_transpose()
-    gram = nh * n
-    rhs = nh * x0
-    coeffs = solve_full_rank(gram, rhs)
-    return x0 - n * coeffs
+    rows, pivots = _eliminate([a, c])
+    ncols = a.cols + c.cols
+    if pivots and pivots[-1] >= a.cols:
+        return None  # a pivot in the augmented block: inconsistent system
+    # The left block of the augmented RREF is the RREF of `a`, so it also
+    # yields the kernel; its rows join the reduced system as v^H X = 0.
+    null = _kernel(rows, pivots, ncols, a.cols)
+    if null:
+        real = len(rows[0]) == ncols
+        zeros = [ZERO] * c.cols
+        rows = rows[: len(pivots)] + [_scaled([e.conjugate() for e in v] + zeros, real)[0] for v in null]
+        pivots = _gauss_jordan(rows, ncols)
+    return _reduced_block(rows, pivots, ncols, a.cols, c.cols)
 
 
 def solve_full_rank(a: Matrix, b: Matrix) -> Matrix:
     """Solve a*X = b for invertible `a` (raises if singular)."""
-    aug = Matrix(
-        a.rows,
-        a.cols + b.cols,
-        [e for i in range(a.rows) for e in (*a.row(i), *b.row(i))],
-    )
-    red, pivots = rref(aug)
-    if len(pivots) != a.cols or any(p >= a.cols for p in pivots):
+    rows, pivots = _eliminate([a, b])
+    if pivots != list(range(a.cols)):
         raise InternalInvariantError("matrix expected to be invertible is singular")
-    return Matrix(a.cols, b.cols, [red.entry(i, a.cols + j) for i in range(a.cols) for j in range(b.cols)])
+    return _reduced_block(rows, pivots, a.cols + b.cols, a.cols, b.cols)
+
+
+def solve_canonical(rows: list[list[Fraction]], rhs: list[Fraction], nvars: int) -> list[Fraction] | None:
+    """Rational least-constraint solve of rows * x = rhs: RREF, free variables zero.
+
+    Each row holds `nvars` real coefficients.  Returns None if the system is
+    inconsistent.
+    """
+    int_rows = [_common([*row, r])[0] for row, r in zip(rows, rhs)]
+    pivots = _gauss_jordan(int_rows, nvars + 1)
+    if pivots and pivots[-1] == nvars:
+        return None
+    sol = [_F0] * nvars
+    for row, p in zip(int_rows, pivots):
+        sol[p] = Fraction(row[nvars], row[p])
+    return sol
 
 
 def psd_check(m: Matrix) -> bool:
@@ -279,40 +414,54 @@ def ldlh_psd(m: Matrix) -> list[tuple[Scalar, tuple[Scalar, ...]]] | None:
 
 
 def _psd_pivots(m: Matrix):
+    """LDL^H pivots of `m`, on integer matrices over a positive rational scale.
+
+    The hermitian matrix still to be pivoted is (re + i im) / scale on the
+    active indices.  Pivoting out p with d = re[p][p] > 0 leaves the Schur
+    complement (d*S[i][j] - S[i][p]*conj(S[j][p])) / (scale*d), whose integer
+    part is then divided by the gcd of its entries.
+    """
     n = m.rows
-    data = [list(m.row(i)) for i in range(n)]
+    real = _is_real(m.entries)
+    flat, den = _scaled(m.entries, real)
+    re = [flat[i * n : (i + 1) * n] for i in range(n)]
+    im = [[0] * n for _ in range(n)] if real else [flat[(n + i) * n : (n + i + 1) * n] for i in range(n)]
+    mats = [re] if real else [re, im]
+    scale = Fraction(den)
     active = list(range(n))
     out: list[tuple[Scalar, tuple[Scalar, ...]]] = []
     while active:
-        diag = {i: data[i][i] for i in active}
-        for i in active:
-            d = diag[i]
-            if not d.is_real():
-                raise ValueError("hermitian matrix has a non-real diagonal")
-            if d.re < 0:
-                return None
-        zero_rows = [i for i in active if diag[i].is_zero()]
-        for i in zero_rows:
-            if any(data[i][j] for j in active if j != i):
-                return None
+        if any(re[i][i] < 0 for i in active):
+            return None
+        zero_rows = {i for i in active if not re[i][i]}
         if zero_rows:
-            active = [i for i in active if i not in set(zero_rows)]
+            for i in zero_rows:
+                if any(mat[i][j] for mat in mats for j in active if j != i):
+                    return None
+            active = [i for i in active if i not in zero_rows]
             continue
-        p = active[0]  # lowest-index positive diagonal
-        d = data[p][p]
-        col = {i: data[i][p] for i in active}
+        p = active.pop(0)  # lowest-index positive diagonal
+        d = re[p][p]
+        cr, ci = [row[p] for row in re], [row[p] for row in im]
         vec = [ZERO] * n
+        vec[p] = ONE
         for i in active:
-            vec[i] = col[i] / d
-        out.append((d, tuple(vec)))
-        rest = [i for i in active if i != p]
-        for i in rest:
-            fi = col[i] / d
-            if fi.is_zero():
-                continue
-            for j in rest:
-                cj = col[j]
-                if cj:
-                    data[i][j] = data[i][j] - fi * cj.conjugate()
-        active = rest
+            vec[i] = _scalar(cr[i], ci[i], d)
+        out.append((Scalar._make(d / scale, _F0), tuple(vec)))
+        for i in active:
+            row = re[i]
+            for j in active:
+                row[j] = d * row[j] - cr[i] * cr[j] - ci[i] * ci[j]
+            if not real:
+                row = im[i]
+                for j in active:
+                    row[j] = d * row[j] - ci[i] * cr[j] + cr[i] * ci[j]
+        g = gcd(*(mat[i][j] for mat in mats for i in active for j in active))
+        if g > 1:
+            for mat in mats:
+                for i in active:
+                    row = mat[i]
+                    for j in active:
+                        row[j] //= g
+        scale = scale * d / (g or 1)
     return out

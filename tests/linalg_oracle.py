@@ -1,0 +1,238 @@
+"""The `Scalar`-by-`Scalar` linear algebra engine, kept as a test oracle.
+
+This is the elimination, product and PSD pivoting code that
+`quivermoment.linalg` ran before its kernels moved to Python integers.  It
+works entry by entry on `Fraction`-backed scalars, so it is slow but plainly
+correct; `test_linalg_engine.py` checks the integer engine against it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from quivermoment.errors import InternalInvariantError
+from quivermoment.linalg import Matrix
+from quivermoment.scalar import ONE, ZERO, Scalar
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a*b, summed entry by entry."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.rows}x{a.cols} * {b.rows}x{b.cols}")
+    out = []
+    for i in range(a.rows):
+        ri = a.row(i)
+        for j in range(b.cols):
+            acc = ZERO
+            for k in range(a.cols):
+                x = ri[k]
+                if x:
+                    acc = acc + x * b.entry(k, j)
+            out.append(acc)
+    return Matrix(a.rows, b.cols, out)
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns.
+
+    Pivot choice: first nonzero entry in the current column, lowest row index
+    first.  Pivots are scaled to 1 and cleared above and below.
+    """
+    data = [list(m.row(i)) for i in range(m.rows)]
+    pivots: list[int] = []
+    prow = 0
+    for col in range(m.cols):
+        if prow >= m.rows:
+            break
+        sel = None
+        for r in range(prow, m.rows):
+            if data[r][col]:
+                sel = r
+                break
+        if sel is None:
+            continue
+        if sel != prow:
+            data[prow], data[sel] = data[sel], data[prow]
+        pv = data[prow][col]
+        if pv != ONE:
+            inv_row = data[prow]
+            for c in range(col, m.cols):
+                if inv_row[c]:
+                    inv_row[c] = inv_row[c] / pv
+        for r in range(m.rows):
+            if r == prow:
+                continue
+            f = data[r][col]
+            if f:
+                src = data[prow]
+                dst = data[r]
+                for c in range(col, m.cols):
+                    if src[c]:
+                        dst[c] = dst[c] - f * src[c]
+        pivots.append(col)
+        prow += 1
+    flat = [e for row_ in data for e in row_]
+    return Matrix(m.rows, m.cols, flat), tuple(pivots)
+
+
+def rank(m: Matrix) -> int:
+    """Exact rank over Q(i)."""
+    return len(rref(m)[1])
+
+
+def nullspace(m: Matrix) -> list[tuple[Scalar, ...]]:
+    """Canonical basis of the right kernel.
+
+    One vector per free column, with a 1 at the free coordinate and the
+    pivot coordinates filled from the RREF.  For a free column f every other
+    basis vector has coordinate 0 at f, so the list is in reduced echelon
+    form.  Empty for injective matrices.
+    """
+    red, pivots = rref(m)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        vec = [ZERO] * m.cols
+        vec[f] = ONE
+        for prow, pcol in enumerate(pivots):
+            e = red.entry(prow, f)
+            if e:
+                vec[pcol] = -e
+        basis.append(tuple(vec))
+    return basis
+
+
+def solve_in_range(a: Matrix, c: Matrix) -> Matrix | None:
+    """Solve a*X = c with every column of X in the column space of `a`.
+
+    `a` must be hermitian.  Returns None when some column of c falls outside
+    Ran(a).  The returned X is the particular RREF solution (free variables
+    zero) projected onto Ran(a) = nullspace(a)^perp under the standard
+    sesquilinear pairing, which makes it canonical.
+    """
+    if not a.is_hermitian():
+        raise ValueError("solve_in_range requires a hermitian left-hand side")
+    if a.rows != c.rows:
+        raise ValueError("row count mismatch")
+    aug = Matrix(
+        a.rows,
+        a.cols + c.cols,
+        [e for i in range(a.rows) for e in (*a.row(i), *c.row(i))],
+    )
+    red, pivots = rref(aug)
+    for prow, pcol in enumerate(pivots):
+        if pcol >= a.cols:
+            return None  # a pivot in the augmented block: inconsistent system
+    # Particular solution with free variables set to zero.
+    x = [[ZERO] * c.cols for _ in range(a.cols)]
+    for prow, pcol in enumerate(pivots):
+        for j in range(c.cols):
+            x[pcol][j] = red.entry(prow, a.cols + j)
+    x0 = Matrix(a.cols, c.cols, [e for row_ in x for e in row_])
+    null = nullspace(a)
+    if not null:
+        return x0
+    # Project out the nullspace component: X = X0 - N (N^H N)^{-1} N^H X0.
+    n = Matrix(a.cols, len(null), [null[k][i] for i in range(a.cols) for k in range(len(null))])
+    nh = n.conj_transpose()
+    gram = matmul(nh, n)
+    rhs = matmul(nh, x0)
+    coeffs = solve_full_rank(gram, rhs)
+    return x0 - matmul(n, coeffs)
+
+
+def solve_full_rank(a: Matrix, b: Matrix) -> Matrix:
+    """Solve a*X = b for invertible `a` (raises if singular)."""
+    aug = Matrix(
+        a.rows,
+        a.cols + b.cols,
+        [e for i in range(a.rows) for e in (*a.row(i), *b.row(i))],
+    )
+    red, pivots = rref(aug)
+    if len(pivots) != a.cols or any(p >= a.cols for p in pivots):
+        raise InternalInvariantError("matrix expected to be invertible is singular")
+    return Matrix(a.cols, b.cols, [red.entry(i, a.cols + j) for i in range(a.cols) for j in range(b.cols)])
+
+
+def psd_check(m: Matrix) -> bool:
+    """Exact positive-semidefiniteness test for a hermitian matrix.
+
+    Recursive diagonal pivoting: a negative diagonal entry refutes, a zero
+    diagonal with a nonzero off-diagonal entry in its row refutes, otherwise
+    the first positive diagonal is pivoted out through an exact Schur
+    complement.  Correct for semidefinite (not only definite) matrices.
+    """
+    if not m.is_hermitian():
+        raise ValueError("psd_check requires a hermitian matrix")
+    return _psd_pivots(m) is not None
+
+
+def ldlh_psd(m: Matrix) -> list[tuple[Scalar, tuple[Scalar, ...]]] | None:
+    """Rational LDL^H data for a hermitian PSD matrix.
+
+    Returns pairs (d, v) with d a positive rational pivot and v a vector such
+    that m = sum d * v v^H.  Returns None when m is not PSD.
+    """
+    if not m.is_hermitian():
+        raise ValueError("ldlh_psd requires a hermitian matrix")
+    return _psd_pivots(m)
+
+
+def _psd_pivots(m: Matrix):
+    n = m.rows
+    data = [list(m.row(i)) for i in range(n)]
+    active = list(range(n))
+    out: list[tuple[Scalar, tuple[Scalar, ...]]] = []
+    while active:
+        diag = {i: data[i][i] for i in active}
+        for i in active:
+            d = diag[i]
+            if not d.is_real():
+                raise ValueError("hermitian matrix has a non-real diagonal")
+            if d.re < 0:
+                return None
+        zero_rows = [i for i in active if diag[i].is_zero()]
+        for i in zero_rows:
+            if any(data[i][j] for j in active if j != i):
+                return None
+        if zero_rows:
+            active = [i for i in active if i not in set(zero_rows)]
+            continue
+        p = active[0]  # lowest-index positive diagonal
+        d = data[p][p]
+        col = {i: data[i][p] for i in active}
+        vec = [ZERO] * n
+        for i in active:
+            vec[i] = col[i] / d
+        out.append((d, tuple(vec)))
+        rest = [i for i in active if i != p]
+        for i in rest:
+            fi = col[i] / d
+            if fi.is_zero():
+                continue
+            for j in rest:
+                cj = col[j]
+                if cj:
+                    data[i][j] = data[i][j] - fi * cj.conjugate()
+        active = rest
+    return out
+
+
+def solve_canonical(rows, rhs, nvars):
+    """Rational least-constraint solve: RREF, free variables zero; None if inconsistent."""
+    if not rows:
+        return [Fraction(0)] * nvars
+    flat = []
+    for row, r in zip(rows, rhs):
+        flat.extend(Scalar(x) for x in row)
+        flat.append(Scalar(r))
+    aug = Matrix(len(rows), nvars + 1, flat)
+    red, pivots = rref(aug)
+    sol = [Fraction(0)] * nvars
+    for prow, pcol in enumerate(pivots):
+        if pcol == nvars:
+            return None
+        sol[pcol] = red.entry(prow, nvars).re
+    return sol

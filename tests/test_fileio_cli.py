@@ -100,6 +100,52 @@ def test_unknown_token_error(tmp_path, capsys):
     assert "'z'" in err and "f.json" in err
 
 
+def _input_error(tmp_path, capsys, data) -> str:
+    fpath = write(tmp_path, "bad.json", data)
+    code = main(["moment", "flat", fpath])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "bad.json" in captured.err
+    return captured.err
+
+
+def test_cli_order_not_an_integer_exit_2(tmp_path, capsys):
+    err = _input_error(tmp_path, capsys, {"quiver": A2, "k": "two", "entries": []})
+    assert "'two'" in err
+
+
+def test_cli_value_not_a_string_exit_2(tmp_path, capsys):
+    entries = [{"path": "x x*", "value": 1}]
+    err = _input_error(tmp_path, capsys, {"quiver": A2, "k": 1, "entries": entries})
+    assert "1 is not a string" in err
+
+
+def test_cli_entries_not_a_list_exit_2(tmp_path, capsys):
+    err = _input_error(tmp_path, capsys, {"quiver": A2, "k": 1, "entries": 5})
+    assert "'entries'" in err and "5" in err
+
+
+def test_cli_output_into_missing_directory_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "rep.json")
+    code = main(["gns", "build", functional_file(tmp_path), "-o", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and out in captured.err
+
+
+def test_cli_unexpected_error_exit_3_one_line(tmp_path, capsys, monkeypatch):
+    def boom(path):
+        raise RuntimeError("unexpected\nfailure")
+
+    monkeypatch.setattr(fileio, "load_functional", boom)
+    code = main(["moment", "flat", functional_file(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "internal error: RuntimeError: unexpected failure\n"
+
+
 def test_cli_moment_flat(tmp_path, capsys):
     fpath = functional_file(tmp_path)
     code, out = run(capsys, "moment", "flat", fpath)

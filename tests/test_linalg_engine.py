@@ -1,0 +1,236 @@
+"""The integer linalg kernels against two independent engines.
+
+Every public kernel of `quivermoment.linalg` must return exactly what the
+`Scalar`-by-`Scalar` engine in `linalg_oracle.py` returns: the RREF is
+unique, and the product and the LDL^H pivot sequence are deterministic.  The
+verdicts and echelon forms are also checked against sympy's `DomainMatrix`
+over QQ<I> where sympy is installed.  Inputs cover real and complex data,
+rank-deficient matrices, zero rows and columns, empty shapes and entries of
+more than 1000 bits.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+from math import prod
+from random import Random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import linalg_oracle as oracle
+from quivermoment import linalg
+from quivermoment.errors import InternalInvariantError
+from quivermoment.linalg import Matrix
+from quivermoment.scalar import Scalar
+
+MAX_DIM = 5
+BITS = [3, 64, 1100]  # numerator and denominator sizes
+
+SETTINGS = settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def scalars(draw, complex_: bool, bits: int) -> Scalar:
+    def part() -> Fraction:
+        if draw(st.integers(0, 3)) == 0:
+            return Fraction(0)
+        return Fraction(draw(st.integers(-(2**bits), 2**bits)), draw(st.integers(1, 2**bits)))
+
+    return Scalar(part(), part() if complex_ else 0)
+
+
+@st.composite
+def matrices(draw, rows: int | None = None, cols: int | None = None) -> Matrix:
+    """Dense, rank-deficient, or with zeroed rows and columns."""
+    complex_ = draw(st.booleans())
+    bits = draw(st.sampled_from(BITS))
+    r = draw(st.integers(0, MAX_DIM)) if rows is None else rows
+    c = draw(st.integers(0, MAX_DIM)) if cols is None else cols
+
+    def block(nr: int, nc: int) -> Matrix:
+        return Matrix(nr, nc, [draw(scalars(complex_, bits)) for _ in range(nr * nc)])
+
+    kind = draw(st.sampled_from(["dense", "low_rank", "zero_lines"]))
+    if kind == "low_rank":
+        k = draw(st.integers(0, max(0, min(r, c) - 1)))
+        return oracle.matmul(block(r, k), block(k, c))
+    m = block(r, c)
+    if kind == "zero_lines":
+        zr = draw(st.sets(st.integers(0, max(r - 1, 0)))) if r else set()
+        zc = draw(st.sets(st.integers(0, max(c - 1, 0)))) if c else set()
+        zero = Scalar(0)
+        m = Matrix(r, c, [zero if i in zr or j in zc else m.entry(i, j) for i in range(r) for j in range(c)])
+    return m
+
+
+@st.composite
+def hermitian(draw) -> Matrix:
+    """g g^H, positive semidefinite, or g g^H - h h^H, usually indefinite."""
+    g = draw(matrices())
+    m = oracle.matmul(g, g.conj_transpose())
+    if draw(st.booleans()):
+        h = draw(matrices(rows=g.rows))
+        m = m - oracle.matmul(h, h.conj_transpose())
+    return m
+
+
+# -- against the Scalar engine ---------------------------------------------------
+
+
+@SETTINGS
+@given(matrices())
+def test_rref_rank_nullspace_match_oracle(m):
+    assert linalg.rref(m) == oracle.rref(m)
+    assert linalg.rank(m) == oracle.rank(m)
+    assert linalg.nullspace(m) == oracle.nullspace(m)
+
+
+@SETTINGS
+@given(st.data())
+def test_product_matches_oracle(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(rows=a.cols))
+    assert a * b == oracle.matmul(a, b)
+
+
+@SETTINGS
+@given(hermitian())
+def test_psd_matches_oracle(m):
+    assert linalg.psd_check(m) == oracle.psd_check(m)
+    assert linalg.ldlh_psd(m) == oracle.ldlh_psd(m)
+
+
+@SETTINGS
+@given(hermitian(), st.data())
+def test_solve_in_range_matches_oracle(a, data):
+    c = data.draw(matrices(rows=a.rows))
+    if data.draw(st.booleans()):
+        c = oracle.matmul(a, c)  # inside Ran(a)
+    assert linalg.solve_in_range(a, c) == oracle.solve_in_range(a, c)
+
+
+@SETTINGS
+@given(st.data())
+def test_solve_full_rank_matches_oracle(data):
+    n = data.draw(st.integers(0, MAX_DIM))
+    a = data.draw(matrices(rows=n, cols=n))
+    b = data.draw(matrices(rows=n))
+    if oracle.rank(a) == n:
+        assert linalg.solve_full_rank(a, b) == oracle.solve_full_rank(a, b)
+    else:
+        with pytest.raises(InternalInvariantError):
+            linalg.solve_full_rank(a, b)
+
+
+@SETTINGS
+@given(st.data())
+def test_solve_canonical_matches_oracle(data):
+    m = data.draw(matrices())
+    rows = [[e.re for e in m.row(i)] for i in range(m.rows)]
+    rhs = [e.re for e in data.draw(matrices(rows=m.rows, cols=1)).entries]
+    if data.draw(st.booleans()):  # a consistent system
+        rhs = [sum(rows[i], Fraction(0)) for i in range(m.rows)]
+    assert linalg.solve_canonical(rows, rhs, m.cols) == oracle.solve_canonical(rows, rhs, m.cols)
+
+
+def test_large_entries_exact():
+    """2000-bit entries survive the integer scaling unchanged."""
+    big = Fraction(3**1300 + 1, 2**1100 + 7)
+    m = Matrix(2, 2, [Scalar(big), Scalar(1), Scalar(0, big), Scalar(1, 1)])
+    assert linalg.rref(m) == oracle.rref(m)
+    assert m * m.conj_transpose() == oracle.matmul(m, m.conj_transpose())
+    h = oracle.matmul(m, m.conj_transpose())
+    assert linalg.ldlh_psd(h) == oracle.ldlh_psd(h)
+
+
+@pytest.mark.parametrize("complex_", [True, False])
+def test_elimination_stays_within_hadamard_bound(complex_, monkeypatch):
+    """No elimination row outgrows the minors of its integer input.
+
+    Every entry the engine keeps divides (in Z or Z[i]) a minor of the rows it
+    was given, so its square is at most the product of their squared norms.
+    Unchecked growth on a dense 12x12 system would exceed this by thousands
+    of bits.
+    """
+    checked = []
+    engine = linalg._gauss_jordan
+
+    def bounded(rows, ncols):
+        bound = prod(max(1, sum(x * x for x in row)) for row in rows)
+        pivots = engine(rows, ncols)
+        checked.append(all(x * x <= bound for row in rows for x in row))
+        return pivots
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", bounded)
+    rnd = Random(12)
+
+    def dense(rows: int, cols: int) -> Matrix:
+        def part() -> int:
+            return rnd.randint(-16, 16)
+
+        return Matrix(rows, cols, [Scalar(part(), part() if complex_ else 0) for _ in range(rows * cols)])
+
+    m = dense(12, 13)
+    assert linalg.rref(m) == oracle.rref(m)
+    assert linalg.nullspace(m) == oracle.nullspace(m)
+    g = dense(12, 8)
+    a = oracle.matmul(g, g.conj_transpose())
+    c = oracle.matmul(a, dense(12, 3))
+    assert linalg.solve_in_range(a, c) == oracle.solve_in_range(a, c)
+    assert len(checked) == 4 and all(checked)
+
+
+# -- against sympy's DomainMatrix over QQ<I> ---------------------------------------
+
+
+def _to_domain(m: Matrix):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    qq, qq_i = sympy.QQ, sympy.QQ_I
+
+    def conv(s: Scalar):
+        return qq_i(qq(s.re.numerator, s.re.denominator), qq(s.im.numerator, s.im.denominator))
+
+    rows = [[conv(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+    return DomainMatrix(rows, (m.rows, m.cols), qq_i)
+
+
+@SETTINGS
+@given(matrices())
+def test_rref_matches_sympy(m):
+    dm = _to_domain(m)
+    red, pivots = dm.rref()
+    ours, our_pivots = linalg.rref(m)
+    assert our_pivots == tuple(pivots)
+    assert _to_domain(ours).to_Matrix() == red.to_Matrix()
+    assert linalg.rank(m) == dm.rank()
+    for v in linalg.nullspace(m):
+        assert (dm * _to_domain(Matrix.column(v))).to_Matrix().is_zero_matrix
+
+
+@SETTINGS
+@given(st.data())
+def test_product_matches_sympy(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(rows=a.cols))
+    assert _to_domain(a * b).to_Matrix() == (_to_domain(a) * _to_domain(b)).to_Matrix()
+
+
+@SETTINGS
+@given(hermitian())
+def test_psd_matches_principal_minors(m):
+    """A hermitian matrix is PSD iff every principal minor is >= 0."""
+    dm = _to_domain(m)
+    minors = [
+        dm.extract(list(idx), list(idx)).det()
+        for size in range(1, m.rows + 1)
+        for idx in combinations(range(m.rows), size)
+    ]
+    assert all(d.y == 0 for d in minors)
+    assert linalg.psd_check(m) == all(d.x >= 0 for d in minors)
