@@ -36,7 +36,6 @@ from .quiver import (
     Quiver,
     build_double,
     compose,
-    embed_matrix_free,
     enumerate_basis,
     paths_of_length,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "Quiver",
     "build_double",
     "compose",
-    "embed_matrix_free",
     "enumerate_basis",
     "paths_of_length",
     "Scalar",

@@ -118,11 +118,6 @@ class Element:
         p = max(self.terms, key=order.key)
         return p, self.terms[p]
 
-    def truncate(self, d: int) -> Element:
-        if d < 0:
-            raise InputError("truncation degree must be >= 0")
-        return Element(self.double, {p: c for p, c in self.terms.items() if p.length() <= d})
-
     def sorted_terms(self, order: PathOrder | None = None) -> list[tuple[Path, Scalar]]:
         o = order or self.double.default_order()
         return sorted(self.terms.items(), key=lambda t: o.key(t[0]))

@@ -12,14 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .algebra import Element
 from .errors import (
     ExtensionObstructed,
     InputError,
     InternalInvariantError,
     NotFlatError,
 )
-from .groebner import RightGroebnerBasis, kernel_groebner, left_divides
+from .groebner import RightGroebnerBasis, kernel_groebner
 from .linalg import Matrix
 from .moment import TruncatedFunctional
 from .quiver import ZERO_PATH, Path, compose, enumerate_basis, paths_of_length
@@ -181,58 +180,6 @@ def flat_extend_tip_maximal(
     return extended
 
 
-class _PathNormalForms:
-    """Memoized path-level normal forms against a right Gröbner basis.
-
-    Normal forms under a Gröbner basis are route-independent, so rewriting a
-    path one divisor at a time and caching the result per path agrees with
-    element-level total reduction while sharing work across evaluations.
-    """
-
-    def __init__(self, gb: RightGroebnerBasis):
-        self.gb = gb
-        self.rules = [(g.tip(gb.order)[0], g) for g in gb.elements]
-        self.cache: dict[Path, Element] = {}
-
-    def path_nf(self, p: Path) -> Element:
-        hit = self.cache.get(p)
-        if hit is not None:
-            return hit
-        best = None
-        for tip, g in self.rules:
-            b = left_divides(tip, p)
-            if b is not None and (best is None or tip.length() > best[0].length()):
-                best = (tip, g, b)
-        if best is None:
-            out = Element.from_path(p)
-        else:
-            tip, g, b = best
-            acc: dict[Path, Scalar] = {}
-            for q, c in g.terms.items():
-                if q == tip:
-                    continue
-                qb = compose(q, b)
-                if qb is ZERO_PATH:
-                    continue
-                neg = -c
-                for r, cr in self.path_nf(qb).terms.items():
-                    cur = acc.get(r)
-                    val = neg * cr if cur is None else cur + neg * cr
-                    if val.is_zero():
-                        acc.pop(r, None)
-                    else:
-                        acc[r] = val
-            out = Element(p.double, acc)
-        self.cache[p] = out
-        return out
-
-    def element_nf(self, f: Element) -> Element:
-        acc = Element.zero(f.double)
-        for p, c in f.terms.items():
-            acc = acc + self.path_nf(p).scale(c)
-        return acc
-
-
 class FlatExtension:
     """The rank-preserving extension of a flat functional, evaluated lazily.
 
@@ -249,13 +196,12 @@ class FlatExtension:
             raise InputError("FlatExtension requires a flat base functional")
         self.base = base
         self.gb: RightGroebnerBasis = kernel_groebner(base, generators)
-        self._nf = _PathNormalForms(self.gb)
         self.cache: dict[Path, Scalar] = {}
 
     def evaluate(self, p: Path) -> Scalar:
         if p in self.cache:
             return self.cache[p]
-        nf = self._nf.path_nf(p)
+        nf = self.gb.nf(p)
         deg = nf.degree()
         if deg is not None and deg >= self.base.k:
             raise InternalInvariantError(

@@ -12,7 +12,7 @@ starred arrows act by the gram adjoint.
 
 Matrix conventions: matrices act on column coordinate vectors; the matrix of
 an arrow c maps the coset of p to the coset of p·c.  The inner product is
-inner(u, v) = sum_{i,j} u_i conj(v_j) gram[i][j] with gram[i][j] = L(b_i b_j*).
+<u, v> = sum_{i,j} u_i conj(v_j) gram[i][j] with gram[i][j] = L(b_i b_j*).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .algebra import Element
 from .errors import InputError, InternalInvariantError
-from .groebner import RightGroebnerBasis, kernel_groebner, left_divides, normal_form
+from .groebner import RightGroebnerBasis, kernel_groebner
 from .linalg import Matrix
 from .moment import TruncatedFunctional
 from .quiver import ZERO_PATH, DoubleQuiver, Path, compose, enumerate_basis
@@ -57,36 +57,6 @@ class Representation:
             acc = m if acc is None else acc * m
         return acc
 
-    def element_matrix_word_order(self, f: Element) -> Matrix:
-        acc = Matrix.zeros(self.dim, self.dim)
-        for p, c in f.terms.items():
-            acc = acc + self.path_matrix_word_order(p).scale(c)
-        return acc
-
-    def right_action_matrix(self, f: Element) -> Matrix:
-        """Matrix of right multiplication v -> v·f (letters applied first to last)."""
-        acc = Matrix.zeros(self.dim, self.dim)
-        for p, c in f.terms.items():
-            if p.is_trivial():
-                m = self.vertex_projections[self.double.vertices[p.vertex]]
-            else:
-                m = None
-                for letter in p.letters:
-                    lm = self.letter_matrix(self.double.letter_name(letter))
-                    m = lm if m is None else lm * m
-            acc = acc + m.scale(c)
-        return acc
-
-    def inner(self, u, v) -> Scalar:
-        acc = ZERO
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if vj:
-                    acc = acc + ui * vj.conjugate() * self.gram.entry(i, j)
-        return acc
-
     def adjoint_pair_ok(self, base_name: str) -> bool:
         """Exact adjointness of an arrow against its star through the gram.
 
@@ -118,12 +88,12 @@ def build_representation(functional: TruncatedFunctional) -> Representation:
     window = enumerate_basis(
         functional.double, functional.order, functional.k - 1, functional.include_trivial
     )
-    basis = tuple(p for p in window if not _reducible(p, gb))
+    basis = tuple(p for p in window if not gb.reducible(p))
     if len(basis) != report.rank_k:
         raise InternalInvariantError(
             f"coset count {len(basis)} differs from moment rank {report.rank_k}"
         )
-    gram = _pairing_matrix(functional, basis)
+    gram = functional.moment_block(basis, basis)
     if not linalg.psd_check(gram):
         raise InternalInvariantError("gram of a PSD functional failed the PSD check")
     rep = _quotient_representation(functional.double, gb, basis, gram)
@@ -148,7 +118,7 @@ def build_from_groebner(
         raise InputError("cannot build a representation from an empty Gröbner basis")
     k = max(e.tip(gb.order)[0].length() for e in gb.elements)
     window = enumerate_basis(double, gb.order, k - 1, include_trivial)
-    basis = tuple(p for p in window if not _reducible(p, gb))
+    basis = tuple(p for p in window if not gb.reducible(p))
     if gram.rows != len(basis) or gram.cols != len(basis):
         raise InputError(f"gram must be {len(basis)}x{len(basis)} for this quotient")
     if not gram.is_hermitian():
@@ -159,23 +129,6 @@ def build_from_groebner(
     if include_trivial:
         rep.cyclic = _cyclic_vector(rep, gb)
     return rep
-
-
-def _reducible(p: Path, gb: RightGroebnerBasis) -> bool:
-    for g in gb.elements:
-        tip, _ = g.tip(gb.order)
-        if left_divides(tip, p) is not None:
-            return True
-    return False
-
-
-def _pairing_matrix(functional: TruncatedFunctional, basis) -> Matrix:
-    ents = []
-    for p in basis:
-        for q in basis:
-            pq = compose(p, q.star())
-            ents.append(ZERO if pq is ZERO_PATH else functional.value(pq))
-    return Matrix(len(basis), len(basis), ents)
 
 
 def _quotient_representation(
@@ -206,12 +159,18 @@ def _quotient_representation(
             if pc is ZERO_PATH:
                 cols.append([ZERO] * n)
             else:
-                cols.append(express(normal_form(Element.from_path(pc), gb)))
+                cols.append(express(gb.nf(pc)))
         arrows[double.letter_name(letter)] = Matrix(
             n, n, [cols[j][i] for i in range(n) for j in range(n)]
         )
 
-    projections = {
+    return Representation(double, basis, gram, arrows, _vertex_projections(double, basis), None)
+
+
+def _vertex_projections(double: DoubleQuiver, basis: tuple[Path, ...]) -> dict[str, Matrix]:
+    """Per vertex v, the diagonal 0/1 matrix selecting the basis paths ending at v."""
+    n = len(basis)
+    return {
         v: Matrix(
             n,
             n,
@@ -223,15 +182,13 @@ def _quotient_representation(
         )
         for vi, v in enumerate(double.vertices)
     }
-    return Representation(double, basis, gram, arrows, projections, None)
 
 
 def _cyclic_vector(rep: Representation, gb: RightGroebnerBasis) -> tuple[Scalar, ...]:
     index = {p: i for i, p in enumerate(rep.basis)}
     coords = [ZERO] * rep.dim
     for e in rep.double.trivial_paths():
-        nf = normal_form(Element.from_path(e), gb)
-        for p, c in nf.terms.items():
+        for p, c in gb.nf(e).terms.items():
             coords[index[p]] = coords[index[p]] + c
     return tuple(coords)
 
@@ -257,24 +214,20 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     dp1 = functional.k
     window = enumerate_basis(double, order, dp1, True)
 
-    def pair(p: Path, q: Path) -> Scalar:
-        pq = compose(p, q.star())
-        return ZERO if pq is ZERO_PATH else functional.value(pq)
-
     # Degree-graded coset representatives: the pivot columns of the full
     # pairing matrix, i.e. each column that enlarges the span of the columns
     # before it.  Ascending path order makes the span of the first j degrees
     # equal the span of the chosen reps of degree <= j, which the
     # multiplication operators below rely on.
-    pairing = Matrix(len(window), len(window), [pair(w, p) for w in window for p in window])
+    pairing = functional.moment_block(window, window)
     basis = tuple(window[j] for j in linalg.rref(pairing)[1])
     n = len(basis)
-    gram = _pairing_matrix(functional, basis)
+    gram = functional.moment_block(basis, basis)
     ft = gram.transpose()
 
     def coords(q: Path) -> list[Scalar]:
         """Coordinates y of the coset [q] over the reps: F^T y = (L(q r_i*))_i."""
-        rhs = Matrix.column([pair(q, r) for r in basis])
+        rhs = functional.moment_block([q], basis).transpose()
         sol = linalg.solve_full_rank(ft, rhs)
         return [sol.entry(i, 0) for i in range(n)]
 
@@ -329,45 +282,13 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
         # pi(b*) is the gram adjoint of pi(b).
         arrows[arrow.name + "*"] = linalg.solve_full_rank(ft, m_b.conj_transpose() * ft)
 
-    projections = {
-        v: Matrix(
-            n,
-            n,
-            [
-                ONE if i == j and basis[i].terminal() == vi else ZERO
-                for i in range(n)
-                for j in range(n)
-            ],
-        )
-        for vi, v in enumerate(double.vertices)
-    }
-    rep = Representation(double, basis, gram, arrows, projections, None)
+    rep = Representation(double, basis, gram, arrows, _vertex_projections(double, basis), None)
     xi = [ZERO] * n
     for e in double.trivial_paths():
         for i, c in enumerate(coords(e)):
             xi[i] = xi[i] + c
     rep.cyclic = tuple(xi)
     return rep
-
-
-def apply_right_word(rep: Representation, p: Path, vec: list[Scalar]) -> list[Scalar]:
-    """Apply right multiplication by a path to a coordinate vector."""
-    cur = Matrix.column(vec)
-    if p.is_trivial():
-        proj = rep.vertex_projections[rep.double.vertices[p.vertex]]
-        cur = proj * cur
-    else:
-        for letter in p.letters:
-            cur = rep.letter_matrix(rep.double.letter_name(letter)) * cur
-    return [cur.entry(i, 0) for i in range(rep.dim)]
-
-
-def apply_right_element(rep: Representation, f: Element, vec: list[Scalar]) -> list[Scalar]:
-    out = [ZERO] * rep.dim
-    for p, c in f.terms.items():
-        img = apply_right_word(rep, p, vec)
-        out = [a + c * b for a, b in zip(out, img)]
-    return out
 
 
 # -- diagnostics --------------------------------------------------------------

@@ -6,17 +6,23 @@ representative per selected tip, totally reduce the rest against the kept
 set, and repeat until every element is kept.  Left division is prefix
 division of letter words, and reduction replaces the largest reducible
 support path first, so runs are reproducible event for event.
+
+Normal forms against a finished basis take a different route, one letter at
+a time.  Every term r of NF(p) is irreducible, so the only tip that can
+left-divide r·c is r·c itself, and NF(p·c) = NF(NF(p)·c) is one lookup per
+term in a table mapping each tip to the normal form of its tail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import Element
 from .errors import InputError, InternalInvariantError
 from .moment import TruncatedFunctional
-from .quiver import Path, PathOrder
-from .scalar import ONE
+from .quiver import ZERO_PATH, Path, PathOrder, compose
+from .scalar import ONE, Scalar
 
 
 def left_divides(t: Path, m: Path) -> Path | None:
@@ -45,11 +51,62 @@ class ReductionEvent:
     cofactor: Path
 
 
+Terms = dict[Path, Scalar]
+
+
+def _sum(scaled) -> Terms:
+    """The sum of c·terms over (terms, c) pairs, zero coefficients dropped."""
+    acc: Terms = {}
+    for terms, c in scaled:
+        for r, cr in terms.items():
+            v = c * cr
+            acc[r] = acc[r] + v if r in acc else v
+    return {r: v for r, v in acc.items() if v}
+
+
+def _fold(p: Path, table: dict[Path, Terms]) -> Terms:
+    """Normal form of p, letter by letter, against a {tip: reduced tail} table."""
+    start = p.double.trivial_paths()[p.origin()]
+    acc = table.get(start, {start: ONE})
+    for letter in p.letters:
+        step = Path(p.double, None, (letter,))
+        images = ((compose(r, step), c) for r, c in acc.items())
+        acc = _sum((table.get(rc, {rc: ONE}), c) for rc, c in images if rc is not ZERO_PATH)
+    return acc
+
+
 @dataclass(frozen=True)
 class RightGroebnerBasis:
     elements: tuple[Element, ...]
     order: PathOrder
     trace: tuple[ReductionEvent, ...]
+
+    @cached_property
+    def tip_table(self) -> dict[Path, Terms]:
+        """Each tip mapped to the normal form of its tail: Tip(g) ≡ Tip(g) - g·e.
+
+        Here e is the trivial path at the tip's terminal vertex, so a tail
+        keeps only the terms ending where the tip ends, as in every reduction
+        step h - c·g·b.  Tails are reduced in increasing tip order; every term
+        of a tail is below its tip, so only the rules already in the table can
+        divide the paths its fold meets.
+        """
+        table: dict[Path, Terms] = {}
+        for g in sorted(self.elements, key=lambda e: self.order.key(e.tip(self.order)[0])):
+            tip, lead = g.tip(self.order)
+            tail = ((q, c) for q, c in g.terms.items() if q != tip and q.terminal() == tip.terminal())
+            table[tip] = _sum((_fold(q, table), -c / lead) for q, c in tail)
+        return table
+
+    def nf(self, p: Path) -> Element:
+        """Normal form of a single path."""
+        return Element(p.double, _fold(p, self.tip_table))
+
+    def reducible(self, p: Path) -> bool:
+        """True iff some tip left-divides p, i.e. some prefix of p is a tip."""
+        prefixes = [Path(p.double, None, p.letters[:i]) for i in range(1, p.length() + 1)]
+        prefixes.append(p.double.trivial_paths()[p.origin()])
+        return any(q in self.tip_table for q in prefixes)
 
 
 def _monic(e: Element, order: PathOrder) -> Element:
@@ -160,8 +217,8 @@ def right_groebner(generators, order: PathOrder) -> RightGroebnerBasis:
 
 
 def normal_form(f: Element, gb: RightGroebnerBasis) -> Element:
-    """Total reduction against the basis; supported on non-tips, linear, idempotent."""
-    return total_reduce(f, list(gb.elements), gb.order)
+    """Sum of c·NF(p) over the terms of f; supported on non-tips, linear, idempotent."""
+    return Element(f.double, _sum((_fold(p, gb.tip_table), c) for p, c in f.terms.items()))
 
 
 def kernel_groebner(functional: TruncatedFunctional, generators=None) -> RightGroebnerBasis:

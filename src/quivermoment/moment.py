@@ -9,6 +9,7 @@ the path semigroup are exact zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .algebra import Element
@@ -19,7 +20,11 @@ from .scalar import ZERO, Scalar
 
 
 class TruncatedFunctional:
-    """Hermitian scalar assignment on the length <= 2k basis window."""
+    """Hermitian scalar assignment on the length <= 2k basis window.
+
+    A functional is immutable after construction, so its flatness report and
+    its kernel basis are computed once and reused.
+    """
 
     def __init__(
         self,
@@ -82,18 +87,26 @@ class TruncatedFunctional:
             return ()
         return tuple(enumerate_basis(self.double, self.order, t, self.include_trivial))
 
+    def moment_block(self, rows, cols) -> Matrix:
+        """The matrix of L(p q*) over row paths p and column paths q.
+
+        Entries where p q* vanishes in the path semigroup are exact zeros.
+        """
+        stars = [q.star() for q in cols]
+        ents = []
+        for p in rows:
+            for qs in stars:
+                pq = compose(p, qs)
+                ents.append(ZERO if pq is ZERO_PATH else self.value(pq))
+        return Matrix(len(rows), len(cols), ents)
+
     def moment_matrix(self, t: int | None = None) -> MomentMatrix:
         if t is None:
             t = self.k
         if t > self.k:
             raise InputError(f"moment matrix order {t} exceeds functional order {self.k}")
         basis = self.basis(t)
-        ents = []
-        for p in basis:
-            for q in basis:
-                pq = compose(p, q.star())
-                ents.append(ZERO if pq is ZERO_PATH else self.value(pq))
-        return MomentMatrix(basis, Matrix(len(basis), len(basis), ents))
+        return MomentMatrix(basis, self.moment_block(basis, basis))
 
     def block_decompose(self) -> BlockDecomposition:
         """Split the order-k matrix over V_k = V_{k-1} (+) span(new length-k paths)."""
@@ -101,14 +114,9 @@ class TruncatedFunctional:
         full = self.basis(self.k)
         old_set = set(old)
         new = tuple(p for p in full if p not in old_set)
-
-        def ent(p: Path, q: Path) -> Scalar:
-            pq = compose(p, q.star())
-            return ZERO if pq is ZERO_PATH else self.value(pq)
-
-        a = Matrix(len(old), len(old), [ent(p, q) for p in old for q in old])
-        c = Matrix(len(old), len(new), [ent(p, q) for p in old for q in new])
-        b = Matrix(len(new), len(new), [ent(p, q) for p in new for q in new])
+        a = self.moment_block(old, old)
+        c = self.moment_block(old, new)
+        b = self.moment_block(new, new)
         return BlockDecomposition(a, c, b, old, new)
 
     def restrict(self, t: int) -> TruncatedFunctional:
@@ -125,14 +133,15 @@ class TruncatedFunctional:
 
         The nullspace of the conjugated moment matrix is taken so that each
         returned element g satisfies L(g q*) = 0 = L(q g*) for every window
-        path q, also over complex data.
+        path q, also over complex data.  Each call returns a fresh list.
         """
+        return list(self._kernel)
+
+    @cached_property
+    def _kernel(self) -> tuple[Element, ...]:
         mm = self.moment_matrix(self.k)
         vecs = linalg.nullspace(mm.m.conjugate())
-        out = []
-        for v in vecs:
-            out.append(Element.from_terms(self.double, zip(mm.basis, v)))
-        return out
+        return tuple(Element.from_terms(self.double, zip(mm.basis, v)) for v in vecs)
 
     def is_flat(self) -> FlatReport:
         """Both flatness criteria, cross-asserted.
@@ -142,6 +151,10 @@ class TruncatedFunctional:
         A X = C.  The two are equivalent for hermitian data, so disagreement
         is a hard failure.
         """
+        return self._flat_report
+
+    @cached_property
+    def _flat_report(self) -> FlatReport:
         rank_k = linalg.rank(self.moment_matrix(self.k).m)
         rank_km1 = linalg.rank(self.moment_matrix(self.k - 1).m)
         rank_flat = rank_k == rank_km1
@@ -187,23 +200,6 @@ class BlockDecomposition:
     b: Matrix
     old_basis: tuple[Path, ...]
     new_basis: tuple[Path, ...]
-
-    def reassemble(self) -> Matrix:
-        old_n, new_n = len(self.old_basis), len(self.new_basis)
-        n = old_n + new_n
-        ch = self.c.conj_transpose()
-        ents = []
-        for i in range(n):
-            for j in range(n):
-                if i < old_n and j < old_n:
-                    ents.append(self.a.entry(i, j))
-                elif i < old_n:
-                    ents.append(self.c.entry(i, j - old_n))
-                elif j < old_n:
-                    ents.append(ch.entry(i - old_n, j))
-                else:
-                    ents.append(self.b.entry(i - old_n, j - old_n))
-        return Matrix(n, n, ents)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .scalar import ONE, ZERO, Scalar
 
 Letter = tuple[int, bool]  # (base arrow index, starred flag)
 
@@ -239,6 +238,22 @@ class PathOrder:
         return 0
 
 
+def _words(double: DoubleQuiver, max_len: int) -> list[list[tuple[Letter, ...]]]:
+    """Composable letter words of lengths 1..max_len, one list per length."""
+    letters = double.letters()
+    frontier = [(l,) for l in letters]
+    out = []
+    for _ in range(max_len):
+        out.append(frontier)
+        frontier = [
+            w + (l,)
+            for w in frontier
+            for l in letters
+            if double.letter_source(l) == double.letter_target(w[-1])
+        ]
+    return out
+
+
 def enumerate_basis(
     double: DoubleQuiver,
     order: PathOrder,
@@ -255,93 +270,16 @@ def enumerate_basis(
     out: list[Path] = []
     if include_trivial:
         out.extend(double.trivial_paths())
-    frontier = [(l,) for l in double.letters()]
-    length = 1
-    while length <= max_len and frontier:
-        out.extend(Path(double, None, w) for w in frontier)
-        nxt = []
-        for w in frontier:
-            t = double.letter_target(w[-1])
-            for l in double.letters():
-                if double.letter_source(l) == t:
-                    nxt.append(w + (l,))
-        frontier = nxt
-        length += 1
+    for words in _words(double, max_len):
+        out.extend(Path(double, None, w) for w in words)
     out.sort(key=order.key)
     return out
 
 
 def paths_of_length(double: DoubleQuiver, order: PathOrder, length: int) -> list[Path]:
+    if length < 0:
+        raise InputError("length must be >= 0")
     if length == 0:
         return sorted(double.trivial_paths(), key=order.key)
-    words = [(l,) for l in double.letters()]
-    for _ in range(length - 1):
-        nxt = []
-        for w in words:
-            t = double.letter_target(w[-1])
-            for l in double.letters():
-                if double.letter_source(l) == t:
-                    nxt.append(w + (l,))
-        words = nxt
+    words = _words(double, length)[-1]
     return sorted((Path(double, None, w) for w in words), key=order.key)
-
-
-# -- embedding into matrices over the free *-algebra (property-test oracle) --
-
-FreeWord = tuple[Letter, ...]
-FreeElement = dict  # FreeWord -> Scalar
-
-
-def _free_add_term(acc: FreeElement, word: FreeWord, coeff: Scalar) -> None:
-    cur = acc.get(word, ZERO) + coeff
-    if cur.is_zero():
-        acc.pop(word, None)
-    else:
-        acc[word] = cur
-
-
-def free_matmul(a, b):
-    """Multiply matrices whose entries are free-algebra elements."""
-    n = len(a)
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc: FreeElement = {}
-            for k in range(n):
-                for w1, c1 in a[i][k].items():
-                    for w2, c2 in b[k][j].items():
-                        _free_add_term(acc, w1 + w2, c1 * c2)
-            out[i][j] = acc
-    return out
-
-
-def free_dagger(a):
-    """Entrywise free-algebra star combined with the matrix transpose."""
-    n = len(a)
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc: FreeElement = {}
-            for w, c in a[j][i].items():
-                sw = tuple((idx, not st) for (idx, st) in reversed(w))
-                _free_add_term(acc, sw, c.conjugate())
-            out[i][j] = acc
-    return out
-
-
-def embed_matrix_free(p: Path):
-    """Image of a nonzero path under the faithful matrix-over-free-algebra map.
-
-    A trivial path at the i-th vertex maps to E_ii; an arrow of the double
-    from vertex i to vertex j maps to its free generator times E_ij.  Path
-    products map to matrix products, which the property suite verifies.
-    """
-    d = p.double
-    n = d.n_vertices()
-    mat = [[{} for _ in range(n)] for _ in range(n)]
-    if p.is_trivial():
-        mat[p.vertex][p.vertex] = {(): ONE}
-        return mat
-    word: FreeWord = p.letters
-    mat[p.origin()][p.terminal()] = {word: ONE}
-    return mat

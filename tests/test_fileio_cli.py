@@ -1,4 +1,6 @@
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -227,6 +229,23 @@ def test_cli_extend_and_evaluate(tmp_path, capsys):
     code, out = run(capsys, "evaluate", "--functional", outpath, "--path", "x x* x x* x x* x x*")
     assert code == 0
     assert out[-1] == {"path": "x x* x x* x x* x x*", "value": "1"}
+
+
+@pytest.mark.parametrize("length", [1200, 5000])
+def test_cli_evaluate_long_path(tmp_path, capsys, length):
+    # Rank-1 state on one loop: x acts as the scalar 3/2, so L(w) = (3/2)^len(w).
+    a = Fraction(3, 2)
+    entries = [
+        {"path": " ".join(w), "value": str(a ** n)}
+        for n in range(1, 5)
+        for w in itertools.product(["x", "x*"], repeat=n)
+    ]
+    data = {"quiver": LOOP, "k": 2, "include_trivial": False, "entries": entries}
+    fpath = write(tmp_path, "rank1.json", data)
+    text = " ".join(["x", "x*"] * (length // 2))
+    code, out = run(capsys, "evaluate", "--functional", fpath, "--path", text)
+    assert code == 0
+    assert out[-1] == {"path": text, "value": str(a ** length)}
 
 
 def test_cli_extend_without_flag_is_input_error(tmp_path, capsys):

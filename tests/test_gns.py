@@ -17,7 +17,7 @@ from quivermoment import (
     rep_kernel,
     right_groebner,
 )
-from quivermoment.gns import apply_right_element
+from oracles import apply_right_element, element_matrix_word_order, inner
 from quivermoment.scalar import ONE, ZERO
 
 from conftest import elem, path, sc, state_functional
@@ -113,7 +113,7 @@ def test_example2_kernel_contains_printed_elements(example2_l4, fix_loop):
         elem(fix_loop, ("x* x x x*", 1), ("x x* x* x", -1)),
     ]
     for q in printed:
-        assert rep.element_matrix_word_order(q).is_zero()
+        assert element_matrix_word_order(rep, q).is_zero()
         assert element_in_span(q, kern, fix_loop, 4)
 
 
@@ -174,7 +174,7 @@ def test_compress_moment_reproduction(fix_a2):
                 want = sc(0) if not pq else f.value(pq)
                 tp = apply_right_element(rep, Element.from_path(p), xi)
                 tq = apply_right_element(rep, Element.from_path(q), xi)
-                assert rep.inner(tp, tq) == want
+                assert inner(rep, tp, tq) == want
         assert check_relations(rep).passed
 
 
@@ -202,7 +202,7 @@ def test_compress_one_dimensional_fixed_point(fix_a2):
             want = sc(0) if not pq else f.value(pq)
             tp = apply_right_element(rep, Element.from_path(p), xi)
             tq = apply_right_element(rep, Element.from_path(q), xi)
-            assert rep.inner(tp, tq) == want
+            assert inner(rep, tp, tq) == want
 
 
 def test_compress_on_three_vertex_chain(fix_chain):
@@ -219,7 +219,7 @@ def test_compress_on_three_vertex_chain(fix_chain):
             want = sc(0) if not pq else f.value(pq)
             tp = apply_right_element(rep, Element.from_path(p), xi)
             tq = apply_right_element(rep, Element.from_path(q), xi)
-            assert rep.inner(tp, tq) == want
+            assert inner(rep, tp, tq) == want
     assert check_relations(rep).passed
 
 

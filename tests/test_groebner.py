@@ -1,11 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivermoment import (
     Element,
     InputError,
+    Scalar,
     TruncatedFunctional,
+    enumerate_basis,
     kernel_groebner,
     left_divides,
     normal_form,
@@ -173,3 +178,64 @@ def test_trunk_realized_for_flat_kernel(fix_l2_ext, example2_l4):
                 gw = g * Element.from_path(w)
                 for v in window:
                     assert f.pairing(gw, Element.from_path(v)).is_zero()
+
+
+# -- the tip-table engine against the completion's reducer -------------------
+
+
+@pytest.fixture(scope="module")
+def fixture_bases(fix_h4, fix_loop, fix_l2_ext, example2_l4):
+    return [
+        right_groebner(fix_h4, fix_loop.default_order()),
+        kernel_groebner(fix_l2_ext),
+        kernel_groebner(example2_l4),
+    ]
+
+
+def gaussian_rationals():
+    parts = st.tuples(st.integers(-4, 4), st.integers(-2, 2), st.integers(1, 3))
+    return parts.filter(lambda t: t[0] or t[1]).map(
+        lambda t: Scalar(Fraction(t[0], t[2]), Fraction(t[1], t[2]))
+    )
+
+
+def elements(double, max_len, max_terms):
+    pool = enumerate_basis(double, double.default_order(), max_len, True)
+    terms = st.lists(st.tuples(st.sampled_from(pool), gaussian_rationals()), max_size=max_terms)
+    return terms.map(lambda t: Element.from_terms(double, t))
+
+
+def assert_engines_agree(gb, f):
+    assert normal_form(f, gb) == total_reduce(f, list(gb.elements), gb.order)
+    for p in f.terms:
+        tips = [g.tip(gb.order)[0] for g in gb.elements]
+        assert gb.reducible(p) == any(left_divides(t, p) is not None for t in tips)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_normal_form_matches_total_reduce_on_fixture_bases(data, fixture_bases):
+    gb = data.draw(st.sampled_from(fixture_bases))
+    f = data.draw(elements(gb.elements[0].double, 7, 6))
+    assert_engines_agree(gb, f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_normal_form_matches_total_reduce_on_random_bases(data, fix_a2, fix_loop, fix_chain):
+    double = data.draw(st.sampled_from([fix_a2, fix_loop, fix_chain]))
+    gens = data.draw(st.lists(elements(double, 3, 3), min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        # A generator supported on trivial paths has a trivial-path tip.
+        gens.append(data.draw(elements(double, 0, 2)))
+    gb = right_groebner(gens, double.default_order())
+    f = data.draw(elements(double, 6, 5))
+    assert_engines_agree(gb, f)
+
+
+def test_trivial_tip_kills_its_vertex(fix_a2):
+    # g = e1 + 2·e2 has tip e2; g·e2 = 2·e2 puts every path from e2 in the ideal.
+    g = elem(fix_a2, ("e:e1", 1), ("e:e2", 2))
+    gb = right_groebner([g], fix_a2.default_order())
+    for text in ("e:e2", "x*", "x* x", "x* x x*"):
+        assert normal_form(elem(fix_a2, (text, 1)), gb).is_zero()

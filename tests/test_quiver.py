@@ -8,10 +8,9 @@ from quivermoment import (
     ZERO_PATH,
     build_double,
     compose,
-    embed_matrix_free,
     enumerate_basis,
 )
-from quivermoment.quiver import free_dagger, free_matmul
+from oracles import embed_matrix_free, free_dagger, free_matmul
 
 from conftest import path
 

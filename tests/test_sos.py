@@ -15,6 +15,7 @@ from quivermoment import (
 )
 
 from conftest import elem, path, sc, state_functional
+from oracles import inner, right_action_matrix
 
 
 def test_verify_squares_examples(fix_loop, fix_a2):
@@ -105,12 +106,12 @@ def test_representation_positivity(fix_l2_ext, example2_l4, fix_a2, fix_loop):
     for f in (fix_l2_ext, example2_l4):
         rep = build_representation(f)
         q = targets[f.double]
-        action = rep.right_action_matrix(q)
+        action = right_action_matrix(rep, q)
         form = Matrix(
             rep.dim,
             rep.dim,
             [
-                rep.inner(list(action.col(j)), [sc(1) if r == i else sc(0) for r in range(rep.dim)])
+                inner(rep, list(action.col(j)), [sc(1) if r == i else sc(0) for r in range(rep.dim)])
                 for i in range(rep.dim)
                 for j in range(rep.dim)
             ],
