@@ -181,10 +181,10 @@ def cmd_evaluate(args) -> int:
 def cmd_gns_build(args) -> int:
     path = FsPath(args.input)
     data = fileio.load_json(path)
-    if "groebner" in data:
+    if isinstance(data, dict) and "groebner" in data:
         double = fileio.resolve_quiver(data.get("quiver"), path.parent, str(path))
         order = _order_for(double, args.order_file)
-        gens = [fileio.element_from_dict(double, e, str(path)) for e in data["groebner"]]
+        gens = fileio.elements_from_list(double, data["groebner"], "groebner", str(path))
         gb = right_groebner(gens, order)
         gram = fileio.matrix_from_rows(data.get("gram", []), str(path))
         rep = build_from_groebner(double, gb, gram, bool(data.get("include_trivial", False)))

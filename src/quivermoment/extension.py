@@ -136,7 +136,7 @@ def flat_extend_tip_maximal(
         values[m] = Scalar(solution[j], solution[nvars + j])
 
     # Degree-2k block through the Schur completion of the new C block.
-    old_basis = enumerate_basis(double, order, k - 1, functional.include_trivial)
+    old_basis = functional.basis(km1)
 
     def val(p: Path) -> Scalar:
         if p.length() <= 2 * km1:

@@ -17,7 +17,7 @@ from .gns import Representation
 from .groebner import RightGroebnerBasis
 from .linalg import Matrix
 from .moment import TruncatedFunctional
-from .quiver import DoubleQuiver, Path, Quiver, build_double, compose
+from .quiver import DoubleQuiver, Path, Quiver, build_double
 from .scalar import Scalar
 
 
@@ -37,16 +37,42 @@ def _ctx(source: str | None) -> str:
     return f"{source}: " if source else ""
 
 
+def _object(value, what: str, source: str | None) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{_ctx(source)}{what} must be an object, not {value!r}")
+    return value
+
+
+def _list(value, key: str, source: str | None) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{_ctx(source)}'{key}' must be a list, not {value!r}")
+    return value
+
+
+def _text(value, what: str, source: str | None) -> str:
+    if not isinstance(value, str):
+        raise InputError(f"{_ctx(source)}{what} {value!r} is not a string")
+    return value
+
+
+def _texts(value, key: str, source: str | None) -> list[str]:
+    return [_text(v, f"'{key}' entry", source) for v in _list(value, key, source)]
+
+
 # -- quivers -------------------------------------------------------------------
 
 
 def quiver_from_dict(data: dict, source: str | None = None) -> Quiver:
+    _object(data, "quiver", source)
     try:
         vertices = data["vertices"]
-        arrows = [(a["name"], a["from"], a["to"]) for a in data.get("arrows", [])]
+        arrows = [
+            tuple(_text(a[key], f"arrow {key!r}", source) for key in ("name", "from", "to"))
+            for a in _list(data.get("arrows", []), "arrows", source)
+        ]
     except (KeyError, TypeError) as e:
         raise InputError(f"{_ctx(source)}malformed quiver: missing {e}") from None
-    return Quiver(vertices, arrows)
+    return Quiver(_texts(vertices, "vertices", source), arrows)
 
 
 def quiver_to_dict(q: Quiver) -> dict:
@@ -73,7 +99,11 @@ def resolve_quiver(spec, base_dir, source: str | None = None) -> DoubleQuiver:
 
 
 def parse_path(double: DoubleQuiver, text: str, source: str | None = None) -> Path:
-    """Whitespace-separated arrow tokens (`*` suffix for stars), `e:NAME` trivial."""
+    """Whitespace-separated arrow tokens (`*` suffix for stars), `e:NAME` trivial.
+
+    One table lookup per token and one endpoint check per adjacent pair;
+    the path is built once, at the end.
+    """
     tokens = text.split()
     if not tokens:
         raise InputError(f"{_ctx(source)}empty path text")
@@ -81,16 +111,18 @@ def parse_path(double: DoubleQuiver, text: str, source: str | None = None) -> Pa
         if len(tokens) != 1:
             raise InputError(f"{_ctx(source)}trivial path token {tokens[0]!r} must stand alone")
         return double.trivial(tokens[0][2:])
-    acc = None
+    letter_of, source_of, target_of = double.letter_of, double.source, double.target
+    letters = []
+    end = None
     for tok in tokens:
-        try:
-            step = double.arrow_path(tok)
-        except InputError:
-            raise InputError(f"{_ctx(source)}unknown arrow {tok!r} in path {text!r}") from None
-        acc = step if acc is None else compose(acc, step)
-        if not acc:
+        letter = letter_of.get(tok)
+        if letter is None:
+            raise InputError(f"{_ctx(source)}unknown arrow {tok!r} in path {text!r}")
+        if end is not None and source_of[letter] != end:
             raise InputError(f"{_ctx(source)}non-composable path {text!r} at token {tok!r}")
-    return acc
+        letters.append(letter)
+        end = target_of[letter]
+    return Path(double, None, tuple(letters))
 
 
 def path_to_text(p: Path) -> str:
@@ -99,12 +131,13 @@ def path_to_text(p: Path) -> str:
 
 def element_from_dict(double: DoubleQuiver, data: dict, source: str | None = None) -> Element:
     terms = []
-    for t in data.get("terms", []):
+    for t in _list(_object(data, "element", source).get("terms", []), "terms", source):
         try:
             ptext, ctext = t["path"], t["coeff"]
         except (KeyError, TypeError):
             raise InputError(f"{_ctx(source)}element term needs 'path' and 'coeff'") from None
-        coeff = Scalar.parse(ctext)
+        _text(ptext, "element path", source)
+        coeff = Scalar.parse(_text(ctext, "element coefficient", source))
         if ptext.strip() == "1":
             terms.extend((e, coeff) for e in double.trivial_paths())
         else:
@@ -123,19 +156,27 @@ def element_to_dict(e: Element) -> dict:
 # -- matrices --------------------------------------------------------------------
 
 
-def matrix_from_rows(rows, source: str | None = None) -> Matrix:
-    if not rows:
+def elements_from_list(double: DoubleQuiver, data, key: str, source: str | None = None) -> list[Element]:
+    return [element_from_dict(double, e, source) for e in _list(data, key, source)]
+
+
+def matrix_from_rows(rows, source: str | None = None, key: str = "gram") -> Matrix:
+    if not _list(rows, key, source):
         return Matrix(0, 0, [])
     parsed = []
     width = None
     for r in rows:
-        vals = [Scalar.parse(x) for x in r]
+        vals = [Scalar.parse(x) for x in _texts(r, key, source)]
         if width is None:
             width = len(vals)
         elif len(vals) != width:
             raise InputError(f"{_ctx(source)}ragged matrix rows")
         parsed.append(vals)
     return Matrix.from_rows(parsed)
+
+
+def _named_matrices(data, key: str, source: str | None) -> dict[str, Matrix]:
+    return {n: matrix_from_rows(rows, source, n) for n, rows in _object(data, f"'{key}'", source).items()}
 
 
 def matrix_to_rows(m: Matrix) -> list[list[str]]:
@@ -146,7 +187,7 @@ def matrix_to_rows(m: Matrix) -> list[list[str]]:
 
 
 def functional_from_dict(data: dict, base_dir=".", source: str | None = None) -> TruncatedFunctional:
-    if "quiver" not in data or "k" not in data:
+    if "quiver" not in _object(data, "functional", source) or "k" not in data:
         raise InputError(f"{_ctx(source)}functional needs 'quiver' and 'k'")
     k = data["k"]
     if not isinstance(k, int) or isinstance(k, bool):
@@ -207,15 +248,15 @@ def representation_to_dict(rep: Representation) -> dict:
 
 
 def representation_from_dict(data: dict, base_dir=".", source: str | None = None) -> Representation:
-    if "quiver" not in data:
+    if "quiver" not in _object(data, "representation", source):
         raise InputError(f"{_ctx(source)}representation needs a 'quiver'")
     double = resolve_quiver(data["quiver"], base_dir, source)
-    basis = tuple(parse_path(double, t, source) for t in data.get("basis", []))
+    basis = tuple(parse_path(double, t, source) for t in _texts(data.get("basis", []), "basis", source))
     gram = matrix_from_rows(data.get("gram", []), source)
-    arrows = {n: matrix_from_rows(rows, source) for n, rows in data.get("arrows", {}).items()}
-    vertices = {n: matrix_from_rows(rows, source) for n, rows in data.get("vertices", {}).items()}
+    arrows = _named_matrices(data.get("arrows", {}), "arrows", source)
+    vertices = _named_matrices(data.get("vertices", {}), "vertices", source)
     cyc = data.get("cyclic")
-    cyclic = None if cyc is None else tuple(Scalar.parse(c) for c in cyc)
+    cyclic = None if cyc is None else tuple(Scalar.parse(c) for c in _texts(cyc, "cyclic", source))
     n = len(basis)
     for name, m in list(arrows.items()) + list(vertices.items()):
         if m.rows != n or m.cols != n:
@@ -239,11 +280,10 @@ def load_representation(path) -> Representation:
 
 
 def generators_from_dict(data: dict, base_dir=".", source: str | None = None):
-    if "quiver" not in data:
+    if "quiver" not in _object(data, "generator file", source):
         raise InputError(f"{_ctx(source)}generator file needs a 'quiver'")
     double = resolve_quiver(data["quiver"], base_dir, source)
-    elements = [element_from_dict(double, e, source) for e in data.get("elements", [])]
-    return double, elements
+    return double, elements_from_list(double, data.get("elements", []), "elements", source)
 
 
 def groebner_to_dict(gb: RightGroebnerBasis, double: DoubleQuiver) -> dict:
@@ -263,19 +303,20 @@ def groebner_to_dict(gb: RightGroebnerBasis, double: DoubleQuiver) -> dict:
 
 def certificate_from_dict(data: dict, base_dir=".", source: str | None = None):
     """Returns (double, target, kind, payload): kind is 'squares' or 'gram'."""
+    _object(data, "certificate", source)
     if "quiver" not in data or "target" not in data:
         raise InputError(f"{_ctx(source)}certificate needs 'quiver' and 'target'")
     double = resolve_quiver(data["quiver"], base_dir, source)
     target = element_from_dict(double, data["target"], source)
     degree = data.get("degree")
     if "squares" in data:
-        squares = [element_from_dict(double, e, source) for e in data["squares"]]
+        squares = elements_from_list(double, data["squares"], "squares", source)
         weights = None
         if "weights" in data:
-            weights = [Scalar.parse(w) for w in data["weights"]]
+            weights = [Scalar.parse(w) for w in _texts(data["weights"], "weights", source)]
         return double, target, "squares", (squares, weights, degree)
     if "gram" in data and "basis" in data:
-        basis = [parse_path(double, t, source) for t in data["basis"]]
+        basis = [parse_path(double, t, source) for t in _texts(data["basis"], "basis", source)]
         gram = matrix_from_rows(data["gram"], source)
         return double, target, "gram", (basis, gram, degree)
     raise InputError(f"{_ctx(source)}certificate needs either 'squares' or 'basis'+'gram'")

@@ -85,10 +85,7 @@ def build_representation(functional: TruncatedFunctional) -> Representation:
     if not functional.is_psd():
         raise InputError("build_representation requires a PSD functional")
     gb = kernel_groebner(functional)
-    window = enumerate_basis(
-        functional.double, functional.order, functional.k - 1, functional.include_trivial
-    )
-    basis = tuple(p for p in window if not gb.reducible(p))
+    basis = tuple(p for p in functional.basis(functional.k - 1) if not gb.reducible(p))
     if len(basis) != report.rank_k:
         raise InternalInvariantError(
             f"coset count {len(basis)} differs from moment rank {report.rank_k}"
@@ -210,17 +207,15 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     if not functional.is_psd():
         raise InputError("compress_representation requires a PSD functional")
     double = functional.double
-    order = functional.order
     dp1 = functional.k
-    window = enumerate_basis(double, order, dp1, True)
+    pairing = functional.moment_matrix()
 
     # Degree-graded coset representatives: the pivot columns of the full
     # pairing matrix, i.e. each column that enlarges the span of the columns
     # before it.  Ascending path order makes the span of the first j degrees
     # equal the span of the chosen reps of degree <= j, which the
     # multiplication operators below rely on.
-    pairing = functional.moment_block(window, window)
-    basis = tuple(window[j] for j in linalg.rref(pairing)[1])
+    basis = tuple(pairing.basis[j] for j in linalg.rref(pairing.m)[1])
     n = len(basis)
     gram = functional.moment_block(basis, basis)
     ft = gram.transpose()

@@ -20,6 +20,7 @@ from functools import cached_property
 
 from .algebra import Element
 from .errors import InputError, InternalInvariantError
+from .linalg import Matrix
 from .moment import TruncatedFunctional
 from .quiver import ZERO_PATH, Path, PathOrder, compose
 from .scalar import ONE, Scalar
@@ -155,9 +156,23 @@ def total_reduce(
     return h
 
 
+def _right_parts(g: Element) -> list[Element]:
+    """The nonzero g·e_v over the vertices v, in vertex order.
+
+    Their sum is g and each lies in the right ideal g generates, so they
+    generate the same right ideal; each is right-uniform (all its terms end
+    at v), which the completion needs.
+    """
+    parts: dict[int, dict[Path, Scalar]] = {}
+    for p, c in g.terms.items():
+        parts.setdefault(p.terminal(), {})[p] = c
+    return [Element(g.double, parts[v]) for v in sorted(parts)]
+
+
 def right_groebner(generators, order: PathOrder) -> RightGroebnerBasis:
     """Right Gröbner basis of the right ideal generated by `generators`.
 
+    Each generator is first split into its right-uniform parts g·e_v.
     Duplicates (after monic normalization) are dropped silently up front;
     they are mathematically inert.  The output is monic, has pairwise
     non-dividing tips, and is sorted by tip.
@@ -165,9 +180,7 @@ def right_groebner(generators, order: PathOrder) -> RightGroebnerBasis:
     trace: list[ReductionEvent] = []
     h: list[Element] = []
     seen = set()
-    for g in generators:
-        if g.is_zero():
-            continue
+    for g in (part for gen in generators for part in _right_parts(gen)):
         g = _monic(g, order)
         key = frozenset(g.terms.items())
         if key in seen:
@@ -240,8 +253,13 @@ def kernel_groebner(functional: TruncatedFunctional, generators=None) -> RightGr
         deg = g.degree()
         if deg is None or deg > functional.k:
             raise InternalInvariantError("Gröbner element escaped the order-k window")
-        for q in window:
-            if not functional.pairing(g, Element.from_path(q)).is_zero():
+        # Row q of the product is L(g q*): the coefficient row of g times the
+        # moment block of its support against the window.
+        support = list(g.terms)
+        coeffs = Matrix(1, len(support), [g.terms[p] for p in support])
+        row = coeffs * functional.moment_block(support, window)
+        for q, v in zip(window, row.entries):
+            if v:
                 raise InternalInvariantError(
                     f"Gröbner element {g} left the kernel (pairs nontrivially with {q})"
                 )

@@ -84,6 +84,11 @@ class Matrix:
     def col(self, j: int) -> tuple[Scalar, ...]:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> Matrix:
+        """The submatrix of rows r0..r1-1 and columns c0..c1-1."""
+        n = self.cols
+        return Matrix(r1 - r0, c1 - c0, [e for i in range(r0, r1) for e in self.entries[i * n + c0 : i * n + c1]])
+
     def transpose(self) -> Matrix:
         return Matrix(self.cols, self.rows, [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)])
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from . import linalg
 from .algebra import Element
@@ -22,8 +23,11 @@ from .scalar import ZERO, Scalar
 class TruncatedFunctional:
     """Hermitian scalar assignment on the length <= 2k basis window.
 
-    A functional is immutable after construction, so its flatness report and
-    its kernel basis are computed once and reused.
+    A functional is immutable after construction.  It enumerates its window
+    once and builds its order-k moment matrix once; every lower-order basis
+    is a prefix of the window and every lower-order matrix or block a slice
+    of the order-k matrix, because the path order compares lengths first.
+    Its flatness report and its kernel basis are computed once as well.
     """
 
     def __init__(
@@ -41,33 +45,36 @@ class TruncatedFunctional:
         self.include_trivial = include_trivial
         self.order = order or double.default_order()
         window = enumerate_basis(double, self.order, 2 * k, include_trivial)
-        window_set = set(window)
-        vals: dict[Path, Scalar] = {}
-        for p, v in dict(values).items():
-            if p not in window_set:
-                raise WindowError(f"path {p} outside the length <= {2 * k} window")
-            vals[p] = v
+        given = dict(values)
+        vals: dict[Path, Scalar] = dict.fromkeys(window, ZERO)
+        vals.update(given)
+        if len(vals) != len(window):
+            window_set = set(window)
+            outside = next(p for p in given if p not in window_set)
+            raise WindowError(f"path {outside} outside the length <= {2 * k} window")
         # Hermitian closure: fill omitted starred partners, reject conflicts.
-        for p in list(vals):
+        for p, v in given.items():
             ps = p.star()
-            want = vals[p].conjugate()
-            if ps in vals:
-                if vals[ps] != want:
-                    raise InputError(f"hermitian conflict between {p} and {ps}")
-            else:
+            want = v.conjugate()
+            have = given.get(ps)
+            if have is None:
                 vals[ps] = want
+            elif have != want:
+                raise InputError(f"hermitian conflict between {p} and {ps}")
+        per_length = [0] * (2 * k + 1)
         for p in window:
-            vals.setdefault(p, ZERO)
+            per_length[p.length()] += 1
         self._window = tuple(window)
-        self._window_set = window_set
+        self._ends = list(accumulate(per_length))  # window paths of length <= t
         self.values = vals
 
     # -- evaluation ------------------------------------------------------------
 
     def value(self, p: Path) -> Scalar:
-        if p not in self._window_set:
-            raise WindowError(f"path {p} outside the length <= {2 * self.k} window")
-        return self.values[p]
+        try:
+            return self.values[p]
+        except KeyError:
+            raise WindowError(f"path {p} outside the length <= {2 * self.k} window") from None
 
     def riesz_eval(self, f: Element) -> Scalar:
         """Sum of coeff(p) * value(p) over the support of f."""
@@ -76,16 +83,15 @@ class TruncatedFunctional:
             acc = acc + c * self.value(p)
         return acc
 
-    def pairing(self, f: Element, g: Element) -> Scalar:
-        """The sesquilinear moment pairing L(f g*)."""
-        return self.riesz_eval(f * g.star())
-
     # -- windows and matrices ----------------------------------------------------
 
     def basis(self, t: int) -> tuple[Path, ...]:
+        """The window paths of length <= t, a prefix of the window."""
         if t < 0:
             return ()
-        return tuple(enumerate_basis(self.double, self.order, t, self.include_trivial))
+        if t > 2 * self.k:
+            raise InputError(f"basis order {t} exceeds the window length {2 * self.k}")
+        return self._window[: self._ends[t]]
 
     def moment_block(self, rows, cols) -> Matrix:
         """The matrix of L(p q*) over row paths p and column paths q.
@@ -93,36 +99,47 @@ class TruncatedFunctional:
         Entries where p q* vanishes in the path semigroup are exact zeros.
         """
         stars = [q.star() for q in cols]
+        value = self.value
         ents = []
         for p in rows:
             for qs in stars:
                 pq = compose(p, qs)
-                ents.append(ZERO if pq is ZERO_PATH else self.value(pq))
+                ents.append(ZERO if pq is ZERO_PATH else value(pq))
         return Matrix(len(rows), len(cols), ents)
 
+    @cached_property
+    def _matrix(self) -> MomentMatrix:
+        basis = self.basis(self.k)
+        return MomentMatrix(basis, self.moment_block(basis, basis))
+
     def moment_matrix(self, t: int | None = None) -> MomentMatrix:
+        """B_{L_t}: the order-k matrix for t = k, its top-left corner for t < k."""
         if t is None:
             t = self.k
         if t > self.k:
             raise InputError(f"moment matrix order {t} exceeds functional order {self.k}")
-        basis = self.basis(t)
-        return MomentMatrix(basis, self.moment_block(basis, basis))
+        full = self._matrix
+        if t == self.k:
+            return full
+        n = len(self.basis(t))
+        return MomentMatrix(full.basis[:n], full.m.block(0, n, 0, n))
 
     def block_decompose(self) -> BlockDecomposition:
         """Split the order-k matrix over V_k = V_{k-1} (+) span(new length-k paths)."""
-        old = self.basis(self.k - 1)
-        full = self.basis(self.k)
-        old_set = set(old)
-        new = tuple(p for p in full if p not in old_set)
-        a = self.moment_block(old, old)
-        c = self.moment_block(old, new)
-        b = self.moment_block(new, new)
-        return BlockDecomposition(a, c, b, old, new)
+        full = self.moment_matrix()
+        n, m = len(self.basis(self.k - 1)), full.m
+        return BlockDecomposition(
+            m.block(0, n, 0, n),
+            m.block(0, n, n, m.cols),
+            m.block(n, m.rows, n, m.cols),
+            full.basis[:n],
+            full.basis[n:],
+        )
 
     def restrict(self, t: int) -> TruncatedFunctional:
         if t > self.k:
             raise InputError("cannot restrict to a larger order")
-        keep = set(enumerate_basis(self.double, self.order, 2 * t, self.include_trivial))
+        keep = set(self.basis(2 * t))
         vals = {p: v for p, v in self.values.items() if p in keep}
         return TruncatedFunctional(self.double, t, vals, self.include_trivial, self.order)
 
@@ -139,7 +156,7 @@ class TruncatedFunctional:
 
     @cached_property
     def _kernel(self) -> tuple[Element, ...]:
-        mm = self.moment_matrix(self.k)
+        mm = self.moment_matrix()
         vecs = linalg.nullspace(mm.m.conjugate())
         return tuple(Element.from_terms(self.double, zip(mm.basis, v)) for v in vecs)
 
@@ -155,11 +172,11 @@ class TruncatedFunctional:
 
     @cached_property
     def _flat_report(self) -> FlatReport:
-        rank_k = linalg.rank(self.moment_matrix(self.k).m)
-        rank_km1 = linalg.rank(self.moment_matrix(self.k - 1).m)
+        blocks = self.block_decompose()
+        rank_k = linalg.rank(self.moment_matrix().m)
+        rank_km1 = linalg.rank(blocks.a)
         rank_flat = rank_k == rank_km1
 
-        blocks = self.block_decompose()
         x = linalg.solve_in_range(blocks.a, blocks.c)
         range_ok = x is not None
         block_flat = range_ok and blocks.b == blocks.c.conj_transpose() * x
@@ -184,7 +201,7 @@ class TruncatedFunctional:
         return True
 
     def is_psd(self) -> bool:
-        return linalg.psd_check(self.moment_matrix(self.k).m)
+        return linalg.psd_check(self.moment_matrix().m)
 
 
 @dataclass(frozen=True)

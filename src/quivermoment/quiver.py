@@ -44,11 +44,29 @@ class Quiver:
 
 
 class DoubleQuiver:
-    """The double of a quiver: one starred arrow b* per base arrow b."""
+    """The double of a quiver: one starred arrow b* per base arrow b.
+
+    The endpoints and the star of every letter, and the letter of every
+    arrow token, are tabulated once, when the double is built.
+    """
 
     def __init__(self, base: Quiver):
         self.base = base
         self._default_order: PathOrder | None = None
+        self._letters = tuple((i, st) for i in range(len(base.arrows)) for st in (False, True))
+        self.source: dict[Letter, int] = {}
+        self.target: dict[Letter, int] = {}
+        self.star_of: dict[Letter, Letter] = {(i, st): (i, not st) for i, st in self._letters}
+        # Token -> letter: `b*` is the star of arrow `b`; a bare token ending
+        # in `*` always means a star, so it never names an arrow unstarred.
+        self.letter_of: dict[str, Letter] = {}
+        for i, a in enumerate(base.arrows):
+            s, t = base.vertex_index[a.source], base.vertex_index[a.target]
+            self.source[(i, False)], self.target[(i, False)] = s, t
+            self.source[(i, True)], self.target[(i, True)] = t, s
+            self.letter_of[a.name + "*"] = (i, True)
+            if not a.name.endswith("*"):
+                self.letter_of[a.name] = (i, False)
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -58,21 +76,17 @@ class DoubleQuiver:
         return len(self.base.vertices)
 
     def letters(self) -> list[Letter]:
-        return [(i, st) for i in range(len(self.base.arrows)) for st in (False, True)]
+        return list(self._letters)
 
     def letter_name(self, letter: Letter) -> str:
         i, st = letter
         return self.base.arrows[i].name + ("*" if st else "")
 
     def letter_source(self, letter: Letter) -> int:
-        i, st = letter
-        a = self.base.arrows[i]
-        return self.base.vertex_index[a.target if st else a.source]
+        return self.source[letter]
 
     def letter_target(self, letter: Letter) -> int:
-        i, st = letter
-        a = self.base.arrows[i]
-        return self.base.vertex_index[a.source if st else a.target]
+        return self.target[letter]
 
     def trivial(self, vertex: str) -> Path:
         if vertex not in self.base.vertex_index:
@@ -82,19 +96,10 @@ class DoubleQuiver:
     def trivial_paths(self) -> list[Path]:
         return [Path(self, i, ()) for i in range(self.n_vertices())]
 
-    def arrow_path(self, name: str) -> Path:
-        """The length-1 path for an arrow of the double, by name (`b` or `b*`)."""
-        starred = name.endswith("*")
-        base_name = name[:-1] if starred else name
-        for i, a in enumerate(self.base.arrows):
-            if a.name == base_name:
-                return self.path([(i, starred)])
-        raise InputError(f"unknown arrow {name!r}")
-
     def path(self, letters) -> Path:
         letters = tuple(letters)
         for prev, nxt in zip(letters, letters[1:]):
-            if self.letter_target(prev) != self.letter_source(nxt):
+            if self.target[prev] != self.source[nxt]:
                 raise InputError("letters do not compose into a path")
         return Path(self, None, letters)
 
@@ -108,15 +113,22 @@ def build_double(q: Quiver) -> DoubleQuiver:
     return DoubleQuiver(q)
 
 
-class Path:
-    """A trivial path at a vertex, or a composable word of letters."""
+_set = object.__setattr__
 
-    __slots__ = ("double", "vertex", "letters")
+
+class Path:
+    """A trivial path at a vertex, or a composable word of letters.
+
+    Immutable; the hash is computed once, at construction.
+    """
+
+    __slots__ = ("double", "vertex", "letters", "_hash")
 
     def __init__(self, double: DoubleQuiver, vertex: int | None, letters: tuple[Letter, ...]):
-        object.__setattr__(self, "double", double)
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "letters", letters)
+        _set(self, "double", double)
+        _set(self, "vertex", vertex)
+        _set(self, "letters", letters)
+        _set(self, "_hash", hash((vertex, letters)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Path is immutable")
@@ -128,27 +140,27 @@ class Path:
         return len(self.letters)
 
     def origin(self) -> int:
-        if self.is_trivial():
-            return self.vertex
-        return self.double.letter_source(self.letters[0])
+        if self.letters:
+            return self.double.source[self.letters[0]]
+        return self.vertex
 
     def terminal(self) -> int:
-        if self.is_trivial():
-            return self.vertex
-        return self.double.letter_target(self.letters[-1])
+        if self.letters:
+            return self.double.target[self.letters[-1]]
+        return self.vertex
 
     def star(self) -> Path:
-        if self.is_trivial():
+        if not self.letters:
             return self
-        return Path(self.double, None, tuple((i, not st) for (i, st) in reversed(self.letters)))
+        return Path(self.double, None, tuple(map(self.double.star_of.__getitem__, reversed(self.letters))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Path):
             return NotImplemented
-        return self.vertex == other.vertex and self.letters == other.letters
+        return self._hash == other._hash and self.vertex == other.vertex and self.letters == other.letters
 
     def __hash__(self):
-        return hash((self.vertex, self.letters))
+        return self._hash
 
     def __str__(self) -> str:
         if self.is_trivial():
@@ -207,27 +219,27 @@ class PathOrder:
         vertices = tuple(vertex_seq) if vertex_seq is not None else double.vertices
         if sorted(vertices) != sorted(double.vertices):
             raise InputError("vertex order must list every vertex exactly once")
-        self._vrank = {double.base.vertex_index[v]: i for i, v in enumerate(vertices)}
+        self.vertex_seq = tuple(double.base.vertex_index[v] for v in vertices)
         if letter_names is None:
             letters = double.letters()
         else:
             letters = [self._resolve_letter(n) for n in letter_names]
             if sorted(letters) != sorted(double.letters()):
                 raise InputError("arrow order must list every double arrow exactly once")
+        self.letter_seq = tuple(letters)
+        self._vrank = {v: i for i, v in enumerate(self.vertex_seq)}
         self._lrank = {l: i for i, l in enumerate(letters)}
 
     def _resolve_letter(self, name: str) -> Letter:
-        starred = name.endswith("*")
-        base_name = name[:-1] if starred else name
-        for i, a in enumerate(self.double.base.arrows):
-            if a.name == base_name:
-                return (i, starred)
-        raise InputError(f"unknown arrow {name!r} in order specification")
+        letter = self.double.letter_of.get(name) if isinstance(name, str) else None
+        if letter is None:
+            raise InputError(f"unknown arrow {name!r} in order specification")
+        return letter
 
     def key(self, p: Path):
         if p.is_trivial():
             return (0, (self._vrank[p.vertex],))
-        return (p.length(), tuple(self._lrank[l] for l in p.letters))
+        return (len(p.letters), tuple(map(self._lrank.__getitem__, p.letters)))
 
     def compare(self, p: Path, q: Path) -> int:
         kp, kq = self.key(p), self.key(q)
@@ -238,19 +250,18 @@ class PathOrder:
         return 0
 
 
-def _words(double: DoubleQuiver, max_len: int) -> list[list[tuple[Letter, ...]]]:
-    """Composable letter words of lengths 1..max_len, one list per length."""
-    letters = double.letters()
-    frontier = [(l,) for l in letters]
-    out = []
-    for _ in range(max_len):
-        out.append(frontier)
-        frontier = [
-            w + (l,)
-            for w in frontier
-            for l in letters
-            if double.letter_source(l) == double.letter_target(w[-1])
-        ]
+def _words(double: DoubleQuiver, order: PathOrder, max_len: int) -> list[list[tuple[Letter, ...]]]:
+    """Composable letter words of lengths 1..max_len, one list per length.
+
+    Each list is increasing under `order`: words of one length compare letter
+    by letter, and every word is extended by the letters in their order.
+    """
+    letters = order.letter_seq
+    following = [[l for l in letters if double.source[l] == v] for v in range(double.n_vertices())]
+    target = double.target
+    out = [[(l,) for l in letters]] if max_len >= 1 else []
+    while len(out) < max_len:
+        out.append([w + (l,) for w in out[-1] for l in following[target[w[-1]]]])
     return out
 
 
@@ -267,12 +278,9 @@ def enumerate_basis(
     """
     if max_len < 0:
         raise InputError("max_len must be >= 0")
-    out: list[Path] = []
-    if include_trivial:
-        out.extend(double.trivial_paths())
-    for words in _words(double, max_len):
-        out.extend(Path(double, None, w) for w in words)
-    out.sort(key=order.key)
+    out = [Path(double, v, ()) for v in order.vertex_seq] if include_trivial else []
+    for words in _words(double, order, max_len):
+        out.extend([Path(double, None, w) for w in words])
     return out
 
 
@@ -280,6 +288,5 @@ def paths_of_length(double: DoubleQuiver, order: PathOrder, length: int) -> list
     if length < 0:
         raise InputError("length must be >= 0")
     if length == 0:
-        return sorted(double.trivial_paths(), key=order.key)
-    words = _words(double, length)[-1]
-    return sorted((Path(double, None, w) for w in words), key=order.key)
+        return [Path(double, v, ()) for v in order.vertex_seq]
+    return [Path(double, None, w) for w in _words(double, order, length)[-1]]

@@ -16,8 +16,11 @@ from fractions import Fraction
 
 from .errors import InputError
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_SCALAR_RE = re.compile(rf"^({_RAT})?(({_RAT})i)?$")
+# A rational part is a signed numerator and an optional denominator; the
+# groups are (re num, re den, im num, im den).
+_RAT = r"([+-]?\d+)(?:/(\d+))?"
+_SCALAR_RE = re.compile(rf"^(?:{_RAT})?(?:{_RAT}i)?$")
+_SPACE_RE = re.compile(r"\s+")
 _F0 = Fraction(0)
 
 
@@ -52,7 +55,7 @@ class Scalar:
         return Scalar._make(-self.re, -self.im)
 
     def __mul__(self, other: Scalar) -> Scalar:
-        if self.im == 0 and other.im == 0:
+        if not self.im and not other.im:
             return Scalar._make(self.re * other.re, _F0)
         return Scalar._make(
             self.re * other.re - self.im * other.im,
@@ -73,17 +76,17 @@ class Scalar:
         )
 
     def conjugate(self) -> Scalar:
-        if self.im == 0:
+        if not self.im:
             return self
         return Scalar._make(self.re, -self.im)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.im
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -113,18 +116,25 @@ class Scalar:
 
     @staticmethod
     def parse(text: str) -> Scalar:
-        compact = re.sub(r"\s+", "", text)
+        if not isinstance(text, str):
+            raise InputError(f"scalar literal must be a string, not {text!r}")
+        compact = _SPACE_RE.sub("", text)
         if not compact:
             raise InputError(f"empty scalar literal {text!r}")
         m = _SCALAR_RE.match(compact)
-        if m is None or (m.group(1) is None and m.group(2) is None):
+        if m is None or (m.group(1) is None and m.group(3) is None):
             raise InputError(f"malformed scalar literal {text!r}")
+        re_num, re_den, im_num, im_den = m.groups()
         try:
-            re_part = Fraction(m.group(1)) if m.group(1) else Fraction(0)
-            im_part = Fraction(m.group(3)) if m.group(2) else Fraction(0)
+            re_part = _F0 if re_num is None else _rational(re_num, re_den)
+            im_part = _F0 if im_num is None else _rational(im_num, im_den)
         except ZeroDivisionError:
             raise InputError(f"zero denominator in scalar literal {text!r}") from None
-        return Scalar(re_part, im_part)
+        return Scalar._make(re_part, im_part)
+
+
+def _rational(num: str, den: str | None) -> Fraction:
+    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
 
 
 ZERO = Scalar(0)

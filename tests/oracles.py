@@ -4,12 +4,18 @@
   *-algebra (property-test oracle for composition and the involution);
 * right actions, word-order element matrices and the gram inner product of a
   representation;
-* reassembly of a block decomposition and truncation of an element.
+* reassembly of a block decomposition, truncation of an element and the
+  moment pairing L(f g*) computed through the algebra product;
+* the path and scalar text parsers as they were before the table-driven
+  rewrite (prefix by prefix, and `Fraction` of each part's text).
 """
 
 from __future__ import annotations
 
-from quivermoment import Element, InputError, Matrix, Path
+import re
+from fractions import Fraction
+
+from quivermoment import Element, InputError, Matrix, Path, compose
 from quivermoment.quiver import Letter
 from quivermoment.scalar import ONE, ZERO, Scalar
 
@@ -156,3 +162,65 @@ def truncate(f: Element, d: int) -> Element:
     if d < 0:
         raise InputError("truncation degree must be >= 0")
     return Element(f.double, {p: c for p, c in f.terms.items() if p.length() <= d})
+
+
+def pairing(functional, f: Element, g: Element) -> Scalar:
+    """The sesquilinear moment pairing L(f g*)."""
+    return functional.riesz_eval(f * g.star())
+
+
+# -- the text parsers before the table-driven rewrite ---------------------------
+
+
+def _ctx(source: str | None) -> str:
+    return f"{source}: " if source else ""
+
+
+def arrow_path(double, name: str) -> Path:
+    """The length-1 path for an arrow of the double, by name (`b` or `b*`)."""
+    starred = name.endswith("*")
+    base_name = name[:-1] if starred else name
+    for i, a in enumerate(double.base.arrows):
+        if a.name == base_name:
+            return double.path([(i, starred)])
+    raise InputError(f"unknown arrow {name!r}")
+
+
+def parse_path(double, text: str, source: str | None = None) -> Path:
+    """Whitespace-separated arrow tokens (`*` suffix for stars), `e:NAME` trivial."""
+    tokens = text.split()
+    if not tokens:
+        raise InputError(f"{_ctx(source)}empty path text")
+    if tokens[0].startswith("e:"):
+        if len(tokens) != 1:
+            raise InputError(f"{_ctx(source)}trivial path token {tokens[0]!r} must stand alone")
+        return double.trivial(tokens[0][2:])
+    acc = None
+    for tok in tokens:
+        try:
+            step = arrow_path(double, tok)
+        except InputError:
+            raise InputError(f"{_ctx(source)}unknown arrow {tok!r} in path {text!r}") from None
+        acc = step if acc is None else compose(acc, step)
+        if not acc:
+            raise InputError(f"{_ctx(source)}non-composable path {text!r} at token {tok!r}")
+    return acc
+
+
+_RAT = r"[+-]?\d+(?:/\d+)?"
+_SCALAR_RE = re.compile(rf"^({_RAT})?(({_RAT})i)?$")
+
+
+def scalar_parse(text: str) -> Scalar:
+    compact = re.sub(r"\s+", "", text)
+    if not compact:
+        raise InputError(f"empty scalar literal {text!r}")
+    m = _SCALAR_RE.match(compact)
+    if m is None or (m.group(1) is None and m.group(2) is None):
+        raise InputError(f"malformed scalar literal {text!r}")
+    try:
+        re_part = Fraction(m.group(1)) if m.group(1) else Fraction(0)
+        im_part = Fraction(m.group(3)) if m.group(2) else Fraction(0)
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator in scalar literal {text!r}") from None
+    return Scalar(re_part, im_part)

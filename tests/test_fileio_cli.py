@@ -128,6 +128,55 @@ def test_cli_entries_not_a_list_exit_2(tmp_path, capsys):
     assert "'entries'" in err and "5" in err
 
 
+TERM_X = {"path": "x", "coeff": "1"}
+SQUARES = {"quiver": LOOP, "target": {"terms": [TERM_X]}, "squares": [{"terms": [TERM_X]}]}
+GRAM_CERT = {"quiver": LOOP, "target": {"terms": [TERM_X]}, "basis": ["x"], "gram": [["1"]]}
+REP = {"quiver": LOOP, "basis": ["x"], "gram": [["1"]], "arrows": {}, "vertices": {}}
+
+
+GENS = ["groebner", "--generators"]
+SOS = ["sos", "verify"]
+CHECK = ["gns", "check"]
+
+
+def gens(elements, quiver=LOOP):
+    return {"quiver": quiver, "elements": elements}
+
+
+@pytest.mark.parametrize(
+    "command, data, token",
+    [
+        pytest.param(GENS, gens([{"terms": [{"path": 1, "coeff": "1"}]}]), "1", id="term_path_int"),
+        pytest.param(GENS, gens([{"terms": [{"path": "x", "coeff": 2}]}]), "2", id="term_coeff_int"),
+        pytest.param(
+            SOS, {**SQUARES, "target": {"terms": [{"path": "x", "coeff": 3}]}}, "3", id="target_coeff_int"
+        ),
+        pytest.param(
+            SOS, {**SQUARES, "squares": [{"terms": [{"path": ["x"], "coeff": "1"}]}]}, "['x']",
+            id="square_path_list",
+        ),
+        pytest.param(SOS, {**GRAM_CERT, "basis": [7]}, "7", id="basis_entry_int"),
+        pytest.param(SOS, {**GRAM_CERT, "gram": [[1]]}, "1", id="certificate_gram_int"),
+        pytest.param(CHECK, {**REP, "gram": [[1]]}, "1", id="representation_gram_int"),
+        pytest.param(GENS, gens(5), "'elements'", id="elements_not_list"),
+        pytest.param(SOS, {**GRAM_CERT, "gram": "1"}, "'gram'", id="gram_not_list"),
+        pytest.param(CHECK, {**REP, "basis": "x"}, "'basis'", id="basis_not_list"),
+        pytest.param(SOS, {**SQUARES, "target": {"terms": {"x": "1"}}}, "'terms'", id="terms_not_list"),
+        pytest.param(SOS, {**SQUARES, "squares": {"terms": []}}, "'squares'", id="squares_not_list"),
+        pytest.param(GENS, gens([], {"vertices": "e", "arrows": []}), "'vertices'", id="vertices_not_list"),
+        pytest.param(GENS, gens([], {"vertices": [1], "arrows": []}), "1", id="vertex_int"),
+        pytest.param(GENS, [], "[]", id="file_not_object"),
+    ],
+)
+def test_cli_malformed_loader_input_exit_2(tmp_path, capsys, command, data, token):
+    fpath = write(tmp_path, "bad.json", data)
+    code = main([*command, fpath])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and "bad.json" in captured.err and token in captured.err
+
+
 def test_cli_output_into_missing_directory_exit_2(tmp_path, capsys):
     out = str(tmp_path / "missing" / "rep.json")
     code = main(["gns", "build", functional_file(tmp_path), "-o", out])

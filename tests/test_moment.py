@@ -16,7 +16,7 @@ from quivermoment import (
 from quivermoment import linalg
 
 from conftest import elem, l3_functional, path, pd_functional, sc, state_functional
-from oracles import reassemble
+from oracles import pairing, reassemble
 
 
 def test_riesz_eval_fixture(fix_l2):
@@ -280,7 +280,7 @@ def test_trunk_property(fix_l2_ext, example2_l4):
         for g, w in pairs:
             gw = g * Element.from_path(w)
             for v in f.basis(f.k):
-                assert f.pairing(gw, Element.from_path(v)).is_zero()
+                assert pairing(f, gw, Element.from_path(v)).is_zero()
     assert trunk_pairs(example2_l4)  # the x*^3 generator admits genuine cofactors
 
 
@@ -296,3 +296,23 @@ def test_lemf_positivity_transfer(fix_loop, fix_a2):
             assert base.is_psd()
             assert ext.is_psd()
             assert ext.is_flat().flat
+
+
+def test_lower_orders_and_blocks_are_slices_of_the_order_k_matrix(fix_l2, fix_l2_ext, example2_l4, fix_chain):
+    # Bases, lower-order matrices and blocks agree with what an independent
+    # enumeration and moment_block build from scratch.
+    rng = random.Random(12)
+    functionals = [fix_l2, fix_l2_ext, example2_l4, pd_functional(fix_chain, 2, True, rng)]
+    for f in functionals:
+        for t in range(-1, f.k + 1):
+            basis = tuple(enumerate_basis(f.double, f.order, t, f.include_trivial)) if t >= 0 else ()
+            assert f.basis(t) == basis
+            mm = f.moment_matrix(t)
+            assert mm.basis == basis and mm.m == f.moment_block(basis, basis)
+        old = tuple(enumerate_basis(f.double, f.order, f.k - 1, f.include_trivial))
+        new = tuple(p for p in enumerate_basis(f.double, f.order, f.k, f.include_trivial) if p not in old)
+        blocks = f.block_decompose()
+        assert (blocks.old_basis, blocks.new_basis) == (old, new)
+        assert blocks.a == f.moment_block(old, old)
+        assert blocks.c == f.moment_block(old, new)
+        assert blocks.b == f.moment_block(new, new)

@@ -1,14 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from quivermoment import (
     InputError,
+    PathOrder,
     Quiver,
     ZERO_PATH,
     build_double,
     compose,
     enumerate_basis,
+    paths_of_length,
 )
 from oracles import embed_matrix_free, free_dagger, free_matmul
 
@@ -88,6 +91,25 @@ def test_enumerate_basis_sorted_and_star_closed(fix_a2, fix_loop):
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
         s = set(basis)
         assert {p.star() for p in basis} == s
+
+
+@pytest.mark.parametrize("fixture_name", ["fix_a2", "fix_loop", "fix_chain"])
+def test_enumeration_follows_any_order(fixture_name, request):
+    # Words built letter by letter in a custom order come out sorted by that
+    # order's key, without a sort: checked against every composable word.
+    double = request.getfixturevalue(fixture_name)
+    rng = random.Random(11)
+    names = [double.letter_name(l) for l in double.letters()]
+    for _ in range(6):
+        vertices = rng.sample(list(double.vertices), len(double.vertices))
+        o = PathOrder(double, vertices, rng.sample(names, len(names)))
+        words = [w for n in range(1, 5) for w in itertools.product(double.letters(), repeat=n)]
+        paths = [double.path(w) for w in words if all(
+            double.letter_target(a) == double.letter_source(b) for a, b in zip(w, w[1:]))]
+        trivial = sorted(double.trivial_paths(), key=o.key)
+        assert enumerate_basis(double, o, 4, include_trivial=True) == trivial + sorted(paths, key=o.key)
+        assert paths_of_length(double, o, 0) == trivial
+        assert paths_of_length(double, o, 3) == sorted((p for p in paths if p.length() == 3), key=o.key)
 
 
 def random_paths(double, max_len, rng, count):
