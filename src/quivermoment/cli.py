@@ -50,10 +50,7 @@ def _write_or_emit(data, out) -> None:
 
 
 def _order_for(double: DoubleQuiver, order_file) -> PathOrder:
-    if not order_file:
-        return double.default_order()
-    data = fileio.load_json(order_file)
-    return PathOrder(double, data.get("vertices"), data.get("arrows"))
+    return fileio.load_order(double, order_file) if order_file else double.default_order()
 
 
 def _window_flag(value: str) -> bool:

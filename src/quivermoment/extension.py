@@ -29,9 +29,12 @@ def schur_complete(a: Matrix, c: Matrix) -> Matrix:
     """The unique flat bottom-right block C^H (A|Ran A)^{-1} C.
 
     Requires every column of c inside Ran(a); hermitian PSD in, hermitian PSD
-    out, and independent of the solution choice of A X = C.
+    out, and independent of the solution choice of A X = C (C^H X = X'^H C
+    for any two solutions), so one elimination of [A | C] serves.
     """
-    x = linalg.solve_in_range(a, c)
+    if not a.is_hermitian():
+        raise ValueError("schur_complete requires a hermitian A")
+    x = linalg.solve_particular(a, c)[1]
     if x is None:
         raise NotFlatError("Ran(C) is not contained in Ran(A); no flat completion exists")
     return c.conj_transpose() * x

@@ -17,7 +17,7 @@ from .gns import Representation
 from .groebner import RightGroebnerBasis
 from .linalg import Matrix
 from .moment import TruncatedFunctional
-from .quiver import DoubleQuiver, Path, Quiver, build_double
+from .quiver import DoubleQuiver, Path, PathOrder, Quiver, build_double
 from .scalar import Scalar
 
 
@@ -93,6 +93,19 @@ def resolve_quiver(spec, base_dir, source: str | None = None) -> DoubleQuiver:
     if isinstance(spec, str):
         return load_quiver(FsPath(base_dir) / spec)
     raise InputError(f"{_ctx(source)}quiver reference must be an object or a path string")
+
+
+# -- path orders -------------------------------------------------------------------
+
+
+def load_order(double: DoubleQuiver, path) -> PathOrder:
+    source = str(path)
+    data = _object(load_json(path), "order file", source)
+    names = [None if data.get(key) is None else _texts(data[key], key, source) for key in ("vertices", "arrows")]
+    try:
+        return PathOrder(double, *names)
+    except InputError as e:
+        raise InputError(f"{_ctx(source)}{e}") from None
 
 
 # -- paths and elements ---------------------------------------------------------

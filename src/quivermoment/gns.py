@@ -8,7 +8,9 @@ acts by right multiplication followed by normal-form re-expression.
 ``compress_representation`` cuts a finite-dimensional representation out of a
 merely positive functional of order d+1: right multiplication is kept on the
 low-degree coset spaces and zeroed on their gram-orthogonal complements, and
-starred arrows act by the gram adjoint.
+starred arrows act by the gram adjoint.  Each arrow matrix is a closed form
+in the transposed gram F, M_b = F^-1 Q_b F[K,K]^-1 F[K,:] (K: the kept cosets
+at source(b), Q_b: the moments L(r_u b r_i*)), so one solve of F serves all.
 
 Matrix conventions: matrices act on column coordinate vectors; the matrix of
 an arrow c maps the coset of p to the coset of p·c.  The inner product is
@@ -201,89 +203,59 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     of degree <= d, zero it on their gram-orthogonal complements, and let
     starred arrows act as gram adjoints.  The cyclic vector is the unit coset
     and L(f g*) = <tau(f) xi, tau(g) xi> holds exactly for f, g of degree <= d.
+
+    The coset reps r_i are the window paths that are not kernel tips (the
+    pivot columns of B_{L_{d+1}}), so the reps of degree <= j span the cosets
+    of degree <= j.  With F = gram^T (hermitian, invertible), K the reps of
+    length <= d ending at source(b), Q_b[i][u] = L(r_u b r_i*) and
+    S_b = F[K,K]^-1 F[K,:] (the gram-orthogonal projection onto the K cosets):
+
+        M_b = F^-1 Q_b S_b,   M_{b*} = F^-1 S_b^H Q_b^H,   cyclic = F^-1 (L(r_i*))_i,
+
+    with M_b = M_{b*} = 0 when K is empty.  F^-1 S_b^H = F^-1 F[:,K] F[K,K]^-1
+    is F[K,K]^-1 in the rows of K, so M_{b*} is F[K,K]^-1 Q_b^H there and zero
+    elsewhere, from the same solve as S_b.  One solve of F takes every Q_b and
+    the unit.
     """
     if not functional.include_trivial:
         raise InputError("compress_representation needs the trivial-path window")
     if not functional.is_psd():
         raise InputError("compress_representation requires a PSD functional")
     double = functional.double
-    dp1 = functional.k
-    pairing = functional.moment_matrix()
-
-    # Degree-graded coset representatives: the pivot columns of the full
-    # pairing matrix, i.e. each column that enlarges the span of the columns
-    # before it.  Ascending path order makes the span of the first j degrees
-    # equal the span of the chosen reps of degree <= j, which the
-    # multiplication operators below rely on.
-    basis = tuple(pairing.basis[j] for j in linalg.rref(pairing.m)[1])
+    tips = {g.tip(functional.order)[0] for g in functional.kernel_basis()}
+    basis = tuple(p for p in functional.basis(functional.k) if p not in tips)
     n = len(basis)
     gram = functional.moment_block(basis, basis)
-    ft = gram.transpose()
-
-    def coords(q: Path) -> list[Scalar]:
-        """Coordinates y of the coset [q] over the reps: F^T y = (L(q r_i*))_i."""
-        rhs = functional.moment_block([q], basis).transpose()
-        sol = linalg.solve_full_rank(ft, rhs)
-        return [sol.entry(i, 0) for i in range(n)]
-
-    low = {i for i, r in enumerate(basis) if r.length() <= dp1 - 1}
+    f = gram.transpose()
 
     arrows: dict[str, Matrix] = {}
+    kept = []  # (name, first column of Q_b in the solve of F, S_b) per arrow with nonempty K
+    rhs_t: list[Scalar] = []  # rows of [Q_b | ... | unit]^T, the right-hand sides of F
+    col = 0
     for ai, arrow in enumerate(double.base.arrows):
-        letter = (ai, False)
-        src = double.letter_source(letter)
-        block = [i for i, r in enumerate(basis) if r.terminal() == src]
-        k_idx = [i for i in block if i in low]
-        # Gram-orthogonal complement of the K-space inside the block:
-        # vectors v with inner(v, e_u) = sum_i v_i gram[i][u] = 0 per kept u.
-        if k_idx and len(block) > len(k_idx):
-            cons = Matrix(
-                len(k_idx),
-                len(block),
-                [gram.entry(i, u) for u in k_idx for i in block],
-            )
-            comp = linalg.nullspace(cons)
-        elif k_idx:
-            comp = []
-        else:
-            comp = [
-                tuple(ONE if b == bi else ZERO for b in range(len(block)))
-                for bi in range(len(block))
-            ]
-        t_cols: list[list[Scalar]] = []
-        images: list[list[Scalar]] = []
-        for u in k_idx:
-            vec = [ZERO] * n
-            vec[u] = ONE
-            t_cols.append(vec)
-            pc = compose(basis[u], double.path([letter]))
-            images.append([ZERO] * n if pc is ZERO_PATH else coords(pc))
-        for w in comp:
-            vec = [ZERO] * n
-            for bi, i in enumerate(block):
-                vec[i] = w[bi]
-            t_cols.append(vec)
-            images.append([ZERO] * n)
-        for i in range(n):
-            if i not in block:
-                vec = [ZERO] * n
-                vec[i] = ONE
-                t_cols.append(vec)
-                images.append([ZERO] * n)
-        t_full = Matrix(n, n, [t_cols[j][i] for i in range(n) for j in range(n)])
-        g_full = Matrix(n, n, [images[j][i] for i in range(n) for j in range(n)])
-        m_b = g_full * linalg.solve_full_rank(t_full, Matrix.identity(n))
-        arrows[arrow.name] = m_b
-        # pi(b*) is the gram adjoint of pi(b).
-        arrows[arrow.name + "*"] = linalg.solve_full_rank(ft, m_b.conj_transpose() * ft)
-
-    rep = Representation(double, basis, gram, arrows, _vertex_projections(double, basis), None)
-    xi = [ZERO] * n
-    for e in double.trivial_paths():
-        for i, c in enumerate(coords(e)):
-            xi[i] = xi[i] + c
-    rep.cyclic = tuple(xi)
-    return rep
+        arrows[arrow.name] = arrows[arrow.name + "*"] = Matrix.zeros(n, n)
+        b = double.path([(ai, False)])
+        k_idx = [i for i, r in enumerate(basis) if r.terminal() == b.origin() and r.length() < functional.k]
+        if not k_idx:
+            continue
+        m = len(k_idx)
+        q_t = functional.moment_block([compose(basis[u], b) for u in k_idx], basis)  # Q_b^T
+        f_kk = Matrix(m, m, [f.entry(u, v) for u in k_idx for v in k_idx])
+        # F[K,:] = conj(gram[K,:]), so this is [S_b | F[K,K]^-1 Q_b^H].
+        rhs = Matrix(m, 2 * n, [e for i, u in enumerate(k_idx) for e in gram.row(u) + q_t.row(i)])
+        s_z = linalg.solve_full_rank(f_kk, rhs.conjugate())
+        star = [ZERO] * (n * n)
+        for i, u in enumerate(k_idx):
+            star[u * n : (u + 1) * n] = s_z.row(i)[n:]
+        arrows[arrow.name + "*"] = Matrix(n, n, star)
+        kept.append((arrow.name, col, s_z.block(0, m, 0, n)))
+        rhs_t.extend(q_t.entries)
+        col += m
+    rhs_t.extend(functional.value(r.star()) for r in basis)
+    y = linalg.solve_full_rank(f, Matrix(col + 1, n, rhs_t).transpose())
+    for name, c, s_b in kept:
+        arrows[name] = y.block(0, n, c, c + s_b.rows) * s_b
+    return Representation(double, basis, gram, arrows, _vertex_projections(double, basis), y.col(col))
 
 
 # -- diagnostics --------------------------------------------------------------

@@ -8,10 +8,9 @@ parts when some entry is non-real, and results go back to `Scalar` once, with
 one division per output entry.  Nothing is floating point.
 
 A single fraction-free Gauss-Jordan engine backs rref, rank, nullspace,
-range-constrained solving and the canonical solve of rational systems.  On
-real data a row with a nonzero entry in the pivot column is replaced by an
-integer combination of itself and the pivot row, divided by the gcd of its
-entries; rows the pivot does not touch are left alone.  A combined row is
+the solvers and the canonical solve of rational systems.  On real data a
+row with a nonzero entry in the pivot column is replaced by an integer
+combination of itself and the pivot row, divided by the gcd of its entries; rows the pivot does not touch are left alone.  A combined row is
 thus the primitive integer multiple of its rational row.  On non-real data
 every row is updated and divided exactly by the previous pivot in Z[i], as in
 Bareiss elimination (Bareiss 1968).  Either way every entry divides a minor
@@ -20,6 +19,10 @@ pivoting with integer Schur complements, scaled the same way.  Pivot
 selection is always the first nonzero entry in a column scanning rows
 top-down, so identical inputs yield identical outputs bit for bit, equal to
 those of elimination over `Scalar`.
+
+One elimination of [a | c] gives rank(a) and the RREF solution of a*X = c,
+or shows that c leaves Ran(a) (`solve_particular`); `solve_in_range` runs it
+on `a` stacked over its conjugated kernel rows.
 """
 
 from __future__ import annotations
@@ -291,24 +294,6 @@ def _reduced_block(rows, pivots, ncols: int, first: int, width: int) -> Matrix:
     return Matrix(len(pivots), width, out)
 
 
-def _kernel(rows, pivots, ncols: int, width: int) -> list[tuple[Scalar, ...]]:
-    """Canonical kernel basis of the first `width` columns of a reduced system."""
-    pivot_set = set(pivots)
-    leads = [_entry(rows[r], p, ncols) for r, p in enumerate(pivots)]
-    basis = []
-    for f in range(width):
-        if f in pivot_set:
-            continue
-        vec = [ZERO] * width
-        vec[f] = ONE
-        for r, p in enumerate(pivots):
-            x = _entry(rows[r], f, ncols)
-            if x != (0, 0):
-                vec[p] = _ratio((-x[0], -x[1]), leads[r])
-        basis.append(tuple(vec))
-    return basis
-
-
 # -- public API ------------------------------------------------------------------------
 
 
@@ -338,7 +323,39 @@ def nullspace(m: Matrix) -> list[tuple[Scalar, ...]]:
     form.  Empty for injective matrices.
     """
     rows, pivots = _eliminate([m])
-    return _kernel(rows, pivots, m.cols, m.cols)
+    pivot_set = set(pivots)
+    leads = [_entry(rows[r], p, m.cols) for r, p in enumerate(pivots)]
+    basis = []
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        vec = [ZERO] * m.cols
+        vec[f] = ONE
+        for r, p in enumerate(pivots):
+            x = _entry(rows[r], f, m.cols)
+            if x != (0, 0):
+                vec[p] = _ratio((-x[0], -x[1]), leads[r])
+        basis.append(tuple(vec))
+    return basis
+
+
+def solve_particular(a: Matrix, c: Matrix) -> tuple[int, Matrix | None]:
+    """rank(a) and the RREF solution of a*X = c with free variables zero.
+
+    The left block of the RREF of [a | c] is the RREF of `a`; a pivot right
+    of it means some column of c lies outside Ran(a), and the solution is None.
+    """
+    if a.rows != c.rows:
+        raise ValueError("row count mismatch")
+    rows, pivots = _eliminate([a, c])
+    rank_a = sum(p < a.cols for p in pivots)
+    if rank_a < len(pivots):
+        return rank_a, None
+    red = _reduced_block(rows, pivots, a.cols + c.cols, a.cols, c.cols)
+    out = [ZERO] * (a.cols * c.cols)
+    for r, p in enumerate(pivots):
+        out[p * c.cols : (p + 1) * c.cols] = red.row(r)
+    return rank_a, Matrix(a.cols, c.cols, out)
 
 
 def solve_in_range(a: Matrix, c: Matrix) -> Matrix | None:
@@ -353,29 +370,19 @@ def solve_in_range(a: Matrix, c: Matrix) -> Matrix | None:
     """
     if not a.is_hermitian():
         raise ValueError("solve_in_range requires a hermitian left-hand side")
-    if a.rows != c.rows:
-        raise ValueError("row count mismatch")
-    rows, pivots = _eliminate([a, c])
-    ncols = a.cols + c.cols
-    if pivots and pivots[-1] >= a.cols:
-        return None  # a pivot in the augmented block: inconsistent system
-    # The left block of the augmented RREF is the RREF of `a`, so it also
-    # yields the kernel; its rows join the reduced system as v^H X = 0.
-    null = _kernel(rows, pivots, ncols, a.cols)
+    null = nullspace(a)
     if null:
-        real = len(rows[0]) == ncols
-        zeros = [ZERO] * c.cols
-        rows = rows[: len(pivots)] + [_scaled([e.conjugate() for e in v] + zeros, real)[0] for v in null]
-        pivots = _gauss_jordan(rows, ncols)
-    return _reduced_block(rows, pivots, ncols, a.cols, c.cols)
+        a = Matrix(a.rows + len(null), a.cols, a.entries + tuple(e.conjugate() for v in null for e in v))
+        c = Matrix(c.rows + len(null), c.cols, c.entries + (ZERO,) * (len(null) * c.cols))
+    return solve_particular(a, c)[1]
 
 
 def solve_full_rank(a: Matrix, b: Matrix) -> Matrix:
     """Solve a*X = b for invertible `a` (raises if singular)."""
-    rows, pivots = _eliminate([a, b])
-    if pivots != list(range(a.cols)):
+    rank_a, x = solve_particular(a, b)
+    if x is None or rank_a < a.cols:
         raise InternalInvariantError("matrix expected to be invertible is singular")
-    return _reduced_block(rows, pivots, a.cols + b.cols, a.cols, b.cols)
+    return x
 
 
 def solve_canonical(rows: list[list[Fraction]], rhs: list[Fraction], nvars: int) -> list[Fraction] | None:

@@ -173,12 +173,12 @@ class TruncatedFunctional:
     @cached_property
     def _flat_report(self) -> FlatReport:
         blocks = self.block_decompose()
-        rank_k = linalg.rank(self.moment_matrix().m)
-        rank_km1 = linalg.rank(blocks.a)
+        # rank conj(B_{L_k}) = rank B_{L_k}; [A | C] gives rank A, Ran C <= Ran A and X.
+        rank_k = len(self.basis(self.k)) - len(self._kernel)
+        rank_km1, x = linalg.solve_particular(blocks.a, blocks.c)
         rank_flat = rank_k == rank_km1
-
-        x = linalg.solve_in_range(blocks.a, blocks.c)
         range_ok = x is not None
+        # A is hermitian, so C^H X is the same for every solution of A X = C.
         block_flat = range_ok and blocks.b == blocks.c.conj_transpose() * x
 
         if rank_flat != block_flat:

@@ -130,6 +130,10 @@ class Scalar:
             im_part = _F0 if im_num is None else _rational(im_num, im_den)
         except ZeroDivisionError:
             raise InputError(f"zero denominator in scalar literal {text!r}") from None
+        except ValueError:  # a part longer than Python's int conversion limit
+            raise InputError(
+                f"scalar literal of {len(text)} characters exceeds the integer digit limit"
+            ) from None
         return Scalar._make(re_part, im_part)
 
 

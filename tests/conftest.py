@@ -173,7 +173,13 @@ def example2_l4(example2_order3):
 # -- random PSD/PD functionals from vector states of quiver representations ----
 
 
-def letter_maps(double, dims, rng, lo=-3, hi=3):
+def _draw(rng, complex_, lo=-3, hi=3) -> Scalar:
+    """A random integer, or Gaussian integer when complex_ is set."""
+    re = rng.randint(lo, hi)
+    return Scalar(re, rng.randint(lo, hi)) if complex_ else sc(re)
+
+
+def letter_maps(double, dims, rng, lo=-3, hi=3, complex_=False):
     """Random integer matrices per base arrow; stars act as conjugate transposes."""
     maps = {}
     for i, a in enumerate(double.base.arrows):
@@ -182,36 +188,37 @@ def letter_maps(double, dims, rng, lo=-3, hi=3):
         m = Matrix(
             dims[dst],
             dims[src],
-            [sc(rng.randint(lo, hi)) for _ in range(dims[dst] * dims[src])],
+            [_draw(rng, complex_, lo, hi) for _ in range(dims[dst] * dims[src])],
         )
         maps[(i, False)] = m
         maps[(i, True)] = m.conj_transpose()
     return maps
 
 
-def state_functional(double, k, include_trivial, dims, rng):
+def state_functional(double, k, include_trivial, dims, rng, complex_=False):
     """L(p) = <T_p xi_{o(p)}, xi_{t(p)}> for random integer arrow maps and xi.
 
     Always hermitian and PSD; PD with high probability once dims are at least
-    the per-vertex window sizes.
+    the per-vertex window sizes.  With complex_ the maps and xi have Gaussian
+    integer entries.
     """
-    maps = letter_maps(double, dims, rng)
+    maps = letter_maps(double, dims, rng, complex_=complex_)
     xi = {
-        v: Matrix.column([sc(rng.randint(-3, 3)) for _ in range(dims[v])])
+        v: Matrix.column([_draw(rng, complex_) for _ in range(dims[v])])
         for v in range(len(dims))
     }
     order = double.default_order()
     window = enumerate_basis(double, order, 2 * k, include_trivial)
     values = {}
+    vecs = {}  # (origin, letters) -> T_p xi_{o(p)}; prefixes precede in the window
     for p in window:
+        o = p.origin()
         if p.is_trivial():
-            t = Matrix.identity(dims[p.vertex])
+            vec = xi[o]
         else:
-            t = None
-            for letter in p.letters:
-                m = maps[letter]
-                t = m if t is None else m * t
-        vec = t * xi[p.origin()]
+            prefix = vecs[(o, p.letters[:-1])] if len(p.letters) > 1 else xi[o]
+            vec = maps[p.letters[-1]] * prefix
+        vecs[(o, p.letters)] = vec
         target = xi[p.terminal()]
         acc = ZERO
         for i in range(vec.rows):
@@ -220,7 +227,7 @@ def state_functional(double, k, include_trivial, dims, rng):
     return TruncatedFunctional(double, k, values, include_trivial, order)
 
 
-def pd_functional(double, k, include_trivial, rng, dims=None, tries=40):
+def pd_functional(double, k, include_trivial, rng, dims=None, tries=40, complex_=False):
     """A random positive-definite functional (full-rank moment matrix)."""
     from quivermoment import linalg
 
@@ -232,7 +239,7 @@ def pd_functional(double, k, include_trivial, rng, dims=None, tries=40):
             per_vertex[p.terminal()] += 1
         dims = [max(1, c) for c in per_vertex]
     for _ in range(tries):
-        f = state_functional(double, k, include_trivial, dims, rng)
+        f = state_functional(double, k, include_trivial, dims, rng, complex_)
         if linalg.rank(f.moment_matrix().m) == len(window):
             return f
     raise RuntimeError("failed to draw a positive-definite functional")

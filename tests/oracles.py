@@ -7,7 +7,11 @@
 * reassembly of a block decomposition, truncation of an element and the
   moment pairing L(f g*) computed through the algebra product;
 * the path and scalar text parsers as they were before the table-driven
-  rewrite (prefix by prefix, and `Fraction` of each part's text).
+  rewrite (prefix by prefix, and `Fraction` of each part's text);
+* `compress_representation` as it was before the closed form: coset reps
+  from `rref` of the order-k matrix, one solve of the gram per path, and per
+  arrow a completion of the kept cosets to a basis by their gram-orthogonal
+  complement.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from quivermoment import Element, InputError, Matrix, Path, compose
-from quivermoment.quiver import Letter
+from quivermoment import Element, InputError, Matrix, Path, TruncatedFunctional, compose, linalg
+from quivermoment.gns import Representation, _vertex_projections
+from quivermoment.quiver import ZERO_PATH, Letter
 from quivermoment.scalar import ONE, ZERO, Scalar
 
 # -- embedding into matrices over the free *-algebra --------------------------
@@ -224,3 +229,99 @@ def scalar_parse(text: str) -> Scalar:
     except ZeroDivisionError:
         raise InputError(f"zero denominator in scalar literal {text!r}") from None
     return Scalar(re_part, im_part)
+
+
+# -- compression by basis completion ------------------------------------------
+
+
+def compress_representation(functional: TruncatedFunctional) -> Representation:
+    """Finite-dimensional representation reproducing a PSD functional's moments.
+
+    For an order d+1 functional with trivial paths, quotient the window by the
+    radical of the moment form, keep right multiplication on the coset spaces
+    of degree <= d, zero it on their gram-orthogonal complements, and let
+    starred arrows act as gram adjoints.  The cyclic vector is the unit coset
+    and L(f g*) = <tau(f) xi, tau(g) xi> holds exactly for f, g of degree <= d.
+    """
+    if not functional.include_trivial:
+        raise InputError("compress_representation needs the trivial-path window")
+    if not functional.is_psd():
+        raise InputError("compress_representation requires a PSD functional")
+    double = functional.double
+    dp1 = functional.k
+    pairing = functional.moment_matrix()
+
+    # Degree-graded coset representatives: the pivot columns of the full
+    # pairing matrix, i.e. each column that enlarges the span of the columns
+    # before it.  Ascending path order makes the span of the first j degrees
+    # equal the span of the chosen reps of degree <= j, which the
+    # multiplication operators below rely on.
+    basis = tuple(pairing.basis[j] for j in linalg.rref(pairing.m)[1])
+    n = len(basis)
+    gram = functional.moment_block(basis, basis)
+    ft = gram.transpose()
+
+    def coords(q: Path) -> list[Scalar]:
+        """Coordinates y of the coset [q] over the reps: F^T y = (L(q r_i*))_i."""
+        rhs = functional.moment_block([q], basis).transpose()
+        sol = linalg.solve_full_rank(ft, rhs)
+        return [sol.entry(i, 0) for i in range(n)]
+
+    low = {i for i, r in enumerate(basis) if r.length() <= dp1 - 1}
+
+    arrows: dict[str, Matrix] = {}
+    for ai, arrow in enumerate(double.base.arrows):
+        letter = (ai, False)
+        src = double.letter_source(letter)
+        block = [i for i, r in enumerate(basis) if r.terminal() == src]
+        k_idx = [i for i in block if i in low]
+        # Gram-orthogonal complement of the K-space inside the block:
+        # vectors v with inner(v, e_u) = sum_i v_i gram[i][u] = 0 per kept u.
+        if k_idx and len(block) > len(k_idx):
+            cons = Matrix(
+                len(k_idx),
+                len(block),
+                [gram.entry(i, u) for u in k_idx for i in block],
+            )
+            comp = linalg.nullspace(cons)
+        elif k_idx:
+            comp = []
+        else:
+            comp = [
+                tuple(ONE if b == bi else ZERO for b in range(len(block)))
+                for bi in range(len(block))
+            ]
+        t_cols: list[list[Scalar]] = []
+        images: list[list[Scalar]] = []
+        for u in k_idx:
+            vec = [ZERO] * n
+            vec[u] = ONE
+            t_cols.append(vec)
+            pc = compose(basis[u], double.path([letter]))
+            images.append([ZERO] * n if pc is ZERO_PATH else coords(pc))
+        for w in comp:
+            vec = [ZERO] * n
+            for bi, i in enumerate(block):
+                vec[i] = w[bi]
+            t_cols.append(vec)
+            images.append([ZERO] * n)
+        for i in range(n):
+            if i not in block:
+                vec = [ZERO] * n
+                vec[i] = ONE
+                t_cols.append(vec)
+                images.append([ZERO] * n)
+        t_full = Matrix(n, n, [t_cols[j][i] for i in range(n) for j in range(n)])
+        g_full = Matrix(n, n, [images[j][i] for i in range(n) for j in range(n)])
+        m_b = g_full * linalg.solve_full_rank(t_full, Matrix.identity(n))
+        arrows[arrow.name] = m_b
+        # pi(b*) is the gram adjoint of pi(b).
+        arrows[arrow.name + "*"] = linalg.solve_full_rank(ft, m_b.conj_transpose() * ft)
+
+    rep = Representation(double, basis, gram, arrows, _vertex_projections(double, basis), None)
+    xi = [ZERO] * n
+    for e in double.trivial_paths():
+        for i, c in enumerate(coords(e)):
+            xi[i] = xi[i] + c
+    rep.cyclic = tuple(xi)
+    return rep

@@ -1,6 +1,7 @@
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path as FsPath
 
 import pytest
 
@@ -137,6 +138,8 @@ REP = {"quiver": LOOP, "basis": ["x"], "gram": [["1"]], "arrows": {}, "vertices"
 GENS = ["groebner", "--generators"]
 SOS = ["sos", "verify"]
 CHECK = ["gns", "check"]
+QUIVER_FILE = "<quiver file>"  # replaced by a written copy of LOOP
+ORDER = ["order-check", QUIVER_FILE, "--order-file"]
 
 
 def gens(elements, quiver=LOOP):
@@ -166,15 +169,31 @@ def gens(elements, quiver=LOOP):
         pytest.param(GENS, gens([], {"vertices": "e", "arrows": []}), "'vertices'", id="vertices_not_list"),
         pytest.param(GENS, gens([], {"vertices": [1], "arrows": []}), "1", id="vertex_int"),
         pytest.param(GENS, [], "[]", id="file_not_object"),
+        pytest.param(ORDER, {"vertices": 5}, "'vertices'", id="order_vertices_not_list"),
+        pytest.param(ORDER, {"vertices": ["e", 5]}, "5", id="order_vertex_int"),
+        pytest.param(ORDER, ["e"], "['e']", id="order_file_not_object"),
+        pytest.param(ORDER, {"arrows": ["q"]}, "'q'", id="order_unknown_arrow"),
     ],
 )
 def test_cli_malformed_loader_input_exit_2(tmp_path, capsys, command, data, token):
     fpath = write(tmp_path, "bad.json", data)
-    code = main([*command, fpath])
+    quiver = write(tmp_path, "q.json", LOOP)
+    code = main([quiver if arg == QUIVER_FILE else arg for arg in command] + [fpath])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith("error: ") and "bad.json" in captured.err and token in captured.err
+
+
+def test_cli_scalar_literal_past_int_digit_limit_exit_2(tmp_path, capsys):
+    digits = "1" * 5000  # Python refuses int() of more than 4300 digits by default
+    f = functional_file(tmp_path, entries=[{"path": "x x*", "value": digits}], k=1)
+    code = main(["moment", "psd", f])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and "5000 characters" in captured.err
+    assert digits[:100] not in captured.err
 
 
 def test_cli_output_into_missing_directory_exit_2(tmp_path, capsys):
@@ -208,6 +227,13 @@ def test_cli_moment_flat(tmp_path, capsys):
         "range_contained": True,
         "window": "nontrivial",
     }
+
+
+def test_committed_fixture_is_the_flat_extension(fix_l2_ext):
+    # CI runs `moment flat` on this file without site-packages.
+    f = fileio.load_functional(FsPath(__file__).parent / "fixtures" / "fix_l2_ext.json")
+    assert f.values == fix_l2_ext.values and f.k == fix_l2_ext.k
+    assert f.include_trivial is False
 
 
 def test_cli_moment_flat_false_exit_1(tmp_path, capsys):

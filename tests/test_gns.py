@@ -1,13 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from quivermoment import (
     Element,
     InputError,
     Matrix,
+    Quiver,
     Representation,
     TruncatedFunctional,
+    build_double,
     build_from_groebner,
     build_representation,
     check_relations,
@@ -20,7 +25,7 @@ from quivermoment import (
 from oracles import apply_right_element, element_matrix_word_order, inner
 from quivermoment.scalar import ONE, ZERO
 
-from conftest import elem, path, sc, state_functional
+from conftest import elem, path, pd_functional, sc, state_functional
 
 PRINTED_REPRESENTATIVES = [
     "x", "x*", "x x", "x x*", "x* x", "x* x*",
@@ -176,6 +181,49 @@ def test_compress_moment_reproduction(fix_a2):
                 tq = apply_right_element(rep, Element.from_path(q), xi)
                 assert inner(rep, tp, tq) == want
         assert check_relations(rep).passed
+
+
+# Quivers for the compression oracle test, each with the orders it is run at.
+COMPRESS_QUIVERS = {
+    "one_loop": (Quiver(["e"], [("x", "e", "e")]), (1, 2, 3)),
+    "two_loops": (Quiver(["e"], [("x", "e", "e"), ("y", "e", "e")]), (1, 2)),
+    "a2": (Quiver(["e1", "e2"], [("x", "e1", "e2")]), (1, 2, 3)),
+    "chain": (Quiver(["e1", "e2", "e3"], [("x", "e1", "e2"), ("y", "e2", "e3")]), (1, 2, 3)),
+    "xyz": (Quiver(["e1", "e2"], [("x", "e1", "e2"), ("y", "e2", "e1"), ("z", "e1", "e1")]), (1, 2)),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(COMPRESS_QUIVERS)), st.booleans(), st.data())
+def test_compress_matches_basis_completion_oracle(name, complex_, data):
+    """The closed form equals the per-arrow basis completion, entry for entry.
+
+    Vertex dimensions of 0 put every path ending there in the kernel, so some
+    arrows have no kept cosets at their source (K empty) and some kept cosets
+    map to null paths; small dimensions give rank-deficient states.
+    """
+    quiver, orders = COMPRESS_QUIVERS[name]
+    double = build_double(quiver)
+    k = data.draw(st.sampled_from(orders), label="k")
+    n_v = double.n_vertices()
+    dims = data.draw(st.lists(st.integers(0, 3), min_size=n_v, max_size=n_v), label="dims")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    f = state_functional(double, k, True, dims, random.Random(seed), complex_)
+    new, old = compress_representation(f), oracles.compress_representation(f)
+    assert new.basis == old.basis
+    assert new.gram == old.gram
+    assert new.arrows == old.arrows
+    assert new.cyclic == old.cyclic
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_compress_matches_basis_completion_oracle_on_pd_state(complex_):
+    """The two-loop, k = 2 shape of the benchmark: a full-rank 21x21 gram."""
+    double = build_double(COMPRESS_QUIVERS["two_loops"][0])
+    f = pd_functional(double, 2, True, random.Random(5), complex_=complex_)
+    new, old = compress_representation(f), oracles.compress_representation(f)
+    assert new.dim == 21
+    assert (new.basis, new.gram, new.arrows, new.cyclic) == (old.basis, old.gram, old.arrows, old.cyclic)
 
 
 def test_compress_requires_trivial_window_and_psd(fix_l2, fix_a2):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from quivermoment import Matrix, Scalar, ldlh_psd, nullspace, psd_check, rank, solve_in_range
+from quivermoment.linalg import solve_particular
 from quivermoment.scalar import ONE, ZERO
 
 
@@ -60,6 +61,14 @@ def test_solve_in_range_examples():
     assert solve_in_range(a, m_int([[0], [1]])) is None
     c = m_int([[3], [5]])
     assert solve_in_range(Matrix.identity(2), c) == c
+
+
+def test_solve_particular_places_rows_at_pivot_columns():
+    # Pivots of [a | c] skip a zero column, then a dependent one.
+    assert solve_particular(m_int([[0, 1], [0, 0]]), m_int([[3], [0]])) == (1, m_int([[0], [3]]))
+    a = m_int([[1, 2, 0], [0, 0, 1]])
+    assert solve_particular(a, m_int([[5, 1], [7, 0]])) == (2, m_int([[5, 1], [0, 0], [7, 0]]))
+    assert solve_particular(m_int([[0, 1], [0, 0]]), m_int([[1], [1]])) == (1, None)
 
 
 def test_solve_in_range_rank_criterion_random():

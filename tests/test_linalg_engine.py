@@ -119,6 +119,28 @@ def test_solve_in_range_matches_oracle(a, data):
 
 @SETTINGS
 @given(st.data())
+def test_solve_particular_matches_oracle_rref(data):
+    """rank(a) and the RREF solution of a X = c, read off the oracle's RREF of [a | c]."""
+    a = data.draw(matrices())
+    if data.draw(st.booleans()):
+        c = oracle.matmul(a, data.draw(matrices(rows=a.cols)))  # consistent
+    else:
+        c = data.draw(matrices(rows=a.rows))
+    rank_a, x = linalg.solve_particular(a, c)
+    assert rank_a == oracle.rank(a)
+    aug = Matrix(a.rows, a.cols + c.cols, [e for i in range(a.rows) for e in (*a.row(i), *c.row(i))])
+    red, pivots = oracle.rref(aug)
+    if any(p >= a.cols for p in pivots):
+        assert x is None
+        return
+    want = [(Scalar(0),) * c.cols] * a.cols
+    for r, p in enumerate(pivots):
+        want[p] = red.row(r)[a.cols :]
+    assert x == Matrix(a.cols, c.cols, [e for row in want for e in row])
+
+
+@SETTINGS
+@given(st.data())
 def test_solve_full_rank_matches_oracle(data):
     n = data.draw(st.integers(0, MAX_DIM))
     a = data.draw(matrices(rows=n, cols=n))

@@ -24,6 +24,17 @@ def test_parse_rejects_garbage(bad):
         Scalar.parse(bad)
 
 
+LONG = "7" * 5000  # past Python's default 4300-digit int conversion limit
+
+
+@pytest.mark.parametrize("text", [LONG, f"1/{LONG}", f"2+{LONG}i", f"-1/3-1/{LONG} i"])
+def test_parse_refuses_parts_past_int_digit_limit_by_length(text):
+    with pytest.raises(InputError) as err:
+        Scalar.parse(text)
+    assert f"{len(text)} characters" in str(err.value)
+    assert LONG[:100] not in str(err.value)
+
+
 def test_format_round_trip():
     rng = random.Random(1)
     for _ in range(300):
