@@ -21,7 +21,7 @@ from .errors import (
 from .groebner import RightGroebnerBasis, kernel_groebner
 from .linalg import Matrix
 from .moment import TruncatedFunctional
-from .quiver import ZERO_PATH, Path, compose, enumerate_basis, paths_of_length
+from .quiver import ZERO_PATH, Path, _words, compose, paths_of_length
 from .scalar import ZERO, Scalar
 
 
@@ -191,6 +191,10 @@ class FlatExtension:
     extensions of the same base agree path for path no matter which
     generator ordering drove the Gröbner computation (rank stability makes
     the extension unique).
+
+    The base values on V_{k-1} are held as Gaussian-integer numerators over
+    one denominator, keyed like the normal forms of the tip table, so a
+    value is one integer dot product.
     """
 
     def __init__(self, base: TruncatedFunctional, generators=None):
@@ -200,28 +204,59 @@ class FlatExtension:
         self.base = base
         self.gb: RightGroebnerBasis = kernel_groebner(base, generators)
         self.cache: dict[Path, Scalar] = {}
+        short = base.basis(base.k - 1)
+        vals = [base.value(q) for q in short]
+        nums, self._den = linalg._common([v.re for v in vals] + [v.im for v in vals])
+        n = len(short)
+        self._moments = {(q.vertex, q.letters): (nums[i], nums[n + i]) for i, q in enumerate(short)}
 
     def evaluate(self, p: Path) -> Scalar:
         if p in self.cache:
             return self.cache[p]
-        nf = self.gb.nf(p)
-        deg = nf.degree()
-        if deg is not None and deg >= self.base.k:
-            raise InternalInvariantError(
-                f"normal form of {p} escaped the V_{self.base.k - 1} window"
-            )
-        value = self.base.riesz_eval(nf)
-        self.cache[p] = value
+        return self._value(p, *self.gb.tip_table.fold(p))
+
+    def _value(self, p: Path, terms, den: int) -> Scalar:
+        """L(NF(p)) for NF(p) = terms/den; cached."""
+        re = im = 0
+        for key, (a, b) in terms.items():
+            m = self._moments.get(key)
+            if m is None:
+                if len(key[1]) >= self.base.k:
+                    raise InternalInvariantError(
+                        f"normal form of {p} escaped the V_{self.base.k - 1} window"
+                    )
+                # The one short path outside V_{k-1}: a trivial path, in a
+                # window without them; value() raises its WindowError.
+                self.base.value(Path(self.base.double, *key))
+            lr, li = m
+            re, im = re + a * lr - b * li, im + a * li + b * lr
+        value = self.cache[p] = linalg._scalar(re, im, den * self._den)
         return value
 
     def truncated_view(self, m: int) -> TruncatedFunctional:
-        """Materialize the extension as an order-m functional (m >= k)."""
+        """Materialize the extension as an order-m functional (m >= k).
+
+        NF(p·c) = NF(NF(p)·c), and every window word extends a word of the
+        previous length, so each normal form is one fold step from its
+        parent's.  Only the layer still to be extended is held.
+        """
         if m < self.base.k:
             raise InputError("truncated_view order must be >= the base order")
-        window = enumerate_basis(
-            self.base.double, self.base.order, 2 * m, self.base.include_trivial
-        )
-        vals = {p: self.evaluate(p) for p in window}
-        return TruncatedFunctional(
-            self.base.double, m, vals, self.base.include_trivial, self.base.order
-        )
+        table = self.gb.tip_table
+        double, order = self.base.double, self.base.order
+        roots = {v: table.start(v) for v in order.vertex_seq}
+        vals = {}
+        if self.base.include_trivial:
+            for v, nf in roots.items():
+                e = Path(double, v, ())
+                vals[e] = self._value(e, *nf)
+        parents: dict = {}
+        for words in _words(double, order, 2 * m):
+            layer = {}
+            for w in words:
+                parent = parents[w[:-1]] if len(w) > 1 else roots[double.source[w[0]]]
+                nf = layer[w] = table.step(*parent, w[-1])
+                p = Path(double, None, w)
+                vals[p] = self._value(p, *nf)
+            parents = layer
+        return TruncatedFunctional(double, m, vals, self.base.include_trivial, order)

@@ -11,18 +11,29 @@ Normal forms against a finished basis take a different route, one letter at
 a time.  Every term r of NF(p) is irreducible, so the only tip that can
 left-divide r·c is r·c itself, and NF(p·c) = NF(NF(p)·c) is one lookup per
 term in a table mapping each tip to the normal form of its tail.
+
+That fold runs on integers, as `linalg` does.  Every tail is stored as
+Gaussian-integer numerators (re, im) over one denominator D shared by the
+table, and the fold carries {word: (re, im)} over a running denominator.  A
+letter that extends no term to a tip only re-keys the terms.  When some
+term meets a tip, the other terms are scaled by D, the tip's term is
+replaced by its tail times the term's numerator, the running denominator
+is multiplied by D, and one integer gcd of all entries and the denominator
+is divided out.  Normal forms are unique (Green 1999), so the result equals
+the `Scalar` fold exactly; a `Scalar` is built once per output term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd, lcm
 
 from .algebra import Element
 from .errors import InputError, InternalInvariantError
-from .linalg import Matrix
+from .linalg import Matrix, _common, _scalar
 from .moment import TruncatedFunctional
-from .quiver import ZERO_PATH, Path, PathOrder, compose
+from .quiver import DoubleQuiver, Letter, Path, PathOrder
 from .scalar import ONE, Scalar
 
 
@@ -52,28 +63,110 @@ class ReductionEvent:
     cofactor: Path
 
 
-Terms = dict[Path, Scalar]
+Key = tuple[int | None, tuple[Letter, ...]]  # (vertex, letters), as a Path is identified
+Numerators = dict[Key, tuple[int, int]]
 
 
-def _sum(scaled) -> Terms:
-    """The sum of c·terms over (terms, c) pairs, zero coefficients dropped."""
-    acc: Terms = {}
-    for terms, c in scaled:
-        for r, cr in terms.items():
-            v = c * cr
-            acc[r] = acc[r] + v if r in acc else v
-    return {r: v for r, v in acc.items() if v}
+def _reduced(acc: Numerators, den: int) -> tuple[Numerators, int]:
+    """acc/den with zero terms dropped and one integer gcd divided out."""
+    acc = {k: c for k, c in acc.items() if c[0] or c[1]}
+    g = gcd(den, *(x for c in acc.values() for x in c))
+    if g == 1:
+        return acc, den
+    return {k: (re // g, im // g) for k, (re, im) in acc.items()}, den // g
 
 
-def _fold(p: Path, table: dict[Path, Terms]) -> Terms:
-    """Normal form of p, letter by letter, against a {tip: reduced tail} table."""
-    start = p.double.trivial_paths()[p.origin()]
-    acc = table.get(start, {start: ONE})
-    for letter in p.letters:
-        step = Path(p.double, None, (letter,))
-        images = ((compose(r, step), c) for r, c in acc.items())
-        acc = _sum((table.get(rc, {rc: ONE}), c) for rc, c in images if rc is not ZERO_PATH)
-    return acc
+def _times(terms: Numerators, m: int) -> Numerators:
+    return terms if m == 1 else {k: (re * m, im * m) for k, (re, im) in terms.items()}
+
+
+def _add_scaled(acc: Numerators, cr: int, ci: int, terms: Numerators) -> None:
+    """acc += (cr + ci i)·terms, in place."""
+    for k, (a, b) in terms.items():
+        re, im = cr * a - ci * b, cr * b + ci * a
+        if k in acc:
+            pr, pi = acc[k]
+            re, im = pr + re, pi + im
+        acc[k] = (re, im)
+
+
+def _combine(parts) -> tuple[Numerators, int]:
+    """The sum of c·terms/den over (c, terms, den) with `Scalar` c, over one denominator."""
+    scaled = []
+    for c, terms, den in parts:
+        (cr, ci), dc = _common([c.re, c.im])
+        scaled.append((cr, ci, terms, dc * den))
+    common = lcm(*(d for _, _, _, d in scaled))
+    acc: Numerators = {}
+    for cr, ci, terms, d in scaled:
+        m = common // d
+        _add_scaled(acc, cr * m, ci * m, terms)
+    return _reduced(acc, common)
+
+
+class TipTable:
+    """Each tip mapped to its reduced tail, on Gaussian-integer numerators.
+
+    A path is keyed by (vertex, letters) as `Path` identifies it: (v, ()) for
+    the trivial path at v, (None, letters) otherwise.  A tail is stored as
+    {key: (re, im)} over one positive denominator `den` shared by the table.
+    """
+
+    def __init__(self, double: DoubleQuiver):
+        self.double = double
+        self.tails: dict[Key, Numerators] = {}
+        self.den = 1
+
+    def add(self, tip: Path, terms: Numerators, den: int) -> None:
+        """Enter tip -> terms/den, bringing the table to the lcm of the denominators."""
+        common = lcm(self.den, den)
+        if common != self.den:
+            m = common // self.den
+            self.tails = {t: _times(tail, m) for t, tail in self.tails.items()}
+            self.den = common
+        self.tails[(tip.vertex, tip.letters)] = _times(terms, common // den)
+
+    def start(self, vertex: int) -> tuple[Numerators, int]:
+        """NF of the trivial path at `vertex`."""
+        tail = self.tails.get((vertex, ()))
+        return ({(vertex, ()): (1, 0)}, 1) if tail is None else (tail, self.den)
+
+    def step(self, terms: Numerators, den: int, letter: Letter) -> tuple[Numerators, int]:
+        """NF(f·c) for the letter c, from NF(f) = terms/den.
+
+        All terms end where f ends, so each composes with c.  A term whose
+        extension is no tip is only re-keyed.  When some extension is a tip,
+        the other terms are scaled by the table's denominator, each tip
+        contributes its tail times the term's numerator, and one gcd is
+        divided out.
+        """
+        tails = self.tails
+        out: Numerators = {}
+        hits = []
+        for (_, w), c in terms.items():
+            key = (None, w + (letter,))
+            tail = tails.get(key)
+            if tail is None:
+                out[key] = c
+            else:
+                hits.append((c, tail))
+        if not hits:
+            return out, den
+        out = _times(out, self.den)
+        for (cr, ci), tail in hits:
+            _add_scaled(out, cr, ci, tail)
+        return _reduced(out, den * self.den)
+
+    def fold(self, p: Path) -> tuple[Numerators, int]:
+        """NF(p), letter by letter."""
+        terms, den = self.start(p.origin())
+        for letter in p.letters:
+            terms, den = self.step(terms, den, letter)
+        return terms, den
+
+    def scalars(self, terms: Numerators, den: int) -> dict[Path, Scalar]:
+        """terms/den as {path: Scalar}."""
+        return {Path(self.double, *k): _scalar(re, im, den) for k, (re, im) in terms.items()}
 
 
 @dataclass(frozen=True)
@@ -83,7 +176,7 @@ class RightGroebnerBasis:
     trace: tuple[ReductionEvent, ...]
 
     @cached_property
-    def tip_table(self) -> dict[Path, Terms]:
+    def tip_table(self) -> TipTable:
         """Each tip mapped to the normal form of its tail: Tip(g) ≡ Tip(g) - g·e.
 
         Here e is the trivial path at the tip's terminal vertex, so a tail
@@ -92,22 +185,23 @@ class RightGroebnerBasis:
         of a tail is below its tip, so only the rules already in the table can
         divide the paths its fold meets.
         """
-        table: dict[Path, Terms] = {}
+        table = TipTable(self.order.double)
         for g in sorted(self.elements, key=lambda e: self.order.key(e.tip(self.order)[0])):
             tip, lead = g.tip(self.order)
             tail = ((q, c) for q, c in g.terms.items() if q != tip and q.terminal() == tip.terminal())
-            table[tip] = _sum((_fold(q, table), -c / lead) for q, c in tail)
+            table.add(tip, *_combine((-c / lead, *table.fold(q)) for q, c in tail))
         return table
 
     def nf(self, p: Path) -> Element:
         """Normal form of a single path."""
-        return Element(p.double, _fold(p, self.tip_table))
+        table = self.tip_table
+        return Element(p.double, table.scalars(*table.fold(p)))
 
     def reducible(self, p: Path) -> bool:
         """True iff some tip left-divides p, i.e. some prefix of p is a tip."""
-        prefixes = [Path(p.double, None, p.letters[:i]) for i in range(1, p.length() + 1)]
-        prefixes.append(p.double.trivial_paths()[p.origin()])
-        return any(q in self.tip_table for q in prefixes)
+        tails = self.tip_table.tails
+        prefixes = ((None, p.letters[:i]) for i in range(1, p.length() + 1))
+        return (p.origin(), ()) in tails or any(k in tails for k in prefixes)
 
 
 def _monic(e: Element, order: PathOrder) -> Element:
@@ -231,7 +325,8 @@ def right_groebner(generators, order: PathOrder) -> RightGroebnerBasis:
 
 def normal_form(f: Element, gb: RightGroebnerBasis) -> Element:
     """Sum of c·NF(p) over the terms of f; supported on non-tips, linear, idempotent."""
-    return Element(f.double, _sum((_fold(p, gb.tip_table), c) for p, c in f.terms.items()))
+    table = gb.tip_table
+    return Element(f.double, table.scalars(*_combine((c, *table.fold(p)) for p, c in f.terms.items())))
 
 
 def kernel_groebner(functional: TruncatedFunctional, generators=None) -> RightGroebnerBasis:

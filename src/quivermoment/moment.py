@@ -76,13 +76,6 @@ class TruncatedFunctional:
         except KeyError:
             raise WindowError(f"path {p} outside the length <= {2 * self.k} window") from None
 
-    def riesz_eval(self, f: Element) -> Scalar:
-        """Sum of coeff(p) * value(p) over the support of f."""
-        acc = ZERO
-        for p, c in f.terms.items():
-            acc = acc + c * self.value(p)
-        return acc
-
     # -- windows and matrices ----------------------------------------------------
 
     def basis(self, t: int) -> tuple[Path, ...]:

@@ -250,19 +250,43 @@ class PathOrder:
         return 0
 
 
-def _words(double: DoubleQuiver, order: PathOrder, max_len: int) -> list[list[tuple[Letter, ...]]]:
+# The most letter words `_words` builds for one window: counted before any
+# is built, so an over-large window is refused at once instead of exhausting
+# memory.  The order-4 window of the two-loop quiver (87,381 paths) is well
+# below it.
+MAX_WINDOW_PATHS = 10**6
+
+
+def _words(double: DoubleQuiver, order: PathOrder, max_len: int):
     """Composable letter words of lengths 1..max_len, one list per length.
 
     Each list is increasing under `order`: words of one length compare letter
-    by letter, and every word is extended by the letters in their order.
+    by letter, and every word of the previous list is extended by the
+    letters in their order, so only that list is held.  Raises `InputError`
+    before building any word when they would number more than
+    MAX_WINDOW_PATHS; they are counted per terminal vertex.
     """
     letters = order.letter_seq
-    following = [[l for l in letters if double.source[l] == v] for v in range(double.n_vertices())]
-    target = double.target
-    out = [[(l,) for l in letters]] if max_len >= 1 else []
-    while len(out) < max_len:
-        out.append([w + (l,) for w in out[-1] for l in following[target[w[-1]]]])
-    return out
+    source, target = double.source, double.target
+    vertices = range(double.n_vertices())
+    # ending[v]: the words of the current length that end at v
+    ending = [sum(target[l] == v for l in letters) for v in vertices]
+    total = 0
+    for _ in range(max_len if letters else 0):
+        total += sum(ending)
+        if total > MAX_WINDOW_PATHS:
+            raise InputError(
+                f"the window of paths of length <= {max_len} has more than {MAX_WINDOW_PATHS} paths"
+            )
+        ending = [sum(ending[source[l]] for l in letters if target[l] == v) for v in vertices]
+    if max_len < 1:
+        return
+    following = [[l for l in letters if source[l] == v] for v in vertices]
+    layer = [(l,) for l in letters]
+    yield layer
+    for _ in range(max_len - 1):
+        layer = [w + (l,) for w in layer for l in following[target[w[-1]]]]
+        yield layer
 
 
 def enumerate_basis(
@@ -289,4 +313,6 @@ def paths_of_length(double: DoubleQuiver, order: PathOrder, length: int) -> list
         raise InputError("length must be >= 0")
     if length == 0:
         return [Path(double, v, ()) for v in order.vertex_seq]
-    return [Path(double, None, w) for w in _words(double, order, length)[-1]]
+    for words in _words(double, order, length):
+        pass
+    return [Path(double, None, w) for w in words]

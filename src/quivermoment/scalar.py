@@ -107,9 +107,9 @@ class Scalar:
 
     def __str__(self) -> str:
         if self.im == 0:
-            return str(self.re)
-        im_txt = str(self.im) if self.im < 0 else "+" + str(self.im)
-        return f"{self.re}{im_txt} i"
+            return _text(self.re)
+        im_txt = _text(self.im) if self.im < 0 else "+" + _text(self.im)
+        return f"{_text(self.re)}{im_txt} i"
 
     def __repr__(self) -> str:
         return f"Scalar({self!s})"
@@ -135,6 +135,25 @@ class Scalar:
                 f"scalar literal of {len(text)} characters exceeds the integer digit limit"
             ) from None
         return Scalar._make(re_part, im_part)
+
+
+def _text(x: Fraction) -> str:
+    """str(x), also for parts past Python's int-to-string digit limit.
+
+    Such integers are formatted through an exact `decimal` context, which
+    does not go through int.__str__; shorter ones give the same bytes.
+    `decimal` is imported only then, as it adds to every start-up.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        import decimal
+
+        exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+        num = format(exact.create_decimal(x.numerator), "f")
+        if x.denominator == 1:
+            return num
+        return f"{num}/{format(exact.create_decimal(x.denominator), 'f')}"
 
 
 def _rational(num: str, den: str | None) -> Fraction:

@@ -56,6 +56,18 @@ def fix_chain():
     return build_double(Quiver(["e1", "e2", "e3"], [("x", "e1", "e2"), ("y", "e2", "e3")]))
 
 
+@pytest.fixture(scope="session")
+def fix_two_loops():
+    """One vertex, two loops: the free *-algebra on x, x*, y, y*."""
+    return build_double(Quiver(["e"], [("x", "e", "e"), ("y", "e", "e")]))
+
+
+@pytest.fixture(scope="session")
+def fix_xyz():
+    """Two vertices with x: e1 -> e2, y: e2 -> e1 and a loop z at e1."""
+    return build_double(Quiver(["e1", "e2"], [("x", "e1", "e2"), ("y", "e2", "e1"), ("z", "e1", "e1")]))
+
+
 FIX_L2_VALUES = [
     ("x x*", 1),
     ("x* x", 1),

@@ -4,10 +4,14 @@
   *-algebra (property-test oracle for composition and the involution);
 * right actions, word-order element matrices and the gram inner product of a
   representation;
-* reassembly of a block decomposition, truncation of an element and the
-  moment pairing L(f g*) computed through the algebra product;
+* reassembly of a block decomposition, truncation of an element, the Riesz
+  functional L(f) and the moment pairing L(f g*) computed through the
+  algebra product;
 * the path and scalar text parsers as they were before the table-driven
   rewrite (prefix by prefix, and `Fraction` of each part's text);
+* normal forms as they were before the integer fold: the `Scalar` tip table
+  and the letter-by-letter `Scalar` fold through it;
+* the decimal text of an integer without int.__str__;
 * `compress_representation` as it was before the closed form: coset reps
   from `rref` of the order-k matrix, one solve of the gram per path, and per
   arrow a completion of the kept cosets to a basis by their gram-orthogonal
@@ -169,9 +173,71 @@ def truncate(f: Element, d: int) -> Element:
     return Element(f.double, {p: c for p, c in f.terms.items() if p.length() <= d})
 
 
+def riesz_eval(functional, f: Element) -> Scalar:
+    """L(f): the sum of coeff(p) * value(p) over the support of f."""
+    acc = ZERO
+    for p, c in f.terms.items():
+        acc = acc + c * functional.value(p)
+    return acc
+
+
 def pairing(functional, f: Element, g: Element) -> Scalar:
     """The sesquilinear moment pairing L(f g*)."""
-    return functional.riesz_eval(f * g.star())
+    return riesz_eval(functional, f * g.star())
+
+
+# -- normal forms on `Scalar` before the integer fold ----------------------------
+
+Terms = dict  # Path -> Scalar
+
+
+def _sum(scaled) -> Terms:
+    """The sum of c·terms over (terms, c) pairs, zero coefficients dropped."""
+    acc: Terms = {}
+    for terms, c in scaled:
+        for r, cr in terms.items():
+            v = c * cr
+            acc[r] = acc[r] + v if r in acc else v
+    return {r: v for r, v in acc.items() if v}
+
+
+def scalar_fold(p: Path, table: dict) -> Terms:
+    """Normal form of p, letter by letter, against a {tip: reduced tail} table."""
+    start = p.double.trivial_paths()[p.origin()]
+    acc = table.get(start, {start: ONE})
+    for letter in p.letters:
+        step = Path(p.double, None, (letter,))
+        images = ((compose(r, step), c) for r, c in acc.items())
+        acc = _sum((table.get(rc, {rc: ONE}), c) for rc, c in images if rc is not ZERO_PATH)
+    return acc
+
+
+def scalar_tip_table(gb) -> dict:
+    """Each tip of a finished basis mapped to the `Scalar` normal form of its tail."""
+    table: dict = {}
+    for g in sorted(gb.elements, key=lambda e: gb.order.key(e.tip(gb.order)[0])):
+        tip, lead = g.tip(gb.order)
+        tail = ((q, c) for q, c in g.terms.items() if q != tip and q.terminal() == tip.terminal())
+        table[tip] = _sum((scalar_fold(q, table), -c / lead) for q, c in tail)
+    return table
+
+
+def scalar_normal_form(f: Element, table: dict) -> Element:
+    """Sum of c·NF(p) over the terms of f, by the `Scalar` fold."""
+    return Element(f.double, _sum((scalar_fold(p, table), c) for p, c in f.terms.items()))
+
+
+# -- decimal text of integers past the int-to-string digit limit ----------------
+
+
+def digits(n: int) -> str:
+    """The decimal text of n, built from 18-digit chunks without int.__str__ of n."""
+    rest, chunks = abs(n), []
+    while rest:
+        rest, r = divmod(rest, 10**18)
+        chunks.append("%018d" % r)
+    text = "".join(reversed(chunks)).lstrip("0") or "0"
+    return "-" + text if n < 0 else text
 
 
 # -- the text parsers before the table-driven rewrite ---------------------------

@@ -15,7 +15,7 @@ from quivermoment import (
 )
 from quivermoment import linalg
 
-from conftest import l3_functional, path, pd_functional, sc
+from conftest import l3_functional, path, pd_functional, sc, state_functional
 
 
 def m_int(rows):
@@ -208,6 +208,33 @@ def test_round_trip_restriction(fix_loop):
     base = pd_functional(fix_loop, 1, True, rng)
     ext = flat_extend_tip_maximal(base)
     assert ext.restrict(1).values == base.values
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("shape", ["loop", "a2", "xyz_dead_vertex"])
+def test_truncated_view_matches_per_path_evaluate(shape, complex_, fix_loop, fix_a2, fix_xyz):
+    # The view folds each path from its parent's normal form; a second
+    # extension of the same base folds every path from its first letter.
+    # Tip-maximal extensions of PD states on the one-loop (free) and A2
+    # quivers, and a rank-3 state on x, y, z that is zero at e2, so the
+    # trivial path e2 is a tip.
+    rng = random.Random(62)
+    if shape == "xyz_dead_vertex":
+        flat = state_functional(fix_xyz, 2, True, [3, 0], rng, complex_=complex_)
+    else:
+        double = fix_loop if shape == "loop" else fix_a2
+        base = pd_functional(double, 2, True, rng, complex_=complex_)
+        flat = flat_extend_tip_maximal(base, allow_general_quiver=True)
+    double = flat.double
+    assert any(not v.is_real() for v in flat.values.values()) == complex_
+    view, single = FlatExtension(flat), FlatExtension(flat)
+    assert view.gb.tip_table.den > 1
+    for m in (flat.k, flat.k + 1, flat.k + 2):
+        tv = view.truncated_view(m)
+        window = enumerate_basis(double, flat.order, 2 * m, include_trivial=True)
+        assert len(tv.values) == len(window)
+        assert all(tv.values[p] == single.evaluate(p) for p in window)
+    assert single.cache == view.cache
 
 
 def test_truncated_view_requires_larger_order(fix_l2_ext):

@@ -10,6 +10,7 @@ from quivermoment.cli import main
 from quivermoment import fileio
 
 from conftest import FIX_H4_TERMS, elem, path, sc
+from oracles import digits
 
 A2 = {
     "vertices": ["e1", "e2"],
@@ -306,9 +307,12 @@ def test_cli_extend_and_evaluate(tmp_path, capsys):
     assert out[-1] == {"path": "x x* x x* x x* x x*", "value": "1"}
 
 
-@pytest.mark.parametrize("length", [1200, 5000])
+@pytest.mark.parametrize("length", [1200, 5000, 10000])
 def test_cli_evaluate_long_path(tmp_path, capsys, length):
     # Rank-1 state on one loop: x acts as the scalar 3/2, so L(w) = (3/2)^len(w).
+    # At 10000 letters the numerator has 4772 digits, past Python's limit
+    # for int-to-string conversion, so the expected text comes from an
+    # oracle that does not call int.__str__.
     a = Fraction(3, 2)
     entries = [
         {"path": " ".join(w), "value": str(a ** n)}
@@ -320,7 +324,20 @@ def test_cli_evaluate_long_path(tmp_path, capsys, length):
     text = " ".join(["x", "x*"] * (length // 2))
     code, out = run(capsys, "evaluate", "--functional", fpath, "--path", text)
     assert code == 0
-    assert out[-1] == {"path": text, "value": str(a ** length)}
+    value = a ** length
+    assert out[-1] == {"path": text, "value": f"{digits(value.numerator)}/{digits(value.denominator)}"}
+
+
+def test_cli_window_past_the_limit_exits_2(tmp_path, capsys):
+    # k = 40 on two loops: 4^80 paths of length 80, refused before any is built.
+    two_loops = {
+        "vertices": ["e"],
+        "arrows": [{"name": "x", "from": "e", "to": "e"}, {"name": "y", "from": "e", "to": "e"}],
+    }
+    fpath = write(tmp_path, "f.json", {"quiver": two_loops, "k": 40, "entries": []})
+    code = main(["moment", "flat", fpath])
+    assert code == 2
+    assert "more than 1000000 paths" in capsys.readouterr().err
 
 
 def test_cli_extend_without_flag_is_input_error(tmp_path, capsys):

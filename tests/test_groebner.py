@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from quivermoment import (
     Scalar,
     TruncatedFunctional,
     enumerate_basis,
+    flat_extend_tip_maximal,
     kernel_groebner,
     left_divides,
     normal_form,
@@ -20,8 +22,8 @@ from quivermoment import (
     total_reduce,
 )
 
-from conftest import elem, path, sc
-from oracles import pairing
+from conftest import elem, path, pd_functional, sc
+from oracles import pairing, scalar_fold, scalar_normal_form, scalar_tip_table
 
 
 def test_left_divides_examples(fix_loop):
@@ -195,24 +197,37 @@ def fixture_bases(fix_h4, fix_loop, fix_l2_ext, example2_l4):
     ]
 
 
-def gaussian_rationals():
-    parts = st.tuples(st.integers(-4, 4), st.integers(-2, 2), st.integers(1, 3))
+def gaussian_rationals(gaussian=True):
+    im = st.integers(-2, 2) if gaussian else st.just(0)
+    parts = st.tuples(st.integers(-4, 4), im, st.integers(1, 3))
     return parts.filter(lambda t: t[0] or t[1]).map(
         lambda t: Scalar(Fraction(t[0], t[2]), Fraction(t[1], t[2]))
     )
 
 
-def elements(double, max_len, max_terms):
+def elements(double, max_len, max_terms, gaussian=True):
     pool = enumerate_basis(double, double.default_order(), max_len, True)
-    terms = st.lists(st.tuples(st.sampled_from(pool), gaussian_rationals()), max_size=max_terms)
+    coeffs = gaussian_rationals(gaussian)
+    terms = st.lists(st.tuples(st.sampled_from(pool), coeffs), max_size=max_terms)
     return terms.map(lambda t: Element.from_terms(double, t))
 
 
+def assert_reduced_fold(gb, p):
+    # The integer fold keeps its numerators and denominator coprime.
+    terms, den = gb.tip_table.fold(p)
+    assert den > 0 and gcd(den, *(x for c in terms.values() for x in c)) == 1
+
+
 def assert_engines_agree(gb, f):
-    assert normal_form(f, gb) == total_reduce(f, list(gb.elements), gb.order)
+    nf = normal_form(f, gb)
+    assert nf == total_reduce(f, list(gb.elements), gb.order)
+    table = scalar_tip_table(gb)
+    assert nf == scalar_normal_form(f, table)
     for p in f.terms:
         tips = [g.tip(gb.order)[0] for g in gb.elements]
         assert gb.reducible(p) == any(left_divides(t, p) is not None for t in tips)
+        assert gb.nf(p) == Element(p.double, scalar_fold(p, table))
+        assert_reduced_fold(gb, p)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -234,6 +249,48 @@ def test_normal_form_matches_total_reduce_on_random_bases(data, fix_a2, fix_loop
     gb = right_groebner(gens, double.default_order())
     f = data.draw(elements(double, 6, 5))
     assert_engines_agree(gb, f)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_integer_fold_matches_scalar_fold_and_total_reduce(data, fix_a2, fix_loop, fix_two_loops, fix_xyz):
+    # Real or Gaussian generators, so the table's tails have rational
+    # denominators, on free and non-free quivers.
+    double = data.draw(st.sampled_from([fix_loop, fix_two_loops, fix_a2, fix_xyz]))
+    gaussian = data.draw(st.booleans())
+    gens = data.draw(st.lists(elements(double, 3, 4, gaussian), min_size=1, max_size=3))
+    gb = right_groebner(gens, double.default_order())
+    f = data.draw(elements(double, 7, 5, gaussian))
+    assert_engines_agree(gb, f)
+
+
+def random_word(double, rng, length):
+    letters = [rng.choice(double.letters())]
+    while len(letters) < length:
+        end = double.target[letters[-1]]
+        letters.append(rng.choice([l for l in double.letters() if double.source[l] == end]))
+    return double.path(letters)
+
+
+@pytest.mark.parametrize("shape", ["example2", "loop_real", "loop_gaussian", "a2_real", "a2_gaussian"])
+def test_integer_fold_on_long_paths_of_tip_maximal_extensions(shape, example2_l4, fix_loop, fix_a2):
+    # Words of 300-340 letters, where the running denominator grows with
+    # every tip hit unless the gcd is divided out.
+    rng = random.Random(61)
+    if shape == "example2":
+        flat = example2_l4
+    else:
+        double = fix_loop if shape.startswith("loop") else fix_a2
+        base = pd_functional(double, 1, True, rng, complex_=shape.endswith("gaussian"))
+        flat = flat_extend_tip_maximal(base, allow_general_quiver=True)
+    gb = kernel_groebner(flat)
+    assert gb.tip_table.den > 1 or shape == "example2"
+    table = scalar_tip_table(gb)
+    for length in (300, 320, 340):
+        p = random_word(flat.double, rng, length)
+        assert gb.nf(p) == Element(p.double, scalar_fold(p, table))
+        assert_reduced_fold(gb, p)
+    assert gb.nf(p) == total_reduce(Element.from_path(p), list(gb.elements), gb.order)
 
 
 def test_trivial_tip_kills_its_vertex(fix_a2):

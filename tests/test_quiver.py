@@ -7,12 +7,14 @@ from quivermoment import (
     InputError,
     PathOrder,
     Quiver,
+    TruncatedFunctional,
     ZERO_PATH,
     build_double,
     compose,
     enumerate_basis,
     paths_of_length,
 )
+from quivermoment import quiver
 from oracles import embed_matrix_free, free_dagger, free_matmul
 
 from conftest import path
@@ -184,3 +186,29 @@ def test_embed_is_star_homomorphism(fix_a2, fix_chain):
             if pq is not ZERO_PATH:
                 assert embed_matrix_free(pq) == free_matmul(embed_matrix_free(p), embed_matrix_free(q))
             assert embed_matrix_free(p.star()) == free_dagger(embed_matrix_free(p))
+
+
+def test_window_past_the_limit_is_refused_before_it_is_built(fix_two_loops):
+    # 4^80 words: building any of them would not finish.
+    order = fix_two_loops.default_order()
+    refused = [
+        lambda: enumerate_basis(fix_two_loops, order, 80),
+        lambda: paths_of_length(fix_two_loops, order, 80),
+        lambda: TruncatedFunctional(fix_two_loops, 40, {}),
+    ]
+    for build in refused:
+        with pytest.raises(InputError, match=f"more than {quiver.MAX_WINDOW_PATHS} paths"):
+            build()
+
+
+@pytest.mark.parametrize("shape", ["two_loops", "a2", "chain"])
+def test_window_limit_counts_the_words_exactly(shape, fix_two_loops, fix_a2, fix_chain, monkeypatch):
+    double = {"two_loops": fix_two_loops, "a2": fix_a2, "chain": fix_chain}[shape]
+    order = double.default_order()
+    counts = {n: len(enumerate_basis(double, order, n, include_trivial=False)) for n in (1, 3, 5)}
+    for max_len, words in counts.items():
+        monkeypatch.setattr(quiver, "MAX_WINDOW_PATHS", words)
+        assert len(enumerate_basis(double, order, max_len)) == words + double.n_vertices()
+        monkeypatch.setattr(quiver, "MAX_WINDOW_PATHS", words - 1)
+        with pytest.raises(InputError):
+            enumerate_basis(double, order, max_len)

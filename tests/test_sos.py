@@ -15,7 +15,7 @@ from quivermoment import (
 )
 
 from conftest import elem, path, sc, state_functional
-from oracles import inner, right_action_matrix
+from oracles import inner, right_action_matrix, riesz_eval
 
 
 def test_verify_squares_examples(fix_loop, fix_a2):
@@ -93,7 +93,7 @@ def test_soundness_against_psd_functionals(fix_loop):
     assert verify_squares(target, [g1, g2], 2) is True
     for _ in range(6):
         f = state_functional(fix_loop, 2, True, [4], rng)
-        v = f.riesz_eval(target)
+        v = riesz_eval(f, target)
         assert v.is_real() and v.re >= 0
 
 
