@@ -26,7 +26,7 @@ from .groebner import (
     right_groebner,
     total_reduce,
 )
-from .linalg import Matrix, ldlh_psd, nullspace, psd_check, rank, rref, solve_in_range
+from .linalg import Matrix, ldlh_psd, nullspace, psd_check, rank
 from .moment import BlockDecomposition, FlatReport, MomentMatrix, TruncatedFunctional
 from .quiver import (
     ZERO_PATH,
@@ -70,8 +70,6 @@ __all__ = [
     "nullspace",
     "psd_check",
     "rank",
-    "rref",
-    "solve_in_range",
     "BlockDecomposition",
     "FlatReport",
     "MomentMatrix",

@@ -144,7 +144,11 @@ def cmd_groebner(args) -> int:
     else:
         f = fileio.load_functional(args.from_kernel)
         double = f.double
-        gb = kernel_groebner(f)
+        # The output lists the completion's reductions; its basis must match.
+        elements = kernel_groebner(f).elements
+        gb = right_groebner(f.kernel_basis(), f.order)
+        if gb.elements != elements:
+            raise InternalInvariantError("the completion of the kernel differs from its minimal-tip basis")
     if args.trace:
         for ev in gb.trace:
             _emit(

@@ -187,22 +187,19 @@ class FlatExtension:
     """The rank-preserving extension of a flat functional, evaluated lazily.
 
     Every path reduces through the kernel Gröbner basis into the V_{k-1}
-    window, where the base functional takes over; values are cached.  Two
-    extensions of the same base agree path for path no matter which
-    generator ordering drove the Gröbner computation (rank stability makes
-    the extension unique).
+    window, where the base functional takes over; values are cached.
 
     The base values on V_{k-1} are held as Gaussian-integer numerators over
     one denominator, keyed like the normal forms of the tip table, so a
     value is one integer dot product.
     """
 
-    def __init__(self, base: TruncatedFunctional, generators=None):
+    def __init__(self, base: TruncatedFunctional):
         report = base.is_flat()
         if not report.flat:
             raise InputError("FlatExtension requires a flat base functional")
         self.base = base
-        self.gb: RightGroebnerBasis = kernel_groebner(base, generators)
+        self.gb: RightGroebnerBasis = kernel_groebner(base)
         self.cache: dict[Path, Scalar] = {}
         short = base.basis(base.k - 1)
         vals = [base.value(q) for q in short]

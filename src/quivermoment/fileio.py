@@ -224,7 +224,10 @@ def functional_from_dict(data: dict, base_dir=".", source: str | None = None) ->
         if p in values and values[p] != v:
             raise InputError(f"{_ctx(source)}conflicting values for path {ptext!r}")
         values[p] = v
-    return TruncatedFunctional(double, k, values, include_trivial)
+    try:
+        return TruncatedFunctional(double, k, values, include_trivial)
+    except InputError as e:  # an over-large window, a hermitian conflict, a path outside the window
+        raise type(e)(f"{_ctx(source)}{e}") from None
 
 
 def load_functional(path) -> TruncatedFunctional:

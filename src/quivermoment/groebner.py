@@ -1,11 +1,20 @@
 """Right Gröbner bases of right ideals in the path *-algebra.
 
-The completion procedure is the five-step tip-selection/total-reduction loop:
-drop zeros, select the tips not left-divided by another tip, keep one
-representative per selected tip, totally reduce the rest against the kept
-set, and repeat until every element is kept.  Left division is prefix
-division of letter words, and reduction replaces the largest reducible
-support path first, so runs are reproducible event for event.
+The kernel ideal of a flat functional needs no completion.  The echelon
+kernel elements whose tips have no proper prefix among the other kernel
+tips have prefix-free tips, so they are a right Gröbner basis of the ideal
+they generate; flatness puts every other kernel element in it (checked
+exactly), so they are the reduced basis of the kernel ideal, which is
+unique (Green 1999).
+
+The completion serves generator input and the `groebner` command, whose
+output lists its reductions.  It is the five-step tip-selection/total-
+reduction loop: drop zeros, select the tips not left-divided by another
+tip, keep one representative per selected tip, totally reduce the rest
+against the kept set, and repeat until every element is kept.  Left
+division is prefix division of letter words, and reduction replaces the
+largest reducible support path first, so runs are reproducible event for
+event.
 
 Normal forms against a finished basis take a different route, one letter at
 a time.  Every term r of NF(p) is irreducible, so the only tip that can
@@ -329,20 +338,37 @@ def normal_form(f: Element, gb: RightGroebnerBasis) -> Element:
     return Element(f.double, table.scalars(*_combine((c, *table.fold(p)) for p, c in f.terms.items())))
 
 
-def kernel_groebner(functional: TruncatedFunctional, generators=None) -> RightGroebnerBasis:
-    """Gröbner basis of the kernel ideal of a flat functional.
+def kernel_groebner(functional: TruncatedFunctional) -> RightGroebnerBasis:
+    """Reduced right Gröbner basis of the kernel ideal of a flat functional.
 
-    Runs the completion on the kernel echelon basis (or a caller-supplied
-    generating set of it, which only changes the reduction route) and then
-    verifies the containment claim: every output element pairs to zero with
-    the whole order-k window.  Flatness guarantees containment, so a failure
-    here is reported as a hard invariant violation.
+    Keeps each echelon kernel element whose tip has no proper prefix (the
+    trivial path at its origin included) that is another kernel tip, in
+    `kernel_basis()` order, which is increasing by tip.  Two exact checks
+    follow, and a failure of either is a hard invariant violation: every
+    other kernel element has normal form zero through the kept basis, and
+    every kept element pairs to zero with the whole order-k window.
+    Flatness guarantees both.
     """
     report = functional.is_flat()
     if not report.flat:
         raise InputError("kernel_groebner requires a flat functional")
-    gens = list(generators) if generators is not None else functional.kernel_basis()
-    gb = right_groebner(gens, functional.order)
+    order = functional.order
+    kernel = functional.kernel_basis()
+    tips = {(t.vertex, t.letters) for t in (g.tip(order)[0] for g in kernel)}
+
+    def minimal(t: Path) -> bool:
+        prefixes = [(t.origin(), ())] + [(None, t.letters[:i]) for i in range(1, t.length())]
+        return t.is_trivial() or tips.isdisjoint(prefixes)
+
+    kept, rest = [], []
+    for g in kernel:
+        (kept if minimal(g.tip(order)[0]) else rest).append(g)
+    gb = RightGroebnerBasis(tuple(kept), order, ())
+    for g in rest:
+        if not normal_form(g, gb).is_zero():
+            raise InternalInvariantError(
+                f"kernel element {g} is not in the right ideal of the minimal-tip elements"
+            )
     window = functional.basis(functional.k)
     for g in gb.elements:
         deg = g.degree()

@@ -7,8 +7,8 @@ loops then see plain ``int`` entries, or real parts followed by imaginary
 parts when some entry is non-real, and results go back to `Scalar` once, with
 one division per output entry.  Nothing is floating point.
 
-A single fraction-free Gauss-Jordan engine backs rref, rank, nullspace,
-the solvers and the canonical solve of rational systems.  On real data a
+A single fraction-free Gauss-Jordan engine backs rank, nullspace, the
+solvers and the canonical solve of rational systems.  On real data a
 row with a nonzero entry in the pivot column is replaced by an integer
 combination of itself and the pivot row, divided by the gcd of its entries; rows the pivot does not touch are left alone.  A combined row is
 thus the primitive integer multiple of its rational row.  On non-real data
@@ -21,8 +21,7 @@ top-down, so identical inputs yield identical outputs bit for bit, equal to
 those of elimination over `Scalar`.
 
 One elimination of [a | c] gives rank(a) and the RREF solution of a*X = c,
-or shows that c leaves Ran(a) (`solve_particular`); `solve_in_range` runs it
-on `a` stacked over its conjugated kernel rows.
+or shows that c leaves Ran(a) (`solve_particular`).
 """
 
 from __future__ import annotations
@@ -297,18 +296,6 @@ def _reduced_block(rows, pivots, ncols: int, first: int, width: int) -> Matrix:
 # -- public API ------------------------------------------------------------------------
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns.
-
-    Pivot choice: first nonzero entry in the current column, lowest row index
-    first.  Pivots are scaled to 1 and cleared above and below.
-    """
-    rows, pivots = _eliminate([m])
-    red = _reduced_block(rows, pivots, m.cols, 0, m.cols)
-    zeros = [ZERO] * ((m.rows - len(pivots)) * m.cols)
-    return Matrix(m.rows, m.cols, red.entries + tuple(zeros)), tuple(pivots)
-
-
 def rank(m: Matrix) -> int:
     """Exact rank over Q(i)."""
     return len(_eliminate([m])[1])
@@ -356,25 +343,6 @@ def solve_particular(a: Matrix, c: Matrix) -> tuple[int, Matrix | None]:
     for r, p in enumerate(pivots):
         out[p * c.cols : (p + 1) * c.cols] = red.row(r)
     return rank_a, Matrix(a.cols, c.cols, out)
-
-
-def solve_in_range(a: Matrix, c: Matrix) -> Matrix | None:
-    """Solve a*X = c with every column of X in the column space of `a`.
-
-    `a` must be hermitian.  Returns None when some column of c falls outside
-    Ran(a).  The returned X is the particular RREF solution (free variables
-    zero) projected onto Ran(a) = nullspace(a)^perp under the standard
-    sesquilinear pairing, which makes it canonical.  It is computed as the
-    unique solution of a*X = c together with v^H X = 0 for every kernel
-    vector v.
-    """
-    if not a.is_hermitian():
-        raise ValueError("solve_in_range requires a hermitian left-hand side")
-    null = nullspace(a)
-    if null:
-        a = Matrix(a.rows + len(null), a.cols, a.entries + tuple(e.conjugate() for v in null for e in v))
-        c = Matrix(c.rows + len(null), c.cols, c.entries + (ZERO,) * (len(null) * c.cols))
-    return solve_particular(a, c)[1]
 
 
 def solve_full_rank(a: Matrix, b: Matrix) -> Matrix:

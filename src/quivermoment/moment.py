@@ -61,7 +61,8 @@ class TruncatedFunctional:
                 vals[ps] = want
             elif have != want:
                 raise InputError(f"hermitian conflict between {p} and {ps}")
-        per_length = [0] * (2 * k + 1)
+        # Lengths come first in the order: the last window path is a longest one.
+        per_length = [0] * (window[-1].length() + 1 if window else 1)
         for p in window:
             per_length[p.length()] += 1
         self._window = tuple(window)
@@ -84,7 +85,7 @@ class TruncatedFunctional:
             return ()
         if t > 2 * self.k:
             raise InputError(f"basis order {t} exceeds the window length {2 * self.k}")
-        return self._window[: self._ends[t]]
+        return self._window[: self._ends[min(t, len(self._ends) - 1)]]
 
     def moment_block(self, rows, cols) -> Matrix:
         """The matrix of L(p q*) over row paths p and column paths q.
@@ -128,13 +129,6 @@ class TruncatedFunctional:
             full.basis[:n],
             full.basis[n:],
         )
-
-    def restrict(self, t: int) -> TruncatedFunctional:
-        if t > self.k:
-            raise InputError("cannot restrict to a larger order")
-        keep = set(self.basis(2 * t))
-        vals = {p: v for p, v in self.values.items() if p in keep}
-        return TruncatedFunctional(self.double, t, vals, self.include_trivial, self.order)
 
     # -- kernel and verdicts -------------------------------------------------------
 

@@ -264,23 +264,24 @@ def _words(double: DoubleQuiver, order: PathOrder, max_len: int):
     by letter, and every word of the previous list is extended by the
     letters in their order, so only that list is held.  Raises `InputError`
     before building any word when they would number more than
-    MAX_WINDOW_PATHS; they are counted per terminal vertex.
+    MAX_WINDOW_PATHS; they are counted per terminal vertex.  A quiver without
+    arrows has no words, and no list is yielded.
     """
     letters = order.letter_seq
+    if max_len < 1 or not letters:
+        return
     source, target = double.source, double.target
     vertices = range(double.n_vertices())
     # ending[v]: the words of the current length that end at v
     ending = [sum(target[l] == v for l in letters) for v in vertices]
     total = 0
-    for _ in range(max_len if letters else 0):
+    for _ in range(max_len):
         total += sum(ending)
         if total > MAX_WINDOW_PATHS:
             raise InputError(
                 f"the window of paths of length <= {max_len} has more than {MAX_WINDOW_PATHS} paths"
             )
         ending = [sum(ending[source[l]] for l in letters if target[l] == v) for v in vertices]
-    if max_len < 1:
-        return
     following = [[l for l in letters if source[l] == v] for v in vertices]
     layer = [(l,) for l in letters]
     yield layer
@@ -313,6 +314,7 @@ def paths_of_length(double: DoubleQuiver, order: PathOrder, length: int) -> list
         raise InputError("length must be >= 0")
     if length == 0:
         return [Path(double, v, ()) for v in order.vertex_seq]
+    words = []  # a quiver without arrows has no words
     for words in _words(double, order, length):
         pass
     return [Path(double, None, w) for w in words]

@@ -6,7 +6,10 @@ with positive denominators, so equality is structural and arithmetic is exact.
 
 Text grammar (used by every file format): ``"p/q"`` for rationals (``/q``
 omitted when the denominator is 1) and ``"p/q+r/s i"`` for complex values.
-Whitespace is insignificant and signs are allowed on both parts.
+Whitespace is insignificant and signs are allowed on both parts.  An
+imaginary part that follows a real part carries its sign, so a literal
+reads one way only: ``"12i"`` is 12i, ``"1/23i"`` is 1/23 i, and
+``"1+2i"`` is 1 + 2i.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from fractions import Fraction
 from .errors import InputError
 
 # A rational part is a signed numerator and an optional denominator; the
-# groups are (re num, re den, im num, im den).
+# groups are (re num, re den, im num, im den).  A real part must be followed
+# by a sign or the end, so an imaginary part after it carries its sign.
 _RAT = r"([+-]?\d+)(?:/(\d+))?"
-_SCALAR_RE = re.compile(rf"^(?:{_RAT})?(?:{_RAT}i)?$")
+_SCALAR_RE = re.compile(rf"^(?:{_RAT}(?=[+-]|$))?(?:{_RAT}i)?$")
 _SPACE_RE = re.compile(r"\s+")
 _F0 = Fraction(0)
 

@@ -104,43 +104,18 @@ def nullspace(m: Matrix) -> list[tuple[Scalar, ...]]:
     return basis
 
 
-def solve_in_range(a: Matrix, c: Matrix) -> Matrix | None:
-    """Solve a*X = c with every column of X in the column space of `a`.
-
-    `a` must be hermitian.  Returns None when some column of c falls outside
-    Ran(a).  The returned X is the particular RREF solution (free variables
-    zero) projected onto Ran(a) = nullspace(a)^perp under the standard
-    sesquilinear pairing, which makes it canonical.
-    """
-    if not a.is_hermitian():
-        raise ValueError("solve_in_range requires a hermitian left-hand side")
-    if a.rows != c.rows:
-        raise ValueError("row count mismatch")
-    aug = Matrix(
-        a.rows,
-        a.cols + c.cols,
-        [e for i in range(a.rows) for e in (*a.row(i), *c.row(i))],
-    )
+def solve_particular(a: Matrix, c: Matrix) -> tuple[int, Matrix | None]:
+    """rank(a) and the solution of a*X = c read off the RREF of [a | c]: row r
+    of the RREF goes to the row of X at its pivot column, free rows are zero.
+    None when the RREF has a pivot in the c block."""
+    aug = Matrix(a.rows, a.cols + c.cols, [e for i in range(a.rows) for e in (*a.row(i), *c.row(i))])
     red, pivots = rref(aug)
-    for prow, pcol in enumerate(pivots):
-        if pcol >= a.cols:
-            return None  # a pivot in the augmented block: inconsistent system
-    # Particular solution with free variables set to zero.
+    if any(p >= a.cols for p in pivots):
+        return rank(a), None
     x = [[ZERO] * c.cols for _ in range(a.cols)]
-    for prow, pcol in enumerate(pivots):
-        for j in range(c.cols):
-            x[pcol][j] = red.entry(prow, a.cols + j)
-    x0 = Matrix(a.cols, c.cols, [e for row_ in x for e in row_])
-    null = nullspace(a)
-    if not null:
-        return x0
-    # Project out the nullspace component: X = X0 - N (N^H N)^{-1} N^H X0.
-    n = Matrix(a.cols, len(null), [null[k][i] for i in range(a.cols) for k in range(len(null))])
-    nh = n.conj_transpose()
-    gram = matmul(nh, n)
-    rhs = matmul(nh, x0)
-    coeffs = solve_full_rank(gram, rhs)
-    return x0 - matmul(n, coeffs)
+    for r, p in enumerate(pivots):
+        x[p] = list(red.row(r)[a.cols :])
+    return len(pivots), Matrix(a.cols, c.cols, [e for row in x for e in row])
 
 
 def solve_full_rank(a: Matrix, b: Matrix) -> Matrix:

@@ -4,16 +4,18 @@
   *-algebra (property-test oracle for composition and the involution);
 * right actions, word-order element matrices and the gram inner product of a
   representation;
-* reassembly of a block decomposition, truncation of an element, the Riesz
-  functional L(f) and the moment pairing L(f g*) computed through the
-  algebra product;
+* reassembly of a block decomposition, truncation of an element, the
+  restriction of a functional to a lower order, the Riesz functional L(f)
+  and the moment pairing L(f g*) computed through the algebra product;
+* the kernel Gröbner basis as it was before the minimal-tip selection: the
+  completion of the echelon kernel, then the containment check;
 * the path and scalar text parsers as they were before the table-driven
   rewrite (prefix by prefix, and `Fraction` of each part's text);
 * normal forms as they were before the integer fold: the `Scalar` tip table
   and the letter-by-letter `Scalar` fold through it;
 * the decimal text of an integer without int.__str__;
 * `compress_representation` as it was before the closed form: coset reps
-  from `rref` of the order-k matrix, one solve of the gram per path, and per
+  from the RREF of the order-k matrix, one solve of the gram per path, and per
   arrow a completion of the kept cosets to a basis by their gram-orthogonal
   complement.
 """
@@ -23,7 +25,18 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from quivermoment import Element, InputError, Matrix, Path, TruncatedFunctional, compose, linalg
+import linalg_oracle
+from quivermoment import (
+    Element,
+    InputError,
+    InternalInvariantError,
+    Matrix,
+    Path,
+    TruncatedFunctional,
+    compose,
+    linalg,
+    right_groebner,
+)
 from quivermoment.gns import Representation, _vertex_projections
 from quivermoment.quiver import ZERO_PATH, Letter
 from quivermoment.scalar import ONE, ZERO, Scalar
@@ -173,6 +186,15 @@ def truncate(f: Element, d: int) -> Element:
     return Element(f.double, {p: c for p, c in f.terms.items() if p.length() <= d})
 
 
+def restrict(functional: TruncatedFunctional, t: int) -> TruncatedFunctional:
+    """The order-t functional with the values of `functional` on its window."""
+    if t > functional.k:
+        raise InputError("cannot restrict to a larger order")
+    keep = set(functional.basis(2 * t))
+    vals = {p: v for p, v in functional.values.items() if p in keep}
+    return TruncatedFunctional(functional.double, t, vals, functional.include_trivial, functional.order)
+
+
 def riesz_eval(functional, f: Element) -> Scalar:
     """L(f): the sum of coeff(p) * value(p) over the support of f."""
     acc = ZERO
@@ -184,6 +206,19 @@ def riesz_eval(functional, f: Element) -> Scalar:
 def pairing(functional, f: Element, g: Element) -> Scalar:
     """The sesquilinear moment pairing L(f g*)."""
     return riesz_eval(functional, f * g.star())
+
+
+def completion_kernel_groebner(functional: TruncatedFunctional):
+    """The completion of the echelon kernel basis, each element checked to pair
+    to zero with the whole order-k window (InternalInvariantError if not)."""
+    gb = right_groebner(functional.kernel_basis(), functional.order)
+    for g in gb.elements:
+        if g.degree() is None or g.degree() > functional.k:
+            raise InternalInvariantError(f"Gröbner element {g} escaped the order-k window")
+        for q in functional.basis(functional.k):
+            if not pairing(functional, g, Element.from_path(q)).is_zero():
+                raise InternalInvariantError(f"Gröbner element {g} left the kernel")
+    return gb
 
 
 # -- normal forms on `Scalar` before the integer fold ----------------------------
@@ -279,7 +314,7 @@ def parse_path(double, text: str, source: str | None = None) -> Path:
 
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
-_SCALAR_RE = re.compile(rf"^({_RAT})?(({_RAT})i)?$")
+_SCALAR_RE = re.compile(rf"^({_RAT}(?=[+-]|$))?(({_RAT})i)?$")
 
 
 def scalar_parse(text: str) -> Scalar:
@@ -322,7 +357,7 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     # before it.  Ascending path order makes the span of the first j degrees
     # equal the span of the chosen reps of degree <= j, which the
     # multiplication operators below rely on.
-    basis = tuple(pairing.basis[j] for j in linalg.rref(pairing.m)[1])
+    basis = tuple(pairing.basis[j] for j in linalg_oracle.rref(pairing.m)[1])
     n = len(basis)
     gram = functional.moment_block(basis, basis)
     ft = gram.transpose()

@@ -5,16 +5,33 @@ functional's flatness report and kernel take two: the kernel of B_{L_k}
 (which also gives its rank) and one elimination of [A | C] (rank A, range
 containment and the block solution).  Compression adds one elimination of
 the gram and one of its kept block per base arrow.
+
+The kernel Gröbner basis is read off the echelon kernel, so no completion
+runs behind it: only the `groebner` command, whose output lists the
+completion's reductions, runs one.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from conftest import pd_functional, state_functional
-from quivermoment import Quiver, TruncatedFunctional, build_double, compress_representation, linalg
+from quivermoment import (
+    FlatExtension,
+    Quiver,
+    TruncatedFunctional,
+    build_double,
+    build_representation,
+    cli,
+    compress_representation,
+    fileio,
+    groebner,
+    kernel_groebner,
+    linalg,
+)
 
 ONE_LOOP = build_double(Quiver(["e"], [("x", "e", "e")]))
 TWO_LOOPS = build_double(Quiver(["e"], [("x", "e", "e"), ("y", "e", "e")]))
@@ -56,3 +73,41 @@ def test_compress_eliminates_once_per_matrix(pd_two_loops, eliminations):
     rep = compress_representation(fresh(pd_two_loops))
     assert rep.dim == 21
     assert len(eliminations) <= 2 + len(TWO_LOOPS.base.arrows)
+
+
+@pytest.fixture
+def completions(monkeypatch):
+    """Calls of right_groebner and total_reduce, under every module binding."""
+    calls = []
+    for name in ("right_groebner", "total_reduce"):
+        fn = getattr(groebner, name)
+
+        def counted(*args, fn=fn, name=name, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        for module in (groebner, cli):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_kernel_routes_run_no_completion(completions, tmp_path, capsys):
+    # A flat rank-2 state on two loops: 19 kernel elements, 12 of them not
+    # kept, which the completion reduces in 33 steps.
+    f = state_functional(TWO_LOOPS, 2, True, [2], random.Random(7))
+    assert f.is_flat().flat
+    gb = kernel_groebner(f)
+    assert len(f.kernel_basis()) > len(gb.elements)
+    build_representation(f)
+    ext = FlatExtension(f)
+    ext.evaluate(TWO_LOOPS.path([(0, False), (1, True)] * 4))
+    assert completions == []
+
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps(fileio.functional_to_dict(f)), encoding="utf-8")
+    assert cli.main(["groebner", "--from-kernel", str(fpath)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["elements"]) == len(gb.elements)
+    assert completions.count("right_groebner") == 1
+    assert completions.count("total_reduce") == 12

@@ -11,11 +11,13 @@ from quivermoment import (
     TruncatedFunctional,
     enumerate_basis,
     flat_extend_tip_maximal,
+    right_groebner,
     schur_complete,
 )
 from quivermoment import linalg
 
 from conftest import l3_functional, path, pd_functional, sc, state_functional
+from oracles import restrict, riesz_eval
 
 
 def m_int(rows):
@@ -24,9 +26,7 @@ def m_int(rows):
 
 def test_schur_complete_examples(fix_l2_ext):
     blocks = fix_l2_ext.block_decompose()
-    from quivermoment import solve_in_range
-
-    assert solve_in_range(blocks.a, blocks.c) == blocks.c  # A is the identity
+    assert linalg.solve_particular(blocks.a, blocks.c) == (blocks.a.rows, blocks.c)  # A is the identity
     assert schur_complete(blocks.a, blocks.c) == Matrix.identity(2)
     assert schur_complete(Matrix.identity(3), Matrix.zeros(3, 2)) == Matrix.zeros(2, 2)
     assert schur_complete(m_int([[1, 0], [0, 0]]), m_int([[1], [0]])) == m_int([[1]])
@@ -35,6 +35,11 @@ def test_schur_complete_examples(fix_l2_ext):
 def test_schur_complete_not_flat():
     with pytest.raises(NotFlatError):
         schur_complete(m_int([[1, 0], [0, 0]]), m_int([[0], [1]]))
+
+
+def test_schur_complete_requires_hermitian():
+    with pytest.raises(ValueError):
+        schur_complete(m_int([[0, 1], [0, 0]]), m_int([[1], [0]]))
 
 
 def test_flat_extend_fixture(fix_l2, fix_a2):
@@ -145,7 +150,7 @@ def test_flat_extend_canonical_solution_matches_closed_forms(fix_a2):
     for _ in range(5):
         a = random_pd_labels(rng)
         a[7] = a[8] = Fraction(0)
-        base = l3_functional(fix_a2, {i: a[i] for i in range(1, 7)}).restrict(2)
+        base = restrict(l3_functional(fix_a2, {i: a[i] for i in range(1, 7)}), 2)
         ext = flat_extend_tip_maximal(base, allow_general_quiver=True)
         assert ext.value(path(fix_a2, "x x* x x* x")) == sc(0)
         assert ext.value(path(fix_a2, "x* x x* x x*")) == sc(0)
@@ -191,23 +196,26 @@ def test_truncated_view(fix_l2_ext):
 
 
 def test_uniqueness_across_generator_orderings(fix_loop):
+    # The completion of the kernel basis in another order gives the basis
+    # of the extension, and its normal forms give the extension's values.
     rng = random.Random(20)
     base = pd_functional(fix_loop, 1, True, rng)
     flat = flat_extend_tip_maximal(base)
-    gens = flat.kernel_basis()
-    shuffled = list(gens)
+    shuffled = flat.kernel_basis()
     rng.shuffle(shuffled)
-    e1 = FlatExtension(flat, generators=gens)
-    e2 = FlatExtension(flat, generators=shuffled)
+    assert shuffled != flat.kernel_basis()
+    ext = FlatExtension(flat)
+    gb = right_groebner(shuffled, flat.order)
+    assert gb.elements == ext.gb.elements
     for p in enumerate_basis(fix_loop, fix_loop.default_order(), 8, include_trivial=True):
-        assert e1.evaluate(p) == e2.evaluate(p)
+        assert ext.evaluate(p) == riesz_eval(flat, gb.nf(p))
 
 
 def test_round_trip_restriction(fix_loop):
     rng = random.Random(21)
     base = pd_functional(fix_loop, 1, True, rng)
     ext = flat_extend_tip_maximal(base)
-    assert ext.restrict(1).values == base.values
+    assert restrict(ext, 1).values == base.values
 
 
 @pytest.mark.parametrize("complex_", [False, True])

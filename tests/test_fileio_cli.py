@@ -137,6 +137,7 @@ REP = {"quiver": LOOP, "basis": ["x"], "gram": [["1"]], "arrows": {}, "vertices"
 
 
 GENS = ["groebner", "--generators"]
+FLAT = ["moment", "flat"]
 SOS = ["sos", "verify"]
 CHECK = ["gns", "check"]
 QUIVER_FILE = "<quiver file>"  # replaced by a written copy of LOOP
@@ -174,6 +175,18 @@ def gens(elements, quiver=LOOP):
         pytest.param(ORDER, {"vertices": ["e", 5]}, "5", id="order_vertex_int"),
         pytest.param(ORDER, ["e"], "['e']", id="order_file_not_object"),
         pytest.param(ORDER, {"arrows": ["q"]}, "'q'", id="order_unknown_arrow"),
+        pytest.param(
+            FLAT,
+            {"quiver": LOOP, "k": 1, "entries": [{"path": "x", "value": "1"}, {"path": "x*", "value": "2"}]},
+            "hermitian conflict between x and x*",
+            id="functional_hermitian_conflict",
+        ),
+        pytest.param(
+            FLAT,
+            {"quiver": LOOP, "k": 1, "entries": [{"path": "x x* x", "value": "1"}]},
+            "path x x* x outside the length <= 2 window",
+            id="functional_path_outside_window",
+        ),
     ],
 )
 def test_cli_malformed_loader_input_exit_2(tmp_path, capsys, command, data, token):
@@ -337,7 +350,18 @@ def test_cli_window_past_the_limit_exits_2(tmp_path, capsys):
     fpath = write(tmp_path, "f.json", {"quiver": two_loops, "k": 40, "entries": []})
     code = main(["moment", "flat", fpath])
     assert code == 2
-    assert "more than 1000000 paths" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "more than 1000000 paths" in err and "f.json" in err
+
+
+def test_cli_arrowless_window_of_any_order(tmp_path, capsys):
+    # Without arrows the window is the trivial paths, whatever k is.
+    quiver = {"vertices": ["v", "w"], "arrows": []}
+    entries = [{"path": "e:v", "value": "2"}]
+    fpath = write(tmp_path, "f.json", {"quiver": quiver, "k": 10**9, "entries": entries})
+    code, out = run(capsys, "moment", "flat", fpath)
+    assert code == 0
+    assert out == [{"flat": True, "rank_k": 1, "rank_km1": 1, "range_contained": True, "window": "trivial"}]
 
 
 def test_cli_extend_without_flag_is_input_error(tmp_path, capsys):
@@ -465,6 +489,34 @@ def test_cli_representation_round_trip(tmp_path, capsys):
     rep = fileio.load_representation(rpath)
     dumped = fileio.representation_to_dict(rep)
     assert dumped == json.loads((tmp_path / "rep.json").read_text())
+
+
+def test_cli_groebner_from_kernel_golden(tmp_path, capsys):
+    # The flat order-4 extension of the second worked example: 17 kernel
+    # elements, whose completion records the two printed reductions.  The
+    # expected file was written by the completion route of the kernel basis.
+    fixtures = FsPath(__file__).parent / "fixtures"
+    opath = tmp_path / "gb.json"
+    assert main(["groebner", "--from-kernel", str(fixtures / "example2_l4.json"), "-o", str(opath)]) == 0
+    capsys.readouterr()
+    expected = (fixtures / "example2_l4_groebner.json").read_text(encoding="utf-8")
+    assert opath.read_text(encoding="utf-8") == expected
+    assert len(json.loads(expected)["reductions"]) == 2
+
+
+def test_cli_groebner_from_kernel_refuses_a_differing_completion(tmp_path, capsys, monkeypatch):
+    from quivermoment import cli, kernel_groebner
+    from quivermoment.groebner import RightGroebnerBasis
+
+    def fewer(f):
+        gb = kernel_groebner(f)
+        return RightGroebnerBasis(gb.elements[:-1], gb.order, ())
+
+    monkeypatch.setattr(cli, "kernel_groebner", fewer)
+    assert main(["groebner", "--from-kernel", functional_file(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "completion of the kernel differs from its minimal-tip basis" in captured.err
 
 
 def test_cli_groebner_output_round_trip(tmp_path, capsys):

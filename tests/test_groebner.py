@@ -4,11 +4,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from quivermoment import (
     Element,
+    ExtensionObstructed,
     InputError,
     InternalInvariantError,
     Scalar,
@@ -22,8 +23,8 @@ from quivermoment import (
     total_reduce,
 )
 
-from conftest import elem, path, pd_functional, sc
-from oracles import pairing, scalar_fold, scalar_normal_form, scalar_tip_table
+from conftest import elem, path, pd_functional, sc, state_functional
+from oracles import completion_kernel_groebner, pairing, scalar_fold, scalar_normal_form, scalar_tip_table
 
 
 def test_left_divides_examples(fix_loop):
@@ -122,19 +123,28 @@ def test_kernel_groebner_fixture(fix_l2_ext):
 
 
 def test_kernel_groebner_printed_route(example2_l4, fix_h4, fix_g4):
-    gb = kernel_groebner(example2_l4, generators=fix_h4)
+    # The minimal-tip selection is the printed basis; the completion reaches
+    # it from the printed generators and from the echelon kernel, with the
+    # two printed reductions each time.
+    gb = kernel_groebner(example2_l4)
     assert list(gb.elements) == fix_g4
-    assert len(gb.trace) == 2
+    assert gb.trace == ()
+    for gens in (fix_h4, example2_l4.kernel_basis()):
+        completed = right_groebner(gens, example2_l4.order)
+        assert completed.elements == gb.elements
+        assert len(completed.trace) == 2
 
 
 def test_kernel_groebner_zero_generators(fix_a2):
     # A flat functional always has a nonzero kernel (rank cannot reach the
-    # full window), so the zero-ideal case is exercised through an explicit
-    # empty generating set.
+    # full window): the zero functional's kernel is its whole window, and
+    # its basis is the two letters.  The zero ideal comes from an empty
+    # generating set.
     zero = TruncatedFunctional(fix_a2, 2, {}, include_trivial=False)
     assert zero.is_flat().flat
-    gb = kernel_groebner(zero, generators=[])
-    assert gb.elements == ()
+    gb = kernel_groebner(zero)
+    assert gb.elements == (elem(fix_a2, ("x", 1)), elem(fix_a2, ("x*", 1)))
+    assert gb.elements == right_groebner(zero.kernel_basis(), zero.order).elements
     assert right_groebner([], fix_a2.default_order()).elements == ()
 
 
@@ -183,6 +193,65 @@ def test_trunk_realized_for_flat_kernel(fix_l2_ext, example2_l4):
                 gw = g * Element.from_path(w)
                 for v in window:
                     assert pairing(f, gw, Element.from_path(v)).is_zero()
+
+
+# -- the minimal-tip selection against the completion ------------------------
+
+
+def hermitian_functional(double, k, include_trivial, rng, complex_, dims=None):
+    """Random hermitian values: Gaussian integers, real on paths that are their
+    own star; with dims, the difference of two states of those dimensions,
+    of low rank and usually indefinite."""
+    if dims is not None:
+        a, b = (state_functional(double, k, include_trivial, dims, rng, complex_) for _ in range(2))
+        return TruncatedFunctional(double, k, {p: v - b.values[p] for p, v in a.values.items()}, include_trivial)
+    values = {}
+    for p in enumerate_basis(double, double.default_order(), 2 * k, include_trivial):
+        if p not in values and p.star() not in values:
+            im = rng.randint(-3, 3) if complex_ and p != p.star() else 0
+            values[p] = Scalar(rng.randint(-3, 3), im)
+    return TruncatedFunctional(double, k, values, include_trivial)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(data=st.data())
+def test_kernel_groebner_is_the_completion_of_the_kernel(data, fix_two_loops, fix_loop, fix_a2, fix_xyz, fix_chain):
+    # Flat PSD states of small rank, or flat extensions of random hermitian
+    # tip-maximal functionals, which are mostly not PSD.  Where the guard
+    # fires, the completion route must fail as well.
+    double = data.draw(st.sampled_from([fix_two_loops, fix_loop, fix_a2, fix_xyz, fix_chain]))
+    k = data.draw(st.integers(1, 3), label="k")
+    include_trivial, complex_ = data.draw(st.booleans()), data.draw(st.booleans())
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    # A zero dimension makes the trivial path at that vertex a kernel tip.
+    dims = [rng.randint(0, 2) for _ in double.vertices]
+    if data.draw(st.booleans(), label="psd state"):
+        f = state_functional(double, k, include_trivial, dims, rng, complex_)
+    else:
+        # A base of order 1 or 2; an order-2 base on two loops or x, y, z
+        # takes seconds to extend.
+        k = 2 if double in (fix_two_loops, fix_xyz) else max(k, 2)
+        low_rank = data.draw(st.booleans(), label="low rank")
+        base = hermitian_functional(double, k - 1, include_trivial, rng, complex_, dims if low_rank else None)
+        assume(base.is_tip_maximal())
+        try:
+            f = flat_extend_tip_maximal(base, allow_general_quiver=True)
+        except ExtensionObstructed:  # possible off the free *-algebras
+            assume(False)
+    assume(f.is_flat().flat)
+    try:
+        gb = kernel_groebner(f)
+    except InternalInvariantError:
+        with pytest.raises(InternalInvariantError):
+            completion_kernel_groebner(f)
+        return
+    assert gb.elements == right_groebner(f.kernel_basis(), f.order).elements
+    assert gb.trace == ()
 
 
 # -- the tip-table engine against the completion's reducer -------------------
@@ -326,11 +395,23 @@ def test_right_ideal_members_reduce_to_zero(data, fix_a2, fix_loop, fix_chain):
                 assert normal_form(member, gb).is_zero()
 
 
-def test_containment_check_names_the_first_offending_path(fix_l2_ext):
+def test_containment_check_names_the_first_offending_path(fix_l2_ext, monkeypatch):
     # x + 2·x x* x is not in the kernel; the check names the first window
     # path it pairs nontrivially with, as the pairing oracle finds it.
     f = fix_l2_ext
     g = elem(f.double, ("x", 1), ("x x* x", 2))
     first = next(q for q in f.basis(f.k) if not pairing(f, g, Element.from_path(q)).is_zero())
+    monkeypatch.setattr(f, "kernel_basis", lambda: [g])
     with pytest.raises(InternalInvariantError, match=re.escape(f"(pairs nontrivially with {first})")):
-        kernel_groebner(f, [g])
+        kernel_groebner(f)
+
+
+def test_guard_refuses_a_kernel_element_outside_the_selections_ideal(fix_l2_ext, monkeypatch):
+    # x x* x x* has the kept tip x x* x as a prefix, but its normal form
+    # through the kept elements is x x*, not zero.
+    f = fix_l2_ext
+    outside = elem(f.double, ("x x* x x*", 1))
+    kernel = f.kernel_basis()
+    monkeypatch.setattr(f, "kernel_basis", lambda: kernel + [outside])
+    with pytest.raises(InternalInvariantError, match="not in the right ideal of the minimal-tip elements"):
+        kernel_groebner(f)

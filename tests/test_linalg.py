@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quivermoment import Matrix, Scalar, ldlh_psd, nullspace, psd_check, rank, solve_in_range
+from quivermoment import Matrix, Scalar, ldlh_psd, nullspace, psd_check, rank
 from quivermoment.linalg import solve_particular
 from quivermoment.scalar import ONE, ZERO
 
@@ -56,11 +56,11 @@ def test_rank_nullity_random():
         assert rank(m) + len(nullspace(m)) == cols
 
 
-def test_solve_in_range_examples():
+def test_solve_particular_examples():
     a = m_int([[1, 0], [0, 0]])
-    assert solve_in_range(a, m_int([[0], [1]])) is None
+    assert solve_particular(a, m_int([[0], [1]])) == (1, None)
     c = m_int([[3], [5]])
-    assert solve_in_range(Matrix.identity(2), c) == c
+    assert solve_particular(Matrix.identity(2), c) == (2, c)
 
 
 def test_solve_particular_places_rows_at_pivot_columns():
@@ -71,27 +71,26 @@ def test_solve_particular_places_rows_at_pivot_columns():
     assert solve_particular(m_int([[0, 1], [0, 0]]), m_int([[1], [1]])) == (1, None)
 
 
-def test_solve_in_range_rank_criterion_random():
+def test_solve_particular_rank_criterion_random():
     rng = random.Random(4)
     for _ in range(30):
         g = rand_matrix(rng, 5, rng.randint(1, 5))
         a = g * g.conj_transpose()  # hermitian with a genuine range
         c = rand_matrix(rng, 5, 2)
+        if rng.random() < 0.5:
+            c = a * c  # inside Ran(a)
         aug = Matrix(5, a.cols + 2, [e for i in range(5) for e in (*a.row(i), *c.row(i))])
         solvable = rank(aug) == rank(a)
-        x = solve_in_range(a, c)
+        rank_a, x = solve_particular(a, c)
+        assert rank_a == rank(a)
         assert (x is not None) == solvable
         if x is not None:
             assert a * x == c
-            # Solution columns are orthogonal to the nullspace of a.
+            # Free variables are zero; the last nonzero coordinate of each
+            # nullspace vector is a free column of a.
             for v in nullspace(a):
-                vh = Matrix(1, 5, [e.conjugate() for e in v])
-                assert (vh * x).is_zero()
-
-
-def test_solve_in_range_requires_hermitian():
-    with pytest.raises(ValueError):
-        solve_in_range(m_int([[0, 1], [0, 0]]), m_int([[1], [0]]))
+                f = max(j for j, e in enumerate(v) if e)
+                assert all(x.entry(f, j).is_zero() for j in range(x.cols))
 
 
 def test_psd_examples():
@@ -141,4 +140,4 @@ def test_determinism_bit_for_bit():
     assert nullspace(m) == nullspace(m)
     assert rank(m) == rank(m)
     a = m * m.conj_transpose()
-    assert solve_in_range(a, m) == solve_in_range(a, m)
+    assert solve_particular(a, m) == solve_particular(a, m)

@@ -101,7 +101,7 @@ def test_scalar_parse_matches_oracle(text):
 @pytest.mark.parametrize(
     "text",
     ["1_000", "0x10", "1e3", " 7 ", "٣", "²", "+5", "3/0", "1/2+3/4 i", "12i", "-0/5",
-     "", " ", "i", "1/2/3"],
+     "", " ", "i", "1/2/3", "-12i", "1/23i", "1/2+3i", "1 2i", "1+2"],
 )
 def test_scalar_parse_fixed_cases(text):
     assert outcome(Scalar.parse, text) == outcome(oracles.scalar_parse, text)

@@ -7,6 +7,7 @@ from quivermoment import (
     InputError,
     PathOrder,
     Quiver,
+    Scalar,
     TruncatedFunctional,
     ZERO_PATH,
     build_double,
@@ -212,3 +213,24 @@ def test_window_limit_counts_the_words_exactly(shape, fix_two_loops, fix_a2, fix
         monkeypatch.setattr(quiver, "MAX_WINDOW_PATHS", words - 1)
         with pytest.raises(InputError):
             enumerate_basis(double, order, max_len)
+
+
+def test_arrowless_quiver_has_no_words():
+    double = build_double(Quiver(["v", "w"], []))
+    order = double.default_order()
+    assert next(quiver._words(double, order, 10**9), None) is None
+    assert paths_of_length(double, order, 1) == paths_of_length(double, order, 10**9) == []
+    assert enumerate_basis(double, order, 10**9) == double.trivial_paths()
+
+
+def test_arrowless_window_of_any_order_is_its_trivial_paths():
+    double = build_double(Quiver(["v", "w"], []))
+    v = double.trivial("v")
+    f = TruncatedFunctional(double, 10**9, {v: Scalar(2)})
+    trivial = tuple(double.trivial_paths())
+    assert f.basis(0) == f.basis(10**9) == f.basis(2 * 10**9) == trivial
+    with pytest.raises(InputError):
+        f.basis(2 * 10**9 + 1)
+    assert f.is_flat().flat and f.is_psd()
+    empty = TruncatedFunctional(double, 10**9, {}, include_trivial=False)
+    assert empty.basis(2 * 10**9) == () and empty.is_flat().flat

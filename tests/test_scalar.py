@@ -18,6 +18,23 @@ def test_parse_complex_forms():
     assert Scalar.parse("2i") == Scalar(0, 2)
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("12i", Scalar(0, 12)),
+        ("-12i", Scalar(0, -12)),
+        ("1/23i", Scalar(0, Fraction(1, 23))),
+        ("1 2 i", Scalar(0, 12)),
+        ("1+2i", Scalar(1, 2)),
+        ("1/2+3i", Scalar(Fraction(1, 2), 3)),
+        ("-1/2-3/4 i", Scalar(Fraction(-1, 2), Fraction(-3, 4))),
+    ],
+)
+def test_parse_imaginary_part_after_a_real_part_carries_its_sign(text, value):
+    # Unsigned digits before `i` are all imaginary: "12i" is 12i, not 1 + 2i.
+    assert Scalar.parse(text) == value
+
+
 @pytest.mark.parametrize("bad", ["", "i", "1/2/3", "one", "3/0", "++1"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(InputError):
