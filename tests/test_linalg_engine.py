@@ -134,6 +134,39 @@ def test_solve_particular_matches_oracle_rref(data):
     assert linalg.solve_particular(a, c) == oracle.solve_particular(a, c)
 
 
+def _stack_kernel(a: Matrix, c: Matrix, null) -> tuple[Matrix, Matrix]:
+    """[a; N^H] and [c; 0] for the kernel basis N of `a`."""
+    lhs = Matrix(a.rows + len(null), a.cols, a.entries + tuple(e.conjugate() for v in null for e in v))
+    rhs = Matrix(c.rows + len(null), c.cols, c.entries + (Scalar(0),) * (len(null) * c.cols))
+    return lhs, rhs
+
+
+@SETTINGS
+@given(hermitian(), st.data())
+def test_solve_in_range_matches_oracle(a, data):
+    """The solve of a X = c with the columns of X in Ran(a), for hermitian `a`.
+
+    It is `solve_particular` on `a` stacked with the conjugate rows of its
+    kernel basis, so X is the canonical solution orthogonal to ker a.  Both
+    kernels the solve goes through must match the oracle's, the solution must
+    exist exactly when c lies in Ran(a), and it must solve a X = c inside Ran(a).
+    """
+    c = data.draw(matrices(rows=a.rows))
+    if data.draw(st.booleans()):
+        c = oracle.matmul(a, c)  # inside Ran(a)
+    null = linalg.nullspace(a)
+    assert null == oracle.nullspace(a)
+    lhs, rhs = _stack_kernel(a, c, null)
+    x = linalg.solve_particular(lhs, rhs)[1]
+    assert x == oracle.solve_particular(*_stack_kernel(a, c, oracle.nullspace(a)))[1]
+    aug = Matrix(a.rows, a.cols + c.cols, [e for i in range(a.rows) for e in (*a.row(i), *c.row(i))])
+    assert (x is not None) == (oracle.rank(aug) == oracle.rank(a))
+    if x is not None:
+        assert oracle.matmul(a, x) == c
+        kernel_rows = lhs.block(a.rows, lhs.rows, 0, a.cols)
+        assert oracle.matmul(kernel_rows, x) == rhs.block(a.rows, rhs.rows, 0, c.cols)  # zero
+
+
 @SETTINGS
 @given(st.data())
 def test_solve_full_rank_matches_oracle(data):
