@@ -2,9 +2,10 @@
 
 Three layers: the exact Schur completion of a hermitian block (the flat
 choice of the bottom-right block), the one-step extension of a tip-maximal
-functional (solving the kernel-propagation equations jointly with hermitian
-symmetry, canonical solution, then Schur-completing the top degree), and the
-lazy full extension that evaluates any path through Gröbner normal forms.
+functional (the kernel-propagation equations in one unknown per star pair,
+so hermitian symmetry holds by substitution; canonical solution, then
+Schur-completing the top degree), and the lazy full extension that evaluates
+any path through Gröbner normal forms.
 """
 
 from __future__ import annotations
@@ -48,10 +49,12 @@ def flat_extend_tip_maximal(
 
     Values on the new odd degree 2k-1 solve, per kernel generator g and new
     length-k path p, the linear system expressing that g stays in the kernel
-    of the extended moment form; hermitian symmetry of the new values is
-    imposed as extra linear constraints, the system is solved canonically
-    (reduced echelon form, free variables zero), and the top degree-2k block
-    is filled by the Schur completion.
+    of the extended moment form.  Hermitian symmetry is substituted, not
+    added as rows: each pair {m, m*} has one unknown z, held at the member
+    later in the path order, and the other member takes conj(z).  The system
+    is solved canonically (reduced echelon form, free variables zero) in one
+    `linalg.solve_particular`, and the top degree-2k block is filled by the
+    Schur completion.
 
     The construction is proved for free *-algebras (single-vertex quivers);
     pass allow_general_quiver=True to run it on any path *-algebra, in which
@@ -66,36 +69,41 @@ def flat_extend_tip_maximal(
     if not functional.is_tip_maximal():
         raise InputError("flat_extend_tip_maximal requires a tip-maximal functional")
 
-    km1 = functional.k
-    k = km1 + 1
+    k = functional.k + 1
     double = functional.double
     order = functional.order
     kernel = functional.kernel_basis()
     new_paths = paths_of_length(double, order, k)
     odd_paths = paths_of_length(double, order, 2 * k - 1)
-    var_index = {p: i for i, p in enumerate(odd_paths)}
-    nvars = len(odd_paths)
+    # No path of odd length is its own star.  Columns [u | v] for z = u + i v,
+    # pairs in the order of the member that holds z.
+    position = {p: i for i, p in enumerate(odd_paths)}
+    held = [m for m in odd_paths if position[m.star()] < position[m]]
+    npairs = len(held)
+    unknown: dict[Path, tuple[int, int]] = {}  # path -> (pair, sign of v)
+    for j, m in enumerate(held):
+        unknown[m] = (j, 1)
+        unknown[m.star()] = (j, -1)
 
-    # Real/imaginary split: unknown z_m = u_m + i v_m, column layout [u | v].
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
 
-    def add_equation(coeffs: dict[int, Scalar], value: Scalar) -> None:
-        re_row = [Fraction(0)] * (2 * nvars)
-        im_row = [Fraction(0)] * (2 * nvars)
-        for j, cj in coeffs.items():
-            re_row[j] += cj.re
-            re_row[nvars + j] -= cj.im
-            im_row[j] += cj.im
-            im_row[nvars + j] += cj.re
-        rows.append(re_row)
-        rhs.append(value.re)
-        rows.append(im_row)
-        rhs.append(value.im)
+    def add_equation(coeffs: dict[Path, Scalar], value: Scalar) -> None:
+        re_row = [Fraction(0)] * (2 * npairs)
+        im_row = [Fraction(0)] * (2 * npairs)
+        for m, c in coeffs.items():
+            j, sign = unknown[m]
+            # c (u + sign i v) = c.re u - sign c.im v + i (c.im u + sign c.re v)
+            re_row[j] += c.re
+            re_row[npairs + j] -= sign * c.im
+            im_row[j] += c.im
+            im_row[npairs + j] += sign * c.re
+        rows.extend((re_row, im_row))
+        rhs.extend((value.re, value.im))
 
     for g in kernel:
         for p in new_paths:
-            coeffs: dict[int, Scalar] = {}
+            coeffs: dict[Path, Scalar] = {}
             known = ZERO
             for q, cq in g.terms.items():
                 pq = compose(p, q.star())
@@ -103,30 +111,17 @@ def flat_extend_tip_maximal(
                     continue
                 cst = cq.conjugate()
                 if pq.length() == 2 * k - 1:
-                    j = var_index[pq]
-                    coeffs[j] = coeffs.get(j, ZERO) + cst
+                    coeffs[pq] = coeffs.get(pq, ZERO) + cst
                 else:
                     known = known + cst * functional.value(pq)
             if coeffs or not known.is_zero():
                 add_equation(coeffs, -known)
 
-    # Hermitian symmetry: u_{m*} = u_m and v_{m*} = -v_m.
-    for m, j in var_index.items():
-        js = var_index[m.star()]
-        if js < j:
-            continue
-        row = [Fraction(0)] * (2 * nvars)
-        row[j] += Fraction(1)
-        row[js] -= Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(0))
-        row = [Fraction(0)] * (2 * nvars)
-        row[nvars + j] += Fraction(1)
-        row[nvars + js] += Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(0))
+    def scalars(xs):
+        return [Scalar(x) if x else ZERO for x in xs]
 
-    solution = linalg.solve_canonical(rows, rhs, 2 * nvars)
+    system = Matrix(len(rows), 2 * npairs, scalars(x for row in rows for x in row))
+    solution = linalg.solve_particular(system, Matrix.column(scalars(rhs)))[1]
     if solution is None:
         if free_algebra:
             raise InternalInvariantError(
@@ -135,25 +130,21 @@ def flat_extend_tip_maximal(
         raise ExtensionObstructed("one-step extension system is inconsistent")
 
     values = dict(functional.values)
-    for m, j in var_index.items():
-        values[m] = Scalar(solution[j], solution[nvars + j])
+    for m in odd_paths:
+        j, sign = unknown[m]
+        values[m] = Scalar(solution.entry(j, 0).re, sign * solution.entry(npairs + j, 0).re)
 
-    # Degree-2k block through the Schur completion of the new C block.
-    old_basis = functional.basis(km1)
-
-    def val(p: Path) -> Scalar:
-        if p.length() <= 2 * km1:
-            return functional.value(p)
-        return values[p]
+    # Degree-2k block through the Schur completion of the new C block;
+    # values now holds every path of length <= 2k - 1.
+    base = functional.moment_matrix()
 
     def ent(p: Path, q: Path) -> Scalar:
         pq = compose(p, q.star())
-        return ZERO if pq is ZERO_PATH else val(pq)
+        return ZERO if pq is ZERO_PATH else values[pq]
 
-    a = Matrix(len(old_basis), len(old_basis), [ent(p, q) for p in old_basis for q in old_basis])
-    c = Matrix(len(old_basis), len(new_paths), [ent(p, q) for p in old_basis for q in new_paths])
+    c = Matrix(len(base.basis), len(new_paths), [ent(p, q) for p in base.basis for q in new_paths])
     try:
-        b = schur_complete(a, c)
+        b = schur_complete(base.m, c)
     except NotFlatError:
         if free_algebra:
             raise InternalInvariantError(

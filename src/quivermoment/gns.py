@@ -298,13 +298,13 @@ def check_relations(rep: Representation) -> RelationReport:
     for name1, p1, m1 in gens:
         for name2, p2, m2 in gens:
             p = compose(p1, p2)
-            prod = m2 * m1  # right action of p1 then p2
+            # m2 * m1: the right action of p1, then of p2
             if p is ZERO_PATH:
-                report.record(f"zero product {name1}·{name2}", prod == zero)
+                report.record(f"zero product {name1}·{name2}", m2 * m1 == zero)
             elif p == p1:
-                report.record(f"absorption {name1}·{name2} = {name1}", prod == m1)
+                report.record(f"absorption {name1}·{name2} = {name1}", m2 * m1 == m1)
             elif p == p2:
-                report.record(f"absorption {name1}·{name2} = {name2}", prod == m2)
+                report.record(f"absorption {name1}·{name2} = {name2}", m2 * m1 == m2)
 
     psum = Matrix.zeros(n, n)
     for v in double.vertices:

@@ -7,13 +7,13 @@ loops then see plain ``int`` entries, or real parts followed by imaginary
 parts when some entry is non-real, and results go back to `Scalar` once, with
 one division per output entry.  Nothing is floating point.
 
-A single fraction-free Gauss-Jordan engine backs rank, nullspace, the
-solvers and the canonical solve of rational systems.  On real data a
-row with a nonzero entry in the pivot column is replaced by an integer
-combination of itself and the pivot row, divided by the gcd of its entries; rows the pivot does not touch are left alone.  A combined row is
-thus the primitive integer multiple of its rational row.  On non-real data
-every row is updated and divided exactly by the previous pivot in Z[i], as in
-Bareiss elimination (Bareiss 1968).  Either way every entry divides a minor
+A single fraction-free Gauss-Jordan engine backs rank, nullspace and the
+solvers.  On real data a row with a nonzero entry in the pivot column is
+replaced by an integer combination of itself and the pivot row, divided by
+the gcd of its entries; rows the pivot does not touch are left alone.  A
+combined row is thus the primitive integer multiple of its rational row.
+On non-real data every row is updated and divided exactly by the previous
+pivot in Z[i], as in Bareiss elimination (Bareiss 1968).  Either way every entry divides a minor
 of the scaled input.  Positive semidefiniteness is decided by diagonal
 pivoting with integer Schur complements, scaled the same way.  Pivot
 selection is always the first nonzero entry in a column scanning rows
@@ -351,22 +351,6 @@ def solve_full_rank(a: Matrix, b: Matrix) -> Matrix:
     if x is None or rank_a < a.cols:
         raise InternalInvariantError("matrix expected to be invertible is singular")
     return x
-
-
-def solve_canonical(rows: list[list[Fraction]], rhs: list[Fraction], nvars: int) -> list[Fraction] | None:
-    """Rational least-constraint solve of rows * x = rhs: RREF, free variables zero.
-
-    Each row holds `nvars` real coefficients.  Returns None if the system is
-    inconsistent.
-    """
-    int_rows = [_common([*row, r])[0] for row, r in zip(rows, rhs)]
-    pivots = _gauss_jordan(int_rows, nvars + 1)
-    if pivots and pivots[-1] == nvars:
-        return None
-    sol = [_F0] * nvars
-    for row, p in zip(int_rows, pivots):
-        sol[p] = Fraction(row[nvars], row[p])
-    return sol
 
 
 def psd_check(m: Matrix) -> bool:

@@ -264,8 +264,11 @@ def _words(double: DoubleQuiver, order: PathOrder, max_len: int):
     by letter, and every word of the previous list is extended by the
     letters in their order, so only that list is held.  Raises `InputError`
     before building any word when they would number more than
-    MAX_WINDOW_PATHS; they are counted per terminal vertex.  A quiver without
-    arrows has no words, and no list is yielded.
+    MAX_WINDOW_PATHS; they are counted per terminal vertex.  Every word
+    extends by the star of its last letter, so no length has fewer words
+    than the one before, and the count stops as soon as that lower bound
+    passes the limit.  A quiver without arrows has no words, and no list is
+    yielded.
     """
     letters = order.letter_seq
     if max_len < 1 or not letters:
@@ -275,9 +278,9 @@ def _words(double: DoubleQuiver, order: PathOrder, max_len: int):
     # ending[v]: the words of the current length that end at v
     ending = [sum(target[l] == v for l in letters) for v in vertices]
     total = 0
-    for _ in range(max_len):
+    for left in range(max_len - 1, -1, -1):
         total += sum(ending)
-        if total > MAX_WINDOW_PATHS:
+        if total + sum(ending) * left > MAX_WINDOW_PATHS:
             raise InputError(
                 f"the window of paths of length <= {max_len} has more than {MAX_WINDOW_PATHS} paths"
             )

@@ -13,7 +13,7 @@ from . import linalg
 from .algebra import Element
 from .errors import InputError
 from .linalg import Matrix
-from .quiver import Path
+from .quiver import Path, compose
 from .scalar import ONE, Scalar
 
 
@@ -51,16 +51,9 @@ def expand_gram(basis: list[Path], gram: Matrix) -> Element:
         raise InputError("gram size must match the basis")
     if not basis:
         raise InputError("empty certificate basis")
-    double = basis[0].double
-    acc = Element.zero(double)
-    for i, p in enumerate(basis):
-        ei = Element.from_path(p)
-        for j, q in enumerate(basis):
-            c = gram.entry(i, j)
-            if c.is_zero():
-                continue
-            acc = acc + (ei * Element.from_path(q).star()).scale(c)
-    return acc
+    stars = [q.star() for q in basis]
+    pairs = ((compose(p, qs), gram.entry(i, j)) for i, p in enumerate(basis) for j, qs in enumerate(stars))
+    return Element.from_terms(basis[0].double, pairs)
 
 
 def verify_gram(target: Element, basis: list[Path], gram: Matrix, d: int | None = None) -> bool:

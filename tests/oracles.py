@@ -9,6 +9,9 @@
   and the moment pairing L(f g*) computed through the algebra product;
 * the kernel Gröbner basis as it was before the minimal-tip selection: the
   completion of the echelon kernel, then the containment check;
+* the odd-degree system of the one-step extension as it was before the
+  hermitian symmetry was substituted: one complex unknown per path, the
+  symmetry as extra rows, solved by the `Scalar` canonical solve;
 * the path and scalar text parsers as they were before the table-driven
   rewrite (prefix by prefix, and `Fraction` of each part's text);
 * normal forms as they were before the integer fold: the `Scalar` tip table
@@ -35,6 +38,7 @@ from quivermoment import (
     TruncatedFunctional,
     compose,
     linalg,
+    paths_of_length,
     right_groebner,
 )
 from quivermoment.gns import Representation, _vertex_projections
@@ -219,6 +223,60 @@ def completion_kernel_groebner(functional: TruncatedFunctional):
             if not pairing(functional, g, Element.from_path(q)).is_zero():
                 raise InternalInvariantError(f"Gröbner element {g} left the kernel")
     return gb
+
+
+# -- the one-step extension's odd-degree system, one unknown per path -----------
+
+
+def extension_odd_values(functional: TruncatedFunctional):
+    """The new degree-(2k+1) values of the one-step extension, and the number
+    of free variables of the system that gives them.
+
+    Unknown z_m = u_m + i v_m for every path m of length 2k+1, columns
+    [u | v]; two real rows per kernel-propagation equation L(p g*) = 0 (g a
+    kernel element, p a path of length k+1), then u_{m*} = u_m and
+    v_{m*} = -v_m as two rows per star pair.  Solved in reduced echelon form
+    with free variables zero; the values are None when the system is
+    inconsistent.
+    """
+    k = functional.k + 1
+    odd = paths_of_length(functional.double, functional.order, 2 * k - 1)
+    index = {m: j for j, m in enumerate(odd)}
+    n = len(odd)
+    rows, rhs = [], []
+    for g in functional.kernel_basis():
+        for p in paths_of_length(functional.double, functional.order, k):
+            re_row, im_row = [Fraction(0)] * (2 * n), [Fraction(0)] * (2 * n)
+            known, touched = ZERO, False
+            for q, cq in g.terms.items():
+                pq = compose(p, q.star())
+                if pq is ZERO_PATH:
+                    continue
+                c = cq.conjugate()
+                if pq.length() < 2 * k - 1:
+                    known = known + c * functional.value(pq)
+                    continue
+                j, touched = index[pq], True
+                re_row[j] += c.re
+                re_row[n + j] -= c.im
+                im_row[j] += c.im
+                im_row[n + j] += c.re
+            if touched or not known.is_zero():
+                rows += [re_row, im_row]
+                rhs += [-known.re, -known.im]
+    for m, j in index.items():
+        js = index[m.star()]
+        if js > j:
+            for a, b, sign in ((j, js, -1), (n + j, n + js, 1)):
+                row = [Fraction(0)] * (2 * n)
+                row[a], row[b] = Fraction(1), Fraction(sign)
+                rows.append(row)
+                rhs.append(Fraction(0))
+    solution = linalg_oracle.solve_canonical(rows, rhs, 2 * n)
+    free = 2 * n - linalg.rank(Matrix(len(rows), 2 * n, [Scalar(x) for row in rows for x in row]))
+    if solution is None:
+        return None, free
+    return {m: Scalar(solution[j], solution[n + j]) for m, j in index.items()}, free
 
 
 # -- normal forms on `Scalar` before the integer fold ----------------------------

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from quivermoment import (
+    ExtensionObstructed,
     FlatExtension,
     InputError,
+    InternalInvariantError,
     Matrix,
     NotFlatError,
     TruncatedFunctional,
@@ -16,8 +18,8 @@ from quivermoment import (
 )
 from quivermoment import linalg
 
-from conftest import l3_functional, path, pd_functional, sc, state_functional
-from oracles import restrict, riesz_eval
+from conftest import hermitian_functional, l3_functional, path, pd_functional, sc, state_functional
+from oracles import extension_odd_values, restrict, riesz_eval
 
 
 def m_int(rows):
@@ -156,6 +158,43 @@ def test_flat_extend_canonical_solution_matches_closed_forms(fix_a2):
         assert ext.value(path(fix_a2, "x* x x* x x*")) == sc(0)
         assert ext.value(path(fix_a2, "x x* x x* x x*")) == sc(closed_form_a9(a))
         assert ext.value(path(fix_a2, "x* x x* x x* x")) == sc(closed_form_a10(a))
+
+
+@pytest.mark.parametrize(
+    "shape, order", [("loop", 1), ("loop", 2), ("two_loops", 1), ("a2", 1), ("a2", 2), ("xyz", 1)]
+)
+def test_odd_degree_matches_the_system_with_every_unknown(shape, order, fix_loop, fix_two_loops, fix_a2, fix_xyz):
+    # The extension holds one unknown per star pair; the oracle holds one per
+    # path and adds the hermitian symmetry as rows.  Both take the RREF
+    # solution with free variables zero, so the odd values agree, and an
+    # inconsistent system fails in both.  Real and Gaussian values, full-rank
+    # and low-rank bases.  Order-2 bases on two loops and x, y, z are left
+    # out: the `Scalar` oracle takes 9-23 s per system there.
+    double = {"loop": fix_loop, "two_loops": fix_two_loops, "a2": fix_a2, "xyz": fix_xyz}[shape]
+    free_algebra = double.n_vertices() == 1
+    compared = with_free = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        complex_, low_rank = seed % 2 == 1, seed % 4 >= 2
+        dims = [rng.randint(0, 2) for _ in double.vertices] if low_rank else None
+        base = hermitian_functional(double, order, seed % 3 != 0, rng, complex_, dims)
+        if not base.is_tip_maximal():
+            continue
+        expected, free = extension_odd_values(base)
+        with_free += free > 0
+        try:
+            ext = flat_extend_tip_maximal(base, allow_general_quiver=True)
+        except (ExtensionObstructed, InternalInvariantError) as e:
+            if expected is None:
+                assert type(e) is (InternalInvariantError if free_algebra else ExtensionObstructed)
+                assert "inconsistent" in str(e)
+            else:
+                assert "inconsistent" not in str(e)
+            continue
+        assert expected is not None
+        assert {m: ext.values[m] for m in expected} == expected
+        compared += 1
+    assert compared and with_free
 
 
 def test_pd_preserving_flat_output(fix_loop):

@@ -23,7 +23,7 @@ from quivermoment import (
     total_reduce,
 )
 
-from conftest import elem, path, pd_functional, sc, state_functional
+from conftest import elem, hermitian_functional, path, pd_functional, sc, state_functional
 from oracles import completion_kernel_groebner, pairing, scalar_fold, scalar_normal_form, scalar_tip_table
 
 
@@ -196,21 +196,6 @@ def test_trunk_realized_for_flat_kernel(fix_l2_ext, example2_l4):
 
 
 # -- the minimal-tip selection against the completion ------------------------
-
-
-def hermitian_functional(double, k, include_trivial, rng, complex_, dims=None):
-    """Random hermitian values: Gaussian integers, real on paths that are their
-    own star; with dims, the difference of two states of those dimensions,
-    of low rank and usually indefinite."""
-    if dims is not None:
-        a, b = (state_functional(double, k, include_trivial, dims, rng, complex_) for _ in range(2))
-        return TruncatedFunctional(double, k, {p: v - b.values[p] for p, v in a.values.items()}, include_trivial)
-    values = {}
-    for p in enumerate_basis(double, double.default_order(), 2 * k, include_trivial):
-        if p not in values and p.star() not in values:
-            im = rng.randint(-3, 3) if complex_ and p != p.star() else 0
-            values[p] = Scalar(rng.randint(-3, 3), im)
-    return TruncatedFunctional(double, k, values, include_trivial)
 
 
 @settings(

@@ -180,17 +180,6 @@ def test_solve_full_rank_matches_oracle(data):
             linalg.solve_full_rank(a, b)
 
 
-@SETTINGS
-@given(st.data())
-def test_solve_canonical_matches_oracle(data):
-    m = data.draw(matrices())
-    rows = [[e.re for e in m.row(i)] for i in range(m.rows)]
-    rhs = [e.re for e in data.draw(matrices(rows=m.rows, cols=1)).entries]
-    if data.draw(st.booleans()):  # a consistent system
-        rhs = [sum(rows[i], Fraction(0)) for i in range(m.rows)]
-    assert linalg.solve_canonical(rows, rhs, m.cols) == oracle.solve_canonical(rows, rhs, m.cols)
-
-
 def test_large_entries_exact():
     """2000-bit entries survive the integer scaling unchanged."""
     big = Fraction(3**1300 + 1, 2**1100 + 7)

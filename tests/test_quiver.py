@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -213,6 +214,25 @@ def test_window_limit_counts_the_words_exactly(shape, fix_two_loops, fix_a2, fix
         monkeypatch.setattr(quiver, "MAX_WINDOW_PATHS", words - 1)
         with pytest.raises(InputError):
             enumerate_basis(double, order, max_len)
+
+
+def test_window_of_linear_growth_is_refused_without_counting_every_length(fix_a2, monkeypatch):
+    # A2 has two words of every length, so counting them length by length
+    # passes 10^9 only after 5 * 10^8 steps; no length has fewer words than
+    # the one before, which passes the limit at the first length.
+    monkeypatch.setattr(quiver, "MAX_WINDOW_PATHS", 10**9)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the window was counted length by length")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(InputError, match=f"more than {10**9} paths"):
+            TruncatedFunctional(fix_a2, 10**12, {})
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_arrowless_quiver_has_no_words():
