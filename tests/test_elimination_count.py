@@ -4,7 +4,8 @@ The count is of calls to the one Gauss-Jordan engine in `linalg`.  A fresh
 functional's flatness report and kernel take two: the kernel of B_{L_k}
 (which also gives its rank) and one elimination of [A | C] (rank A, range
 containment and the block solution).  Compression adds one elimination of
-the gram and one of its kept block per base arrow.
+the gram and one of its kept block per base arrow.  A one-step extension
+adds one of its odd-degree system and one of the Schur block [A | C].
 
 The kernel Gröbner basis is read off the echelon kernel, so no completion
 runs behind it: only the `groebner` command, whose output lists the
@@ -28,6 +29,7 @@ from quivermoment import (
     cli,
     compress_representation,
     fileio,
+    flat_extend_tip_maximal,
     groebner,
     kernel_groebner,
     linalg,
@@ -73,6 +75,18 @@ def test_compress_eliminates_once_per_matrix(pd_two_loops, eliminations):
     rep = compress_representation(fresh(pd_two_loops))
     assert rep.dim == 21
     assert len(eliminations) <= 2 + len(TWO_LOOPS.base.arrows)
+
+
+def test_one_step_extension_solves_one_unknown_per_star_pair(eliminations):
+    # A rank-2 state of order 1 on two loops: the kernel of B_1, the
+    # odd-degree system, the Schur block, then the extension's flatness
+    # report and kernel.  The odd system has a u and a v column per star
+    # pair of the 64 paths of length 3, plus the right-hand side.
+    f = state_functional(TWO_LOOPS, 1, True, [2], random.Random(0))
+    ext = flat_extend_tip_maximal(f)
+    ext.kernel_basis()
+    assert len(eliminations) == 5
+    assert eliminations[1] == 64 + 1
 
 
 @pytest.fixture
