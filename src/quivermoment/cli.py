@@ -188,7 +188,8 @@ def cmd_gns_build(args) -> int:
         gens = fileio.elements_from_list(double, data["groebner"], "groebner", str(path))
         gb = right_groebner(gens, order)
         gram = fileio.matrix_from_rows(data.get("gram", []), str(path))
-        rep = build_from_groebner(double, gb, gram, bool(data.get("include_trivial", False)))
+        include_trivial = fileio.read_flag(data, "include_trivial", False, str(path))
+        rep = build_from_groebner(double, gb, gram, include_trivial)
     else:
         f = fileio.functional_from_dict(data, path.parent, str(path))
         rep = build_representation(f)

@@ -17,7 +17,7 @@ from .gns import Representation
 from .groebner import RightGroebnerBasis
 from .linalg import Matrix
 from .moment import TruncatedFunctional
-from .quiver import DoubleQuiver, Path, PathOrder, Quiver, build_double
+from .quiver import DoubleQuiver, Key, Path, PathOrder, Quiver, build_double
 from .scalar import Scalar
 
 
@@ -57,6 +57,21 @@ def _text(value, what: str, source: str | None) -> str:
 
 def _texts(value, key: str, source: str | None) -> list[str]:
     return [_text(v, f"'{key}' entry", source) for v in _list(value, key, source)]
+
+
+def read_flag(data: dict, key: str, default: bool, source: str | None) -> bool:
+    """A JSON boolean field; any other value is an input error."""
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise InputError(f"{_ctx(source)}'{key}' must be true or false, not {value!r}")
+    return value
+
+
+def _scalar(text: str, source: str | None) -> Scalar:
+    try:
+        return Scalar.parse(text)
+    except InputError as e:
+        raise InputError(f"{_ctx(source)}{e}") from None
 
 
 # -- quivers -------------------------------------------------------------------
@@ -112,10 +127,14 @@ def load_order(double: DoubleQuiver, path) -> PathOrder:
 
 
 def parse_path(double: DoubleQuiver, text: str, source: str | None = None) -> Path:
-    """Whitespace-separated arrow tokens (`*` suffix for stars), `e:NAME` trivial.
+    """Whitespace-separated arrow tokens (`*` suffix for stars), `e:NAME` trivial."""
+    return Path(double, *path_key(double, text, source))
 
-    One table lookup per token and one endpoint check per adjacent pair;
-    the path is built once, at the end.
+
+def path_key(double: DoubleQuiver, text: str, source: str | None = None) -> Key:
+    """The (vertex, letters) key of a path text, without building the path.
+
+    One table lookup per token and one endpoint check per adjacent pair.
     """
     tokens = text.split()
     if not tokens:
@@ -123,7 +142,7 @@ def parse_path(double: DoubleQuiver, text: str, source: str | None = None) -> Pa
     if tokens[0].startswith("e:"):
         if len(tokens) != 1:
             raise InputError(f"{_ctx(source)}trivial path token {tokens[0]!r} must stand alone")
-        return double.trivial(tokens[0][2:])
+        return double.trivial(tokens[0][2:]).vertex, ()
     letter_of, source_of, target_of = double.letter_of, double.source, double.target
     letters = []
     end = None
@@ -135,7 +154,7 @@ def parse_path(double: DoubleQuiver, text: str, source: str | None = None) -> Pa
             raise InputError(f"{_ctx(source)}non-composable path {text!r} at token {tok!r}")
         letters.append(letter)
         end = target_of[letter]
-    return Path(double, None, tuple(letters))
+    return None, tuple(letters)
 
 
 def path_to_text(p: Path) -> str:
@@ -150,7 +169,7 @@ def element_from_dict(double: DoubleQuiver, data: dict, source: str | None = Non
         except (KeyError, TypeError):
             raise InputError(f"{_ctx(source)}element term needs 'path' and 'coeff'") from None
         _text(ptext, "element path", source)
-        coeff = Scalar.parse(_text(ctext, "element coefficient", source))
+        coeff = _scalar(_text(ctext, "element coefficient", source), source)
         if ptext.strip() == "1":
             terms.extend((e, coeff) for e in double.trivial_paths())
         else:
@@ -179,7 +198,7 @@ def matrix_from_rows(rows, source: str | None = None, key: str = "gram") -> Matr
     parsed = []
     width = None
     for r in rows:
-        vals = [Scalar.parse(x) for x in _texts(r, key, source)]
+        vals = [_scalar(x, source) for x in _texts(r, key, source)]
         if width is None:
             width = len(vals)
         elif len(vals) != width:
@@ -200,6 +219,14 @@ def matrix_to_rows(m: Matrix) -> list[list[str]]:
 
 
 def functional_from_dict(data: dict, base_dir=".", source: str | None = None) -> TruncatedFunctional:
+    """The functional a file lists, read as word keys.
+
+    Each entry's path text becomes a (vertex, letters) key, and each
+    distinct value text is parsed once.  Errors name the file, in this
+    order: a malformed entry or a conflicting duplicate, in file order;
+    then, from the functional, an order below 1 or an over-large window, a
+    path outside the window, and a hermitian conflict.
+    """
     if "quiver" not in _object(data, "functional", source) or "k" not in data:
         raise InputError(f"{_ctx(source)}functional needs 'quiver' and 'k'")
     k = data["k"]
@@ -208,9 +235,10 @@ def functional_from_dict(data: dict, base_dir=".", source: str | None = None) ->
     entries = data.get("entries", [])
     if not isinstance(entries, list):
         raise InputError(f"{_ctx(source)}'entries' must be a list, not {entries!r}")
+    include_trivial = read_flag(data, "include_trivial", True, source)
     double = resolve_quiver(data["quiver"], base_dir, source)
-    include_trivial = bool(data.get("include_trivial", True))
-    values: dict[Path, Scalar] = {}
+    scalars: dict[str, Scalar] = {}
+    values: dict[Key, Scalar] = {}
     for ent in entries:
         try:
             ptext, vtext = ent["path"], ent["value"]
@@ -219,14 +247,16 @@ def functional_from_dict(data: dict, base_dir=".", source: str | None = None) ->
         for token in (ptext, vtext):
             if not isinstance(token, str):
                 raise InputError(f"{_ctx(source)}functional entry {ent!r}: {token!r} is not a string")
-        p = parse_path(double, ptext, source)
-        v = Scalar.parse(vtext)
-        if p in values and values[p] != v:
+        key = path_key(double, ptext, source)
+        v = scalars.get(vtext)
+        if v is None:
+            v = scalars[vtext] = _scalar(vtext, source)
+        have = values.setdefault(key, v)
+        if have is not v and have != v:
             raise InputError(f"{_ctx(source)}conflicting values for path {ptext!r}")
-        values[p] = v
     try:
-        return TruncatedFunctional(double, k, values, include_trivial)
-    except InputError as e:  # an over-large window, a hermitian conflict, a path outside the window
+        return TruncatedFunctional.from_words(double, k, values, include_trivial)
+    except InputError as e:  # an over-large window, a path outside the window, a hermitian conflict
         raise type(e)(f"{_ctx(source)}{e}") from None
 
 
@@ -238,7 +268,7 @@ def load_functional(path) -> TruncatedFunctional:
 def functional_to_dict(f: TruncatedFunctional) -> dict:
     entries = [
         {"path": path_to_text(p), "value": str(v)}
-        for p, v in sorted(f.values.items(), key=lambda t: f.order.key(t[0]))
+        for p, v in f.values.items()  # in window order, increasing under f.order
         if not v.is_zero()
     ]
     return {
@@ -272,7 +302,7 @@ def representation_from_dict(data: dict, base_dir=".", source: str | None = None
     arrows = _named_matrices(data.get("arrows", {}), "arrows", source)
     vertices = _named_matrices(data.get("vertices", {}), "vertices", source)
     cyc = data.get("cyclic")
-    cyclic = None if cyc is None else tuple(Scalar.parse(c) for c in _texts(cyc, "cyclic", source))
+    cyclic = None if cyc is None else tuple(_scalar(c, source) for c in _texts(cyc, "cyclic", source))
     n = len(basis)
     for name, m in list(arrows.items()) + list(vertices.items()):
         if m.rows != n or m.cols != n:
@@ -329,7 +359,7 @@ def certificate_from_dict(data: dict, base_dir=".", source: str | None = None):
         squares = elements_from_list(double, data["squares"], "squares", source)
         weights = None
         if "weights" in data:
-            weights = [Scalar.parse(w) for w in _texts(data["weights"], "weights", source)]
+            weights = [_scalar(w, source) for w in _texts(data["weights"], "weights", source)]
         return double, target, "squares", (squares, weights, degree)
     if "gram" in data and "basis" in data:
         basis = [parse_path(double, t, source) for t in _texts(data["basis"], "basis", source)]

@@ -16,7 +16,7 @@ from . import linalg
 from .algebra import Element
 from .errors import InputError, InternalInvariantError, WindowError
 from .linalg import Matrix
-from .quiver import ZERO_PATH, DoubleQuiver, Path, PathOrder, compose, enumerate_basis
+from .quiver import DoubleQuiver, Key, Path, PathOrder, window_keys
 from .scalar import ZERO, Scalar
 
 
@@ -24,10 +24,13 @@ class TruncatedFunctional:
     """Hermitian scalar assignment on the length <= 2k basis window.
 
     A functional is immutable after construction.  It enumerates its window
-    once and builds its order-k moment matrix once; every lower-order basis
-    is a prefix of the window and every lower-order matrix or block a slice
-    of the order-k matrix, because the path order compares lengths first.
-    Its flatness report and its kernel basis are computed once as well.
+    once, as (vertex, letters) keys with one position each, and holds its
+    values in window order; `Path` objects are built only for the window
+    prefixes asked for.  It builds its order-k moment matrix once, by
+    position; every lower-order basis is a prefix of the window and every
+    lower-order matrix or block a slice of the order-k matrix, because the
+    path order compares lengths first.  Its flatness report and its kernel
+    basis are computed once as well.
     """
 
     def __init__(
@@ -38,46 +41,94 @@ class TruncatedFunctional:
         include_trivial: bool = True,
         order: PathOrder | None = None,
     ):
+        given = {(p.vertex, p.letters): v for p, v in dict(values).items()}
+        self._load(double, k, given, include_trivial, order)
+
+    @classmethod
+    def from_words(cls, double, k, given: dict[Key, Scalar], include_trivial=True, order=None):
+        """The functional of values keyed by (vertex, letters), as a file lists them."""
+        f = cls.__new__(cls)
+        f._load(double, k, given, include_trivial, order)
+        return f
+
+    def _load(self, double, k, given: dict[Key, Scalar], include_trivial, order) -> None:
+        """Place the given values in the window and close them under the star.
+
+        Errors in this order: a path outside the window (the first one
+        given), then a hermitian conflict between the member of a star pair
+        given first and its partner.  An omitted partner takes the
+        conjugate value; each pair is looked at once.
+        """
         if k < 1:
             raise InputError("functional order k must be >= 1")
         self.double = double
         self.k = k
         self.include_trivial = include_trivial
         self.order = order or double.default_order()
-        window = enumerate_basis(double, self.order, 2 * k, include_trivial)
-        given = dict(values)
-        vals: dict[Path, Scalar] = dict.fromkeys(window, ZERO)
-        vals.update(given)
-        if len(vals) != len(window):
-            window_set = set(window)
-            outside = next(p for p in given if p not in window_set)
-            raise WindowError(f"path {outside} outside the length <= {2 * k} window")
-        # Hermitian closure: fill omitted starred partners, reject conflicts.
-        for p, v in given.items():
-            ps = p.star()
-            want = v.conjugate()
-            have = given.get(ps)
-            if have is None:
-                vals[ps] = want
-            elif have != want:
+        keys = window_keys(double, self.order, 2 * k, include_trivial)
+        position = {key: i for i, key in enumerate(keys)}
+        at = [position.get(key) for key in given]
+        if None in at:
+            outside = next(key for key, i in zip(given, at) if i is None)
+            raise self._outside(Path(double, *outside))
+        vals = [ZERO] * len(keys)
+        state = bytearray(len(keys))  # 1: given; 2: given, star pair already checked
+        for i, v in zip(at, given.values()):
+            vals[i] = v
+            state[i] = 1
+        for i in at:
+            if state[i] == 2:
+                continue
+            word = keys[i][1]
+            j = position[(None, double.star_word(word))] if word else i
+            want = vals[i].conjugate()
+            if not state[j]:
+                vals[j] = want
+                continue
+            have = vals[j]
+            if have is not want and have != want:
+                p, ps = Path(double, *keys[i]), Path(double, *keys[j])
                 raise InputError(f"hermitian conflict between {p} and {ps}")
-        # Lengths come first in the order: the last window path is a longest one.
-        per_length = [0] * (window[-1].length() + 1 if window else 1)
-        for p in window:
-            per_length[p.length()] += 1
-        self._window = tuple(window)
+            state[j] = 2
+        # Lengths come first in the order: the last window key is a longest one.
+        per_length = [0] * (len(keys[-1][1]) + 1 if keys else 1)
+        for _, word in keys:
+            per_length[len(word)] += 1
+        self._keys = keys
+        self._position = position
+        self._vals = vals
         self._ends = list(accumulate(per_length))  # window paths of length <= t
-        self.values = vals
+        self._paths: list[Path] = []  # the window paths built so far, a prefix
 
     # -- evaluation ------------------------------------------------------------
 
+    @cached_property
+    def values(self) -> dict[Path, Scalar]:
+        """Every window value, keyed by path, in window order."""
+        return dict(zip(self._window, self._vals))
+
     def value(self, p: Path) -> Scalar:
-        try:
-            return self.values[p]
-        except KeyError:
-            raise WindowError(f"path {p} outside the length <= {2 * self.k} window") from None
+        i = self._position.get((p.vertex, p.letters))
+        if i is None:
+            raise self._outside(p)
+        return self._vals[i]
+
+    def _outside(self, p: Path) -> WindowError:
+        return WindowError(f"path {p} outside the length <= {2 * self.k} window")
 
     # -- windows and matrices ----------------------------------------------------
+
+    @property
+    def _window(self) -> tuple[Path, ...]:
+        return self._prefix(len(self._keys))
+
+    def _prefix(self, n: int) -> tuple[Path, ...]:
+        """The first n window paths; each is built once, when first asked for."""
+        paths = self._paths
+        if len(paths) < n:
+            double = self.double
+            paths.extend([Path(double, *key) for key in self._keys[len(paths) : n]])
+        return tuple(paths[:n])
 
     def basis(self, t: int) -> tuple[Path, ...]:
         """The window paths of length <= t, a prefix of the window."""
@@ -85,26 +136,55 @@ class TruncatedFunctional:
             return ()
         if t > 2 * self.k:
             raise InputError(f"basis order {t} exceeds the window length {2 * self.k}")
-        return self._window[: self._ends[min(t, len(self._ends) - 1)]]
+        return self._prefix(self._ends[min(t, len(self._ends) - 1)])
 
     def moment_block(self, rows, cols) -> Matrix:
         """The matrix of L(p q*) over row paths p and column paths q.
 
         Entries where p q* vanishes in the path semigroup are exact zeros.
+        When every row and column lies in V_k, the block is read off the
+        order-k matrix.
         """
-        stars = [q.star() for q in cols]
-        value = self.value
+        rows = [(p.vertex, p.letters) for p in rows]
+        cols = [(q.vertex, q.letters) for q in cols]
+        full = self._matrix.m
+        n, position = full.rows, self._position
+        ri = [position.get(key, n) for key in rows]
+        ci = [position.get(key, n) for key in cols]
+        if max(ri, default=0) < n and max(ci, default=0) < n:
+            ents = full.entries
+            return Matrix(len(ri), len(ci), [ents[i * n + j] for i in ri for j in ci])
+        return Matrix(len(rows), len(cols), self._moments(rows, cols))
+
+    def _moments(self, rows: list[Key], cols: list[Key]) -> list[Scalar]:
+        """L(p q*) over row keys p and column keys q, row-major, by window position.
+
+        p q* is a path iff p and q end at the same vertex, and a zero otherwise.
+        """
+        double = self.double
+        target, position, vals = double.target, self._position, self._vals
+        # (terminal vertex of q, key of q*) per column
+        stars = [(target[w[-1]], (None, double.star_word(w))) if w else (v, (v, ())) for v, w in cols]
         ents = []
         for p in rows:
-            for qs in stars:
-                pq = compose(p, qs)
-                ents.append(ZERO if pq is ZERO_PATH else value(pq))
-        return Matrix(len(rows), len(cols), ents)
+            v, word = p
+            end = target[word[-1]] if word else v
+            for t, qs in stars:
+                if t != end:
+                    ents.append(ZERO)
+                    continue
+                pq = p if not qs[1] else qs if not word else (None, word + qs[1])
+                i = position.get(pq)
+                if i is None:
+                    raise self._outside(Path(double, *pq))
+                ents.append(vals[i])
+        return ents
 
     @cached_property
     def _matrix(self) -> MomentMatrix:
         basis = self.basis(self.k)
-        return MomentMatrix(basis, self.moment_block(basis, basis))
+        keys = self._keys[: len(basis)]
+        return MomentMatrix(basis, Matrix(len(keys), len(keys), self._moments(keys, keys)))
 
     def moment_matrix(self, t: int | None = None) -> MomentMatrix:
         """B_{L_t}: the order-k matrix for t = k, its top-left corner for t < k."""

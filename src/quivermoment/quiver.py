@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import InputError
 
 Letter = tuple[int, bool]  # (base arrow index, starred flag)
+Key = tuple[int | None, tuple[Letter, ...]]  # (vertex, letters) a Path is built from
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,10 @@ class DoubleQuiver:
 
     def letters(self) -> list[Letter]:
         return list(self._letters)
+
+    def star_word(self, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+        """The letters of the star of a word: reversed, each one starred."""
+        return tuple(map(self.star_of.__getitem__, reversed(letters)))
 
     def letter_name(self, letter: Letter) -> str:
         i, st = letter
@@ -152,7 +157,7 @@ class Path:
     def star(self) -> Path:
         if not self.letters:
             return self
-        return Path(self.double, None, tuple(map(self.double.star_of.__getitem__, reversed(self.letters))))
+        return Path(self.double, None, self.double.star_word(self.letters))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Path):
@@ -293,23 +298,35 @@ def _words(double: DoubleQuiver, order: PathOrder, max_len: int):
         yield layer
 
 
+def window_keys(
+    double: DoubleQuiver,
+    order: PathOrder,
+    max_len: int,
+    include_trivial: bool = True,
+) -> list[Key]:
+    """The keys of the paths of length <= max_len, strictly increasing under `order`.
+
+    A key is the (vertex, letters) pair a `Path` is built from: (v, ()) for
+    the trivial path at v, (None, word) otherwise.  With
+    include_trivial=False the window starts at length 1, matching the
+    convention of both worked fixtures.
+    """
+    if max_len < 0:
+        raise InputError("max_len must be >= 0")
+    out = [(v, ()) for v in order.vertex_seq] if include_trivial else []
+    for words in _words(double, order, max_len):
+        out.extend([(None, w) for w in words])
+    return out
+
+
 def enumerate_basis(
     double: DoubleQuiver,
     order: PathOrder,
     max_len: int,
     include_trivial: bool = True,
 ) -> list[Path]:
-    """All paths of length <= max_len, strictly increasing under `order`.
-
-    With include_trivial=False the window starts at length 1, matching the
-    convention of both worked fixtures.
-    """
-    if max_len < 0:
-        raise InputError("max_len must be >= 0")
-    out = [Path(double, v, ()) for v in order.vertex_seq] if include_trivial else []
-    for words in _words(double, order, max_len):
-        out.extend([Path(double, None, w) for w in words])
-    return out
+    """All paths of length <= max_len, strictly increasing under `order`."""
+    return [Path(double, *key) for key in window_keys(double, order, max_len, include_trivial)]
 
 
 def paths_of_length(double: DoubleQuiver, order: PathOrder, length: int) -> list[Path]:

@@ -14,6 +14,10 @@
   symmetry as extra rows, solved by the `Scalar` canonical solve;
 * the path and scalar text parsers as they were before the table-driven
   rewrite (prefix by prefix, and `Fraction` of each part's text);
+* the functional as it was built before word keys: its window as `Path`
+  objects, the hermitian closure through `p.star()` and `Scalar`
+  comparisons, B_{L_k} through `compose`, and a file read entry by entry
+  into paths;
 * normal forms as they were before the integer fold: the `Scalar` tip table
   and the letter-by-letter `Scalar` fold through it;
 * the decimal text of an integer without int.__str__;
@@ -26,6 +30,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import linalg_oracle
@@ -35,8 +40,12 @@ from quivermoment import (
     InternalInvariantError,
     Matrix,
     Path,
+    Quiver,
     TruncatedFunctional,
+    WindowError,
+    build_double,
     compose,
+    enumerate_basis,
     linalg,
     paths_of_length,
     right_groebner,
@@ -388,6 +397,85 @@ def scalar_parse(text: str) -> Scalar:
     except ZeroDivisionError:
         raise InputError(f"zero denominator in scalar literal {text!r}") from None
     return Scalar(re_part, im_part)
+
+
+# -- the functional as it was built before word keys -----------------------------
+
+
+@dataclass(frozen=True)
+class PathKeyedFunctional:
+    window: tuple[Path, ...]
+    values: dict[Path, Scalar]
+    matrix: Matrix  # B_{L_k}
+
+
+def compose_moment_block(value, rows, cols) -> Matrix:
+    """L(p q*) over row and column paths through `compose`; zero where p q* vanishes."""
+    stars = [q.star() for q in cols]
+    ents = []
+    for p in rows:
+        for qs in stars:
+            pq = compose(p, qs)
+            ents.append(ZERO if pq is ZERO_PATH else value(pq))
+    return Matrix(len(rows), len(cols), ents)
+
+
+def path_keyed_functional(double, k, values, include_trivial=True, order=None) -> PathKeyedFunctional:
+    """The window as paths, the hermitian closure through `p.star()` and `Scalar`
+    comparisons of every given path, and B_{L_k} through `compose`."""
+    if k < 1:
+        raise InputError("functional order k must be >= 1")
+    order = order or double.default_order()
+    window = enumerate_basis(double, order, 2 * k, include_trivial)
+    given = dict(values)
+    vals = dict.fromkeys(window, ZERO)
+    vals.update(given)
+    if len(vals) != len(window):
+        window_set = set(window)
+        outside = next(p for p in given if p not in window_set)
+        raise WindowError(f"path {outside} outside the length <= {2 * k} window")
+    for p, v in given.items():
+        ps = p.star()
+        want = v.conjugate()
+        have = given.get(ps)
+        if have is None:
+            vals[ps] = want
+        elif have != want:
+            raise InputError(f"hermitian conflict between {p} and {ps}")
+
+    def value(p):
+        try:
+            return vals[p]
+        except KeyError:
+            raise WindowError(f"path {p} outside the length <= {2 * k} window") from None
+
+    basis = [p for p in window if p.length() <= k]
+    return PathKeyedFunctional(tuple(window), vals, compose_moment_block(value, basis, basis))
+
+
+def load_path_keyed(data: dict, source: str | None = None) -> PathKeyedFunctional:
+    """A functional file read entry by entry into paths and scalars: the path
+    parser and scalar parser above, then `path_keyed_functional`."""
+    if "quiver" not in data or "k" not in data:
+        raise InputError(f"{_ctx(source)}functional needs 'quiver' and 'k'")
+    double = build_double(Quiver(data["quiver"]["vertices"], [
+        (a["name"], a["from"], a["to"]) for a in data["quiver"].get("arrows", [])
+    ]))
+    values = {}
+    for ent in data.get("entries", []):
+        ptext, vtext = ent["path"], ent["value"]
+        p = parse_path(double, ptext, source)
+        try:
+            v = scalar_parse(vtext)
+        except InputError as e:
+            raise InputError(f"{_ctx(source)}{e}") from None
+        if p in values and values[p] != v:
+            raise InputError(f"{_ctx(source)}conflicting values for path {ptext!r}")
+        values[p] = v
+    try:
+        return path_keyed_functional(double, data["k"], values, data.get("include_trivial", True))
+    except InputError as e:
+        raise type(e)(f"{_ctx(source)}{e}") from None
 
 
 # -- compression by basis completion ------------------------------------------

@@ -10,6 +10,10 @@ adds one of its odd-degree system and one of the Schur block [A | C].
 The kernel Gröbner basis is read off the echelon kernel, so no completion
 runs behind it: only the `groebner` command, whose output lists the
 completion's reductions, runs one.
+
+A loaded functional assembles its order-k moment matrix once, by window
+position, and every block of it that a verdict or the kernel check reads
+comes off that matrix, with no `compose` call.
 """
 
 from __future__ import annotations
@@ -22,17 +26,23 @@ import pytest
 from conftest import pd_functional, state_functional
 from quivermoment import (
     FlatExtension,
+    algebra,
     Quiver,
     TruncatedFunctional,
     build_double,
     build_representation,
     cli,
     compress_representation,
+    extension,
     fileio,
     flat_extend_tip_maximal,
+    gns,
     groebner,
     kernel_groebner,
     linalg,
+    moment,
+    quiver,
+    sos,
 )
 
 ONE_LOOP = build_double(Quiver(["e"], [("x", "e", "e")]))
@@ -125,3 +135,43 @@ def test_kernel_routes_run_no_completion(completions, tmp_path, capsys):
     assert len(out["elements"]) == len(gb.elements)
     assert completions.count("right_groebner") == 1
     assert completions.count("total_reduce") == 12
+
+
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """Calls of quiver.compose, under every module binding."""
+    calls = []
+    fn = quiver.compose
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for module in (quiver, algebra, moment, groebner, gns, extension, sos, fileio, cli):
+        if getattr(module, "compose", None) is fn:
+            monkeypatch.setattr(module, "compose", counted)
+    return calls
+
+
+def test_loaded_functional_assembles_its_moment_matrix_once(compose_calls, monkeypatch, tmp_path):
+    # The shape of a flat_gns instance: a rank-3 state on two loops with
+    # trivial paths and k = 3 (an 85-path V_k in a 5461-path window), read
+    # from its file.  The flatness report and the kernel Gröbner basis with
+    # its containment check fill B_{L_k} once and call no compose.
+    fpath = tmp_path / "f.json"
+    state = state_functional(TWO_LOOPS, 3, True, [3], random.Random(11))
+    fpath.write_text(json.dumps(fileio.functional_to_dict(state)), encoding="utf-8")
+    assemblies = []
+    fill = getattr(TruncatedFunctional, "_moments", None)
+
+    def counted(self, rows, cols):
+        assemblies.append((len(rows), len(cols)))
+        return fill(self, rows, cols)
+
+    monkeypatch.setattr(TruncatedFunctional, "_moments", counted, raising=False)
+    f = fileio.load_functional(fpath)
+    assert f.is_flat().flat
+    gb = kernel_groebner(f)
+    assert gb.elements
+    assert compose_calls == []
+    assert assemblies == [(85, 85)]

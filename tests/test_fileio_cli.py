@@ -187,6 +187,43 @@ def gens(elements, quiver=LOOP):
             "path x x* x outside the length <= 2 window",
             id="functional_path_outside_window",
         ),
+        pytest.param(
+            FLAT, {"quiver": LOOP, "k": 1, "include_trivial": "false", "entries": []},
+            "'include_trivial' must be true or false, not 'false'", id="include_trivial_string",
+        ),
+        pytest.param(
+            FLAT, {"quiver": LOOP, "k": 1, "include_trivial": 0, "entries": []},
+            "'include_trivial' must be true or false, not 0", id="include_trivial_int",
+        ),
+        pytest.param(
+            FLAT, {"quiver": LOOP, "k": 1, "include_trivial": None, "entries": []},
+            "'include_trivial' must be true or false, not None", id="include_trivial_null",
+        ),
+        pytest.param(
+            ["gns", "build"], {"quiver": LOOP, "groebner": [{"terms": [TERM_X]}], "include_trivial": "true"},
+            "'include_trivial' must be true or false, not 'true'", id="groebner_input_include_trivial_string",
+        ),
+        pytest.param(
+            FLAT, {"quiver": LOOP, "k": 1, "entries": [{"path": "x", "value": "1+i"}]},
+            "malformed scalar literal '1+i'", id="functional_value_malformed",
+        ),
+        pytest.param(
+            GENS, gens([{"terms": [{"path": "x", "coeff": "1+i"}]}]),
+            "malformed scalar literal '1+i'", id="term_coeff_malformed",
+        ),
+        pytest.param(
+            SOS, {**GRAM_CERT, "gram": [["1/0"]]}, "zero denominator in scalar literal '1/0'",
+            id="certificate_gram_malformed",
+        ),
+        pytest.param(
+            CHECK, {**REP, "gram": [["two"]]}, "malformed scalar literal 'two'", id="representation_gram_malformed",
+        ),
+        pytest.param(
+            CHECK, {**REP, "cyclic": [" "]}, "empty scalar literal ' '", id="cyclic_malformed",
+        ),
+        pytest.param(
+            SOS, {**SQUARES, "weights": ["1.5"]}, "malformed scalar literal '1.5'", id="weights_malformed",
+        ),
     ],
 )
 def test_cli_malformed_loader_input_exit_2(tmp_path, capsys, command, data, token):

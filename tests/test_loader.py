@@ -1,0 +1,156 @@
+"""The word-keyed functional loader against the `Path`-keyed construction it replaced.
+
+`fileio.functional_from_dict` maps each entry to a (vertex, letters) key and
+a window position, closes the values under the star once per star pair, and
+fills B_{L_k} by position.  `oracles.load_path_keyed` reads the same file
+entry by entry into paths, closes the values through `p.star()` for every
+given path, and builds B_{L_k} through `compose`.  On every file both must
+give the same window, values and moment matrix, or raise the same error
+class with the same message.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from quivermoment import Quiver, Scalar, build_double, enumerate_basis
+from quivermoment.fileio import functional_from_dict, quiver_to_dict
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+SOURCE = "f.json"
+
+QUIVERS = {
+    "one_loop": Quiver(["e"], [("x", "e", "e")]),
+    "two_loops": Quiver(["e"], [("x", "e", "e"), ("y", "e", "e")]),
+    "a2": Quiver(["e1", "e2"], [("x", "e1", "e2")]),
+    "xyz": Quiver(["e1", "e2"], [("x", "e1", "e2"), ("y", "e2", "e1"), ("z", "e1", "e1")]),
+    "arrowless": Quiver(["v", "w"], []),
+}
+MAX_K = {"one_loop": 3, "two_loops": 2, "a2": 3, "xyz": 2, "arrowless": 3}
+SEPARATORS = [" ", "  ", "\t", "\n "]
+
+
+def outcome(data):
+    """The loader's window, values and B_{L_k}, or its error class and message."""
+    try:
+        f = functional_from_dict(data, ".", SOURCE)
+        return f._window, list(f.values.items()), f.moment_matrix().m
+    except Exception as e:  # the class and the message are compared
+        return type(e), str(e)
+
+
+def oracle_outcome(data):
+    try:
+        f = oracles.load_path_keyed(data, SOURCE)
+        return f.window, list(f.values.items()), f.matrix
+    except Exception as e:
+        return type(e), str(e)
+
+
+def text(draw, p) -> str:
+    """The text of a path, its tokens between drawn runs of whitespace."""
+    tokens = str(p).split()
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return seps[0] + "".join(t + s for t, s in zip(tokens, seps[1:]))
+
+
+@st.composite
+def functional_files(draw):
+    name = draw(st.sampled_from(sorted(QUIVERS)))
+    double = build_double(QUIVERS[name])
+    k = draw(st.integers(1, MAX_K[name]))
+    include_trivial = draw(st.booleans())
+    complex_ = draw(st.booleans())
+    # The window and, for out-of-window faults, the layer above it.
+    paths = enumerate_basis(double, double.default_order(), 2 * k + 1, include_trivial)
+    window = [p for p in paths if p.length() <= 2 * k]
+    longer = [p for p in paths if p.length() > 2 * k]
+
+    def scalar():
+        im = draw(st.integers(-2, 2)) if complex_ else 0
+        return Scalar(draw(st.integers(-3, 3)), im)
+
+    entries, seen = [], set()
+    for p in draw(st.lists(st.sampled_from(window), unique=True, max_size=12)) if window else []:
+        if p in seen:
+            continue
+        seen.update((p, p.star()))
+        v = scalar()
+        fault = draw(st.integers(0, 9)) == 1  # a hermitian conflict
+        if p == p.star():
+            # A path that is its own star must carry a real value.
+            entries.append((p, Scalar(v.re, 1 if fault else 0)))
+            continue
+        entries.append((p, v))
+        # The star partner: given in conflict, given consistently, or omitted.
+        if fault:
+            entries.append((p.star(), v.conjugate() + Scalar(1)))
+        elif draw(st.booleans()):
+            entries.append((p.star(), v.conjugate()))
+    # Rarer faults: a path outside the window, a repeated entry with an equal
+    # or a differing value.
+    if longer and draw(st.integers(0, 4)) == 1:
+        entries.append((draw(st.sampled_from(longer)), scalar()))
+    if entries and draw(st.integers(0, 2)) == 1:
+        p, v = draw(st.sampled_from(entries))
+        entries.append((p, v if draw(st.booleans()) else v + Scalar(2)))
+    entries = draw(st.permutations(entries))
+    return {
+        "quiver": quiver_to_dict(double.base),
+        "k": k,
+        "include_trivial": include_trivial,
+        "entries": [{"path": text(draw, p), "value": str(v)} for p, v in entries],
+    }
+
+
+@SETTINGS
+@given(functional_files())
+def test_loader_matches_the_path_keyed_construction(data):
+    assert outcome(data) == oracle_outcome(data)
+
+
+LOOP2 = quiver_to_dict(QUIVERS["two_loops"])
+
+
+def entries(*pairs):
+    return [{"path": p, "value": v} for p, v in pairs]
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        pytest.param(
+            [("x x x", "1"), ("x", "1"), ("x*", "2"), ("y", "1"), ("y", "3")],
+            "f.json: conflicting values for path 'y'",
+            id="duplicate_before_window_and_hermitian",
+        ),
+        pytest.param(
+            [("x", "1"), ("x*", "2"), ("y y y", "1"), ("x x x", "1")],
+            "f.json: path y y y outside the length <= 2 window",
+            id="first_outside_before_hermitian",
+        ),
+        pytest.param(
+            [("y*", "1"), ("x*", "1"), ("x", "2"), ("y", "2")],
+            "f.json: hermitian conflict between y* and y",
+            id="hermitian_first_member_in_file_order",
+        ),
+        pytest.param(
+            [("x y", "1"), ("x x*", "1+2i"), ("y* x*", "2")],
+            "f.json: hermitian conflict between x y and y* x*",
+            id="hermitian_pair_before_later_self_star",
+        ),
+        pytest.param(
+            [("e:e", "1i"), ("x y", "1"), ("y* x*", "2")],
+            "f.json: hermitian conflict between e:e and e:e",
+            id="hermitian_self_star_first",
+        ),
+    ],
+)
+def test_multi_fault_files_raise_the_first_error_in_precedence(pairs, message):
+    data = {"quiver": LOOP2, "k": 1, "include_trivial": True, "entries": entries(*pairs)}
+    kind, text = outcome(data)
+    assert text == message
+    assert (kind, text) == oracle_outcome(data)

@@ -16,7 +16,7 @@ from quivermoment import (
 from quivermoment import linalg
 
 from conftest import elem, l3_functional, path, pd_functional, sc, state_functional
-from oracles import pairing, reassemble, restrict, riesz_eval
+from oracles import compose_moment_block, pairing, reassemble, restrict, riesz_eval
 
 
 def test_riesz_eval_fixture(fix_l2):
@@ -300,7 +300,7 @@ def test_lemf_positivity_transfer(fix_loop, fix_a2):
 
 def test_lower_orders_and_blocks_are_slices_of_the_order_k_matrix(fix_l2, fix_l2_ext, example2_l4, fix_chain):
     # Bases, lower-order matrices and blocks agree with what an independent
-    # enumeration and moment_block build from scratch.
+    # enumeration and the compose-based block build from scratch.
     rng = random.Random(12)
     functionals = [fix_l2, fix_l2_ext, example2_l4, pd_functional(fix_chain, 2, True, rng)]
     for f in functionals:
@@ -308,11 +308,26 @@ def test_lower_orders_and_blocks_are_slices_of_the_order_k_matrix(fix_l2, fix_l2
             basis = tuple(enumerate_basis(f.double, f.order, t, f.include_trivial)) if t >= 0 else ()
             assert f.basis(t) == basis
             mm = f.moment_matrix(t)
-            assert mm.basis == basis and mm.m == f.moment_block(basis, basis)
+            assert mm.basis == basis and mm.m == compose_moment_block(f.value, basis, basis)
         old = tuple(enumerate_basis(f.double, f.order, f.k - 1, f.include_trivial))
         new = tuple(p for p in enumerate_basis(f.double, f.order, f.k, f.include_trivial) if p not in old)
         blocks = f.block_decompose()
         assert (blocks.old_basis, blocks.new_basis) == (old, new)
-        assert blocks.a == f.moment_block(old, old)
-        assert blocks.c == f.moment_block(old, new)
-        assert blocks.b == f.moment_block(new, new)
+        assert blocks.a == f.moment_block(old, old) == compose_moment_block(f.value, old, old)
+        assert blocks.c == f.moment_block(old, new) == compose_moment_block(f.value, old, new)
+        assert blocks.b == f.moment_block(new, new) == compose_moment_block(f.value, new, new)
+
+
+def test_moment_block_reads_v_k_and_looks_up_longer_paths(fix_chain):
+    # Rows and columns in V_k come off the order-k matrix, in any order and
+    # with repeats; a longer row takes the lookup, and a product outside the
+    # window raises the WindowError value() raises.
+    f = pd_functional(fix_chain, 2, True, random.Random(4))
+    window = f.basis(4)
+    short, longer = list(f.basis(2)), [p for p in window if p.length() > 2]
+    rows = short[::-1] + short[:3]
+    assert f.moment_block(rows, short) == compose_moment_block(f.value, rows, short)
+    assert f.moment_block(longer, short[:1]) == compose_moment_block(f.value, longer, short[:1])
+    assert f.moment_block([], short) == Matrix(0, len(short), [])
+    with pytest.raises(WindowError, match="outside the length <= 4 window"):
+        f.moment_block(longer, longer)
