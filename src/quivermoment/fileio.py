@@ -142,7 +142,10 @@ def path_key(double: DoubleQuiver, text: str, source: str | None = None) -> Key:
     if tokens[0].startswith("e:"):
         if len(tokens) != 1:
             raise InputError(f"{_ctx(source)}trivial path token {tokens[0]!r} must stand alone")
-        return double.trivial(tokens[0][2:]).vertex, ()
+        vertex = double.base.vertex_index.get(tokens[0][2:])
+        if vertex is None:
+            raise InputError(f"{_ctx(source)}unknown vertex {tokens[0][2:]!r}")
+        return vertex, ()
     letter_of, source_of, target_of = double.letter_of, double.source, double.target
     letters = []
     end = None

@@ -313,8 +313,12 @@ def check_relations(rep: Representation) -> RelationReport:
         psum = psum + pv
     report.record("vertex projections sum to identity", psum == Matrix.identity(n))
 
-    report.record("gram hermitian", rep.gram.is_hermitian())
-    report.record("gram PSD", rep.gram.is_hermitian() and linalg.psd_check(rep.gram))
+    try:  # psd_check decides hermitian first, on the integers it pivots
+        hermitian, psd = True, linalg.psd_check(rep.gram)
+    except ValueError:
+        hermitian = psd = False
+    report.record("gram hermitian", hermitian)
+    report.record("gram PSD", psd)
     for arrow in double.base.arrows:
         report.record(f"adjointness {arrow.name}", rep.adjoint_pair_ok(arrow.name))
     return report

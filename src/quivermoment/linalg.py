@@ -22,6 +22,16 @@ those of elimination over `Scalar`.
 
 One elimination of [a | c] gives rank(a) and the RREF solution of a*X = c,
 or shows that c leaves Ran(a) (`solve_particular`).
+
+A hermitian matrix [[A, C], [C^H, B]] can also be held as one integer image
+(`_image`: the matrix times one common denominator, as integer rows) that
+its kernel, its flatness and its PSD pivoting all read.  Flatness is one
+elimination of the top rows [A | C] and a reduction of each lower row
+[C^H | B] against their pivot rows (`_block_flat`): A is hermitian, so once
+Ran C <= Ran A a reduced lower row is [0 | B - C^H X] up to a nonzero
+factor, with A X = C, and B = C^H X holds iff every residual is zero.  No
+solution X and no product is formed.  The PSD pivoting checks the hermitian
+property on the same integers it pivots.
 """
 
 from __future__ import annotations
@@ -210,13 +220,17 @@ def _ratio(x: tuple[int, int], a: tuple[int, int]) -> Scalar:
 # -- elimination ---------------------------------------------------------------------
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _combine(dst: list[int], src: list[int], a: int, b: int) -> list[int]:
     """Primitive part of a*dst - b*src for real integer rows."""
     g = gcd(a, b)
     a, b = a // g, b // g
-    new = [a * x - b * y for x, y in zip(dst, src)]
-    g = gcd(*new)
-    return [x // g for x in new] if g > 1 else new
+    return _primitive([a * x - b * y for x, y in zip(dst, src)])
 
 
 def _bareiss(dst: list[int], src: list[int], a, b, prev, ncols: int) -> list[int]:
@@ -277,11 +291,59 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
+def _rows(blocks: list[Matrix]) -> list[list[int]]:
+    """Integer rows of the side-by-side block matrix [b0 | b1 | ...], each scaled on its own."""
+    real = all(_is_real(b.entries) for b in blocks)
+    return [_scaled([e for b in blocks for e in b.row(i)], real)[0] for i in range(blocks[0].rows)]
+
+
 def _eliminate(blocks: list[Matrix]) -> tuple[list[list[int]], list[int]]:
     """Integer rows and pivot columns of the side-by-side block matrix [b0 | b1 | ...]."""
-    real = all(_is_real(b.entries) for b in blocks)
-    rows = [_scaled([e for b in blocks for e in b.row(i)], real)[0] for i in range(blocks[0].rows)]
+    rows = _rows(blocks)
     return rows, _gauss_jordan(rows, sum(b.cols for b in blocks))
+
+
+def _image(m: Matrix) -> tuple[list[list[int]], int]:
+    """m times one positive common denominator, as integer rows, and that denominator.
+
+    Real data gives one int per entry; otherwise each row holds its real
+    parts, then its imaginary parts, the layout `_gauss_jordan` reads.
+    """
+    n = m.cols
+    real = _is_real(m.entries)
+    flat, den = _scaled(m.entries, real)
+    if real:
+        return [flat[i * n : (i + 1) * n] for i in range(m.rows)], den
+    size = m.rows * n
+    return [flat[i * n : (i + 1) * n] + flat[size + i * n : size + (i + 1) * n] for i in range(m.rows)], den
+
+
+def _block_flat(rows: list[list[int]], n: int, ncols: int) -> tuple[int, bool, bool]:
+    """rank A, Ran C <= Ran A, and B == C^H X with A X = C, for hermitian integer rows.
+
+    The rows are those of [[A, C], [C^H, B]] with A of size n; they are not
+    changed.  The top rows [A | C] are eliminated once.  Each lower row is
+    then reduced against the pivot rows: `_combine` on real rows, an exact
+    Z[i] step and a content gcd on rows in the (re, im) layout.  A is
+    hermitian, so a row of C^H lies in the row space of A, and the residual
+    is [0 | B - C^H X] up to a nonzero factor.
+    """
+    top = [row[:] for row in rows[:n]]
+    pivots = _gauss_jordan(top, ncols)
+    rank_a = sum(p < n for p in pivots)
+    if rank_a < len(pivots):
+        return rank_a, False, False
+    real = not rows or len(rows[0]) == ncols
+    for row in rows[n:]:
+        for src, p in zip(top, pivots):
+            b = _entry(row, p, ncols)
+            if b == (0, 0):
+                continue
+            a = _entry(src, p, ncols)
+            row = _combine(row, src, a[0], b[0]) if real else _primitive(_bareiss(row, src, a, b, (1, 0), ncols))
+        if any(row):
+            return rank_a, True, False
+    return rank_a, True, True
 
 
 def _reduced_block(rows, pivots, ncols: int, first: int, width: int) -> Matrix:
@@ -309,17 +371,22 @@ def nullspace(m: Matrix) -> list[tuple[Scalar, ...]]:
     basis vector has coordinate 0 at f, so the list is in reduced echelon
     form.  Empty for injective matrices.
     """
-    rows, pivots = _eliminate([m])
+    return _null_vectors(_rows([m]), m.cols)
+
+
+def _null_vectors(rows: list[list[int]], ncols: int) -> list[tuple[Scalar, ...]]:
+    """`nullspace` of the matrix of integer rows, which are eliminated in place."""
+    pivots = _gauss_jordan(rows, ncols)
     pivot_set = set(pivots)
-    leads = [_entry(rows[r], p, m.cols) for r, p in enumerate(pivots)]
+    leads = [_entry(rows[r], p, ncols) for r, p in enumerate(pivots)]
     basis = []
-    for f in range(m.cols):
+    for f in range(ncols):
         if f in pivot_set:
             continue
-        vec = [ZERO] * m.cols
+        vec = [ZERO] * ncols
         vec[f] = ONE
         for r, p in enumerate(pivots):
-            x = _entry(rows[r], f, m.cols)
+            x = _entry(rows[r], f, ncols)
             if x != (0, 0):
                 vec[p] = _ratio((-x[0], -x[1]), leads[r])
         basis.append(tuple(vec))
@@ -361,9 +428,7 @@ def psd_check(m: Matrix) -> bool:
     the first positive diagonal is pivoted out through an exact Schur
     complement.  Correct for semidefinite (not only definite) matrices.
     """
-    if not m.is_hermitian():
-        raise ValueError("psd_check requires a hermitian matrix")
-    return _psd_pivots(m) is not None
+    return _psd_pivots(m, "psd_check") is not None
 
 
 def ldlh_psd(m: Matrix) -> list[tuple[Scalar, tuple[Scalar, ...]]] | None:
@@ -372,24 +437,30 @@ def ldlh_psd(m: Matrix) -> list[tuple[Scalar, tuple[Scalar, ...]]] | None:
     Returns pairs (d, v) with d a positive rational pivot and v a vector such
     that m = sum d * v v^H.  Returns None when m is not PSD.
     """
-    if not m.is_hermitian():
-        raise ValueError("ldlh_psd requires a hermitian matrix")
-    return _psd_pivots(m)
+    return _psd_pivots(m, "ldlh_psd")
 
 
-def _psd_pivots(m: Matrix):
-    """LDL^H pivots of `m`, on integer matrices over a positive rational scale.
+def _psd_pivots(m: Matrix, caller: str):
+    if m.rows != m.cols:
+        raise ValueError(f"{caller} requires a hermitian matrix")
+    return _image_psd(*_image(m), caller)
 
-    The hermitian matrix still to be pivoted is (re + i im) / scale on the
-    active indices.  Pivoting out p with d = re[p][p] > 0 leaves the Schur
-    complement (d*S[i][j] - S[i][p]*conj(S[j][p])) / (scale*d), whose integer
-    part is then divided by the gcd of its entries.
+
+def _image_psd(rows: list[list[int]], den: int, caller: str):
+    """LDL^H pivots of the matrix rows / den, from its integer image (see `_image`).
+
+    The image is checked to be hermitian first, on its integers, and is not
+    changed.  The hermitian matrix still to be pivoted is (re + i im) /
+    scale on the active indices.  Pivoting out p with d = re[p][p] > 0
+    leaves the Schur complement (d*S[i][j] - S[i][p]*conj(S[j][p])) /
+    (scale*d), whose integer part is then divided by the gcd of its entries.
     """
-    n = m.rows
-    real = _is_real(m.entries)
-    flat, den = _scaled(m.entries, real)
-    re = [flat[i * n : (i + 1) * n] for i in range(n)]
-    im = [[0] * n for _ in range(n)] if real else [flat[(n + i) * n : (n + i + 1) * n] for i in range(n)]
+    n = len(rows)
+    real = not rows or len(rows[0]) == n
+    re = [row[:n] for row in rows]
+    im = [[0] * n for _ in range(n)] if real else [row[n:] for row in rows]
+    if re != [list(col) for col in zip(*re)] or (not real and im != [[-x for x in col] for col in zip(*im)]):
+        raise ValueError(f"{caller} requires a hermitian matrix")
     mats = [re] if real else [re, im]
     scale = Fraction(den)
     active = list(range(n))

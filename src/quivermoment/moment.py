@@ -222,31 +222,45 @@ class TruncatedFunctional:
         return list(self._kernel)
 
     @cached_property
+    def _image(self) -> tuple[list[list[int]], int]:
+        """B_{L_k} times one common denominator, as integer rows, and that denominator.
+
+        The kernel, both flatness criteria and the PSD verdict read it; see
+        `linalg._image` for the layout.
+        """
+        return linalg._image(self.moment_matrix().m)
+
+    @cached_property
     def _kernel(self) -> tuple[Element, ...]:
-        mm = self.moment_matrix()
-        vecs = linalg.nullspace(mm.m.conjugate())
-        return tuple(Element.from_terms(self.double, zip(mm.basis, v)) for v in vecs)
+        rows, _ = self._image
+        n = len(rows)
+        conjugate = [row[:n] + [-x for x in row[n:]] for row in rows]
+        vecs = linalg._null_vectors(conjugate, n)
+        basis, double = self.basis(self.k), self.double
+        # The paths are distinct and a null vector holds the shared ZERO at its
+        # zero coordinates, so the support is read off without arithmetic.
+        return tuple(Element(double, {p: c for p, c in zip(basis, v) if c is not ZERO}) for v in vecs)
 
     def is_flat(self) -> FlatReport:
         """Both flatness criteria, cross-asserted.
 
         Rank criterion: rank B_{L_k} = rank B_{L_{k-1}}.  Block criterion:
         Ran(C) <= Ran(A) and B equals the exact Schur completion C^H X with
-        A X = C.  The two are equivalent for hermitian data, so disagreement
-        is a hard failure.
+        A X = C.  The top rows [A | C] of B_{L_k}'s integer image are
+        eliminated once, which gives rank A and the range test; each lower
+        row [C^H | B] is then reduced against their pivot rows, and B = C^H X
+        iff every residual is zero (`linalg._block_flat`).  The two criteria
+        are equivalent for hermitian data, so disagreement is a hard failure.
         """
         return self._flat_report
 
     @cached_property
     def _flat_report(self) -> FlatReport:
-        blocks = self.block_decompose()
-        # rank conj(B_{L_k}) = rank B_{L_k}; [A | C] gives rank A, Ran C <= Ran A and X.
-        rank_k = len(self.basis(self.k)) - len(self._kernel)
-        rank_km1, x = linalg.solve_particular(blocks.a, blocks.c)
+        rows, _ = self._image
+        # rank conj(B_{L_k}) = rank B_{L_k}
+        rank_k = len(rows) - len(self._kernel)
+        rank_km1, range_ok, block_flat = linalg._block_flat(rows, len(self.basis(self.k - 1)), len(rows))
         rank_flat = rank_k == rank_km1
-        range_ok = x is not None
-        # A is hermitian, so C^H X is the same for every solution of A X = C.
-        block_flat = range_ok and blocks.b == blocks.c.conj_transpose() * x
 
         if rank_flat != block_flat:
             raise InternalInvariantError(
@@ -268,7 +282,8 @@ class TruncatedFunctional:
         return True
 
     def is_psd(self) -> bool:
-        return linalg.psd_check(self.moment_matrix().m)
+        """`linalg.psd_check` of B_{L_k}, pivoted on its integer image."""
+        return linalg._image_psd(*self._image, "psd_check") is not None
 
 
 @dataclass(frozen=True)

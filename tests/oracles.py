@@ -7,6 +7,10 @@
 * reassembly of a block decomposition, truncation of an element, the
   restriction of a functional to a lower order, the Riesz functional L(f)
   and the moment pairing L(f g*) computed through the algebra product;
+* the flatness report and the PSD verdict as they were before the integer
+  image of B_{L_k}: the block criterion through the `Scalar` solution X of
+  A X = C, the product C^H X and `Matrix ==`, and `Matrix.is_hermitian`
+  before `Scalar` pivoting;
 * the kernel Gröbner basis as it was before the minimal-tip selection: the
   completion of the echelon kernel, then the containment check;
 * the odd-degree system of the one-step extension as it was before the
@@ -36,6 +40,7 @@ from fractions import Fraction
 import linalg_oracle
 from quivermoment import (
     Element,
+    FlatReport,
     InputError,
     InternalInvariantError,
     Matrix,
@@ -234,6 +239,32 @@ def completion_kernel_groebner(functional: TruncatedFunctional):
     return gb
 
 
+# -- flatness and PSD on `Scalar` blocks, before the integer image ---------------
+
+
+def flat_report(functional: TruncatedFunctional) -> FlatReport:
+    """Both flatness criteria on the `Scalar` blocks of B_{L_k}, cross-asserted.
+
+    rank B_{L_k} by elimination; rank A and the RREF solution X of A X = C by
+    `solve_particular`; the block criterion as the product C^H X compared
+    with B through `Matrix.__mul__` and `Matrix ==`.
+    """
+    blocks = functional.block_decompose()
+    rank_k = linalg.rank(functional.moment_matrix().m)
+    rank_km1, x = linalg.solve_particular(blocks.a, blocks.c)
+    rank_flat = rank_k == rank_km1
+    range_ok = x is not None
+    block_flat = range_ok and blocks.b == blocks.c.conj_transpose() * x
+    if rank_flat != block_flat:
+        raise InternalInvariantError(f"flatness criteria disagree: rank says {rank_flat}, block says {block_flat}")
+    return FlatReport(rank_flat, rank_k, rank_km1, range_ok)
+
+
+def is_psd(functional: TruncatedFunctional) -> bool:
+    """`Matrix.is_hermitian` on B_{L_k}, then `Scalar` diagonal pivoting."""
+    return linalg_oracle.psd_check(functional.moment_matrix().m)
+
+
 # -- the one-step extension's odd-degree system, one unknown per path -----------
 
 
@@ -367,7 +398,10 @@ def parse_path(double, text: str, source: str | None = None) -> Path:
     if tokens[0].startswith("e:"):
         if len(tokens) != 1:
             raise InputError(f"{_ctx(source)}trivial path token {tokens[0]!r} must stand alone")
-        return double.trivial(tokens[0][2:])
+        try:
+            return double.trivial(tokens[0][2:])
+        except InputError as e:
+            raise InputError(f"{_ctx(source)}{e}") from None
     acc = None
     for tok in tokens:
         try:

@@ -1,9 +1,13 @@
 """Each matrix a verdict or a construction needs is eliminated once.
 
 The count is of calls to the one Gauss-Jordan engine in `linalg`.  A fresh
-functional's flatness report and kernel take two: the kernel of B_{L_k}
-(which also gives its rank) and one elimination of [A | C] (rank A, range
-containment and the block solution).  Compression adds one elimination of
+functional's flatness report and kernel take two, both on the integer image
+of B_{L_k}: the kernel of B_{L_k} (which also gives its rank) and one
+elimination of its top rows [A | C] (rank A and range containment).  The
+block criterion B = C^H X reduces the lower rows [C^H | B] against those
+pivot rows, so no solution X, no product and no `Scalar` comparison of
+matrices is formed; the PSD verdict checks the hermitian property on the
+same integers it pivots.  Compression adds one elimination of
 the gram and one of its kept block per base arrow.  A one-step extension
 adds one of its odd-degree system and one of the Schur block [A | C].
 
@@ -79,6 +83,36 @@ def test_flatness_and_kernel_eliminate_twice(flat, pd_two_loops, eliminations):
     f.kernel_basis()
     assert report.flat == flat
     assert len(eliminations) == 2
+
+
+@pytest.fixture
+def scalar_matrix_calls(monkeypatch):
+    """Calls of Matrix.__mul__ and Matrix.is_hermitian."""
+    calls = []
+    for name in ("__mul__", "is_hermitian"):
+        fn = getattr(linalg.Matrix, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(linalg.Matrix, name, counted)
+    return calls
+
+
+def test_loaded_verdicts_form_no_scalar_product(tmp_path, eliminations, scalar_matrix_calls):
+    # The shape of a flat_gns instance: a rank-3 state on two loops with
+    # trivial paths and k = 3, read from its file.
+    fpath = tmp_path / "f.json"
+    state = state_functional(TWO_LOOPS, 3, True, [3], random.Random(11))
+    fpath.write_text(json.dumps(fileio.functional_to_dict(state)), encoding="utf-8")
+    f = fileio.load_functional(fpath)
+    del eliminations[:], scalar_matrix_calls[:]
+    assert f.is_flat() == moment.FlatReport(True, 3, 3, True)
+    assert len(f.kernel_basis()) == 85 - 3
+    assert f.is_psd()
+    assert len(eliminations) == 2
+    assert scalar_matrix_calls == []
 
 
 def test_compress_eliminates_once_per_matrix(pd_two_loops, eliminations):

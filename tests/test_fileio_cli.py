@@ -10,6 +10,7 @@ from quivermoment.cli import main
 from quivermoment import fileio
 
 from conftest import FIX_H4_TERMS, elem, path, sc
+import oracles
 from oracles import digits
 
 A2 = {
@@ -188,6 +189,10 @@ def gens(elements, quiver=LOOP):
             id="functional_path_outside_window",
         ),
         pytest.param(
+            FLAT, {"quiver": LOOP, "k": 1, "entries": [{"path": "e:nowhere", "value": "1"}]},
+            "bad.json: unknown vertex 'nowhere'", id="functional_unknown_vertex",
+        ),
+        pytest.param(
             FLAT, {"quiver": LOOP, "k": 1, "include_trivial": "false", "entries": []},
             "'include_trivial' must be true or false, not 'false'", id="include_trivial_string",
         ),
@@ -278,6 +283,19 @@ def test_cli_moment_flat(tmp_path, capsys):
         "range_contained": True,
         "window": "nontrivial",
     }
+
+
+def test_committed_gaussian_fixture_is_flat_and_psd(tmp_path, capsys):
+    # CI runs `moment flat`, `moment psd` and `gns build` on this file
+    # without site-packages; its values are not all real.
+    fpath = str(FsPath(__file__).parent / "fixtures" / "fix_gauss_loop.json")
+    f = fileio.load_functional(fpath)
+    assert any(v.im for v in f.values.values())
+    assert f.is_flat() == oracles.flat_report(f) and f.is_flat().flat
+    assert f.is_psd() and oracles.is_psd(f)
+    for command in (["moment", "flat"], ["moment", "psd"], ["gns", "build", "-o", str(tmp_path / "rep.json")]):
+        assert main([*command, fpath]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_committed_fixture_is_the_flat_extension(fix_l2_ext):

@@ -23,7 +23,7 @@ from quivermoment import (
     right_groebner,
 )
 from oracles import apply_right_element, element_matrix_word_order, inner
-from quivermoment.scalar import ONE, ZERO
+from quivermoment.scalar import ONE, ZERO, Scalar
 
 from conftest import elem, path, pd_functional, sc, state_functional
 
@@ -161,6 +161,28 @@ def test_check_relations_reports_failures(fix_a2):
     report = check_relations(bad)
     assert not report.passed
     assert any("adjointness x" in name for name in report.failures())
+
+
+@pytest.mark.parametrize(
+    "gram, failed",
+    [
+        ([[1, 2], [3, 1]], ["gram hermitian", "gram PSD"]),
+        ([[1, Scalar(0, 1)], [Scalar(0, 1), 1]], ["gram hermitian", "gram PSD"]),
+        ([[1, 2], [2, 1]], ["gram PSD"]),
+        ([[1, Scalar(0, 1)], [Scalar(0, -1), 1]], []),
+    ],
+)
+def test_check_relations_records_the_gram_verdicts(fix_loop, gram, failed):
+    x = Matrix.from_rows([[sc(0), sc(0)], [sc(1), sc(0)]])
+    rep = Representation(
+        fix_loop,
+        (path(fix_loop, "x"), path(fix_loop, "x x")),
+        Matrix.from_rows([[sc(e) for e in row] for row in gram]),
+        {"x": x, "x*": x.conj_transpose()},
+        {"e": Matrix.identity(2)},
+        None,
+    )
+    assert [name for name in check_relations(rep).failures() if name.startswith("gram")] == failed
 
 
 def test_compress_moment_reproduction(fix_a2):

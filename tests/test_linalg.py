@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -108,6 +109,25 @@ def test_psd_zero_diagonal_with_offdiagonal():
 def test_psd_rejects_non_hermitian():
     with pytest.raises(ValueError):
         psd_check(m_int([[1, 2], [3, 1]]))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, Scalar(0, 1)], [Scalar(0, 1), 1]],
+        [[Scalar(1, 1), 0], [0, 1]],
+        [[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 3), 1]],
+        [[1, 2, 3], [2, 1, 0]],
+    ],
+    ids=["im_symmetric", "diagonal_non_real", "fractions", "not_square"],
+)
+def test_psd_and_ldlh_refuse_non_hermitian_with_their_own_text(rows):
+    m = Matrix.from_rows([[x if isinstance(x, Scalar) else Scalar(x) for x in row] for row in rows])
+    assert not m.is_hermitian()
+    with pytest.raises(ValueError, match="^psd_check requires a hermitian matrix$"):
+        psd_check(m)
+    with pytest.raises(ValueError, match="^ldlh_psd requires a hermitian matrix$"):
+        ldlh_psd(m)
 
 
 def test_psd_complex_hermitian():

@@ -1,21 +1,26 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from quivermoment import (
     Element,
     InputError,
     Matrix,
+    Quiver,
     Scalar,
     TruncatedFunctional,
     WindowError,
     ZERO_PATH,
+    build_double,
     compose,
     enumerate_basis,
 )
 from quivermoment import linalg
 
-from conftest import elem, l3_functional, path, pd_functional, sc, state_functional
+from conftest import elem, hermitian_functional, l3_functional, path, pd_functional, sc, state_functional
 from oracles import compose_moment_block, pairing, reassemble, restrict, riesz_eval
 
 
@@ -331,3 +336,63 @@ def test_moment_block_reads_v_k_and_looks_up_longer_paths(fix_chain):
     assert f.moment_block([], short) == Matrix(0, len(short), [])
     with pytest.raises(WindowError, match="outside the length <= 4 window"):
         f.moment_block(longer, longer)
+
+
+# -- flatness and PSD against the `Scalar` blocks ------------------------------
+
+SHAPES = {
+    "one_loop": build_double(Quiver(["e"], [("x", "e", "e")])),
+    "two_loops": build_double(Quiver(["e"], [("x", "e", "e"), ("y", "e", "e")])),
+    "a2": build_double(Quiver(["e1", "e2"], [("x", "e1", "e2")])),
+}
+KINDS = ("state", "pd", "difference", "values")
+
+
+def drawn_functional(shape, k, include_trivial, kind, complex_, seed) -> TruncatedFunctional:
+    """A hermitian functional: a state of dimension 1 or 2 per vertex (PSD,
+    low rank), a PD state, a difference of two rank-1 states (low rank,
+    usually indefinite) or random values; real or Gaussian-integer."""
+    double, rng = SHAPES[shape], random.Random(seed)
+    nv = double.n_vertices()
+    if kind == "state":
+        return state_functional(double, k, include_trivial, [1 + seed % 2] * nv, rng, complex_)
+    if kind == "pd":
+        return pd_functional(double, k, include_trivial, rng, complex_=complex_)
+    return hermitian_functional(double, k, include_trivial, rng, complex_, [1] * nv if kind == "difference" else None)
+
+
+@st.composite
+def drawn_cases(draw):
+    shape = draw(st.sampled_from(sorted(SHAPES)))
+    kind = draw(st.sampled_from(KINDS))
+    # the PD state on two loops at k = 2 takes a 21-dimensional state
+    k = draw(st.integers(1, 1 if (shape, kind) == ("two_loops", "pd") else 2))
+    return shape, k, draw(st.booleans()), kind, draw(st.booleans()), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drawn_cases())
+def test_flatness_and_psd_match_the_scalar_blocks(case):
+    f = drawn_functional(*case)
+    assert f.is_flat() == oracles.flat_report(f)
+    assert f.is_psd() == oracles.is_psd(f)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "gaussian"])
+@pytest.mark.parametrize(
+    "shape, k, kind, flat, contained, singular, psd",
+    [
+        ("two_loops", 2, "state", True, True, True, True),
+        ("two_loops", 2, "difference", True, True, True, False),
+        ("a2", 2, "pd", False, True, False, True),
+        ("a2", 2, "values", False, True, False, False),
+        ("a2", 1, "values", False, False, True, False),
+    ],
+)
+def test_flatness_and_psd_cases_match_the_scalar_blocks(shape, k, kind, complex_, flat, contained, singular, psd):
+    f = drawn_functional(shape, k, True, kind, complex_, 0)
+    report = f.is_flat()
+    assert (report.flat, report.range_contained, report.rank_km1 < len(f.basis(k - 1))) == (flat, contained, singular)
+    assert f.is_psd() is psd
+    assert report == oracles.flat_report(f)
+    assert f.is_psd() == oracles.is_psd(f)
