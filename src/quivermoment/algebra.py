@@ -37,13 +37,22 @@ class Element:
 
     @staticmethod
     def from_terms(double: DoubleQuiver, pairs) -> Element:
+        """The sum of the (path, coefficient) pairs.
+
+        A path's first nonzero coefficient is stored as it is; only a
+        repeated path costs an addition and a zero test.
+        """
         acc: dict[Path, Scalar] = {}
         for p, c in pairs:
             if p is ZERO_PATH or c.is_zero():
                 continue
-            cur = acc.get(p, ZERO) + c
+            have = acc.get(p)
+            if have is None:
+                acc[p] = c
+                continue
+            cur = have + c
             if cur.is_zero():
-                acc.pop(p, None)
+                del acc[p]
             else:
                 acc[p] = cur
         return Element(double, acc)

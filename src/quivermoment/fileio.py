@@ -67,11 +67,27 @@ def read_flag(data: dict, key: str, default: bool, source: str | None) -> bool:
     return value
 
 
-def _scalar(text: str, source: str | None) -> Scalar:
-    try:
-        return Scalar.parse(text)
-    except InputError as e:
-        raise InputError(f"{_ctx(source)}{e}") from None
+class _Literals(dict):
+    """The scalars of one load: `literals[text]` parses each distinct text once.
+
+    Looking up a text that is not a string raises TypeError, so that a
+    loader can name the malformed entry it came from.
+    """
+
+    __slots__ = ("source",)
+
+    def __init__(self, source: str | None):
+        super().__init__()
+        self.source = source
+
+    def __missing__(self, text: str) -> Scalar:
+        if type(text) is not str:
+            raise TypeError(text)
+        try:
+            value = self[text] = Scalar.parse(text)
+        except InputError as e:
+            raise InputError(f"{_ctx(self.source)}{e}") from None
+        return value
 
 
 # -- quivers -------------------------------------------------------------------
@@ -164,7 +180,11 @@ def path_to_text(p: Path) -> str:
     return str(p)
 
 
-def element_from_dict(double: DoubleQuiver, data: dict, source: str | None = None) -> Element:
+def element_from_dict(
+    double: DoubleQuiver, data: dict, source: str | None = None, literals: _Literals | None = None
+) -> Element:
+    if literals is None:
+        literals = _Literals(source)
     terms = []
     for t in _list(_object(data, "element", source).get("terms", []), "terms", source):
         try:
@@ -172,7 +192,7 @@ def element_from_dict(double: DoubleQuiver, data: dict, source: str | None = Non
         except (KeyError, TypeError):
             raise InputError(f"{_ctx(source)}element term needs 'path' and 'coeff'") from None
         _text(ptext, "element path", source)
-        coeff = _scalar(_text(ctext, "element coefficient", source), source)
+        coeff = literals[_text(ctext, "element coefficient", source)]
         if ptext.strip() == "1":
             terms.extend((e, coeff) for e in double.trivial_paths())
         else:
@@ -191,17 +211,25 @@ def element_to_dict(e: Element) -> dict:
 # -- matrices --------------------------------------------------------------------
 
 
-def elements_from_list(double: DoubleQuiver, data, key: str, source: str | None = None) -> list[Element]:
-    return [element_from_dict(double, e, source) for e in _list(data, key, source)]
+def elements_from_list(
+    double: DoubleQuiver, data, key: str, source: str | None = None, literals: _Literals | None = None
+) -> list[Element]:
+    if literals is None:
+        literals = _Literals(source)
+    return [element_from_dict(double, e, source, literals) for e in _list(data, key, source)]
 
 
-def matrix_from_rows(rows, source: str | None = None, key: str = "gram") -> Matrix:
+def matrix_from_rows(
+    rows, source: str | None = None, key: str = "gram", literals: _Literals | None = None
+) -> Matrix:
     if not _list(rows, key, source):
         return Matrix(0, 0, [])
+    if literals is None:
+        literals = _Literals(source)
     parsed = []
     width = None
     for r in rows:
-        vals = [_scalar(x, source) for x in _texts(r, key, source)]
+        vals = [literals[x] for x in _texts(r, key, source)]
         if width is None:
             width = len(vals)
         elif len(vals) != width:
@@ -210,8 +238,11 @@ def matrix_from_rows(rows, source: str | None = None, key: str = "gram") -> Matr
     return Matrix.from_rows(parsed)
 
 
-def _named_matrices(data, key: str, source: str | None) -> dict[str, Matrix]:
-    return {n: matrix_from_rows(rows, source, n) for n, rows in _object(data, f"'{key}'", source).items()}
+def _named_matrices(data, key: str, source: str | None, literals: _Literals) -> dict[str, Matrix]:
+    return {
+        n: matrix_from_rows(rows, source, n, literals)
+        for n, rows in _object(data, f"'{key}'", source).items()
+    }
 
 
 def matrix_to_rows(m: Matrix) -> list[list[str]]:
@@ -222,13 +253,16 @@ def matrix_to_rows(m: Matrix) -> list[list[str]]:
 
 
 def functional_from_dict(data: dict, base_dir=".", source: str | None = None) -> TruncatedFunctional:
-    """The functional a file lists, read as word keys.
+    """The functional a file lists, read straight into window positions.
 
-    Each entry's path text becomes a (vertex, letters) key, and each
-    distinct value text is parsed once.  Errors name the file, in this
-    order: a malformed entry or a conflicting duplicate, in file order;
-    then, from the functional, an order below 1 or an over-large window, a
-    path outside the window, and a hermitian conflict.
+    An entry whose path text is one the window writes (tokens joined by
+    single spaces, as `functional_to_dict` writes them) takes its position
+    from the window's text table; any other text goes through `path_key`
+    and the window's key table, and a path outside the window keeps its
+    key.  Each distinct value text is parsed once.  Errors name the file,
+    in this order: a malformed entry or a conflicting duplicate, in file
+    order; then, from the functional, an order below 1 or an over-large
+    window, a path outside the window, and a hermitian conflict.
     """
     if "quiver" not in _object(data, "functional", source) or "k" not in data:
         raise InputError(f"{_ctx(source)}functional needs 'quiver' and 'k'")
@@ -240,27 +274,42 @@ def functional_from_dict(data: dict, base_dir=".", source: str | None = None) ->
         raise InputError(f"{_ctx(source)}'entries' must be a list, not {entries!r}")
     include_trivial = read_flag(data, "include_trivial", True, source)
     double = resolve_quiver(data["quiver"], base_dir, source)
-    scalars: dict[str, Scalar] = {}
-    values: dict[Key, Scalar] = {}
-    for ent in entries:
-        try:
-            ptext, vtext = ent["path"], ent["value"]
-        except (KeyError, TypeError):
-            raise InputError(f"{_ctx(source)}functional entry needs 'path' and 'value'") from None
-        for token in (ptext, vtext):
-            if not isinstance(token, str):
-                raise InputError(f"{_ctx(source)}functional entry {ent!r}: {token!r} is not a string")
-        key = path_key(double, ptext, source)
-        v = scalars.get(vtext)
-        if v is None:
-            v = scalars[vtext] = _scalar(vtext, source)
-        have = values.setdefault(key, v)
-        if have is not v and have != v:
-            raise InputError(f"{_ctx(source)}conflicting values for path {ptext!r}")
+
+    def read(at: dict[str, int], position: dict[Key, int]) -> dict:
+        literals = _Literals(None)  # the file is named below
+        given: dict = {}
+        for ent in entries:
+            # The common entry: a text the window writes and a string value.
+            # A text that is not a string misses `at` or raises TypeError.
+            try:
+                slot, v = at[ent["path"]], literals[ent["value"]]
+            except (KeyError, TypeError):
+                slot, v = _entry(double, ent, at, position, literals)
+            have = given.setdefault(slot, v)
+            if have is not v and have != v:
+                raise InputError(f"conflicting values for path {ent['path']!r}")
+        return given
+
     try:
-        return TruncatedFunctional.from_words(double, k, values, include_trivial)
-    except InputError as e:  # an over-large window, a path outside the window, a hermitian conflict
+        return TruncatedFunctional.from_texts(double, k, read, include_trivial)
+    except InputError as e:
         raise type(e)(f"{_ctx(source)}{e}") from None
+
+
+def _entry(double: DoubleQuiver, ent, at: dict[str, int], position: dict[Key, int], literals: _Literals):
+    """An entry's window position (or key) and value, with every check in order."""
+    try:
+        ptext, vtext = ent["path"], ent["value"]
+    except (KeyError, TypeError):
+        raise InputError("functional entry needs 'path' and 'value'") from None
+    for token in (ptext, vtext):
+        if not isinstance(token, str):
+            raise InputError(f"functional entry {ent!r}: {token!r} is not a string")
+    slot = at.get(ptext)
+    if slot is None:
+        key = path_key(double, ptext)
+        slot = position.get(key, key)
+    return slot, literals[vtext]
 
 
 def load_functional(path) -> TruncatedFunctional:
@@ -301,11 +350,12 @@ def representation_from_dict(data: dict, base_dir=".", source: str | None = None
         raise InputError(f"{_ctx(source)}representation needs a 'quiver'")
     double = resolve_quiver(data["quiver"], base_dir, source)
     basis = tuple(parse_path(double, t, source) for t in _texts(data.get("basis", []), "basis", source))
-    gram = matrix_from_rows(data.get("gram", []), source)
-    arrows = _named_matrices(data.get("arrows", {}), "arrows", source)
-    vertices = _named_matrices(data.get("vertices", {}), "vertices", source)
+    literals = _Literals(source)
+    gram = matrix_from_rows(data.get("gram", []), source, literals=literals)
+    arrows = _named_matrices(data.get("arrows", {}), "arrows", source, literals)
+    vertices = _named_matrices(data.get("vertices", {}), "vertices", source, literals)
     cyc = data.get("cyclic")
-    cyclic = None if cyc is None else tuple(_scalar(c, source) for c in _texts(cyc, "cyclic", source))
+    cyclic = None if cyc is None else tuple(literals[c] for c in _texts(cyc, "cyclic", source))
     n = len(basis)
     for name, m in list(arrows.items()) + list(vertices.items()):
         if m.rows != n or m.cols != n:
@@ -356,16 +406,17 @@ def certificate_from_dict(data: dict, base_dir=".", source: str | None = None):
     if "quiver" not in data or "target" not in data:
         raise InputError(f"{_ctx(source)}certificate needs 'quiver' and 'target'")
     double = resolve_quiver(data["quiver"], base_dir, source)
-    target = element_from_dict(double, data["target"], source)
+    literals = _Literals(source)
+    target = element_from_dict(double, data["target"], source, literals)
     degree = data.get("degree")
     if "squares" in data:
-        squares = elements_from_list(double, data["squares"], "squares", source)
+        squares = elements_from_list(double, data["squares"], "squares", source, literals)
         weights = None
         if "weights" in data:
-            weights = [_scalar(w, source) for w in _texts(data["weights"], "weights", source)]
+            weights = [literals[w] for w in _texts(data["weights"], "weights", source)]
         return double, target, "squares", (squares, weights, degree)
     if "gram" in data and "basis" in data:
         basis = [parse_path(double, t, source) for t in _texts(data["basis"], "basis", source)]
-        gram = matrix_from_rows(data["gram"], source)
+        gram = matrix_from_rows(data["gram"], source, literals=literals)
         return double, target, "gram", (basis, gram, degree)
     raise InputError(f"{_ctx(source)}certificate needs either 'squares' or 'basis'+'gram'")

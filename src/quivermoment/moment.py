@@ -8,16 +8,20 @@ the path semigroup are exact zeros.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 from . import linalg
 from .algebra import Element
 from .errors import InputError, InternalInvariantError, WindowError
 from .linalg import Matrix
-from .quiver import DoubleQuiver, Key, Path, PathOrder, window_keys
+from .quiver import DoubleQuiver, Key, Path, PathOrder, window_keys, window_texts
 from .scalar import ZERO, Scalar
+
+
+def _length(key: Key) -> int:
+    return len(key[1])
 
 
 class TruncatedFunctional:
@@ -42,63 +46,93 @@ class TruncatedFunctional:
         order: PathOrder | None = None,
     ):
         given = {(p.vertex, p.letters): v for p, v in dict(values).items()}
-        self._load(double, k, given, include_trivial, order)
+        self._open(double, k, include_trivial, order)
+        position = self._position
+        self._place({position.get(key, key): v for key, v in given.items()})
 
     @classmethod
-    def from_words(cls, double, k, given: dict[Key, Scalar], include_trivial=True, order=None):
-        """The functional of values keyed by (vertex, letters), as a file lists them."""
+    def from_texts(cls, double, k, read, include_trivial=True, order=None):
+        """The functional of the values `read` gives, as a file lists them.
+
+        `read(texts, position)` is handed the window position of every
+        window path's text (as `str(Path)` writes it) and of every window
+        key.  It returns the given values keyed by window position, or by
+        (vertex, letters) key for a path outside the window, in the order
+        given.  The text table is empty when the quiver's names do not read
+        back (see `quiver.window_texts`).  When the window cannot be built (an
+        order below 1, an over-large window) both tables are empty, and that
+        error is raised after `read` returns, so the errors `read` raises
+        come first.
+        """
         f = cls.__new__(cls)
-        f._load(double, k, given, include_trivial, order)
+        try:
+            texts, stars = f._open(double, k, include_trivial, order, named=True)
+        except InputError:
+            read({}, {})
+            raise
+        at = {} if texts is None else dict(zip(texts, range(len(texts))))
+        star = None if stars is None else list(map(at.__getitem__, stars))
+        f._place(read(at, f._position), star)
         return f
 
-    def _load(self, double, k, given: dict[Key, Scalar], include_trivial, order) -> None:
-        """Place the given values in the window and close them under the star.
-
-        Errors in this order: a path outside the window (the first one
-        given), then a hermitian conflict between the member of a star pair
-        given first and its partner.  An omitted partner takes the
-        conjugate value; each pair is looked at once.
-        """
+    def _open(self, double, k, include_trivial, order, named=False):
+        """Enumerate the window; with `named`, return the texts of its paths and of their stars."""
         if k < 1:
             raise InputError("functional order k must be >= 1")
         self.double = double
         self.k = k
         self.include_trivial = include_trivial
         self.order = order or double.default_order()
-        keys = window_keys(double, self.order, 2 * k, include_trivial)
-        position = {key: i for i, key in enumerate(keys)}
-        at = [position.get(key) for key in given]
-        if None in at:
-            outside = next(key for key, i in zip(given, at) if i is None)
-            raise self._outside(Path(double, *outside))
+        if named:
+            keys, *texts = window_texts(double, self.order, 2 * k, include_trivial)
+        else:
+            keys, texts = window_keys(double, self.order, 2 * k, include_trivial), None
+        self._keys = keys
+        self._position = dict(zip(keys, range(len(keys))))
+        # Lengths come first in the order: the paths of length <= t are a
+        # prefix of the window, and the last window key is a longest one.
+        longest = len(keys[-1][1]) if keys else 0
+        self._ends = [bisect_right(keys, t, key=_length) for t in range(longest + 1)]
+        self._paths: list[Path] = []  # the window paths built so far, a prefix
+        return texts
+
+    def _place(self, given: dict, star: list[int] | None = None) -> None:
+        """Place the given values and close them under the star.
+
+        `given` is keyed by window position, or by key for a path outside
+        the window; `star`, if known, is the position of each window
+        position's star.  Errors in this order: a path outside the window (the
+        first one given), then a hermitian conflict between the member of a
+        star pair given first and its partner.  An omitted partner takes the
+        conjugate value; each pair is looked at once.
+        """
+        keys, position, star_word = self._keys, self._position, self.double.star_word
         vals = [ZERO] * len(keys)
         state = bytearray(len(keys))  # 1: given; 2: given, star pair already checked
-        for i, v in zip(at, given.values()):
-            vals[i] = v
-            state[i] = 1
-        for i in at:
+        try:
+            for i, v in given.items():
+                vals[i] = v
+                state[i] = 1
+        except TypeError:  # i is a key, not a position: the first path given outside
+            raise self._outside(Path(self.double, *i)) from None
+        for i in given:
             if state[i] == 2:
                 continue
-            word = keys[i][1]
-            j = position[(None, double.star_word(word))] if word else i
+            if star is not None:
+                j = star[i]
+            else:
+                word = keys[i][1]
+                j = position[(None, star_word(word))] if word else i
             want = vals[i].conjugate()
             if not state[j]:
                 vals[j] = want
                 continue
             have = vals[j]
             if have is not want and have != want:
-                p, ps = Path(double, *keys[i]), Path(double, *keys[j])
+                p, ps = Path(self.double, *keys[i]), Path(self.double, *keys[j])
                 raise InputError(f"hermitian conflict between {p} and {ps}")
             state[j] = 2
-        # Lengths come first in the order: the last window key is a longest one.
-        per_length = [0] * (len(keys[-1][1]) + 1 if keys else 1)
-        for _, word in keys:
-            per_length[len(word)] += 1
-        self._keys = keys
-        self._position = position
         self._vals = vals
-        self._ends = list(accumulate(per_length))  # window paths of length <= t
-        self._paths: list[Path] = []  # the window paths built so far, a prefix
 
     # -- evaluation ------------------------------------------------------------
 

@@ -290,12 +290,34 @@ def _words(double: DoubleQuiver, order: PathOrder, max_len: int):
                 f"the window of paths of length <= {max_len} has more than {MAX_WINDOW_PATHS} paths"
             )
         ending = [sum(ending[source[l]] for l in letters if target[l] == v) for v in vertices]
-    following = [[l for l in letters if source[l] == v] for v in vertices]
+    following = _following(double, order)
     layer = [(l,) for l in letters]
     yield layer
     for _ in range(max_len - 1):
         layer = [w + (l,) for w in layer for l in following[target[w[-1]]]]
         yield layer
+
+
+def _following(double: DoubleQuiver, order: PathOrder) -> list[list[Letter]]:
+    """Per vertex, the letters that leave it, in the order's letter sequence."""
+    source = double.source
+    return [[l for l in order.letter_seq if source[l] == v] for v in range(double.n_vertices())]
+
+
+def _plain_names(double: DoubleQuiver) -> bool:
+    """Whether the text `str(Path)` writes for each path reads back as that path.
+
+    It does when every name is a single token: no whitespace, not empty,
+    an arrow name not starting with ``e:`` and naming its own letter.  An
+    arrow named ``b*`` breaks it, for instance: its unstarred letter is
+    written ``b*``, which reads as the star of ``b``.
+    """
+    trivial = ["e:" + v for v in double.vertices]
+    letters = {l: double.letter_name(l) for l in double.letters()}
+    return all(t.split() == [t] for t in trivial) and all(
+        name.split() == [name] and not name.startswith("e:") and double.letter_of.get(name) == l
+        for l, name in letters.items()
+    )
 
 
 def window_keys(
@@ -317,6 +339,49 @@ def window_keys(
     for words in _words(double, order, max_len):
         out.extend([(None, w) for w in words])
     return out
+
+
+def window_texts(
+    double: DoubleQuiver,
+    order: PathOrder,
+    max_len: int,
+    include_trivial: bool = True,
+) -> tuple[list[Key], list[str], list[str]]:
+    """The window keys, and alongside them the text of each window path and of its star.
+
+    A text is the one `str(Path)` writes: ``e:NAME`` for a trivial path, the
+    letter names joined by single spaces otherwise.  As `_words` extends a
+    word by a letter l, its text gains a space and the name of l on the
+    right, and its star's text gains the name of l* and a space on the left.
+    Both text lists are None unless every such text reads back as its own
+    path (see `_plain_names`).
+    """
+    if max_len < 0:
+        raise InputError("max_len must be >= 0")
+    if not _plain_names(double):
+        return window_keys(double, order, max_len, include_trivial), None, None
+    keys = [(v, ()) for v in order.vertex_seq] if include_trivial else []
+    texts = ["e:" + double.vertices[v] for v, _ in keys]
+    stars = list(texts)
+    name, target = double.letter_name, double.target
+    following = _following(double, order)
+    right = [[" " + name(l) for l in ls] for ls in following]
+    left = [[name(double.star_of[l]) + " " for l in ls] for ls in following]
+    prev = None
+    for words in _words(double, order, max_len):
+        keys.extend([(None, w) for w in words])
+        if prev is None:
+            layer = [name(w[0]) for w in words]
+            star_layer = [name(double.star_of[w[0]]) for w in words]
+        else:
+            # the nesting of `_words`: each word of `prev` by its following letters
+            ends = [target[w[-1]] for w in prev]
+            layer = [t + s for v, t in zip(ends, layer) for s in right[v]]
+            star_layer = [s + t for v, t in zip(ends, star_layer) for s in left[v]]
+        texts.extend(layer)
+        stars.extend(star_layer)
+        prev = words
+    return keys, texts, stars
 
 
 def enumerate_basis(

@@ -42,9 +42,9 @@ class Scalar:
 
     @staticmethod
     def _make(re: Fraction, im: Fraction) -> Scalar:
-        s = object.__new__(Scalar)
-        object.__setattr__(s, "re", re)
-        object.__setattr__(s, "im", im)
+        s = _new(Scalar)
+        _set_re(s, re)
+        _set_im(s, im)
         return s
 
     # -- arithmetic ---------------------------------------------------------
@@ -122,6 +122,13 @@ class Scalar:
     def parse(text: str) -> Scalar:
         if not isinstance(text, str):
             raise InputError(f"scalar literal must be a string, not {text!r}")
+        # The commonest literal, a signed decimal integer, skips the regex.
+        # `isdecimal` accepts exactly the characters the regex's \d does.
+        if (text[1:] if text[:1] in ("+", "-") else text).isdecimal():
+            try:
+                return Scalar._make(Fraction(int(text)), _F0)
+            except ValueError:  # past Python's int conversion limit: refused below
+                pass
         compact = _SPACE_RE.sub("", text)
         if not compact:
             raise InputError(f"empty scalar literal {text!r}")
@@ -139,6 +146,11 @@ class Scalar:
                 f"scalar literal of {len(text)} characters exceeds the integer digit limit"
             ) from None
         return Scalar._make(re_part, im_part)
+
+
+# The slots' own setters, past the immutable __setattr__.
+_new = object.__new__
+_set_re, _set_im = Scalar.re.__set__, Scalar.im.__set__
 
 
 def _text(x: Fraction) -> str:

@@ -4,6 +4,8 @@
   *-algebra (property-test oracle for composition and the involution);
 * right actions, word-order element matrices and the gram inner product of a
   representation;
+* `Element.from_terms` as it was before new paths were stored directly:
+  one `Scalar` addition and one zero test per term;
 * reassembly of a block decomposition, truncation of an element, the
   restriction of a functional to a lower order, the Riesz functional L(f)
   and the moment pairing L(f g*) computed through the algebra product;
@@ -196,6 +198,20 @@ def reassemble(blocks) -> Matrix:
             else:
                 ents.append(blocks.b.entry(i - old_n, j - old_n))
     return Matrix(n, n, ents)
+
+
+def element_from_terms(double, pairs) -> Element:
+    """The sum of (path, coefficient) pairs, adding every term to the sum so far."""
+    acc: dict[Path, Scalar] = {}
+    for p, c in pairs:
+        if p is ZERO_PATH or c.is_zero():
+            continue
+        cur = acc.get(p, ZERO) + c
+        if cur.is_zero():
+            acc.pop(p, None)
+        else:
+            acc[p] = cur
+    return Element(double, acc)
 
 
 def truncate(f: Element, d: int) -> Element:
@@ -430,6 +446,8 @@ def scalar_parse(text: str) -> Scalar:
         im_part = Fraction(m.group(3)) if m.group(2) else Fraction(0)
     except ZeroDivisionError:
         raise InputError(f"zero denominator in scalar literal {text!r}") from None
+    except ValueError:  # past Python's int conversion limit: refused, as the loaders do
+        raise InputError(f"scalar literal of {len(text)} characters exceeds the integer digit limit") from None
     return Scalar(re_part, im_part)
 
 

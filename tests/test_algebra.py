@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quivermoment import Element, InputError, Scalar, enumerate_basis
+from quivermoment import ZERO_PATH, Element, InputError, Scalar, enumerate_basis
 
+import oracles
 from conftest import elem, path, sc
 from oracles import truncate
 
@@ -102,3 +105,31 @@ def test_star_involution(fix_loop):
     for _ in range(200):
         f = random_element(fix_loop, rng)
         assert f.star().star() == f
+
+
+@st.composite
+def term_lists(draw, double):
+    """(path, coefficient) pairs over few paths, so that paths repeat and
+    coefficients cancel; zero coefficients and the zero path included."""
+    pool = enumerate_basis(double, double.default_order(), 2, include_trivial=True)
+    paths = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    path_or_zero = st.one_of(st.sampled_from(paths), st.just(ZERO_PATH))
+    coeff = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+    return draw(st.lists(st.tuples(path_or_zero, coeff), max_size=12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_from_terms_matches_the_adding_oracle(fix_a2, data):
+    pairs = data.draw(term_lists(fix_a2))
+    got, want = Element.from_terms(fix_a2, pairs), oracles.element_from_terms(fix_a2, pairs)
+    # the same terms in the same order
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_from_terms_repeats_and_cancellations(fix_a2):
+    x, xs, e1 = path(fix_a2, "x"), path(fix_a2, "x*"), fix_a2.trivial("e1")
+    pairs = [(x, sc(1)), (xs, sc(2)), (x, sc(-1)), (e1, sc(0)), (ZERO_PATH, sc(3)), (x, sc(4)), (xs, sc(1))]
+    got = Element.from_terms(fix_a2, pairs)
+    assert list(got.terms.items()) == [(xs, sc(3)), (x, sc(4))]
+    assert list(got.terms.items()) == list(oracles.element_from_terms(fix_a2, pairs).terms.items())

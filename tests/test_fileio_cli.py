@@ -5,7 +5,7 @@ from pathlib import Path as FsPath
 
 import pytest
 
-from quivermoment import InputError
+from quivermoment import InputError, Scalar
 from quivermoment.cli import main
 from quivermoment import fileio
 
@@ -544,6 +544,41 @@ def test_cli_representation_round_trip(tmp_path, capsys):
     rep = fileio.load_representation(rpath)
     dumped = fileio.representation_to_dict(rep)
     assert dumped == json.loads((tmp_path / "rep.json").read_text())
+
+
+def _literal_texts(value) -> set[str]:
+    """Every string in a JSON value that the scalar grammar reads."""
+    if isinstance(value, dict):
+        return set().union(*map(_literal_texts, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_literal_texts, value))
+    try:
+        Scalar.parse(value)
+    except InputError:
+        return set()
+    return {value}
+
+
+def test_representation_and_certificate_loads_parse_each_literal_text_once(tmp_path, capsys, monkeypatch):
+    fpath = functional_file(tmp_path)
+    rpath = str(tmp_path / "rep.json")
+    assert main(["gns", "build", fpath, "-o", rpath]) == 0
+    capsys.readouterr()
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    cert = {"quiver": LOOP, "target": {"terms": [{"path": "x x*", "coeff": "2"}, {"path": "x* x", "coeff": "2"}]},
+            "squares": [{"terms": [TERM_X]}, {"terms": [{"path": "x*", "coeff": "1"}]}], "weights": ["2", "1"]}
+    # the quiver's names and the basis are no literals; every value text is one
+    cases = [
+        (load, data, _literal_texts({k: v for k, v in data.items() if k not in ("quiver", "basis")}))
+        for load, data in [(fileio.representation_from_dict, rep), (fileio.certificate_from_dict, cert)]
+    ]
+    calls = []
+    parse = Scalar.parse
+    monkeypatch.setattr(Scalar, "parse", staticmethod(lambda text: calls.append(text) or parse(text)))
+    for load, data, texts in cases:
+        calls.clear()
+        load(data, tmp_path, "f.json")
+        assert sorted(calls) == sorted(texts)  # each distinct text parsed once
 
 
 def test_cli_groebner_from_kernel_golden(tmp_path, capsys):

@@ -6,7 +6,10 @@ fills B_{L_k} by position.  `oracles.load_path_keyed` reads the same file
 entry by entry into paths, closes the values through `p.star()` for every
 given path, and builds B_{L_k} through `compose`.  On every file both must
 give the same window, values and moment matrix, or raise the same error
-class with the same message.
+class with the same message.  Files are drawn in any order with any
+separators, and in window order with single spaces, the shape
+`functional_to_dict` writes, where every text is read off the window's text
+table.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from quivermoment import Quiver, Scalar, build_double, enumerate_basis
+from quivermoment import Quiver, Scalar, build_double, enumerate_basis, fileio
 from quivermoment.fileio import functional_from_dict, quiver_to_dict
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
@@ -30,6 +33,13 @@ QUIVERS = {
     "arrowless": Quiver(["v", "w"], []),
 }
 MAX_K = {"one_loop": 3, "two_loops": 2, "a2": 3, "xyz": 2, "arrowless": 3}
+# Window-ordered files also on a quiver whose texts do not all read back:
+# `a*` names an arrow, so its unstarred letter is written like the star of `a`.
+WINDOW_QUIVERS = {
+    **QUIVERS,
+    "starry": Quiver(["v", "w"], [("a", "v", "w"), ("a*", "w", "w"), ("b", "w", "v")]),
+}
+WINDOW_MAX_K = {**MAX_K, "starry": 1}
 SEPARATORS = [" ", "  ", "\t", "\n "]
 
 
@@ -112,6 +122,48 @@ def test_loader_matches_the_path_keyed_construction(data):
     assert outcome(data) == oracle_outcome(data)
 
 
+@st.composite
+def window_ordered_files(draw):
+    """Every window path in window order, as single-space texts, with the
+    values of a hermitian assignment (zeros left out or not), and rarely a
+    hermitian conflict, a repeated entry or a path outside the window."""
+    name = draw(st.sampled_from(sorted(WINDOW_QUIVERS)))
+    double = build_double(WINDOW_QUIVERS[name])
+    k = draw(st.integers(1, WINDOW_MAX_K[name]))
+    include_trivial = draw(st.booleans())
+    paths = enumerate_basis(double, double.default_order(), 2 * k + 1, include_trivial)
+    window = [p for p in paths if p.length() <= 2 * k]
+    longer = [p for p in paths if p.length() > 2 * k]
+    complex_ = draw(st.booleans())
+    values = {}
+    for p in window:
+        if p not in values:
+            v = Scalar(draw(st.integers(-3, 3)), draw(st.integers(-2, 2)) if complex_ and p != p.star() else 0)
+            values[p], values[p.star()] = v, v.conjugate()
+    skip_zeros = draw(st.booleans())
+    entries = [(p, values[p]) for p in window if not (skip_zeros and values[p].is_zero())]
+    if entries and draw(st.integers(0, 5)) == 1:
+        i = draw(st.integers(0, len(entries) - 1))
+        entries[i] = (entries[i][0], entries[i][1] + Scalar(0, 1))
+    if entries and draw(st.integers(0, 5)) == 1:
+        p, v = draw(st.sampled_from(entries))
+        entries.append((p, v if draw(st.booleans()) else v + Scalar(2)))
+    if longer and draw(st.integers(0, 5)) == 1:
+        entries.append((draw(st.sampled_from(longer)), Scalar(1)))
+    return {
+        "quiver": quiver_to_dict(double.base),
+        "k": k,
+        "include_trivial": include_trivial,
+        "entries": [{"path": str(p), "value": str(v)} for p, v in entries],
+    }
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(window_ordered_files())
+def test_window_ordered_files_match_the_path_keyed_construction(data):
+    assert outcome(data) == oracle_outcome(data)
+
+
 LOOP2 = quiver_to_dict(QUIVERS["two_loops"])
 
 
@@ -154,3 +206,100 @@ def test_multi_fault_files_raise_the_first_error_in_precedence(pairs, message):
     kind, text = outcome(data)
     assert text == message
     assert (kind, text) == oracle_outcome(data)
+
+
+A2 = quiver_to_dict(QUIVERS["a2"])
+
+
+@pytest.mark.parametrize(
+    "quiver, pairs, message",
+    [
+        pytest.param(
+            LOOP2, [("e:e", "1"), ("e:e x", "1")],
+            "f.json: trivial path token 'e:e' must stand alone", id="trivial_then_extended",
+        ),
+        pytest.param(LOOP2, [("x", "1"), ("x y ", "2"), ("y* x*", "2")], None, id="trailing_space"),
+        pytest.param(LOOP2, [("x", "1"), ("x\ty", "2"), ("y* x*", "3")],
+                     "f.json: hermitian conflict between x y and y* x*", id="tab_separator"),
+        pytest.param(
+            LOOP2, [("x", "1"), ("x q", "1")], "f.json: unknown arrow 'q' in path 'x q'", id="unknown_last_token",
+        ),
+        pytest.param(
+            A2, [("x", "1"), ("x x", "1")], "f.json: non-composable path 'x x' at token 'x'",
+            id="non_composable_last_token",
+        ),
+        pytest.param(
+            LOOP2, [("x x x", "1"), ("x", "1"), ("x x x", "2")],
+            "f.json: conflicting values for path 'x x x'", id="repeated_outside_path_differing_values",
+        ),
+    ],
+)
+def test_texts_the_window_does_not_write_take_the_parser(quiver, pairs, message):
+    data = {"quiver": quiver, "k": 1, "include_trivial": True, "entries": entries(*pairs)}
+    got = outcome(data)
+    assert got == oracle_outcome(data)
+    if message is None:
+        assert not isinstance(got[0], type)
+    else:
+        assert got[1] == message
+
+
+@pytest.mark.parametrize(
+    "k, pairs, message",
+    [
+        pytest.param(0, [("x", "1"), ("q", "1")], "f.json: unknown arrow 'q' in path 'q'", id="k0_bad_path"),
+        pytest.param(0, [("x", "1"), ("x", "2")], "f.json: conflicting values for path 'x'", id="k0_conflict"),
+        pytest.param(0, [("x", "1/0")], "f.json: zero denominator in scalar literal '1/0'", id="k0_bad_value"),
+        pytest.param(0, [("x x x", "1"), ("x", "1"), ("x*", "2")], "f.json: functional order k must be >= 1",
+                     id="k0_before_outside_and_hermitian"),
+        pytest.param(40, [("x", "1"), ("e:nowhere", "1")], "f.json: unknown vertex 'nowhere'", id="k40_bad_path"),
+        pytest.param(40, [("x y", "1"), ("x  y", "2")], "f.json: conflicting values for path 'x  y'",
+                     id="k40_conflict"),
+        pytest.param(40, [("x", "two")], "f.json: malformed scalar literal 'two'", id="k40_bad_value"),
+        pytest.param(40, [("x", "1"), ("x*", "2")],
+                     "f.json: the window of paths of length <= 80 has more than 1000000 paths",
+                     id="k40_before_hermitian"),
+    ],
+)
+def test_entry_faults_come_before_the_order_and_window_errors(k, pairs, message):
+    data = {"quiver": LOOP2, "k": k, "include_trivial": True, "entries": entries(*pairs)}
+    kind, text = outcome(data)
+    assert text == message
+    assert (kind, text) == oracle_outcome(data)
+
+
+def _window_ordered(name, k):
+    double = build_double(QUIVERS[name])
+    window = enumerate_basis(double, double.default_order(), 2 * k, True)
+    value = {}
+    for i, p in enumerate(window):
+        value.setdefault(p, Scalar(i % 7 - 3, i % 3 - 1 if p != p.star() else 0))
+        value.setdefault(p.star(), value[p].conjugate())
+    data = {
+        "quiver": quiver_to_dict(double.base),
+        "k": k,
+        "entries": [{"path": str(p), "value": str(value[p])} for p in window],
+    }
+    return data, {e["value"] for e in data["entries"]}
+
+
+@pytest.mark.parametrize("name, k", [("two_loops", 3), ("xyz", 2), ("one_loop", 3)])
+def test_window_ordered_file_needs_no_parser_and_parses_each_value_text_once(name, k, monkeypatch):
+    data, texts = _window_ordered(name, k)
+    calls = {"path_key": 0, "parse": 0}
+    path_key, parse = fileio.path_key, Scalar.parse
+
+    def counted_path_key(*args):
+        calls["path_key"] += 1
+        return path_key(*args)
+
+    def counted_parse(text):
+        calls["parse"] += 1
+        return parse(text)
+
+    monkeypatch.setattr(fileio, "path_key", counted_path_key)
+    monkeypatch.setattr(Scalar, "parse", staticmethod(counted_parse))
+    f = functional_from_dict(data, ".", SOURCE)
+    assert calls == {"path_key": 0, "parse": len(texts)}
+    assert [str(p) for p in f.values] == [e["path"] for e in data["entries"]]
+    assert [str(v) for v in f.values.values()] == [e["value"] for e in data["entries"]]

@@ -101,7 +101,10 @@ def test_scalar_parse_matches_oracle(text):
 @pytest.mark.parametrize(
     "text",
     ["1_000", "0x10", "1e3", " 7 ", "٣", "²", "+5", "3/0", "1/2+3/4 i", "12i", "-0/5",
-     "", " ", "i", "1/2/3", "-12i", "1/23i", "1/2+3i", "1 2i", "1+2"],
+     "", " ", "i", "1/2/3", "-12i", "1/23i", "1/2+3i", "1 2i", "1+2",
+     # the signed-integer route and what it must leave to the grammar
+     "-٣", "+0", "-0", "007", "-", "+", "--1", "+-1", "1 2", "7" * 5000, "-" + "7" * 5000],
+    ids=lambda text: f"{len(text)}_digits" if len(text) > 100 else None,
 )
 def test_scalar_parse_fixed_cases(text):
     assert outcome(Scalar.parse, text) == outcome(oracles.scalar_parse, text)
