@@ -201,7 +201,7 @@ class FlatExtension:
     def evaluate(self, p: Path) -> Scalar:
         if p in self.cache:
             return self.cache[p]
-        return self._value(p, *self.gb.tip_table.fold(p))
+        return self._value(p, *self.gb.tip_table.fold((p.vertex, p.letters)))
 
     def _value(self, p: Path, terms, den: int) -> Scalar:
         """L(NF(p)) for NF(p) = terms/den; cached."""

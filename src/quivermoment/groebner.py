@@ -16,20 +16,25 @@ division is prefix division of letter words, and reduction replaces the
 largest reducible support path first, so runs are reproducible event for
 event.
 
+The completion, its reducer and the normal forms run on integers, as
+`linalg` does.  An element is held as Gaussian-integer numerators
+{(vertex, letters): (re, im)} over one positive denominator with no common
+factor, so equal elements are held equally.  The reducer finds its
+divisor by looking the prefixes of a support path up in a table
+{tip: monic element}, longest first and the trivial path at its origin
+last; each tip keeps its canonically least element.  Elements, scalars and
+paths are built once, for the output.
+
 Normal forms against a finished basis take a different route, one letter at
 a time.  Every term r of NF(p) is irreducible, so the only tip that can
 left-divide r·c is r·c itself, and NF(p·c) = NF(NF(p)·c) is one lookup per
-term in a table mapping each tip to the normal form of its tail.
-
-That fold runs on integers, as `linalg` does.  Every tail is stored as
-Gaussian-integer numerators (re, im) over one denominator D shared by the
-table, and the fold carries {word: (re, im)} over a running denominator.  A
-letter that extends no term to a tip only re-keys the terms.  When some
-term meets a tip, the other terms are scaled by D, the tip's term is
-replaced by its tail times the term's numerator, the running denominator
-is multiplied by D, and one integer gcd of all entries and the denominator
-is divided out.  Normal forms are unique (Green 1999), so the result equals
-the `Scalar` fold exactly; a `Scalar` is built once per output term.
+term in a table mapping each tip to the normal form of its tail, stored
+over one denominator D shared by the table.  A letter that extends no term
+to a tip only re-keys the terms.  When some term meets a tip, the other
+terms are scaled by D, the tip's term is replaced by its tail times the
+term's numerator, the running denominator is multiplied by D, and one
+integer gcd is divided out.  Normal forms are unique (Green 1999), so the
+result equals the `Scalar` fold exactly.
 """
 
 from __future__ import annotations
@@ -40,10 +45,9 @@ from math import gcd, lcm
 
 from .algebra import Element
 from .errors import InputError, InternalInvariantError
-from .linalg import Matrix, _common, _scalar
+from .linalg import _common, _scalar
 from .moment import TruncatedFunctional
-from .quiver import DoubleQuiver, Letter, Path, PathOrder
-from .scalar import ONE, Scalar
+from .quiver import DoubleQuiver, Key, Letter, Path, PathOrder
 
 
 def left_divides(t: Path, m: Path) -> Path | None:
@@ -55,14 +59,11 @@ def left_divides(t: Path, m: Path) -> Path | None:
     """
     if t.double is not m.double:
         raise InputError("paths live in different double quivers")
-    if t.is_trivial():
-        return m if m.origin() == t.vertex else None
-    lt, lm = t.length(), m.length()
-    if lt > lm or m.letters[:lt] != t.letters:
+    key, mkey = (t.vertex, t.letters), (m.vertex, m.letters)
+    if key != mkey and key not in _proper_prefixes(mkey, m.double):
         return None
-    if lt == lm:
-        return m.double.trivial_paths()[m.terminal()]
-    return Path(m.double, None, m.letters[lt:])
+    rest = m.letters[len(t.letters) :]
+    return Path(m.double, None, rest) if rest else m.double.trivial_paths()[m.terminal()]
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,30 @@ class ReductionEvent:
     cofactor: Path
 
 
-Key = tuple[int | None, tuple[Letter, ...]]  # (vertex, letters), as a Path is identified
 Numerators = dict[Key, tuple[int, int]]
+
+
+def _ints(e: Element) -> tuple[Numerators, int]:
+    """e as numerators over one denominator, from one `_common` call; gcd 1 by construction."""
+    cs = e.terms.values()
+    nums, den = _common([c.re for c in cs] + [c.im for c in cs])
+    n = len(cs)
+    return {(p.vertex, p.letters): c for p, c in zip(e.terms, zip(nums[:n], nums[n:]))}, den
+
+
+def _element(double: DoubleQuiver, terms: Numerators, den: int) -> Element:
+    return Element(double, {Path(double, *k): _scalar(re, im, den) for k, (re, im) in terms.items()})
+
+
+def _end(key: Key, double: DoubleQuiver) -> int:
+    vertex, letters = key
+    return double.target[letters[-1]] if letters else vertex
+
+
+def _proper_prefixes(key: Key, double: DoubleQuiver) -> list[Key]:
+    """The keys of the paths that left-divide a path and differ from it."""
+    _, w = key
+    return [(double.source[w[0]], ())] + [(None, w[:i]) for i in range(1, len(w))] if w else []
 
 
 def _reduced(acc: Numerators, den: int) -> tuple[Numerators, int]:
@@ -99,26 +122,30 @@ def _add_scaled(acc: Numerators, cr: int, ci: int, terms: Numerators) -> None:
         acc[k] = (re, im)
 
 
-def _combine(parts) -> tuple[Numerators, int]:
-    """The sum of c·terms/den over (c, terms, den) with `Scalar` c, over one denominator."""
-    scaled = []
-    for c, terms, den in parts:
-        (cr, ci), dc = _common([c.re, c.im])
-        scaled.append((cr, ci, terms, dc * den))
-    common = lcm(*(d for _, _, _, d in scaled))
+def _combine(parts, den: int) -> tuple[Numerators, int]:
+    """The sum of (cr + ci i)·terms/d over the (cr, ci, terms, d) of `parts`, divided by den."""
+    parts = list(parts)
+    common = lcm(*(d for *_, d in parts))
     acc: Numerators = {}
-    for cr, ci, terms, d in scaled:
+    for cr, ci, terms, d in parts:
         m = common // d
         _add_scaled(acc, cr * m, ci * m, terms)
-    return _reduced(acc, common)
+    return _reduced(acc, common * den)
+
+
+def _monic(terms: Numerators, tip: Key) -> tuple[Numerators, int]:
+    """terms divided by their coefficient at `tip`, whatever their denominator."""
+    tr, ti = terms[tip]
+    acc: Numerators = {}
+    _add_scaled(acc, tr, -ti, terms)
+    return _reduced(acc, tr * tr + ti * ti)
 
 
 class TipTable:
     """Each tip mapped to its reduced tail, on Gaussian-integer numerators.
 
-    A path is keyed by (vertex, letters) as `Path` identifies it: (v, ()) for
-    the trivial path at v, (None, letters) otherwise.  A tail is stored as
-    {key: (re, im)} over one positive denominator `den` shared by the table.
+    A tail is stored as {key: (re, im)} over one positive denominator `den`
+    shared by the table.
     """
 
     def __init__(self, double: DoubleQuiver):
@@ -126,14 +153,14 @@ class TipTable:
         self.tails: dict[Key, Numerators] = {}
         self.den = 1
 
-    def add(self, tip: Path, terms: Numerators, den: int) -> None:
+    def add(self, tip: Key, terms: Numerators, den: int) -> None:
         """Enter tip -> terms/den, bringing the table to the lcm of the denominators."""
         common = lcm(self.den, den)
         if common != self.den:
             m = common // self.den
             self.tails = {t: _times(tail, m) for t, tail in self.tails.items()}
             self.den = common
-        self.tails[(tip.vertex, tip.letters)] = _times(terms, common // den)
+        self.tails[tip] = _times(terms, common // den)
 
     def start(self, vertex: int) -> tuple[Numerators, int]:
         """NF of the trivial path at `vertex`."""
@@ -166,16 +193,17 @@ class TipTable:
             _add_scaled(out, cr, ci, tail)
         return _reduced(out, den * self.den)
 
-    def fold(self, p: Path) -> tuple[Numerators, int]:
-        """NF(p), letter by letter."""
-        terms, den = self.start(p.origin())
-        for letter in p.letters:
+    def fold(self, key: Key) -> tuple[Numerators, int]:
+        """NF of the path with this key, letter by letter."""
+        vertex, letters = key
+        terms, den = self.start(self.double.source[letters[0]] if letters else vertex)
+        for letter in letters:
             terms, den = self.step(terms, den, letter)
         return terms, den
 
-    def scalars(self, terms: Numerators, den: int) -> dict[Path, Scalar]:
-        """terms/den as {path: Scalar}."""
-        return {Path(self.double, *k): _scalar(re, im, den) for k, (re, im) in terms.items()}
+    def normal_form(self, terms: Numerators, den: int) -> tuple[Numerators, int]:
+        """NF(terms/den): the sum of c·NF(p) over its terms."""
+        return _combine(((cr, ci, *self.fold(k)) for k, (cr, ci) in terms.items()), den)
 
 
 @dataclass(frozen=True)
@@ -194,30 +222,56 @@ class RightGroebnerBasis:
         of a tail is below its tip, so only the rules already in the table can
         divide the paths its fold meets.
         """
-        table = TipTable(self.order.double)
-        for g in sorted(self.elements, key=lambda e: self.order.key(e.tip(self.order)[0])):
-            tip, lead = g.tip(self.order)
-            tail = ((q, c) for q, c in g.terms.items() if q != tip and q.terminal() == tip.terminal())
-            table.add(tip, *_combine((-c / lead, *table.fold(q)) for q, c in tail))
+        double, okey = self.order.double, self.order.key_of
+        table = TipTable(double)
+        ints = [terms for terms, _ in map(_ints, self.elements)]
+        for tip, terms in sorted(((max(t, key=okey), t) for t in ints), key=lambda e: okey(e[0])):
+            terms, den = _monic(terms, tip)
+            end = _end(tip, double)
+            tail = ((-re, -im, *table.fold(q)) for q, (re, im) in terms.items() if q != tip and _end(q, double) == end)
+            table.add(tip, *_combine(tail, den))
         return table
 
     def nf(self, p: Path) -> Element:
         """Normal form of a single path."""
-        table = self.tip_table
-        return Element(p.double, table.scalars(*table.fold(p)))
+        return _element(p.double, *self.tip_table.fold((p.vertex, p.letters)))
 
     def reducible(self, p: Path) -> bool:
         """True iff some tip left-divides p, i.e. some prefix of p is a tip."""
-        tails = self.tip_table.tails
-        prefixes = ((None, p.letters[:i]) for i in range(1, p.length() + 1))
-        return (p.origin(), ()) in tails or any(k in tails for k in prefixes)
+        key = (p.vertex, p.letters)
+        return any(k in self.tip_table.tails for k in [key, *_proper_prefixes(key, p.double)])
 
 
-def _monic(e: Element, order: PathOrder) -> Element:
-    _, c = e.tip(order)
-    if c == ONE:
-        return e
-    return e.scale(ONE / c)
+# -- the completion --------------------------------------------------------------
+
+
+def _reduce(terms: Numerators, den: int, tips: dict, order: PathOrder, events: list) -> tuple[Numerators, int]:
+    """`total_reduce` of terms/den by the monic elements of {tip: element}; appends (m, tip, b) per step."""
+    double = order.double
+    terms = dict(terms)
+    while terms:
+        for m in sorted(terms, key=order.key_of, reverse=True):
+            # the longest tip dividing m: its longest prefix in `tips`, the trivial path last
+            tip = next((t for t in [m, *reversed(_proper_prefixes(m, double))] if t in tips), None)
+            if tip is not None:
+                break
+        else:
+            break
+        w, end = m[1][len(tip[1]) :], _end(tip, double)
+        b = (None, w) if w else (end, ())
+        g, gden = tips[tip]
+        # g·b, without the terms of g that do not compose with b
+        gb = {(None, q[1] + w) if w else q: c for q, c in g.items() if _end(q, double) == end}
+        cr, ci = terms[m]
+        acc = _times(terms, gden)
+        _add_scaled(acc, -cr, -ci, gb)
+        terms, den = _reduced(acc, den * gden)
+        events.append((m, tip, b))
+    return terms, den
+
+
+def _events(double: DoubleQuiver, events) -> list[ReductionEvent]:
+    return [ReductionEvent(*(Path(double, *k) for k in ev)) for ev in events]
 
 
 def total_reduce(
@@ -226,7 +280,7 @@ def total_reduce(
     order: PathOrder,
     trace: list[ReductionEvent] | None = None,
 ) -> Element:
-    """Normal form of h against monic basis elements.
+    """Normal form of h against the basis, each element divided by its tip coefficient.
 
     Repeatedly rewrites the largest reducible support path; each step strips
     a path m = Tip(g)·b down by h -= coeff·g·b.  The divisor is the basis
@@ -234,108 +288,76 @@ def total_reduce(
     element order.  Termination follows from the well-order: the reduced
     path strictly decreases at every step.
     """
-    while not h.is_zero():
-        target = None
-        chosen = None
-        cofactor = None
-        for m in sorted(h.terms, key=order.key, reverse=True):
-            candidates = []
-            for g in basis:
-                tip, _ = g.tip(order)
-                b = left_divides(tip, m)
-                if b is not None:
-                    candidates.append((g, tip, b))
-            if candidates:
-                candidates.sort(key=lambda t: (-t[1].length(), t[0].sort_key(order)))
-                chosen, tip, cofactor = candidates[0]
-                target = m
-                break
-        if target is None:
-            return h
-        coeff = h.coeff(target)
-        h = h - (chosen * Element.from_path(cofactor)).scale(coeff)
-        if trace is not None:
-            trace.append(ReductionEvent(target, chosen.tip(order)[0], cofactor))
-    return h
-
-
-def _right_parts(g: Element) -> list[Element]:
-    """The nonzero g·e_v over the vertices v, in vertex order.
-
-    Their sum is g and each lies in the right ideal g generates, so they
-    generate the same right ideal; each is right-uniform (all its terms end
-    at v), which the completion needs.
-    """
-    parts: dict[int, dict[Path, Scalar]] = {}
-    for p, c in g.terms.items():
-        parts.setdefault(p.terminal(), {})[p] = c
-    return [Element(g.double, parts[v]) for v in sorted(parts)]
+    tips = {}
+    for g in sorted(basis, key=lambda e: e.sort_key(order), reverse=True):
+        terms = _ints(g)[0]
+        tip = max(terms, key=order.key_of)
+        tips[tip] = _monic(terms, tip)  # the canonically least element of a tip comes last
+    events: list = []
+    terms, den = _reduce(*_ints(h), tips, order, events)
+    if trace is not None:
+        trace.extend(_events(h.double, events))
+    return _element(h.double, terms, den)
 
 
 def right_groebner(generators, order: PathOrder) -> RightGroebnerBasis:
     """Right Gröbner basis of the right ideal generated by `generators`.
 
-    Each generator is first split into its right-uniform parts g·e_v.
-    Duplicates (after monic normalization) are dropped silently up front;
-    they are mathematically inert.  The output is monic, has pairwise
-    non-dividing tips, and is sorted by tip.
+    Each generator is first split into its right-uniform parts g·e_v, in
+    vertex order: their sum is g and each lies in the right ideal g
+    generates, and the completion needs every element's terms to end at
+    one vertex.  Duplicates (after monic normalization) are dropped
+    silently; they are mathematically inert.  The output is monic, has
+    pairwise non-dividing tips, and is sorted by tip.
     """
-    trace: list[ReductionEvent] = []
-    h: list[Element] = []
-    seen = set()
-    for g in (part for gen in generators for part in _right_parts(gen)):
-        g = _monic(g, order)
-        key = frozenset(g.terms.items())
-        if key in seen:
-            continue
-        seen.add(key)
-        h.append(g)
+    double, okey = order.double, order.key_of
+    events: list = []
 
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10_000:
-            raise InternalInvariantError("right_groebner failed to terminate")
-        by_tip: dict[Path, list[Element]] = {}
-        for g in h:
-            by_tip.setdefault(g.tip(order)[0], []).append(g)
-        tips = list(by_tip)
-        selected = set()
-        for t in tips:
-            if not any(t2 != t and left_divides(t2, t) is not None for t2 in tips):
-                selected.add(t)
-        kept: list[Element] = []
-        to_reduce: list[Element] = []
-        for g in h:
-            t = g.tip(order)[0]
-            group = by_tip[t]
-            rep = min(group, key=lambda e: e.sort_key(order))
-            if t in selected and g == rep:
-                kept.append(g)
-            else:
-                to_reduce.append(g)
+    def admit(out: list, seen: set, terms: Numerators) -> None:
+        tip = max(terms, key=okey)
+        terms, den = _monic(terms, tip)
+        canon = (frozenset(terms.items()), den)
+        if canon not in seen:
+            seen.add(canon)
+            out.append((tip, terms, den))
+
+    h: list = []
+    seen: set = set()
+    for gen in generators:
+        parts: dict[int, Numerators] = {}
+        for k, c in _ints(gen)[0].items():
+            parts.setdefault(_end(k, double), {})[k] = c
+        for v in sorted(parts):
+            admit(h, seen, parts[v])
+
+    for _ in range(10_000):
+        by_tip: dict[Key, list] = {}
+        for e in h:
+            by_tip.setdefault(e[0], []).append(e)
+        kept, to_reduce = [], []
+        for e in h:
+            group = by_tip[e[0]]
+            # Equal tips are rare, so the tie-break builds elements.
+            rep = group[0] if len(group) == 1 else min(group, key=lambda g: _element(double, *g[1:]).sort_key(order))
+            selected = by_tip.keys().isdisjoint(_proper_prefixes(e[0], double))
+            (kept if selected and e is rep else to_reduce).append(e)
         if not to_reduce:
-            kept.sort(key=lambda e: order.key(e.tip(order)[0]))
-            return RightGroebnerBasis(tuple(kept), order, tuple(trace))
-        nxt = list(kept)
-        seen = {frozenset(g.terms.items()) for g in kept}
-        for g in to_reduce:
-            r = total_reduce(g, kept, order, trace)
-            if r.is_zero():
-                continue
-            r = _monic(r, order)
-            key = frozenset(r.terms.items())
-            if key in seen:
-                continue
-            seen.add(key)
-            nxt.append(r)
-        h = nxt
+            kept.sort(key=lambda e: okey(e[0]))
+            elements = tuple(_element(double, terms, den) for _, terms, den in kept)
+            return RightGroebnerBasis(elements, order, tuple(_events(double, events)))
+        tips = {tip: (terms, den) for tip, terms, den in kept}
+        h = list(kept)
+        seen = {(frozenset(terms.items()), den) for _, terms, den in kept}
+        for _, terms, den in to_reduce:
+            r, _ = _reduce(terms, den, tips, order, events)
+            if r:
+                admit(h, seen, r)
+    raise InternalInvariantError("right_groebner failed to terminate")
 
 
 def normal_form(f: Element, gb: RightGroebnerBasis) -> Element:
     """Sum of c·NF(p) over the terms of f; supported on non-tips, linear, idempotent."""
-    table = gb.tip_table
-    return Element(f.double, table.scalars(*_combine((c, *table.fold(p)) for p, c in f.terms.items())))
+    return _element(f.double, *gb.tip_table.normal_form(*_ints(f)))
 
 
 def kernel_groebner(functional: TruncatedFunctional) -> RightGroebnerBasis:
@@ -347,41 +369,35 @@ def kernel_groebner(functional: TruncatedFunctional) -> RightGroebnerBasis:
     follow, and a failure of either is a hard invariant violation: every
     other kernel element has normal form zero through the kept basis, and
     every kept element pairs to zero with the whole order-k window.
-    Flatness guarantees both.
+    Flatness guarantees both.  Both run on integers.
     """
     report = functional.is_flat()
     if not report.flat:
         raise InputError("kernel_groebner requires a flat functional")
-    order = functional.order
-    kernel = functional.kernel_basis()
-    tips = {(t.vertex, t.letters) for t in (g.tip(order)[0] for g in kernel)}
-
-    def minimal(t: Path) -> bool:
-        prefixes = [(t.origin(), ())] + [(None, t.letters[:i]) for i in range(1, t.length())]
-        return t.is_trivial() or tips.isdisjoint(prefixes)
-
+    order, double = functional.order, functional.double
+    kernel = []
+    for g in functional.kernel_basis():
+        terms, _ = _ints(g)
+        kernel.append((g, terms, max(terms, key=order.key_of)))
+    tips = {tip for *_, tip in kernel}
     kept, rest = [], []
-    for g in kernel:
-        (kept if minimal(g.tip(order)[0]) else rest).append(g)
-    gb = RightGroebnerBasis(tuple(kept), order, ())
-    for g in rest:
-        if not normal_form(g, gb).is_zero():
+    for g, terms, tip in kernel:
+        (kept if tips.isdisjoint(_proper_prefixes(tip, double)) else rest).append((g, terms))
+    gb = RightGroebnerBasis(tuple(g for g, _ in kept), order, ())
+    table = gb.tip_table
+    for g, terms in rest:
+        if table.normal_form(terms, 1)[0]:
             raise InternalInvariantError(
                 f"kernel element {g} is not in the right ideal of the minimal-tip elements"
             )
-    window = functional.basis(functional.k)
-    for g in gb.elements:
+    for g, terms in kept:
         deg = g.degree()
         if deg is None or deg > functional.k:
             raise InternalInvariantError("Gröbner element escaped the order-k window")
-        # Row q of the product is L(g q*): the coefficient row of g times the
-        # moment block of its support against the window.
-        support = list(g.terms)
-        coeffs = Matrix(1, len(support), [g.terms[p] for p in support])
-        row = coeffs * functional.moment_block(support, window)
-        for q, v in zip(window, row.entries):
-            if v:
-                raise InternalInvariantError(
-                    f"Gröbner element {g} left the kernel (pairs nontrivially with {q})"
-                )
+        j = functional.first_pairing(terms)
+        if j is not None:
+            q = functional.basis(functional.k)[j]
+            raise InternalInvariantError(
+                f"Gröbner element {g} left the kernel (pairs nontrivially with {q})"
+            )
     return gb

@@ -264,6 +264,23 @@ class TruncatedFunctional:
         """
         return linalg._image(self.moment_matrix().m)
 
+    def first_pairing(self, terms: dict[Key, tuple[int, int]]) -> int | None:
+        """The first position j of V_k with L(g q_j*) != 0, or None.
+
+        g is given by numerators {key: (re, im)} over any denominator, on
+        V_k.  Its pairings are the combination of the image's rows at its
+        support: row p of B_{L_k} holds L(p q*) over the window paths q.
+        """
+        rows, _ = self._image
+        n, position = len(rows), self._position
+        re, im = [0] * n, [0] * n
+        for key, (cr, ci) in terms.items():
+            row = rows[position[key]]
+            br, bi = row[:n], row[n:] or [0] * n  # a real image has no imaginary parts
+            re = [s + cr * x - ci * y for s, x, y in zip(re, br, bi)]
+            im = [s + ci * x + cr * y for s, x, y in zip(im, br, bi)]
+        return next((j for j in range(n) if re[j] or im[j]), None)
+
     @cached_property
     def _kernel(self) -> tuple[Element, ...]:
         rows, _ = self._image

@@ -242,9 +242,14 @@ class PathOrder:
         return letter
 
     def key(self, p: Path):
-        if p.is_trivial():
-            return (0, (self._vrank[p.vertex],))
-        return (len(p.letters), tuple(map(self._lrank.__getitem__, p.letters)))
+        return self.key_of((p.vertex, p.letters))
+
+    def key_of(self, key: Key):
+        """`key` of the path with this (vertex, letters) key."""
+        vertex, letters = key
+        if not letters:
+            return (0, (self._vrank[vertex],))
+        return (len(letters), tuple(map(self._lrank.__getitem__, letters)))
 
     def compare(self, p: Path, q: Path) -> int:
         kp, kq = self.key(p), self.key(q)

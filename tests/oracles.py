@@ -15,6 +15,9 @@
   before `Scalar` pivoting;
 * the kernel Gröbner basis as it was before the minimal-tip selection: the
   completion of the echelon kernel, then the containment check;
+* the completion and its reducer on `Scalar` elements, as they were before
+  they ran on integers: every support path scanned against every basis tip
+  with `left_divides`, and h -= coeff·g·b as `Element` arithmetic;
 * the odd-degree system of the one-step extension as it was before the
   hermitian symmetry was substituted: one complex unknown per path, the
   symmetry as extra rows, solved by the `Scalar` canonical solve;
@@ -53,10 +56,11 @@ from quivermoment import (
     build_double,
     compose,
     enumerate_basis,
+    left_divides,
     linalg,
     paths_of_length,
-    right_groebner,
 )
+from quivermoment.groebner import ReductionEvent, RightGroebnerBasis
 from quivermoment.gns import Representation, _vertex_projections
 from quivermoment.quiver import ZERO_PATH, Letter
 from quivermoment.scalar import ONE, ZERO, Scalar
@@ -245,7 +249,7 @@ def pairing(functional, f: Element, g: Element) -> Scalar:
 def completion_kernel_groebner(functional: TruncatedFunctional):
     """The completion of the echelon kernel basis, each element checked to pair
     to zero with the whole order-k window (InternalInvariantError if not)."""
-    gb = right_groebner(functional.kernel_basis(), functional.order)
+    gb = scalar_right_groebner(functional.kernel_basis(), functional.order)
     for g in gb.elements:
         if g.degree() is None or g.degree() > functional.k:
             raise InternalInvariantError(f"Gröbner element {g} escaped the order-k window")
@@ -253,6 +257,111 @@ def completion_kernel_groebner(functional: TruncatedFunctional):
             if not pairing(functional, g, Element.from_path(q)).is_zero():
                 raise InternalInvariantError(f"Gröbner element {g} left the kernel")
     return gb
+
+
+# -- the completion on `Scalar` elements, before the integer reducer ------------
+
+
+def _scalar_monic(e: Element, order) -> Element:
+    _, c = e.tip(order)
+    if c == ONE:
+        return e
+    return e.scale(ONE / c)
+
+
+def scalar_total_reduce(h: Element, basis: list[Element], order, trace: list | None = None) -> Element:
+    """Normal form of h against monic basis elements.
+
+    Repeatedly rewrites the largest reducible support path; each step strips
+    a path m = Tip(g)·b down by h -= coeff·g·b.  The divisor is the basis
+    element with the longest matching tip, ties broken by the canonical
+    element order.
+    """
+    while not h.is_zero():
+        target = None
+        chosen = None
+        cofactor = None
+        for m in sorted(h.terms, key=order.key, reverse=True):
+            candidates = []
+            for g in basis:
+                tip, _ = g.tip(order)
+                b = left_divides(tip, m)
+                if b is not None:
+                    candidates.append((g, tip, b))
+            if candidates:
+                candidates.sort(key=lambda t: (-t[1].length(), t[0].sort_key(order)))
+                chosen, tip, cofactor = candidates[0]
+                target = m
+                break
+        if target is None:
+            return h
+        coeff = h.coeff(target)
+        h = h - (chosen * Element.from_path(cofactor)).scale(coeff)
+        if trace is not None:
+            trace.append(ReductionEvent(target, chosen.tip(order)[0], cofactor))
+    return h
+
+
+def _right_parts(g: Element) -> list[Element]:
+    """The nonzero g·e_v over the vertices v, in vertex order."""
+    parts: dict = {}
+    for p, c in g.terms.items():
+        parts.setdefault(p.terminal(), {})[p] = c
+    return [Element(g.double, parts[v]) for v in sorted(parts)]
+
+
+def scalar_right_groebner(generators, order) -> RightGroebnerBasis:
+    """The five-step completion on `Scalar` elements, pairwise tip selection included."""
+    trace: list = []
+    h: list[Element] = []
+    seen = set()
+    for g in (part for gen in generators for part in _right_parts(gen)):
+        g = _scalar_monic(g, order)
+        key = frozenset(g.terms.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        h.append(g)
+
+    guard = 0
+    while True:
+        guard += 1
+        if guard > 10_000:
+            raise InternalInvariantError("right_groebner failed to terminate")
+        by_tip: dict = {}
+        for g in h:
+            by_tip.setdefault(g.tip(order)[0], []).append(g)
+        tips = list(by_tip)
+        selected = set()
+        for t in tips:
+            if not any(t2 != t and left_divides(t2, t) is not None for t2 in tips):
+                selected.add(t)
+        kept: list[Element] = []
+        to_reduce: list[Element] = []
+        for g in h:
+            t = g.tip(order)[0]
+            group = by_tip[t]
+            rep = min(group, key=lambda e: e.sort_key(order))
+            if t in selected and g == rep:
+                kept.append(g)
+            else:
+                to_reduce.append(g)
+        if not to_reduce:
+            kept.sort(key=lambda e: order.key(e.tip(order)[0]))
+            return RightGroebnerBasis(tuple(kept), order, tuple(trace))
+        nxt = list(kept)
+        seen = {frozenset(g.terms.items()) for g in kept}
+        for g in to_reduce:
+            r = scalar_total_reduce(g, kept, order, trace)
+            if r.is_zero():
+                continue
+            r = _scalar_monic(r, order)
+            key = frozenset(r.terms.items())
+            if key in seen:
+                continue
+            seen.add(key)
+            nxt.append(r)
+        h = nxt
 
 
 # -- flatness and PSD on `Scalar` blocks, before the integer image ---------------

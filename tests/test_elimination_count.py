@@ -13,7 +13,9 @@ adds one of its odd-degree system and one of the Schur block [A | C].
 
 The kernel Gröbner basis is read off the echelon kernel, so no completion
 runs behind it: only the `groebner` command, whose output lists the
-completion's reductions, runs one.
+completion's reductions, runs one.  The completion, its reducer and the
+kernel checks run on integer numerators: no `Element` product, no
+`left_divides` scan and no `Scalar` matrix product.
 
 A loaded functional assembles its order-k moment matrix once, by window
 position, and every block of it that a verdict or the kernel check reads
@@ -135,9 +137,10 @@ def test_one_step_extension_solves_one_unknown_per_star_pair(eliminations):
 
 @pytest.fixture
 def completions(monkeypatch):
-    """Calls of right_groebner and total_reduce, under every module binding."""
+    """Calls of right_groebner, total_reduce and the per-element reducer
+    `_reduce` behind both, under every module binding."""
     calls = []
-    for name in ("right_groebner", "total_reduce"):
+    for name in ("right_groebner", "total_reduce", "_reduce"):
         fn = getattr(groebner, name)
 
         def counted(*args, fn=fn, name=name, **kwargs):
@@ -168,7 +171,7 @@ def test_kernel_routes_run_no_completion(completions, tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert len(out["elements"]) == len(gb.elements)
     assert completions.count("right_groebner") == 1
-    assert completions.count("total_reduce") == 12
+    assert completions.count("_reduce") == 12
 
 
 @pytest.fixture
@@ -209,3 +212,49 @@ def test_loaded_functional_assembles_its_moment_matrix_once(compose_calls, monke
     assert gb.elements
     assert compose_calls == []
     assert assemblies == [(85, 85)]
+
+
+@pytest.fixture
+def algebra_calls(monkeypatch):
+    """Calls of Element.__mul__, left_divides and Matrix.__mul__, under every module binding."""
+    calls = []
+
+    def counting(fn, name):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for cls, name in ((algebra.Element, "__mul__"), (linalg.Matrix, "__mul__")):
+        monkeypatch.setattr(cls, name, counting(getattr(cls, name), f"{cls.__name__}.{name}"))
+    fn = groebner.left_divides
+    for module in (groebner, cli):
+        if getattr(module, "left_divides", None) is fn:
+            monkeypatch.setattr(module, "left_divides", counting(fn, "left_divides"))
+    return calls
+
+
+@pytest.fixture(scope="module")
+def rank3_two_loops_file(tmp_path_factory):
+    # The shape of a flat_gns instance: a rank-3 state on two loops with
+    # trivial paths and k = 3, whose completion makes 300+ reductions.
+    fpath = tmp_path_factory.mktemp("rank3") / "f.json"
+    state = state_functional(TWO_LOOPS, 3, True, [3], random.Random(11))
+    fpath.write_text(json.dumps(fileio.functional_to_dict(state)), encoding="utf-8")
+    return fpath
+
+
+def test_groebner_from_kernel_forms_no_element_product(rank3_two_loops_file, algebra_calls, completions, capsys):
+    assert cli.main(["groebner", "--from-kernel", str(rank3_two_loops_file)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["reductions"]) > 300
+    assert completions.count("right_groebner") == 1
+    assert algebra_calls == []
+
+
+def test_kernel_groebner_forms_no_scalar_product(rank3_two_loops_file, algebra_calls):
+    f = fileio.load_functional(rank3_two_loops_file)
+    assert f.is_flat().flat
+    assert len(kernel_groebner(f).elements) > 0
+    assert algebra_calls == []

@@ -1,7 +1,9 @@
+import json
 import random
 import re
 from fractions import Fraction
 from math import gcd
+from pathlib import Path as FsPath
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from quivermoment import (
     Element,
+    fileio,
     ExtensionObstructed,
     InputError,
     InternalInvariantError,
@@ -24,7 +27,15 @@ from quivermoment import (
 )
 
 from conftest import elem, hermitian_functional, path, pd_functional, sc, state_functional
-from oracles import completion_kernel_groebner, pairing, scalar_fold, scalar_normal_form, scalar_tip_table
+from oracles import (
+    completion_kernel_groebner,
+    pairing,
+    scalar_fold,
+    scalar_normal_form,
+    scalar_right_groebner,
+    scalar_tip_table,
+    scalar_total_reduce,
+)
 
 
 def test_left_divides_examples(fix_loop):
@@ -52,6 +63,10 @@ def test_total_reduce_examples(fix_loop):
     assert r == elem(fix_loop, ("x", 1))
     h2 = elem(fix_loop, ("x x*", 2), ("x", -1))
     assert total_reduce(h2, [], o) == h2
+    # A basis element is used divided by its tip coefficient.
+    trace = []
+    assert total_reduce(elem(fix_loop, ("x x", 1)), [elem(fix_loop, ("x", 2))], o, trace).is_zero()
+    assert [(str(e.target), str(e.by), str(e.cofactor)) for e in trace] == [("x x", "x", "x")]
 
 
 def test_right_groebner_printed_example(fix_h4, fix_g4, fix_loop):
@@ -268,7 +283,7 @@ def elements(double, max_len, max_terms, gaussian=True):
 
 def assert_reduced_fold(gb, p):
     # The integer fold keeps its numerators and denominator coprime.
-    terms, den = gb.tip_table.fold(p)
+    terms, den = gb.tip_table.fold((p.vertex, p.letters))
     assert den > 0 and gcd(den, *(x for c in terms.values() for x in c)) == 1
 
 
@@ -316,6 +331,90 @@ def test_integer_fold_matches_scalar_fold_and_total_reduce(data, fix_a2, fix_loo
     gb = right_groebner(gens, double.default_order())
     f = data.draw(elements(double, 7, 5, gaussian))
     assert_engines_agree(gb, f)
+
+
+# -- the integer completion against the `Scalar` completion ------------------
+
+
+def assert_completions_agree(gens, order):
+    gb = right_groebner(gens, order)
+    oracle = scalar_right_groebner(gens, order)
+    assert gb.elements == oracle.elements
+    assert len(gb.trace) == len(oracle.trace)
+    for ev, want in zip(gb.trace, oracle.trace):
+        assert (ev.target, ev.by, ev.cofactor) == (want.target, want.by, want.cofactor)
+    return gb
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(data=st.data())
+def test_completion_matches_the_scalar_completion(data, fix_a2, fix_loop, fix_chain, fix_two_loops, fix_xyz):
+    # Random non-monic generators, on quivers where most are not right-
+    # uniform, with a scaled duplicate and a trivial-path tip drawn in; or
+    # the echelon kernel of a random flat state.
+    double = data.draw(st.sampled_from([fix_a2, fix_loop, fix_chain, fix_two_loops, fix_xyz]))
+    gaussian = data.draw(st.booleans(), label="gaussian")
+    if data.draw(st.booleans(), label="flat state kernel"):
+        k = data.draw(st.integers(1, 2), label="k")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        dims = [rng.randint(0, 2) for _ in double.vertices]
+        f = state_functional(double, k, data.draw(st.booleans()), dims, rng, gaussian)
+        assume(f.is_flat().flat)
+        gb = assert_completions_agree(f.kernel_basis(), f.order)
+        assert gb.elements == kernel_groebner(f).elements
+        return
+    gens = data.draw(st.lists(elements(double, 3, 4, gaussian), min_size=1, max_size=4))
+    if data.draw(st.booleans(), label="duplicate"):
+        gens.append(data.draw(st.sampled_from(gens)).scale(data.draw(gaussian_rationals(gaussian))))
+    if data.draw(st.booleans(), label="trivial tip"):
+        gens.append(data.draw(elements(double, 0, 2, gaussian)))
+    assert_completions_agree(gens, double.default_order())
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_total_reduce_matches_the_scalar_reducer(data, fix_a2, fix_loop, fix_chain, fix_two_loops, fix_xyz):
+    # Monic bases whose tips are not prefix-free, with repeated tips: the
+    # divisor is the longest dividing tip, and among elements with that tip
+    # the canonically least one.
+    double = data.draw(st.sampled_from([fix_a2, fix_loop, fix_chain, fix_two_loops, fix_xyz]))
+    gaussian = data.draw(st.booleans(), label="gaussian")
+    order = double.default_order()
+    drawn = data.draw(st.lists(elements(double, 3, 4, gaussian), min_size=1, max_size=5))
+    basis = [g.scale(Scalar(1) / g.tip(order)[1]) for g in drawn if not g.is_zero()]
+    assume(basis)
+    for g in data.draw(st.lists(st.sampled_from(basis), max_size=3), label="repeated tips"):
+        tip = g.tip(order)[0]
+        lower = data.draw(elements(double, 3, 3, gaussian))
+        below = {p: c for p, c in lower.terms.items() if order.key(p) < order.key(tip)}
+        basis.append(Element.from_path(tip) + Element(double, below))
+    h = data.draw(elements(double, 6, 6, gaussian))
+    trace, want_trace = [], []
+    assert total_reduce(h, basis, order, trace) == scalar_total_reduce(h, basis, order, want_trace)
+    assert trace == want_trace
+
+
+def test_groebner_from_kernel_bytes_match_the_scalar_completion(tmp_path, capsys, fix_two_loops):
+    # The size of a flat_gns instance: a rank-3 state on two loops with
+    # trivial paths and k = 3, whose completion makes 300+ reductions.
+    from quivermoment import cli
+
+    f = state_functional(fix_two_loops, 3, True, [3], random.Random(11))
+    fpath, opath = tmp_path / "f.json", tmp_path / "gb.json"
+    fpath.write_text(json.dumps(fileio.functional_to_dict(f)), encoding="utf-8")
+    assert cli.main(["groebner", "--from-kernel", str(fpath), "--trace", "-o", str(opath)]) == 0
+    out = capsys.readouterr().out
+    oracle = scalar_right_groebner(f.kernel_basis(), f.order)
+    assert len(oracle.trace) > 300
+    data = fileio.groebner_to_dict(oracle, fix_two_loops)
+    lines = [json.dumps(ev) for ev in data["reductions"]] + [json.dumps({"written": str(opath)})]
+    assert out == "".join(line + "\n" for line in lines)
+    assert opath.read_text(encoding="utf-8") == json.dumps(data, indent=2) + "\n"
 
 
 def random_word(double, rng, length):
@@ -397,6 +496,41 @@ def test_guard_refuses_a_kernel_element_outside_the_selections_ideal(fix_l2_ext,
     f = fix_l2_ext
     outside = elem(f.double, ("x x* x x*", 1))
     kernel = f.kernel_basis()
+    monkeypatch.setattr(f, "kernel_basis", lambda: kernel + [outside])
+    with pytest.raises(InternalInvariantError, match="not in the right ideal of the minimal-tip elements"):
+        kernel_groebner(f)
+
+
+# -- the kernel checks on Gaussian data ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def gauss_loop():
+    # A flat state on one loop with k = 2, whose moments and kernel are not
+    # all real: the integer image holds (re, im) rows.
+    fpath = FsPath(__file__).parent / "fixtures" / "fix_gauss_loop.json"
+    return fileio.load_functional(fpath)
+
+
+def test_containment_check_names_the_first_offending_path_on_gaussian_data(gauss_loop, monkeypatch):
+    # L(x - x*) = 40i: the first offending path, e:e, pairs to a purely
+    # imaginary value.
+    f = gauss_loop
+    g = elem(f.double, ("x", 1), ("x*", -1))
+    first = next(q for q in f.basis(f.k) if not pairing(f, g, Element.from_path(q)).is_zero())
+    assert pairing(f, g, Element.from_path(first)) == Scalar(0, 40)
+    monkeypatch.setattr(f, "kernel_basis", lambda: [g])
+    with pytest.raises(InternalInvariantError, match=re.escape(f"(pairs nontrivially with {first})")):
+        kernel_groebner(f)
+
+
+def test_guard_refuses_an_element_outside_the_selections_ideal_on_gaussian_data(gauss_loop, monkeypatch):
+    # (1 + 2i)·x x x has the kept tip x x as a prefix, but its normal form
+    # through the kept elements is not zero.
+    f = gauss_loop
+    outside = elem(f.double, ("x x x", Scalar(1, 2)))
+    kernel = f.kernel_basis()
+    assert not normal_form(outside, kernel_groebner(f)).is_zero()
     monkeypatch.setattr(f, "kernel_basis", lambda: kernel + [outside])
     with pytest.raises(InternalInvariantError, match="not in the right ideal of the minimal-tip elements"):
         kernel_groebner(f)
