@@ -27,7 +27,7 @@ from .groebner import (
     total_reduce,
 )
 from .linalg import Matrix, ldlh_psd, nullspace, psd_check, rank
-from .moment import BlockDecomposition, FlatReport, MomentMatrix, TruncatedFunctional
+from .moment import FlatReport, MomentMatrix, TruncatedFunctional
 from .quiver import (
     ZERO_PATH,
     DoubleQuiver,
@@ -70,7 +70,6 @@ __all__ = [
     "nullspace",
     "psd_check",
     "rank",
-    "BlockDecomposition",
     "FlatReport",
     "MomentMatrix",
     "TruncatedFunctional",

@@ -9,6 +9,7 @@ traceback).  All numeric output uses the exact scalar grammar.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -327,8 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# The parser `main` reuses, built on its first call; it holds no state of any
+# input.  `build_parser` still returns a fresh one.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (NotFlatError, ExtensionObstructed) as e:

@@ -2,27 +2,30 @@
 
 Three layers: the exact Schur completion of a hermitian block (the flat
 choice of the bottom-right block), the one-step extension of a tip-maximal
-functional (the kernel-propagation equations in one unknown per star pair,
-so hermitian symmetry holds by substitution; canonical solution, then
-Schur-completing the top degree), and the lazy full extension that evaluates
-any path through Gröbner normal forms.
+functional, and the lazy full extension that evaluates any path through
+Gröbner normal forms.
+
+The one-step extension runs on the window of the extended functional and on
+Gaussian-integer numerators.  Its odd-degree system holds one unknown per
+star pair, so hermitian symmetry holds by substitution, and each equation is
+one integer row over the base values' common denominator.  On real data
+the system is block-diagonal: every kernel coefficient and every value is
+real, so the imaginary rows touch only the v columns and have right-hand
+side 0, and their canonical solution is v = 0; only the real rows over the
+u columns are built.  The top degree is the Schur completion C^H X of the
+integer rows of [A | C] (`linalg._schur`), with no `Scalar` product.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from . import linalg
-from .errors import (
-    ExtensionObstructed,
-    InputError,
-    InternalInvariantError,
-    NotFlatError,
-)
+from .errors import ExtensionObstructed, InputError, InternalInvariantError, NotFlatError
 from .groebner import RightGroebnerBasis, kernel_groebner
 from .linalg import Matrix
 from .moment import TruncatedFunctional
-from .quiver import ZERO_PATH, Path, _words, compose, paths_of_length
+from .quiver import Path, _words
 from .scalar import ZERO, Scalar
 
 
@@ -35,10 +38,13 @@ def schur_complete(a: Matrix, c: Matrix) -> Matrix:
     """
     if not a.is_hermitian():
         raise ValueError("schur_complete requires a hermitian A")
-    x = linalg.solve_particular(a, c)[1]
-    if x is None:
+    if a.rows != c.rows:
+        raise ValueError("row count mismatch")
+    ac = Matrix(a.rows, a.cols + c.cols, [x for i in range(a.rows) for x in a.row(i) + c.row(i)])
+    b = linalg._schur(*linalg._image(ac), a.cols, ac.cols)
+    if b is None:
         raise NotFlatError("Ran(C) is not contained in Ran(A); no flat completion exists")
-    return c.conj_transpose() * x
+    return Matrix(c.cols, c.cols, b)
 
 
 def flat_extend_tip_maximal(
@@ -50,11 +56,12 @@ def flat_extend_tip_maximal(
     Values on the new odd degree 2k-1 solve, per kernel generator g and new
     length-k path p, the linear system expressing that g stays in the kernel
     of the extended moment form.  Hermitian symmetry is substituted, not
-    added as rows: each pair {m, m*} has one unknown z, held at the member
-    later in the path order, and the other member takes conj(z).  The system
-    is solved canonically (reduced echelon form, free variables zero) in one
-    `linalg.solve_particular`, and the top degree-2k block is filled by the
-    Schur completion.
+    added as rows: each pair {m, m*} has one unknown z = u + i v, held at the
+    member later in the path order, and the other member takes conj(z).  The
+    system is solved canonically (reduced echelon form, free variables zero)
+    in one elimination, and the top degree-2k block is filled by the Schur
+    completion.  The old window is a prefix of the new one, so every path is
+    addressed by its position in the new window.
 
     The construction is proved for free *-algebras (single-vertex quivers);
     pass allow_general_quiver=True to run it on any path *-algebra, in which
@@ -70,108 +77,95 @@ def flat_extend_tip_maximal(
         raise InputError("flat_extend_tip_maximal requires a tip-maximal functional")
 
     k = functional.k + 1
-    double = functional.double
-    order = functional.order
-    kernel = functional.kernel_basis()
-    new_paths = paths_of_length(double, order, k)
-    odd_paths = paths_of_length(double, order, 2 * k - 1)
-    # No path of odd length is its own star.  Columns [u | v] for z = u + i v,
-    # pairs in the order of the member that holds z.
-    position = {p: i for i, p in enumerate(odd_paths)}
-    held = [m for m in odd_paths if position[m.star()] < position[m]]
-    npairs = len(held)
-    unknown: dict[Path, tuple[int, int]] = {}  # path -> (pair, sign of v)
-    for j, m in enumerate(held):
-        unknown[m] = (j, 1)
-        unknown[m.star()] = (j, -1)
+    ext = TruncatedFunctional.__new__(TruncatedFunctional)
+    ext._open(functional.double, k, functional.include_trivial, functional.order)
+    keys, position, ends = ext._keys, ext._position, ext._ends
+    # window positions: V_{k-1} ends at n, V_k at nk; lengths 2k-1 start at odd, 2k at top
+    n, nk, odd, top = (ends[min(t, len(ends) - 1)] for t in (k - 1, k, 2 * k - 2, 2 * k - 1))
+    base = functional._vals
+    nums, den = linalg._common([v.re for v in base] + [v.im for v in base])
+    re, im = nums[:odd], nums[odd:]
+    real = not any(im)
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # No path of odd length is its own star.  Columns [u | v] for z = u + i v
+    # (only u on real data), pairs in the order of the member that holds z.
+    unknown: dict[int, tuple[int, int]] = {}  # odd position -> (pair, sign of v)
+    npairs, star_word = 0, functional.double.star_word
+    for i in range(odd, top):
+        j = position[(None, star_word(keys[i][1]))]
+        if j < i:
+            unknown[i], unknown[j] = (npairs, 1), (npairs, -1)
+            npairs += 1
+    width = npairs if real else 2 * npairs
 
-    def add_equation(coeffs: dict[Path, Scalar], value: Scalar) -> None:
-        re_row = [Fraction(0)] * (2 * npairs)
-        im_row = [Fraction(0)] * (2 * npairs)
-        for m, c in coeffs.items():
-            j, sign = unknown[m]
-            # c (u + sign i v) = c.re u - sign c.im v + i (c.im u + sign c.re v)
-            re_row[j] += c.re
-            re_row[npairs + j] -= sign * c.im
-            im_row[j] += c.im
-            im_row[npairs + j] += sign * c.re
-        rows.extend((re_row, im_row))
-        rhs.extend((value.re, value.im))
-
-    for g in kernel:
-        for p in new_paths:
-            coeffs: dict[Path, Scalar] = {}
-            known = ZERO
-            for q, cq in g.terms.items():
-                pq = compose(p, q.star())
-                if pq is ZERO_PATH:
+    # Per kernel element g and new path p: sum over q of conj(g_q) L(p q*) = 0,
+    # times den and g's common denominator; the unknowns are den * z.
+    rows: list[list[int]] = []  # the system's integer rows, right-hand side last
+    new = keys[n:nk]
+    for g in functional.kernel_basis():
+        coeffs, size = list(g.terms.values()), len(g.terms)
+        conj, _ = linalg._common([c.re for c in coeffs] + [-c.im for c in coeffs])
+        terms = list(zip(conj[:size], conj[size:]))
+        prods = ext._products(new, [(q.vertex, q.letters) for q in g.terms])
+        for at in range(0, len(prods), size):
+            re_row, im_row, kr, ki, touched = [0] * (width + 1), [0] * (width + 1), 0, 0, False
+            for i, (x, y) in zip(prods[at : at + size], terms):
+                if i is None:
                     continue
-                cst = cq.conjugate()
-                if pq.length() == 2 * k - 1:
-                    coeffs[pq] = coeffs.get(pq, ZERO) + cst
-                else:
-                    known = known + cst * functional.value(pq)
-            if coeffs or not known.is_zero():
-                add_equation(coeffs, -known)
+                if i < odd:
+                    kr += x * re[i] - y * im[i]
+                    ki += x * im[i] + y * re[i]
+                    continue
+                j, sign = unknown[i]
+                touched = True
+                # (x + i y)(u + sign i v) = x u - sign y v + i (y u + sign x v)
+                re_row[j] += x
+                if not real:
+                    re_row[npairs + j] -= sign * y
+                    im_row[j] += y
+                    im_row[npairs + j] += sign * x
+            if touched or kr or ki:
+                re_row[-1], im_row[-1] = -kr, -ki
+                rows.extend((re_row,) if real else (re_row, im_row))
 
-    def scalars(xs):
-        return [Scalar(x) if x else ZERO for x in xs]
-
-    system = Matrix(len(rows), 2 * npairs, scalars(x for row in rows for x in row))
-    solution = linalg.solve_particular(system, Matrix.column(scalars(rhs)))[1]
-    if solution is None:
+    pivots = linalg._gauss_jordan(rows, width + 1)
+    if pivots and pivots[-1] == width:
         if free_algebra:
-            raise InternalInvariantError(
-                "extension system inconsistent on a free *-algebra"
-            )
+            raise InternalInvariantError("extension system inconsistent on a free *-algebra")
         raise ExtensionObstructed("one-step extension system is inconsistent")
+    # Numerators over den * scale of every value of length <= 2k - 1.
+    scale, w = lcm(*(rows[r][p] for r, p in enumerate(pivots))), [0] * width
+    for r, p in enumerate(pivots):
+        w[p] = rows[r][-1] * (scale // rows[r][p])
+    re, im = [x * scale for x in re], [x * scale for x in im]
+    for i in range(odd, top):
+        j, sign = unknown[i]
+        re.append(w[j])
+        im.append(0 if real else sign * w[npairs + j])
+    den *= scale
 
-    values = dict(functional.values)
-    for m in odd_paths:
-        j, sign = unknown[m]
-        values[m] = Scalar(solution.entry(j, 0).re, sign * solution.entry(npairs + j, 0).re)
-
-    # Degree-2k block through the Schur completion of the new C block;
-    # values now holds every path of length <= 2k - 1.
-    base = functional.moment_matrix()
-
-    def ent(p: Path, q: Path) -> Scalar:
-        pq = compose(p, q.star())
-        return ZERO if pq is ZERO_PATH else values[pq]
-
-    c = Matrix(len(base.basis), len(new_paths), [ent(p, q) for p in base.basis for q in new_paths])
-    try:
-        b = schur_complete(base.m, c)
-    except NotFlatError:
+    # Degree-2k block through the Schur completion of the new C block.
+    prods, parts = ext._products(keys[:n], keys[:nk]), (re,) if real else (re, im)
+    ac = [[0 if i is None else x[i] for x in parts for i in prods[at : at + nk]] for at in range(0, len(prods), nk)]
+    b = linalg._schur(ac, den, n, nk)
+    if b is None:
         if free_algebra:
-            raise InternalInvariantError(
-                "range containment failed on a free *-algebra extension"
-            ) from None
-        raise ExtensionObstructed(
-            "extended C block left the range of A on this quiver"
-        ) from None
+            raise InternalInvariantError("range containment failed on a free *-algebra extension")
+        raise ExtensionObstructed("extended C block left the range of A on this quiver")
 
-    for i, u in enumerate(new_paths):
-        for j, v in enumerate(new_paths):
-            word = compose(u, v.star())
-            if word is ZERO_PATH:
-                if not b.entry(i, j).is_zero():
-                    raise ExtensionObstructed(
-                        "Schur completion forces a nonzero value on a zero product"
-                    )
-                continue
-            values[word] = b.entry(i, j)
+    vals = base + [linalg._scalar(re[i], im[i], den) for i in range(odd, top)] + [ZERO] * (len(keys) - top)
+    for i, value in zip(ext._products(new, new), b):
+        if i is not None:
+            vals[i] = value
+        elif not value.is_zero():
+            raise ExtensionObstructed("Schur completion forces a nonzero value on a zero product")
 
-    extended = TruncatedFunctional(double, k, values, functional.include_trivial, order)
-    report = extended.is_flat()
-    if not report.flat:
+    ext._place(dict(enumerate(vals)))
+    if not ext.is_flat().flat:
         if free_algebra:
             raise InternalInvariantError("one-step extension produced a non-flat functional")
         raise ExtensionObstructed("one-step extension is not flat on this quiver")
-    return extended
+    return ext
 
 
 class FlatExtension:

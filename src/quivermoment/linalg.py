@@ -346,13 +346,34 @@ def _block_flat(rows: list[list[int]], n: int, ncols: int) -> tuple[int, bool, b
     return rank_a, True, True
 
 
-def _reduced_block(rows, pivots, ncols: int, first: int, width: int) -> Matrix:
-    """Columns first .. first+width-1 of the RREF, one row per pivot."""
+def _schur(rows: list[list[int]], den: int, n: int, ncols: int) -> list[Scalar] | None:
+    """C^H X with A X = C, row-major, for the integer rows of [A | C] over den.
+
+    A is hermitian of size n and C has ncols - n columns; the rows (either
+    layout) are not changed.  Their primitive parts are eliminated once: a
+    pivot in C means Ran C is not inside Ran A (None).  Otherwise pivot row r,
+    with lead a_r in column p_r, holds row p_r of X as its C part over a_r;
+    the other rows of X are zero.  Scaled to s = lcm |a_r|^2, each entry of
+    C^H X is one integer sum over den * s.
+    """
+    top = [_primitive(row) for row in rows]
+    pivots = _gauss_jordan(top, ncols)
+    if pivots and pivots[-1] >= n:
+        return None
+    leads = [_entry(top[r], p, ncols) for r, p in enumerate(pivots)]
+    scale = lcm(*(ar * ar + ai * ai for ar, ai in leads))
+    xs = []  # s times row p_r of X, as (re, im) pairs: x / a = x conj(a) / |a|^2
+    for row, (ar, ai) in zip(top, leads):
+        f, parts = scale // (ar * ar + ai * ai), [_entry(row, c, ncols) for c in range(n, ncols)]
+        xs.append([((x * ar + y * ai) * f, (y * ar - x * ai) * f) for x, y in parts])
     out = []
-    for r, p in enumerate(pivots):
-        a = _entry(rows[r], p, ncols)
-        out.extend(_ratio(_entry(rows[r], c, ncols), a) for c in range(first, first + width))
-    return Matrix(len(pivots), width, out)
+    for i in range(n, ncols):
+        cs = [_entry(rows[p], i, ncols) for p in pivots]  # conj(C) entries a - i b
+        for j in range(ncols - n):
+            re = sum(a * x[j][0] + b * x[j][1] for (a, b), x in zip(cs, xs))
+            im = sum(a * x[j][1] - b * x[j][0] for (a, b), x in zip(cs, xs))
+            out.append(_scalar(re, im, den * scale))
+    return out
 
 
 # -- public API ------------------------------------------------------------------------
@@ -405,10 +426,10 @@ def solve_particular(a: Matrix, c: Matrix) -> tuple[int, Matrix | None]:
     rank_a = sum(p < a.cols for p in pivots)
     if rank_a < len(pivots):
         return rank_a, None
-    red = _reduced_block(rows, pivots, a.cols + c.cols, a.cols, c.cols)
-    out = [ZERO] * (a.cols * c.cols)
+    ncols, out = a.cols + c.cols, [ZERO] * (a.cols * c.cols)
     for r, p in enumerate(pivots):
-        out[p * c.cols : (p + 1) * c.cols] = red.row(r)
+        lead = _entry(rows[r], p, ncols)
+        out[p * c.cols : (p + 1) * c.cols] = [_ratio(_entry(rows[r], j, ncols), lead) for j in range(a.cols, ncols)]
     return rank_a, Matrix(a.cols, c.cols, out)
 
 

@@ -191,28 +191,34 @@ class TruncatedFunctional:
         return Matrix(len(rows), len(cols), self._moments(rows, cols))
 
     def _moments(self, rows: list[Key], cols: list[Key]) -> list[Scalar]:
-        """L(p q*) over row keys p and column keys q, row-major, by window position.
+        """L(p q*) over row keys p and column keys q, row-major, by window position."""
+        vals = self._vals
+        return [ZERO if i is None else vals[i] for i in self._products(rows, cols)]
 
-        p q* is a path iff p and q end at the same vertex, and a zero otherwise.
+    def _products(self, rows: list[Key], cols: list[Key]) -> list[int | None]:
+        """The window position of p q* over row keys p and column keys q, row-major.
+
+        p q* is a path iff p and q end at the same vertex, and a zero
+        (None) otherwise.  Only the window is read, not the values.
         """
         double = self.double
-        target, position, vals = double.target, self._position, self._vals
+        target, position = double.target, self._position
         # (terminal vertex of q, key of q*) per column
         stars = [(target[w[-1]], (None, double.star_word(w))) if w else (v, (v, ())) for v, w in cols]
-        ents = []
+        out = []
         for p in rows:
             v, word = p
             end = target[word[-1]] if word else v
             for t, qs in stars:
                 if t != end:
-                    ents.append(ZERO)
+                    out.append(None)
                     continue
                 pq = p if not qs[1] else qs if not word else (None, word + qs[1])
                 i = position.get(pq)
                 if i is None:
                     raise self._outside(Path(double, *pq))
-                ents.append(vals[i])
-        return ents
+                out.append(i)
+        return out
 
     @cached_property
     def _matrix(self) -> MomentMatrix:
@@ -231,18 +237,6 @@ class TruncatedFunctional:
             return full
         n = len(self.basis(t))
         return MomentMatrix(full.basis[:n], full.m.block(0, n, 0, n))
-
-    def block_decompose(self) -> BlockDecomposition:
-        """Split the order-k matrix over V_k = V_{k-1} (+) span(new length-k paths)."""
-        full = self.moment_matrix()
-        n, m = len(self.basis(self.k - 1)), full.m
-        return BlockDecomposition(
-            m.block(0, n, 0, n),
-            m.block(0, n, n, m.cols),
-            m.block(n, m.rows, n, m.cols),
-            full.basis[:n],
-            full.basis[n:],
-        )
 
     # -- kernel and verdicts -------------------------------------------------------
 
@@ -341,15 +335,6 @@ class TruncatedFunctional:
 class MomentMatrix:
     basis: tuple[Path, ...]
     m: Matrix
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    a: Matrix
-    c: Matrix
-    b: Matrix
-    old_basis: tuple[Path, ...]
-    new_basis: tuple[Path, ...]
 
 
 @dataclass(frozen=True)

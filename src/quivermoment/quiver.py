@@ -87,12 +87,6 @@ class DoubleQuiver:
         i, st = letter
         return self.base.arrows[i].name + ("*" if st else "")
 
-    def letter_source(self, letter: Letter) -> int:
-        return self.source[letter]
-
-    def letter_target(self, letter: Letter) -> int:
-        return self.target[letter]
-
     def trivial(self, vertex: str) -> Path:
         if vertex not in self.base.vertex_index:
             raise InputError(f"unknown vertex {vertex!r}")

@@ -45,6 +45,7 @@ from fractions import Fraction
 import linalg_oracle
 from quivermoment import (
     Element,
+    ExtensionObstructed,
     FlatReport,
     InputError,
     InternalInvariantError,
@@ -183,6 +184,24 @@ def apply_right_element(rep, f: Element, vec: list[Scalar]) -> list[Scalar]:
 
 
 # -- moment blocks and elements -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BlockDecomposition:
+    a: Matrix
+    c: Matrix
+    b: Matrix
+    old_basis: tuple[Path, ...]
+    new_basis: tuple[Path, ...]
+
+
+def block_decompose(functional: TruncatedFunctional) -> BlockDecomposition:
+    """Split B_{L_k} over V_k = V_{k-1} (+) span(new length-k paths)."""
+    full = functional.moment_matrix()
+    n, m = len(functional.basis(functional.k - 1)), full.m
+    return BlockDecomposition(
+        m.block(0, n, 0, n), m.block(0, n, n, m.cols), m.block(n, m.rows, n, m.cols), full.basis[:n], full.basis[n:]
+    )
 
 
 def reassemble(blocks) -> Matrix:
@@ -374,7 +393,7 @@ def flat_report(functional: TruncatedFunctional) -> FlatReport:
     `solve_particular`; the block criterion as the product C^H X compared
     with B through `Matrix.__mul__` and `Matrix ==`.
     """
-    blocks = functional.block_decompose()
+    blocks = block_decompose(functional)
     rank_k = linalg.rank(functional.moment_matrix().m)
     rank_km1, x = linalg.solve_particular(blocks.a, blocks.c)
     rank_flat = rank_k == rank_km1
@@ -442,6 +461,111 @@ def extension_odd_values(functional: TruncatedFunctional):
     if solution is None:
         return None, free
     return {m: Scalar(solution[j], solution[n + j]) for m, j in index.items()}, free
+
+
+def scalar_flat_extend_tip_maximal(
+    functional: TruncatedFunctional,
+    allow_general_quiver: bool = False,
+) -> TruncatedFunctional:
+    """`flat_extend_tip_maximal` on `Path` keys, `Fraction` rows and `Scalar` matrices.
+
+    One unknown per star pair, held at the later member; the [u | v] system
+    is built in full on real data too and solved by `linalg.solve_particular`;
+    the top block is C^H X with X from one more `solve_particular`, formed as
+    a `Matrix` product; the values go through the `Path`-keyed constructor.
+    Same checks, in the same order, with the same errors.
+    """
+    free_algebra = functional.double.n_vertices() == 1
+    if not free_algebra and not allow_general_quiver:
+        raise InputError(
+            "one-step extension is proved for free *-algebras only; "
+            "pass allow_general_quiver=True to apply it to this quiver"
+        )
+    if not functional.is_tip_maximal():
+        raise InputError("flat_extend_tip_maximal requires a tip-maximal functional")
+
+    k = functional.k + 1
+    double = functional.double
+    order = functional.order
+    kernel = functional.kernel_basis()
+    new_paths = paths_of_length(double, order, k)
+    odd_paths = paths_of_length(double, order, 2 * k - 1)
+    position = {p: i for i, p in enumerate(odd_paths)}
+    held = [m for m in odd_paths if position[m.star()] < position[m]]
+    npairs = len(held)
+    unknown: dict[Path, tuple[int, int]] = {}  # path -> (pair, sign of v)
+    for j, m in enumerate(held):
+        unknown[m] = (j, 1)
+        unknown[m.star()] = (j, -1)
+
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for g in kernel:
+        for p in new_paths:
+            coeffs: dict[Path, Scalar] = {}
+            known = ZERO
+            for q, cq in g.terms.items():
+                pq = compose(p, q.star())
+                if pq is ZERO_PATH:
+                    continue
+                cst = cq.conjugate()
+                if pq.length() == 2 * k - 1:
+                    coeffs[pq] = coeffs.get(pq, ZERO) + cst
+                else:
+                    known = known + cst * functional.value(pq)
+            if coeffs or not known.is_zero():
+                re_row = [Fraction(0)] * (2 * npairs)
+                im_row = [Fraction(0)] * (2 * npairs)
+                for m, c in coeffs.items():
+                    j, sign = unknown[m]
+                    re_row[j] += c.re
+                    re_row[npairs + j] -= sign * c.im
+                    im_row[j] += c.im
+                    im_row[npairs + j] += sign * c.re
+                rows.extend((re_row, im_row))
+                rhs.extend((-known.re, -known.im))
+
+    system = Matrix(len(rows), 2 * npairs, [Scalar(x) for row in rows for x in row])
+    solution = linalg.solve_particular(system, Matrix.column([Scalar(x) for x in rhs]))[1]
+    if solution is None:
+        if free_algebra:
+            raise InternalInvariantError("extension system inconsistent on a free *-algebra")
+        raise ExtensionObstructed("one-step extension system is inconsistent")
+
+    values = dict(functional.values)
+    for m in odd_paths:
+        j, sign = unknown[m]
+        values[m] = Scalar(solution.entry(j, 0).re, sign * solution.entry(npairs + j, 0).re)
+
+    base = functional.moment_matrix()
+
+    def ent(p: Path, q: Path) -> Scalar:
+        pq = compose(p, q.star())
+        return ZERO if pq is ZERO_PATH else values[pq]
+
+    c = Matrix(len(base.basis), len(new_paths), [ent(p, q) for p in base.basis for q in new_paths])
+    x = linalg.solve_particular(base.m, c)[1]
+    if x is None:
+        if free_algebra:
+            raise InternalInvariantError("range containment failed on a free *-algebra extension")
+        raise ExtensionObstructed("extended C block left the range of A on this quiver")
+    b = c.conj_transpose() * x
+
+    for i, u in enumerate(new_paths):
+        for j, v in enumerate(new_paths):
+            word = compose(u, v.star())
+            if word is ZERO_PATH:
+                if not b.entry(i, j).is_zero():
+                    raise ExtensionObstructed("Schur completion forces a nonzero value on a zero product")
+                continue
+            values[word] = b.entry(i, j)
+
+    extended = TruncatedFunctional(double, k, values, functional.include_trivial, order)
+    if not extended.is_flat().flat:
+        if free_algebra:
+            raise InternalInvariantError("one-step extension produced a non-flat functional")
+        raise ExtensionObstructed("one-step extension is not flat on this quiver")
+    return extended
 
 
 # -- normal forms on `Scalar` before the integer fold ----------------------------
@@ -680,7 +804,7 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     arrows: dict[str, Matrix] = {}
     for ai, arrow in enumerate(double.base.arrows):
         letter = (ai, False)
-        src = double.letter_source(letter)
+        src = double.source[letter]
         block = [i for i, r in enumerate(basis) if r.terminal() == src]
         k_idx = [i for i in block if i in low]
         # Gram-orthogonal complement of the K-space inside the block:

@@ -34,6 +34,7 @@ from quivermoment.sos import expand_gram, gram_to_squares
 from conftest import elem, l3_functional, path, pd_functional, sc, state_functional
 from oracles import (
     apply_right_element,
+    block_decompose,
     element_matrix_word_order,
     embed_matrix_free,
     free_dagger,
@@ -129,7 +130,7 @@ def test_acceptance_3_flat_completion_law(fix_a2, fix_l2):
         assert a[2] > 0 and a[6] > 0 and a[2] * a[5] > a[4] ** 2
         assert a[1] > 0 and a[1] * a[6] > a[3] ** 2
         f = l3_functional(fix_a2, {i: a[i] for i in range(1, 9)})
-        blocks = f.block_decompose()
+        blocks = block_decompose(f)
         b = schur_complete(blocks.a, blocks.c)
         a9, a10 = closed_form_a9(a), closed_form_a10(a)
         assert b == Matrix.from_rows([[sc(a9), sc(0)], [sc(0), sc(a10)]])

@@ -9,7 +9,8 @@ pivot rows, so no solution X, no product and no `Scalar` comparison of
 matrices is formed; the PSD verdict checks the hermitian property on the
 same integers it pivots.  Compression adds one elimination of
 the gram and one of its kept block per base arrow.  A one-step extension
-adds one of its odd-degree system and one of the Schur block [A | C].
+adds one of its odd-degree system and one of the Schur block [A | C], both
+built as integer rows from window positions, with no `Scalar` matrix.
 
 The kernel Gröbner basis is read off the echelon kernel, so no completion
 runs behind it: only the `groebner` command, whose output lists the
@@ -126,13 +127,44 @@ def test_compress_eliminates_once_per_matrix(pd_two_loops, eliminations):
 def test_one_step_extension_solves_one_unknown_per_star_pair(eliminations):
     # A rank-2 state of order 1 on two loops: the kernel of B_1, the
     # odd-degree system, the Schur block, then the extension's flatness
-    # report and kernel.  The odd system has a u and a v column per star
-    # pair of the 64 paths of length 3, plus the right-hand side.
+    # report and kernel.  The odd system has a u column per star pair of the
+    # 64 paths of length 3, plus the right-hand side: on real data the v
+    # half is block-diagonal, with canonical solution v = 0, and is not built.
     f = state_functional(TWO_LOOPS, 1, True, [2], random.Random(0))
     ext = flat_extend_tip_maximal(f)
     ext.kernel_basis()
     assert len(eliminations) == 5
-    assert eliminations[1] == 64 + 1
+    assert eliminations[1] == 32 + 1
+
+
+def test_one_step_extension_keeps_both_halves_on_gaussian_data(eliminations):
+    # The same shape with Gaussian values: a u and a v column per star pair.
+    f = state_functional(TWO_LOOPS, 1, True, [2], random.Random(0), complex_=True)
+    assert any(not v.is_real() for v in f.values.values())
+    ext = flat_extend_tip_maximal(f)
+    ext.kernel_basis()
+    assert len(eliminations) == 5
+    assert eliminations[1] == 2 * 32 + 1
+
+
+def test_one_step_extension_forms_no_scalar_product(monkeypatch, scalar_matrix_calls):
+    # The system and the Schur block are built as integer rows from window
+    # positions: no `Scalar` matrix is scaled to integers (`linalg._rows`)
+    # and no `Matrix` product or hermitian test runs.
+    scaled = []
+    fn = linalg._rows
+
+    def counted(blocks):
+        scaled.append(len(blocks))
+        return fn(blocks)
+
+    monkeypatch.setattr(linalg, "_rows", counted)
+    for complex_ in (False, True):
+        f = state_functional(TWO_LOOPS, 1, True, [2], random.Random(0), complex_)
+        del scalar_matrix_calls[:]  # the state's own construction
+        assert flat_extend_tip_maximal(f).is_flat().flat
+        assert scaled == []
+        assert scalar_matrix_calls == []
 
 
 @pytest.fixture

@@ -2,24 +2,36 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivermoment import (
     ExtensionObstructed,
     FlatExtension,
+    FlatReport,
     InputError,
     InternalInvariantError,
     Matrix,
     NotFlatError,
+    Quiver,
     TruncatedFunctional,
+    build_double,
     enumerate_basis,
     flat_extend_tip_maximal,
     right_groebner,
     schur_complete,
 )
 from quivermoment import linalg
+from quivermoment.scalar import ONE
 
 from conftest import hermitian_functional, l3_functional, path, pd_functional, sc, state_functional
-from oracles import extension_odd_values, restrict, riesz_eval
+from oracles import (
+    block_decompose,
+    extension_odd_values,
+    restrict,
+    riesz_eval,
+    scalar_flat_extend_tip_maximal,
+)
 
 
 def m_int(rows):
@@ -27,7 +39,7 @@ def m_int(rows):
 
 
 def test_schur_complete_examples(fix_l2_ext):
-    blocks = fix_l2_ext.block_decompose()
+    blocks = block_decompose(fix_l2_ext)
     assert linalg.solve_particular(blocks.a, blocks.c) == (blocks.a.rows, blocks.c)  # A is the identity
     assert schur_complete(blocks.a, blocks.c) == Matrix.identity(2)
     assert schur_complete(Matrix.identity(3), Matrix.zeros(3, 2)) == Matrix.zeros(2, 2)
@@ -122,7 +134,7 @@ def test_schur_matches_closed_forms_random(fix_a2):
     for _ in range(10):
         a = random_pd_labels(rng)
         f = l3_functional(fix_a2, {i: a.get(i, 0) for i in range(1, 9)})
-        blocks = f.block_decompose()
+        blocks = block_decompose(f)
         b = schur_complete(blocks.a, blocks.c)
         assert b.entry(0, 0) == sc(closed_form_a9(a))
         assert b.entry(1, 1) == sc(closed_form_a10(a))
@@ -195,6 +207,113 @@ def test_odd_degree_matches_the_system_with_every_unknown(shape, order, fix_loop
         assert {m: ext.values[m] for m in expected} == expected
         compared += 1
     assert compared and with_free
+
+
+# Quivers for the comparison with the `Scalar` route, each with the base
+# orders it is run at: order-2 bases on two loops and x, y, z are left out,
+# as the `Scalar` route takes seconds per system there.
+EXTENSION_QUIVERS = {
+    "loop": (Quiver(["e"], [("x", "e", "e")]), (1, 2)),
+    "two_loops": (Quiver(["e"], [("x", "e", "e"), ("y", "e", "e")]), (1,)),
+    "a2": (Quiver(["e1", "e2"], [("x", "e1", "e2")]), (1, 2)),
+    "xyz": (Quiver(["e1", "e2"], [("x", "e1", "e2"), ("y", "e2", "e1"), ("z", "e1", "e1")]), (1,)),
+}
+
+
+def extend_or_error(extend, f):
+    try:
+        return extend(f, allow_general_quiver=True).values
+    except (ExtensionObstructed, InternalInvariantError, InputError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(EXTENSION_QUIVERS)), st.booleans(), st.data())
+def test_one_step_extension_matches_the_scalar_route(name, complex_, data):
+    """Every value of the extension, in window order, or the error's type and message.
+
+    Full-rank (positive-definite states), low-rank (states of small
+    dimension) and indefinite bases (random hermitian values, or the
+    difference of two small states), real and Gaussian; many of the
+    indefinite ones are not tip-maximal.
+    """
+    quiver, orders = EXTENSION_QUIVERS[name]
+    double = build_double(quiver)
+    k = data.draw(st.sampled_from(orders), label="k")
+    kind = data.draw(st.sampled_from(["full", "low", "hermitian", "difference"]), label="kind")
+    include_trivial = data.draw(st.booleans(), label="include_trivial")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    dims = [rng.randint(0, 2) for _ in double.vertices]
+    if kind == "full":
+        base = pd_functional(double, k, include_trivial, rng, complex_=complex_)
+    elif kind == "low":
+        base = state_functional(double, k, include_trivial, dims, rng, complex_)
+    else:
+        base = hermitian_functional(
+            double, k, include_trivial, rng, complex_, dims if kind == "difference" else None
+        )
+    new = extend_or_error(flat_extend_tip_maximal, base)
+    old = extend_or_error(scalar_flat_extend_tip_maximal, base)
+    assert new == old
+    if isinstance(new, dict):
+        assert list(new) == list(old)
+        assert any(not v.is_real() for v in new.values()) <= complex_
+
+
+@pytest.fixture(params=["integer", "scalar"])
+def extend_route(request):
+    return flat_extend_tip_maximal if request.param == "integer" else scalar_flat_extend_tip_maximal
+
+
+def force_range_failure(monkeypatch):
+    """Make the Schur step of both routes find Ran C outside Ran A."""
+    monkeypatch.setattr(linalg, "_schur", lambda *args: None)
+    solve = linalg.solve_particular
+    calls = []
+
+    def second_fails(a, c):  # the `Scalar` route's second solve is its Schur step
+        calls.append(c.cols)
+        rank_a, x = solve(a, c)
+        return (rank_a, None) if len(calls) == 2 else (rank_a, x)
+
+    monkeypatch.setattr(linalg, "solve_particular", second_fails)
+
+
+def force_nonzero_top(monkeypatch):
+    """Make the Schur step of both routes return the all-ones block."""
+    monkeypatch.setattr(linalg, "_schur", lambda rows, den, n, ncols: [ONE] * (ncols - n) ** 2)
+    monkeypatch.setattr(Matrix, "__mul__", lambda a, b: Matrix(a.rows, b.cols, [ONE] * (a.rows * b.cols)))
+
+
+def force_not_flat(monkeypatch):
+    monkeypatch.setattr(TruncatedFunctional, "is_flat", lambda self: FlatReport(False, 1, 0, True))
+
+
+# A seeded search over 3000 random quivers (1-3 vertices, 1-3 arrows), path
+# orders and real or Gaussian bases (states of every rank, random hermitian
+# values) reached none of these three guards.  Once the odd system is solved,
+# every kernel element of A pairs to zero with every column of C, so
+# Ran C <= Ran A; A and C vanish off the blocks of paths with a common
+# terminal vertex, so C^H X vanishes wherever u v* = 0; and the B block is
+# then exactly C^H X, so the result is flat.  The guards are reached here by
+# forcing the step before them.
+@pytest.mark.parametrize(
+    "force, shape, error, message",
+    [
+        (force_range_failure, "a2", ExtensionObstructed, "extended C block left the range of A on this quiver"),
+        (force_range_failure, "loop", InternalInvariantError, "range containment failed on a free *-algebra extension"),
+        (force_nonzero_top, "a2", ExtensionObstructed, "Schur completion forces a nonzero value on a zero product"),
+        (force_not_flat, "a2", ExtensionObstructed, "one-step extension is not flat on this quiver"),
+        (force_not_flat, "loop", InternalInvariantError, "one-step extension produced a non-flat functional"),
+    ],
+)
+def test_extension_guards(force, shape, error, message, extend_route, fix_l2, fix_loop, monkeypatch):
+    base = fix_l2 if shape == "a2" else pd_functional(fix_loop, 1, True, random.Random(19))
+    base.kernel_basis()
+    force(monkeypatch)
+    with pytest.raises(error) as info:
+        extend_route(base, allow_general_quiver=True)
+    assert str(info.value) == message
 
 
 def test_pd_preserving_flat_output(fix_loop):

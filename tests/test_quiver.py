@@ -26,10 +26,10 @@ def test_build_double_fix_a2(fix_a2):
     letters = fix_a2.letters()
     assert [fix_a2.letter_name(l) for l in letters] == ["x", "x*"]
     x, xs = letters
-    assert fix_a2.vertices[fix_a2.letter_source(x)] == "e1"
-    assert fix_a2.vertices[fix_a2.letter_target(x)] == "e2"
-    assert fix_a2.vertices[fix_a2.letter_source(xs)] == "e2"
-    assert fix_a2.vertices[fix_a2.letter_target(xs)] == "e1"
+    assert fix_a2.vertices[fix_a2.source[x]] == "e1"
+    assert fix_a2.vertices[fix_a2.target[x]] == "e2"
+    assert fix_a2.vertices[fix_a2.source[xs]] == "e2"
+    assert fix_a2.vertices[fix_a2.target[xs]] == "e1"
 
 
 def test_build_double_loop_and_empty(fix_loop):
@@ -109,7 +109,7 @@ def test_enumeration_follows_any_order(fixture_name, request):
         o = PathOrder(double, vertices, rng.sample(names, len(names)))
         words = [w for n in range(1, 5) for w in itertools.product(double.letters(), repeat=n)]
         paths = [double.path(w) for w in words if all(
-            double.letter_target(a) == double.letter_source(b) for a, b in zip(w, w[1:]))]
+            double.target[a] == double.source[b] for a, b in zip(w, w[1:]))]
         trivial = sorted(double.trivial_paths(), key=o.key)
         assert enumerate_basis(double, o, 4, include_trivial=True) == trivial + sorted(paths, key=o.key)
         assert paths_of_length(double, o, 0) == trivial
