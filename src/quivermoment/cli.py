@@ -32,7 +32,7 @@ from .gns import (
 )
 from .groebner import kernel_groebner, right_groebner
 from .quiver import DoubleQuiver, PathOrder, compose, enumerate_basis
-from .sos import gram_to_squares, verify_gram, verify_squares
+from .sos import gram_pivots, gram_to_squares, verify_squares
 
 
 def _emit(data) -> None:
@@ -235,12 +235,13 @@ def cmd_sos_verify(args) -> int:
         _emit({"valid": ok, "kind": "squares"})
     else:
         basis, gram, degree = payload
-        ok = verify_gram(target, basis, gram, degree)
+        pivots = gram_pivots(target, basis, gram, degree)
+        ok = pivots is not None
         out = {"valid": ok, "kind": "gram"}
         if ok:
             out["squares"] = [
                 {"weight": str(w), "element": fileio.element_to_dict(g)}
-                for w, g in gram_to_squares(basis, gram)
+                for w, g in gram_to_squares(basis, gram, pivots)
             ]
         _emit(out)
     return 0 if ok else 1

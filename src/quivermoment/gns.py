@@ -15,11 +15,17 @@ at source(b), Q_b: the moments L(r_u b r_i*)), so one solve of F serves all.
 Matrix conventions: matrices act on column coordinate vectors; the matrix of
 an arrow c maps the coset of p to the coset of p·c.  The inner product is
 <u, v> = sum_{i,j} u_i conj(v_j) gram[i][j] with gram[i][j] = L(b_i b_j*).
+
+A representation holds `Matrix` values, its I/O form.  The relation and
+adjointness checks, word products and the compression's last product take
+each matrix to one integer image (`linalg._image`) and multiply and compare
+integers; no `Scalar` matrix product is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from . import linalg
 from .algebra import Element
@@ -51,25 +57,48 @@ class Representation:
 
     def path_matrix_word_order(self, p: Path) -> Matrix:
         """Product of letter matrices in word order (M_{w1} · ... · M_{wn})."""
-        if p.is_trivial():
-            return self.vertex_projections[self.double.vertices[p.vertex]]
-        acc = None
-        for letter in p.letters:
-            m = self.letter_matrix(self.double.letter_name(letter))
-            acc = m if acc is None else acc * m
-        return acc
+        [(rows, den)] = _word_images(self, [p])
+        return linalg._matrix(rows, den, self.dim)
 
     def adjoint_pair_ok(self, base_name: str) -> bool:
         """Exact adjointness of an arrow against its star through the gram.
 
         The matrix identity is M_b^H F = F M_{b*} with F the transpose of the
         gram (the bilinear bookkeeping of the sesquilinear pairing; F equals
-        the gram whenever the data is real).
+        the gram whenever the data is real), compared on integer images.
         """
-        mb = self.letter_matrix(base_name)
-        mbs = self.letter_matrix(base_name + "*")
-        f = self.gram.transpose()
-        return mb.conj_transpose() * f == f * mbs
+        mats = linalg._images(self.letter_matrix(base_name), self.letter_matrix(base_name + "*"), self.gram)
+        return _adjoint_ok(*mats, self.gram, self.dim)
+
+
+def _adjoint_ok(mb, mbs, gram_image, gram: Matrix, n: int) -> bool:
+    """M_b^H F == F M_{b*} for the integer images of M_b, M_{b*} and the gram, F = gram^T."""
+    if gram.cols != n:
+        raise ValueError(f"shape mismatch {n}x{n} * {gram.cols}x{gram.rows}")
+    if gram.rows != n:
+        raise ValueError(f"shape mismatch {n}x{gram.rows} * {n}x{n}")
+    (rb, db), (rs, ds), (rg, _) = mb, mbs, gram_image
+    f = linalg._transpose(rg, n)
+    # over db * dg on the left and dg * ds on the right
+    return linalg._equal(linalg._product(linalg._transpose(rb, n, conj=True), f, n), db, linalg._product(f, rs, n), ds)
+
+
+def _word_images(rep: Representation, words) -> list[tuple[list[list[int]], int]]:
+    """The integer image of each word's matrix (see `path_matrix_word_order`), in one layout.
+
+    A word's product extends its prefix's: one integer product per word.
+    """
+    double, letters = rep.double, rep.double.letters()
+    mats = [rep.letter_matrix(double.letter_name(x)) for x in letters]
+    images = linalg._images(*mats, *rep.vertex_projections.values())
+    done = {(x,): image for x, image in zip(letters, images)}  # letters -> image of their product
+    for w in words:
+        for t in range(2, len(w.letters) + 1):
+            if w.letters[:t] not in done:
+                (ra, da), (rb, db) = done[w.letters[: t - 1]], done[w.letters[t - 1 : t]]
+                done[w.letters[:t]] = linalg._product(ra, rb, rep.dim), da * db
+    projections = dict(zip(rep.vertex_projections, images[len(letters) :]))
+    return [projections[double.vertices[w.vertex]] if w.is_trivial() else done[w.letters] for w in words]
 
 
 def build_representation(functional: TruncatedFunctional) -> Representation:
@@ -205,10 +234,11 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     and L(f g*) = <tau(f) xi, tau(g) xi> holds exactly for f, g of degree <= d.
 
     The coset reps r_i are the window paths that are not kernel tips (the
-    pivot columns of B_{L_{d+1}}), so the reps of degree <= j span the cosets
-    of degree <= j.  With F = gram^T (hermitian, invertible), K the reps of
-    length <= d ending at source(b), Q_b[i][u] = L(r_u b r_i*) and
-    S_b = F[K,K]^-1 F[K,:] (the gram-orthogonal projection onto the K cosets):
+    pivot columns of B_{L_{d+1}}, read off the pivoting that decides PSD), so
+    the reps of degree <= j span the cosets of degree <= j.  With F = gram^T
+    (hermitian, invertible), K the reps of length <= d ending at source(b),
+    Q_b[i][u] = L(r_u b r_i*) and S_b = F[K,K]^-1 F[K,:] (the gram-orthogonal
+    projection onto the K cosets):
 
         M_b = F^-1 Q_b S_b,   M_{b*} = F^-1 S_b^H Q_b^H,   cyclic = F^-1 (L(r_i*))_i,
 
@@ -222,8 +252,9 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     if not functional.is_psd():
         raise InputError("compress_representation requires a PSD functional")
     double = functional.double
-    tips = {g.tip(functional.order)[0] for g in functional.kernel_basis()}
-    basis = tuple(p for p in functional.basis(functional.k) if p not in tips)
+    # each pivot's vector (`TruncatedFunctional._ldlh`) is ZERO before its index and ONE at it
+    window = functional.basis(functional.k)
+    basis = tuple(window[vec.index(ONE)] for _, vec in functional._ldlh)
     n = len(basis)
     gram = functional.moment_block(basis, basis)
     f = gram.transpose()
@@ -254,7 +285,8 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     rhs_t.extend(functional.value(r.star()) for r in basis)
     y = linalg.solve_full_rank(f, Matrix(col + 1, n, rhs_t).transpose())
     for name, c, s_b in kept:
-        arrows[name] = y.block(0, n, c, c + s_b.rows) * s_b
+        (ry, dy), (rs, ds) = linalg._images(y.block(0, n, c, c + s_b.rows), s_b)
+        arrows[name] = linalg._matrix(linalg._product(ry, rs, n), dy * ds, n)
     return Representation(double, basis, gram, arrows, _vertex_projections(double, basis), y.col(col))
 
 
@@ -282,45 +314,53 @@ def check_relations(rep: Representation) -> RelationReport:
     The generator family is the trivial paths plus all arrows of the double;
     products are taken in the right-action sense, so X_c2 X_c1 realizes right
     multiplication by the path c1 c2 and must vanish exactly when that path
-    does.
+    does.  Each matrix is taken to one integer image, all in one layout, so
+    every product is an integer product and every comparison an integer one.
     """
     report = RelationReport()
     double = rep.double
     n = rep.dim
     gens: list[tuple[str, Path, Matrix]] = []
-    for vi, v in enumerate(double.vertices):
+    for v in double.vertices:
         gens.append((f"e:{v}", double.trivial(v), rep.vertex_projections[v]))
     for letter in double.letters():
         name = double.letter_name(letter)
         gens.append((name, double.path([letter]), rep.letter_matrix(name)))
+    real = all(linalg._is_real(m.entries) for *_, m in gens) and linalg._is_real(rep.gram.entries)
+    images = [linalg._image(m, real) for *_, m in gens]
 
-    zero = Matrix.zeros(n, n)
-    for name1, p1, m1 in gens:
-        for name2, p2, m2 in gens:
+    for (name1, p1, _), (r1, d1) in zip(gens, images):
+        for (name2, p2, _), (r2, d2) in zip(gens, images):
             p = compose(p1, p2)
-            # m2 * m1: the right action of p1, then of p2
+            # m2 * m1 over d2 * d1: the right action of p1, then of p2
             if p is ZERO_PATH:
-                report.record(f"zero product {name1}·{name2}", m2 * m1 == zero)
-            elif p == p1:
-                report.record(f"absorption {name1}·{name2} = {name1}", m2 * m1 == m1)
-            elif p == p2:
-                report.record(f"absorption {name1}·{name2} = {name2}", m2 * m1 == m2)
+                report.record(f"zero product {name1}·{name2}", not any(map(any, linalg._product(r2, r1, n))))
+            elif p == p1 or p == p2:
+                name, (rows, d) = (name1, (r1, d1)) if p == p1 else (name2, (r2, d2))
+                same = linalg._equal(linalg._product(r2, r1, n), d2 * d1, rows, d)
+                report.record(f"absorption {name1}·{name2} = {name}", same)
 
-    psum = Matrix.zeros(n, n)
-    for v in double.vertices:
-        pv = rep.vertex_projections[v]
-        report.record(f"idempotent e:{v}", pv * pv == pv)
-        psum = psum + pv
-    report.record("vertex projections sum to identity", psum == Matrix.identity(n))
+    projections = images[: len(double.vertices)]
+    den = lcm(*(d for _, d in projections))
+    psum = [[0] * (n if real else 2 * n) for _ in range(n)]  # over den
+    for v, (rows, d) in zip(double.vertices, projections):
+        report.record(f"idempotent e:{v}", linalg._equal(linalg._product(rows, rows, n), d * d, rows, d))
+        psum = [[s + x * (den // d) for s, x in zip(srow, row)] for srow, row in zip(psum, rows)]
+    identity = [[int(i == j) for j in range(len(row))] for i, row in enumerate(psum)]
+    report.record("vertex projections sum to identity", linalg._equal(psum, den, identity, 1))
 
-    try:  # psd_check decides hermitian first, on the integers it pivots
-        hermitian, psd = True, linalg.psd_check(rep.gram)
+    gram = linalg._image(rep.gram, real)
+    hermitian = rep.gram.rows == rep.gram.cols
+    try:  # the pivoting decides hermitian first, on the integers it pivots
+        psd = hermitian and linalg._image_psd(*gram, "psd_check") is not None
     except ValueError:
         hermitian = psd = False
     report.record("gram hermitian", hermitian)
     report.record("gram PSD", psd)
+    named = {name: image for (name, *_), image in zip(gens, images)}  # letters come after the vertices
     for arrow in double.base.arrows:
-        report.record(f"adjointness {arrow.name}", rep.adjoint_pair_ok(arrow.name))
+        ok = _adjoint_ok(named[arrow.name], named[arrow.name + "*"], gram, rep.gram, n)
+        report.record(f"adjointness {arrow.name}", ok)
     return report
 
 
@@ -337,10 +377,10 @@ def rep_kernel(rep: Representation, d: int, include_trivial: bool = False) -> li
     words = enumerate_basis(rep.double, order, d, include_trivial)
     if not words:
         return []
-    n2 = rep.dim * rep.dim
-    cols = []
-    for w in words:
-        cols.append(rep.path_matrix_word_order(w).entries)
-    mat = Matrix(n2, len(words), [cols[j][i] for i in range(n2) for j in range(len(words))])
-    vecs = linalg.nullspace(mat)
+    n, images = rep.dim, _word_images(rep, words)
+    den = lcm(*(dw for _, dw in images))
+    # one row per word, its entries over den with the real parts first; the system is the transpose
+    cuts = (slice(n), slice(n, None))
+    flat = [[x * (den // dw) for cut in cuts for row in rows for x in row[cut]] for rows, dw in images]
+    vecs = linalg._null_vectors(linalg._transpose(flat, n * n), len(words))
     return [Element.from_terms(rep.double, zip(words, v)) for v in vecs]

@@ -1,11 +1,15 @@
 """Exact linear algebra over the Gaussian rationals, run on Python integers.
 
-Each kernel scales its input to integers at the boundary: every row (for a
-product, every row of the left factor and every column of the right factor;
-for PSD pivoting, the whole matrix) is brought to a common denominator.  The
-loops then see plain ``int`` entries, or real parts followed by imaginary
-parts when some entry is non-real, and results go back to `Scalar` once, with
-one division per output entry.  Nothing is floating point.
+`Matrix` is the I/O type: the matrices that files and the public API hand
+in and out, with readers and constructors but no arithmetic.  Each kernel
+scales its input to integers at the boundary: every row (for PSD pivoting,
+or for a matrix held as an integer image, the whole matrix) is brought to a
+common denominator.  The loops then see plain ``int`` entries, or real parts
+followed by imaginary parts when some entry is non-real, and results go
+back to `Scalar` once, with one division per output entry.  A product is
+the integer product of two images over the product of their denominators,
+and two images are equal iff their numerators agree after each is
+multiplied by the other's denominator.  Nothing is floating point.
 
 A single fraction-free Gauss-Jordan engine backs rank, nullspace and the
 solvers.  On real data a row with a nonzero entry in the pivot column is
@@ -47,7 +51,12 @@ _F0 = Fraction(0)
 
 
 class Matrix:
-    """Immutable dense matrix of `Scalar`, stored row-major."""
+    """Immutable dense matrix of `Scalar`, stored row-major: the I/O type.
+
+    It carries values in and out (files, the public API, representations)
+    and is read entry by entry; it has no arithmetic.  Products, solves and
+    comparisons run on its integer image (`_image`).
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -78,15 +87,6 @@ class Matrix:
     def zeros(rows: int, cols: int) -> Matrix:
         return Matrix(rows, cols, [ZERO] * (rows * cols))
 
-    @staticmethod
-    def identity(n: int) -> Matrix:
-        return Matrix(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
-
-    @staticmethod
-    def column(values) -> Matrix:
-        values = list(values)
-        return Matrix(len(values), 1, values)
-
     def entry(self, i: int, j: int) -> Scalar:
         return self.entries[i * self.cols + j]
 
@@ -107,44 +107,6 @@ class Matrix:
     def conjugate(self) -> Matrix:
         return Matrix(self.rows, self.cols, [e.conjugate() for e in self.entries])
 
-    def conj_transpose(self) -> Matrix:
-        return self.transpose().conjugate()
-
-    def __add__(self, other: Matrix) -> Matrix:
-        self._shape_check(other)
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        self._shape_check(other)
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> Matrix:
-        return Matrix(self.rows, self.cols, [-a for a in self.entries])
-
-    def scale(self, s: Scalar) -> Matrix:
-        return Matrix(self.rows, self.cols, [s * a for a in self.entries])
-
-    def __mul__(self, other: Matrix) -> Matrix:
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        real = _is_real(self.entries) and _is_real(other.entries)
-        left = [_scaled(self.row(i), real) for i in range(self.rows)]
-        right = [_scaled(other.col(j), real) for j in range(other.cols)]
-        out = []
-        if real:
-            for a, da in left:
-                out.extend(_scalar(sum(map(mul, a, b)), 0, da * db) for b, db in right)
-        else:
-            n = self.cols
-            right = [(b[:n], b[n:], db) for b, db in right]
-            for a, da in left:
-                ar, ai = a[:n], a[n:]
-                for br, bi, db in right:
-                    re = sum(map(mul, ar, br)) - sum(map(mul, ai, bi))
-                    im = sum(map(mul, ar, bi)) + sum(map(mul, ai, br))
-                    out.append(_scalar(re, im, da * db))
-        return Matrix(self.rows, other.cols, out)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -152,9 +114,6 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
 
     def is_hermitian(self) -> bool:
         if self.rows != self.cols:
@@ -164,10 +123,6 @@ class Matrix:
             for i in range(self.rows)
             for j in range(i, self.cols)
         )
-
-    def _shape_check(self, other: Matrix) -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
@@ -271,22 +226,24 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
         if prow == nrows:
             break
         for sel in range(prow, nrows):
-            if _entry(rows[sel], col, ncols) != (0, 0):
+            if rows[sel][col] or (not real and rows[sel][ncols + col]):
                 break
         else:
             continue
         rows[prow], rows[sel] = rows[sel], rows[prow]
         src = rows[prow]
-        a = _entry(src, col, ncols)
-        for r in range(nrows):
-            if r == prow:
-                continue
-            b = _entry(rows[r], col, ncols)
-            if not real:
-                rows[r] = _bareiss(rows[r], src, a, b, prev, ncols)
-            elif b[0]:
-                rows[r] = _combine(rows[r], src, a[0], b[0])
-        prev = a
+        if real:  # entries are read directly, not as (re, im) pairs
+            a = src[col]
+            for r in range(nrows):
+                b = rows[r][col]
+                if b and r != prow:
+                    rows[r] = _combine(rows[r], src, a, b)
+        else:
+            a = _entry(src, col, ncols)
+            for r in range(nrows):
+                if r != prow:
+                    rows[r] = _bareiss(rows[r], src, a, _entry(rows[r], col, ncols), prev, ncols)
+            prev = a
         pivots.append(col)
     return pivots
 
@@ -303,19 +260,66 @@ def _eliminate(blocks: list[Matrix]) -> tuple[list[list[int]], list[int]]:
     return rows, _gauss_jordan(rows, sum(b.cols for b in blocks))
 
 
-def _image(m: Matrix) -> tuple[list[list[int]], int]:
+def _image(m: Matrix, real: bool | None = None) -> tuple[list[list[int]], int]:
     """m times one positive common denominator, as integer rows, and that denominator.
 
     Real data gives one int per entry; otherwise each row holds its real
     parts, then its imaginary parts, the layout `_gauss_jordan` reads.
+    `real=False` asks for the second layout on real data too.
     """
     n = m.cols
-    real = _is_real(m.entries)
+    real = _is_real(m.entries) if real is None else real
     flat, den = _scaled(m.entries, real)
     if real:
         return [flat[i * n : (i + 1) * n] for i in range(m.rows)], den
     size = m.rows * n
     return [flat[i * n : (i + 1) * n] + flat[size + i * n : size + (i + 1) * n] for i in range(m.rows)], den
+
+
+def _images(*ms: Matrix) -> list[tuple[list[list[int]], int]]:
+    """`_image` of each matrix, all in one layout: one int per entry unless some entry is non-real."""
+    real = all(_is_real(m.entries) for m in ms)
+    return [_image(m, real) for m in ms]
+
+
+def _matrix(rows: list[list[int]], den: int, ncols: int) -> Matrix:
+    """The `Matrix` of integer rows over den, in either layout (see `_image`)."""
+    real = not rows or len(rows[0]) == ncols
+    entries = [_scalar(row[j], 0 if real else row[ncols + j], den) for row in rows for j in range(ncols)]
+    return Matrix(len(rows), ncols, entries)
+
+
+def _transpose(rows: list[list[int]], ncols: int, conj: bool = False) -> list[list[int]]:
+    """The integer rows of the transpose (with `conj`, the conjugate transpose)."""
+    cols = list(zip(*rows)) or [()] * ncols
+    if not rows or len(rows[0]) == ncols:
+        return [list(c) for c in cols]
+    if conj:
+        return [list(cols[j]) + [-x for x in cols[ncols + j]] for j in range(ncols)]
+    return [list(cols[j] + cols[ncols + j]) for j in range(ncols)]
+
+
+def _product(a: list[list[int]], b: list[list[int]], ncols: int) -> list[list[int]]:
+    """The integer rows of a·b for integer rows in one layout; b has ncols columns."""
+    cols, k = list(zip(*b)), len(b)
+    if not b:
+        return [[0] * ncols for _ in a]
+    if len(b[0]) == ncols:
+        return [[sum(map(mul, row, c)) for c in cols] for row in a]
+    out = []
+    for row in a:
+        ar, ai = row[:k], row[k:]
+        re, im = [], []
+        for br, bi in zip(cols, cols[ncols:]):
+            re.append(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)))
+            im.append(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)))
+        out.append(re + im)
+    return out
+
+
+def _equal(a: list[list[int]], da: int, b: list[list[int]], db: int) -> bool:
+    """a / da == b / db for integer rows of one shape and layout."""
+    return all(x * db == y * da for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def _block_flat(rows: list[list[int]], n: int, ncols: int) -> tuple[int, bool, bool]:

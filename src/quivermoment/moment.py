@@ -328,7 +328,17 @@ class TruncatedFunctional:
 
     def is_psd(self) -> bool:
         """`linalg.psd_check` of B_{L_k}, pivoted on its integer image."""
-        return linalg._image_psd(*self._image, "psd_check") is not None
+        return self._ldlh is not None
+
+    @cached_property
+    def _ldlh(self) -> list[tuple[Scalar, tuple[Scalar, ...]]] | None:
+        """`linalg.ldlh_psd` of B_{L_k}, or None.
+
+        On PSD data an index is dropped with a zero diagonal iff its column lies
+        in the span of the columns pivoted before it: the pivots are the pivot
+        columns, the rest the kernel tips.
+        """
+        return linalg._image_psd(*self._image, "psd_check")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ either an explicit list of squares (optionally with positive rational
 weights) or a hermitian PSD Gram matrix over a path basis.  A passing Gram
 witness is converted to explicit weighted squares through the exact rational
 LDL^H decomposition; certificate search is out of scope.
+
+A Gram certificate is pivoted once, on the gram's integer image: that
+pivoting checks the hermitian property, decides PSD and gives the squares.
 """
 
 from __future__ import annotations
@@ -58,28 +61,37 @@ def expand_gram(basis: list[Path], gram: Matrix) -> Element:
 
 def verify_gram(target: Element, basis: list[Path], gram: Matrix, d: int | None = None) -> bool:
     """True iff gram is hermitian PSD and the gram expansion equals the target."""
-    if not gram.is_hermitian():
-        raise InputError("certificate gram must be hermitian")
+    return gram_pivots(target, basis, gram, d) is not None
+
+
+def gram_pivots(target: Element, basis: list[Path], gram: Matrix, d: int | None = None):
+    """The LDL^H pivots of a gram that certifies the target (see `verify_gram`), or None.
+
+    One pivoting decides hermitian (else `InputError`), then PSD; the degree
+    bound is checked in between.
+    """
+    try:
+        pivots = linalg.ldlh_psd(gram)
+    except ValueError:
+        raise InputError("certificate gram must be hermitian") from None
     if d is not None:
         for p in basis:
             if p.length() > d:
                 raise InputError(f"basis path {p} exceeds the degree bound {d}")
-    if not linalg.psd_check(gram):
-        return False
-    return expand_gram(basis, gram) == target
+    if pivots is None or expand_gram(basis, gram) != target:
+        return None
+    return pivots
 
 
-def gram_to_squares(basis: list[Path], gram: Matrix) -> list[tuple[Scalar, Element]]:
+def gram_to_squares(basis: list[Path], gram: Matrix, pivots=None) -> list[tuple[Scalar, Element]]:
     """Weighted squares from a PSD Gram witness via rational LDL^H pivots.
 
     Each pivot d with vector v contributes the pair (d, sum v_i p_i); the
     weights stay explicit because their square roots may be irrational.
+    `pivots`, when given, are the gram's (from `gram_pivots`).
     """
-    pivots = linalg.ldlh_psd(gram)
+    if pivots is None:
+        pivots = linalg.ldlh_psd(gram)
     if pivots is None:
         raise InputError("gram witness is not PSD")
-    out = []
-    for d, vec in pivots:
-        g = Element.from_terms(basis[0].double, zip(basis, vec))
-        out.append((d, g))
-    return out
+    return [(d, Element.from_terms(basis[0].double, zip(basis, vec))) for d, vec in pivots]

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from linalg_oracle import column, product
 from quivermoment import (
     Element,
     Matrix,
@@ -203,7 +204,7 @@ def letter_maps(double, dims, rng, lo=-3, hi=3, complex_=False):
             [_draw(rng, complex_, lo, hi) for _ in range(dims[dst] * dims[src])],
         )
         maps[(i, False)] = m
-        maps[(i, True)] = m.conj_transpose()
+        maps[(i, True)] = m.transpose().conjugate()
     return maps
 
 
@@ -216,7 +217,7 @@ def state_functional(double, k, include_trivial, dims, rng, complex_=False):
     """
     maps = letter_maps(double, dims, rng, complex_=complex_)
     xi = {
-        v: Matrix.column([_draw(rng, complex_) for _ in range(dims[v])])
+        v: column([_draw(rng, complex_) for _ in range(dims[v])])
         for v in range(len(dims))
     }
     order = double.default_order()
@@ -229,7 +230,7 @@ def state_functional(double, k, include_trivial, dims, rng, complex_=False):
             vec = xi[o]
         else:
             prefix = vecs[(o, p.letters[:-1])] if len(p.letters) > 1 else xi[o]
-            vec = maps[p.letters[-1]] * prefix
+            vec = product(maps[p.letters[-1]], prefix)
         vecs[(o, p.letters)] = vec
         target = xi[p.terminal()]
         acc = ZERO

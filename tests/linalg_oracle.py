@@ -4,15 +4,80 @@ This is the elimination, product and PSD pivoting code that
 `quivermoment.linalg` ran before its kernels moved to Python integers.  It
 works entry by entry on `Fraction`-backed scalars, so it is slow but plainly
 correct; `test_linalg_engine.py` checks the integer engine against it.
+
+It also holds the arithmetic `Matrix` had before it became an I/O type:
+`product` (rows of the left factor and columns of the right factor each
+scaled to integers on their own), `add`, `sub`, `scale`, `conj_transpose`
+and `is_zero`, and the constructors `identity` and `column`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from quivermoment.errors import InternalInvariantError
-from quivermoment.linalg import Matrix
+from quivermoment.linalg import Matrix, _is_real, _scalar, _scaled
 from quivermoment.scalar import ONE, ZERO, Scalar
+
+
+def product(a: Matrix, b: Matrix) -> Matrix:
+    """The product a*b as `Matrix.__mul__` formed it: one integer sum per entry."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.rows}x{a.cols} * {b.rows}x{b.cols}")
+    real = _is_real(a.entries) and _is_real(b.entries)
+    left = [_scaled(a.row(i), real) for i in range(a.rows)]
+    right = [_scaled(b.col(j), real) for j in range(b.cols)]
+    out = []
+    if real:
+        for x, dx in left:
+            out.extend(_scalar(sum(map(mul, x, y)), 0, dx * dy) for y, dy in right)
+    else:
+        n = a.cols
+        right = [(y[:n], y[n:], dy) for y, dy in right]
+        for x, dx in left:
+            xr, xi = x[:n], x[n:]
+            for yr, yi, dy in right:
+                re = sum(map(mul, xr, yr)) - sum(map(mul, xi, yi))
+                im = sum(map(mul, xr, yi)) + sum(map(mul, xi, yr))
+                out.append(_scalar(re, im, dx * dy))
+    return Matrix(a.rows, b.cols, out)
+
+
+def _shape_check(a: Matrix, b: Matrix) -> None:
+    if a.rows != b.rows or a.cols != b.cols:
+        raise ValueError("shape mismatch")
+
+
+def add(a: Matrix, b: Matrix) -> Matrix:
+    _shape_check(a, b)
+    return Matrix(a.rows, a.cols, [x + y for x, y in zip(a.entries, b.entries)])
+
+
+def sub(a: Matrix, b: Matrix) -> Matrix:
+    _shape_check(a, b)
+    return Matrix(a.rows, a.cols, [x - y for x, y in zip(a.entries, b.entries)])
+
+
+def scale(m: Matrix, s: Scalar) -> Matrix:
+    return Matrix(m.rows, m.cols, [s * x for x in m.entries])
+
+
+def identity(n: int) -> Matrix:
+    return Matrix(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+
+
+def column(values) -> Matrix:
+    values = list(values)
+    return Matrix(len(values), 1, values)
+
+
+def conj_transpose(m: Matrix) -> Matrix:
+    return m.transpose().conjugate()
+
+
+def is_zero(m: Matrix) -> bool:
+    return all(e.is_zero() for e in m.entries)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

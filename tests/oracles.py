@@ -4,6 +4,8 @@
   *-algebra (property-test oracle for composition and the involution);
 * right actions, word-order element matrices and the gram inner product of a
   representation;
+* the relation and adjointness checks of a representation as they were
+  before integer images: `Scalar` matrix products and `Matrix ==`;
 * `Element.from_terms` as it was before new paths were stored directly:
   one `Scalar` addition and one zero test per term;
 * reassembly of a block decomposition, truncation of an element, the
@@ -62,7 +64,7 @@ from quivermoment import (
     paths_of_length,
 )
 from quivermoment.groebner import ReductionEvent, RightGroebnerBasis
-from quivermoment.gns import Representation, _vertex_projections
+from quivermoment.gns import RelationReport, Representation, _vertex_projections
 from quivermoment.quiver import ZERO_PATH, Letter
 from quivermoment.scalar import ONE, ZERO, Scalar
 
@@ -133,7 +135,7 @@ def embed_matrix_free(p: Path):
 def element_matrix_word_order(rep, f: Element) -> Matrix:
     acc = Matrix.zeros(rep.dim, rep.dim)
     for p, c in f.terms.items():
-        acc = acc + rep.path_matrix_word_order(p).scale(c)
+        acc = linalg_oracle.add(acc, linalg_oracle.scale(rep.path_matrix_word_order(p), c))
     return acc
 
 
@@ -147,8 +149,8 @@ def right_action_matrix(rep, f: Element) -> Matrix:
             m = None
             for letter in p.letters:
                 lm = rep.letter_matrix(rep.double.letter_name(letter))
-                m = lm if m is None else lm * m
-        acc = acc + m.scale(c)
+                m = lm if m is None else linalg_oracle.product(lm, m)
+        acc = linalg_oracle.add(acc, linalg_oracle.scale(m, c))
     return acc
 
 
@@ -165,13 +167,13 @@ def inner(rep, u, v) -> Scalar:
 
 def apply_right_word(rep, p: Path, vec: list[Scalar]) -> list[Scalar]:
     """Apply right multiplication by a path to a coordinate vector."""
-    cur = Matrix.column(vec)
+    cur = linalg_oracle.column(vec)
     if p.is_trivial():
         proj = rep.vertex_projections[rep.double.vertices[p.vertex]]
-        cur = proj * cur
+        cur = linalg_oracle.product(proj, cur)
     else:
         for letter in p.letters:
-            cur = rep.letter_matrix(rep.double.letter_name(letter)) * cur
+            cur = linalg_oracle.product(rep.letter_matrix(rep.double.letter_name(letter)), cur)
     return [cur.entry(i, 0) for i in range(rep.dim)]
 
 
@@ -181,6 +183,55 @@ def apply_right_element(rep, f: Element, vec: list[Scalar]) -> list[Scalar]:
         img = apply_right_word(rep, p, vec)
         out = [a + c * b for a, b in zip(out, img)]
     return out
+
+
+def scalar_adjoint_pair_ok(rep, base_name: str) -> bool:
+    """M_b^H F == F M_{b*} with F = gram^T, as `Scalar` products and `Matrix ==`."""
+    mb = rep.letter_matrix(base_name)
+    mbs = rep.letter_matrix(base_name + "*")
+    f = rep.gram.transpose()
+    return linalg_oracle.matmul(linalg_oracle.conj_transpose(mb), f) == linalg_oracle.matmul(f, mbs)
+
+
+def scalar_check_relations(rep) -> RelationReport:
+    """`check_relations` as it was before integer images: every generator
+    product a `Scalar` matrix product, every comparison `Matrix ==`, and the
+    gram verdicts from `Matrix.is_hermitian` and `Scalar` pivoting."""
+    report = RelationReport()
+    double = rep.double
+    n = rep.dim
+    gens = [(f"e:{v}", double.trivial(v), rep.vertex_projections[v]) for v in double.vertices]
+    for letter in double.letters():
+        name = double.letter_name(letter)
+        gens.append((name, double.path([letter]), rep.letter_matrix(name)))
+
+    zero = Matrix.zeros(n, n)
+    for name1, p1, m1 in gens:
+        for name2, p2, m2 in gens:
+            p = compose(p1, p2)
+            if p is ZERO_PATH:
+                report.record(f"zero product {name1}·{name2}", linalg_oracle.matmul(m2, m1) == zero)
+            elif p == p1:
+                report.record(f"absorption {name1}·{name2} = {name1}", linalg_oracle.matmul(m2, m1) == m1)
+            elif p == p2:
+                report.record(f"absorption {name1}·{name2} = {name2}", linalg_oracle.matmul(m2, m1) == m2)
+
+    psum = Matrix.zeros(n, n)
+    for v in double.vertices:
+        pv = rep.vertex_projections[v]
+        report.record(f"idempotent e:{v}", linalg_oracle.matmul(pv, pv) == pv)
+        psum = linalg_oracle.add(psum, pv)
+    report.record("vertex projections sum to identity", psum == linalg_oracle.identity(n))
+
+    try:
+        hermitian, psd = True, linalg_oracle.psd_check(rep.gram)
+    except ValueError:
+        hermitian = psd = False
+    report.record("gram hermitian", hermitian)
+    report.record("gram PSD", psd)
+    for arrow in double.base.arrows:
+        report.record(f"adjointness {arrow.name}", scalar_adjoint_pair_ok(rep, arrow.name))
+    return report
 
 
 # -- moment blocks and elements -------------------------------------------------
@@ -208,7 +259,7 @@ def reassemble(blocks) -> Matrix:
     """The full matrix [[A, C], [C^H, B]] of a BlockDecomposition."""
     old_n, new_n = len(blocks.old_basis), len(blocks.new_basis)
     n = old_n + new_n
-    ch = blocks.c.conj_transpose()
+    ch = linalg_oracle.conj_transpose(blocks.c)
     ents = []
     for i in range(n):
         for j in range(n):
@@ -398,7 +449,7 @@ def flat_report(functional: TruncatedFunctional) -> FlatReport:
     rank_km1, x = linalg.solve_particular(blocks.a, blocks.c)
     rank_flat = rank_k == rank_km1
     range_ok = x is not None
-    block_flat = range_ok and blocks.b == blocks.c.conj_transpose() * x
+    block_flat = range_ok and blocks.b == linalg_oracle.product(linalg_oracle.conj_transpose(blocks.c), x)
     if rank_flat != block_flat:
         raise InternalInvariantError(f"flatness criteria disagree: rank says {rank_flat}, block says {block_flat}")
     return FlatReport(rank_flat, rank_k, rank_km1, range_ok)
@@ -526,7 +577,7 @@ def scalar_flat_extend_tip_maximal(
                 rhs.extend((-known.re, -known.im))
 
     system = Matrix(len(rows), 2 * npairs, [Scalar(x) for row in rows for x in row])
-    solution = linalg.solve_particular(system, Matrix.column([Scalar(x) for x in rhs]))[1]
+    solution = linalg.solve_particular(system, linalg_oracle.column([Scalar(x) for x in rhs]))[1]
     if solution is None:
         if free_algebra:
             raise InternalInvariantError("extension system inconsistent on a free *-algebra")
@@ -549,7 +600,7 @@ def scalar_flat_extend_tip_maximal(
         if free_algebra:
             raise InternalInvariantError("range containment failed on a free *-algebra extension")
         raise ExtensionObstructed("extended C block left the range of A on this quiver")
-    b = c.conj_transpose() * x
+    b = linalg_oracle.product(linalg_oracle.conj_transpose(c), x)
 
     for i, u in enumerate(new_paths):
         for j, v in enumerate(new_paths):
@@ -845,10 +896,10 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
                 images.append([ZERO] * n)
         t_full = Matrix(n, n, [t_cols[j][i] for i in range(n) for j in range(n)])
         g_full = Matrix(n, n, [images[j][i] for i in range(n) for j in range(n)])
-        m_b = g_full * linalg.solve_full_rank(t_full, Matrix.identity(n))
+        m_b = linalg_oracle.product(g_full, linalg.solve_full_rank(t_full, linalg_oracle.identity(n)))
         arrows[arrow.name] = m_b
         # pi(b*) is the gram adjoint of pi(b).
-        arrows[arrow.name + "*"] = linalg.solve_full_rank(ft, m_b.conj_transpose() * ft)
+        arrows[arrow.name + "*"] = linalg.solve_full_rank(ft, linalg_oracle.product(linalg_oracle.conj_transpose(m_b), ft))
 
     rep = Representation(double, basis, gram, arrows, _vertex_projections(double, basis), None)
     xi = [ZERO] * n

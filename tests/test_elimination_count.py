@@ -7,8 +7,9 @@ elimination of its top rows [A | C] (rank A and range containment).  The
 block criterion B = C^H X reduces the lower rows [C^H | B] against those
 pivot rows, so no solution X, no product and no `Scalar` comparison of
 matrices is formed; the PSD verdict checks the hermitian property on the
-same integers it pivots.  Compression adds one elimination of
-the gram and one of its kept block per base arrow.  A one-step extension
+same integers it pivots.  Compression reads its coset reps off that PSD
+pivoting, with no kernel elimination, and adds one elimination of the gram
+and one of its kept block per base arrow.  A one-step extension
 adds one of its odd-degree system and one of the Schur block [A | C], both
 built as integer rows from window positions, with no `Scalar` matrix.
 
@@ -90,16 +91,31 @@ def test_flatness_and_kernel_eliminate_twice(flat, pd_two_loops, eliminations):
 
 @pytest.fixture
 def scalar_matrix_calls(monkeypatch):
-    """Calls of Matrix.__mul__ and Matrix.is_hermitian."""
+    """Calls of Matrix.is_hermitian.  `Matrix` has no product left to count:
+    it is an I/O type, and products run on integer images."""
+    assert not hasattr(linalg.Matrix, "__mul__")
     calls = []
-    for name in ("__mul__", "is_hermitian"):
-        fn = getattr(linalg.Matrix, name)
+    fn = linalg.Matrix.is_hermitian
 
-        def counted(*args, fn=fn, name=name):
-            calls.append(name)
-            return fn(*args)
+    def counted(*args):
+        calls.append("is_hermitian")
+        return fn(*args)
 
-        monkeypatch.setattr(linalg.Matrix, name, counted)
+    monkeypatch.setattr(linalg.Matrix, "is_hermitian", counted)
+    return calls
+
+
+@pytest.fixture
+def psd_pivotings(monkeypatch):
+    """Calls of the PSD pivoting `linalg._image_psd`, with the size of each image."""
+    calls = []
+    fn = linalg._image_psd
+
+    def counted(rows, den, caller):
+        calls.append(len(rows))
+        return fn(rows, den, caller)
+
+    monkeypatch.setattr(linalg, "_image_psd", counted)
     return calls
 
 
@@ -118,10 +134,21 @@ def test_loaded_verdicts_form_no_scalar_product(tmp_path, eliminations, scalar_m
     assert scalar_matrix_calls == []
 
 
-def test_compress_eliminates_once_per_matrix(pd_two_loops, eliminations):
+def test_compress_eliminates_once_per_matrix(pd_two_loops, eliminations, psd_pivotings):
+    # The PSD pivoting of B_{L_k} gives the verdict and the coset reps; then
+    # one solve per base arrow on its kept block and one of the gram.
     rep = compress_representation(fresh(pd_two_loops))
     assert rep.dim == 21
-    assert len(eliminations) <= 2 + len(TWO_LOOPS.base.arrows)
+    assert len(eliminations) == 1 + len(TWO_LOOPS.base.arrows)
+    assert psd_pivotings == [21]
+
+
+def test_compress_of_a_singular_state_eliminates_no_kernel(eliminations, psd_pivotings):
+    # A rank-5 state: its kernel tips are the indices the PSD pivoting drops.
+    rep = compress_representation(state_functional(TWO_LOOPS, 2, True, [5], random.Random(2)))
+    assert rep.dim == 5
+    assert len(eliminations) == 1 + len(TWO_LOOPS.base.arrows)
+    assert psd_pivotings == [21]
 
 
 def test_one_step_extension_solves_one_unknown_per_star_pair(eliminations):
@@ -248,7 +275,10 @@ def test_loaded_functional_assembles_its_moment_matrix_once(compose_calls, monke
 
 @pytest.fixture
 def algebra_calls(monkeypatch):
-    """Calls of Element.__mul__, left_divides and Matrix.__mul__, under every module binding."""
+    """Calls of Element.__mul__ and left_divides, under every module binding.
+
+    `Matrix` has no product: it is an I/O type."""
+    assert not hasattr(linalg.Matrix, "__mul__")
     calls = []
 
     def counting(fn, name):
@@ -258,8 +288,7 @@ def algebra_calls(monkeypatch):
 
         return counted
 
-    for cls, name in ((algebra.Element, "__mul__"), (linalg.Matrix, "__mul__")):
-        monkeypatch.setattr(cls, name, counting(getattr(cls, name), f"{cls.__name__}.{name}"))
+    monkeypatch.setattr(algebra.Element, "__mul__", counting(algebra.Element.__mul__, "Element.__mul__"))
     fn = groebner.left_divides
     for module in (groebner, cli):
         if getattr(module, "left_divides", None) is fn:
@@ -290,3 +319,58 @@ def test_kernel_groebner_forms_no_scalar_product(rank3_two_loops_file, algebra_c
     assert f.is_flat().flat
     assert len(kernel_groebner(f).elements) > 0
     assert algebra_calls == []
+
+
+@pytest.fixture
+def images(monkeypatch):
+    """Calls of `linalg._image`, which takes a `Matrix` to integers, with each one's shape."""
+    calls = []
+    fn = linalg._image
+
+    def counted(m, real=None):
+        calls.append((m.rows, m.cols))
+        return fn(m, real)
+
+    monkeypatch.setattr(linalg, "_image", counted)
+    return calls
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_gns_check_takes_each_matrix_to_integers_once(complex_, tmp_path, capsys, images, scalar_matrix_calls):
+    # The shape of a psd_compress instance: the compression of a PD state on
+    # two loops with k = 2, read back from its file.  Every product and
+    # comparison of `gns check` runs on one integer image per generator
+    # matrix (one vertex, four letters) and one of the gram.
+    f = pd_functional(TWO_LOOPS, 2, True, random.Random(5), complex_=complex_)
+    fpath, rpath = tmp_path / "f.json", tmp_path / "rep.json"
+    fpath.write_text(json.dumps(fileio.functional_to_dict(f)), encoding="utf-8")
+    assert cli.main(["gns", "compress", str(fpath), "-o", str(rpath)]) == 0
+    capsys.readouterr()
+    del images[:], scalar_matrix_calls[:]
+    assert cli.main(["gns", "check", str(rpath)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"passed": True, "failures": [], "checks": 15}
+    assert images == [(21, 21)] * 6
+    assert scalar_matrix_calls == []
+
+
+def test_sos_verify_pivots_the_gram_once(tmp_path, capsys, psd_pivotings, scalar_matrix_calls):
+    # A valid Gram certificate: the order-2 moment matrix of a PD state on
+    # two loops as the Gram of the paths of length <= 2.  Its verdict and
+    # its weighted squares come from one LDL^H pivoting, and the hermitian
+    # test runs on the integers that pivoting reads.
+    f = pd_functional(TWO_LOOPS, 2, True, random.Random(5))
+    basis, gram = f.basis(2), f.moment_matrix().m
+    cert = {
+        "quiver": fileio.quiver_to_dict(TWO_LOOPS.base),
+        "target": fileio.element_to_dict(sos.expand_gram(list(basis), gram)),
+        "degree": 2,
+        "basis": [fileio.path_to_text(p) for p in basis],
+        "gram": fileio.matrix_to_rows(gram),
+    }
+    cpath = tmp_path / "cert.json"
+    cpath.write_text(json.dumps(cert), encoding="utf-8")
+    assert cli.main(["sos", "verify", str(cpath)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["valid"] is True and len(out["squares"]) == 21
+    assert psd_pivotings == [21]
+    assert scalar_matrix_calls == []

@@ -594,6 +594,29 @@ def test_cli_groebner_from_kernel_golden(tmp_path, capsys):
     assert len(json.loads(expected)["reductions"]) == 2
 
 
+def test_psd_pipeline_reproduces_the_committed_outputs(tmp_path, capsys):
+    # CI runs this pipeline without site-packages.  A real singular order-2
+    # state on a three-vertex chain and a Gaussian positive-definite one on
+    # a loop: compression, relation check, kernel and Gram certificate, then
+    # a certificate with one target coefficient raised by one (exit 1).  The
+    # expected files were written by the `Scalar` matrix route.
+    fixtures = FsPath(__file__).parent / "fixtures"
+    stdout = []
+    for name in ("fix_psd_chain", "fix_gauss_pd_loop"):
+        rpath = tmp_path / f"{name}_rep.json"
+        assert main(["gns", "compress", str(fixtures / f"{name}.json"), "-o", str(rpath)]) == 0
+        capsys.readouterr()
+        assert rpath.read_bytes() == (fixtures / f"{name}_compressed.json").read_bytes()
+        for argv in (["gns", "check", str(rpath)], ["gns", "kernel", str(rpath), "--degree", "2"]):
+            assert main(argv) == 0
+            stdout.append(capsys.readouterr().out)
+        assert main(["sos", "verify", str(fixtures / f"{name}_certificate.json")]) == 0
+        stdout.append(capsys.readouterr().out)
+    assert main(["sos", "verify", str(fixtures / "fix_gauss_pd_loop_tampered.json")]) == 1
+    stdout.append(capsys.readouterr().out)
+    assert "".join(stdout) == (fixtures / "psd_pipeline_stdout.txt").read_text(encoding="utf-8")
+
+
 def test_cli_groebner_from_kernel_refuses_a_differing_completion(tmp_path, capsys, monkeypatch):
     from quivermoment import cli, kernel_groebner
     from quivermoment.groebner import RightGroebnerBasis

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -22,6 +24,8 @@ from quivermoment import (
     rep_kernel,
     right_groebner,
 )
+import linalg_oracle
+from linalg_oracle import conj_transpose, identity, is_zero, product, scale
 from oracles import apply_right_element, element_matrix_word_order, inner
 from quivermoment.scalar import ONE, ZERO, Scalar
 
@@ -56,7 +60,7 @@ def test_build_representation_fixture(fix_l2_ext):
     rep = build_representation(fix_l2_ext)
     assert rep.dim == 4
     assert [str(p) for p in rep.basis] == ["x", "x*", "x x*", "x* x"]
-    assert rep.gram == Matrix.identity(4)
+    assert rep.gram == identity(4)
     mx = rep.letter_matrix("x")
     cols = {
         str(rep.basis[j]): {str(rep.basis[i]): mx.entry(i, j) for i in range(4) if mx.entry(i, j)}
@@ -99,14 +103,14 @@ def test_example2_representation(example2_l4, fix_g4, fix_loop):
 
     # Reconstruction from the printed basis with the printed identity gram:
     gb = right_groebner(fix_g4, fix_loop.default_order())
-    rep_i = build_from_groebner(fix_loop, gb, Matrix.identity(13))
+    rep_i = build_from_groebner(fix_loop, gb, identity(13))
     assert rep_i.dim == 13
     assert rep_i.arrows == rep.arrows
     # The printed identity gram contradicts the printed kernel relations:
     # (xx*)^2 - 3xx* in the kernel forces <[xx*x],[xx*x]> = 3<[xx*],[xx*]>,
     # so right multiplications cannot be mutually adjoint for gram = I.
     assert not rep_i.adjoint_pair_ok("x")
-    assert rep.gram != Matrix.identity(13)
+    assert rep.gram != identity(13)
 
 
 def test_example2_kernel_contains_printed_elements(example2_l4, fix_loop):
@@ -118,7 +122,7 @@ def test_example2_kernel_contains_printed_elements(example2_l4, fix_loop):
         elem(fix_loop, ("x* x x x*", 1), ("x x* x* x", -1)),
     ]
     for q in printed:
-        assert element_matrix_word_order(rep, q).is_zero()
+        assert is_zero(element_matrix_word_order(rep, q))
         assert element_in_span(q, kern, fix_loop, 4)
 
 
@@ -126,9 +130,9 @@ def test_example2_factors_through_cube_zero_quotient(example2_l4):
     rep = build_representation(example2_l4)
     mx = rep.letter_matrix("x")
     mxs = rep.letter_matrix("x*")
-    assert (mx * mx * mx).is_zero()
-    assert (mxs * mxs * mxs).is_zero()
-    assert not (mx * mx).is_zero()
+    assert is_zero(product(product(mx, mx), mx))
+    assert is_zero(product(product(mxs, mxs), mxs))
+    assert not is_zero(product(mx, mx))
 
 
 def test_rep_kernel_faithful_empty(fix_loop):
@@ -138,9 +142,9 @@ def test_rep_kernel_faithful_empty(fix_loop):
     rep = Representation(
         fix_loop,
         (path(fix_loop, "x"), path(fix_loop, "x*")),
-        Matrix.identity(2),
-        {"x": shift, "x*": shift.conj_transpose()},
-        {"e": Matrix.identity(2)},
+        identity(2),
+        {"x": shift, "x*": conj_transpose(shift)},
+        {"e": identity(2)},
         None,
     )
     assert rep_kernel(rep, 1) == []
@@ -150,12 +154,12 @@ def test_check_relations_reports_failures(fix_a2):
     bad = Representation(
         fix_a2,
         (path(fix_a2, "x"), path(fix_a2, "x*")),
-        Matrix.identity(2),
+        identity(2),
         {
             "x": Matrix.from_rows([[sc(0), sc(1)], [sc(0), sc(0)]]),
             "x*": Matrix.from_rows([[sc(0), sc(0)], [sc(2), sc(0)]]),
         },
-        {"e1": Matrix.identity(2), "e2": Matrix.zeros(2, 2)},
+        {"e1": identity(2), "e2": Matrix.zeros(2, 2)},
         None,
     )
     report = check_relations(bad)
@@ -178,8 +182,8 @@ def test_check_relations_records_the_gram_verdicts(fix_loop, gram, failed):
         fix_loop,
         (path(fix_loop, "x"), path(fix_loop, "x x")),
         Matrix.from_rows([[sc(e) for e in row] for row in gram]),
-        {"x": x, "x*": x.conj_transpose()},
-        {"e": Matrix.identity(2)},
+        {"x": x, "x*": conj_transpose(x)},
+        {"e": identity(2)},
         None,
     )
     assert [name for name in check_relations(rep).failures() if name.startswith("gram")] == failed
@@ -248,6 +252,139 @@ def test_compress_matches_basis_completion_oracle_on_pd_state(complex_):
     assert (new.basis, new.gram, new.arrows, new.cyclic) == (old.basis, old.gram, old.arrows, old.cyclic)
 
 
+def _with_entry(m: Matrix, i: int, j: int, value: Scalar) -> Matrix:
+    entries = list(m.entries)
+    entries[i * m.cols + j] = value
+    return Matrix(m.rows, m.cols, entries)
+
+
+def _tampered(rep: Representation, kind: str, data) -> Representation:
+    """rep with one entry changed so that a check of the given kind fails.
+
+    "entry" changes a drawn entry of a drawn matrix by a drawn amount, with
+    no failure in mind.
+    """
+    double, third = rep.double, Scalar(Fraction(1, 3))
+    blocks = {v: [i for i, p in enumerate(rep.basis) if p.terminal() == vi] for vi, v in enumerate(double.vertices)}
+    vertices, arrows, gram = dict(rep.vertex_projections), dict(rep.arrows), rep.gram
+    v = data.draw(st.sampled_from([v for v in double.vertices if blocks[v]]), label="vertex")
+    i = blocks[v][0]
+    if kind == "zero product":  # P_w P_v = 0 for w != v: give P_w an index of v
+        w = data.draw(st.sampled_from([w for w in double.vertices if w != v]), label="other vertex")
+        vertices[w] = _with_entry(vertices[w], i, i, ONE)
+    elif kind == "absorption":  # M_x P_s(x) = M_x: give M_x a column that P_s(x) drops
+        letter = data.draw(st.sampled_from(double.letters()), label="letter")
+        name, src = double.letter_name(letter), double.source[letter]
+        outside = [j for j, p in enumerate(rep.basis) if p.terminal() != src]
+        assume(outside)
+        arrows[name] = _with_entry(arrows[name], 0, outside[0], third)
+    elif kind == "idempotent":
+        vertices[v] = _with_entry(vertices[v], i, i, Scalar(Fraction(1, 2)))
+    elif kind == "projection sum":
+        vertices[v] = _with_entry(vertices[v], i, i, ZERO)
+    elif kind == "gram hermitian":
+        last = rep.dim - 1
+        gram = _with_entry(gram, 0, last, gram.entry(0, last) + (third if last else Scalar(0, 1)))
+    elif kind == "gram PSD":
+        gram = _with_entry(gram, 0, 0, sc(-1))
+    elif kind == "adjointness":
+        arrow = data.draw(st.sampled_from(double.base.arrows), label="arrow")
+        arrows[arrow.name + "*"] = _with_entry(arrows[arrow.name + "*"], 0, 0, arrows[arrow.name + "*"].entry(0, 0) + third)
+    else:
+        name = data.draw(st.sampled_from(sorted(arrows) + sorted(vertices) + ["gram"]), label="matrix")
+        m = gram if name == "gram" else arrows.get(name, vertices.get(name))
+        r, c = (data.draw(st.integers(0, size - 1), label=label) for size, label in ((m.rows, "row"), (m.cols, "col")))
+        delta = Scalar(Fraction(data.draw(st.integers(-3, 3)), 5), Fraction(data.draw(st.integers(-1, 1)), 7))
+        m = _with_entry(m, r, c, m.entry(r, c) + delta)
+        if name == "gram":
+            gram = m
+        elif name in arrows:
+            arrows[name] = m
+        else:
+            vertices[name] = m
+    return Representation(double, rep.basis, gram, arrows, vertices, rep.cyclic)
+
+
+TAMPERS = ["zero product", "absorption", "idempotent", "projection sum", "gram hermitian", "gram PSD", "adjointness"]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(["none", "entry"] + TAMPERS), st.booleans(), st.data())
+def test_check_relations_matches_the_scalar_route(kind, complex_, data):
+    """The integer checks give the `Scalar` route's (name, ok) list, check for check.
+
+    Compressions of random states, real or Gaussian, with their grams
+    scaled by 1/q (every check is homogeneous in the gram), so that grams
+    and arrows have non-unit denominators; then one entry changed so that
+    a check of the drawn kind fails.  Zero products and absorption failures
+    need two vertices.
+    """
+    names = ["a2", "chain", "xyz"] if kind in ("zero product", "absorption") else sorted(COMPRESS_QUIVERS)
+    quiver, orders = COMPRESS_QUIVERS[data.draw(st.sampled_from(names), label="quiver")]
+    double = build_double(quiver)
+    k = data.draw(st.sampled_from(orders[:2]), label="k")
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=double.n_vertices(), max_size=double.n_vertices()), label="dims")
+    rep = compress_representation(state_functional(double, k, True, dims, random.Random(data.draw(st.integers(0, 2**32))), complex_))
+    q = data.draw(st.integers(1, 7), label="q")
+    rep = Representation(double, rep.basis, scale(rep.gram, Scalar(Fraction(1, q))), rep.arrows, rep.vertex_projections, rep.cyclic)
+    if kind != "none":
+        assume(rep.dim > 0)
+        rep = _tampered(rep, kind, data)
+    report = check_relations(rep)
+    assert report.checks == oracles.scalar_check_relations(rep).checks
+    word = data.draw(st.sampled_from(enumerate_basis(double, double.default_order(), 3, True)), label="word")
+    assert rep.path_matrix_word_order(word) == _word_matrix(rep, word)
+    assert [rep.adjoint_pair_ok(a.name) for a in double.base.arrows] == [
+        oracles.scalar_adjoint_pair_ok(rep, a.name) for a in double.base.arrows
+    ]
+    if kind == "none":
+        assert report.passed
+    elif kind != "entry":
+        prefix = "vertex projections sum" if kind == "projection sum" else kind
+        assert any(name.startswith(prefix) for name in report.failures())
+
+
+def _word_matrix(rep: Representation, word) -> Matrix:
+    """M_{w1} ... M_{wn} as `Scalar` products entry by entry."""
+    double = rep.double
+    mats = [rep.letter_matrix(double.letter_name(x)) for x in word.letters]
+    return reduce(linalg_oracle.matmul, mats or [rep.vertex_projections[double.vertices[word.vertex]]])
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_rep_kernel_matches_the_scalar_nullspace(complex_):
+    """The kernel of the word images equals the `Scalar` nullspace of the word matrices."""
+    # a rank-2 state on two loops: 21 words act on a 2-dimensional space
+    double = build_double(COMPRESS_QUIVERS["two_loops"][0])
+    rep = compress_representation(state_functional(double, 2, True, [2], random.Random(31), complex_))
+    words = enumerate_basis(double, double.default_order(), 2, True)
+    cols, n2 = [_word_matrix(rep, w).entries for w in words], rep.dim * rep.dim
+    system = Matrix(n2, len(words), [cols[j][i] for i in range(n2) for j in range(len(words))])
+    want = [Element.from_terms(double, zip(words, v)) for v in linalg_oracle.nullspace(system)]
+    assert want and rep_kernel(rep, 2, include_trivial=True) == want
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("definite", [False, True])
+def test_compress_reps_are_the_window_paths_off_the_kernel_tips(definite, complex_):
+    """The coset reps read off the PSD pivoting are the paths that are not
+    tips of the echelon kernel, on positive-definite and singular states."""
+    seen = set()
+    for name, (quiver, orders) in sorted(COMPRESS_QUIVERS.items()):
+        double = build_double(quiver)
+        for k in orders[:2]:
+            rng = random.Random(k)
+            if definite:
+                f = pd_functional(double, k, True, rng, complex_=complex_)
+            else:
+                # rank at most the number of vertices, below the size of V_k
+                f = state_functional(double, k, True, [1] * double.n_vertices(), rng, complex_)
+            tips = {g.tip(f.order)[0] for g in f.kernel_basis()}
+            seen.add(bool(tips))
+            assert compress_representation(f).basis == tuple(p for p in f.basis(k) if p not in tips)
+    assert seen == {not definite}
+
+
 def test_compress_requires_trivial_window_and_psd(fix_l2, fix_a2):
     with pytest.raises(InputError):
         compress_representation(fix_l2)  # non-unital window
@@ -314,7 +451,7 @@ def test_vertex_decomposition_reassembles(fix_l2_ext):
         m = rep.letter_matrix(name)
         src = rep.double.vertices[rep.double.source[letter]]
         dst = rep.double.vertices[rep.double.target[letter]]
-        assert rep.vertex_projections[dst] * m * rep.vertex_projections[src] == m
+        assert product(product(rep.vertex_projections[dst], m), rep.vertex_projections[src]) == m
 
 
 def test_gram_moment_reproduction(fix_l2_ext, example2_l4):

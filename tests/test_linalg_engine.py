@@ -75,10 +75,10 @@ def matrices(draw, rows: int | None = None, cols: int | None = None) -> Matrix:
 def hermitian(draw) -> Matrix:
     """g g^H, positive semidefinite, or g g^H - h h^H, usually indefinite."""
     g = draw(matrices())
-    m = oracle.matmul(g, g.conj_transpose())
+    m = oracle.matmul(g, oracle.conj_transpose(g))
     if draw(st.booleans()):
         h = draw(matrices(rows=g.rows))
-        m = m - oracle.matmul(h, h.conj_transpose())
+        m = oracle.sub(m, oracle.matmul(h, oracle.conj_transpose(h)))
     return m
 
 
@@ -103,12 +103,35 @@ def test_rref_rank_nullspace_match_oracle(m):
     assert linalg.nullspace(m) == oracle.nullspace(m)
 
 
+def image_product(a: Matrix, b: Matrix) -> Matrix:
+    """a·b as `linalg` forms it: the integer product of two images in one layout."""
+    real = linalg._is_real(a.entries) and linalg._is_real(b.entries)
+    (ra, da), (rb, db) = linalg._image(a, real), linalg._image(b, real)
+    return linalg._matrix(linalg._product(ra, rb, b.cols), da * db, b.cols)
+
+
 @SETTINGS
 @given(st.data())
 def test_product_matches_oracle(data):
     a = data.draw(matrices())
     b = data.draw(matrices(rows=a.cols))
-    assert a * b == oracle.matmul(a, b)
+    assert image_product(a, b) == oracle.matmul(a, b) == oracle.product(a, b)
+
+
+@SETTINGS
+@given(st.data())
+def test_image_transpose_and_equality_match_oracle(data):
+    """Transposes and comparisons on images, in both layouts, agree with `Scalar` ones."""
+    a = data.draw(matrices())
+    b = data.draw(st.one_of(st.just(a), matrices(rows=a.rows, cols=a.cols)), label="b")
+    real = linalg._is_real(a.entries + b.entries) and data.draw(st.booleans(), label="real layout")
+    (rows, den), (brows, bden) = linalg._image(a, real), linalg._image(b, real)
+    assert linalg._matrix(rows, den, a.cols) == a
+    assert linalg._matrix(linalg._transpose(rows, a.cols), den, a.rows) == a.transpose()
+    assert linalg._matrix(linalg._transpose(rows, a.cols, conj=True), den, a.rows) == oracle.conj_transpose(a)
+    assert linalg._equal(rows, den, brows, bden) == (a == b)
+    # the same values over a larger denominator
+    assert linalg._equal(rows, den, [[3 * x for x in row] for row in rows], 3 * den)
 
 
 @SETTINGS
@@ -186,8 +209,9 @@ def test_large_entries_exact():
     m = Matrix(2, 2, [Scalar(big), Scalar(1), Scalar(0, big), Scalar(1, 1)])
     assert linalg.nullspace(m) == oracle.nullspace(m)
     assert linalg.solve_particular(m, m) == oracle.solve_particular(m, m)
-    assert m * m.conj_transpose() == oracle.matmul(m, m.conj_transpose())
-    h = oracle.matmul(m, m.conj_transpose())
+    mh = oracle.conj_transpose(m)
+    assert image_product(m, mh) == oracle.matmul(m, mh) == oracle.product(m, mh)
+    h = oracle.matmul(m, mh)
     assert linalg.ldlh_psd(h) == oracle.ldlh_psd(h)
 
 
@@ -223,7 +247,7 @@ def test_elimination_stays_within_hadamard_bound(complex_, monkeypatch):
     a, c = m.block(0, 12, 0, 10), m.block(0, 12, 10, 13)
     assert linalg.solve_particular(a, c) == oracle.solve_particular(a, c)
     g = dense(12, 8)
-    a = oracle.matmul(g, g.conj_transpose())
+    a = oracle.matmul(g, oracle.conj_transpose(g))
     c = oracle.matmul(a, dense(12, 3))
     assert linalg.solve_particular(a, c) == oracle.solve_particular(a, c)
     assert len(checked) == 3 and all(checked)
@@ -264,7 +288,7 @@ def test_rref_matches_sympy(m):
     assert linalg.nullspace(m) == want
     assert linalg.rank(m) == dm.rank()
     for v in linalg.nullspace(m):
-        assert (dm * _to_domain(Matrix.column(v))).to_Matrix().is_zero_matrix
+        assert (dm * _to_domain(oracle.column(v))).to_Matrix().is_zero_matrix
 
 
 @SETTINGS
@@ -272,7 +296,7 @@ def test_rref_matches_sympy(m):
 def test_product_matches_sympy(data):
     a = data.draw(matrices())
     b = data.draw(matrices(rows=a.cols))
-    assert _to_domain(a * b).to_Matrix() == (_to_domain(a) * _to_domain(b)).to_Matrix()
+    assert _to_domain(image_product(a, b)).to_Matrix() == (_to_domain(a) * _to_domain(b)).to_Matrix()
 
 
 @SETTINGS

@@ -15,6 +15,7 @@ from quivermoment import (
 )
 
 from conftest import elem, path, sc, state_functional
+from linalg_oracle import identity
 from oracles import inner, right_action_matrix, riesz_eval
 
 
@@ -41,7 +42,7 @@ def test_verify_squares_degree_bound(fix_loop):
 def test_verify_gram_examples(fix_loop, fix_a2):
     q = elem(fix_loop, ("x x*", 1), ("x* x", 1))
     basis = [path(fix_loop, "x"), path(fix_loop, "x*")]
-    assert verify_gram(q, basis, Matrix.identity(2)) is True
+    assert verify_gram(q, basis, identity(2)) is True
     indef = Matrix.from_rows([[sc(1), sc(0)], [sc(0), sc(-1)]])
     assert verify_gram(q, basis, indef) is False
 
