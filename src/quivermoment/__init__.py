@@ -1,91 +1,73 @@
-"""Exact truncated moment problems on path *-algebras of quiver doubles."""
+"""Exact truncated moment problems on path *-algebras of quiver doubles.
 
-from .algebra import Element
-from .errors import (
-    ExtensionObstructed,
-    InputError,
-    InternalInvariantError,
-    NotFlatError,
-    WindowError,
-)
-from .extension import FlatExtension, flat_extend_tip_maximal, schur_complete
-from .gns import (
-    Representation,
-    build_from_groebner,
-    build_representation,
-    check_relations,
-    compress_representation,
-    rep_kernel,
-)
-from .groebner import (
-    ReductionEvent,
-    RightGroebnerBasis,
-    kernel_groebner,
-    left_divides,
-    normal_form,
-    right_groebner,
-    total_reduce,
-)
-from .linalg import Matrix, ldlh_psd, nullspace, psd_check, rank
-from .moment import FlatReport, MomentMatrix, TruncatedFunctional
-from .quiver import (
-    ZERO_PATH,
-    DoubleQuiver,
-    Path,
-    PathOrder,
-    Quiver,
-    build_double,
-    compose,
-    enumerate_basis,
-    paths_of_length,
-)
-from .scalar import Scalar
-from .sos import expand_gram, expand_squares, gram_to_squares, verify_gram, verify_squares
+Importing the package loads none of its modules.  Each public name in
+`__all__` is looked up in its module when it is first read (PEP 562), so
+`quivermoment.Scalar` loads `quivermoment.scalar` and what it imports,
+and nothing else.  `from quivermoment import *` binds every public name.
+"""
 
-__all__ = [
-    "Element",
-    "ExtensionObstructed",
-    "InputError",
-    "InternalInvariantError",
-    "NotFlatError",
-    "WindowError",
-    "FlatExtension",
-    "flat_extend_tip_maximal",
-    "schur_complete",
-    "Representation",
-    "build_from_groebner",
-    "build_representation",
-    "check_relations",
-    "compress_representation",
-    "rep_kernel",
-    "ReductionEvent",
-    "RightGroebnerBasis",
-    "kernel_groebner",
-    "left_divides",
-    "normal_form",
-    "right_groebner",
-    "total_reduce",
-    "Matrix",
-    "ldlh_psd",
-    "nullspace",
-    "psd_check",
-    "rank",
-    "FlatReport",
-    "MomentMatrix",
-    "TruncatedFunctional",
-    "ZERO_PATH",
-    "DoubleQuiver",
-    "Path",
-    "PathOrder",
-    "Quiver",
-    "build_double",
-    "compose",
-    "enumerate_basis",
-    "paths_of_length",
-    "Scalar",
-    "expand_gram",
-    "expand_squares",
-    "gram_to_squares",
-    "verify_gram",
-    "verify_squares",
-]
+# Each public name and the module that defines it, in `__all__` order.
+_EXPORTS = {
+    "Element": "algebra",
+    "ExtensionObstructed": "errors",
+    "InputError": "errors",
+    "InternalInvariantError": "errors",
+    "NotFlatError": "errors",
+    "WindowError": "errors",
+    "FlatExtension": "extension",
+    "flat_extend_tip_maximal": "extension",
+    "schur_complete": "extension",
+    "Representation": "gns",
+    "build_from_groebner": "gns",
+    "build_representation": "gns",
+    "check_relations": "gns",
+    "compress_representation": "gns",
+    "rep_kernel": "gns",
+    "ReductionEvent": "groebner",
+    "RightGroebnerBasis": "groebner",
+    "kernel_groebner": "groebner",
+    "left_divides": "groebner",
+    "normal_form": "groebner",
+    "right_groebner": "groebner",
+    "total_reduce": "groebner",
+    "Matrix": "linalg",
+    "ldlh_psd": "linalg",
+    "nullspace": "linalg",
+    "psd_check": "linalg",
+    "rank": "linalg",
+    "FlatReport": "moment",
+    "MomentMatrix": "moment",
+    "TruncatedFunctional": "moment",
+    "ZERO_PATH": "quiver",
+    "DoubleQuiver": "quiver",
+    "Path": "quiver",
+    "PathOrder": "quiver",
+    "Quiver": "quiver",
+    "build_double": "quiver",
+    "compose": "quiver",
+    "enumerate_basis": "quiver",
+    "paths_of_length": "quiver",
+    "Scalar": "scalar",
+    "expand_gram": "sos",
+    "expand_squares": "sos",
+    "gram_to_squares": "sos",
+    "verify_gram": "sos",
+    "verify_squares": "sos",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -4,6 +4,12 @@ Exit codes: 0 for pass/true verdicts, 1 for false verdicts (including
 obstructed extensions), 2 for input errors, 3 for internal invariant
 failures and any other internal error (one line on stderr, no
 traceback).  All numeric output uses the exact scalar grammar.
+
+Importing this module loads only what parsing the arguments needs and
+`errors`.  Each command imports the modules it runs when it is called:
+`moment flat`, for one, loads `fileio` and the layers under it (`moment`,
+`linalg`, `quiver`, `algebra`, `scalar`), but not `gns`, `groebner`,
+`extension` or `sos`.
 """
 
 from __future__ import annotations
@@ -11,28 +17,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 from pathlib import Path as FsPath
 
-from . import fileio, linalg
 from .errors import (
     ExtensionObstructed,
     InputError,
     InternalInvariantError,
     NotFlatError,
 )
-from .extension import FlatExtension, flat_extend_tip_maximal
-from .gns import (
-    build_from_groebner,
-    build_representation,
-    check_relations,
-    compress_representation,
-    rep_kernel,
-)
-from .groebner import kernel_groebner, right_groebner
-from .quiver import DoubleQuiver, PathOrder, compose, enumerate_basis
-from .sos import gram_pivots, gram_to_squares, verify_squares
 
 
 def _emit(data) -> None:
@@ -50,7 +43,10 @@ def _write_or_emit(data, out) -> None:
         _emit(data)
 
 
-def _order_for(double: DoubleQuiver, order_file) -> PathOrder:
+def _order_for(double, order_file):
+    """The path order of `double` that `--order-file` names, or its default order."""
+    from . import fileio
+
     return fileio.load_order(double, order_file) if order_file else double.default_order()
 
 
@@ -66,6 +62,11 @@ def _window_flag(value: str) -> bool:
 
 
 def cmd_order_check(args) -> int:
+    import random
+
+    from . import fileio
+    from .quiver import compose, enumerate_basis
+
     double = fileio.load_quiver(args.quiver)
     order = _order_for(double, args.order_file)
     include_trivial = _window_flag(args.window)
@@ -98,6 +99,8 @@ def cmd_order_check(args) -> int:
 
 
 def cmd_moment(args) -> int:
+    from . import fileio, linalg
+
     f = fileio.load_functional(args.functional)
     if args.verdict == "rank":
         _emit({"rank": linalg.rank(f.moment_matrix().m), "order": f.k})
@@ -124,6 +127,8 @@ def cmd_moment(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    from . import fileio
+
     f = fileio.load_functional(args.functional)
     elems = f.kernel_basis()
     data = {
@@ -135,6 +140,9 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_groebner(args) -> int:
+    from . import fileio
+    from .groebner import kernel_groebner, right_groebner
+
     if args.generators:
         path = FsPath(args.generators)
         double, gens = fileio.generators_from_dict(
@@ -164,6 +172,9 @@ def cmd_groebner(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    from . import fileio
+    from .extension import flat_extend_tip_maximal
+
     if not args.tip_maximal:
         raise InputError("only --tip-maximal extension is available")
     f = fileio.load_functional(args.functional)
@@ -173,6 +184,9 @@ def cmd_extend(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import fileio
+    from .extension import FlatExtension
+
     f = fileio.load_functional(args.functional)
     ext = FlatExtension(f)
     p = fileio.parse_path(f.double, args.path)
@@ -181,6 +195,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gns_build(args) -> int:
+    from . import fileio
+    from .gns import build_from_groebner, build_representation
+    from .groebner import right_groebner
+
     path = FsPath(args.input)
     data = fileio.load_json(path)
     if isinstance(data, dict) and "groebner" in data:
@@ -199,6 +217,9 @@ def cmd_gns_build(args) -> int:
 
 
 def cmd_gns_compress(args) -> int:
+    from . import fileio
+    from .gns import compress_representation
+
     f = fileio.load_functional(args.functional)
     rep = compress_representation(f)
     _write_or_emit(fileio.representation_to_dict(rep), args.output)
@@ -206,6 +227,9 @@ def cmd_gns_compress(args) -> int:
 
 
 def cmd_gns_check(args) -> int:
+    from . import fileio
+    from .gns import check_relations
+
     rep = fileio.load_representation(args.representation)
     report = check_relations(rep)
     _emit({"passed": report.passed, "failures": report.failures(), "checks": len(report.checks)})
@@ -213,6 +237,9 @@ def cmd_gns_check(args) -> int:
 
 
 def cmd_gns_kernel(args) -> int:
+    from . import fileio
+    from .gns import rep_kernel
+
     rep = fileio.load_representation(args.representation)
     elems = rep_kernel(rep, args.degree, include_trivial=_window_flag(args.window))
     data = {
@@ -225,6 +252,9 @@ def cmd_gns_kernel(args) -> int:
 
 
 def cmd_sos_verify(args) -> int:
+    from . import fileio
+    from .sos import gram_pivots, gram_to_squares, verify_squares
+
     path = FsPath(args.certificate)
     double, target, kind, payload = fileio.certificate_from_dict(
         fileio.load_json(path), path.parent, str(path)

@@ -3,7 +3,8 @@ and certificates.
 
 Scalars use the text grammar of :mod:`quivermoment.scalar` everywhere; no
 floating point appears in any interface.  Parse errors name the file and the
-offending token.
+offending token.  Loading a functional loads neither `gns` nor `groebner`:
+the representation loader imports `gns` when it is called.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from pathlib import Path as FsPath
 
 from .algebra import Element
 from .errors import InputError
-from .gns import Representation
-from .groebner import RightGroebnerBasis
 from .linalg import Matrix
 from .moment import TruncatedFunctional
 from .quiver import DoubleQuiver, Key, Path, PathOrder, Quiver, build_double
@@ -103,7 +102,11 @@ def quiver_from_dict(data: dict, source: str | None = None) -> Quiver:
         ]
     except (KeyError, TypeError) as e:
         raise InputError(f"{_ctx(source)}malformed quiver: missing {e}") from None
-    return Quiver(_texts(vertices, "vertices", source), arrows)
+    vertices = _texts(vertices, "vertices", source)
+    try:
+        return Quiver(vertices, arrows)
+    except InputError as e:
+        raise InputError(f"{_ctx(source)}{e}") from None
 
 
 def quiver_to_dict(q: Quiver) -> dict:
@@ -334,7 +337,8 @@ def functional_to_dict(f: TruncatedFunctional) -> dict:
 # -- representations ----------------------------------------------------------------
 
 
-def representation_to_dict(rep: Representation) -> dict:
+def representation_to_dict(rep) -> dict:
+    """The file of a `gns.Representation`."""
     return {
         "quiver": quiver_to_dict(rep.double.base),
         "basis": [path_to_text(p) for p in rep.basis],
@@ -345,7 +349,10 @@ def representation_to_dict(rep: Representation) -> dict:
     }
 
 
-def representation_from_dict(data: dict, base_dir=".", source: str | None = None) -> Representation:
+def representation_from_dict(data: dict, base_dir=".", source: str | None = None):
+    """The `gns.Representation` a file holds."""
+    from .gns import Representation
+
     if "quiver" not in _object(data, "representation", source):
         raise InputError(f"{_ctx(source)}representation needs a 'quiver'")
     double = resolve_quiver(data["quiver"], base_dir, source)
@@ -370,7 +377,7 @@ def representation_from_dict(data: dict, base_dir=".", source: str | None = None
     return Representation(double, basis, gram, arrows, vertices, cyclic)
 
 
-def load_representation(path) -> Representation:
+def load_representation(path):
     path = FsPath(path)
     return representation_from_dict(load_json(path), path.parent, str(path))
 
@@ -385,7 +392,8 @@ def generators_from_dict(data: dict, base_dir=".", source: str | None = None):
     return double, elements_from_list(double, data.get("elements", []), "elements", source)
 
 
-def groebner_to_dict(gb: RightGroebnerBasis, double: DoubleQuiver) -> dict:
+def groebner_to_dict(gb, double: DoubleQuiver) -> dict:
+    """The file of a `groebner.RightGroebnerBasis` over `double`."""
     return {
         "quiver": quiver_to_dict(double.base),
         "elements": [element_to_dict(e) for e in gb.elements],

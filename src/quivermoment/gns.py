@@ -24,7 +24,6 @@ integers; no `Scalar` matrix product is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import lcm
 
 from . import linalg
@@ -33,18 +32,16 @@ from .errors import InputError, InternalInvariantError
 from .groebner import RightGroebnerBasis, kernel_groebner
 from .linalg import Matrix
 from .moment import TruncatedFunctional
-from .quiver import ZERO_PATH, DoubleQuiver, Path, compose, enumerate_basis
+from .quiver import ZERO_PATH, DoubleQuiver, Path, Record, compose, enumerate_basis
 from .scalar import ONE, ZERO, Scalar
 
 
-@dataclass
-class Representation:
-    double: DoubleQuiver
-    basis: tuple[Path, ...]
-    gram: Matrix
-    arrows: dict[str, Matrix]
-    vertex_projections: dict[str, Matrix]
-    cyclic: tuple[Scalar, ...] | None = None
+class Representation(Record):
+    """A representation on the span of `basis`: its gram, a matrix per arrow
+    name (starred ones included) and per vertex name, and its cyclic vector
+    (None when it has none)."""
+
+    _fields = ("double", "basis", "gram", "arrows", "vertex_projections", "cyclic")
 
     @property
     def dim(self) -> int:
@@ -124,10 +121,7 @@ def build_representation(functional: TruncatedFunctional) -> Representation:
     gram = functional.moment_block(basis, basis)
     if not linalg.psd_check(gram):
         raise InternalInvariantError("gram of a PSD functional failed the PSD check")
-    rep = _quotient_representation(functional.double, gb, basis, gram)
-    if functional.include_trivial:
-        rep.cyclic = _cyclic_vector(rep, gb)
-    return rep
+    return _quotient_representation(functional.double, gb, basis, gram, functional.include_trivial)
 
 
 def build_from_groebner(
@@ -153,10 +147,7 @@ def build_from_groebner(
         raise InputError("gram matrix must be hermitian")
     if not linalg.psd_check(gram):
         raise InputError("gram matrix must be PSD")
-    rep = _quotient_representation(double, gb, basis, gram)
-    if include_trivial:
-        rep.cyclic = _cyclic_vector(rep, gb)
-    return rep
+    return _quotient_representation(double, gb, basis, gram, include_trivial)
 
 
 def _quotient_representation(
@@ -164,7 +155,9 @@ def _quotient_representation(
     gb: RightGroebnerBasis,
     basis: tuple[Path, ...],
     gram: Matrix,
+    cyclic: bool,
 ) -> Representation:
+    """The right action on the cosets of `basis`; with `cyclic`, the unit coset as cyclic vector."""
     index = {p: i for i, p in enumerate(basis)}
     n = len(basis)
 
@@ -192,7 +185,8 @@ def _quotient_representation(
             n, n, [cols[j][i] for i in range(n) for j in range(n)]
         )
 
-    return Representation(double, basis, gram, arrows, _vertex_projections(double, basis), None)
+    xi = _cyclic_vector(double, basis, gb) if cyclic else None
+    return Representation(double, basis, gram, arrows, _vertex_projections(double, basis), xi)
 
 
 def _vertex_projections(double: DoubleQuiver, basis: tuple[Path, ...]) -> dict[str, Matrix]:
@@ -212,10 +206,10 @@ def _vertex_projections(double: DoubleQuiver, basis: tuple[Path, ...]) -> dict[s
     }
 
 
-def _cyclic_vector(rep: Representation, gb: RightGroebnerBasis) -> tuple[Scalar, ...]:
-    index = {p: i for i, p in enumerate(rep.basis)}
-    coords = [ZERO] * rep.dim
-    for e in rep.double.trivial_paths():
+def _cyclic_vector(double: DoubleQuiver, basis: tuple[Path, ...], gb: RightGroebnerBasis) -> tuple[Scalar, ...]:
+    index = {p: i for i, p in enumerate(basis)}
+    coords = [ZERO] * len(basis)
+    for e in double.trivial_paths():
         for p, c in gb.nf(e).terms.items():
             coords[index[p]] = coords[index[p]] + c
     return tuple(coords)
@@ -293,9 +287,11 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
 # -- diagnostics --------------------------------------------------------------
 
 
-@dataclass
 class RelationReport:
-    checks: list[tuple[str, bool]] = field(default_factory=list)
+    """The named checks of `check_relations` in the order they ran, each passed or not."""
+
+    def __init__(self):
+        self.checks: list[tuple[str, bool]] = []
 
     def record(self, name: str, ok: bool) -> None:
         self.checks.append((name, ok))

@@ -39,7 +39,6 @@ result equals the `Scalar` fold exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
@@ -47,7 +46,7 @@ from .algebra import Element
 from .errors import InputError, InternalInvariantError
 from .linalg import _common, _scalar
 from .moment import TruncatedFunctional
-from .quiver import DoubleQuiver, Key, Letter, Path, PathOrder
+from .quiver import DoubleQuiver, Key, Letter, Path, PathOrder, Record
 
 
 def left_divides(t: Path, m: Path) -> Path | None:
@@ -66,11 +65,10 @@ def left_divides(t: Path, m: Path) -> Path | None:
     return Path(m.double, None, rest) if rest else m.double.trivial_paths()[m.terminal()]
 
 
-@dataclass(frozen=True)
-class ReductionEvent:
-    target: Path
-    by: Path
-    cofactor: Path
+class ReductionEvent(Record):
+    """One reduction step: the support path `target` is the tip `by` times the path `cofactor`."""
+
+    _fields = ("target", "by", "cofactor")
 
 
 Numerators = dict[Key, tuple[int, int]]
@@ -206,11 +204,10 @@ class TipTable:
         return _combine(((cr, ci, *self.fold(k)) for k, (cr, ci) in terms.items()), den)
 
 
-@dataclass(frozen=True)
-class RightGroebnerBasis:
-    elements: tuple[Element, ...]
-    order: PathOrder
-    trace: tuple[ReductionEvent, ...]
+class RightGroebnerBasis(Record):
+    """A right Gröbner basis: its elements, its order and the completion's reductions."""
+
+    _fields = ("elements", "order", "trace")
 
     @cached_property
     def tip_table(self) -> TipTable:

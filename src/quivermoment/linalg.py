@@ -300,20 +300,67 @@ def _transpose(rows: list[list[int]], ncols: int, conj: bool = False) -> list[li
 
 
 def _product(a: list[list[int]], b: list[list[int]], ncols: int) -> list[list[int]]:
-    """The integer rows of a·b for integer rows in one layout; b has ncols columns."""
-    cols, k = list(zip(*b)), len(b)
+    """The integer rows of a·b for integer rows in one layout; b has ncols columns.
+
+    The zero entries of a sparse factor (a 0/1 vertex projection, say) are
+    skipped: a left row with few nonzero entries is the combination of the
+    rows of b at those entries, and a real b with few nonzero entries is
+    read as rows of (column, entry) pairs.  Any other row is dotted with
+    each column of b.  Every route gives the same integers.
+    """
     if not b:
         return [[0] * ncols for _ in a]
-    if len(b[0]) == ncols:
-        return [[sum(map(mul, row, c)) for c in cols] for row in a]
+    k = len(b)
+    real = len(b[0]) == ncols
+    if real and 4 * sum(ncols - r.count(0) for r in b) <= k * ncols:
+        return _sparse_right(a, b, ncols)
+    cols = list(zip(*b))
     out = []
     for row in a:
-        ar, ai = row[:k], row[k:]
-        re, im = [], []
-        for br, bi in zip(cols, cols[ncols:]):
-            re.append(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)))
-            im.append(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)))
-        out.append(re + im)
+        nz = [j for j in range(k) if row[j] or not real and row[k + j]]
+        if 4 * len(nz) <= k:
+            out.append(_combination(row, nz, b, ncols, real))
+        elif real:
+            out.append([sum(map(mul, row, c)) for c in cols])
+        else:
+            ar, ai = row[:k], row[k:]
+            re, im = [], []
+            for br, bi in zip(cols, cols[ncols:]):
+                re.append(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)))
+                im.append(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)))
+            out.append(re + im)
+    return out
+
+
+def _combination(row: list[int], nz: list[int], b: list[list[int]], ncols: int, real: bool) -> list[int]:
+    """Row times b, summed over the indices nz where row is nonzero."""
+    if real:
+        acc = [0] * ncols
+        for j in nz:
+            x = row[j]
+            acc = [s + x * y for s, y in zip(acc, b[j])]
+        return acc
+    k = len(b)
+    re, im = [0] * ncols, [0] * ncols
+    for j in nz:
+        x, y, bj = row[j], row[k + j], b[j]
+        u, v = bj[:ncols], bj[ncols:]
+        re = [s + x * p - y * q for s, p, q in zip(re, u, v)]
+        im = [s + x * q + y * p for s, p, q in zip(im, u, v)]
+    return re + im
+
+
+def _sparse_right(a: list[list[int]], b: list[list[int]], ncols: int) -> list[list[int]]:
+    """a·b for real rows, b read as its nonzero (column, entry) pairs."""
+    entries = [[(c, y) for c, y in enumerate(r) if y] for r in b]
+    out = []
+    for row in a:
+        acc = [0] * ncols
+        for x, pairs in zip(row, entries):
+            if x:
+                for c, y in pairs:
+                    acc[c] += x * y
+        out.append(acc)
     return out
 
 

@@ -9,14 +9,13 @@ the path semigroup are exact zeros.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
 from .algebra import Element
 from .errors import InputError, InternalInvariantError, WindowError
 from .linalg import Matrix
-from .quiver import DoubleQuiver, Key, Path, PathOrder, window_keys, window_texts
+from .quiver import DoubleQuiver, Key, Path, PathOrder, Record, window_keys, window_texts
 from .scalar import ZERO, Scalar
 
 
@@ -58,11 +57,9 @@ class TruncatedFunctional:
         window path's text (as `str(Path)` writes it) and of every window
         key.  It returns the given values keyed by window position, or by
         (vertex, letters) key for a path outside the window, in the order
-        given.  The text table is empty when the quiver's names do not read
-        back (see `quiver.window_texts`).  When the window cannot be built (an
-        order below 1, an over-large window) both tables are empty, and that
-        error is raised after `read` returns, so the errors `read` raises
-        come first.
+        given.  When the window cannot be built (an order below 1, an
+        over-large window) both tables are empty, and that error is raised
+        after `read` returns, so the errors `read` raises come first.
         """
         f = cls.__new__(cls)
         try:
@@ -70,8 +67,8 @@ class TruncatedFunctional:
         except InputError:
             read({}, {})
             raise
-        at = {} if texts is None else dict(zip(texts, range(len(texts))))
-        star = None if stars is None else list(map(at.__getitem__, stars))
+        at = dict(zip(texts, range(len(texts))))
+        star = list(map(at.__getitem__, stars))
         f._place(read(at, f._position), star)
         return f
 
@@ -341,18 +338,16 @@ class TruncatedFunctional:
         return linalg._image_psd(*self._image, "psd_check")
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
-    basis: tuple[Path, ...]
-    m: Matrix
+class MomentMatrix(Record):
+    """The moment matrix `m` over the window paths `basis`."""
+
+    _fields = ("basis", "m")
 
 
-@dataclass(frozen=True)
-class FlatReport:
-    flat: bool
-    rank_k: int
-    rank_km1: int
-    range_contained: bool
+class FlatReport(Record):
+    """The flatness verdict, rank B_{L_k}, rank B_{L_{k-1}} and whether Ran C <= Ran A."""
+
+    _fields = ("flat", "rank_k", "rank_km1", "range_contained")
 
     def __bool__(self) -> bool:
         return self.flat

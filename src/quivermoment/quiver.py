@@ -13,27 +13,82 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
 
 Letter = tuple[int, bool]  # (base arrow index, starred flag)
 Key = tuple[int | None, tuple[Letter, ...]]  # (vertex, letters) a Path is built from
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: str
-    target: str
+
+class Record:
+    """An immutable record of the fields its subclass names in `_fields`.
+
+    The fields are given positionally, in `_fields` order.  Two records are
+    equal when they are of one class with equal fields; the hash and the
+    repr are those of a frozen dataclass with the same fields.  A
+    `functools.cached_property` works on a record, as on a frozen dataclass.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields, not {len(values)}")
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Arrow(Record):
+    _fields = ("name", "source", "target")
+
+
+def _token(name) -> bool:
+    """Whether `name` is one nonempty token with no whitespace."""
+    return isinstance(name, str) and name.split() == [name]
 
 
 class Quiver:
-    """A finite directed graph with named vertices and arrows."""
+    """A finite directed graph with named vertices and arrows.
+
+    Every name must read back from the path texts the package writes
+    (``e:VERTEX`` for a trivial path, arrow names joined by spaces, ``b*``
+    for the star of ``b``, and ``1`` for the sum of the trivial paths in an
+    element): a name is one token without whitespace, and an arrow name
+    does not end in ``*``, does not start with ``e:`` and is not ``1``.
+    Any other name raises `InputError`.
+    """
 
     def __init__(self, vertices, arrows):
         self.vertices = tuple(vertices)
         self.arrows = tuple(Arrow(*a) if not isinstance(a, Arrow) else a for a in arrows)
+        for v in self.vertices:
+            if not _token(v):
+                raise InputError(f"vertex name {v!r} must be one token without whitespace")
+        for a in self.arrows:
+            if not _token(a.name) or a.name.endswith("*") or a.name.startswith("e:") or a.name == "1":
+                raise InputError(
+                    f"arrow name {a.name!r} must be one token without whitespace,"
+                    " not ending in '*', not starting with 'e:' and not '1'"
+                )
         names = list(self.vertices) + [a.name for a in self.arrows]
         if len(set(names)) != len(names):
             raise InputError("vertex and arrow names must be unique and disjoint")
@@ -58,16 +113,15 @@ class DoubleQuiver:
         self.source: dict[Letter, int] = {}
         self.target: dict[Letter, int] = {}
         self.star_of: dict[Letter, Letter] = {(i, st): (i, not st) for i, st in self._letters}
-        # Token -> letter: `b*` is the star of arrow `b`; a bare token ending
-        # in `*` always means a star, so it never names an arrow unstarred.
+        # Token -> letter: `b` is arrow `b` and `b*` its star (no arrow name
+        # ends in `*`, see `Quiver`).
         self.letter_of: dict[str, Letter] = {}
         for i, a in enumerate(base.arrows):
             s, t = base.vertex_index[a.source], base.vertex_index[a.target]
             self.source[(i, False)], self.target[(i, False)] = s, t
             self.source[(i, True)], self.target[(i, True)] = t, s
+            self.letter_of[a.name] = (i, False)
             self.letter_of[a.name + "*"] = (i, True)
-            if not a.name.endswith("*"):
-                self.letter_of[a.name] = (i, False)
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -110,9 +164,6 @@ class DoubleQuiver:
 
 def build_double(q: Quiver) -> DoubleQuiver:
     return DoubleQuiver(q)
-
-
-_set = object.__setattr__
 
 
 class Path:
@@ -303,22 +354,6 @@ def _following(double: DoubleQuiver, order: PathOrder) -> list[list[Letter]]:
     return [[l for l in order.letter_seq if source[l] == v] for v in range(double.n_vertices())]
 
 
-def _plain_names(double: DoubleQuiver) -> bool:
-    """Whether the text `str(Path)` writes for each path reads back as that path.
-
-    It does when every name is a single token: no whitespace, not empty,
-    an arrow name not starting with ``e:`` and naming its own letter.  An
-    arrow named ``b*`` breaks it, for instance: its unstarred letter is
-    written ``b*``, which reads as the star of ``b``.
-    """
-    trivial = ["e:" + v for v in double.vertices]
-    letters = {l: double.letter_name(l) for l in double.letters()}
-    return all(t.split() == [t] for t in trivial) and all(
-        name.split() == [name] and not name.startswith("e:") and double.letter_of.get(name) == l
-        for l, name in letters.items()
-    )
-
-
 def window_keys(
     double: DoubleQuiver,
     order: PathOrder,
@@ -352,13 +387,11 @@ def window_texts(
     letter names joined by single spaces otherwise.  As `_words` extends a
     word by a letter l, its text gains a space and the name of l on the
     right, and its star's text gains the name of l* and a space on the left.
-    Both text lists are None unless every such text reads back as its own
-    path (see `_plain_names`).
+    Every such text reads back as its own path: `Quiver` refuses the names
+    that would not.
     """
     if max_len < 0:
         raise InputError("max_len must be >= 0")
-    if not _plain_names(double):
-        return window_keys(double, order, max_len, include_trivial), None, None
     keys = [(v, ()) for v in order.vertex_seq] if include_trivial else []
     texts = ["e:" + double.vertices[v] for v, _ in keys]
     stars = list(texts)

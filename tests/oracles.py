@@ -901,10 +901,8 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
         # pi(b*) is the gram adjoint of pi(b).
         arrows[arrow.name + "*"] = linalg.solve_full_rank(ft, linalg_oracle.product(linalg_oracle.conj_transpose(m_b), ft))
 
-    rep = Representation(double, basis, gram, arrows, _vertex_projections(double, basis), None)
     xi = [ZERO] * n
     for e in double.trivial_paths():
         for i, c in enumerate(coords(e)):
             xi[i] = xi[i] + c
-    rep.cyclic = tuple(xi)
-    return rep
+    return Representation(double, basis, gram, arrows, _vertex_projections(double, basis), tuple(xi))

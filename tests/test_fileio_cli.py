@@ -241,6 +241,36 @@ def test_cli_malformed_loader_input_exit_2(tmp_path, capsys, command, data, toke
     assert captured.err.startswith("error: ") and "bad.json" in captured.err and token in captured.err
 
 
+@pytest.mark.parametrize(
+    "vertices, arrows, name",
+    [
+        (["v", "w"], [("a", "v", "w"), ("a*", "w", "w")], "'a*'"),
+        (["v"], [("e:x", "v", "v")], "'e:x'"),
+        (["v"], [("a b", "v", "v")], "'a b'"),
+        (["v"], [("", "v", "v")], "''"),
+        (["v"], [("a\tb", "v", "v")], "'a\\tb'"),
+        (["v"], [("1", "v", "v")], "'1'"),
+        (["v w"], [], "'v w'"),
+        ([""], [], "''"),
+        (["v", " "], [("a", "v", "v")], "' '"),
+    ],
+    ids=["star_suffix", "trivial_prefix", "space", "empty_arrow", "tab", "unit", "spaced_vertex",
+         "empty_vertex", "blank_vertex"],
+)
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "by_reference"])
+def test_cli_quiver_names_that_do_not_read_back_exit_2(tmp_path, capsys, vertices, arrows, name, inline):
+    """A name the path texts could not read back is refused, naming the file and the name."""
+    quiver = {"vertices": vertices, "arrows": [{"name": n, "from": s, "to": t} for n, s, t in arrows]}
+    source = "f.json" if inline else write(tmp_path, "q.json", quiver)
+    data = {"quiver": quiver if inline else "q.json", "k": 1, "include_trivial": False, "entries": []}
+    code = main(["moment", "flat", write(tmp_path, "f.json", data)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: {tmp_path / 'f.json' if inline else source}: ")
+    assert f"name {name} must be one token" in captured.err
+
+
 def test_cli_scalar_literal_past_int_digit_limit_exit_2(tmp_path, capsys):
     digits = "1" * 5000  # Python refuses int() of more than 4300 digits by default
     f = functional_file(tmp_path, entries=[{"path": "x x*", "value": digits}], k=1)
@@ -618,14 +648,14 @@ def test_psd_pipeline_reproduces_the_committed_outputs(tmp_path, capsys):
 
 
 def test_cli_groebner_from_kernel_refuses_a_differing_completion(tmp_path, capsys, monkeypatch):
-    from quivermoment import cli, kernel_groebner
+    from quivermoment import groebner, kernel_groebner
     from quivermoment.groebner import RightGroebnerBasis
 
     def fewer(f):
         gb = kernel_groebner(f)
         return RightGroebnerBasis(gb.elements[:-1], gb.order, ())
 
-    monkeypatch.setattr(cli, "kernel_groebner", fewer)
+    monkeypatch.setattr(groebner, "kernel_groebner", fewer)
     assert main(["groebner", "--from-kernel", functional_file(tmp_path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

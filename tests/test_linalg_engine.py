@@ -118,6 +118,29 @@ def test_product_matches_oracle(data):
     assert image_product(a, b) == oracle.matmul(a, b) == oracle.product(a, b)
 
 
+@st.composite
+def projections(draw, n: int) -> Matrix:
+    """A 0/1 diagonal n x n matrix, as a vertex projection of a representation."""
+    ones = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    return Matrix(n, n, [Scalar(int(i == j and i in ones)) for i in range(n) for j in range(n)])
+
+
+@SETTINGS
+@given(st.data())
+def test_product_with_projection_factors_matches_oracle(data):
+    """A projection, and a Gaussian multiple of one, left of a matrix, right of
+    one and on both sides: rows and factors sparse enough for the routes of
+    `_product` that skip zero entries, from size 4 up, in both layouts."""
+    n = data.draw(st.integers(0, 9), label="n")
+    p = data.draw(projections(n), label="p")
+    c = data.draw(scalars(True, 3), label="c")
+    cp = Matrix(n, n, [x if x.is_zero() else c for x in p.entries])
+    m = data.draw(matrices(rows=n, cols=data.draw(st.integers(0, 9))), label="m")
+    w = data.draw(matrices(rows=data.draw(st.integers(0, 9)), cols=n), label="w")
+    for a, b in [(p, m), (w, p), (p, p), (p, oracle.matmul(p, m)), (cp, m), (w, cp), (cp, cp)]:
+        assert image_product(a, b) == oracle.matmul(a, b) == oracle.product(a, b)
+
+
 @SETTINGS
 @given(st.data())
 def test_image_transpose_and_equality_match_oracle(data):

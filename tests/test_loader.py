@@ -33,13 +33,14 @@ QUIVERS = {
     "arrowless": Quiver(["v", "w"], []),
 }
 MAX_K = {"one_loop": 3, "two_loops": 2, "a2": 3, "xyz": 2, "arrowless": 3}
-# Window-ordered files also on a quiver whose texts do not all read back:
-# `a*` names an arrow, so its unstarred letter is written like the star of `a`.
+# Window-ordered files also on a quiver with unusual names that still read
+# back: a vertex named like a trivial-path token, `*` inside a name, and an
+# arrow named `e`.
 WINDOW_QUIVERS = {
     **QUIVERS,
-    "starry": Quiver(["v", "w"], [("a", "v", "w"), ("a*", "w", "w"), ("b", "w", "v")]),
+    "odd_names": Quiver(["e:v", "w*"], [("a*b", "e:v", "w*"), ("e", "w*", "w*"), ("b", "w*", "e:v")]),
 }
-WINDOW_MAX_K = {**MAX_K, "starry": 1}
+WINDOW_MAX_K = {**MAX_K, "odd_names": 1}
 SEPARATORS = [" ", "  ", "\t", "\n "]
 
 

@@ -48,6 +48,25 @@ def test_duplicate_names_rejected():
         Quiver(["e1"], [("x", "e1", "nowhere")])
 
 
+def test_records_behave_as_frozen_dataclasses():
+    """`Arrow`, `MomentMatrix` and `FlatReport`: fields, equality, hash, repr, immutability."""
+    from quivermoment.moment import FlatReport, MomentMatrix
+
+    a = quiver.Arrow("x", "e1", "e2")
+    assert (a.name, a.source, a.target) == ("x", "e1", "e2")
+    assert repr(a) == "Arrow(name='x', source='e1', target='e2')"
+    assert a == quiver.Arrow("x", "e1", "e2") and a != quiver.Arrow("x", "e2", "e1")
+    assert hash(a) == hash(("x", "e1", "e2")) and a != ("x", "e1", "e2")
+    report = FlatReport(False, 2, 1, True)
+    assert repr(report) == "FlatReport(flat=False, rank_k=2, rank_km1=1, range_contained=True)"
+    assert not report and FlatReport(True, 1, 1, True)
+    assert MomentMatrix((), None) == MomentMatrix((), None) != FlatReport((), None, 0, 0)
+    with pytest.raises(AttributeError):
+        report.flat = True
+    with pytest.raises(TypeError):
+        quiver.Arrow("x", "e1")
+
+
 def test_compose_examples(fix_a2):
     x = path(fix_a2, "x")
     xs = path(fix_a2, "x*")
