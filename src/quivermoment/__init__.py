@@ -1,9 +1,16 @@
 """Exact truncated moment problems on path *-algebras of quiver doubles.
 
-Importing the package loads none of its modules.  Each public name in
+Importing the package runs none of its modules.  Each public name in
 `__all__` is looked up in its module when it is first read (PEP 562), so
-`quivermoment.Scalar` loads `quivermoment.scalar` and what it imports,
-and nothing else.  `from quivermoment import *` binds every public name.
+`quivermoment.Scalar` runs `quivermoment.scalar` and what it imports, and
+nothing else.  `from quivermoment import *` binds every public name.
+
+Every module but `cli` and `errors` is registered in `sys.modules` (and
+bound on the package) at once, as a lazy module (`importlib.util.LazyLoader`)
+whose code runs when one of its attributes is first read.  `import
+quivermoment.gns` and `from quivermoment import gns` thus cost nothing
+until the module is used, and code that looks a module up in `sys.modules`
+finds every module of the package.
 """
 
 # Each public name and the module that defines it, in `__all__` order.
@@ -56,6 +63,24 @@ _EXPORTS = {
 }
 
 __all__ = list(_EXPORTS)
+
+
+def _lazy(name: str):
+    """The module `name` of the package, in `sys.modules`, to run when first used."""
+    import sys
+    from importlib.machinery import PathFinder
+    from importlib.util import LazyLoader, module_from_spec
+
+    spec = PathFinder.find_spec(f"{__name__}.{name}", __path__)
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+for _name in ("algebra", "extension", "fileio", "gns", "groebner", "linalg", "moment", "quiver", "scalar", "sos"):
+    globals()[_name] = _lazy(_name)
+del _name
 
 
 def __getattr__(name: str):

@@ -66,6 +66,20 @@ def _token(name) -> bool:
     return isinstance(name, str) and name.split() == [name]
 
 
+def name_error(vertices, arrow_names) -> str | None:
+    """Why one of these names would not read back from path texts (see `Quiver`), or None."""
+    for v in vertices:
+        if not _token(v):
+            return f"vertex name {v!r} must be one token without whitespace"
+    for name in arrow_names:
+        if not _token(name) or name.endswith("*") or name.startswith("e:") or name == "1":
+            return (
+                f"arrow name {name!r} must be one token without whitespace,"
+                " not ending in '*', not starting with 'e:' and not '1'"
+            )
+    return None
+
+
 class Quiver:
     """A finite directed graph with named vertices and arrows.
 
@@ -80,15 +94,9 @@ class Quiver:
     def __init__(self, vertices, arrows):
         self.vertices = tuple(vertices)
         self.arrows = tuple(Arrow(*a) if not isinstance(a, Arrow) else a for a in arrows)
-        for v in self.vertices:
-            if not _token(v):
-                raise InputError(f"vertex name {v!r} must be one token without whitespace")
-        for a in self.arrows:
-            if not _token(a.name) or a.name.endswith("*") or a.name.startswith("e:") or a.name == "1":
-                raise InputError(
-                    f"arrow name {a.name!r} must be one token without whitespace,"
-                    " not ending in '*', not starting with 'e:' and not '1'"
-                )
+        error = name_error(self.vertices, [a.name for a in self.arrows])
+        if error:
+            raise InputError(error)
         names = list(self.vertices) + [a.name for a in self.arrows]
         if len(set(names)) != len(names):
             raise InputError("vertex and arrow names must be unique and disjoint")

@@ -271,6 +271,23 @@ def test_cli_quiver_names_that_do_not_read_back_exit_2(tmp_path, capsys, vertice
     assert f"name {name} must be one token" in captured.err
 
 
+@pytest.mark.parametrize(
+    "vertices, arrows, message",
+    [
+        (["v", "a"], [("a", "v", "v")], "vertex and arrow names must be unique and disjoint"),
+        (["v"], [("a", "v", "w")], "arrow 'a' references undeclared vertex"),
+    ],
+    ids=["duplicate", "undeclared"],
+)
+def test_cli_quiver_graph_errors_keep_their_text(tmp_path, capsys, vertices, arrows, message):
+    """Only the name errors above name the file; the graph errors read as they always have."""
+    quiver = {"vertices": vertices, "arrows": [{"name": n, "from": s, "to": t} for n, s, t in arrows]}
+    data = {"quiver": quiver, "k": 1, "include_trivial": False, "entries": []}
+    code = main(["moment", "flat", write(tmp_path, "f.json", data)])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_scalar_literal_past_int_digit_limit_exit_2(tmp_path, capsys):
     digits = "1" * 5000  # Python refuses int() of more than 4300 digits by default
     f = functional_file(tmp_path, entries=[{"path": "x x*", "value": digits}], k=1)

@@ -129,8 +129,9 @@ def projections(draw, n: int) -> Matrix:
 @given(st.data())
 def test_product_with_projection_factors_matches_oracle(data):
     """A projection, and a Gaussian multiple of one, left of a matrix, right of
-    one and on both sides: rows and factors sparse enough for the routes of
-    `_product` that skip zero entries, from size 4 up, in both layouts."""
+    one and on both sides: real factors sparse enough for the loop of
+    `_product` that skips zero entries, and the same shapes in the Gaussian
+    layout."""
     n = data.draw(st.integers(0, 9), label="n")
     p = data.draw(projections(n), label="p")
     c = data.draw(scalars(True, 3), label="c")

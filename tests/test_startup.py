@@ -2,7 +2,9 @@
 
 Each test runs a fresh interpreter without site-packages (`python -S`, as
 the CLI runs in a bare interpreter) on the sources under `src/`, and reads
-its `sys.modules`.
+its `sys.modules`.  A module counts as loaded once its code has run: the
+package registers its modules as lazy modules, of a subclass of
+`types.ModuleType` until one of their attributes is read.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ FIXTURE = ROOT / "tests" / "fixtures" / "fix_l2_ext.json"
 
 def run(code: str) -> tuple[list[str], set[str]]:
     """The lines `code` prints, and the modules loaded when it ends."""
-    code += "\nimport json as _json, sys as _sys\nprint(_json.dumps(sorted(_sys.modules)))"
+    code += (
+        "\nimport json as _json, sys as _sys, types as _types"
+        "\nprint(_json.dumps(sorted(n for n, m in _sys.modules.items() if type(m) is _types.ModuleType)))"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -40,6 +45,23 @@ def package(modules: set[str]) -> set[str]:
 def test_importing_the_cli_loads_no_command_module():
     _, modules = run("import quivermoment.cli")
     assert package(modules) == {"quivermoment", "quivermoment.cli", "quivermoment.errors"}
+
+
+def test_every_module_is_registered_before_it_runs():
+    """`sys.modules` holds every module of the package from the first import,
+    so code that wraps functions it finds there (a tracer, say) sees them all;
+    reading an attribute runs the module."""
+    lines, modules = run(
+        "import sys, types, quivermoment.cli\n"
+        "print(sorted(n for n in sys.modules if n.startswith('quivermoment.')))\n"
+        "print(sys.modules['quivermoment.sos'].verify_gram.__module__)\n"
+        "from quivermoment import gns\n"
+        "print(gns is sys.modules['quivermoment.gns'], type(gns) is types.ModuleType)"
+    )
+    names = ("algebra", "cli", "errors", "extension", "fileio", "gns", "groebner", "linalg", "moment", "quiver",
+             "scalar", "sos")
+    assert lines == [str([f"quivermoment.{m}" for m in names]), "quivermoment.sos", "True False"]
+    assert "quivermoment.sos" in modules and "quivermoment.gns" not in modules
 
 
 def test_moment_flat_loads_only_the_layers_it_runs():
