@@ -99,11 +99,12 @@ def cmd_order_check(args) -> int:
 
 
 def cmd_moment(args) -> int:
-    from . import fileio, linalg
+    from . import fileio
 
     f = fileio.load_functional(args.functional)
     if args.verdict == "rank":
-        _emit({"rank": linalg.rank(f.moment_matrix().m), "order": f.k})
+        # rank B_{L_k}: the size of V_k less the dimension of the integer kernel
+        _emit({"rank": len(f.basis(f.k)) - len(f.kernel_basis()), "order": f.k})
         return 0
     if args.verdict == "psd":
         ok = f.is_psd()

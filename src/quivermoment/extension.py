@@ -13,12 +13,14 @@ the system is block-diagonal: every kernel coefficient and every value is
 real, so the imaginary rows touch only the v columns and have right-hand
 side 0, and their canonical solution is v = 0; only the real rows over the
 u columns are built.  The top degree is the Schur completion C^H X of the
-integer rows of [A | C] (`linalg._schur`), with no `Scalar` product.
+integer rows of [A | C] (`linalg._schur`), with no `Scalar` product.  The
+base values are read as the numerators the functional holds, and the
+extension is placed from integers, so no value is a `Scalar` on the way.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .errors import ExtensionObstructed, InputError, InternalInvariantError, NotFlatError
@@ -26,7 +28,7 @@ from .groebner import RightGroebnerBasis, kernel_groebner
 from .linalg import Matrix
 from .moment import TruncatedFunctional
 from .quiver import Path, _words
-from .scalar import ZERO, Scalar
+from .scalar import Scalar
 
 
 def schur_complete(a: Matrix, c: Matrix) -> Matrix:
@@ -44,7 +46,8 @@ def schur_complete(a: Matrix, c: Matrix) -> Matrix:
     b = linalg._schur(*linalg._image(ac), a.cols, ac.cols)
     if b is None:
         raise NotFlatError("Ran(C) is not contained in Ran(A); no flat completion exists")
-    return Matrix(c.cols, c.cols, b)
+    entries, den = b
+    return Matrix(c.cols, c.cols, [linalg._scalar(x, y, den) for x, y in entries])
 
 
 def flat_extend_tip_maximal(
@@ -79,12 +82,10 @@ def flat_extend_tip_maximal(
     k = functional.k + 1
     ext = TruncatedFunctional.__new__(TruncatedFunctional)
     ext._open(functional.double, k, functional.include_trivial, functional.order)
-    keys, position, ends = ext._keys, ext._position, ext._ends
+    keys, ends = ext._keys, ext._ends
     # window positions: V_{k-1} ends at n, V_k at nk; lengths 2k-1 start at odd, 2k at top
     n, nk, odd, top = (ends[min(t, len(ends) - 1)] for t in (k - 1, k, 2 * k - 2, 2 * k - 1))
-    base = functional._vals
-    nums, den = linalg._common([v.re for v in base] + [v.im for v in base])
-    re, im = nums[:odd], nums[odd:]
+    re, im, den = functional._re, functional._im, functional._den  # rebound before any change
     real = not any(im)
 
     # No path of odd length is its own star.  Columns [u | v] for z = u + i v
@@ -92,7 +93,7 @@ def flat_extend_tip_maximal(
     unknown: dict[int, tuple[int, int]] = {}  # odd position -> (pair, sign of v)
     npairs, star_word = 0, functional.double.star_word
     for i in range(odd, top):
-        j = position[(None, star_word(keys[i][1]))]
+        j = ext._index((None, star_word(keys[i][1])))
         if j < i:
             unknown[i], unknown[j] = (npairs, 1), (npairs, -1)
             npairs += 1
@@ -153,14 +154,19 @@ def flat_extend_tip_maximal(
             raise InternalInvariantError("range containment failed on a free *-algebra extension")
         raise ExtensionObstructed("extended C block left the range of A on this quiver")
 
-    vals = base + [linalg._scalar(re[i], im[i], den) for i in range(odd, top)] + [ZERO] * (len(keys) - top)
-    for i, value in zip(ext._products(new, new), b):
+    # Every value over one denominator: the Schur block's and den's lcm.
+    b, bden = b
+    common = lcm(den, bden)
+    s, t = common // den, common // bden
+    re = [x * s for x in re] + [0] * (len(keys) - top)
+    im = [x * s for x in im] + [0] * (len(keys) - top)
+    for i, (x, y) in zip(ext._products(new, new), b):
         if i is not None:
-            vals[i] = value
-        elif not value.is_zero():
+            re[i], im[i] = x * t, y * t
+        elif x or y:
             raise ExtensionObstructed("Schur completion forces a nonzero value on a zero product")
 
-    ext._place(dict(enumerate(vals)))
+    ext._place({i: (x, y, common) for i, (x, y) in enumerate(zip(re, im))})
     if not ext.is_flat().flat:
         if free_algebra:
             raise InternalInvariantError("one-step extension produced a non-flat functional")
@@ -186,11 +192,12 @@ class FlatExtension:
         self.base = base
         self.gb: RightGroebnerBasis = kernel_groebner(base)
         self.cache: dict[Path, Scalar] = {}
-        short = base.basis(base.k - 1)
-        vals = [base.value(q) for q in short]
-        nums, self._den = linalg._common([v.re for v in vals] + [v.im for v in vals])
-        n = len(short)
-        self._moments = {(q.vertex, q.letters): (nums[i], nums[n + i]) for i, q in enumerate(short)}
+        # V_{k-1} is a prefix of the window; its values over their own lcm denominator
+        n = base._end(base.k - 1)
+        re, im = base._re[:n], base._im[:n]
+        g = gcd(base._den, *re, *im)
+        self._den = base._den // g
+        self._moments = {key: (a // g, b // g) for key, a, b in zip(base._keys, re, im)}
 
     def evaluate(self, p: Path) -> Scalar:
         if p in self.cache:

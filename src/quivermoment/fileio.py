@@ -3,8 +3,11 @@ and certificates.
 
 Scalars use the text grammar of :mod:`quivermoment.scalar` everywhere; no
 floating point appears in any interface.  Parse errors name the file and the
-offending token.  Loading a functional loads neither `gns` nor `groebner`:
-the representation loader imports `gns` when it is called.
+offending token.  A functional's values are read straight to Gaussian-integer
+numerators over a denominator (`scalar.parse_literal`), the form the
+functional holds; the other loaders read `Scalar` values.  Loading a
+functional loads neither `gns` nor `groebner`: the representation loader
+imports `gns` when it is called.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .errors import InputError
 from .linalg import Matrix
 from .moment import TruncatedFunctional
 from .quiver import DoubleQuiver, Key, Path, PathOrder, Quiver, build_double, name_error
-from .scalar import Scalar
+from .scalar import Scalar, parse_literal
 
 
 def load_json(path) -> dict:
@@ -69,21 +72,23 @@ def read_flag(data: dict, key: str, default: bool, source: str | None) -> bool:
 class _Literals(dict):
     """The scalars of one load: `literals[text]` parses each distinct text once.
 
-    Looking up a text that is not a string raises TypeError, so that a
-    loader can name the malformed entry it came from.
+    Values are `Scalar`s, or with `numerators` the (re, im, den) triples of
+    `parse_literal`.  Looking up a text that is not a string raises
+    TypeError, so that a loader can name the malformed entry it came from.
     """
 
-    __slots__ = ("source",)
+    __slots__ = ("source", "numerators")
 
-    def __init__(self, source: str | None):
+    def __init__(self, source: str | None, numerators: bool = False):
         super().__init__()
         self.source = source
+        self.numerators = numerators
 
-    def __missing__(self, text: str) -> Scalar:
+    def __missing__(self, text: str):
         if type(text) is not str:
             raise TypeError(text)
         try:
-            value = self[text] = Scalar.parse(text)
+            value = self[text] = parse_literal(text) if self.numerators else Scalar.parse(text)
         except InputError as e:
             raise InputError(f"{_ctx(self.source)}{e}") from None
         return value
@@ -262,7 +267,8 @@ def functional_from_dict(data: dict, base_dir=".", source: str | None = None) ->
     single spaces, as `functional_to_dict` writes them) takes its position
     from the window's text table; any other text goes through `path_key`
     and the window's key table, and a path outside the window keeps its
-    key.  Each distinct value text is parsed once.  Errors name the file,
+    key.  Each distinct value text is parsed once, to numerators over a
+    denominator, and values are compared as such.  Errors name the file,
     in this order: a malformed entry or a conflicting duplicate, in file
     order; then, from the functional, an order below 1 or an over-large
     window, a path outside the window, and a hermitian conflict.
@@ -278,8 +284,8 @@ def functional_from_dict(data: dict, base_dir=".", source: str | None = None) ->
     include_trivial = read_flag(data, "include_trivial", True, source)
     double = resolve_quiver(data["quiver"], base_dir, source)
 
-    def read(at: dict[str, int], position: dict[Key, int]) -> dict:
-        literals = _Literals(None)  # the file is named below
+    def read(at: dict[str, int], index) -> dict:
+        literals = _Literals(None, numerators=True)  # the file is named below
         given: dict = {}
         for ent in entries:
             # The common entry: a text the window writes and a string value.
@@ -287,7 +293,7 @@ def functional_from_dict(data: dict, base_dir=".", source: str | None = None) ->
             try:
                 slot, v = at[ent["path"]], literals[ent["value"]]
             except (KeyError, TypeError):
-                slot, v = _entry(double, ent, at, position, literals)
+                slot, v = _entry(double, ent, at, index, literals)
             have = given.setdefault(slot, v)
             if have is not v and have != v:
                 raise InputError(f"conflicting values for path {ent['path']!r}")
@@ -299,7 +305,7 @@ def functional_from_dict(data: dict, base_dir=".", source: str | None = None) ->
         raise type(e)(f"{_ctx(source)}{e}") from None
 
 
-def _entry(double: DoubleQuiver, ent, at: dict[str, int], position: dict[Key, int], literals: _Literals):
+def _entry(double: DoubleQuiver, ent, at: dict[str, int], index, literals: _Literals):
     """An entry's window position (or key) and value, with every check in order."""
     try:
         ptext, vtext = ent["path"], ent["value"]
@@ -311,7 +317,9 @@ def _entry(double: DoubleQuiver, ent, at: dict[str, int], position: dict[Key, in
     slot = at.get(ptext)
     if slot is None:
         key = path_key(double, ptext)
-        slot = position.get(key, key)
+        slot = index(key)
+        if slot is None:
+            slot = key
     return slot, literals[vtext]
 
 
@@ -364,6 +372,8 @@ def representation_from_dict(data: dict, base_dir=".", source: str | None = None
     cyc = data.get("cyclic")
     cyclic = None if cyc is None else tuple(literals[c] for c in _texts(cyc, "cyclic", source))
     n = len(basis)
+    if gram.rows != n or gram.cols != n:
+        raise InputError(f"{_ctx(source)}'gram' is not {n}x{n}")
     for name, m in list(arrows.items()) + list(vertices.items()):
         if m.rows != n or m.cols != n:
             raise InputError(f"{_ctx(source)}matrix for {name!r} is not {n}x{n}")
@@ -417,6 +427,8 @@ def certificate_from_dict(data: dict, base_dir=".", source: str | None = None):
     literals = _Literals(source)
     target = element_from_dict(double, data["target"], source, literals)
     degree = data.get("degree")
+    if degree is not None and (type(degree) is not int or degree < 0):
+        raise InputError(f"{_ctx(source)}'degree' must be a non-negative integer or null, not {degree!r}")
     if "squares" in data:
         squares = elements_from_list(double, data["squares"], "squares", source, literals)
         weights = None

@@ -46,6 +46,7 @@ from operator import mul
 
 from .errors import InternalInvariantError
 from .scalar import ONE, ZERO, Scalar
+from .scalar import from_numerators as _scalar
 
 _F0 = Fraction(0)
 
@@ -150,13 +151,6 @@ def _common(parts: list[Fraction]) -> tuple[list[int], int]:
     if den == 1:
         return [x.numerator for x in parts], 1
     return [x.numerator * (den // x.denominator) for x in parts], den
-
-
-def _scalar(re: int, im: int, den: int) -> Scalar:
-    """(re + im i) / den for a nonzero int den; zero is the shared ZERO."""
-    if not im:
-        return Scalar._make(Fraction(re, den), _F0) if re else ZERO
-    return Scalar._make(Fraction(re, den) if re else _F0, Fraction(im, den))
 
 
 def _entry(row: list[int], col: int, ncols: int) -> tuple[int, int]:
@@ -377,15 +371,16 @@ def _block_flat(rows: list[list[int]], n: int, ncols: int) -> tuple[int, bool, b
     return rank_a, True, True
 
 
-def _schur(rows: list[list[int]], den: int, n: int, ncols: int) -> list[Scalar] | None:
-    """C^H X with A X = C, row-major, for the integer rows of [A | C] over den.
+def _schur(rows: list[list[int]], den: int, n: int, ncols: int) -> tuple[list[tuple[int, int]], int] | None:
+    """C^H X with A X = C for the integer rows of [A | C] over den.
 
-    A is hermitian of size n and C has ncols - n columns; the rows (either
-    layout) are not changed.  Their primitive parts are eliminated once: a
-    pivot in C means Ran C is not inside Ran A (None).  Otherwise pivot row r,
-    with lead a_r in column p_r, holds row p_r of X as its C part over a_r;
-    the other rows of X are zero.  Scaled to s = lcm |a_r|^2, each entry of
-    C^H X is one integer sum over den * s.
+    Returns the entries of C^H X, row-major, as numerators (re, im), and
+    their denominator.  A is hermitian of size n and C has ncols - n
+    columns; the rows (either layout) are not changed.  Their primitive
+    parts are eliminated once: a pivot in C means Ran C is not inside Ran A
+    (None).  Otherwise pivot row r, with lead a_r in column p_r, holds row
+    p_r of X as its C part over a_r; the other rows of X are zero.  Scaled
+    to s = lcm |a_r|^2, each entry of C^H X is one integer sum over den * s.
     """
     top = [_primitive(row) for row in rows]
     pivots = _gauss_jordan(top, ncols)
@@ -403,8 +398,8 @@ def _schur(rows: list[list[int]], den: int, n: int, ncols: int) -> list[Scalar] 
         for j in range(ncols - n):
             re = sum(a * x[j][0] + b * x[j][1] for (a, b), x in zip(cs, xs))
             im = sum(a * x[j][1] - b * x[j][0] for (a, b), x in zip(cs, xs))
-            out.append(_scalar(re, im, den * scale))
-    return out
+            out.append((re, im))
+    return out, den * scale
 
 
 # -- public API ------------------------------------------------------------------------

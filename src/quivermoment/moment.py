@@ -1,26 +1,42 @@
 """Truncated hermitian functionals and their moment matrices.
 
-A functional of order k assigns a Scalar to every basis path of length <= 2k
-in the chosen window (with or without trivial paths).  The order-t moment
-matrix pairs window paths p, q through L(p q*); entries where p q* vanishes in
-the path semigroup are exact zeros.
+A functional of order k assigns a Gaussian rational to every basis path of
+length <= 2k in the chosen window (with or without trivial paths).  The
+order-t moment matrix pairs window paths p, q through L(p q*); entries where
+p q* vanishes in the path semigroup are exact zeros.
+
+A functional holds its values as Gaussian-integer numerators (re, im) over
+one common denominator, from the loader on.  Its verdicts read B_{L_k} as
+an integer image gathered from those numerators by window position; a
+`Scalar` is built only for a value or a matrix asked for by a caller.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
+from math import gcd, lcm
+from operator import itemgetter
 
 from . import linalg
 from .algebra import Element
 from .errors import InputError, InternalInvariantError, WindowError
 from .linalg import Matrix
-from .quiver import DoubleQuiver, Key, Path, PathOrder, Record, window_keys, window_texts
-from .scalar import ZERO, Scalar
+from .quiver import DoubleQuiver, Key, Path, PathOrder, Record, _following, window_keys, window_texts
+from .scalar import ZERO, Scalar, from_numerators
 
 
 def _length(key: Key) -> int:
     return len(key[1])
+
+
+def _digit(letter) -> int:
+    """A letter's digit in the code of a word: 1 + 2 * arrow index, plus 1 if starred."""
+    arrow, starred = letter
+    return 2 * arrow + starred + 1
+
+
+_MISSING = object()  # a product outside the window, in `_products`
 
 
 class TruncatedFunctional:
@@ -28,12 +44,12 @@ class TruncatedFunctional:
 
     A functional is immutable after construction.  It enumerates its window
     once, as (vertex, letters) keys with one position each, and holds its
-    values in window order; `Path` objects are built only for the window
-    prefixes asked for.  It builds its order-k moment matrix once, by
-    position; every lower-order basis is a prefix of the window and every
-    lower-order matrix or block a slice of the order-k matrix, because the
-    path order compares lengths first.  Its flatness report and its kernel
-    basis are computed once as well.
+    values in window order as numerators `_re`, `_im` over one denominator
+    `_den`, with no factor common to all of them; `Path` objects and
+    `Scalar` values are built only for what is asked for.  Every lower-order
+    basis is a prefix of the window, because the path order compares lengths
+    first.  Its integer image of B_{L_k}, its flatness report and its kernel
+    basis are computed once.
     """
 
     def __init__(
@@ -44,32 +60,34 @@ class TruncatedFunctional:
         include_trivial: bool = True,
         order: PathOrder | None = None,
     ):
-        given = {(p.vertex, p.letters): v for p, v in dict(values).items()}
+        given = {(p.vertex, p.letters): v.numerators() for p, v in dict(values).items()}
         self._open(double, k, include_trivial, order)
-        position = self._position
-        self._place({position.get(key, key): v for key, v in given.items()})
+        slots = map(self._index, given)
+        self._place({key if i is None else i: v for i, (key, v) in zip(slots, given.items())})
 
     @classmethod
     def from_texts(cls, double, k, read, include_trivial=True, order=None):
         """The functional of the values `read` gives, as a file lists them.
 
-        `read(texts, position)` is handed the window position of every
-        window path's text (as `str(Path)` writes it) and of every window
-        key.  It returns the given values keyed by window position, or by
-        (vertex, letters) key for a path outside the window, in the order
-        given.  When the window cannot be built (an order below 1, an
-        over-large window) both tables are empty, and that error is raised
-        after `read` returns, so the errors `read` raises come first.
+        `read(texts, index)` is handed the window position of every window
+        path's text (as `str(Path)` writes it), and `index(key)`, the window
+        position of a (vertex, letters) key or None.  It returns the given
+        values as (re, im, den) triples (see `scalar.parse_literal`), keyed
+        by window position, or by key for a path outside the window, in the
+        order given.  When the window cannot be built (an order below 1, an
+        over-large window) the text table is empty and no key has a
+        position, and that error is raised after `read` returns, so the
+        errors `read` raises come first.
         """
         f = cls.__new__(cls)
         try:
             texts, stars = f._open(double, k, include_trivial, order, named=True)
         except InputError:
-            read({}, {})
+            read({}, lambda key: None)
             raise
         at = dict(zip(texts, range(len(texts))))
         star = list(map(at.__getitem__, stars))
-        f._place(read(at, f._position), star)
+        f._place(read(at, f._index), star)
         return f
 
     def _open(self, double, k, include_trivial, order, named=False):
@@ -85,30 +103,72 @@ class TruncatedFunctional:
         else:
             keys, texts = window_keys(double, self.order, 2 * k, include_trivial), None
         self._keys = keys
-        self._position = dict(zip(keys, range(len(keys))))
         # Lengths come first in the order: the paths of length <= t are a
         # prefix of the window, and the last window key is a longest one.
         longest = len(keys[-1][1]) if keys else 0
-        self._ends = [bisect_right(keys, t, key=_length) for t in range(longest + 1)]
+        ends = self._ends = [bisect_right(keys, t, key=_length) for t in range(longest + 1)]
         self._paths: list[Path] = []  # the window paths built so far, a prefix
+        # Window positions by key: trivial paths by vertex, letter words by code.
+        self._trivial = {v: i for i, (v, _) in enumerate(keys[: ends[0]])}
+        self._base = 2 * len(double.base.arrows) + 1
+        self._at = dict(zip(self._window_codes(), range(ends[0], len(keys))))
         return texts
+
+    def _window_codes(self) -> list[int]:
+        """The code of every letter word of the window, in window order.
+
+        `_words` builds each length by extending every word of the length
+        before by the letters that follow it, in order, and so do the codes.
+        """
+        keys, ends, base, target = self._keys, self._ends, self._base, self.double.target
+        if len(ends) < 2:
+            return []
+        digits = [[_digit(l) for l in ls] for ls in _following(self.double, self.order)]
+        words = keys[ends[0] : ends[1]]
+        layer = [_digit(w[0]) for _, w in words]
+        codes = list(layer)
+        for t in range(2, len(ends)):
+            layer = [c * base + d for c, (_, w) in zip(layer, words) for d in digits[target[w[-1]]]]
+            words = keys[ends[t - 1] : ends[t]]
+            codes += layer
+        return codes
+
+    def _code(self, word) -> int:
+        """The integer of a letter word: its letters' digits in base `_base`, first letter first.
+
+        code(p q*) = code(p) * base ** len(q*) + code(q*), and no digit is 0,
+        so distinct words have distinct codes.
+        """
+        base, c = self._base, 0
+        for letter in word:
+            c = c * base + _digit(letter)
+        return c
+
+    def _index(self, key: Key) -> int | None:
+        """The window position of a (vertex, letters) key, or None outside the window."""
+        vertex, word = key
+        return self._at.get(self._code(word)) if word else self._trivial.get(vertex)
 
     def _place(self, given: dict, star: list[int] | None = None) -> None:
         """Place the given values and close them under the star.
 
-        `given` is keyed by window position, or by key for a path outside
-        the window; `star`, if known, is the position of each window
-        position's star.  Errors in this order: a path outside the window (the
-        first one given), then a hermitian conflict between the member of a
-        star pair given first and its partner.  An omitted partner takes the
+        `given` maps a window position, or a key for a path outside the
+        window, to a value (re, im, den); `star`, if known, is the position of
+        each window position's star.  The values are brought to the lcm of
+        their denominators.  Errors in this order: a path outside the window
+        (the first one given), then a hermitian conflict between the member of
+        a star pair given first and its partner.  An omitted partner takes the
         conjugate value; each pair is looked at once.
         """
-        keys, position, star_word = self._keys, self._position, self.double.star_word
-        vals = [ZERO] * len(keys)
+        keys, star_word = self._keys, self.double.star_word
+        den = lcm(*set(map(itemgetter(2), given.values())))
+        re, im = [0] * len(keys), [0] * len(keys)
         state = bytearray(len(keys))  # 1: given; 2: given, star pair already checked
         try:
-            for i, v in given.items():
-                vals[i] = v
+            for i, (a, b, d) in given.items():
+                if d != den:
+                    a, b = a * (den // d), b * (den // d)
+                re[i], im[i] = a, b
                 state[i] = 1
         except TypeError:  # i is a key, not a position: the first path given outside
             raise self._outside(Path(self.double, *i)) from None
@@ -119,30 +179,32 @@ class TruncatedFunctional:
                 j = star[i]
             else:
                 word = keys[i][1]
-                j = position[(None, star_word(word))] if word else i
-            want = vals[i].conjugate()
+                j = self._at[self._code(star_word(word))] if word else i
             if not state[j]:
-                vals[j] = want
+                re[j], im[j] = re[i], -im[i]
                 continue
-            have = vals[j]
-            if have is not want and have != want:
+            if re[j] != re[i] or im[j] != -im[i]:
                 p, ps = Path(self.double, *keys[i]), Path(self.double, *keys[j])
                 raise InputError(f"hermitian conflict between {p} and {ps}")
             state[j] = 2
-        self._vals = vals
+        g = gcd(den, *re, *im) if den > 1 else 1
+        if g > 1:
+            den, re, im = den // g, [x // g for x in re], [x // g for x in im]
+        self._re, self._im, self._den = re, im, den
 
     # -- evaluation ------------------------------------------------------------
 
     @cached_property
     def values(self) -> dict[Path, Scalar]:
         """Every window value, keyed by path, in window order."""
-        return dict(zip(self._window, self._vals))
+        den = self._den
+        return dict(zip(self._window, [from_numerators(a, b, den) for a, b in zip(self._re, self._im)]))
 
     def value(self, p: Path) -> Scalar:
-        i = self._position.get((p.vertex, p.letters))
+        i = self._index((p.vertex, p.letters))
         if i is None:
             raise self._outside(p)
-        return self._vals[i]
+        return from_numerators(self._re[i], self._im[i], self._den)
 
     def _outside(self, p: Path) -> WindowError:
         return WindowError(f"path {p} outside the length <= {2 * self.k} window")
@@ -167,61 +229,62 @@ class TruncatedFunctional:
             return ()
         if t > 2 * self.k:
             raise InputError(f"basis order {t} exceeds the window length {2 * self.k}")
-        return self._prefix(self._ends[min(t, len(self._ends) - 1)])
+        return self._prefix(self._end(t))
+
+    def _end(self, t: int) -> int:
+        """The number of window paths of length <= t, for t >= 0."""
+        return self._ends[min(t, len(self._ends) - 1)]
 
     def moment_block(self, rows, cols) -> Matrix:
         """The matrix of L(p q*) over row paths p and column paths q.
 
         Entries where p q* vanishes in the path semigroup are exact zeros.
-        When every row and column lies in V_k, the block is read off the
-        order-k matrix.
+        Only the entries asked for are read, and each distinct value is
+        built once.
         """
         rows = [(p.vertex, p.letters) for p in rows]
         cols = [(q.vertex, q.letters) for q in cols]
-        full = self._matrix.m
-        n, position = full.rows, self._position
-        ri = [position.get(key, n) for key in rows]
-        ci = [position.get(key, n) for key in cols]
-        if max(ri, default=0) < n and max(ci, default=0) < n:
-            ents = full.entries
-            return Matrix(len(ri), len(ci), [ents[i * n + j] for i in ri for j in ci])
-        return Matrix(len(rows), len(cols), self._moments(rows, cols))
+        at = self._products(rows, cols)
+        re, im, den = self._re, self._im, self._den
+        made = {i: from_numerators(re[i], im[i], den) for i in set(at) if i is not None}
+        made[None] = ZERO
+        return Matrix(len(rows), len(cols), map(made.__getitem__, at))
 
-    def _moments(self, rows: list[Key], cols: list[Key]) -> list[Scalar]:
-        """L(p q*) over row keys p and column keys q, row-major, by window position."""
-        vals = self._vals
-        return [ZERO if i is None else vals[i] for i in self._products(rows, cols)]
+    def _gather(self, rows: list[Key], cols: list[Key]) -> tuple[list[int], list[int]]:
+        """The numerators (re, im) of L(p q*) over row keys p and column keys q, row-major."""
+        at = self._products(rows, cols, -1)  # position -1 reads the appended zero
+        return list(map((self._re + [0]).__getitem__, at)), list(map((self._im + [0]).__getitem__, at))
 
-    def _products(self, rows: list[Key], cols: list[Key]) -> list[int | None]:
+    def _products(self, rows: list[Key], cols: list[Key], zero=None) -> list:
         """The window position of p q* over row keys p and column keys q, row-major.
 
         p q* is a path iff p and q end at the same vertex, and a zero
-        (None) otherwise.  Only the window is read, not the values.
+        (`zero`) otherwise.  Only the window is read, not the values: a
+        letter word p q* is found by its code, code(p) * base ** len(q*) +
+        code(q*).
         """
-        double = self.double
-        target, position = double.target, self._position
-        # (terminal vertex of q, key of q*) per column
-        stars = [(target[w[-1]], (None, double.star_word(w))) if w else (v, (v, ())) for v, w in cols]
+        double, at, trivial = self.double, self._at.get, self._trivial.get
+        target, star_word = double.target, double.star_word
+        # (terminal vertex of q, base ** len(q*), code of q*) per column
+        stars = [(target[w[-1]], self._base ** len(w), self._code(star_word(w))) if w else (v, 1, 0) for v, w in cols]
         out = []
-        for p in rows:
-            v, word = p
-            end = target[word[-1]] if word else v
-            for t, qs in stars:
-                if t != end:
-                    out.append(None)
-                    continue
-                pq = p if not qs[1] else qs if not word else (None, word + qs[1])
-                i = position.get(pq)
-                if i is None:
-                    raise self._outside(Path(double, *pq))
-                out.append(i)
+        for v, word in rows:
+            if word:
+                end, c = target[word[-1]], self._code(word)
+                row = [at(c * m + s, _MISSING) if t == end else zero for t, m, s in stars]
+            else:  # e_v q* is q*, and e_v for q = e_v
+                row = [(at(s, _MISSING) if s else trivial(v, _MISSING)) if t == v else zero for t, _, s in stars]
+            if _MISSING in row:
+                _, qw = cols[row.index(_MISSING)]
+                pq = (None, word + star_word(qw)) if word or qw else (v, ())
+                raise self._outside(Path(double, *pq))
+            out += row
         return out
 
     @cached_property
     def _matrix(self) -> MomentMatrix:
         basis = self.basis(self.k)
-        keys = self._keys[: len(basis)]
-        return MomentMatrix(basis, Matrix(len(keys), len(keys), self._moments(keys, keys)))
+        return MomentMatrix(basis, self.moment_block(basis, basis))
 
     def moment_matrix(self, t: int | None = None) -> MomentMatrix:
         """B_{L_t}: the order-k matrix for t = k, its top-left corner for t < k."""
@@ -248,12 +311,18 @@ class TruncatedFunctional:
 
     @cached_property
     def _image(self) -> tuple[list[list[int]], int]:
-        """B_{L_k} times one common denominator, as integer rows, and that denominator.
+        """B_{L_k} times the values' denominator, as integer rows, and that denominator.
 
-        The kernel, both flatness criteria and the PSD verdict read it; see
-        `linalg._image` for the layout.
+        The numerators are gathered by window position.  The kernel, both
+        flatness criteria and the PSD verdict read the rows; see
+        `linalg._image` for the layout, real unless some entry is non-real.
         """
-        return linalg._image(self.moment_matrix().m)
+        n = self._end(self.k)
+        keys = self._keys[:n]
+        re, im = self._gather(keys, keys)
+        if any(im):
+            return [re[i * n : (i + 1) * n] + im[i * n : (i + 1) * n] for i in range(n)], self._den
+        return [re[i * n : (i + 1) * n] for i in range(n)], self._den
 
     def first_pairing(self, terms: dict[Key, tuple[int, int]]) -> int | None:
         """The first position j of V_k with L(g q_j*) != 0, or None.
@@ -263,10 +332,10 @@ class TruncatedFunctional:
         support: row p of B_{L_k} holds L(p q*) over the window paths q.
         """
         rows, _ = self._image
-        n, position = len(rows), self._position
+        n = len(rows)
         re, im = [0] * n, [0] * n
         for key, (cr, ci) in terms.items():
-            row = rows[position[key]]
+            row = rows[self._index(key)]
             br, bi = row[:n], row[n:] or [0] * n  # a real image has no imaginary parts
             re = [s + cr * x - ci * y for s, x, y in zip(re, br, bi)]
             im = [s + ci * x + cr * y for s, x, y in zip(im, br, bi)]
@@ -301,7 +370,7 @@ class TruncatedFunctional:
         rows, _ = self._image
         # rank conj(B_{L_k}) = rank B_{L_k}
         rank_k = len(rows) - len(self._kernel)
-        rank_km1, range_ok, block_flat = linalg._block_flat(rows, len(self.basis(self.k - 1)), len(rows))
+        rank_km1, range_ok, block_flat = linalg._block_flat(rows, self._end(self.k - 1), len(rows))
         rank_flat = rank_k == rank_km1
 
         if rank_flat != block_flat:

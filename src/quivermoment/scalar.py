@@ -10,12 +10,18 @@ Whitespace is insignificant and signs are allowed on both parts.  An
 imaginary part that follows a real part carries its sign, so a literal
 reads one way only: ``"12i"`` is 12i, ``"1/23i"`` is 1/23 i, and
 ``"1+2i"`` is 1 + 2i.
+
+`parse_literal` reads a literal as Gaussian-integer numerators over one
+denominator, ``(re, im, den)`` with ``den > 0`` and no common factor of all
+three, so that two literals are equal iff their triples are.  The loaders
+that hold integer images read it directly; `Scalar.parse` wraps it.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import InputError
 
@@ -103,6 +109,15 @@ class Scalar:
     def __hash__(self):
         return hash((self.re, self.im))
 
+    def numerators(self) -> tuple[int, int, int]:
+        """(re, im, den) with self = (re + im i) / den, den > 0, gcd 1: `parse_literal`'s form."""
+        a, b = self.re.numerator, self.im.numerator
+        p, q = self.re.denominator, self.im.denominator
+        if p == q:
+            return a, b, p
+        den = p // gcd(p, q) * q
+        return a * (den // p), b * (den // q), den
+
     def sort_key(self) -> tuple[Fraction, Fraction]:
         """Total order on scalars used only for deterministic tie-breaking."""
         return (self.re, self.im)
@@ -120,32 +135,8 @@ class Scalar:
 
     @staticmethod
     def parse(text: str) -> Scalar:
-        if not isinstance(text, str):
-            raise InputError(f"scalar literal must be a string, not {text!r}")
-        # The commonest literal, a signed decimal integer, skips the regex.
-        # `isdecimal` accepts exactly the characters the regex's \d does.
-        if (text[1:] if text[:1] in ("+", "-") else text).isdecimal():
-            try:
-                return Scalar._make(Fraction(int(text)), _F0)
-            except ValueError:  # past Python's int conversion limit: refused below
-                pass
-        compact = _SPACE_RE.sub("", text)
-        if not compact:
-            raise InputError(f"empty scalar literal {text!r}")
-        m = _SCALAR_RE.match(compact)
-        if m is None or (m.group(1) is None and m.group(3) is None):
-            raise InputError(f"malformed scalar literal {text!r}")
-        re_num, re_den, im_num, im_den = m.groups()
-        try:
-            re_part = _F0 if re_num is None else _rational(re_num, re_den)
-            im_part = _F0 if im_num is None else _rational(im_num, im_den)
-        except ZeroDivisionError:
-            raise InputError(f"zero denominator in scalar literal {text!r}") from None
-        except ValueError:  # a part longer than Python's int conversion limit
-            raise InputError(
-                f"scalar literal of {len(text)} characters exceeds the integer digit limit"
-            ) from None
-        return Scalar._make(re_part, im_part)
+        a, b, c, d = _parts(text)
+        return Scalar._make(Fraction(a) if b == 1 else Fraction(a, b), Fraction(c, d) if c else _F0)
 
 
 # The slots' own setters, past the immutable __setattr__.
@@ -172,8 +163,62 @@ def _text(x: Fraction) -> str:
         return f"{num}/{format(exact.create_decimal(x.denominator), 'f')}"
 
 
-def _rational(num: str, den: str | None) -> Fraction:
-    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+def parse_literal(text: str) -> tuple[int, int, int]:
+    """The literal as (re, im, den): the value (re + im i) / den, den > 0, gcd 1."""
+    a, b, c, d = _parts(text)
+    if b == d == 1:
+        return a, c, 1
+    re, im, den = a * d, c * b, b * d
+    g = gcd(re, im, den)
+    return (re // g, im // g, den // g) if g > 1 else (re, im, den)
+
+
+def _parts(text: str) -> tuple[int, int, int, int]:
+    """The grammar: (a, b, c, d) of a literal a/b + (c/d) i, as written, with b, d > 0.
+
+    Every refusal of a literal is raised here, in this order.
+    """
+    if not isinstance(text, str):
+        raise InputError(f"scalar literal must be a string, not {text!r}")
+    # The commonest literal, a signed decimal integer, skips the regex.
+    # `isdecimal` accepts exactly the characters the regex's \d does.
+    if (text[1:] if text[:1] in ("+", "-") else text).isdecimal():
+        try:
+            return int(text), 1, 0, 1
+        except ValueError:  # past Python's int conversion limit: refused below
+            pass
+    compact = _SPACE_RE.sub("", text)
+    if not compact:
+        raise InputError(f"empty scalar literal {text!r}")
+    m = _SCALAR_RE.match(compact)
+    if m is None or (m.group(1) is None and m.group(3) is None):
+        raise InputError(f"malformed scalar literal {text!r}")
+    re_num, re_den, im_num, im_den = m.groups()
+    try:
+        return (*_rational(re_num, re_den), *_rational(im_num, im_den))
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator in scalar literal {text!r}") from None
+    except ValueError:  # a part longer than Python's int conversion limit
+        raise InputError(f"scalar literal of {len(text)} characters exceeds the integer digit limit") from None
+
+
+def _rational(num: str | None, den: str | None) -> tuple[int, int]:
+    """A part's numerator and positive denominator, as written; (0, 1) when absent."""
+    if num is None:
+        return 0, 1
+    if den is None:
+        return int(num), 1
+    n, d = int(num), int(den)
+    if not d:
+        raise ZeroDivisionError
+    return n, d
+
+
+def from_numerators(re: int, im: int, den: int) -> Scalar:
+    """(re + im i) / den for a nonzero int den; zero is the shared ZERO."""
+    if not im:
+        return Scalar._make(Fraction(re, den), _F0) if re else ZERO
+    return Scalar._make(Fraction(re, den) if re else _F0, Fraction(im, den))
 
 
 ZERO = Scalar(0)

@@ -29,6 +29,11 @@
   objects, the hermitian closure through `p.star()` and `Scalar`
   comparisons, B_{L_k} through `compose`, and a file read entry by entry
   into paths;
+* the `Scalar` route a functional's values took before they were held as
+  integer numerators: B_{L_k} assembled as `Scalar`s by window position and
+  scaled back to integers by `linalg._image`, and the flat, PSD and
+  tip-maximal verdicts read off a `Scalar` B_{L_k} by `Scalar` elimination
+  and pivoting;
 * normal forms as they were before the integer fold: the `Scalar` tip table
   and the letter-by-letter `Scalar` fold through it;
 * the decimal text of an integer without int.__str__;
@@ -812,6 +817,36 @@ def load_path_keyed(data: dict, source: str | None = None) -> PathKeyedFunctiona
         return path_keyed_functional(double, data["k"], values, data.get("include_trivial", True))
     except InputError as e:
         raise type(e)(f"{_ctx(source)}{e}") from None
+
+
+# -- the functional's `Scalar` route, before integer numerators ------------------
+
+
+def scalar_image(functional: TruncatedFunctional) -> tuple[list[list[int]], int]:
+    """B_{L_k} assembled as `Scalar` values by window position, then scaled
+    back to integer rows over one denominator by `linalg._image`."""
+    keys = [(p.vertex, p.letters) for p in functional.basis(functional.k)]
+    vals = list(functional.values.values())
+    positions = functional._products(keys, keys)
+    return linalg._image(Matrix(len(keys), len(keys), [ZERO if i is None else vals[i] for i in positions]))
+
+
+def scalar_verdicts(matrix: Matrix, n_km1: int) -> tuple[FlatReport, bool, bool]:
+    """The flatness report, the PSD verdict and tip-maximality of a `Scalar`
+    B_{L_k} whose first n_km1 rows and columns are B_{L_{k-1}}.
+
+    Ranks by `Scalar` elimination; Ran C <= Ran A by the `Scalar` solve of
+    A X = C; PSD by `Scalar` pivoting; tip-maximal iff no kernel vector is
+    supported on V_{k-1}, that is iff the first n_km1 columns are
+    independent.
+    """
+    n = matrix.rows
+    a, c = matrix.block(0, n_km1, 0, n_km1), matrix.block(0, n_km1, n_km1, n)
+    rank_k, rank_km1 = linalg_oracle.rank(matrix), linalg_oracle.rank(a)
+    range_ok = linalg_oracle.solve_particular(a, c)[1] is not None
+    tip_maximal = linalg_oracle.rank(matrix.block(0, n, 0, n_km1)) == n_km1
+    report = FlatReport(rank_k == rank_km1, rank_k, rank_km1, range_ok)
+    return report, linalg_oracle.psd_check(matrix), tip_maximal
 
 
 # -- compression by basis completion ------------------------------------------

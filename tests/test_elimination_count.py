@@ -19,9 +19,10 @@ completion's reductions, runs one.  The completion, its reducer and the
 kernel checks run on integer numerators: no `Element` product, no
 `left_divides` scan and no `Scalar` matrix product.
 
-A loaded functional assembles its order-k moment matrix once, by window
-position, and every block of it that a verdict or the kernel check reads
-comes off that matrix, with no `compose` call.
+A loaded functional gathers the integer image of its order-k moment matrix
+once, by window position, from the numerators it holds.  Every verdict and
+the kernel check read that image: no `Scalar` moment matrix is assembled,
+no `Matrix` is taken to integers and no `compose` is called.
 """
 
 from __future__ import annotations
@@ -249,28 +250,67 @@ def compose_calls(monkeypatch):
     return calls
 
 
-def test_loaded_functional_assembles_its_moment_matrix_once(compose_calls, monkeypatch, tmp_path):
+@pytest.fixture
+def assemblies(monkeypatch):
+    """Integer gathers of moment entries, `Scalar` moment blocks and `Matrix`
+    images, each with its shape, in call order."""
+    calls = []
+    gather, block, image = TruncatedFunctional._gather, TruncatedFunctional.moment_block, linalg._image
+
+    def counted_gather(self, rows, cols):
+        calls.append(("gather", len(rows), len(cols)))
+        return gather(self, rows, cols)
+
+    def counted_block(self, rows, cols):
+        rows, cols = list(rows), list(cols)
+        calls.append(("moment_block", len(rows), len(cols)))
+        return block(self, rows, cols)
+
+    def counted_image(m, real=None):
+        calls.append(("image", m.rows, m.cols))
+        return image(m, real)
+
+    monkeypatch.setattr(TruncatedFunctional, "_gather", counted_gather)
+    monkeypatch.setattr(TruncatedFunctional, "moment_block", counted_block)
+    monkeypatch.setattr(linalg, "_image", counted_image)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def rank3_two_loops_file(tmp_path_factory):
     # The shape of a flat_gns instance: a rank-3 state on two loops with
-    # trivial paths and k = 3 (an 85-path V_k in a 5461-path window), read
-    # from its file.  The flatness report and the kernel Gröbner basis with
-    # its containment check fill B_{L_k} once and call no compose.
-    fpath = tmp_path / "f.json"
+    # trivial paths and k = 3 (an 85-path V_k in a 5461-path window), whose
+    # completion makes 300+ reductions.
+    fpath = tmp_path_factory.mktemp("rank3") / "f.json"
     state = state_functional(TWO_LOOPS, 3, True, [3], random.Random(11))
     fpath.write_text(json.dumps(fileio.functional_to_dict(state)), encoding="utf-8")
-    assemblies = []
-    fill = getattr(TruncatedFunctional, "_moments", None)
+    return fpath
 
-    def counted(self, rows, cols):
-        assemblies.append((len(rows), len(cols)))
-        return fill(self, rows, cols)
 
-    monkeypatch.setattr(TruncatedFunctional, "_moments", counted, raising=False)
-    f = fileio.load_functional(fpath)
+def test_loaded_functional_assembles_its_moment_matrix_once(rank3_two_loops_file, compose_calls, assemblies):
+    # Read from its file, the functional's flatness report and its kernel
+    # Gröbner basis with its containment check gather one 85x85 integer
+    # image, build no `Scalar` moment matrix and call no compose.
+    f = fileio.load_functional(rank3_two_loops_file)
     assert f.is_flat().flat
     gb = kernel_groebner(f)
     assert gb.elements
     assert compose_calls == []
-    assert assemblies == [(85, 85)]
+    assert assemblies == [("gather", 85, 85)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["moment", "flat"], ["moment", "psd"], ["moment", "tipmax"], ["moment", "rank"],
+     ["groebner", "--from-kernel"], ["evaluate", "--path", "x y x*", "--functional"]],
+    ids=lambda argv: "_".join(a for a in argv if not a.startswith("-") and " " not in a),
+)
+def test_verdict_commands_build_no_scalar_moment_matrix(argv, rank3_two_loops_file, assemblies, capsys):
+    # A flat rank-3 state on two loops at k = 3 has a kernel tip of length 2.
+    code = 1 if argv[-1] == "tipmax" else 0
+    assert cli.main(argv + [str(rank3_two_loops_file)]) == code
+    capsys.readouterr()
+    assert assemblies == [("gather", 85, 85)]
 
 
 @pytest.fixture
@@ -294,16 +334,6 @@ def algebra_calls(monkeypatch):
         if getattr(module, "left_divides", None) is fn:
             monkeypatch.setattr(module, "left_divides", counting(fn, "left_divides"))
     return calls
-
-
-@pytest.fixture(scope="module")
-def rank3_two_loops_file(tmp_path_factory):
-    # The shape of a flat_gns instance: a rank-3 state on two loops with
-    # trivial paths and k = 3, whose completion makes 300+ reductions.
-    fpath = tmp_path_factory.mktemp("rank3") / "f.json"
-    state = state_functional(TWO_LOOPS, 3, True, [3], random.Random(11))
-    fpath.write_text(json.dumps(fileio.functional_to_dict(state)), encoding="utf-8")
-    return fpath
 
 
 def test_groebner_from_kernel_forms_no_element_product(rank3_two_loops_file, algebra_calls, completions, capsys):

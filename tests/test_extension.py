@@ -282,7 +282,7 @@ def force_range_failure(monkeypatch):
 
 def force_nonzero_top(monkeypatch):
     """Make the Schur step of both routes return the all-ones block."""
-    monkeypatch.setattr(linalg, "_schur", lambda rows, den, n, ncols: [ONE] * (ncols - n) ** 2)
+    monkeypatch.setattr(linalg, "_schur", lambda rows, den, n, ncols: ([(1, 0)] * (ncols - n) ** 2, 1))
     monkeypatch.setattr(linalg_oracle, "product", lambda a, b: Matrix(a.rows, b.cols, [ONE] * (a.rows * b.cols)))
 
 

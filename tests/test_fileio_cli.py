@@ -687,3 +687,50 @@ def test_cli_groebner_output_round_trip(tmp_path, capsys):
     data = json.loads((tmp_path / "gb.json").read_text())
     double, elems = fileio.generators_from_dict(data, tmp_path)
     assert len(elems) == 2
+
+
+def test_gaussian_extended_state_reproduces_the_committed_stdout(capsys):
+    # CI runs these calls without site-packages.  The one-step extension of
+    # a Gaussian PD state holds Gaussian rationals over mixed denominators:
+    # the loader brings them to one denominator.  The expected file was
+    # written when values were read as `Scalar`s.
+    fixtures = FsPath(__file__).parent / "fixtures"
+    fpath = str(fixtures / "fix_gauss_pd_loop_extended.json")
+    stdout = []
+    for argv in (["moment", "flat", fpath], ["moment", "psd", fpath], ["moment", "rank", fpath],
+                 ["gns", "build", fpath], ["evaluate", "--functional", fpath, "--path", "x* x x"],
+                 ["evaluate", "--functional", fpath, "--path", "x x* x x x* x* x x"]):
+        assert main(argv) == 0
+        stdout.append(capsys.readouterr().out)
+    assert "".join(stdout) == (fixtures / "gauss_extended_stdout.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("degree", ["2", [2], 2.5, True, -1, {"d": 2}], ids=repr)
+def test_certificate_degree_must_be_a_non_negative_integer(degree, tmp_path, capsys):
+    fixtures = FsPath(__file__).parent / "fixtures"
+    cert = json.loads((fixtures / "fix_psd_chain_certificate.json").read_text(encoding="utf-8"))
+    cpath = write(tmp_path, "cert.json", {**cert, "degree": degree})
+    assert main(["sos", "verify", cpath]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cpath}: 'degree' must be a non-negative integer or null, not {degree!r}\n"
+
+
+@pytest.mark.parametrize("degree", [None, 2, "absent"])
+def test_certificate_degree_may_be_absent_or_null(degree, tmp_path, capsys):
+    fixtures = FsPath(__file__).parent / "fixtures"
+    cert = json.loads((fixtures / "fix_psd_chain_certificate.json").read_text(encoding="utf-8"))
+    cert.pop("degree")
+    if degree != "absent":
+        cert["degree"] = degree
+    assert main(["sos", "verify", write(tmp_path, "cert.json", cert)]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+@pytest.mark.parametrize("gram", [[], [["1"]], [["1", "0", "0", "0"]] * 3], ids=["0x0", "1x1", "3x4"])
+def test_representation_gram_must_be_n_by_n(gram, tmp_path, capsys):
+    fixtures = FsPath(__file__).parent / "fixtures"
+    rep = json.loads((fixtures / "fix_psd_chain_compressed.json").read_text(encoding="utf-8"))
+    rpath = write(tmp_path, "rep.json", {**rep, "gram": gram})
+    assert main(["gns", "check", rpath]) == 2
+    assert capsys.readouterr().err == f"error: {rpath}: 'gram' is not 4x4\n"

@@ -287,20 +287,22 @@ def _window_ordered(name, k):
 @pytest.mark.parametrize("name, k", [("two_loops", 3), ("xyz", 2), ("one_loop", 3)])
 def test_window_ordered_file_needs_no_parser_and_parses_each_value_text_once(name, k, monkeypatch):
     data, texts = _window_ordered(name, k)
-    calls = {"path_key": 0, "parse": 0}
-    path_key, parse = fileio.path_key, Scalar.parse
+    # Each distinct value text is read once by the literal parser, straight
+    # to numerators, and no `Scalar` is parsed.
+    calls = {"path_key": 0, "parse_literal": 0, "Scalar.parse": 0}
+    path_key, parse_literal, parse = fileio.path_key, fileio.parse_literal, Scalar.parse
 
-    def counted_path_key(*args):
-        calls["path_key"] += 1
-        return path_key(*args)
+    def counting(fn, name):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    def counted_parse(text):
-        calls["parse"] += 1
-        return parse(text)
+        return counted
 
-    monkeypatch.setattr(fileio, "path_key", counted_path_key)
-    monkeypatch.setattr(Scalar, "parse", staticmethod(counted_parse))
+    monkeypatch.setattr(fileio, "path_key", counting(path_key, "path_key"))
+    monkeypatch.setattr(fileio, "parse_literal", counting(parse_literal, "parse_literal"))
+    monkeypatch.setattr(Scalar, "parse", staticmethod(counting(parse, "Scalar.parse")))
     f = functional_from_dict(data, ".", SOURCE)
-    assert calls == {"path_key": 0, "parse": len(texts)}
+    assert calls == {"path_key": 0, "parse_literal": len(texts), "Scalar.parse": 0}
     assert [str(p) for p in f.values] == [e["path"] for e in data["entries"]]
     assert [str(v) for v in f.values.values()] == [e["value"] for e in data["entries"]]

@@ -3,10 +3,14 @@
 `oracles.parse_path` builds a path prefix by prefix from arrows found by a
 scan, and `oracles.scalar_parse` runs `Fraction` on the text of each part.
 On every input the package's parsers must return the same value, or raise
-the same error class with the same message.
+the same error class with the same message; `parse_literal` returns that
+value as its canonical numerators over a denominator.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 import oracles
 from quivermoment import InputError, Quiver, Scalar, build_double
 from quivermoment.fileio import parse_path
+from quivermoment.scalar import parse_literal
 
 SETTINGS = settings(max_examples=400, deadline=None, derandomize=True)
 
@@ -115,3 +120,20 @@ def test_scalar_parse_fixed_cases(text):
 def test_scalar_parse_refuses_non_strings(value):
     with pytest.raises(InputError, match="must be a string"):
         Scalar.parse(value)
+    with pytest.raises(InputError, match="must be a string"):
+        parse_literal(value)
+
+
+@SETTINGS
+@given(scalar_texts())
+def test_parse_literal_is_canonical_and_matches_the_oracle(text):
+    # (re, im, den) with den > 0 and no common factor: equal values give
+    # equal triples, whatever their texts.
+    got, want = outcome(parse_literal, text), outcome(oracles.scalar_parse, text)
+    if want[0] != "value":
+        assert got == want
+        return
+    re, im, den = got[1]
+    assert den > 0 and gcd(re, im, den) == 1
+    assert Scalar(Fraction(re, den), Fraction(im, den)) == want[1]
+    assert want[1].numerators() == got[1]
