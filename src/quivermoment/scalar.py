@@ -111,12 +111,8 @@ class Scalar:
 
     def numerators(self) -> tuple[int, int, int]:
         """(re, im, den) with self = (re + im i) / den, den > 0, gcd 1: `parse_literal`'s form."""
-        a, b = self.re.numerator, self.im.numerator
-        p, q = self.re.denominator, self.im.denominator
-        if p == q:
-            return a, b, p
-        den = p // gcd(p, q) * q
-        return a * (den // p), b * (den // q), den
+        re, im = self.re, self.im
+        return _canonical(re.numerator, re.denominator, im.numerator, im.denominator)
 
     def sort_key(self) -> tuple[Fraction, Fraction]:
         """Total order on scalars used only for deterministic tie-breaking."""
@@ -165,7 +161,11 @@ def _text(x: Fraction) -> str:
 
 def parse_literal(text: str) -> tuple[int, int, int]:
     """The literal as (re, im, den): the value (re + im i) / den, den > 0, gcd 1."""
-    a, b, c, d = _parts(text)
+    return _canonical(*_parts(text))
+
+
+def _canonical(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    """a/b + (c/d) i for b, d > 0 as (re, im, den) over one denominator, with no common factor."""
     if b == d == 1:
         return a, c, 1
     re, im, den = a * d, c * b, b * d
