@@ -103,8 +103,8 @@ def cmd_moment(args) -> int:
 
     f = fileio.load_functional(args.functional)
     if args.verdict == "rank":
-        # rank B_{L_k}: the size of V_k less the dimension of the integer kernel
-        _emit({"rank": len(f.basis(f.k)) - len(f.kernel_basis()), "order": f.k})
+        # rank B_{L_k}: the pivot count of its echelon form
+        _emit({"rank": f.is_flat().rank_k, "order": f.k})
         return 0
     if args.verdict == "psd":
         ok = f.is_psd()
@@ -154,11 +154,8 @@ def cmd_groebner(args) -> int:
     else:
         f = fileio.load_functional(args.from_kernel)
         double = f.double
-        # The output lists the completion's reductions; its basis must match.
-        elements = kernel_groebner(f).elements
-        gb = right_groebner(f.kernel_basis(), f.order)
-        if gb.elements != elements:
-            raise InternalInvariantError("the completion of the kernel differs from its minimal-tip basis")
+        # The output lists the reductions of the other kernel elements by the kept ones.
+        gb = kernel_groebner(f, trace=True)
     if args.trace:
         for ev in gb.trace:
             _emit(

@@ -103,11 +103,9 @@ def flat_extend_tip_maximal(
     # times den and g's common denominator; the unknowns are den * z.
     rows: list[list[int]] = []  # the system's integer rows, right-hand side last
     new = keys[n:nk]
-    for g in functional.kernel_basis():
-        coeffs, size = list(g.terms.values()), len(g.terms)
-        conj, _ = linalg._common([c.re for c in coeffs] + [-c.im for c in coeffs])
-        terms = list(zip(conj[:size], conj[size:]))
-        prods = ext._products(new, [(q.vertex, q.letters) for q in g.terms])
+    for g, _ in functional._null:
+        size, terms = len(g), [(x, -y) for x, y in g.values()]
+        prods = ext._products(new, list(g))
         for at in range(0, len(prods), size):
             re_row, im_row, kr, ki, touched = [0] * (width + 1), [0] * (width + 1), 0, 0, False
             for i, (x, y) in zip(prods[at : at + size], terms):

@@ -19,7 +19,7 @@ from .algebra import Element
 from .errors import InputError
 from .linalg import Matrix
 from .moment import TruncatedFunctional
-from .quiver import DoubleQuiver, Key, Path, PathOrder, Quiver, build_double, name_error
+from .quiver import DoubleQuiver, Key, Path, PathOrder, Quiver, build_double
 from .scalar import Scalar, parse_literal
 
 
@@ -108,10 +108,10 @@ def quiver_from_dict(data: dict, source: str | None = None) -> Quiver:
     except (KeyError, TypeError) as e:
         raise InputError(f"{_ctx(source)}malformed quiver: missing {e}") from None
     vertices = _texts(vertices, "vertices", source)
-    error = name_error(vertices, [a[0] for a in arrows])
-    if error:
-        raise InputError(f"{_ctx(source)}{error}")
-    return Quiver(vertices, arrows)
+    try:
+        return Quiver(vertices, arrows)
+    except InputError as e:  # a name that does not read back, a repeated name, an undeclared vertex
+        raise InputError(f"{_ctx(source)}{e}") from None
 
 
 def quiver_to_dict(q: Quiver) -> dict:

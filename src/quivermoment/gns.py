@@ -57,16 +57,6 @@ class Representation(Record):
         [(rows, den)] = _word_images(self, [p])
         return linalg._matrix(rows, den, self.dim)
 
-    def adjoint_pair_ok(self, base_name: str) -> bool:
-        """Exact adjointness of an arrow against its star through the gram.
-
-        The matrix identity is M_b^H F = F M_{b*} with F the transpose of the
-        gram (the bilinear bookkeeping of the sesquilinear pairing; F equals
-        the gram whenever the data is real), compared on integer images.
-        """
-        mats = linalg._images(self.letter_matrix(base_name), self.letter_matrix(base_name + "*"), self.gram)
-        return _adjoint_ok(*mats, self.gram, self.dim)
-
 
 def _adjoint_ok(mb, mbs, gram_image, gram: Matrix, n: int) -> bool:
     """M_b^H F == F M_{b*} for the integer images of M_b, M_{b*} and the gram, F = gram^T."""

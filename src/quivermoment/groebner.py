@@ -7,14 +7,19 @@ they generate; flatness puts every other kernel element in it (checked
 exactly), so they are the reduced basis of the kernel ideal, which is
 unique (Green 1999).
 
-The completion serves generator input and the `groebner` command, whose
-output lists its reductions.  It is the five-step tip-selection/total-
-reduction loop: drop zeros, select the tips not left-divided by another
-tip, keep one representative per selected tip, totally reduce the rest
-against the kept set, and repeat until every element is kept.  Left
-division is prefix division of letter words, and reduction replaces the
-largest reducible support path first, so runs are reproducible event for
-event.
+The kernel elements are read as integer numerators, and `Element`s are
+built only for the kept ones.  `groebner --from-kernel` lists reductions:
+those of the other kernel elements by the kept ones, each reduced once
+(`kernel_groebner` with `trace`), which is the one round the completion of
+the kernel basis would run.
+
+The completion serves generator input: `groebner --generators` and `gns
+build` from a basis.  It is the five-step tip-selection/total-reduction
+loop: drop zeros, select the tips not left-divided by another tip, keep
+one representative per selected tip, totally reduce the rest against the
+kept set, and repeat until every element is kept.  Left division is prefix
+division of letter words, and reduction replaces the largest reducible
+support path first, so runs are reproducible event for event.
 
 The completion, its reducer and the normal forms run on integers, as
 `linalg` does.  An element is held as Gaussian-integer numerators
@@ -205,7 +210,7 @@ class TipTable:
 
 
 class RightGroebnerBasis(Record):
-    """A right Gröbner basis: its elements, its order and the completion's reductions."""
+    """A right Gröbner basis: its elements, its order and the reductions that produced it."""
 
     _fields = ("elements", "order", "trace")
 
@@ -219,15 +224,7 @@ class RightGroebnerBasis(Record):
         of a tail is below its tip, so only the rules already in the table can
         divide the paths its fold meets.
         """
-        double, okey = self.order.double, self.order.key_of
-        table = TipTable(double)
-        ints = [terms for terms, _ in map(_ints, self.elements)]
-        for tip, terms in sorted(((max(t, key=okey), t) for t in ints), key=lambda e: okey(e[0])):
-            terms, den = _monic(terms, tip)
-            end = _end(tip, double)
-            tail = ((-re, -im, *table.fold(q)) for q, (re, im) in terms.items() if q != tip and _end(q, double) == end)
-            table.add(tip, *_combine(tail, den))
-        return table
+        return _tip_table(self.order, [terms for terms, _ in map(_ints, self.elements)])
 
     def nf(self, p: Path) -> Element:
         """Normal form of a single path."""
@@ -237,6 +234,18 @@ class RightGroebnerBasis(Record):
         """True iff some tip left-divides p, i.e. some prefix of p is a tip."""
         key = (p.vertex, p.letters)
         return any(k in self.tip_table.tails for k in [key, *_proper_prefixes(key, p.double)])
+
+
+def _tip_table(order: PathOrder, ints: list[Numerators]) -> TipTable:
+    """The `RightGroebnerBasis.tip_table` of the elements with these numerators."""
+    double, okey = order.double, order.key_of
+    table = TipTable(double)
+    for tip, terms in sorted(((max(t, key=okey), t) for t in ints), key=lambda e: okey(e[0])):
+        terms, den = _monic(terms, tip)
+        end = _end(tip, double)
+        tail = ((-re, -im, *table.fold(q)) for q, (re, im) in terms.items() if q != tip and _end(q, double) == end)
+        table.add(tip, *_combine(tail, den))
+    return table
 
 
 # -- the completion --------------------------------------------------------------
@@ -357,37 +366,49 @@ def normal_form(f: Element, gb: RightGroebnerBasis) -> Element:
     return _element(f.double, *gb.tip_table.normal_form(*_ints(f)))
 
 
-def kernel_groebner(functional: TruncatedFunctional) -> RightGroebnerBasis:
+def kernel_groebner(functional: TruncatedFunctional, trace: bool = False) -> RightGroebnerBasis:
     """Reduced right Gröbner basis of the kernel ideal of a flat functional.
 
     Keeps each echelon kernel element whose tip has no proper prefix (the
     trivial path at its origin included) that is another kernel tip, in
-    `kernel_basis()` order, which is increasing by tip.  Two exact checks
-    follow, and a failure of either is a hard invariant violation: every
-    other kernel element has normal form zero through the kept basis, and
-    every kept element pairs to zero with the whole order-k window.
+    kernel order, which is increasing by tip.  The kernel is read as the
+    integers the functional's echelon form gives (`_null`); `Element`s are
+    built for the kept elements and for error messages only.  Two exact
+    checks follow, and a failure of either is a hard invariant violation:
+    every other kernel element has normal form zero through the kept basis,
+    and every kept element pairs to zero with the whole order-k window.
     Flatness guarantees both.  Both run on integers.
+
+    With `trace`, the other kernel elements are reduced by the kept monic
+    elements through `_reduce`, in kernel order, and the reductions are the
+    basis's trace: the one round the completion of the kernel basis runs,
+    without the completion.  Otherwise their normal forms are folded
+    through the kept elements' tip table, which the basis keeps.
     """
     report = functional.is_flat()
     if not report.flat:
         raise InputError("kernel_groebner requires a flat functional")
     order, double = functional.order, functional.double
-    kernel = []
-    for g in functional.kernel_basis():
-        terms, _ = _ints(g)
-        kernel.append((g, terms, max(terms, key=order.key_of)))
-    tips = {tip for *_, tip in kernel}
+    null = [(next(reversed(terms)), terms, den) for terms, den in functional._null]  # each tip comes last
+    tips = {tip for tip, *_ in null}
     kept, rest = [], []
-    for g, terms, tip in kernel:
-        (kept if tips.isdisjoint(_proper_prefixes(tip, double)) else rest).append((g, terms))
-    gb = RightGroebnerBasis(tuple(g for g, _ in kept), order, ())
-    table = gb.tip_table
-    for g, terms in rest:
-        if table.normal_form(terms, 1)[0]:
+    for e in null:
+        (kept if tips.isdisjoint(_proper_prefixes(e[0], double)) else rest).append(e)
+    events: list = []
+    if trace:
+        monic = {tip: (terms, den) for tip, terms, den in kept}  # each tip's numerator is den
+        table = None
+        reduced = (_reduce(terms, den, monic, order, events)[0] for _, terms, den in rest)
+    else:
+        table = _tip_table(order, [terms for _, terms, _ in kept])
+        reduced = (table.normal_form(terms, den)[0] for _, terms, den in rest)
+    for (_, terms, den), r in zip(rest, reduced):
+        if r:
             raise InternalInvariantError(
-                f"kernel element {g} is not in the right ideal of the minimal-tip elements"
+                f"kernel element {_element(double, terms, den)} is not in the right ideal of the minimal-tip elements"
             )
-    for g, terms in kept:
+    elements = tuple(_element(double, terms, den) for _, terms, den in kept)
+    for g, (_, terms, _) in zip(elements, kept):
         deg = g.degree()
         if deg is None or deg > functional.k:
             raise InternalInvariantError("Gröbner element escaped the order-k window")
@@ -397,4 +418,7 @@ def kernel_groebner(functional: TruncatedFunctional) -> RightGroebnerBasis:
             raise InternalInvariantError(
                 f"Gröbner element {g} left the kernel (pairs nontrivially with {q})"
             )
+    gb = RightGroebnerBasis(elements, order, tuple(_events(double, events)))
+    if table is not None:
+        vars(gb)["tip_table"] = table  # the table the cached property would build from the same numerators
     return gb

@@ -29,13 +29,16 @@ or shows that c leaves Ran(a) (`solve_particular`).
 
 A hermitian matrix [[A, C], [C^H, B]] can also be held as one integer image
 (`_image`: the matrix times one common denominator, as integer rows) that
-its kernel, its flatness and its PSD pivoting all read.  Flatness is one
-elimination of the top rows [A | C] and a reduction of each lower row
-[C^H | B] against their pivot rows (`_block_flat`): A is hermitian, so once
-Ran C <= Ran A a reduced lower row is [0 | B - C^H X] up to a nonzero
-factor, with A X = C, and B = C^H X holds iff every residual is zero.  No
-solution X and no product is formed.  The PSD pivoting checks the hermitian
-property on the same integers it pivots.
+its kernel, its flatness and its PSD pivoting all read.  One echelon form
+gives its rank, its flatness and its kernel (`_block_echelon`): the top
+rows [A | C] are eliminated first, which gives rank A and the range test,
+and each lower row [C^H | B] is reduced against their pivot rows.  A is
+hermitian, so once Ran C <= Ran A a reduced lower row is [0 | B - C^H X]
+up to a nonzero factor, with A X = C, and B = C^H X holds iff every
+residual is zero; only nonzero residuals are eliminated again.  No
+solution X and no product is formed.  The kernel is read off the echelon
+rows as integer numerators (`_null_terms`).  The PSD pivoting checks the
+hermitian property on the same integers it pivots.
 """
 
 from __future__ import annotations
@@ -343,22 +346,30 @@ def _equal(a: list[list[int]], da: int, b: list[list[int]], db: int) -> bool:
     return all(x * db == y * da for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def _block_flat(rows: list[list[int]], n: int, ncols: int) -> tuple[int, bool, bool]:
-    """rank A, Ran C <= Ran A, and B == C^H X with A X = C, for hermitian integer rows.
+def _block_echelon(rows: list[list[int]], n: int, ncols: int) -> tuple[list[list[int]], list[int], int, bool]:
+    """Echelon rows and pivot columns of [[A, C], [D, B]], rank A, and whether Ran C <= Ran A.
 
-    The rows are those of [[A, C], [C^H, B]] with A of size n; they are not
-    changed.  The top rows [A | C] are eliminated once.  Each lower row is
-    then reduced against the pivot rows: `_combine` on real rows, an exact
-    Z[i] step and a content gcd on rows in the (re, im) layout.  A is
-    hermitian, so a row of C^H lies in the row space of A, and the residual
-    is [0 | B - C^H X] up to a nonzero factor.
+    A is n x n; the rows (either layout) are not changed.  The top rows
+    [A | C] are eliminated first: rank A counts their pivots left of column
+    n, and Ran C <= Ran A iff none lies right of it.  Each lower row is then
+    reduced against their pivot rows: `_combine` on real rows, an exact Z[i]
+    step and a content gcd on rows in the (re, im) layout.  Nonzero residuals
+    are eliminated once more together with the top pivot rows.  The rows
+    returned are one per pivot, each an integer multiple of its row of the
+    reduced row echelon form, so the pivot count is the rank.
+
+    For hermitian [[A, C], [C^H, B]] with Ran C <= Ran A, a row of C^H lies
+    in the row space of A and a residual is [0 | B - C^H X] with A X = C, up
+    to a nonzero factor: B = C^H X iff every residual is zero, and then the
+    rank is rank A.
     """
     top = [row[:] for row in rows[:n]]
     pivots = _gauss_jordan(top, ncols)
+    del top[len(pivots) :]
     rank_a = sum(p < n for p in pivots)
-    if rank_a < len(pivots):
-        return rank_a, False, False
+    range_ok = rank_a == len(pivots)
     real = not rows or len(rows[0]) == ncols
+    residuals = []
     for row in rows[n:]:
         for src, p in zip(top, pivots):
             b = _entry(row, p, ncols)
@@ -367,8 +378,57 @@ def _block_flat(rows: list[list[int]], n: int, ncols: int) -> tuple[int, bool, b
             a = _entry(src, p, ncols)
             row = _combine(row, src, a[0], b[0]) if real else _primitive(_bareiss(row, src, a, b, (1, 0), ncols))
         if any(row):
-            return rank_a, True, False
-    return rank_a, True, True
+            residuals.append(row)
+    if residuals:
+        top += residuals
+        pivots = _gauss_jordan(top, ncols)
+        del top[len(pivots) :]
+    return top, pivots, rank_a, range_ok
+
+
+def _null_terms(rows: list[list[int]], pivots: list[int], ncols: int) -> list[tuple[list, int]]:
+    """The reduced echelon kernel basis of a matrix, from its echelon rows.
+
+    Row r holds a multiple of row r of the reduced row echelon form, with
+    lead a_r at column pivots[r].  Free column f gives the vector with 1 at
+    f and -x_r / a_r at pivots[r], x_r being row r's entry at f; every other
+    basis vector is 0 at f.  Each vector is given as its nonzero entries
+    [(column, (re, im))] in column order, f last with (den, 0), numerators
+    over one positive denominator den with no factor common to all of them,
+    so equal vectors are given equally.
+    """
+    pivot_set = set(pivots)
+    leads = [_entry(row, p, ncols) for row, p in zip(rows, pivots)]
+    out = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        parts = [(p, x, a) for row, p, a in zip(rows, pivots, leads) if (x := _entry(row, f, ncols)) != (0, 0)]
+        # -x / a = -x conj(a) / |a|^2
+        norms = [ar * ar + ai * ai for _, _, (ar, ai) in parts]
+        den, terms = lcm(*norms), []
+        for (p, (xr, xi), (ar, ai)), norm in zip(parts, norms):
+            s = den // norm
+            terms.append((p, (-(xr * ar + xi * ai) * s, (xr * ai - xi * ar) * s)))
+        terms.append((f, (den, 0)))
+        g = gcd(den, *(x for _, c in terms for x in c))
+        if g > 1:
+            den, terms = den // g, [(c, (re // g, im // g)) for c, (re, im) in terms]
+        out.append((terms, den))
+    return out
+
+
+def _annihilates(rows: list[list[int]], vec: list[tuple[int, int]], ncols: int) -> bool:
+    """rows · vec == 0 for integer rows in either layout and a vector of Gaussian integers (re, im)."""
+    vr, vi = [x for x, _ in vec], [y for _, y in vec]
+    complex_vec = any(vi)
+    for row in rows:
+        br, bi = row[:ncols], row[ncols:]
+        if sum(map(mul, br, vr)) - sum(map(mul, bi, vi)):
+            return False
+        if (bi or complex_vec) and sum(map(mul, br, vi)) + sum(map(mul, bi, vr)):
+            return False
+    return True
 
 
 def _schur(rows: list[list[int]], den: int, n: int, ncols: int) -> tuple[list[tuple[int, int]], int] | None:
@@ -423,19 +483,11 @@ def nullspace(m: Matrix) -> list[tuple[Scalar, ...]]:
 
 def _null_vectors(rows: list[list[int]], ncols: int) -> list[tuple[Scalar, ...]]:
     """`nullspace` of the matrix of integer rows, which are eliminated in place."""
-    pivots = _gauss_jordan(rows, ncols)
-    pivot_set = set(pivots)
-    leads = [_entry(rows[r], p, ncols) for r, p in enumerate(pivots)]
     basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
+    for terms, den in _null_terms(rows, _gauss_jordan(rows, ncols), ncols):
         vec = [ZERO] * ncols
-        vec[f] = ONE
-        for r, p in enumerate(pivots):
-            x = _entry(rows[r], f, ncols)
-            if x != (0, 0):
-                vec[p] = _ratio((-x[0], -x[1]), leads[r])
+        for c, (re, im) in terms:
+            vec[c] = _scalar(re, im, den)
         basis.append(tuple(vec))
     return basis
 

@@ -8,7 +8,10 @@ p q* vanishes in the path semigroup are exact zeros.
 A functional holds its values as Gaussian-integer numerators (re, im) over
 one common denominator, from the loader on.  Its verdicts read B_{L_k} as
 an integer image gathered from those numerators by window position; a
-`Scalar` is built only for a value or a matrix asked for by a caller.
+`Scalar` is built only for a value or a matrix asked for by a caller.  One
+echelon form of that image, with V_{k-1} first, gives the flatness report,
+the rank, tip-maximality and the echelon kernel, which is held as integer
+numerators and becomes `Element`s only when `kernel_basis()` is called.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ class TruncatedFunctional:
     `_den`, with no factor common to all of them; `Path` objects and
     `Scalar` values are built only for what is asked for.  Every lower-order
     basis is a prefix of the window, because the path order compares lengths
-    first.  Its integer image of B_{L_k}, its flatness report and its kernel
-    basis are computed once.
+    first.  Its integer image of B_{L_k} and the one echelon form its
+    verdicts and its kernel read are computed once.
     """
 
     def __init__(
@@ -313,9 +316,9 @@ class TruncatedFunctional:
     def _image(self) -> tuple[list[list[int]], int]:
         """B_{L_k} times the values' denominator, as integer rows, and that denominator.
 
-        The numerators are gathered by window position.  The kernel, both
-        flatness criteria and the PSD verdict read the rows; see
-        `linalg._image` for the layout, real unless some entry is non-real.
+        The numerators are gathered by window position.  The echelon form
+        and the PSD verdict read the rows; see `linalg._image` for the
+        layout, real unless some entry is non-real.
         """
         n = self._end(self.k)
         keys = self._keys[:n]
@@ -342,55 +345,71 @@ class TruncatedFunctional:
         return next((j for j in range(n) if re[j] or im[j]), None)
 
     @cached_property
-    def _kernel(self) -> tuple[Element, ...]:
+    def _echelon(self) -> tuple[list[int], int, bool, list[tuple[dict[Key, tuple[int, int]], int]]]:
+        """One elimination of conj(B_{L_k}), V_{k-1} first (`linalg._block_echelon`).
+
+        Returns its pivot columns, rank B_{L_{k-1}}, whether Ran C <= Ran A,
+        and the echelon kernel: per free column, numerators {key: (re, im)}
+        in window order, its tip last, over one denominator (see
+        `linalg._null_terms`).  The kernel is checked exactly without the
+        elimination: conj(B_{L_k}) times the sum of its numerator vectors
+        is zero.
+        """
         rows, _ = self._image
         n = len(rows)
-        conjugate = [row[:n] + [-x for x in row[n:]] for row in rows]
-        vecs = linalg._null_vectors(conjugate, n)
-        basis, double = self.basis(self.k), self.double
-        # The paths are distinct and a null vector holds the shared ZERO at its
-        # zero coordinates, so the support is read off without arithmetic.
-        return tuple(Element(double, {p: c for p, c in zip(basis, v) if c is not ZERO}) for v in vecs)
+        conj = [row[:n] + [-x for x in row[n:]] for row in rows] if rows and len(rows[0]) > n else rows
+        top, pivots, rank_km1, range_ok = linalg._block_echelon(conj, self._end(self.k - 1), n)
+        null = linalg._null_terms(top, pivots, n)
+        total = [[0, 0] for _ in range(n)]
+        for terms, _ in null:
+            for c, (re, im) in terms:
+                total[c][0] += re
+                total[c][1] += im
+        if not linalg._annihilates(conj, total, n):
+            raise InternalInvariantError("the echelon kernel is not annihilated by the moment matrix")
+        keys = self._keys
+        return pivots, rank_km1, range_ok, [({keys[c]: v for c, v in terms}, den) for terms, den in null]
+
+    @cached_property
+    def _null(self) -> list[tuple[dict[Key, tuple[int, int]], int]]:
+        """The echelon kernel of B_{L_k} as integers: per element, numerators
+        {key: (re, im)} in window order, its tip last, over one denominator."""
+        return self._echelon[3]
+
+    @cached_property
+    def _kernel(self) -> tuple[Element, ...]:
+        paths = dict(zip(self._keys, self.basis(self.k)))
+        double = self.double
+        return tuple(
+            Element(double, {paths[key]: from_numerators(re, im, den) for key, (re, im) in terms.items()})
+            for terms, den in self._null
+        )
 
     def is_flat(self) -> FlatReport:
-        """Both flatness criteria, cross-asserted.
+        """Both flatness criteria, from one echelon form of B_{L_k}.
 
         Rank criterion: rank B_{L_k} = rank B_{L_{k-1}}.  Block criterion:
         Ran(C) <= Ran(A) and B equals the exact Schur completion C^H X with
         A X = C.  The top rows [A | C] of B_{L_k}'s integer image are
-        eliminated once, which gives rank A and the range test; each lower
+        eliminated first, which gives rank A and the range test; each lower
         row [C^H | B] is then reduced against their pivot rows, and B = C^H X
-        iff every residual is zero (`linalg._block_flat`).  The two criteria
-        are equivalent for hermitian data, so disagreement is a hard failure.
+        iff every residual is zero.  Nonzero residuals are the only rows
+        eliminated again, and the pivot count is rank B_{L_k}.  For
+        hermitian data the two criteria are the same fact, read off one
+        elimination.
         """
-        return self._flat_report
-
-    @cached_property
-    def _flat_report(self) -> FlatReport:
-        rows, _ = self._image
-        # rank conj(B_{L_k}) = rank B_{L_k}
-        rank_k = len(rows) - len(self._kernel)
-        rank_km1, range_ok, block_flat = linalg._block_flat(rows, self._end(self.k - 1), len(rows))
-        rank_flat = rank_k == rank_km1
-
-        if rank_flat != block_flat:
-            raise InternalInvariantError(
-                f"flatness criteria disagree: rank says {rank_flat}, block says {block_flat}"
-            )
-        return FlatReport(rank_flat, rank_k, rank_km1, range_ok)
+        pivots, rank_km1, range_ok, _ = self._echelon
+        return FlatReport(len(pivots) == rank_km1, len(pivots), rank_km1, range_ok)
 
     def is_tip_maximal(self) -> bool:
         """True iff every kernel pivot path has length exactly k.
 
-        Equivalent to ker B_{L_k} meeting V_{k-1} trivially: the echelon
-        normalization puts the largest support path of each kernel generator
-        in pivot position, so the verdict is read off directly.
+        Equivalent to ker B_{L_k} meeting V_{k-1} trivially: a kernel tip is
+        a free column of the echelon form, so the verdict holds iff every
+        column of V_{k-1} is a pivot column.
         """
-        for g in self.kernel_basis():
-            pivot, _ = g.tip(self.order)
-            if pivot.length() != self.k:
-                return False
-        return True
+        m = self._end(self.k - 1)
+        return self._echelon[0][:m] == list(range(m))
 
     def is_psd(self) -> bool:
         """`linalg.psd_check` of B_{L_k}, pivoted on its integer image."""

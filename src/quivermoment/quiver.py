@@ -98,12 +98,14 @@ class Quiver:
         if error:
             raise InputError(error)
         names = list(self.vertices) + [a.name for a in self.arrows]
-        if len(set(names)) != len(names):
-            raise InputError("vertex and arrow names must be unique and disjoint")
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise InputError(f"vertex and arrow names must be unique and disjoint: {repeated[0]!r} repeats")
         vset = set(self.vertices)
         for a in self.arrows:
-            if a.source not in vset or a.target not in vset:
-                raise InputError(f"arrow {a.name!r} references undeclared vertex")
+            for v in (a.source, a.target):
+                if v not in vset:
+                    raise InputError(f"arrow {a.name!r} references undeclared vertex {v!r}")
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
 
 

@@ -9,6 +9,12 @@ It also holds the arithmetic `Matrix` had before it became an I/O type:
 `product` (rows of the left factor and columns of the right factor each
 scaled to integers on their own), `add`, `sub`, `scale`, `conj_transpose`
 and `is_zero`, and the constructors `identity` and `column`.
+
+`two_eliminations` is the route a functional's flatness report and kernel
+took before one echelon form gave both: the kernel of the whole conjugated
+integer image by one elimination, read as one `Scalar` ratio per entry
+(`null_vectors`), and the block criterion by a second elimination of the
+top rows [A | C] (`block_flat`), the two rank criteria cross-asserted.
 """
 
 from __future__ import annotations
@@ -16,8 +22,21 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
+from quivermoment.algebra import Element
 from quivermoment.errors import InternalInvariantError
-from quivermoment.linalg import Matrix, _is_real, _scalar, _scaled
+from quivermoment.linalg import (
+    Matrix,
+    _bareiss,
+    _combine,
+    _entry,
+    _gauss_jordan,
+    _is_real,
+    _primitive,
+    _ratio,
+    _scalar,
+    _scaled,
+)
+from quivermoment.moment import FlatReport
 from quivermoment.scalar import ONE, ZERO, Scalar
 
 
@@ -276,3 +295,77 @@ def solve_canonical(rows, rhs, nvars):
             return None
         sol[pcol] = red.entry(prow, nvars).re
     return sol
+
+
+# -- a functional's flatness and kernel by two eliminations ------------------------
+
+
+def block_flat(rows: list[list[int]], n: int, ncols: int) -> tuple[int, bool, bool]:
+    """rank A, Ran C <= Ran A, and B == C^H X with A X = C, for hermitian integer rows.
+
+    The rows are those of [[A, C], [C^H, B]] with A of size n; they are not
+    changed.  The top rows [A | C] are eliminated once.  Each lower row is
+    then reduced against the pivot rows: `_combine` on real rows, an exact
+    Z[i] step and a content gcd on rows in the (re, im) layout.  A is
+    hermitian, so a row of C^H lies in the row space of A, and the residual
+    is [0 | B - C^H X] up to a nonzero factor.
+    """
+    top = [row[:] for row in rows[:n]]
+    pivots = _gauss_jordan(top, ncols)
+    rank_a = sum(p < n for p in pivots)
+    if rank_a < len(pivots):
+        return rank_a, False, False
+    real = not rows or len(rows[0]) == ncols
+    for row in rows[n:]:
+        for src, p in zip(top, pivots):
+            b = _entry(row, p, ncols)
+            if b == (0, 0):
+                continue
+            a = _entry(src, p, ncols)
+            row = _combine(row, src, a[0], b[0]) if real else _primitive(_bareiss(row, src, a, b, (1, 0), ncols))
+        if any(row):
+            return rank_a, True, False
+    return rank_a, True, True
+
+
+def null_vectors(rows: list[list[int]], ncols: int) -> list[tuple[Scalar, ...]]:
+    """The reduced echelon kernel basis of integer rows, eliminated in place,
+    one `Scalar` ratio -x / a per pivot entry."""
+    pivots = _gauss_jordan(rows, ncols)
+    pivot_set = set(pivots)
+    leads = [_entry(rows[r], p, ncols) for r, p in enumerate(pivots)]
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [ZERO] * ncols
+        vec[f] = ONE
+        for r, p in enumerate(pivots):
+            x = _entry(rows[r], f, ncols)
+            if x != (0, 0):
+                vec[p] = _ratio((-x[0], -x[1]), leads[r])
+        basis.append(tuple(vec))
+    return basis
+
+
+def two_eliminations(functional) -> tuple[FlatReport, list[Element], bool]:
+    """The flatness report, the echelon kernel and tip-maximality of a
+    functional, from two eliminations of its integer image.
+
+    rank B_{L_k} is the window size less the kernel dimension; rank A, the
+    range test and the block criterion come from `block_flat`, and the two
+    flatness criteria must agree.  Tip-maximal iff every kernel tip has
+    length k.
+    """
+    rows, _ = functional._image
+    n = len(rows)
+    conjugate = [row[:n] + [-x for x in row[n:]] for row in rows]
+    vecs = null_vectors(conjugate, n)
+    rank_k = n - len(vecs)
+    rank_km1, range_ok, block = block_flat(rows, functional._end(functional.k - 1), n)
+    if (rank_k == rank_km1) != block:
+        raise InternalInvariantError(f"flatness criteria disagree: rank says {rank_k == rank_km1}, block says {block}")
+    basis = functional.basis(functional.k)
+    kernel = [Element(functional.double, {p: c for p, c in zip(basis, v) if c is not ZERO}) for v in vecs]
+    tip_maximal = all(g.tip(functional.order)[0].length() == functional.k for g in kernel)
+    return FlatReport(rank_k == rank_km1, rank_k, rank_km1, range_ok), kernel, tip_maximal

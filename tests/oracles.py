@@ -69,7 +69,7 @@ from quivermoment import (
     paths_of_length,
 )
 from quivermoment.groebner import ReductionEvent, RightGroebnerBasis
-from quivermoment.gns import RelationReport, Representation, _vertex_projections
+from quivermoment.gns import RelationReport, Representation, _adjoint_ok, _vertex_projections
 from quivermoment.quiver import ZERO_PATH, Letter
 from quivermoment.scalar import ONE, ZERO, Scalar
 
@@ -188,6 +188,18 @@ def apply_right_element(rep, f: Element, vec: list[Scalar]) -> list[Scalar]:
         img = apply_right_word(rep, p, vec)
         out = [a + c * b for a, b in zip(out, img)]
     return out
+
+
+def adjoint_pair_ok(rep, base_name: str) -> bool:
+    """Exact adjointness of an arrow against its star through the gram.
+
+    The matrix identity is M_b^H F = F M_{b*} with F the transpose of the
+    gram (the bilinear bookkeeping of the sesquilinear pairing; F equals the
+    gram whenever the data is real), compared on integer images by the
+    check `gns check` runs.
+    """
+    mats = linalg._images(rep.letter_matrix(base_name), rep.letter_matrix(base_name + "*"), rep.gram)
+    return _adjoint_ok(*mats, rep.gram, rep.dim)
 
 
 def scalar_adjoint_pair_ok(rep, base_name: str) -> bool:

@@ -1,23 +1,27 @@
 """Each matrix a verdict or a construction needs is eliminated once.
 
 The count is of calls to the one Gauss-Jordan engine in `linalg`.  A fresh
-functional's flatness report and kernel take two, both on the integer image
-of B_{L_k}: the kernel of B_{L_k} (which also gives its rank) and one
-elimination of its top rows [A | C] (rank A and range containment).  The
-block criterion B = C^H X reduces the lower rows [C^H | B] against those
-pivot rows, so no solution X, no product and no `Scalar` comparison of
-matrices is formed; the PSD verdict checks the hermitian property on the
-same integers it pivots.  Compression reads its coset reps off that PSD
-pivoting, with no kernel elimination, and adds one elimination of the gram
-and one of its kept block per base arrow.  A one-step extension
-adds one of its odd-degree system and one of the Schur block [A | C], both
-built as integer rows from window positions, with no `Scalar` matrix.
+functional's flatness report, rank, tip-maximality and kernel come from one
+echelon form of the integer image of B_{L_k}, with V_{k-1} first: one
+elimination of its top rows [A | C] (rank A and range containment), then
+each lower row [C^H | B] reduced against those pivot rows.  A flat
+functional's residuals are all zero and it needs no other elimination; a
+non-flat one eliminates its nonzero residuals once more, with the top pivot
+rows.  No solution X, no product and no `Scalar` comparison of matrices is
+formed; the PSD verdict checks the hermitian property on the same integers
+it pivots.  Compression reads its coset reps off that PSD pivoting, with no
+kernel elimination, and adds one elimination of the gram and one of its
+kept block per base arrow.  A one-step extension adds one of its odd-degree
+system and one of the Schur block [A | C], both built as integer rows from
+window positions, with no `Scalar` matrix, and one for the flatness of the
+result.
 
 The kernel Gröbner basis is read off the echelon kernel, so no completion
-runs behind it: only the `groebner` command, whose output lists the
-completion's reductions, runs one.  The completion, its reducer and the
-kernel checks run on integer numerators: no `Element` product, no
-`left_divides` scan and no `Scalar` matrix product.
+runs behind it, and `groebner --from-kernel` runs none either: it reduces
+the kernel elements that are not kept by the kept ones, once each, which
+gives the reductions its output lists.  The reducer and the kernel checks
+run on integer numerators: no `Element` product, no `left_divides` scan and
+no `Scalar` matrix product.
 
 A loaded functional gathers the integer image of its order-k moment matrix
 once, by window position, from the numerators it holds.  Every verdict and
@@ -81,13 +85,16 @@ def fresh(f: TruncatedFunctional) -> TruncatedFunctional:
 
 
 @pytest.mark.parametrize("flat", [True, False])
-def test_flatness_and_kernel_eliminate_twice(flat, pd_two_loops, eliminations):
-    # A rank-1 state is flat with a singular A; the PD state is not flat.
+def test_flatness_and_kernel_share_one_echelon_form(flat, pd_two_loops, eliminations):
+    # A rank-1 state is flat with a singular A: its top rows [A | C] are
+    # eliminated once and every lower row reduces to zero.  The PD state is
+    # not flat: its nonzero residuals are eliminated once more.
     f = state_functional(ONE_LOOP, 2, True, [1], random.Random(3)) if flat else fresh(pd_two_loops)
     report = f.is_flat()
     f.kernel_basis()
+    f.is_tip_maximal()
     assert report.flat == flat
-    assert len(eliminations) == 2
+    assert len(eliminations) == (1 if flat else 2)
 
 
 @pytest.fixture
@@ -131,7 +138,7 @@ def test_loaded_verdicts_form_no_scalar_product(tmp_path, eliminations, scalar_m
     assert f.is_flat() == moment.FlatReport(True, 3, 3, True)
     assert len(f.kernel_basis()) == 85 - 3
     assert f.is_psd()
-    assert len(eliminations) == 2
+    assert len(eliminations) == 1
     assert scalar_matrix_calls == []
 
 
@@ -153,16 +160,17 @@ def test_compress_of_a_singular_state_eliminates_no_kernel(eliminations, psd_piv
 
 
 def test_one_step_extension_solves_one_unknown_per_star_pair(eliminations):
-    # A rank-2 state of order 1 on two loops: the kernel of B_1, the
-    # odd-degree system, the Schur block, then the extension's flatness
-    # report and kernel.  The odd system has a u column per star pair of the
-    # 64 paths of length 3, plus the right-hand side: on real data the v
-    # half is block-diagonal, with canonical solution v = 0, and is not built.
+    # A rank-2 state of order 1 on two loops, which is not flat: the two
+    # eliminations of its echelon form (5 columns), the odd-degree system,
+    # the Schur block (5 x 21), then the one elimination of the extension's
+    # echelon form, which is flat (21 columns).  The odd system has a u
+    # column per star pair of the 64 paths of length 3, plus the right-hand
+    # side: on real data the v half is block-diagonal, with canonical
+    # solution v = 0, and is not built.
     f = state_functional(TWO_LOOPS, 1, True, [2], random.Random(0))
     ext = flat_extend_tip_maximal(f)
     ext.kernel_basis()
-    assert len(eliminations) == 5
-    assert eliminations[1] == 32 + 1
+    assert eliminations == [5, 5, 32 + 1, 21, 21]
 
 
 def test_one_step_extension_keeps_both_halves_on_gaussian_data(eliminations):
@@ -171,8 +179,7 @@ def test_one_step_extension_keeps_both_halves_on_gaussian_data(eliminations):
     assert any(not v.is_real() for v in f.values.values())
     ext = flat_extend_tip_maximal(f)
     ext.kernel_basis()
-    assert len(eliminations) == 5
-    assert eliminations[1] == 2 * 32 + 1
+    assert eliminations == [5, 5, 2 * 32 + 1, 21, 21]
 
 
 def test_one_step_extension_forms_no_scalar_product(monkeypatch, scalar_matrix_calls):
@@ -215,7 +222,8 @@ def completions(monkeypatch):
 
 def test_kernel_routes_run_no_completion(completions, tmp_path, capsys):
     # A flat rank-2 state on two loops: 19 kernel elements, 12 of them not
-    # kept, which the completion reduces in 33 steps.
+    # kept.  `groebner --from-kernel` reduces each of the 12 once, by the
+    # kept elements, and runs no completion.
     f = state_functional(TWO_LOOPS, 2, True, [2], random.Random(7))
     assert f.is_flat().flat
     gb = kernel_groebner(f)
@@ -230,8 +238,7 @@ def test_kernel_routes_run_no_completion(completions, tmp_path, capsys):
     assert cli.main(["groebner", "--from-kernel", str(fpath)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["elements"]) == len(gb.elements)
-    assert completions.count("right_groebner") == 1
-    assert completions.count("_reduce") == 12
+    assert completions == ["_reduce"] * 12
 
 
 @pytest.fixture
@@ -340,7 +347,7 @@ def test_groebner_from_kernel_forms_no_element_product(rank3_two_loops_file, alg
     assert cli.main(["groebner", "--from-kernel", str(rank3_two_loops_file)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["reductions"]) > 300
-    assert completions.count("right_groebner") == 1
+    assert "right_groebner" not in completions
     assert algebra_calls == []
 
 

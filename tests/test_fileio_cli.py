@@ -274,18 +274,21 @@ def test_cli_quiver_names_that_do_not_read_back_exit_2(tmp_path, capsys, vertice
 @pytest.mark.parametrize(
     "vertices, arrows, message",
     [
-        (["v", "a"], [("a", "v", "v")], "vertex and arrow names must be unique and disjoint"),
-        (["v"], [("a", "v", "w")], "arrow 'a' references undeclared vertex"),
+        (["v", "a"], [("a", "v", "v")], "vertex and arrow names must be unique and disjoint: 'a' repeats"),
+        (["v"], [("a", "v", "w")], "arrow 'a' references undeclared vertex 'w'"),
     ],
     ids=["duplicate", "undeclared"],
 )
 def test_cli_quiver_graph_errors_keep_their_text(tmp_path, capsys, vertices, arrows, message):
-    """Only the name errors above name the file; the graph errors read as they always have."""
+    """The graph errors keep their text, now after the file that holds the
+    quiver, and end with the name at fault."""
     quiver = {"vertices": vertices, "arrows": [{"name": n, "from": s, "to": t} for n, s, t in arrows]}
-    data = {"quiver": quiver, "k": 1, "include_trivial": False, "entries": []}
-    code = main(["moment", "flat", write(tmp_path, "f.json", data)])
-    assert code == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    for inline in (True, False):
+        source = tmp_path / "f.json" if inline else write(tmp_path, "q.json", quiver)
+        data = {"quiver": quiver if inline else "q.json", "k": 1, "include_trivial": False, "entries": []}
+        code = main(["moment", "flat", write(tmp_path, "f.json", data)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {source}: {message}\n")
 
 
 def test_cli_scalar_literal_past_int_digit_limit_exit_2(tmp_path, capsys):
@@ -664,19 +667,24 @@ def test_psd_pipeline_reproduces_the_committed_outputs(tmp_path, capsys):
     assert "".join(stdout) == (fixtures / "psd_pipeline_stdout.txt").read_text(encoding="utf-8")
 
 
-def test_cli_groebner_from_kernel_refuses_a_differing_completion(tmp_path, capsys, monkeypatch):
-    from quivermoment import groebner, kernel_groebner
-    from quivermoment.groebner import RightGroebnerBasis
+def test_cli_groebner_from_kernel_refuses_a_kernel_element_left_over(tmp_path, capsys, monkeypatch):
+    # The one reduction pass must take every kernel element that is not kept
+    # to zero; a remainder is an internal fault, exit 3, with no output.
+    from quivermoment import groebner
 
-    def fewer(f):
-        gb = kernel_groebner(f)
-        return RightGroebnerBasis(gb.elements[:-1], gb.order, ())
+    reduce = groebner._reduce
 
-    monkeypatch.setattr(groebner, "kernel_groebner", fewer)
-    assert main(["groebner", "--from-kernel", functional_file(tmp_path)]) == 3
+    def leftover(terms, den, tips, order, events):
+        reduce(terms, den, tips, order, events)
+        return terms, den
+
+    monkeypatch.setattr(groebner, "_reduce", leftover)
+    fixture = FsPath(__file__).parent / "fixtures" / "example2_l4.json"  # 19 kernel elements, 15 kept
+    assert main(["groebner", "--from-kernel", str(fixture)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "completion of the kernel differs from its minimal-tip basis" in captured.err
+    assert captured.err.startswith("internal invariant failure: kernel element ")
+    assert captured.err.endswith(" is not in the right ideal of the minimal-tip elements\n")
 
 
 def test_cli_groebner_output_round_trip(tmp_path, capsys):
@@ -703,6 +711,25 @@ def test_gaussian_extended_state_reproduces_the_committed_stdout(capsys):
         assert main(argv) == 0
         stdout.append(capsys.readouterr().out)
     assert "".join(stdout) == (fixtures / "gauss_extended_stdout.txt").read_text(encoding="utf-8")
+
+
+def test_kernel_routes_reproduce_the_committed_stdout(capsys):
+    # CI runs these calls without site-packages.  The kernel, tip-maximality,
+    # rank and Gröbner reductions read one echelon form of B_{L_k}; the
+    # expected file was written when the kernel and the block test were two
+    # eliminations and `groebner` ran the completion.  fix_gauss_pd_loop is
+    # not flat: its `groebner` exits 2 and prints nothing.
+    fixtures = FsPath(__file__).parent / "fixtures"
+    stdout = []
+    for name, tipmax, groebner in [("example2_l4", 1, 0), ("fix_l2_ext", 0, 0), ("fix_gauss_loop", 1, 0),
+                                   ("fix_gauss_pd_loop_extended", 0, 0), ("fix_psd_chain", 1, 0),
+                                   ("fix_gauss_pd_loop", 0, 2)]:
+        fpath = str(fixtures / f"{name}.json")
+        for argv, code in ((["kernel", fpath], 0), (["moment", "tipmax", fpath], tipmax),
+                           (["moment", "rank", fpath], 0), (["groebner", "--trace", "--from-kernel", fpath], groebner)):
+            assert main(argv) == code
+            stdout.append(capsys.readouterr().out)
+    assert "".join(stdout) == (fixtures / "kernel_routes_stdout.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("degree", ["2", [2], 2.5, True, -1, {"d": 2}], ids=repr)

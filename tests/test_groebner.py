@@ -19,6 +19,7 @@ from quivermoment import (
     TruncatedFunctional,
     enumerate_basis,
     flat_extend_tip_maximal,
+    groebner,
     kernel_groebner,
     left_divides,
     normal_form,
@@ -221,10 +222,42 @@ def test_trunk_realized_for_flat_kernel(fix_l2_ext, example2_l4):
 )
 @given(data=st.data())
 def test_kernel_groebner_is_the_completion_of_the_kernel(data, fix_two_loops, fix_loop, fix_a2, fix_xyz, fix_chain):
-    # Flat PSD states of small rank, or flat extensions of random hermitian
-    # tip-maximal functionals, which are mostly not PSD.  Where the guard
-    # fires, the completion route must fail as well.
-    double = data.draw(st.sampled_from([fix_two_loops, fix_loop, fix_a2, fix_xyz, fix_chain]))
+    # Where the guard fires, the completion route must fail as well.
+    f = draw_flat_functional(data, [fix_two_loops, fix_loop, fix_a2, fix_xyz, fix_chain], (fix_two_loops, fix_xyz))
+    try:
+        gb = kernel_groebner(f)
+    except InternalInvariantError:
+        with pytest.raises(InternalInvariantError):
+            completion_kernel_groebner(f)
+        return
+    assert gb.elements == right_groebner(f.kernel_basis(), f.order).elements
+    assert gb.trace == ()
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(data=st.data())
+def test_one_reduction_pass_is_the_completion_of_the_kernel(data, fix_two_loops, fix_loop, fix_a2, fix_xyz, fix_chain):
+    # `groebner --from-kernel` reduces the kernel elements that are not kept
+    # by the kept ones, once each: the same elements and the same reductions,
+    # event for event, as the completion of the whole kernel basis.
+    f = draw_flat_functional(data, [fix_two_loops, fix_loop, fix_a2, fix_xyz, fix_chain], (fix_two_loops, fix_xyz))
+    completion = right_groebner(f.kernel_basis(), f.order)
+    gb = kernel_groebner(f, trace=True)
+    assert gb.elements == completion.elements
+    assert gb.trace == completion.trace
+    assert gb.elements == kernel_groebner(f).elements
+
+
+def draw_flat_functional(data, doubles, slow):
+    """A flat PSD state of small rank, or the flat extension of a random
+    hermitian tip-maximal functional, which is mostly not PSD; on the
+    quivers `slow` the extended base has order 1."""
+    double = data.draw(st.sampled_from(doubles))
     k = data.draw(st.integers(1, 3), label="k")
     include_trivial, complex_ = data.draw(st.booleans()), data.draw(st.booleans())
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
@@ -235,7 +268,7 @@ def test_kernel_groebner_is_the_completion_of_the_kernel(data, fix_two_loops, fi
     else:
         # A base of order 1 or 2; an order-2 base on two loops or x, y, z
         # takes seconds to extend.
-        k = 2 if double in (fix_two_loops, fix_xyz) else max(k, 2)
+        k = 2 if double in slow else max(k, 2)
         low_rank = data.draw(st.booleans(), label="low rank")
         base = hermitian_functional(double, k - 1, include_trivial, rng, complex_, dims if low_rank else None)
         assume(base.is_tip_maximal())
@@ -244,14 +277,7 @@ def test_kernel_groebner_is_the_completion_of_the_kernel(data, fix_two_loops, fi
         except ExtensionObstructed:  # possible off the free *-algebras
             assume(False)
     assume(f.is_flat().flat)
-    try:
-        gb = kernel_groebner(f)
-    except InternalInvariantError:
-        with pytest.raises(InternalInvariantError):
-            completion_kernel_groebner(f)
-        return
-    assert gb.elements == right_groebner(f.kernel_basis(), f.order).elements
-    assert gb.trace == ()
+    return f
 
 
 # -- the tip-table engine against the completion's reducer -------------------
@@ -479,15 +505,23 @@ def test_right_ideal_members_reduce_to_zero(data, fix_a2, fix_loop, fix_chain):
                 assert normal_form(member, gb).is_zero()
 
 
+def integer_kernel_entry(f, g):
+    """g as an entry of the functional's integer kernel `_null`: numerators
+    {key: (re, im)} in path order, the tip last, over one denominator."""
+    terms, den = groebner._ints(g)
+    return dict(sorted(terms.items(), key=lambda t: f.order.key_of(t[0]))), den
+
+
 def test_containment_check_names_the_first_offending_path(fix_l2_ext, monkeypatch):
     # x + 2·x x* x is not in the kernel; the check names the first window
     # path it pairs nontrivially with, as the pairing oracle finds it.
     f = fix_l2_ext
     g = elem(f.double, ("x", 1), ("x x* x", 2))
     first = next(q for q in f.basis(f.k) if not pairing(f, g, Element.from_path(q)).is_zero())
-    monkeypatch.setattr(f, "kernel_basis", lambda: [g])
-    with pytest.raises(InternalInvariantError, match=re.escape(f"(pairs nontrivially with {first})")):
-        kernel_groebner(f)
+    monkeypatch.setattr(f, "_null", [integer_kernel_entry(f, g)])
+    for trace in (False, True):  # the normal-form route and the one reduction pass
+        with pytest.raises(InternalInvariantError, match=re.escape(f"(pairs nontrivially with {first})")):
+            kernel_groebner(f, trace)
 
 
 def test_guard_refuses_a_kernel_element_outside_the_selections_ideal(fix_l2_ext, monkeypatch):
@@ -495,10 +529,10 @@ def test_guard_refuses_a_kernel_element_outside_the_selections_ideal(fix_l2_ext,
     # through the kept elements is x x*, not zero.
     f = fix_l2_ext
     outside = elem(f.double, ("x x* x x*", 1))
-    kernel = f.kernel_basis()
-    monkeypatch.setattr(f, "kernel_basis", lambda: kernel + [outside])
-    with pytest.raises(InternalInvariantError, match="not in the right ideal of the minimal-tip elements"):
-        kernel_groebner(f)
+    monkeypatch.setattr(f, "_null", f._null + [integer_kernel_entry(f, outside)])
+    for trace in (False, True):  # the normal-form route and the one reduction pass
+        with pytest.raises(InternalInvariantError, match="not in the right ideal of the minimal-tip elements"):
+            kernel_groebner(f, trace)
 
 
 # -- the kernel checks on Gaussian data ---------------------------------------
@@ -519,9 +553,10 @@ def test_containment_check_names_the_first_offending_path_on_gaussian_data(gauss
     g = elem(f.double, ("x", 1), ("x*", -1))
     first = next(q for q in f.basis(f.k) if not pairing(f, g, Element.from_path(q)).is_zero())
     assert pairing(f, g, Element.from_path(first)) == Scalar(0, 40)
-    monkeypatch.setattr(f, "kernel_basis", lambda: [g])
-    with pytest.raises(InternalInvariantError, match=re.escape(f"(pairs nontrivially with {first})")):
-        kernel_groebner(f)
+    monkeypatch.setattr(f, "_null", [integer_kernel_entry(f, g)])
+    for trace in (False, True):  # the normal-form route and the one reduction pass
+        with pytest.raises(InternalInvariantError, match=re.escape(f"(pairs nontrivially with {first})")):
+            kernel_groebner(f, trace)
 
 
 def test_guard_refuses_an_element_outside_the_selections_ideal_on_gaussian_data(gauss_loop, monkeypatch):
@@ -529,8 +564,8 @@ def test_guard_refuses_an_element_outside_the_selections_ideal_on_gaussian_data(
     # through the kept elements is not zero.
     f = gauss_loop
     outside = elem(f.double, ("x x x", Scalar(1, 2)))
-    kernel = f.kernel_basis()
     assert not normal_form(outside, kernel_groebner(f)).is_zero()
-    monkeypatch.setattr(f, "kernel_basis", lambda: kernel + [outside])
-    with pytest.raises(InternalInvariantError, match="not in the right ideal of the minimal-tip elements"):
-        kernel_groebner(f)
+    monkeypatch.setattr(f, "_null", f._null + [integer_kernel_entry(f, outside)])
+    for trace in (False, True):  # the normal-form route and the one reduction pass
+        with pytest.raises(InternalInvariantError, match="not in the right ideal of the minimal-tip elements"):
+            kernel_groebner(f, trace)
