@@ -176,11 +176,13 @@ class FlatExtension:
     """The rank-preserving extension of a flat functional, evaluated lazily.
 
     Every path reduces through the kernel Gröbner basis into the V_{k-1}
-    window, where the base functional takes over; values are cached.
+    window, where the base functional takes over; values are cached.  The
+    normal form of a path is folded letter by letter through the basis's
+    tip table (`groebner.TipTable`), on the table's path ids.
 
     The base values on V_{k-1} are held as Gaussian-integer numerators over
-    one denominator, keyed like the normal forms of the tip table, so a
-    value is one integer dot product.
+    one denominator, looked up by the ids of the table the first time a
+    normal form meets them, so a value is one integer dot product.
     """
 
     def __init__(self, base: TruncatedFunctional):
@@ -195,30 +197,37 @@ class FlatExtension:
         re, im = base._re[:n], base._im[:n]
         g = gcd(base._den, *re, *im)
         self._den = base._den // g
-        self._moments = {key: (a // g, b // g) for key, a, b in zip(base._keys, re, im)}
+        self._window = {key: (a // g, b // g) for key, a, b in zip(base._keys, re, im)}
+        self._moments: dict[int, tuple[int, int]] = {}  # table id -> value numerators
 
     def evaluate(self, p: Path) -> Scalar:
         if p in self.cache:
             return self.cache[p]
-        return self._value(p, *self.gb.tip_table.fold((p.vertex, p.letters)))
+        return self._value(p, *self.gb.tip_table._fold((p.vertex, p.letters)))
 
-    def _value(self, p: Path, terms, den: int) -> Scalar:
-        """L(NF(p)) for NF(p) = terms/den; cached."""
-        re = im = 0
-        for key, (a, b) in terms.items():
-            m = self._moments.get(key)
+    def _value(self, p: Path, vec: dict, den: int) -> Scalar:
+        """L(NF(p)) for NF(p) = vec/den, a vector of the tip table's layout; cached."""
+        moments, re, im = self._moments, 0, 0
+        for i, (a, b) in self.gb.tip_table._gaussian(vec).items():
+            m = moments.get(i)
             if m is None:
-                if len(key[1]) >= self.base.k:
-                    raise InternalInvariantError(
-                        f"normal form of {p} escaped the V_{self.base.k - 1} window"
-                    )
-                # The one short path outside V_{k-1}: a trivial path, in a
-                # window without them; value() raises its WindowError.
-                self.base.value(Path(self.base.double, *key))
+                m = moments[i] = self._moment(p, i)
             lr, li = m
             re, im = re + a * lr - b * li, im + a * li + b * lr
         value = self.cache[p] = linalg._scalar(re, im, den * self._den)
         return value
+
+    def _moment(self, p: Path, i: int) -> tuple[int, int]:
+        """The numerators of L at the path with table id i, a term of NF(p) in V_{k-1}."""
+        key = self.gb.tip_table._keys[i]
+        m = self._window.get(key)
+        if m is None:
+            if len(key[1]) >= self.base.k:
+                raise InternalInvariantError(f"normal form of {p} escaped the V_{self.base.k - 1} window")
+            # The one short path outside V_{k-1}: a trivial path, in a
+            # window without them; value() raises its WindowError.
+            self.base.value(Path(self.base.double, *key))
+        return m
 
     def truncated_view(self, m: int) -> TruncatedFunctional:
         """Materialize the extension as an order-m functional (m >= k).
@@ -231,7 +240,7 @@ class FlatExtension:
             raise InputError("truncated_view order must be >= the base order")
         table = self.gb.tip_table
         double, order = self.base.double, self.base.order
-        roots = {v: table.start(v) for v in order.vertex_seq}
+        roots = {v: table._start(v) for v in order.vertex_seq}
         vals = {}
         if self.base.include_trivial:
             for v, nf in roots.items():
@@ -242,7 +251,7 @@ class FlatExtension:
             layer = {}
             for w in words:
                 parent = parents[w[:-1]] if len(w) > 1 else roots[double.source[w[0]]]
-                nf = layer[w] = table.step(*parent, w[-1])
+                nf = layer[w] = table._run(*parent, w[-1:])
                 p = Path(double, None, w)
                 vals[p] = self._value(p, *nf)
             parents = layer

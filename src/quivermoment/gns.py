@@ -104,13 +104,12 @@ def build_representation(functional: TruncatedFunctional) -> Representation:
         raise InputError("build_representation requires a PSD functional")
     gb = kernel_groebner(functional)
     basis = tuple(p for p in functional.basis(functional.k - 1) if not gb.reducible(p))
-    if len(basis) != report.rank_k:
-        raise InternalInvariantError(
-            f"coset count {len(basis)} differs from moment rank {report.rank_k}"
-        )
+    # The LDL^H pivots of B_{L_k} that decided PSD index a positive definite
+    # principal submatrix of rank_k paths; on them the gram is that submatrix.
+    window = functional.basis(functional.k)
+    if basis != tuple(window[p] for p, *_ in functional._ldlh):
+        raise InternalInvariantError("coset basis differs from the pivot paths of the moment matrix")
     gram = functional.moment_block(basis, basis)
-    if not linalg.psd_check(gram):
-        raise InternalInvariantError("gram of a PSD functional failed the PSD check")
     return _quotient_representation(functional.double, gb, basis, gram, functional.include_trivial)
 
 
@@ -236,9 +235,8 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     if not functional.is_psd():
         raise InputError("compress_representation requires a PSD functional")
     double = functional.double
-    # each pivot's vector (`TruncatedFunctional._ldlh`) is ZERO before its index and ONE at it
     window = functional.basis(functional.k)
-    basis = tuple(window[vec.index(ONE)] for _, vec in functional._ldlh)
+    basis = tuple(window[p] for p, *_ in functional._ldlh)
     n = len(basis)
     gram = functional.moment_block(basis, basis)
     f = gram.transpose()

@@ -31,14 +31,20 @@ last; each tip keeps its canonically least element.  Elements, scalars and
 paths are built once, for the output.
 
 Normal forms against a finished basis take a different route, one letter at
-a time.  Every term r of NF(p) is irreducible, so the only tip that can
-left-divide r·c is r·c itself, and NF(p·c) = NF(NF(p)·c) is one lookup per
-term in a table mapping each tip to the normal form of its tail, stored
-over one denominator D shared by the table.  A letter that extends no term
-to a tip only re-keys the terms.  When some term meets a tip, the other
-terms are scaled by D, the tip's term is replaced by its tail times the
-term's numerator, the running denominator is multiplied by D, and one
-integer gcd is divided out.  Normal forms are unique (Green 1999), so the
+a time, through the basis's `TipTable`.  Every term r of NF(p) is
+irreducible, so the only tip that can left-divide r·c is r·c itself, and
+NF(p·c) = NF(NF(p)·c).  The table gives each path it meets an integer id
+and computes the move of each (id, letter) once: the id of r·c when r·c is
+no tip, else the tip's tail, held over one denominator D shared by the
+table.  A normal form is an integer vector indexed by id, with one int per
+id while every tail is real.  A letter that extends no term to a tip only
+re-keys the terms.  When some term meets a tip, the other terms are scaled
+by D, the tip's term is replaced by its tail times the term's numerator,
+and the running denominator is multiplied by D; one integer gcd is divided
+out after every few such steps and after the last, so the result is
+canonical.  Entering a tip drops the computed moves.  Ids and moves are made
+as folds meet them, so an infinite quotient folds too.  Keys and paths are
+built only for the output.  Normal forms are unique (Green 1999), so the
 result equals the `Scalar` fold exactly.
 """
 
@@ -51,7 +57,7 @@ from .algebra import Element
 from .errors import InputError, InternalInvariantError
 from .linalg import _common, _scalar
 from .moment import TruncatedFunctional
-from .quiver import DoubleQuiver, Key, Letter, Path, PathOrder, Record
+from .quiver import DoubleQuiver, Key, Path, PathOrder, Record
 
 
 def left_divides(t: Path, m: Path) -> Path | None:
@@ -145,16 +151,39 @@ def _monic(terms: Numerators, tip: Key) -> tuple[Numerators, int]:
 
 
 class TipTable:
-    """Each tip mapped to its reduced tail, on Gaussian-integer numerators.
+    """Each tip mapped to its reduced tail, compiled into per-letter moves on path ids.
 
-    A tail is stored as {key: (re, im)} over one positive denominator `den`
-    shared by the table.
+    Every key the table meets gets an integer id.  A tail is held as
+    {id: (re, im)} over one positive denominator `den` shared by the table.
+    The move of (id, letter) is computed once: the id of the extended key
+    when that key is no tip, else the tip's tail: as (id, re) pairs while
+    every tail is real, and as the tail itself once some tail is not.  A
+    normal form is a vector {id: numerator} over a denominator, in the same
+    layout: one int per id, or (re, im) pairs.
     """
+
+    _GCD_EVERY = 16  # tip hits between two gcd divisions of a running fold
 
     def __init__(self, double: DoubleQuiver):
         self.double = double
-        self.tails: dict[Key, Numerators] = {}
+        self.tails: dict[Key, dict[int, tuple[int, int]]] = {}
         self.den = 1
+        self.real = True
+        self._probe = 1  # den ** _GCD_EVERY, see `_canonical`
+        self._ids: dict[Key, int] = {}
+        self._keys: list[Key] = []
+        self._letters = double.letters()
+        self._letter = {letter: n for n, letter in enumerate(self._letters)}
+        self._moves: list[list] = [[] for _ in self._letters]  # per letter, per id
+
+    def _id(self, key: Key) -> int:
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self._keys)
+            self._keys.append(key)
+            for row in self._moves:
+                row.append(None)
+        return i
 
     def add(self, tip: Key, terms: Numerators, den: int) -> None:
         """Enter tip -> terms/den, bringing the table to the lcm of the denominators."""
@@ -163,50 +192,143 @@ class TipTable:
             m = common // self.den
             self.tails = {t: _times(tail, m) for t, tail in self.tails.items()}
             self.den = common
-        self.tails[tip] = _times(terms, common // den)
+        self._probe = common**self._GCD_EVERY
+        self.tails[tip] = _times({self._id(k): c for k, c in terms.items()}, common // den)
+        self.real = self.real and not any(im for _, im in terms.values())
+        # a cached re-key may now meet this tip, and a cached tail may be over the old den
+        self._moves = [[None] * len(self._keys) for _ in self._letters]
 
-    def start(self, vertex: int) -> tuple[Numerators, int]:
-        """NF of the trivial path at `vertex`."""
-        tail = self.tails.get((vertex, ()))
-        return ({(vertex, ()): (1, 0)}, 1) if tail is None else (tail, self.den)
+    def _move(self, i: int, n: int):
+        """The move of id i by the letter with index n, computed and cached."""
+        key = (None, self._keys[i][1] + (self._letters[n],))
+        tail = self.tails.get(key)
+        if tail is None:
+            move = self._id(key)
+        else:
+            move = tuple((j, re) for j, (re, _) in tail.items()) if self.real else tail
+        self._moves[n][i] = move
+        return move
 
-    def step(self, terms: Numerators, den: int, letter: Letter) -> tuple[Numerators, int]:
-        """NF(f·c) for the letter c, from NF(f) = terms/den.
+    def _canonical(self, vec: dict, den: int) -> tuple[dict, int]:
+        """vec/den with zero entries dropped and no factor common to den and every entry.
 
-        All terms end where f ends, so each composes with c.  A term whose
-        extension is no tip is only re-keyed.  When some extension is a tip,
-        the other terms are scaled by the table's denominator, each tip
-        contributes its tail times the term's numerator, and one gcd is
-        divided out.
+        den divides a power of the table's denominator D, so the common
+        factor has only primes of D: it is divided out through the gcds of
+        D^_GCD_EVERY with den and the entries, each linear in their size,
+        until one is 1.  A fold's den may grow by D at every letter, and one
+        gcd of two such numbers would cost the square of their size.
         """
-        tails = self.tails
-        out: Numerators = {}
-        hits = []
-        for (_, w), c in terms.items():
-            key = (None, w + (letter,))
-            tail = tails.get(key)
-            if tail is None:
-                out[key] = c
-            else:
-                hits.append((c, tail))
-        if not hits:
-            return out, den
-        out = _times(out, self.den)
-        for (cr, ci), tail in hits:
-            _add_scaled(out, cr, ci, tail)
-        return _reduced(out, den * self.den)
+        real = self.real
+        vec = {j: c for j, c in vec.items() if c} if real else {j: c for j, c in vec.items() if c[0] or c[1]}
+        while True:
+            g = gcd(self._probe, den, *(vec.values() if real else (x for c in vec.values() for x in c)))
+            if g == 1:
+                return vec, den
+            den //= g
+            vec = {j: c // g for j, c in vec.items()} if real else {j: (a // g, b // g) for j, (a, b) in vec.items()}
+
+    def _start(self, vertex: int) -> tuple[dict, int]:
+        """NF of the trivial path at `vertex`, in the table's layout."""
+        tail = self.tails.get((vertex, ()))
+        if tail is None:
+            return {self._id((vertex, ())): 1 if self.real else (1, 0)}, 1
+        return self._canonical({j: re for j, (re, _) in tail.items()} if self.real else tail, self.den)
+
+    def _run(self, vec: dict, den: int, letters) -> tuple[dict, int]:
+        """NF(f·w) for the letters of w, from NF(f) = vec/den in the table's layout.
+
+        All terms end where f ends, so each composes with the next letter.
+        A term whose extension is no tip is only re-keyed.  When some
+        extension is a tip, the other terms are scaled by the table's
+        denominator and each tip contributes its tail times the term's
+        numerator.  Zeros and the gcd are divided out after every few such
+        steps and after the last, so a canonical input gives a canonical
+        output.
+        """
+        moves, index, tden, real = self._moves, self._letter, self.den, self.real
+        hits_since = 0
+        for letter in letters:
+            n = index[letter]
+            row = moves[n]
+            out, hits = {}, []
+            for i, c in vec.items():
+                m = row[i]
+                if m is None:
+                    m = self._move(i, n)
+                if m.__class__ is int:
+                    out[m] = c
+                else:
+                    hits.append((c, m))
+            if hits:
+                if tden != 1:
+                    den *= tden
+                    out = {j: c * tden for j, c in out.items()} if real else _times(out, tden)
+                if real:
+                    for c, tail in hits:
+                        for j, a in tail:
+                            out[j] = out[j] + c * a if j in out else c * a
+                else:
+                    for (cr, ci), tail in hits:
+                        _add_scaled(out, cr, ci, tail)
+                hits_since += 1
+                if hits_since == self._GCD_EVERY:
+                    out, den = self._canonical(out, den)
+                    hits_since = 0
+            vec = out
+        return self._canonical(vec, den) if hits_since else (vec, den)
+
+    def _fold(self, key: Key) -> tuple[dict, int]:
+        """NF of the path with this key, in the table's layout."""
+        vertex, letters = key
+        return self._run(*self._start(self.double.source[letters[0]] if letters else vertex), letters)
+
+    def _gaussian(self, vec: dict) -> dict[int, tuple[int, int]]:
+        """A vector of the table's layout as {id: (re, im)}."""
+        return {j: (c, 0) for j, c in vec.items()} if self.real else vec
+
+    def _nf(self, terms: Numerators, den: int, folds: dict) -> tuple[dict[int, tuple[int, int]], int]:
+        """NF(terms/den) as {id: (re, im)}: the sum of c·NF(p) over its terms.
+
+        Each path is folded once per `folds`, which maps a key to its fold.
+        """
+        parts = []
+        for key, (cr, ci) in terms.items():
+            nf = folds.get(key)
+            if nf is None:
+                vec, d = self._fold(key)
+                nf = folds[key] = self._gaussian(vec), d
+            parts.append((cr, ci, *nf))
+        return _combine(parts, den)
+
+    def _keyed(self, vec: dict[int, tuple[int, int]], den: int) -> tuple[Numerators, int]:
+        keys = self._keys
+        return {keys[j]: c for j, c in vec.items()}, den
 
     def fold(self, key: Key) -> tuple[Numerators, int]:
-        """NF of the path with this key, letter by letter."""
-        vertex, letters = key
-        terms, den = self.start(self.double.source[letters[0]] if letters else vertex)
-        for letter in letters:
-            terms, den = self.step(terms, den, letter)
-        return terms, den
+        """NF of the path with this key, letter by letter, over a coprime denominator."""
+        vec, den = self._fold(key)
+        return self._keyed(self._gaussian(vec), den)
 
     def normal_form(self, terms: Numerators, den: int) -> tuple[Numerators, int]:
         """NF(terms/den): the sum of c·NF(p) over its terms."""
-        return _combine(((cr, ci, *self.fold(k)) for k, (cr, ci) in terms.items()), den)
+        return self._keyed(*self._nf(terms, den, {}))
+
+    def reducible(self, key: Key) -> bool:
+        """True iff some tip is a prefix of the path with this key, the path itself included."""
+        vertex, letters = key
+        i = (self.double.source[letters[0]] if letters else vertex, ())
+        if i in self.tails:
+            return True
+        i = self._id(i)
+        for letter in letters:
+            n = self._letter[letter]
+            m = self._moves[n][i]
+            if m is None:
+                m = self._move(i, n)
+            if m.__class__ is not int:
+                return True
+            i = m
+        return False
 
 
 class RightGroebnerBasis(Record):
@@ -224,7 +346,7 @@ class RightGroebnerBasis(Record):
         of a tail is below its tip, so only the rules already in the table can
         divide the paths its fold meets.
         """
-        return _tip_table(self.order, [terms for terms, _ in map(_ints, self.elements)])
+        return _tip_table(self.order, [terms for terms, _ in map(_ints, self.elements)], {})
 
     def nf(self, p: Path) -> Element:
         """Normal form of a single path."""
@@ -232,19 +354,24 @@ class RightGroebnerBasis(Record):
 
     def reducible(self, p: Path) -> bool:
         """True iff some tip left-divides p, i.e. some prefix of p is a tip."""
-        key = (p.vertex, p.letters)
-        return any(k in self.tip_table.tails for k in [key, *_proper_prefixes(key, p.double)])
+        return self.tip_table.reducible((p.vertex, p.letters))
 
 
-def _tip_table(order: PathOrder, ints: list[Numerators]) -> TipTable:
-    """The `RightGroebnerBasis.tip_table` of the elements with these numerators."""
+def _tip_table(order: PathOrder, ints: list[Numerators], folds: dict) -> TipTable:
+    """The `RightGroebnerBasis.tip_table` of the elements with these numerators.
+
+    Every path a tail folds is below its tip, and the fold meets only paths
+    below it, since the order is admissible; so the tips entered later
+    leave its normal form as it is, and each path is folded once, into
+    `folds` (see `TipTable._nf`).
+    """
     double, okey = order.double, order.key_of
     table = TipTable(double)
     for tip, terms in sorted(((max(t, key=okey), t) for t in ints), key=lambda e: okey(e[0])):
         terms, den = _monic(terms, tip)
         end = _end(tip, double)
-        tail = ((-re, -im, *table.fold(q)) for q, (re, im) in terms.items() if q != tip and _end(q, double) == end)
-        table.add(tip, *_combine(tail, den))
+        tail = {q: (-re, -im) for q, (re, im) in terms.items() if q != tip and _end(q, double) == end}
+        table.add(tip, *table._keyed(*table._nf(tail, den, folds)))
     return table
 
 
@@ -383,7 +510,8 @@ def kernel_groebner(functional: TruncatedFunctional, trace: bool = False) -> Rig
     elements through `_reduce`, in kernel order, and the reductions are the
     basis's trace: the one round the completion of the kernel basis runs,
     without the completion.  Otherwise their normal forms are folded
-    through the kept elements' tip table, which the basis keeps.
+    through the kept elements' tip table, which the basis keeps, each
+    distinct support path once.
     """
     report = functional.is_flat()
     if not report.flat:
@@ -400,8 +528,9 @@ def kernel_groebner(functional: TruncatedFunctional, trace: bool = False) -> Rig
         table = None
         reduced = (_reduce(terms, den, monic, order, events)[0] for _, terms, den in rest)
     else:
-        table = _tip_table(order, [terms for _, terms, _ in kept])
-        reduced = (table.normal_form(terms, den)[0] for _, terms, den in rest)
+        folds: dict = {}  # each support path is folded once, for the table and the check
+        table = _tip_table(order, [terms for _, terms, _ in kept], folds)
+        reduced = (table._nf(terms, den, folds)[0] for _, terms, den in rest)
     for (_, terms, den), r in zip(rest, reduced):
         if r:
             raise InternalInvariantError(

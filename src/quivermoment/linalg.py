@@ -536,7 +536,20 @@ def ldlh_psd(m: Matrix) -> list[tuple[Scalar, tuple[Scalar, ...]]] | None:
     Returns pairs (d, v) with d a positive rational pivot and v a vector such
     that m = sum d * v v^H.  Returns None when m is not PSD.
     """
-    return _psd_pivots(m, "ldlh_psd")
+    pivots = _psd_pivots(m, "ldlh_psd")
+    return None if pivots is None else _ldlh(pivots, m.rows)
+
+
+def _ldlh(pivots, n: int) -> list[tuple[Scalar, tuple[Scalar, ...]]]:
+    """The (d, v) pairs of `ldlh_psd` from the integer pivot data of `_image_psd`, for size n."""
+    out = []
+    for p, weight, d, active, cr, ci in pivots:
+        vec = [ZERO] * n
+        vec[p] = ONE
+        for i in active:
+            vec[i] = _scalar(cr[i], ci[i], d)
+        out.append((Scalar._make(weight, _F0), tuple(vec)))
+    return out
 
 
 def _psd_pivots(m: Matrix, caller: str):
@@ -546,8 +559,12 @@ def _psd_pivots(m: Matrix, caller: str):
 
 
 def _image_psd(rows: list[list[int]], den: int, caller: str):
-    """LDL^H pivots of the matrix rows / den, from its integer image (see `_image`).
+    """LDL^H pivots of the matrix rows / den, from its integer image (see `_image`), or None.
 
+    Each pivot is given as integers: (p, w, d, active, cr, ci), with index
+    p, weight w = d / scale (a `Fraction`), and the vector that is 1 at p
+    and (cr[i] + i ci[i]) / d at each index i of `active` (the indices
+    still to be pivoted), zero elsewhere; `_ldlh` builds the `Scalar`s.
     The image is checked to be hermitian first, on its integers, and is not
     changed.  The hermitian matrix still to be pivoted is (re + i im) /
     scale on the active indices.  Pivoting out p with d = re[p][p] > 0
@@ -563,7 +580,7 @@ def _image_psd(rows: list[list[int]], den: int, caller: str):
     mats = [re] if real else [re, im]
     scale = Fraction(den)
     active = list(range(n))
-    out: list[tuple[Scalar, tuple[Scalar, ...]]] = []
+    out = []
     while active:
         if any(re[i][i] < 0 for i in active):
             return None
@@ -577,11 +594,7 @@ def _image_psd(rows: list[list[int]], den: int, caller: str):
         p = active.pop(0)  # lowest-index positive diagonal
         d = re[p][p]
         cr, ci = [row[p] for row in re], [row[p] for row in im]
-        vec = [ZERO] * n
-        vec[p] = ONE
-        for i in active:
-            vec[i] = _scalar(cr[i], ci[i], d)
-        out.append((Scalar._make(d / scale, _F0), tuple(vec)))
+        out.append((p, d / scale, d, tuple(active), cr, ci))
         for i in active:
             row = re[i]
             for j in active:

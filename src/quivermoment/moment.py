@@ -416,8 +416,8 @@ class TruncatedFunctional:
         return self._ldlh is not None
 
     @cached_property
-    def _ldlh(self) -> list[tuple[Scalar, tuple[Scalar, ...]]] | None:
-        """`linalg.ldlh_psd` of B_{L_k}, or None.
+    def _ldlh(self) -> list[tuple] | None:
+        """The integer LDL^H pivot data of B_{L_k} (`linalg._image_psd`), or None.
 
         On PSD data an index is dropped with a zero diagonal iff its column lies
         in the span of the columns pivoted before it: the pivots are the pivot

@@ -71,7 +71,7 @@ def gram_pivots(target: Element, basis: list[Path], gram: Matrix, d: int | None 
     bound is checked in between.
     """
     try:
-        pivots = linalg.ldlh_psd(gram)
+        pivots = linalg._psd_pivots(gram, "ldlh_psd")
     except ValueError:
         raise InputError("certificate gram must be hermitian") from None
     if d is not None:
@@ -88,10 +88,10 @@ def gram_to_squares(basis: list[Path], gram: Matrix, pivots=None) -> list[tuple[
 
     Each pivot d with vector v contributes the pair (d, sum v_i p_i); the
     weights stay explicit because their square roots may be irrational.
-    `pivots`, when given, are the gram's (from `gram_pivots`).
+    `pivots`, when given, are the gram's integer pivot data (from `gram_pivots`).
     """
     if pivots is None:
-        pivots = linalg.ldlh_psd(gram)
+        pivots = linalg._psd_pivots(gram, "ldlh_psd")
     if pivots is None:
         raise InputError("gram witness is not PSD")
-    return [(d, Element.from_terms(basis[0].double, zip(basis, vec))) for d, vec in pivots]
+    return [(d, Element.from_terms(basis[0].double, zip(basis, vec))) for d, vec in linalg._ldlh(pivots, gram.rows)]

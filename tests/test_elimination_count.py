@@ -151,6 +151,16 @@ def test_compress_eliminates_once_per_matrix(pd_two_loops, eliminations, psd_piv
     assert psd_pivotings == [21]
 
 
+def test_build_pivots_once(eliminations, psd_pivotings):
+    # A rank-3 state on two loops, k = 3 (85-path window): the echelon form
+    # decides flatness, the LDL^H pivoting PSD; the gram is the pivoted
+    # submatrix, which is pivoted no second time.
+    rep = build_representation(state_functional(TWO_LOOPS, 3, True, [3], random.Random(11)))
+    assert rep.dim == 3
+    assert len(eliminations) == 1
+    assert psd_pivotings == [85]
+
+
 def test_compress_of_a_singular_state_eliminates_no_kernel(eliminations, psd_pivotings):
     # A rank-5 state: its kernel tips are the indices the PSD pivoting drops.
     rep = compress_representation(state_functional(TWO_LOOPS, 2, True, [5], random.Random(2)))

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from quivermoment import (
+    Element,
     ExtensionObstructed,
     FlatExtension,
     FlatReport,
@@ -21,7 +22,7 @@ from quivermoment import (
     right_groebner,
     schur_complete,
 )
-from quivermoment import linalg
+from quivermoment import groebner, linalg
 from quivermoment.scalar import ONE
 
 import linalg_oracle
@@ -32,6 +33,8 @@ from oracles import (
     restrict,
     riesz_eval,
     scalar_flat_extend_tip_maximal,
+    scalar_fold,
+    scalar_tip_table,
 )
 
 
@@ -402,6 +405,60 @@ def test_truncated_view_matches_per_path_evaluate(shape, complex_, fix_loop, fix
         assert len(tv.values) == len(window)
         assert all(tv.values[p] == single.evaluate(p) for p in window)
     assert single.cache == view.cache
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_truncated_view_matches_per_path_evaluate_on_flat_states(data, fix_loop, fix_two_loops, fix_xyz):
+    # Flat states of low rank, real or Gaussian, with or without trivial
+    # paths: the view steps each word from its parent's normal form, and
+    # `evaluate` folds it from its first letter through the same table.
+    gaussian = data.draw(st.booleans(), label="gaussian")
+    include_trivial = data.draw(st.booleans(), label="trivial paths")
+    double, dims, m = data.draw(
+        st.sampled_from([(fix_loop, [2], 3), (fix_two_loops, [2], 2), (fix_xyz, [2, 1], 3)]), label="state"
+    )
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    flat = state_functional(double, 2, include_trivial, dims, rng, complex_=gaussian)
+    assume(flat.is_flat().flat)
+    view, single = FlatExtension(flat), FlatExtension(flat)
+    tv = view.truncated_view(m)
+    window = enumerate_basis(double, flat.order, 2 * m, include_trivial)
+    assert list(tv.values) == list(window)
+    assert all(tv.values[p] == single.evaluate(p) for p in window)
+
+
+def random_word(double, rng, length):
+    letters = [rng.choice(double.letters())]
+    while len(letters) < length:
+        end = double.target[letters[-1]]
+        letters.append(rng.choice([l for l in double.letters() if double.source[l] == end]))
+    return double.path(letters)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_long_evaluate_computes_each_move_once(complex_, fix_loop, monkeypatch):
+    # A 1200-letter word meets the few non-tips of a flat rank-6 state on
+    # one loop (k = 3, as in the extend_eval benchmark) over and over; each
+    # (id, letter) move is computed once.
+    rng = random.Random(63)
+    flat = state_functional(fix_loop, 3, False, [6], rng, complex_)
+    assert flat.is_flat().flat
+    ext = FlatExtension(flat)
+    table = ext.gb.tip_table
+    assert table.real != complex_
+    computed = []
+    move = groebner.TipTable._move
+
+    def counted(self, i, n):
+        computed.append((i, n))
+        return move(self, i, n)
+
+    monkeypatch.setattr(groebner.TipTable, "_move", counted)
+    p = random_word(fix_loop, rng, 1200)
+    value = ext.evaluate(p)
+    assert len(computed) == len(set(computed)) <= len(table._keys) * len(fix_loop.letters())
+    assert value == riesz_eval(flat, Element(fix_loop, scalar_fold(p, scalar_tip_table(ext.gb))))
 
 
 def test_truncated_view_requires_larger_order(fix_l2_ext):

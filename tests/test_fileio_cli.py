@@ -713,6 +713,25 @@ def test_gaussian_extended_state_reproduces_the_committed_stdout(capsys):
     assert "".join(stdout) == (fixtures / "gauss_extended_stdout.txt").read_text(encoding="utf-8")
 
 
+def test_long_evaluate_reproduces_the_committed_stdout(capsys):
+    # CI runs these calls without site-packages: seeded words of 600 and
+    # 1500 letters (`long_words.py`) on a real extension (A2) and a Gaussian
+    # one (one loop).  The expected file was written when every fold step
+    # re-keyed nested tuples and divided out one gcd.
+    from long_words import long_word
+
+    fixtures = FsPath(__file__).parent / "fixtures"
+    stdout = []
+    for name in ("fix_l2_ext_extended", "fix_gauss_pd_loop_extended"):
+        fpath = fixtures / f"{name}.json"
+        quiver = json.loads(fpath.read_text(encoding="utf-8"))["quiver"]
+        for length, seed in ((600, 1), (1500, 2)):
+            word = long_word(quiver, length, seed)
+            assert main(["evaluate", "--functional", str(fpath), "--path", word]) == 0
+            stdout.append(capsys.readouterr().out)
+    assert "".join(stdout) == (fixtures / "long_evaluate_stdout.txt").read_text(encoding="utf-8")
+
+
 def test_kernel_routes_reproduce_the_committed_stdout(capsys):
     # CI runs these calls without site-packages.  The kernel, tip-maximality,
     # rank and Gröbner reductions read one echelon form of B_{L_k}; the

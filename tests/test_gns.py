@@ -10,6 +10,7 @@ import oracles
 from quivermoment import (
     Element,
     InputError,
+    InternalInvariantError,
     Matrix,
     Quiver,
     Representation,
@@ -84,6 +85,16 @@ def test_build_representation_requires_flat_psd(fix_l2, fix_a2):
     if neg.is_flat().flat:
         with pytest.raises(InputError):
             build_representation(neg)
+
+
+def test_build_representation_refuses_a_coset_basis_off_the_pivots(fix_l2_ext, monkeypatch):
+    # The coset basis is the window paths at the LDL^H pivots of B_{L_k};
+    # a pivoting that dropped one of them is an internal fault.
+    f = fix_l2_ext
+    assert f.is_psd()
+    monkeypatch.setattr(f, "_ldlh", f._ldlh[:-1])
+    with pytest.raises(InternalInvariantError, match="^coset basis differs from the pivot paths of the moment matrix$"):
+        build_representation(f)
 
 
 def test_build_representation_zero_functional(fix_a2):

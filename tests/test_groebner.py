@@ -472,6 +472,91 @@ def test_integer_fold_on_long_paths_of_tip_maximal_extensions(shape, example2_l4
     assert gb.nf(p) == total_reduce(Element.from_path(p), list(gb.elements), gb.order)
 
 
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(data=st.data())
+def test_compiled_moves_match_the_oracles(data, fix_loop, fix_two_loops, fix_xyz, fix_a2, fix_chain):
+    # The per-letter moves on path ids against the `Scalar` fold, the
+    # `Scalar` normal form and the reducer, on real and Gaussian data: the
+    # kernel bases of flat states on one loop, two loops and two vertices
+    # (finite quotients, words of up to 1500 letters), and completed
+    # generator bases (quotients that may be infinite, shorter words).
+    gaussian = data.draw(st.booleans(), label="gaussian")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    if data.draw(st.booleans(), label="flat kernel"):
+        shapes = [(fix_loop, [2]), (fix_loop, [3]), (fix_two_loops, [2]), (fix_xyz, [2, 1]), (fix_xyz, [1, 2])]
+        double, dims = data.draw(st.sampled_from(shapes), label="state")
+        f = state_functional(double, 2, True, dims, rng, gaussian)
+        assume(f.is_flat().flat)
+        gb = kernel_groebner(f)
+        lengths = [1, 2, 7, 60, 600, 1500]
+    else:
+        double = data.draw(st.sampled_from([fix_loop, fix_a2, fix_chain, fix_two_loops]), label="quiver")
+        gens = data.draw(st.lists(elements(double, 3, 4, gaussian), min_size=1, max_size=3), label="generators")
+        gb = right_groebner(gens, double.default_order())
+        lengths = [1, 2, 7, 20]
+    table = scalar_tip_table(gb)
+    words = [rng.choice(double.trivial_paths())] + [random_word(double, rng, n) for n in lengths]
+    for p in words:
+        assert gb.nf(p) == Element(double, scalar_fold(p, table))
+        assert_reduced_fold(gb, p)
+        if p.length() <= 60:
+            assert gb.nf(p) == total_reduce(Element.from_path(p), list(gb.elements), gb.order)
+            tips = [g.tip(gb.order)[0] for g in gb.elements]
+            assert gb.reducible(p) == any(left_divides(t, p) is not None for t in tips)
+    f = data.draw(elements(double, 6, 5, gaussian), label="element")
+    assert normal_form(f, gb) == scalar_normal_form(f, table) == total_reduce(f, list(gb.elements), gb.order)
+
+
+def test_entering_a_tip_drops_the_computed_moves(fix_loop):
+    # A fold computes the move of (x, x*) as a re-key to x x*; entering the
+    # tip x x* (and a new denominator) must not leave that move behind.
+    d = fix_loop
+    x, xs = d.letter_of["x"], d.letter_of["x*"]
+    table, tails = groebner.TipTable(d), {}
+
+    def key(text):
+        p = path(d, text)
+        return p.vertex, p.letters
+
+    def add(tip, den, *terms):
+        table.add(key(tip), {key(t): c for t, c in terms}, den)
+        tails[path(d, tip)] = {path(d, t): Scalar(Fraction(re, den), Fraction(im, den)) for t, (re, im) in terms}
+
+    def agree(text):
+        got = groebner._element(d, *table.fold(key(text)))
+        assert got == Element(d, scalar_fold(path(d, text), tails))
+
+    add("x x", 2, ("x*", (1, 0)))
+    agree("x x* x x x*")
+    assert table._moves[table._letter[xs]][table._ids[(None, (x,))]] == table._ids[(None, (x, xs))]
+    add("x x*", 5, ("x* x", (3, 1)), ("e:e", (1, 0)))
+    assert table.den == 10 and not table.real
+    agree("x x* x x x*")
+    agree("x* x x* x x x x* x*")
+
+
+def test_kernel_groebner_folds_each_support_path_once(fix_two_loops, monkeypatch):
+    # The tails of the table and the zero check of the other kernel elements
+    # share their support paths: each one is folded once per call.
+    f = state_functional(fix_two_loops, 3, True, [3], random.Random(11))
+    folded = []
+    fold = groebner.TipTable._fold
+
+    def counted(self, key):
+        folded.append(key)
+        return fold(self, key)
+
+    monkeypatch.setattr(groebner.TipTable, "_fold", counted)
+    gb = kernel_groebner(f)
+    assert len(folded) == len(set(folded)) > 0
+    assert gb.elements == kernel_groebner(f, trace=True).elements
+
+
 def test_trivial_tip_kills_its_vertex(fix_a2):
     # g = e1 + 2·e2 has tip e2; g·e2 = 2·e2 puts every path from e2 in the ideal.
     g = elem(fix_a2, ("e:e1", 1), ("e:e2", 2))
