@@ -2,14 +2,14 @@
 
 `Matrix` is the I/O type: the matrices that files and the public API hand
 in and out, with readers and constructors but no arithmetic.  Each kernel
-scales its input to integers at the boundary: every row (for PSD pivoting,
-or for a matrix held as an integer image, the whole matrix) is brought to a
-common denominator.  The loops then see plain ``int`` entries, or real parts
-followed by imaginary parts when some entry is non-real, and results go
-back to `Scalar` once, with one division per output entry.  A product is
-the integer product of two images over the product of their denominators,
-and two images are equal iff their numerators agree after each is
-multiplied by the other's denominator.  Nothing is floating point.
+scales its input to integers at the boundary: every row (for elimination)
+or the whole matrix (for an integer image, which the PSD pivoting reads) is
+brought to a common denominator.  The loops then see plain ``int`` entries,
+or real parts followed by imaginary parts when some entry is non-real, and
+results go back to `Scalar` once, with one division per output entry.  A
+product is the integer product of two images over the product of their
+denominators, and two images are equal iff their numerators agree after
+each is multiplied by the other's denominator.  Nothing is floating point.
 
 A single fraction-free Gauss-Jordan engine backs rank, nullspace and the
 solvers.  On real data a row with a nonzero entry in the pivot column is
@@ -18,11 +18,16 @@ the gcd of its entries; rows the pivot does not touch are left alone.  A
 combined row is thus the primitive integer multiple of its rational row.
 On non-real data every row is updated and divided exactly by the previous
 pivot in Z[i], as in Bareiss elimination (Bareiss 1968).  Either way every entry divides a minor
-of the scaled input.  Positive semidefiniteness is decided by diagonal
-pivoting with integer Schur complements, scaled the same way.  Pivot
-selection is always the first nonzero entry in a column scanning rows
-top-down, so identical inputs yield identical outputs bit for bit, equal to
-those of elimination over `Scalar`.
+of the scaled input.  Pivot selection is always the first nonzero entry in
+a column scanning rows top-down, so identical inputs yield identical
+outputs bit for bit, equal to those of elimination over `Scalar`.
+
+Positive semidefiniteness is decided by LDL^H diagonal pivoting in index
+order on an integer image (`_image_psd`), which holds only the upper
+triangle of the rows still active; each later row of a Schur complement is
+one list comprehension, divided exactly by the previous pivot as in
+Bareiss elimination.  A pivot is handed out as its index, its weight, its
+diagonal and its column at the indices still active.
 
 One elimination of [a | c] gives rank(a) and the RREF solution of a*X = c,
 or shows that c leaves Ran(a) (`solve_particular`).
@@ -546,8 +551,8 @@ def _ldlh(pivots, n: int) -> list[tuple[Scalar, tuple[Scalar, ...]]]:
     for p, weight, d, active, cr, ci in pivots:
         vec = [ZERO] * n
         vec[p] = ONE
-        for i in active:
-            vec[i] = _scalar(cr[i], ci[i], d)
+        for i, x, y in zip(active, cr, ci):
+            vec[i] = _scalar(x, y, d)
         out.append((Scalar._make(weight, _F0), tuple(vec)))
     return out
 
@@ -561,54 +566,59 @@ def _psd_pivots(m: Matrix, caller: str):
 def _image_psd(rows: list[list[int]], den: int, caller: str):
     """LDL^H pivots of the matrix rows / den, from its integer image (see `_image`), or None.
 
-    Each pivot is given as integers: (p, w, d, active, cr, ci), with index
-    p, weight w = d / scale (a `Fraction`), and the vector that is 1 at p
-    and (cr[i] + i ci[i]) / d at each index i of `active` (the indices
-    still to be pivoted), zero elsewhere; `_ldlh` builds the `Scalar`s.
-    The image is checked to be hermitian first, on its integers, and is not
-    changed.  The hermitian matrix still to be pivoted is (re + i im) /
-    scale on the active indices.  Pivoting out p with d = re[p][p] > 0
-    leaves the Schur complement (d*S[i][j] - S[i][p]*conj(S[j][p])) /
-    (scale*d), whose integer part is then divided by the gcd of its entries.
+    The image is checked to be hermitian on its integers and is not changed.
+    The matrix S still to be pivoted, (re + i im) / scale on the active
+    indices, is held compacted as an upper triangle: each active row from
+    its diagonal rightwards.  A negative diagonal refutes; a zero one
+    refutes if its row or its column in the rows above is nonzero and is
+    dropped otherwise, and once every diagonal is zero what is left decides.
+    The first active row p, with diagonal d, is pivoted out: each later row
+    i becomes d*S[i][j] - conj(S[p][i])*S[p][j], one list comprehension per
+    row and part, divided exactly by the previous d (Bareiss 1968: every
+    entry is a minor of the image), and scale becomes scale * d / previous d.
+
+    Each pivot is (p, w, d, active, cr, ci): weight w = d / scale (a
+    `Fraction`), `active` the indices still to be pivoted, and column p at
+    them, cr[t] + i ci[t] at active[t].  The LDL^H vector is 1 at p, that
+    column over d at `active` and zero elsewhere; `_ldlh` builds the `Scalar`s.
     """
     n = len(rows)
     real = not rows or len(rows[0]) == n
     re = [row[:n] for row in rows]
-    im = [[0] * n for _ in range(n)] if real else [row[n:] for row in rows]
-    if re != [list(col) for col in zip(*re)] or (not real and im != [[-x for x in col] for col in zip(*im)]):
+    im = [] if real else [row[n:] for row in rows]
+    if re != [list(col) for col in zip(*re)] or im != [[-x for x in col] for col in zip(*im)]:
         raise ValueError(f"{caller} requires a hermitian matrix")
-    mats = [re] if real else [re, im]
-    scale = Fraction(den)
+    tri = [[row[i:] for i, row in enumerate(mat)] for mat in ([re] if real else [re, im])]
+    scale, prev = Fraction(den), 1
     active = list(range(n))
     out = []
     while active:
-        if any(re[i][i] < 0 for i in active):
+        diag = [row[0] for row in tri[0]]
+        if min(diag) < 0:
             return None
-        zero_rows = {i for i in active if not re[i][i]}
-        if zero_rows:
-            for i in zero_rows:
-                if any(mat[i][j] for mat in mats for j in active if j != i):
+        if not all(diag):
+            if not any(diag):
+                return None if any(any(row) for mat in tri for row in mat) else out
+            for a, x in enumerate(diag):
+                if not x and any(any(mat[a]) or any(mat[b][a - b] for b in range(a)) for mat in tri):
                     return None
-            active = [i for i in active if i not in zero_rows]
-            continue
-        p = active.pop(0)  # lowest-index positive diagonal
-        d = re[p][p]
-        cr, ci = [row[p] for row in re], [row[p] for row in im]
-        out.append((p, d / scale, d, tuple(active), cr, ci))
-        for i in active:
-            row = re[i]
-            for j in active:
-                row[j] = d * row[j] - cr[i] * cr[j] - ci[i] * ci[j]
-            if not real:
-                row = im[i]
-                for j in active:
-                    row[j] = d * row[j] - ci[i] * cr[j] + cr[i] * ci[j]
-        g = gcd(*(mat[i][j] for mat in mats for i in active for j in active))
-        if g > 1:
-            for mat in mats:
-                for i in active:
-                    row = mat[i]
-                    for j in active:
-                        row[j] //= g
-        scale = scale * d / (g or 1)
+            keep = [a for a, x in enumerate(diag) if x]
+            tri = [[[mat[b][c - b] for c in keep if c >= b] for b in keep] for mat in tri]
+            active = [active[a] for a in keep]
+        p = active.pop(0)
+        d, tr = tri[0][0][0], tri[0][0][1:]  # row p right of its diagonal: S[p][j] for j in active
+        if real:
+            out.append((p, d / scale, d, tuple(active), tr, [0] * len(tr)))
+            later = enumerate(zip(tri[0][1:], tr))
+            tri = [[[(d * x - a * y) // prev for x, y in zip(row, tr[b:])] for b, (row, a) in later]]
+        else:
+            ti = tri[1][0][1:]
+            out.append((p, d / scale, d, tuple(active), tr, [-y for y in ti]))
+            new_re, new_im = [], []
+            for b, (xr, xi, ar, ai) in enumerate(zip(tri[0][1:], tri[1][1:], tr, ti)):
+                yr, yi = tr[b:], ti[b:]
+                new_re.append([(d * x - ar * u - ai * v) // prev for x, u, v in zip(xr, yr, yi)])
+                new_im.append([(d * x - ar * v + ai * u) // prev for x, u, v in zip(xi, yr, yi)])
+            tri = [new_re, new_im]
+        scale, prev = scale * d / prev, d
     return out

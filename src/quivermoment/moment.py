@@ -336,6 +336,11 @@ class TruncatedFunctional:
         """
         rows, _ = self._image
         n = len(rows)
+        if rows and len(rows[0]) == n and not any(ci for _, ci in terms.values()):  # one product per entry
+            acc = [0] * n
+            for key, (cr, _) in terms.items():
+                acc = [s + cr * x for s, x in zip(acc, rows[self._index(key)])]
+            return next((j for j, s in enumerate(acc) if s), None)
         re, im = [0] * n, [0] * n
         for key, (cr, ci) in terms.items():
             row = rows[self._index(key)]

@@ -161,6 +161,17 @@ def test_build_pivots_once(eliminations, psd_pivotings):
     assert psd_pivotings == [85]
 
 
+def test_low_rank_image_pivots_once_per_rank(psd_pivotings):
+    # A rank-3 state on two loops, k = 3 (85-path window): three pivot
+    # tuples, at the pivot columns of the echelon form; every other index is
+    # dropped with a zero diagonal, and those are the kernel tips.
+    f = state_functional(TWO_LOOPS, 3, True, [3], random.Random(11))
+    pivots = f._ldlh
+    assert psd_pivotings == [85]
+    assert [p for p, *_ in pivots] == f._echelon[0] == [0, 1, 2]
+    assert {f._index(next(reversed(terms))) for terms, _ in f._null} == set(range(3, 85))
+
+
 def test_compress_of_a_singular_state_eliminates_no_kernel(eliminations, psd_pivotings):
     # A rank-5 state: its kernel tips are the indices the PSD pivoting drops.
     rep = compress_representation(state_functional(TWO_LOOPS, 2, True, [5], random.Random(2)))

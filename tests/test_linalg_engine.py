@@ -165,6 +165,113 @@ def test_psd_matches_oracle(m):
     assert linalg.ldlh_psd(m) == oracle.ldlh_psd(m)
 
 
+PIVOT_DIM = 12
+
+
+def _gaussian(draw, complex_: bool, lo: int = -3, hi: int = 3) -> Scalar:
+    return Scalar(draw(st.integers(lo, hi)), draw(st.integers(lo, hi)) if complex_ else 0)
+
+
+def _hermitian_from(n: int, entries: dict) -> Matrix:
+    """The n x n matrix with the given entries (i, j), i <= j, and their conjugates below."""
+    zero = Scalar(0)
+
+    def entry(i, j):
+        return entries.get((i, j), zero) if i <= j else entries.get((j, i), zero).conjugate()
+
+    return Matrix(n, n, [entry(i, j) for i in range(n) for j in range(n)])
+
+
+@st.composite
+def _pivoted_first(draw, n: int, s: int, complex_: bool, reach: int) -> Matrix:
+    """sum_t w_t u_t u_t^H over t < s: u_t is 1 at t and zero before it, w_t > 0.
+
+    Diagonal pivoting takes 0, ..., s-1 first and leaves zero on the indices
+    from s on, so what is added there is what it meets after s pivots.  The
+    first vector is 2 at `reach`, whose diagonal is thus at least 4.
+    """
+    m = Matrix.zeros(n, n)
+    for t in range(s):
+        u = [Scalar(0)] * t + [Scalar(1)] + [_gaussian(draw, complex_) for _ in range(n - t - 1)]
+        if t == 0:
+            u[reach] = Scalar(2)
+        u = oracle.column(u)
+        w = Scalar(draw(st.integers(1, 4)))
+        m = oracle.add(m, oracle.scale(oracle.matmul(u, oracle.conj_transpose(u)), w))
+    return m
+
+
+PIVOT_KINDS = ["psd", "zero_above", "zero_below", "negative", "imaginary", "tiny"]
+
+
+@st.composite
+def pivoting_cases(draw, kind: str) -> Matrix:
+    """Hermitian matrices of size <= 12 where an upper-triangle pivoting could go astray.
+
+    - PSD matrices g g^H of every rank, with zero rows and columns inserted
+      at random indices;
+    - a zero diagonal whose one nonzero partner comes before it (above the
+      diagonal, in a row above) or after it (in its own row), met at the
+      start or after pivots;
+    - a diagonal that is positive at the start and turns negative after one
+      or more pivots;
+    - purely imaginary off-diagonal entries;
+    - 0 x 0 and 1 x 1 matrices.
+    """
+    complex_ = draw(st.booleans(), label="complex")
+    if kind == "tiny":
+        n = draw(st.integers(0, 1))
+        return Matrix(n, n, [Scalar(draw(st.integers(-2, 2)))] * n)
+    if kind == "psd":
+        r = draw(st.integers(0, PIVOT_DIM))
+        size = draw(st.integers(r, PIVOT_DIM))
+        g = Matrix(size, r, [_gaussian(draw, complex_) for _ in range(size * r)])
+        core = oracle.matmul(g, oracle.conj_transpose(g))
+        n = draw(st.integers(size, PIVOT_DIM))
+        at = dict(zip(sorted(draw(st.permutations(range(n)))[:size]), range(size)))  # the rest are zero lines
+        zero = Scalar(0)
+        return Matrix(n, n, [core.entry(at[i], at[j]) if i in at and j in at else zero for i in range(n) for j in range(n)])
+    if kind == "imaginary":
+        n = draw(st.integers(1, PIVOT_DIM))
+        entries = {(i, i): Scalar(draw(st.integers(1, 9))) for i in range(n)}
+        for i, j in combinations(range(n), 2):
+            entries[i, j] = Scalar(0, draw(st.integers(-1, 1)))
+        return _hermitian_from(n, entries)
+    # s indices pivoted first, then the case at i, with its partner j
+    first = 1 if kind == "negative" else 0
+    n = draw(st.integers(first + 2, PIVOT_DIM))
+    s = draw(st.integers(first, n - 2))
+    i, j = draw(st.permutations(range(s, n)))[:2]
+    if kind == "zero_above":
+        i, j = max(i, j), min(i, j)
+    elif kind == "zero_below":
+        i, j = min(i, j), max(i, j)
+    head = draw(_pivoted_first(n, s, complex_, i))
+    entries = {(t, t): Scalar(draw(st.integers(0, 3))) for t in range(s, n)}  # zero lines are dropped
+    entries[j, j] = Scalar(draw(st.integers(1, 3)))
+    if kind == "negative":
+        entries[i, i] = Scalar(-draw(st.integers(1, 3)))
+    else:
+        entries[i, i] = Scalar(0)
+        entries[min(i, j), max(i, j)] = _gaussian(draw, complex_, 1, 3)
+    return oracle.add(head, _hermitian_from(n, entries))
+
+
+@pytest.mark.parametrize("kind", PIVOT_KINDS)
+@settings(SETTINGS, max_examples=40)
+@given(st.data())
+def test_upper_triangle_pivoting_matches_oracle(kind, data):
+    """Verdicts and LDL^H data equal the `Scalar` pivoting's; on PSD data the
+    pivots are the RREF pivot columns, which the coset bases of
+    `build_representation` and `compress_representation` rely on."""
+    m = data.draw(pivoting_cases(kind), label="m")
+    want = oracle.ldlh_psd(m)
+    assert linalg.psd_check(m) == (want is not None)
+    assert linalg.ldlh_psd(m) == want
+    if want is not None:
+        assert tuple(p for p, *_ in linalg._psd_pivots(m, "ldlh_psd")) == oracle.rref(m)[1]
+
+
 @SETTINGS
 @given(st.data())
 def test_solve_particular_matches_oracle_rref(data):

@@ -397,3 +397,36 @@ def test_flatness_and_psd_cases_match_the_scalar_blocks(shape, k, kind, complex_
     assert f.is_psd() is psd
     assert report == oracles.flat_report(f)
     assert f.is_psd() == oracles.is_psd(f)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn_cases(), st.data())
+def test_first_pairing_of_a_real_image_matches_the_gaussian_route(case, data):
+    """A real image is combined with one product per entry.  The same image
+    in the (re, im) layout takes the Gaussian route, and both give the same
+    position: None for the kernel elements, and for combinations of window
+    rows with real or Gaussian numerators the first nonzero pairing.  The
+    image's first columns are zeroed, so that the positions vary."""
+    shape, k, include_trivial, kind, _, seed = case
+    f = drawn_functional(shape, k, include_trivial, kind, False, seed)
+    rows, den = f._image
+    n = len(rows)
+    t = data.draw(st.integers(0, n - 1), label="zeroed columns")
+    rows = [[0] * t + row[t:] for row in rows]
+    real, gauss = (TruncatedFunctional(f.double, f.k, f.values, f.include_trivial, f.order) for _ in range(2))
+    vars(real)["_image"] = (rows, den)
+    vars(gauss)["_image"] = ([row + [0] * n for row in rows], den)
+    for terms, _ in f._null:
+        assert real.first_pairing(terms) is None
+        assert gauss.first_pairing(terms) is None
+    keys = f._keys[:n]
+    parts = st.integers(-3, 3)
+    for im in (st.just(0), parts):
+        drawn = data.draw(st.dictionaries(st.sampled_from(keys), st.tuples(parts, im), max_size=4))
+        if f._null and data.draw(st.booleans()):  # a kernel element plus the drawn rows
+            total = dict(f._null[0][0])
+            for key, (a, b) in drawn.items():
+                x, y = total.get(key, (0, 0))
+                total[key] = (x + a, y + b)
+            drawn = total
+        assert real.first_pairing(drawn) == gauss.first_pairing(drawn)
