@@ -81,8 +81,8 @@ def flat_extend_tip_maximal(
 
     k = functional.k + 1
     ext = TruncatedFunctional.__new__(TruncatedFunctional)
-    ext._open(functional.double, k, functional.include_trivial, functional.order)
-    keys, ends = ext._keys, ext._ends
+    star, _ = ext._open(functional.double, k, functional.include_trivial, functional.order)
+    keys, ends = ext._keys, ext._ends  # the keys of V_k, all that is read
     # window positions: V_{k-1} ends at n, V_k at nk; lengths 2k-1 start at odd, 2k at top
     n, nk, odd, top = (ends[min(t, len(ends) - 1)] for t in (k - 1, k, 2 * k - 2, 2 * k - 1))
     re, im, den = functional._re, functional._im, functional._den  # rebound before any change
@@ -91,9 +91,9 @@ def flat_extend_tip_maximal(
     # No path of odd length is its own star.  Columns [u | v] for z = u + i v
     # (only u on real data), pairs in the order of the member that holds z.
     unknown: dict[int, tuple[int, int]] = {}  # odd position -> (pair, sign of v)
-    npairs, star_word = 0, functional.double.star_word
+    npairs = 0
     for i in range(odd, top):
-        j = ext._index((None, star_word(keys[i][1])))
+        j = star[i]
         if j < i:
             unknown[i], unknown[j] = (npairs, 1), (npairs, -1)
             npairs += 1
@@ -156,15 +156,15 @@ def flat_extend_tip_maximal(
     b, bden = b
     common = lcm(den, bden)
     s, t = common // den, common // bden
-    re = [x * s for x in re] + [0] * (len(keys) - top)
-    im = [x * s for x in im] + [0] * (len(keys) - top)
+    re = [x * s for x in re] + [0] * (len(star) - top)
+    im = [x * s for x in im] + [0] * (len(star) - top)
     for i, (x, y) in zip(ext._products(new, new), b):
         if i is not None:
             re[i], im[i] = x * t, y * t
         elif x or y:
             raise ExtensionObstructed("Schur completion forces a nonzero value on a zero product")
 
-    ext._place({i: (x, y, common) for i, (x, y) in enumerate(zip(re, im))})
+    ext._place({i: (x, y, common) for i, (x, y) in enumerate(zip(re, im))}, star)
     if not ext.is_flat().flat:
         if free_algebra:
             raise InternalInvariantError("one-step extension produced a non-flat functional")

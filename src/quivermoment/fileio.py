@@ -19,8 +19,8 @@ from .algebra import Element
 from .errors import InputError
 from .linalg import Matrix
 from .moment import TruncatedFunctional
-from .quiver import DoubleQuiver, Key, Path, PathOrder, Quiver, build_double
-from .scalar import Scalar, parse_literal
+from .quiver import DoubleQuiver, Key, Path, PathOrder, Quiver, build_double, window_layers
+from .scalar import Scalar, from_numerators, parse_literal
 
 
 def load_json(path) -> dict:
@@ -73,8 +73,10 @@ class _Literals(dict):
     """The scalars of one load: `literals[text]` parses each distinct text once.
 
     Values are `Scalar`s, or with `numerators` the (re, im, den) triples of
-    `parse_literal`.  Looking up a text that is not a string raises
-    TypeError, so that a loader can name the malformed entry it came from.
+    `parse_literal`; there the commonest literal, a signed decimal integer,
+    is read by one `int` call.  Looking up a text that is not a string
+    raises TypeError, so that a loader can name the malformed entry it came
+    from.
     """
 
     __slots__ = ("source", "numerators")
@@ -87,6 +89,13 @@ class _Literals(dict):
     def __missing__(self, text: str):
         if type(text) is not str:
             raise TypeError(text)
+        # `isdecimal` accepts exactly the digits of the grammar.
+        if self.numerators and (text[1:] if text[:1] in "+-" else text).isdecimal():
+            try:
+                value = self[text] = int(text), 0, 1
+                return value
+            except ValueError:  # past int's digit limit: refused by `parse_literal`
+                pass
         try:
             value = self[text] = parse_literal(text) if self.numerators else Scalar.parse(text)
         except InputError as e:
@@ -329,10 +338,12 @@ def load_functional(path) -> TruncatedFunctional:
 
 
 def functional_to_dict(f: TruncatedFunctional) -> dict:
+    """The file of a functional: its nonzero values in window order, from the
+    window's texts (`quiver.window_layers`) and the numerators; no `Path` is built."""
+    texts = window_layers(f.double, f.order, 2 * f.k, f.include_trivial, named=True)[3]
+    den = f._den
     entries = [
-        {"path": path_to_text(p), "value": str(v)}
-        for p, v in f.values.items()  # in window order, increasing under f.order
-        if not v.is_zero()
+        {"path": t, "value": str(from_numerators(a, b, den))} for t, a, b in zip(texts, f._re, f._im) if a or b
     ]
     return {
         "quiver": quiver_to_dict(f.double.base),

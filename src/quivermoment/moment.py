@@ -6,9 +6,14 @@ order-t moment matrix pairs window paths p, q through L(p q*); entries where
 p q* vanishes in the path semigroup are exact zeros.
 
 A functional holds its values as Gaussian-integer numerators (re, im) over
-one common denominator, from the loader on.  Its verdicts read B_{L_k} as
-an integer image gathered from those numerators by window position; a
-`Scalar` is built only for a value or a matrix asked for by a caller.  One
+one common denominator, from the loader on, and its window as integers: the
+code of each letter word and the position of each path's star
+(`quiver.window_layers`); the loader alone asks for the window's texts.
+(vertex, letters) keys are built for V_k, the part of the window B_{L_k}
+reads; the keys and `Path`s of the whole window are built only when asked
+for.  Its verdicts read B_{L_k} as an integer image gathered from those
+numerators by window position; a `Scalar` is built only for a value or a
+matrix asked for by a caller.  One
 echelon form of that image, with V_{k-1} first, gives the flatness report,
 the rank, tip-maximality and the echelon kernel, which is held as integer
 numerators and becomes `Element`s only when `kernel_basis()` is called.
@@ -16,7 +21,6 @@ numerators and becomes `Element`s only when `kernel_basis()` is called.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
@@ -25,18 +29,8 @@ from . import linalg
 from .algebra import Element
 from .errors import InputError, InternalInvariantError, WindowError
 from .linalg import Matrix
-from .quiver import DoubleQuiver, Key, Path, PathOrder, Record, _following, window_keys, window_texts
+from .quiver import DoubleQuiver, Key, Path, PathOrder, Record, _digit, window_keys, window_layers
 from .scalar import ZERO, Scalar, from_numerators
-
-
-def _length(key: Key) -> int:
-    return len(key[1])
-
-
-def _digit(letter) -> int:
-    """A letter's digit in the code of a word: 1 + 2 * arrow index, plus 1 if starred."""
-    arrow, starred = letter
-    return 2 * arrow + starred + 1
 
 
 _MISSING = object()  # a product outside the window, in `_products`
@@ -46,13 +40,17 @@ class TruncatedFunctional:
     """Hermitian scalar assignment on the length <= 2k basis window.
 
     A functional is immutable after construction.  It enumerates its window
-    once, as (vertex, letters) keys with one position each, and holds its
-    values in window order as numerators `_re`, `_im` over one denominator
-    `_den`, with no factor common to all of them; `Path` objects and
-    `Scalar` values are built only for what is asked for.  Every lower-order
-    basis is a prefix of the window, because the path order compares lengths
-    first.  Its integer image of B_{L_k} and the one echelon form its
-    verdicts and its kernel read are computed once.
+    once, layer by layer (`quiver.window_layers`): the position of each
+    letter word by its code (`_at`), of each trivial path by its vertex
+    (`_trivial`), and the number of paths of each length or less (`_ends`).
+    It holds the (vertex, letters) keys of V_k (`_keys`); the keys of the
+    whole window (`_window_keys`) are built the first time a longer path is
+    asked for.  Its values are held in window order as numerators `_re`,
+    `_im` over one denominator `_den`, with no factor common to all of them;
+    `Path` objects and `Scalar` values are built only for what is asked for.
+    Every lower-order basis is a prefix of the window, because the path
+    order compares lengths first.  Its integer image of B_{L_k} and the one
+    echelon form its verdicts and its kernel read are computed once.
     """
 
     def __init__(
@@ -64,9 +62,9 @@ class TruncatedFunctional:
         order: PathOrder | None = None,
     ):
         given = {(p.vertex, p.letters): v.numerators() for p, v in dict(values).items()}
-        self._open(double, k, include_trivial, order)
+        star, _ = self._open(double, k, include_trivial, order)
         slots = map(self._index, given)
-        self._place({key if i is None else i: v for i, (key, v) in zip(slots, given.items())})
+        self._place({key if i is None else i: v for i, (key, v) in zip(slots, given.items())}, star)
 
     @classmethod
     def from_texts(cls, double, k, read, include_trivial=True, order=None):
@@ -84,57 +82,41 @@ class TruncatedFunctional:
         """
         f = cls.__new__(cls)
         try:
-            texts, stars = f._open(double, k, include_trivial, order, named=True)
+            star, texts = f._open(double, k, include_trivial, order, named=True)
         except InputError:
             read({}, lambda key: None)
             raise
-        at = dict(zip(texts, range(len(texts))))
-        star = list(map(at.__getitem__, stars))
-        f._place(read(at, f._index), star)
+        f._place(read(dict(zip(texts, range(len(texts)))), f._index), star)
         return f
 
-    def _open(self, double, k, include_trivial, order, named=False):
-        """Enumerate the window; with `named`, return the texts of its paths and of their stars."""
+    def _open(self, double, k, include_trivial, order, named=False) -> tuple[list[int], list[str] | None]:
+        """Enumerate the window (`quiver.window_layers`).
+
+        Returns the window position of each window path's star, and with
+        `named` the text of each window path.  The (vertex, letters) keys are
+        built for V_k only, the part of the window that B_{L_k} reads.
+        """
         if k < 1:
             raise InputError("functional order k must be >= 1")
         self.double = double
         self.k = k
         self.include_trivial = include_trivial
         self.order = order or double.default_order()
-        if named:
-            keys, *texts = window_texts(double, self.order, 2 * k, include_trivial)
-        else:
-            keys, texts = window_keys(double, self.order, 2 * k, include_trivial), None
-        self._keys = keys
-        # Lengths come first in the order: the paths of length <= t are a
-        # prefix of the window, and the last window key is a longest one.
-        longest = len(keys[-1][1]) if keys else 0
-        ends = self._ends = [bisect_right(keys, t, key=_length) for t in range(longest + 1)]
+        # Lengths come first in the order: the paths of length <= t are a prefix of the window.
+        self._ends, codes, stars, texts = window_layers(double, self.order, 2 * k, include_trivial, named)
+        self._keys = window_keys(double, self.order, k, include_trivial)
         self._paths: list[Path] = []  # the window paths built so far, a prefix
         # Window positions by key: trivial paths by vertex, letter words by code.
-        self._trivial = {v: i for i, (v, _) in enumerate(keys[: ends[0]])}
+        trivial = range(self._ends[0])
+        self._trivial = dict(zip(self.order.vertex_seq, trivial))
         self._base = 2 * len(double.base.arrows) + 1
-        self._at = dict(zip(self._window_codes(), range(ends[0], len(keys))))
-        return texts
+        at = self._at = dict(zip(codes, range(self._ends[0], self._ends[-1])))
+        return [*trivial, *map(at.__getitem__, stars)], texts
 
-    def _window_codes(self) -> list[int]:
-        """The code of every letter word of the window, in window order.
-
-        `_words` builds each length by extending every word of the length
-        before by the letters that follow it, in order, and so do the codes.
-        """
-        keys, ends, base, target = self._keys, self._ends, self._base, self.double.target
-        if len(ends) < 2:
-            return []
-        digits = [[_digit(l) for l in ls] for ls in _following(self.double, self.order)]
-        words = keys[ends[0] : ends[1]]
-        layer = [_digit(w[0]) for _, w in words]
-        codes = list(layer)
-        for t in range(2, len(ends)):
-            layer = [c * base + d for c, (_, w) in zip(layer, words) for d in digits[target[w[-1]]]]
-            words = keys[ends[t - 1] : ends[t]]
-            codes += layer
-        return codes
+    @cached_property
+    def _window_keys(self) -> list[Key]:
+        """The key of every window path, built the first time a path beyond V_k is asked for."""
+        return window_keys(self.double, self.order, 2 * self.k, self.include_trivial)
 
     def _code(self, word) -> int:
         """The integer of a letter word: its letters' digits in base `_base`, first letter first.
@@ -152,21 +134,20 @@ class TruncatedFunctional:
         vertex, word = key
         return self._at.get(self._code(word)) if word else self._trivial.get(vertex)
 
-    def _place(self, given: dict, star: list[int] | None = None) -> None:
+    def _place(self, given: dict, star: list[int]) -> None:
         """Place the given values and close them under the star.
 
         `given` maps a window position, or a key for a path outside the
-        window, to a value (re, im, den); `star`, if known, is the position of
-        each window position's star.  The values are brought to the lcm of
+        window, to a value (re, im, den); `star` is the position of each
+        window position's star.  The values are brought to the lcm of
         their denominators.  Errors in this order: a path outside the window
         (the first one given), then a hermitian conflict between the member of
         a star pair given first and its partner.  An omitted partner takes the
         conjugate value; each pair is looked at once.
         """
-        keys, star_word = self._keys, self.double.star_word
         den = lcm(*set(map(itemgetter(2), given.values())))
-        re, im = [0] * len(keys), [0] * len(keys)
-        state = bytearray(len(keys))  # 1: given; 2: given, star pair already checked
+        re, im = [0] * len(star), [0] * len(star)
+        state = bytearray(len(star))  # 1: given; 2: given, star pair already checked
         try:
             for i, (a, b, d) in given.items():
                 if d != den:
@@ -178,16 +159,12 @@ class TruncatedFunctional:
         for i in given:
             if state[i] == 2:
                 continue
-            if star is not None:
-                j = star[i]
-            else:
-                word = keys[i][1]
-                j = self._at[self._code(star_word(word))] if word else i
+            j = star[i]
             if not state[j]:
                 re[j], im[j] = re[i], -im[i]
                 continue
             if re[j] != re[i] or im[j] != -im[i]:
-                p, ps = Path(self.double, *keys[i]), Path(self.double, *keys[j])
+                p, ps = (Path(self.double, *self._window_keys[x]) for x in (i, j))
                 raise InputError(f"hermitian conflict between {p} and {ps}")
             state[j] = 2
         g = gcd(den, *re, *im) if den > 1 else 1
@@ -216,14 +193,14 @@ class TruncatedFunctional:
 
     @property
     def _window(self) -> tuple[Path, ...]:
-        return self._prefix(len(self._keys))
+        return self._prefix(self._ends[-1])
 
     def _prefix(self, n: int) -> tuple[Path, ...]:
         """The first n window paths; each is built once, when first asked for."""
         paths = self._paths
         if len(paths) < n:
-            double = self.double
-            paths.extend([Path(double, *key) for key in self._keys[len(paths) : n]])
+            keys = self._keys if n <= len(self._keys) else self._window_keys
+            paths.extend([Path(self.double, *key) for key in keys[len(paths) : n]])
         return tuple(paths[:n])
 
     def basis(self, t: int) -> tuple[Path, ...]:

@@ -315,10 +315,10 @@ class PathOrder:
         return 0
 
 
-# The most letter words `_words` builds for one window: counted before any
-# is built, so an over-large window is refused at once instead of exhausting
-# memory.  The order-4 window of the two-loop quiver (87,381 paths) is well
-# below it.
+# The most letter words one window holds (`_words`, `window_layers`):
+# counted before any is built, so an over-large window is refused at once
+# instead of exhausting memory.  The order-4 window of the two-loop quiver
+# (87,381 paths) is well below it.
 MAX_WINDOW_PATHS = 10**6
 
 
@@ -327,17 +327,29 @@ def _words(double: DoubleQuiver, order: PathOrder, max_len: int):
 
     Each list is increasing under `order`: words of one length compare letter
     by letter, and every word of the previous list is extended by the
-    letters in their order, so only that list is held.  Raises `InputError`
-    before building any word when they would number more than
-    MAX_WINDOW_PATHS; they are counted per terminal vertex.  Every word
-    extends by the star of its last letter, so no length has fewer words
-    than the one before, and the count stops as soon as that lower bound
-    passes the limit.  A quiver without arrows has no words, and no list is
-    yielded.
+    letters in their order, so only that list is held.  An over-large
+    window is refused before any word is built (`_refuse_large`).  A quiver
+    without arrows has no words, and no list is yielded.
     """
     letters = order.letter_seq
     if max_len < 1 or not letters:
         return
+    _refuse_large(double, letters, max_len)
+    following, target = _following(double, order), double.target
+    layer = [(l,) for l in letters]
+    yield layer
+    for _ in range(max_len - 1):
+        layer = [w + (l,) for w in layer for l in following[target[w[-1]]]]
+        yield layer
+
+
+def _refuse_large(double: DoubleQuiver, letters, max_len: int) -> None:
+    """Raise `InputError` if the words of lengths 1..max_len number more than MAX_WINDOW_PATHS.
+
+    They are counted per terminal vertex.  Every word extends by the star of
+    its last letter, so no length has fewer words than the one before, and
+    the count stops as soon as that lower bound passes the limit.
+    """
     source, target = double.source, double.target
     vertices = range(double.n_vertices())
     # ending[v]: the words of the current length that end at v
@@ -350,12 +362,6 @@ def _words(double: DoubleQuiver, order: PathOrder, max_len: int):
                 f"the window of paths of length <= {max_len} has more than {MAX_WINDOW_PATHS} paths"
             )
         ending = [sum(ending[source[l]] for l in letters if target[l] == v) for v in vertices]
-    following = _following(double, order)
-    layer = [(l,) for l in letters]
-    yield layer
-    for _ in range(max_len - 1):
-        layer = [w + (l,) for w in layer for l in following[target[w[-1]]]]
-        yield layer
 
 
 def _following(double: DoubleQuiver, order: PathOrder) -> list[list[Letter]]:
@@ -385,45 +391,68 @@ def window_keys(
     return out
 
 
-def window_texts(
+def _digit(letter: Letter) -> int:
+    """A letter's digit in the code of a word: 1 + 2 * arrow index, plus 1 if starred."""
+    arrow, starred = letter
+    return 2 * arrow + starred + 1
+
+
+def window_layers(
     double: DoubleQuiver,
     order: PathOrder,
     max_len: int,
     include_trivial: bool = True,
-) -> tuple[list[Key], list[str], list[str]]:
-    """The window keys, and alongside them the text of each window path and of its star.
+    named: bool = False,
+) -> tuple[list[int], list[int], list[int], list[str] | None]:
+    """The window of paths of length <= max_len, in window order, as integers and with `named` as texts.
 
-    A text is the one `str(Path)` writes: ``e:NAME`` for a trivial path, the
-    letter names joined by single spaces otherwise.  As `_words` extends a
-    word by a letter l, its text gains a space and the name of l on the
-    right, and its star's text gains the name of l* and a space on the left.
-    Every such text reads back as its own path: `Quiver` refuses the names
-    that would not.
+    Returns (ends, codes, stars, texts): ends[t], the number of window paths
+    of length <= t, up to the longest length the window holds; the code of
+    each letter word, its letters' digits (`_digit`) in base 2 * arrows + 1,
+    first letter first (no digit is 0, so distinct words have distinct
+    codes); the code of its star, alongside; and the text `str(Path)`
+    writes for each window path, or None without `named`.
+
+    Each length extends the one before as `_words` does, each word w by the
+    letters l that leave its end: code(w l) = code(w) * base + digit(l),
+    the star's code is digit(l*) * base ** len(w) + code(w*), and the text
+    is text(w) + " " + name(l).  No key, `Path` or star text is built, and
+    an over-large window is refused before anything is (`_refuse_large`).
+    Every text reads back as its own path: `Quiver` refuses the names that
+    would not.
     """
     if max_len < 0:
         raise InputError("max_len must be >= 0")
-    keys = [(v, ()) for v in order.vertex_seq] if include_trivial else []
-    texts = ["e:" + double.vertices[v] for v, _ in keys]
-    stars = list(texts)
-    name, target = double.letter_name, double.target
+    trivial = order.vertex_seq if include_trivial else ()
+    ends, codes, stars = [len(trivial)], [], []
+    texts = ["e:" + double.vertices[v] for v in trivial] if named else None
+    letters = order.letter_seq
+    if max_len < 1 or not letters:
+        return ends, codes, stars, texts
+    _refuse_large(double, letters, max_len)
+    base, name, star_of, target = 2 * len(double.base.arrows) + 1, double.letter_name, double.star_of, double.target
     following = _following(double, order)
-    right = [[" " + name(l) for l in ls] for ls in following]
-    left = [[name(double.star_of[l]) + " " for l in ls] for ls in following]
-    prev = None
-    for words in _words(double, order, max_len):
-        keys.extend([(None, w) for w in words])
-        if prev is None:
-            layer = [name(w[0]) for w in words]
-            star_layer = [name(double.star_of[w[0]]) for w in words]
-        else:
-            # the nesting of `_words`: each word of `prev` by its following letters
-            ends = [target[w[-1]] for w in prev]
-            layer = [t + s for v, t in zip(ends, layer) for s in right[v]]
-            star_layer = [s + t for v, t in zip(ends, star_layer) for s in left[v]]
-        texts.extend(layer)
-        stars.extend(star_layer)
-        prev = words
-    return keys, texts, stars
+    # per vertex, per letter leaving it: its digit, its star's digit, its end and its text
+    digits = [[_digit(l) for l in ls] for ls in following]
+    star_digits = [[_digit(star_of[l]) for l in ls] for ls in following]
+    to = [[target[l] for l in ls] for ls in following]
+    names = [[" " + name(l) for l in ls] for ls in following]
+    code, star = [_digit(l) for l in letters], [_digit(star_of[l]) for l in letters]
+    end, text = [target[l] for l in letters], [name(l) for l in letters]
+    for length in range(1, max_len + 1):
+        if length > 1:
+            scaled = [[d * base ** (length - 1) for d in row] for row in star_digits]
+            code = [c * base + d for c, v in zip(code, end) for d in digits[v]]
+            star = [s + d for s, v in zip(star, end) for d in scaled[v]]
+            if named:
+                text = [t + n for t, v in zip(text, end) for n in names[v]]
+            end = [u for v in end for u in to[v]]
+        codes += code
+        stars += star
+        if named:
+            texts += text
+        ends.append(ends[-1] + len(code))
+    return ends, codes, stars, texts
 
 
 def enumerate_basis(

@@ -14,13 +14,31 @@ table.
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from quivermoment import Quiver, Scalar, build_double, enumerate_basis, fileio
+from conftest import state_functional
+from quivermoment import (
+    FlatExtension,
+    InputError,
+    Path,
+    Quiver,
+    Scalar,
+    TruncatedFunctional,
+    build_double,
+    enumerate_basis,
+    fileio,
+    kernel_groebner,
+    moment,
+)
 from quivermoment.fileio import functional_from_dict, quiver_to_dict
+from quivermoment.quiver import DoubleQuiver, window_keys, window_layers
+from quivermoment.scalar import parse_literal
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 SOURCE = "f.json"
@@ -31,8 +49,10 @@ QUIVERS = {
     "a2": Quiver(["e1", "e2"], [("x", "e1", "e2")]),
     "xyz": Quiver(["e1", "e2"], [("x", "e1", "e2"), ("y", "e2", "e1"), ("z", "e1", "e1")]),
     "arrowless": Quiver(["v", "w"], []),
+    # no letter leaves "u": an empty row of the following-letter table
+    "isolated": Quiver(["u", "v"], [("x", "v", "v")]),
 }
-MAX_K = {"one_loop": 3, "two_loops": 2, "a2": 3, "xyz": 2, "arrowless": 3}
+MAX_K = {"one_loop": 3, "two_loops": 2, "a2": 3, "xyz": 2, "arrowless": 3, "isolated": 3}
 # Window-ordered files also on a quiver with unusual names that still read
 # back: a vertex named like a trivial-path token, `*` inside a name, and an
 # arrow named `e`.
@@ -287,10 +307,12 @@ def _window_ordered(name, k):
 @pytest.mark.parametrize("name, k", [("two_loops", 3), ("xyz", 2), ("one_loop", 3)])
 def test_window_ordered_file_needs_no_parser_and_parses_each_value_text_once(name, k, monkeypatch):
     data, texts = _window_ordered(name, k)
-    # Each distinct value text is read once by the literal parser, straight
-    # to numerators, and no `Scalar` is parsed.
-    calls = {"path_key": 0, "parse_literal": 0, "Scalar.parse": 0}
+    # Each distinct value text is read once by the literal table, straight
+    # to numerators: a decimal integer by `int`, any other literal by the
+    # literal parser.  No `Scalar` is parsed.
+    calls = {"path_key": 0, "literal table": 0, "parse_literal": 0, "Scalar.parse": 0}
     path_key, parse_literal, parse = fileio.path_key, fileio.parse_literal, Scalar.parse
+    missing = fileio._Literals.__missing__
 
     def counting(fn, name):
         def counted(*args):
@@ -300,9 +322,138 @@ def test_window_ordered_file_needs_no_parser_and_parses_each_value_text_once(nam
         return counted
 
     monkeypatch.setattr(fileio, "path_key", counting(path_key, "path_key"))
+    monkeypatch.setattr(fileio._Literals, "__missing__", counting(missing, "literal table"))
     monkeypatch.setattr(fileio, "parse_literal", counting(parse_literal, "parse_literal"))
     monkeypatch.setattr(Scalar, "parse", staticmethod(counting(parse, "Scalar.parse")))
     f = functional_from_dict(data, ".", SOURCE)
-    assert calls == {"path_key": 0, "parse_literal": len(texts), "Scalar.parse": 0}
+    integers = {t for t in texts if t.lstrip("-").isdecimal()}
+    assert integers and integers != texts
+    assert calls == {
+        "path_key": 0,
+        "literal table": len(texts),
+        "parse_literal": len(texts - integers),
+        "Scalar.parse": 0,
+    }
     assert [str(p) for p in f.values] == [e["path"] for e in data["entries"]]
     assert [str(v) for v in f.values.values()] == [e["value"] for e in data["entries"]]
+
+
+@pytest.mark.parametrize("include_trivial", [True, False], ids=["trivial", "nontrivial"])
+@pytest.mark.parametrize(
+    "name, k", [(name, k) for name in sorted(WINDOW_QUIVERS) for k in range(1, WINDOW_MAX_K[name] + 1)]
+)
+def test_window_layers_match_the_window_keys(name, k, include_trivial):
+    """The layered builder's texts, codes, star codes and length ends, and the
+    tables a functional makes of them, against the window keys, the code of
+    each key's word and of its star's word, and `str(Path)`: on every quiver
+    above, up to its order, both windows (every case, so no draw)."""
+    double = build_double(WINDOW_QUIVERS[name])
+    order = double.default_order()
+    keys = window_keys(double, order, 2 * k, include_trivial)
+    f = TruncatedFunctional.__new__(TruncatedFunctional)
+    star, texts = f._open(double, k, include_trivial, None, named=True)
+    code, star_word = f._code, double.star_word
+    assert texts == [str(Path(double, *key)) for key in keys]
+    assert f._at == {code(w): i for i, (_, w) in enumerate(keys) if w}
+    assert f._trivial == {v: i for i, (v, w) in enumerate(keys) if not w}
+    assert star == [f._at[code(star_word(w))] if w else i for i, (_, w) in enumerate(keys)]
+    longest = max((len(w) for _, w in keys), default=0)
+    assert f._ends == [sum(len(w) <= t for _, w in keys) for t in range(longest + 1)]
+    assert f._keys == [key for key in keys if len(key[1]) <= k]
+    ends, codes, stars, unnamed = window_layers(double, order, 2 * k, include_trivial)
+    assert (ends, unnamed) == (f._ends, None)
+    assert codes == [code(w) for _, w in keys if w]
+    assert stars == [code(star_word(w)) for _, w in keys if w]
+
+
+LONG = "1" * 4301  # past Python's default int-to-string digit limit
+
+
+def _long_outcome():
+    try:
+        return int(LONG), 0, 1
+    except ValueError:
+        return InputError, f"f.json: scalar literal of {len(LONG)} characters exceeds the integer digit limit"
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("+7", (7, 0, 1)),
+        ("-0", (0, 0, 1)),
+        ("007", (7, 0, 1)),
+        ("\u0663", (3, 0, 1)),  # ARABIC-INDIC DIGIT THREE, a decimal digit
+        ("-" + "1" * 4300, (-int("1" * 4300), 0, 1)),
+        ("1_0", (InputError, "f.json: malformed scalar literal '1_0'")),
+        ("\u00b2", (InputError, "f.json: malformed scalar literal '\u00b2'")),  # a digit, not a decimal
+        (" 5 ", (5, 0, 1)),
+        ("5/1", (5, 0, 1)),
+        ("3+0i", (3, 0, 1)),
+        ("-3/6", (-1, 0, 2)),
+        ("", (InputError, "f.json: empty scalar literal ''")),
+        ("+", (InputError, "f.json: malformed scalar literal '+'")),
+        (LONG, _long_outcome()),
+        (5, (InputError, "f.json: functional entry {'path': 'x', 'value': 5}: 5 is not a string")),
+        (None, (InputError, "f.json: functional entry {'path': 'x', 'value': None}: None is not a string")),
+    ],
+    ids=lambda x: repr(x)[:12],
+)
+def test_value_literals_read_as_the_literal_parser_reads_them(text, want):
+    """A value text in a functional file: its numerators, or the error class
+    and text, whether the literal table reads it by `int` or by the grammar."""
+    data = {"quiver": quiver_to_dict(QUIVERS["one_loop"]), "k": 1, "entries": [{"path": "x", "value": text}]}
+    try:
+        f = functional_from_dict(data, ".", SOURCE)
+        got = f.value(f.double.path([(0, False)])).numerators()
+    except InputError as e:
+        got = type(e), str(e)
+    assert got == want
+    if isinstance(text, str):
+        try:
+            assert parse_literal(text) == want
+        except InputError as e:
+            assert (type(e), f"{SOURCE}: {e}") == want
+
+
+def test_verdicts_and_evaluate_build_no_full_window_keys(tmp_path, monkeypatch):
+    """A flat rank-3 state on two loops at k = 3: a 5461-path window whose
+    verdicts read its 85-path V_k.  Loading it, its flatness, PSD and kernel
+    Gröbner verdicts and one evaluation of its extension build the window's
+    texts once, and keys, star words and `Path`s for V_k only: no key of the
+    full window, no star text and no path text."""
+    fpath = tmp_path / "f.json"
+    state = state_functional(build_double(QUIVERS["two_loops"]), 3, True, [3], random.Random(11))
+    fpath.write_text(json.dumps(fileio.functional_to_dict(state)), encoding="utf-8")
+    # per builder call, the number of texts it built (None: unnamed)
+    calls = {"layers": [], "keys": [], "star_word": 0, "str": 0}
+    layers, keys, star_word, text = window_layers, window_keys, DoubleQuiver.star_word, Path.__str__
+
+    def counted_layers(*args):
+        out = layers(*args)
+        calls["layers"].append(None if out[3] is None else len(out[3]))
+        return out
+
+    def counted_keys(double, order, max_len, *args):
+        calls["keys"].append(max_len)
+        return keys(double, order, max_len, *args)
+
+    def counted(fn, name):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(moment, "window_layers", counted_layers)
+    monkeypatch.setattr(moment, "window_keys", counted_keys)
+    monkeypatch.setattr(DoubleQuiver, "star_word", counted(star_word, "star_word"))
+    monkeypatch.setattr(Path, "__str__", counted(text, "str"))
+    f = fileio.load_functional(fpath)
+    assert calls == {"layers": [5461], "keys": [3], "star_word": 0, "str": 0}
+    assert f.is_flat().flat and f.is_psd()
+    assert kernel_groebner(f).elements
+    p = f.double.path([(0, False), (1, True)] * 4)
+    assert FlatExtension(f).evaluate(p) == FlatExtension(state).evaluate(p)
+    assert calls["layers"] == [5461] and calls["keys"] == [3] and calls["str"] == 0
+    assert "_window_keys" not in vars(f)
+    assert len(f._paths) <= len(f._keys) == 85
