@@ -23,7 +23,6 @@ _EXPORTS = {
     "WindowError": "errors",
     "FlatExtension": "extension",
     "flat_extend_tip_maximal": "extension",
-    "schur_complete": "extension",
     "Representation": "gns",
     "build_from_groebner": "gns",
     "build_representation": "gns",
@@ -38,10 +37,6 @@ _EXPORTS = {
     "right_groebner": "groebner",
     "total_reduce": "groebner",
     "Matrix": "linalg",
-    "ldlh_psd": "linalg",
-    "nullspace": "linalg",
-    "psd_check": "linalg",
-    "rank": "linalg",
     "FlatReport": "moment",
     "MomentMatrix": "moment",
     "TruncatedFunctional": "moment",

@@ -67,6 +67,8 @@ def cmd_order_check(args) -> int:
     from . import fileio
     from .quiver import compose, enumerate_basis
 
+    if args.samples < 0:
+        raise InputError(f"--samples must be a non-negative integer, not {args.samples}")
     double = fileio.load_quiver(args.quiver)
     order = _order_for(double, args.order_file)
     include_trivial = _window_flag(args.window)

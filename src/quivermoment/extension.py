@@ -1,8 +1,8 @@
 """Flat completions and rank-preserving extensions.
 
-Three layers: the exact Schur completion of a hermitian block (the flat
-choice of the bottom-right block), the one-step extension of a tip-maximal
-functional, and the lazy full extension that evaluates any path through
+Two layers: the one-step extension of a tip-maximal functional, whose top
+block is the exact Schur completion (the flat choice of the bottom-right
+block), and the lazy full extension that evaluates any path through
 Gröbner normal forms.
 
 The one-step extension runs on the window of the extended functional and on
@@ -23,31 +23,11 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from . import linalg
-from .errors import ExtensionObstructed, InputError, InternalInvariantError, NotFlatError
+from .errors import ExtensionObstructed, InputError, InternalInvariantError
 from .groebner import RightGroebnerBasis, kernel_groebner
-from .linalg import Matrix
 from .moment import TruncatedFunctional
 from .quiver import Path, _words
 from .scalar import Scalar
-
-
-def schur_complete(a: Matrix, c: Matrix) -> Matrix:
-    """The unique flat bottom-right block C^H (A|Ran A)^{-1} C.
-
-    Requires every column of c inside Ran(a); hermitian PSD in, hermitian PSD
-    out, and independent of the solution choice of A X = C (C^H X = X'^H C
-    for any two solutions), so one elimination of [A | C] serves.
-    """
-    if not a.is_hermitian():
-        raise ValueError("schur_complete requires a hermitian A")
-    if a.rows != c.rows:
-        raise ValueError("row count mismatch")
-    ac = Matrix(a.rows, a.cols + c.cols, [x for i in range(a.rows) for x in a.row(i) + c.row(i)])
-    b = linalg._schur(*linalg._image(ac), a.cols, ac.cols)
-    if b is None:
-        raise NotFlatError("Ran(C) is not contained in Ran(A); no flat completion exists")
-    entries, den = b
-    return Matrix(c.cols, c.cols, [linalg._scalar(x, y, den) for x, y in entries])
 
 
 def flat_extend_tip_maximal(

@@ -17,9 +17,10 @@ an arrow c maps the coset of p to the coset of p·c.  The inner product is
 <u, v> = sum_{i,j} u_i conj(v_j) gram[i][j] with gram[i][j] = L(b_i b_j*).
 
 A representation holds `Matrix` values, its I/O form.  The relation and
-adjointness checks, word products and the compression's last product take
-each matrix to one integer image (`linalg._image`) and multiply and compare
-integers; no `Scalar` matrix product is formed.
+adjointness checks and word products take each matrix to one integer image
+(`linalg._image`) and multiply and compare integers; no `Scalar` matrix
+product is formed.  The compression reads its systems off the functional's
+integer image and builds `Matrix` values only for its results.
 """
 
 from __future__ import annotations
@@ -132,9 +133,11 @@ def build_from_groebner(
     basis = tuple(p for p in window if not gb.reducible(p))
     if gram.rows != len(basis) or gram.cols != len(basis):
         raise InputError(f"gram must be {len(basis)}x{len(basis)} for this quotient")
-    if not gram.is_hermitian():
-        raise InputError("gram matrix must be hermitian")
-    if not linalg.psd_check(gram):
+    try:  # the gram's integer image decides hermitian, then one pivoting PSD
+        pivots = linalg._psd_pivots(gram)
+    except ValueError:
+        raise InputError("gram matrix must be hermitian") from None
+    if pivots is None:
         raise InputError("gram matrix must be PSD")
     return _quotient_representation(double, gb, basis, gram, include_trivial)
 
@@ -229,47 +232,76 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     is F[K,K]^-1 in the rows of K, so M_{b*} is F[K,K]^-1 Q_b^H there and zero
     elsewhere, from the same solve as S_b.  One solve of F takes every Q_b and
     the unit.
+
+    Every system is read off the integer image of B_{L_{d+1}} by window
+    position, with P the reps' positions: F is conj(image) at P x P, the
+    row of Q_b^T at u is the image row at r_u b, read at P, and L(r_i*) is
+    the image row at the trivial path at r_i's end, read at P_i.  The gram
+    is the image at P x P.  Each system is solved once on integers
+    (`linalg._solve`), and only the results become `Scalar`s.
     """
     if not functional.include_trivial:
         raise InputError("compress_representation needs the trivial-path window")
     if not functional.is_psd():
         raise InputError("compress_representation requires a PSD functional")
     double = functional.double
+    image, den = functional._image
+    size = len(image)
+    real = not image or len(image[0]) == size
+    pos = [p for p, *_ in functional._ldlh]  # P, the window positions of the reps
     window = functional.basis(functional.k)
-    basis = tuple(window[p] for p, *_ in functional._ldlh)
+    basis = tuple(window[p] for p in pos)
     n = len(basis)
-    gram = functional.moment_block(basis, basis)
-    f = gram.transpose()
+
+    def row(*blocks) -> list[int]:
+        """One integer row in the image's layout: per block (i, cols, sign), image row i
+        at window positions cols, its imaginary parts times sign."""
+        re = [image[i][c] for i, cols, _ in blocks for c in cols]
+        return re if real else re + [sign * image[i][size + c] for i, cols, sign in blocks for c in cols]
 
     arrows: dict[str, Matrix] = {}
-    kept = []  # (name, first column of Q_b in the solve of F, S_b) per arrow with nonempty K
-    rhs_t: list[Scalar] = []  # rows of [Q_b | ... | unit]^T, the right-hand sides of F
-    col = 0
+    kept = []  # (name, first column of Q_b in the solve of F, S_b, its denominator) per arrow with nonempty K
+    q_at = []  # the window position of r_u b, per kept arrow b and u in its K
     for ai, arrow in enumerate(double.base.arrows):
         arrows[arrow.name] = arrows[arrow.name + "*"] = Matrix.zeros(n, n)
         b = double.path([(ai, False)])
         k_idx = [i for i, r in enumerate(basis) if r.terminal() == b.origin() and r.length() < functional.k]
         if not k_idx:
             continue
-        m = len(k_idx)
-        q_t = functional.moment_block([compose(basis[u], b) for u in k_idx], basis)  # Q_b^T
-        f_kk = Matrix(m, m, [f.entry(u, v) for u in k_idx for v in k_idx])
-        # F[K,:] = conj(gram[K,:]), so this is [S_b | F[K,K]^-1 Q_b^H].
-        rhs = Matrix(m, 2 * n, [e for i, u in enumerate(k_idx) for e in gram.row(u) + q_t.row(i)])
-        s_z = linalg.solve_full_rank(f_kk, rhs.conjugate())
-        star = [ZERO] * (n * n)
-        for i, u in enumerate(k_idx):
-            star[u * n : (u + 1) * n] = s_z.row(i)[n:]
-        arrows[arrow.name + "*"] = Matrix(n, n, star)
-        kept.append((arrow.name, col, s_z.block(0, m, 0, n)))
-        rhs_t.extend(q_t.entries)
-        col += m
-    rhs_t.extend(functional.value(r.star()) for r in basis)
-    y = linalg.solve_full_rank(f, Matrix(col + 1, n, rhs_t).transpose())
-    for name, c, s_b in kept:
-        (ry, dy), (rs, ds) = linalg._images(y.block(0, n, c, c + s_b.rows), s_b)
-        arrows[name] = linalg._matrix(linalg._product(ry, rs, n), dy * ds, n)
-    return Representation(double, basis, gram, arrows, _vertex_projections(double, basis), y.col(col))
+        at = [functional._index((None, basis[u].letters + b.letters)) for u in k_idx]
+        # [F[K,K] | F[K,:] | conj(Q_b^T)] with F = conj(image) at P x P: X = [S_b | F[K,K]^-1 Q_b^H]
+        kk = [pos[u] for u in k_idx]
+        rows = [row((p, kk, -1), (p, pos, -1), (j, pos, -1)) for p, j in zip(kk, at)]
+        xs, sx = _solve_invertible(rows, len(kk), len(kk) + 2 * n)
+        star = [[0] * (n if real else 2 * n) for _ in range(n)]
+        for u, x in zip(k_idx, xs):
+            star[u] = _layout(x[n:], real)
+        arrows[arrow.name + "*"] = linalg._matrix(star, sx, n)
+        kept.append((arrow.name, len(q_at), [_layout(x[:n], real) for x in xs], sx))
+        q_at += at
+    # [F | Q_b ... | unit]: Q_b[i][u] = L(r_u b r_i*), and the unit's entry i is L(r_i*)
+    units = [functional._index((r.terminal(), ())) for r in basis]
+    rows = [row((p, pos, -1), *((j, [p], 1) for j in q_at + [e])) for p, e in zip(pos, units)]
+    ys, sy = _solve_invertible(rows, n, n + len(q_at) + 1)
+    for name, c, s_b, sx in kept:
+        y_b = [_layout(y[c : c + len(s_b)], real) for y in ys]
+        arrows[name] = linalg._matrix(linalg._product(y_b, s_b, n), sy * sx, n)
+    cyclic = tuple(linalg._scalar(re, im, sy) for re, im in (y[-1] for y in ys))
+    gram = linalg._matrix([row((p, pos, 1)) for p in pos], den, n)
+    return Representation(double, basis, gram, arrows, _vertex_projections(double, basis), cyclic)
+
+
+def _solve_invertible(rows: list[list[int]], n: int, ncols: int) -> tuple[list[list[tuple[int, int]]], int]:
+    """s X and s for the solution X of A X = C, from the integer rows of [A | C] with A invertible n x n."""
+    solved = linalg._solve(rows, n, ncols)
+    if solved is None or len(solved[0]) < n:
+        raise InternalInvariantError("matrix expected to be invertible is singular")
+    return solved[1], solved[2]
+
+
+def _layout(pairs: list[tuple[int, int]], real: bool) -> list[int]:
+    """Gaussian integers (re, im) as one integer row: the real parts, then, unless real, the imaginary parts."""
+    return [x for x, _ in pairs] if real else [x for x, _ in pairs] + [y for _, y in pairs]
 
 
 # -- diagnostics --------------------------------------------------------------
@@ -334,11 +366,8 @@ def check_relations(rep: Representation) -> RelationReport:
     report.record("vertex projections sum to identity", linalg._equal(psum, den, identity, 1))
 
     gram = linalg._image(rep.gram, real)
-    hermitian = rep.gram.rows == rep.gram.cols
-    try:  # the pivoting decides hermitian first, on the integers it pivots
-        psd = hermitian and linalg._image_psd(*gram, "psd_check") is not None
-    except ValueError:
-        hermitian = psd = False
+    hermitian = rep.gram.rows == rep.gram.cols and linalg._hermitian(gram[0])
+    psd = hermitian and linalg._image_psd(*gram) is not None
     report.record("gram hermitian", hermitian)
     report.record("gram PSD", psd)
     named = {name: image for (name, *_), image in zip(gens, images)}  # letters come after the vertices
@@ -366,5 +395,9 @@ def rep_kernel(rep: Representation, d: int, include_trivial: bool = False) -> li
     # one row per word, its entries over den with the real parts first; the system is the transpose
     cuts = (slice(n), slice(n, None))
     flat = [[x * (den // dw) for cut in cuts for row in rows for x in row[cut]] for rows, dw in images]
-    vecs = linalg._null_vectors(linalg._transpose(flat, n * n), len(words))
-    return [Element.from_terms(rep.double, zip(words, v)) for v in vecs]
+    rows, ncols = linalg._transpose(flat, n * n), len(words)
+    null = linalg._null_terms(rows, linalg._gauss_jordan(rows, ncols), ncols)
+    return [
+        Element.from_terms(rep.double, [(words[c], linalg._scalar(re, im, den)) for c, (re, im) in terms])
+        for terms, den in null
+    ]

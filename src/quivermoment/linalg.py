@@ -1,49 +1,45 @@
 """Exact linear algebra over the Gaussian rationals, run on Python integers.
 
-`Matrix` is the I/O type: the matrices that files and the public API hand
-in and out, with readers and constructors but no arithmetic.  Each kernel
-scales its input to integers at the boundary: every row (for elimination)
-or the whole matrix (for an integer image, which the PSD pivoting reads) is
-brought to a common denominator.  The loops then see plain ``int`` entries,
-or real parts followed by imaginary parts when some entry is non-real, and
-results go back to `Scalar` once, with one division per output entry.  A
+`Matrix` is the I/O type, with readers and constructors but no arithmetic.
+The kernels take integer images in and give integers out; a `Matrix`
+crosses only at the boundary, to integers (`_image`, `_images`,
+`_psd_pivots`) and back (`_matrix`, `_ldlh`).  An image is the matrix times
+one positive common denominator, as integer rows: plain ``int`` entries, or
+real parts followed by imaginary parts when some entry is non-real.  A
 product is the integer product of two images over the product of their
-denominators, and two images are equal iff their numerators agree after
-each is multiplied by the other's denominator.  Nothing is floating point.
+denominators; two images are equal iff their numerators agree after each is
+multiplied by the other's denominator.  Nothing is floating point.
 
-A single fraction-free Gauss-Jordan engine backs rank, nullspace and the
-solvers.  On real data a row with a nonzero entry in the pivot column is
-replaced by an integer combination of itself and the pivot row, divided by
-the gcd of its entries; rows the pivot does not touch are left alone.  A
-combined row is thus the primitive integer multiple of its rational row.
-On non-real data every row is updated and divided exactly by the previous
-pivot in Z[i], as in Bareiss elimination (Bareiss 1968).  Either way every entry divides a minor
-of the scaled input.  Pivot selection is always the first nonzero entry in
-a column scanning rows top-down, so identical inputs yield identical
-outputs bit for bit, equal to those of elimination over `Scalar`.
+One fraction-free Gauss-Jordan engine backs every elimination.  On real
+data a row with a nonzero entry in the pivot column is replaced by the
+primitive part of an integer combination of itself and the pivot row; rows
+the pivot does not touch are left alone.  On non-real data every row is
+updated and divided exactly by the previous pivot in Z[i] (Bareiss 1968).
+Either way every entry divides a minor of the scaled input.  The pivot is
+always the first nonzero entry of a column, scanning rows top-down, so
+outputs are deterministic bit for bit and equal those of elimination over
+`Scalar`.  One elimination of the primitive rows of [A | C] gives the RREF
+solution of A X = C scaled to integers, or shows that C leaves Ran A
+(`_solve`); the Schur completion C^H X (`_schur`) and a compression's
+solves read it.
+
+A hermitian matrix [[A, C], [C^H, B]] held as one integer image gets its
+rank, flatness and kernel from one echelon form (`_block_echelon`): the
+top rows [A | C] are eliminated first, which gives rank A and the range
+test, and each lower row [C^H | B] is reduced against their pivot rows.
+Once Ran C <= Ran A a reduced lower row is [0 | B - C^H X] up to a nonzero
+factor, with A X = C, so B = C^H X iff every residual is zero; only
+nonzero residuals are eliminated again, and no X or product is formed.
+The kernel is read off the echelon rows as integer numerators
+(`_null_terms`).
 
 Positive semidefiniteness is decided by LDL^H diagonal pivoting in index
-order on an integer image (`_image_psd`), which holds only the upper
-triangle of the rows still active; each later row of a Schur complement is
-one list comprehension, divided exactly by the previous pivot as in
-Bareiss elimination.  A pivot is handed out as its index, its weight, its
-diagonal and its column at the indices still active.
-
-One elimination of [a | c] gives rank(a) and the RREF solution of a*X = c,
-or shows that c leaves Ran(a) (`solve_particular`).
-
-A hermitian matrix [[A, C], [C^H, B]] can also be held as one integer image
-(`_image`: the matrix times one common denominator, as integer rows) that
-its kernel, its flatness and its PSD pivoting all read.  One echelon form
-gives its rank, its flatness and its kernel (`_block_echelon`): the top
-rows [A | C] are eliminated first, which gives rank A and the range test,
-and each lower row [C^H | B] is reduced against their pivot rows.  A is
-hermitian, so once Ran C <= Ran A a reduced lower row is [0 | B - C^H X]
-up to a nonzero factor, with A X = C, and B = C^H X holds iff every
-residual is zero; only nonzero residuals are eliminated again.  No
-solution X and no product is formed.  The kernel is read off the echelon
-rows as integer numerators (`_null_terms`).  The PSD pivoting checks the
-hermitian property on the same integers it pivots.
+order (`_image_psd`) on the upper triangle of the rows still active, each
+later row of a Schur complement one list comprehension divided exactly by
+the previous pivot.  A pivot is handed out as its index, its weight, its
+diagonal and its column at the indices still active.  The image is trusted
+to be hermitian: a functional's is by construction, and a gram from a file
+is checked on its integers first (`_hermitian`, in `_psd_pivots`).
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import InternalInvariantError
 from .scalar import ONE, ZERO, Scalar
 from .scalar import from_numerators as _scalar
 
@@ -63,8 +58,8 @@ class Matrix:
     """Immutable dense matrix of `Scalar`, stored row-major: the I/O type.
 
     It carries values in and out (files, the public API, representations)
-    and is read entry by entry; it has no arithmetic.  Products, solves and
-    comparisons run on its integer image (`_image`).
+    and is read entry by entry; it has no arithmetic, no transpose and no
+    hermitian test.  Those run on its integer image (`_image`).
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -102,19 +97,10 @@ class Matrix:
     def row(self, i: int) -> tuple[Scalar, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def block(self, r0: int, r1: int, c0: int, c1: int) -> Matrix:
         """The submatrix of rows r0..r1-1 and columns c0..c1-1."""
         n = self.cols
         return Matrix(r1 - r0, c1 - c0, [e for i in range(r0, r1) for e in self.entries[i * n + c0 : i * n + c1]])
-
-    def transpose(self) -> Matrix:
-        return Matrix(self.cols, self.rows, [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)])
-
-    def conjugate(self) -> Matrix:
-        return Matrix(self.rows, self.cols, [e.conjugate() for e in self.entries])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -123,15 +109,6 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
-
-    def is_hermitian(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.entry(i, j) == self.entry(j, i).conjugate()
-            for i in range(self.rows)
-            for j in range(i, self.cols)
-        )
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
@@ -164,14 +141,6 @@ def _common(parts: list[Fraction]) -> tuple[list[int], int]:
 def _entry(row: list[int], col: int, ncols: int) -> tuple[int, int]:
     """Entry `col` of an integer row as an (re, im) pair."""
     return (row[col], row[ncols + col]) if len(row) > ncols else (row[col], 0)
-
-
-def _ratio(x: tuple[int, int], a: tuple[int, int]) -> Scalar:
-    """x / a for Gaussian integers x and nonzero a."""
-    (xr, xi), (ar, ai) = x, a
-    if not ai:
-        return _scalar(xr, xi, ar)
-    return _scalar(xr * ar + xi * ai, xi * ar - xr * ai, ar * ar + ai * ai)
 
 
 # -- elimination ---------------------------------------------------------------------
@@ -248,18 +217,6 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
             prev = a
         pivots.append(col)
     return pivots
-
-
-def _rows(blocks: list[Matrix]) -> list[list[int]]:
-    """Integer rows of the side-by-side block matrix [b0 | b1 | ...], each scaled on its own."""
-    real = all(_is_real(b.entries) for b in blocks)
-    return [_scaled([e for b in blocks for e in b.row(i)], real)[0] for i in range(blocks[0].rows)]
-
-
-def _eliminate(blocks: list[Matrix]) -> tuple[list[list[int]], list[int]]:
-    """Integer rows and pivot columns of the side-by-side block matrix [b0 | b1 | ...]."""
-    rows = _rows(blocks)
-    return rows, _gauss_jordan(rows, sum(b.cols for b in blocks))
 
 
 def _image(m: Matrix, real: bool | None = None) -> tuple[list[list[int]], int]:
@@ -436,16 +393,15 @@ def _annihilates(rows: list[list[int]], vec: list[tuple[int, int]], ncols: int) 
     return True
 
 
-def _schur(rows: list[list[int]], den: int, n: int, ncols: int) -> tuple[list[tuple[int, int]], int] | None:
-    """C^H X with A X = C for the integer rows of [A | C] over den.
+def _solve(rows: list[list[int]], n: int, ncols: int) -> tuple[list[int], list[list[tuple[int, int]]], int] | None:
+    """The RREF solution X of A X = C from the integer rows of [A | C], scaled to integers.
 
-    Returns the entries of C^H X, row-major, as numerators (re, im), and
-    their denominator.  A is hermitian of size n and C has ncols - n
-    columns; the rows (either layout) are not changed.  Their primitive
-    parts are eliminated once: a pivot in C means Ran C is not inside Ran A
-    (None).  Otherwise pivot row r, with lead a_r in column p_r, holds row
-    p_r of X as its C part over a_r; the other rows of X are zero.  Scaled
-    to s = lcm |a_r|^2, each entry of C^H X is one integer sum over den * s.
+    A has n columns and C has ncols - n; the rows (either layout, over any
+    one denominator) are not changed.  Their primitive parts are eliminated
+    once: a pivot in C means Ran C is not inside Ran A (None).  Otherwise
+    pivot row r, with lead a_r in column p_r, holds row p_r of X as its C
+    part over a_r; the other rows of X are zero.  Returns the pivot columns,
+    s times row p_r of X per pivot row as (re, im) pairs, and s = lcm |a_r|^2.
     """
     top = [_primitive(row) for row in rows]
     pivots = _gauss_jordan(top, ncols)
@@ -453,10 +409,25 @@ def _schur(rows: list[list[int]], den: int, n: int, ncols: int) -> tuple[list[tu
         return None
     leads = [_entry(top[r], p, ncols) for r, p in enumerate(pivots)]
     scale = lcm(*(ar * ar + ai * ai for ar, ai in leads))
-    xs = []  # s times row p_r of X, as (re, im) pairs: x / a = x conj(a) / |a|^2
+    xs = []  # x / a = x conj(a) / |a|^2
     for row, (ar, ai) in zip(top, leads):
         f, parts = scale // (ar * ar + ai * ai), [_entry(row, c, ncols) for c in range(n, ncols)]
         xs.append([((x * ar + y * ai) * f, (y * ar - x * ai) * f) for x, y in parts])
+    return pivots, xs, scale
+
+
+def _schur(rows: list[list[int]], den: int, n: int, ncols: int) -> tuple[list[tuple[int, int]], int] | None:
+    """C^H X with A X = C for the integer rows of [A | C] over den, or None if Ran C is not inside Ran A.
+
+    Returns the entries of C^H X, row-major, as numerators (re, im), and
+    their denominator.  A is hermitian of size n and C has ncols - n
+    columns; X is the `_solve` solution, s times its nonzero rows.  Each
+    entry of C^H X is one integer sum over den * s.
+    """
+    solved = _solve(rows, n, ncols)
+    if solved is None:
+        return None
+    pivots, xs, scale = solved
     out = []
     for i in range(n, ncols):
         cs = [_entry(rows[p], i, ncols) for p in pivots]  # conj(C) entries a - i b
@@ -467,86 +438,27 @@ def _schur(rows: list[list[int]], den: int, n: int, ncols: int) -> tuple[list[tu
     return out, den * scale
 
 
-# -- public API ------------------------------------------------------------------------
+# -- PSD pivoting ------------------------------------------------------------------------
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank over Q(i)."""
-    return len(_eliminate([m])[1])
+def _hermitian(rows: list[list[int]]) -> bool:
+    """True iff the square integer image (either layout) is hermitian."""
+    n = len(rows)
+    re = [row[:n] for row in rows]
+    im = [row[n:] for row in rows] if rows and len(rows[0]) > n else []
+    return re == [list(col) for col in zip(*re)] and im == [[-x for x in col] for col in zip(*im)]
 
 
-def nullspace(m: Matrix) -> list[tuple[Scalar, ...]]:
-    """Canonical basis of the right kernel.
-
-    One vector per free column, with a 1 at the free coordinate and the
-    pivot coordinates filled from the RREF.  For a free column f every other
-    basis vector has coordinate 0 at f, so the list is in reduced echelon
-    form.  Empty for injective matrices.
-    """
-    return _null_vectors(_rows([m]), m.cols)
-
-
-def _null_vectors(rows: list[list[int]], ncols: int) -> list[tuple[Scalar, ...]]:
-    """`nullspace` of the matrix of integer rows, which are eliminated in place."""
-    basis = []
-    for terms, den in _null_terms(rows, _gauss_jordan(rows, ncols), ncols):
-        vec = [ZERO] * ncols
-        for c, (re, im) in terms:
-            vec[c] = _scalar(re, im, den)
-        basis.append(tuple(vec))
-    return basis
-
-
-def solve_particular(a: Matrix, c: Matrix) -> tuple[int, Matrix | None]:
-    """rank(a) and the RREF solution of a*X = c with free variables zero.
-
-    The left block of the RREF of [a | c] is the RREF of `a`; a pivot right
-    of it means some column of c lies outside Ran(a), and the solution is None.
-    """
-    if a.rows != c.rows:
-        raise ValueError("row count mismatch")
-    rows, pivots = _eliminate([a, c])
-    rank_a = sum(p < a.cols for p in pivots)
-    if rank_a < len(pivots):
-        return rank_a, None
-    ncols, out = a.cols + c.cols, [ZERO] * (a.cols * c.cols)
-    for r, p in enumerate(pivots):
-        lead = _entry(rows[r], p, ncols)
-        out[p * c.cols : (p + 1) * c.cols] = [_ratio(_entry(rows[r], j, ncols), lead) for j in range(a.cols, ncols)]
-    return rank_a, Matrix(a.cols, c.cols, out)
-
-
-def solve_full_rank(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a*X = b for invertible `a` (raises if singular)."""
-    rank_a, x = solve_particular(a, b)
-    if x is None or rank_a < a.cols:
-        raise InternalInvariantError("matrix expected to be invertible is singular")
-    return x
-
-
-def psd_check(m: Matrix) -> bool:
-    """Exact positive-semidefiniteness test for a hermitian matrix.
-
-    Recursive diagonal pivoting: a negative diagonal entry refutes, a zero
-    diagonal with a nonzero off-diagonal entry in its row refutes, otherwise
-    the first positive diagonal is pivoted out through an exact Schur
-    complement.  Correct for semidefinite (not only definite) matrices.
-    """
-    return _psd_pivots(m, "psd_check") is not None
-
-
-def ldlh_psd(m: Matrix) -> list[tuple[Scalar, tuple[Scalar, ...]]] | None:
-    """Rational LDL^H data for a hermitian PSD matrix.
-
-    Returns pairs (d, v) with d a positive rational pivot and v a vector such
-    that m = sum d * v v^H.  Returns None when m is not PSD.
-    """
-    pivots = _psd_pivots(m, "ldlh_psd")
-    return None if pivots is None else _ldlh(pivots, m.rows)
+def _psd_pivots(m: Matrix):
+    """`_image_psd` of a matrix from a file; ValueError unless its integer image is hermitian."""
+    rows, den = _image(m)
+    if m.rows != m.cols or not _hermitian(rows):
+        raise ValueError("matrix is not hermitian")
+    return _image_psd(rows, den)
 
 
 def _ldlh(pivots, n: int) -> list[tuple[Scalar, tuple[Scalar, ...]]]:
-    """The (d, v) pairs of `ldlh_psd` from the integer pivot data of `_image_psd`, for size n."""
+    """The pairs (d, v), d > 0 rational, with m = sum d v v^H, from the `_image_psd` pivots of n x n m."""
     out = []
     for p, weight, d, active, cr, ci in pivots:
         vec = [ZERO] * n
@@ -557,16 +469,11 @@ def _ldlh(pivots, n: int) -> list[tuple[Scalar, tuple[Scalar, ...]]]:
     return out
 
 
-def _psd_pivots(m: Matrix, caller: str):
-    if m.rows != m.cols:
-        raise ValueError(f"{caller} requires a hermitian matrix")
-    return _image_psd(*_image(m), caller)
+def _image_psd(rows: list[list[int]], den: int):
+    """LDL^H pivots of the hermitian matrix rows / den, from its integer image (see `_image`), or None.
 
-
-def _image_psd(rows: list[list[int]], den: int, caller: str):
-    """LDL^H pivots of the matrix rows / den, from its integer image (see `_image`), or None.
-
-    The image is checked to be hermitian on its integers and is not changed.
+    Only the upper triangle of the image is read, and the image is not
+    changed; callers that do not build it hermitian check it first.
     The matrix S still to be pivoted, (re + i im) / scale on the active
     indices, is held compacted as an upper triangle: each active row from
     its diagonal rightwards.  A negative diagonal refutes; a zero one
@@ -584,11 +491,9 @@ def _image_psd(rows: list[list[int]], den: int, caller: str):
     """
     n = len(rows)
     real = not rows or len(rows[0]) == n
-    re = [row[:n] for row in rows]
-    im = [] if real else [row[n:] for row in rows]
-    if re != [list(col) for col in zip(*re)] or im != [[-x for x in col] for col in zip(*im)]:
-        raise ValueError(f"{caller} requires a hermitian matrix")
-    tri = [[row[i:] for i, row in enumerate(mat)] for mat in ([re] if real else [re, im])]
+    tri = [[row[i:n] for i, row in enumerate(rows)]]
+    if not real:
+        tri.append([row[n + i :] for i, row in enumerate(rows)])
     scale, prev = Fraction(den), 1
     active = list(range(n))
     out = []

@@ -394,7 +394,7 @@ class TruncatedFunctional:
         return self._echelon[0][:m] == list(range(m))
 
     def is_psd(self) -> bool:
-        """`linalg.psd_check` of B_{L_k}, pivoted on its integer image."""
+        """Whether B_{L_k} is PSD, by the LDL^H pivoting of its integer image."""
         return self._ldlh is not None
 
     @cached_property
@@ -405,7 +405,7 @@ class TruncatedFunctional:
         in the span of the columns pivoted before it: the pivots are the pivot
         columns, the rest the kernel tips.
         """
-        return linalg._image_psd(*self._image, "psd_check")
+        return linalg._image_psd(*self._image)
 
 
 class MomentMatrix(Record):

@@ -6,8 +6,8 @@ weights) or a hermitian PSD Gram matrix over a path basis.  A passing Gram
 witness is converted to explicit weighted squares through the exact rational
 LDL^H decomposition; certificate search is out of scope.
 
-A Gram certificate is pivoted once, on the gram's integer image: that
-pivoting checks the hermitian property, decides PSD and gives the squares.
+A Gram certificate is taken to one integer image, checked there to be
+hermitian and pivoted once: that pivoting decides PSD and gives the squares.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ def verify_gram(target: Element, basis: list[Path], gram: Matrix, d: int | None 
 def gram_pivots(target: Element, basis: list[Path], gram: Matrix, d: int | None = None):
     """The LDL^H pivots of a gram that certifies the target (see `verify_gram`), or None.
 
-    One pivoting decides hermitian (else `InputError`), then PSD; the degree
-    bound is checked in between.
+    The gram's integer image decides hermitian (else `InputError`), then one
+    pivoting decides PSD; the degree bound is checked in between.
     """
     try:
-        pivots = linalg._psd_pivots(gram, "ldlh_psd")
+        pivots = linalg._psd_pivots(gram)
     except ValueError:
         raise InputError("certificate gram must be hermitian") from None
     if d is not None:
@@ -91,7 +91,7 @@ def gram_to_squares(basis: list[Path], gram: Matrix, pivots=None) -> list[tuple[
     `pivots`, when given, are the gram's integer pivot data (from `gram_pivots`).
     """
     if pivots is None:
-        pivots = linalg._psd_pivots(gram, "ldlh_psd")
+        pivots = linalg._psd_pivots(gram)
     if pivots is None:
         raise InputError("gram witness is not PSD")
     return [(d, Element.from_terms(basis[0].double, zip(basis, vec))) for d, vec in linalg._ldlh(pivots, gram.rows)]

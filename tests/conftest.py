@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from linalg_oracle import column, product
+from linalg_oracle import column, conj_transpose, product
 from quivermoment import (
     Element,
     Matrix,
@@ -204,7 +204,7 @@ def letter_maps(double, dims, rng, lo=-3, hi=3, complex_=False):
             [_draw(rng, complex_, lo, hi) for _ in range(dims[dst] * dims[src])],
         )
         maps[(i, False)] = m
-        maps[(i, True)] = m.transpose().conjugate()
+        maps[(i, True)] = conj_transpose(m)
     return maps
 
 
@@ -242,7 +242,7 @@ def state_functional(double, k, include_trivial, dims, rng, complex_=False):
 
 def pd_functional(double, k, include_trivial, rng, dims=None, tries=40, complex_=False):
     """A random positive-definite functional (full-rank moment matrix)."""
-    from quivermoment import linalg
+    from matrix_api import rank
 
     order = double.default_order()
     window = enumerate_basis(double, order, k, include_trivial)
@@ -253,7 +253,7 @@ def pd_functional(double, k, include_trivial, rng, dims=None, tries=40, complex_
         dims = [max(1, c) for c in per_vertex]
     for _ in range(tries):
         f = state_functional(double, k, include_trivial, dims, rng, complex_)
-        if linalg.rank(f.moment_matrix().m) == len(window):
+        if rank(f.moment_matrix().m) == len(window):
             return f
     raise RuntimeError("failed to draw a positive-definite functional")
 

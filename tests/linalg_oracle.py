@@ -7,8 +7,9 @@ correct; `test_linalg_engine.py` checks the integer engine against it.
 
 It also holds the arithmetic `Matrix` had before it became an I/O type:
 `product` (rows of the left factor and columns of the right factor each
-scaled to integers on their own), `add`, `sub`, `scale`, `conj_transpose`
-and `is_zero`, and the constructors `identity` and `column`.
+scaled to integers on their own), `add`, `sub`, `scale`, `col`,
+`transpose`, `conj_transpose`, `is_hermitian` and `is_zero`, and the
+constructors `identity` and `column`.
 
 `two_eliminations` is the route a functional's flatness report and kernel
 took before one echelon form gave both: the kernel of the whole conjugated
@@ -32,7 +33,6 @@ from quivermoment.linalg import (
     _gauss_jordan,
     _is_real,
     _primitive,
-    _ratio,
     _scalar,
     _scaled,
 )
@@ -46,7 +46,7 @@ def product(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError(f"shape mismatch {a.rows}x{a.cols} * {b.rows}x{b.cols}")
     real = _is_real(a.entries) and _is_real(b.entries)
     left = [_scaled(a.row(i), real) for i in range(a.rows)]
-    right = [_scaled(b.col(j), real) for j in range(b.cols)]
+    right = [_scaled(col(b, j), real) for j in range(b.cols)]
     out = []
     if real:
         for x, dx in left:
@@ -91,8 +91,23 @@ def column(values) -> Matrix:
     return Matrix(len(values), 1, values)
 
 
+def col(m: Matrix, j: int) -> tuple[Scalar, ...]:
+    return tuple(m.entries[i * m.cols + j] for i in range(m.rows))
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(m.cols, m.rows, [m.entry(i, j) for j in range(m.cols) for i in range(m.rows)])
+
+
 def conj_transpose(m: Matrix) -> Matrix:
-    return m.transpose().conjugate()
+    return Matrix(m.cols, m.rows, [m.entry(i, j).conjugate() for j in range(m.cols) for i in range(m.rows)])
+
+
+def is_hermitian(m: Matrix) -> bool:
+    """`Scalar` comparison of every entry with the conjugate of its mirror."""
+    if m.rows != m.cols:
+        return False
+    return all(m.entry(i, j) == m.entry(j, i).conjugate() for i in range(m.rows) for j in range(i, m.cols))
 
 
 def is_zero(m: Matrix) -> bool:
@@ -223,7 +238,7 @@ def psd_check(m: Matrix) -> bool:
     the first positive diagonal is pivoted out through an exact Schur
     complement.  Correct for semidefinite (not only definite) matrices.
     """
-    if not m.is_hermitian():
+    if not is_hermitian(m):
         raise ValueError("psd_check requires a hermitian matrix")
     return _psd_pivots(m) is not None
 
@@ -234,7 +249,7 @@ def ldlh_psd(m: Matrix) -> list[tuple[Scalar, tuple[Scalar, ...]]] | None:
     Returns pairs (d, v) with d a positive rational pivot and v a vector such
     that m = sum d * v v^H.  Returns None when m is not PSD.
     """
-    if not m.is_hermitian():
+    if not is_hermitian(m):
         raise ValueError("ldlh_psd requires a hermitian matrix")
     return _psd_pivots(m)
 
@@ -326,6 +341,14 @@ def block_flat(rows: list[list[int]], n: int, ncols: int) -> tuple[int, bool, bo
         if any(row):
             return rank_a, True, False
     return rank_a, True, True
+
+
+def _ratio(x: tuple[int, int], a: tuple[int, int]) -> Scalar:
+    """x / a for Gaussian integers x and nonzero a."""
+    (xr, xi), (ar, ai) = x, a
+    if not ai:
+        return _scalar(xr, xi, ar)
+    return _scalar(xr * ar + xi * ai, xi * ar - xr * ai, ar * ar + ai * ai)
 
 
 def null_vectors(rows: list[list[int]], ncols: int) -> list[tuple[Scalar, ...]]:

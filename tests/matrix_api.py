@@ -1,0 +1,91 @@
+"""The integer kernels of `quivermoment.linalg` behind `Matrix` signatures.
+
+The package hands its kernels integer images and reads integers back; only
+the tests compare them with whole `Matrix` results, those of the `Scalar`
+engine in `linalg_oracle.py` and of sympy.  Each function here takes its
+`Matrix` arguments to integer images (`linalg._image`), runs one kernel and
+builds the `Matrix` or `Scalar` result, with the signature of its
+`linalg_oracle` twin:
+
+* `rank` and `nullspace`: `_gauss_jordan`, and `_null_terms` on its rows;
+* `solve_particular` and `solve_full_rank`: `_solve` of [a | c];
+* `psd_check` and `ldlh_psd`: `_psd_pivots` (hermitian check, then
+  `_image_psd`) and `_ldlh`, each refusing a non-hermitian matrix in its
+  own words;
+* `schur_complete`: `_schur` of [a | c].
+"""
+
+from __future__ import annotations
+
+from quivermoment import linalg
+from quivermoment.errors import InternalInvariantError, NotFlatError
+from quivermoment.linalg import Matrix
+from quivermoment.scalar import ZERO, Scalar, from_numerators
+
+
+def _beside(a: Matrix, c: Matrix) -> tuple[list[list[int]], int]:
+    """The integer image of [a | c]: its rows and their denominator."""
+    if a.rows != c.rows:
+        raise ValueError("row count mismatch")
+    m = Matrix(a.rows, a.cols + c.cols, [x for i in range(a.rows) for x in a.row(i) + c.row(i)])
+    return linalg._image(m)
+
+
+def rank(m: Matrix) -> int:
+    return len(linalg._gauss_jordan(linalg._image(m)[0], m.cols))
+
+
+def nullspace(m: Matrix) -> list[tuple[Scalar, ...]]:
+    rows = linalg._image(m)[0]
+    basis = []
+    for terms, den in linalg._null_terms(rows, linalg._gauss_jordan(rows, m.cols), m.cols):
+        vec = [ZERO] * m.cols
+        for c, (re, im) in terms:
+            vec[c] = from_numerators(re, im, den)
+        basis.append(tuple(vec))
+    return basis
+
+
+def solve_particular(a: Matrix, c: Matrix) -> tuple[int, Matrix | None]:
+    solved = linalg._solve(_beside(a, c)[0], a.cols, a.cols + c.cols)
+    if solved is None:
+        return rank(a), None
+    pivots, xs, scale = solved
+    out = [ZERO] * (a.cols * c.cols)
+    for p, x in zip(pivots, xs):
+        out[p * c.cols : (p + 1) * c.cols] = [from_numerators(re, im, scale) for re, im in x]
+    return len(pivots), Matrix(a.cols, c.cols, out)
+
+
+def solve_full_rank(a: Matrix, b: Matrix) -> Matrix:
+    rank_a, x = solve_particular(a, b)
+    if x is None or rank_a < a.cols:
+        raise InternalInvariantError("matrix expected to be invertible is singular")
+    return x
+
+
+def _pivots(m: Matrix, name: str):
+    try:
+        return linalg._psd_pivots(m)
+    except ValueError:
+        raise ValueError(f"{name} requires a hermitian matrix") from None
+
+
+def psd_check(m: Matrix) -> bool:
+    return _pivots(m, "psd_check") is not None
+
+
+def ldlh_psd(m: Matrix) -> list[tuple[Scalar, tuple[Scalar, ...]]] | None:
+    pivots = _pivots(m, "ldlh_psd")
+    return None if pivots is None else linalg._ldlh(pivots, m.rows)
+
+
+def schur_complete(a: Matrix, c: Matrix) -> Matrix:
+    """The flat bottom-right block C^H X with A X = C, for hermitian A."""
+    if a.rows != a.cols or not linalg._hermitian(linalg._image(a)[0]):
+        raise ValueError("schur_complete requires a hermitian A")
+    b = linalg._schur(*_beside(a, c), a.cols, a.cols + c.cols)
+    if b is None:
+        raise NotFlatError("Ran(C) is not contained in Ran(A); no flat completion exists")
+    entries, den = b
+    return Matrix(c.cols, c.cols, [from_numerators(x, y, den) for x, y in entries])

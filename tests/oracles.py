@@ -13,7 +13,7 @@
   and the moment pairing L(f g*) computed through the algebra product;
 * the flatness report and the PSD verdict as they were before the integer
   image of B_{L_k}: the block criterion through the `Scalar` solution X of
-  A X = C, the product C^H X and `Matrix ==`, and `Matrix.is_hermitian`
+  A X = C, the product C^H X and `Matrix ==`, and `linalg_oracle.is_hermitian`
   before `Scalar` pivoting;
 * the kernel Gröbner basis as it was before the minimal-tip selection: the
   completion of the echelon kernel, then the containment check;
@@ -206,14 +206,14 @@ def scalar_adjoint_pair_ok(rep, base_name: str) -> bool:
     """M_b^H F == F M_{b*} with F = gram^T, as `Scalar` products and `Matrix ==`."""
     mb = rep.letter_matrix(base_name)
     mbs = rep.letter_matrix(base_name + "*")
-    f = rep.gram.transpose()
+    f = linalg_oracle.transpose(rep.gram)
     return linalg_oracle.matmul(linalg_oracle.conj_transpose(mb), f) == linalg_oracle.matmul(f, mbs)
 
 
 def scalar_check_relations(rep) -> RelationReport:
     """`check_relations` as it was before integer images: every generator
     product a `Scalar` matrix product, every comparison `Matrix ==`, and the
-    gram verdicts from `Matrix.is_hermitian` and `Scalar` pivoting."""
+    gram verdicts from `linalg_oracle.is_hermitian` and `Scalar` pivoting."""
     report = RelationReport()
     double = rep.double
     n = rep.dim
@@ -462,8 +462,8 @@ def flat_report(functional: TruncatedFunctional) -> FlatReport:
     with B through `Matrix.__mul__` and `Matrix ==`.
     """
     blocks = block_decompose(functional)
-    rank_k = linalg.rank(functional.moment_matrix().m)
-    rank_km1, x = linalg.solve_particular(blocks.a, blocks.c)
+    rank_k = linalg_oracle.rank(functional.moment_matrix().m)
+    rank_km1, x = linalg_oracle.solve_particular(blocks.a, blocks.c)
     rank_flat = rank_k == rank_km1
     range_ok = x is not None
     block_flat = range_ok and blocks.b == linalg_oracle.product(linalg_oracle.conj_transpose(blocks.c), x)
@@ -473,7 +473,7 @@ def flat_report(functional: TruncatedFunctional) -> FlatReport:
 
 
 def is_psd(functional: TruncatedFunctional) -> bool:
-    """`Matrix.is_hermitian` on B_{L_k}, then `Scalar` diagonal pivoting."""
+    """`linalg_oracle.is_hermitian` on B_{L_k}, then `Scalar` diagonal pivoting."""
     return linalg_oracle.psd_check(functional.moment_matrix().m)
 
 
@@ -525,7 +525,7 @@ def extension_odd_values(functional: TruncatedFunctional):
                 rows.append(row)
                 rhs.append(Fraction(0))
     solution = linalg_oracle.solve_canonical(rows, rhs, 2 * n)
-    free = 2 * n - linalg.rank(Matrix(len(rows), 2 * n, [Scalar(x) for row in rows for x in row]))
+    free = 2 * n - linalg_oracle.rank(Matrix(len(rows), 2 * n, [Scalar(x) for row in rows for x in row]))
     if solution is None:
         return None, free
     return {m: Scalar(solution[j], solution[n + j]) for m, j in index.items()}, free
@@ -538,7 +538,7 @@ def scalar_flat_extend_tip_maximal(
     """`flat_extend_tip_maximal` on `Path` keys, `Fraction` rows and `Scalar` matrices.
 
     One unknown per star pair, held at the later member; the [u | v] system
-    is built in full on real data too and solved by `linalg.solve_particular`;
+    is built in full on real data too and solved by `linalg_oracle.solve_particular`;
     the top block is C^H X with X from one more `solve_particular`, formed as
     a `Matrix` product; the values go through the `Path`-keyed constructor.
     Same checks, in the same order, with the same errors.
@@ -594,7 +594,7 @@ def scalar_flat_extend_tip_maximal(
                 rhs.extend((-known.re, -known.im))
 
     system = Matrix(len(rows), 2 * npairs, [Scalar(x) for row in rows for x in row])
-    solution = linalg.solve_particular(system, linalg_oracle.column([Scalar(x) for x in rhs]))[1]
+    solution = linalg_oracle.solve_particular(system, linalg_oracle.column([Scalar(x) for x in rhs]))[1]
     if solution is None:
         if free_algebra:
             raise InternalInvariantError("extension system inconsistent on a free *-algebra")
@@ -612,7 +612,7 @@ def scalar_flat_extend_tip_maximal(
         return ZERO if pq is ZERO_PATH else values[pq]
 
     c = Matrix(len(base.basis), len(new_paths), [ent(p, q) for p in base.basis for q in new_paths])
-    x = linalg.solve_particular(base.m, c)[1]
+    x = linalg_oracle.solve_particular(base.m, c)[1]
     if x is None:
         if free_algebra:
             raise InternalInvariantError("range containment failed on a free *-algebra extension")
@@ -889,12 +889,12 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     basis = tuple(pairing.basis[j] for j in linalg_oracle.rref(pairing.m)[1])
     n = len(basis)
     gram = functional.moment_block(basis, basis)
-    ft = gram.transpose()
+    ft = linalg_oracle.transpose(gram)
 
     def coords(q: Path) -> list[Scalar]:
         """Coordinates y of the coset [q] over the reps: F^T y = (L(q r_i*))_i."""
-        rhs = functional.moment_block([q], basis).transpose()
-        sol = linalg.solve_full_rank(ft, rhs)
+        rhs = linalg_oracle.transpose(functional.moment_block([q], basis))
+        sol = linalg_oracle.solve_full_rank(ft, rhs)
         return [sol.entry(i, 0) for i in range(n)]
 
     low = {i for i, r in enumerate(basis) if r.length() <= dp1 - 1}
@@ -913,7 +913,7 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
                 len(block),
                 [gram.entry(i, u) for u in k_idx for i in block],
             )
-            comp = linalg.nullspace(cons)
+            comp = linalg_oracle.nullspace(cons)
         elif k_idx:
             comp = []
         else:
@@ -943,10 +943,10 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
                 images.append([ZERO] * n)
         t_full = Matrix(n, n, [t_cols[j][i] for i in range(n) for j in range(n)])
         g_full = Matrix(n, n, [images[j][i] for i in range(n) for j in range(n)])
-        m_b = linalg_oracle.product(g_full, linalg.solve_full_rank(t_full, linalg_oracle.identity(n)))
+        m_b = linalg_oracle.product(g_full, linalg_oracle.solve_full_rank(t_full, linalg_oracle.identity(n)))
         arrows[arrow.name] = m_b
         # pi(b*) is the gram adjoint of pi(b).
-        arrows[arrow.name + "*"] = linalg.solve_full_rank(ft, linalg_oracle.product(linalg_oracle.conj_transpose(m_b), ft))
+        arrows[arrow.name + "*"] = linalg_oracle.solve_full_rank(ft, linalg_oracle.product(linalg_oracle.conj_transpose(m_b), ft))
 
     xi = [ZERO] * n
     for e in double.trivial_paths():

@@ -24,15 +24,14 @@ from quivermoment import (
     flat_extend_tip_maximal,
     rep_kernel,
     right_groebner,
-    schur_complete,
     verify_gram,
     verify_squares,
 )
-from quivermoment import linalg
 from quivermoment.sos import expand_gram, gram_to_squares
 
 from conftest import elem, l3_functional, path, pd_functional, sc, state_functional
-from linalg_oracle import identity, is_zero, product
+from linalg_oracle import col, identity, is_hermitian, is_zero, product
+from matrix_api import psd_check, rank, schur_complete
 from oracles import (
     adjoint_pair_ok,
     apply_right_element,
@@ -102,10 +101,10 @@ def test_acceptance_2_representation(example2_l4, fix_g4, fix_loop):
             out.append(r)
         return out
 
-    base_rank = linalg.rank(Matrix.from_rows(rows(kern)))
+    base_rank = rank(Matrix.from_rows(rows(kern)))
     for q in printed_kernel:
         assert is_zero(element_matrix_word_order(rep_printed, q))
-        assert linalg.rank(Matrix.from_rows(rows(kern + [q]))) == base_rank
+        assert rank(Matrix.from_rows(rows(kern + [q]))) == base_rank
     mx = rep_printed.letter_matrix("x")
     mxs = rep_printed.letter_matrix("x*")
     assert is_zero(product(product(mx, mx), mx)) and is_zero(product(product(mxs, mxs), mxs))
@@ -182,7 +181,7 @@ def test_acceptance_4_extension_uniqueness_and_rank_stability(fix_a2, fix_loop):
         rank_k = flat.is_flat().rank_k
         for m in (k, k + 1, k + 2):
             tv = e1.truncated_view(m)
-            assert linalg.rank(tv.moment_matrix().m) == rank_k
+            assert rank(tv.moment_matrix().m) == rank_k
     report(4, "20 random flat PSD functionals: generator-order-independent "
               "values up to degree 2k+4; rank stable at k, k+1, k+2", t0)
 
@@ -330,8 +329,6 @@ def test_acceptance_8_sos_verification(fix_a2, fix_loop, fix_l2_ext, example2_l4
     assert verify_gram(qgram, basis2, g2) is True
 
     # Every passing certificate maps to an exactly PSD form on built reps.
-    from quivermoment import psd_check
-
     passing = [(fix_a2, q3), (fix_a2, qgram), (fix_loop, q)]
     reps = {fix_a2: build_representation(fix_l2_ext), fix_loop: build_representation(example2_l4)}
     for double, target in passing:
@@ -341,9 +338,9 @@ def test_acceptance_8_sos_verification(fix_a2, fix_loop, fix_l2_ext, example2_l4
         form = Matrix(
             rep.dim,
             rep.dim,
-            [inner(rep, list(action.col(j)), unit(i)) for i in range(rep.dim) for j in range(rep.dim)],
+            [inner(rep, list(col(action, j)), unit(i)) for i in range(rep.dim) for j in range(rep.dim)],
         )
-        assert form.is_hermitian() and psd_check(form)
+        assert is_hermitian(form) and psd_check(form)
 
     # Gram-to-squares round trip.
     weighted = gram_to_squares(basis2, g2)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +59,7 @@ from quivermoment import (
     sos,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
 ONE_LOOP = build_double(Quiver(["e"], [("x", "e", "e")]))
 TWO_LOOPS = build_double(Quiver(["e"], [("x", "e", "e"), ("y", "e", "e")]))
 
@@ -99,17 +101,18 @@ def test_flatness_and_kernel_share_one_echelon_form(flat, pd_two_loops, eliminat
 
 @pytest.fixture
 def scalar_matrix_calls(monkeypatch):
-    """Calls of Matrix.is_hermitian.  `Matrix` has no product left to count:
-    it is an I/O type, and products run on integer images."""
-    assert not hasattr(linalg.Matrix, "__mul__")
+    """Comparisons of `Matrix` values.  `Matrix` has no product, transpose
+    or hermitian test left to count: it is an I/O type, and those run on
+    integer images."""
+    assert not any(hasattr(linalg.Matrix, name) for name in ("__mul__", "transpose", "conjugate", "is_hermitian"))
     calls = []
-    fn = linalg.Matrix.is_hermitian
+    fn = linalg.Matrix.__eq__
 
     def counted(*args):
-        calls.append("is_hermitian")
+        calls.append("__eq__")
         return fn(*args)
 
-    monkeypatch.setattr(linalg.Matrix, "is_hermitian", counted)
+    monkeypatch.setattr(linalg.Matrix, "__eq__", counted)
     return calls
 
 
@@ -119,9 +122,9 @@ def psd_pivotings(monkeypatch):
     calls = []
     fn = linalg._image_psd
 
-    def counted(rows, den, caller):
+    def counted(rows, den):
         calls.append(len(rows))
-        return fn(rows, den, caller)
+        return fn(rows, den)
 
     monkeypatch.setattr(linalg, "_image_psd", counted)
     return calls
@@ -203,23 +206,15 @@ def test_one_step_extension_keeps_both_halves_on_gaussian_data(eliminations):
     assert eliminations == [5, 5, 2 * 32 + 1, 21, 21]
 
 
-def test_one_step_extension_forms_no_scalar_product(monkeypatch, scalar_matrix_calls):
+def test_one_step_extension_forms_no_scalar_product(images, scalar_matrix_calls):
     # The system and the Schur block are built as integer rows from window
-    # positions: no `Scalar` matrix is scaled to integers (`linalg._rows`)
-    # and no `Matrix` product or hermitian test runs.
-    scaled = []
-    fn = linalg._rows
-
-    def counted(blocks):
-        scaled.append(len(blocks))
-        return fn(blocks)
-
-    monkeypatch.setattr(linalg, "_rows", counted)
+    # positions: no `Matrix` is taken to integers (`linalg._image`) and no
+    # `Matrix` product or hermitian test runs.
     for complex_ in (False, True):
         f = state_functional(TWO_LOOPS, 1, True, [2], random.Random(0), complex_)
-        del scalar_matrix_calls[:]  # the state's own construction
+        del images[:], scalar_matrix_calls[:]  # the state's own construction
         assert flat_extend_tip_maximal(f).is_flat().flat
-        assert scaled == []
+        assert images == []
         assert scalar_matrix_calls == []
 
 
@@ -260,6 +255,26 @@ def test_kernel_routes_run_no_completion(completions, tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert len(out["elements"]) == len(gb.elements)
     assert completions == ["_reduce"] * 12
+
+
+def test_rep_kernel_builds_each_element_from_its_nonzero_terms(monkeypatch):
+    # `gns kernel` of the committed compression of a PSD chain state at
+    # degree 6: each element is built from the sparse terms of its echelon
+    # vector, so `Element.from_terms` is handed exactly the output terms,
+    # not one pair per word.
+    rep = fileio.load_representation(FIXTURES / "fix_psd_chain_compressed.json")
+    pairs = []
+    fn = algebra.Element.from_terms
+
+    def counted(double, given):
+        given = list(given)
+        pairs.append(len(given))
+        return fn(double, given)
+
+    monkeypatch.setattr(algebra.Element, "from_terms", staticmethod(counted))
+    elements = gns.rep_kernel(rep, 6)
+    assert len(elements) == len(pairs) > 0
+    assert sum(pairs) == sum(len(e.terms) for e in elements)
 
 
 @pytest.fixture
@@ -325,6 +340,21 @@ def test_loaded_functional_assembles_its_moment_matrix_once(rank3_two_loops_file
     assert gb.elements
     assert compose_calls == []
     assert assemblies == [("gather", 85, 85)]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_compress_reads_its_systems_off_the_image(complex_, tmp_path, capsys, assemblies):
+    # A PD state on two loops with k = 2, read from its file: the gram, F and
+    # every right-hand side are read off the one 21x21 integer image by
+    # window position.  No `Scalar` moment block is built and no `Matrix` is
+    # taken to integers.
+    f = pd_functional(TWO_LOOPS, 2, True, random.Random(5), complex_=complex_)
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps(fileio.functional_to_dict(f)), encoding="utf-8")
+    del assemblies[:]  # the state's own draw
+    assert cli.main(["gns", "compress", str(fpath)]) == 0
+    assert json.loads(capsys.readouterr().out)["basis"]
+    assert assemblies == [("gather", 21, 21)]
 
 
 @pytest.mark.parametrize(

@@ -568,6 +568,15 @@ def test_cli_order_check(tmp_path, capsys):
     assert not any(out[-1]["violations"].values())
 
 
+@pytest.mark.parametrize("samples", ["-5", "-1"])
+def test_cli_order_check_refuses_negative_samples(tmp_path, capsys, samples):
+    qpath = write(tmp_path, "q.json", A2)
+    assert main(["order-check", qpath, "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --samples must be a non-negative integer, not {samples}\n"
+
+
 def test_cli_order_file_override(tmp_path, capsys):
     # Reversing the letter order flips which basis element carries which tip.
     opath = write(tmp_path, "order.json", {"vertices": ["e"], "arrows": ["x*", "x"]})
@@ -665,6 +674,28 @@ def test_psd_pipeline_reproduces_the_committed_outputs(tmp_path, capsys):
     assert main(["sos", "verify", str(fixtures / "fix_gauss_pd_loop_tampered.json")]) == 1
     stdout.append(capsys.readouterr().out)
     assert "".join(stdout) == (fixtures / "psd_pipeline_stdout.txt").read_text(encoding="utf-8")
+
+
+def test_groebner_build_and_rep_kernel_reproduce_the_committed_outputs(capsys):
+    # CI replays these without site-packages: `gns build` from a Gröbner
+    # basis file with the moment gram of its quotient, the same file with a
+    # gram that is not hermitian (its upper triangle unchanged) and with one
+    # that is hermitian but not PSD, and `gns kernel` of a compression at
+    # degree 12.  The expected files were written by the `Scalar` matrix
+    # route.
+    fixtures = FsPath(__file__).parent / "fixtures"
+    assert main(["gns", "build", str(fixtures / "fix_groebner_gram.json")]) == 0
+    assert capsys.readouterr().out == (fixtures / "groebner_build_stdout.txt").read_text(encoding="utf-8")
+    stderr = []
+    for name in ("nonhermitian", "nonpsd"):
+        assert main(["gns", "build", str(fixtures / f"fix_groebner_gram_{name}.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        stderr.append(captured.err)
+    assert "".join(stderr) == (fixtures / "groebner_refusals_stderr.txt").read_text(encoding="utf-8")
+    argv = ["gns", "kernel", str(fixtures / "fix_psd_chain_compressed.json"), "--degree", "12"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (fixtures / "rep_kernel_stdout.txt").read_text(encoding="utf-8")
 
 
 def test_cli_groebner_from_kernel_refuses_a_kernel_element_left_over(tmp_path, capsys, monkeypatch):

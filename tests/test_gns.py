@@ -39,7 +39,7 @@ PRINTED_REPRESENTATIVES = [
 
 
 def element_in_span(e, basis_elements, double, max_len):
-    from quivermoment import linalg
+    from matrix_api import rank
 
     order = double.default_order()
     window = enumerate_basis(double, order, max_len, include_trivial=True)
@@ -54,7 +54,7 @@ def element_in_span(e, basis_elements, double, max_len):
     base = [row(g) for g in basis_elements]
     m0 = Matrix.from_rows(base) if base else Matrix.zeros(0, len(window))
     m1 = Matrix.from_rows(base + [row(e)])
-    return linalg.rank(m0) == linalg.rank(m1)
+    return rank(m0) == rank(m1)
 
 
 def test_build_representation_fixture(fix_l2_ext):
@@ -176,6 +176,53 @@ def test_check_relations_reports_failures(fix_a2):
     report = check_relations(bad)
     assert not report.passed
     assert any("adjointness x" in name for name in report.failures())
+
+
+def _with(m: Matrix, changes: dict) -> Matrix:
+    """m with the entries at the given (row, column) positions replaced."""
+    return Matrix(m.rows, m.cols, [changes.get(divmod(i, m.cols), e) for i, e in enumerate(m.entries)])
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({(1, 0): sc(5)}, "gram matrix must be hermitian"),
+        ({(3, 3): Scalar(1, 1)}, "gram matrix must be hermitian"),
+        ({(2, 2): sc(-1), (0, 4): sc(2)}, "gram matrix must be hermitian"),  # not PSD either
+        ({(2, 2): sc(-1)}, "gram matrix must be PSD"),
+        ({(0, 1): sc(2), (1, 0): sc(2)}, "gram matrix must be PSD"),
+    ],
+    ids=["lower_only", "diagonal_non_real", "hermitian_first", "negative_diagonal", "indefinite"],
+)
+def test_build_from_groebner_refuses_the_gram(fix_loop, fix_g4, changes, message):
+    # The 13 cosets of the printed basis; a non-hermitian gram is refused
+    # before its PSD verdict, and a hermitian one that is not PSD after.
+    gb = right_groebner(fix_g4, fix_loop.default_order())
+    with pytest.raises(InputError, match=f"^{message}$"):
+        build_from_groebner(fix_loop, gb, _with(identity(13), changes))
+
+
+@pytest.mark.parametrize("lower", [sc(5), Scalar(0, 1)], ids=["real", "gaussian"])
+def test_a_gram_from_a_file_is_checked_hermitian_on_every_route(fix_loop, fix_g4, lower):
+    # The PSD pivoting reads the upper triangle alone.  A gram whose upper
+    # triangle is the identity but whose lower triangle is not its conjugate
+    # is refused by `gns build` from a Gröbner basis, by a Gram certificate
+    # and by `gns check`.
+    from quivermoment.sos import verify_gram
+
+    gb = right_groebner(fix_g4, fix_loop.default_order())
+    with pytest.raises(InputError, match="^gram matrix must be hermitian$"):
+        build_from_groebner(fix_loop, gb, _with(identity(13), {(1, 0): lower}))
+    gram = _with(identity(2), {(1, 0): lower})
+    basis = [path(fix_loop, "x"), path(fix_loop, "x*")]
+    target = elem(fix_loop, ("x x*", 1), ("x* x", 1))
+    assert verify_gram(target, basis, identity(2))
+    with pytest.raises(InputError, match="^certificate gram must be hermitian$"):
+        verify_gram(target, basis, gram)
+    x = Matrix.from_rows([[sc(0), sc(0)], [sc(1), sc(0)]])
+    rep = Representation(fix_loop, (path(fix_loop, "x"), path(fix_loop, "x x")), gram,
+                         {"x": x, "x*": conj_transpose(x)}, {"e": identity(2)}, None)
+    assert [name for name in check_relations(rep).failures() if name.startswith("gram")] == ["gram hermitian", "gram PSD"]
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """The integer linalg kernels against two independent engines.
 
-Every public kernel of `quivermoment.linalg` must return exactly what the
+Every kernel of `quivermoment.linalg`, reached through the `Matrix`
+signatures of `matrix_api.py`, must return exactly what the
 `Scalar`-by-`Scalar` engine in `linalg_oracle.py` returns: the RREF (read
-through the nullspace and the particular solution) is unique, and the product and the LDL^H pivot sequence are deterministic.  The
+through the nullspace and the solution of `linalg._solve`) is unique, and
+the product and the LDL^H pivot sequence are deterministic.  The
 verdicts and echelon forms are also checked against sympy's `DomainMatrix`
 over QQ<I> where sympy is installed.  Inputs cover real and complex data,
 rank-deficient matrices, zero rows and columns, empty shapes and entries of
@@ -21,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as oracle
+import matrix_api as api
 from quivermoment import linalg
 from quivermoment.errors import InternalInvariantError
 from quivermoment.linalg import Matrix
@@ -91,7 +94,7 @@ def free_columns(m: Matrix) -> list[int]:
     An RREF row has no entry left of its pivot, so a pivot coordinate p of
     the vector of free column f is nonzero only when p < f.
     """
-    return [max(j for j, x in enumerate(v) if x) for v in linalg.nullspace(m)]
+    return [max(j for j, x in enumerate(v) if x) for v in api.nullspace(m)]
 
 
 @SETTINGS
@@ -99,8 +102,8 @@ def free_columns(m: Matrix) -> list[int]:
 def test_rref_rank_nullspace_match_oracle(m):
     pivots = oracle.rref(m)[1]
     assert free_columns(m) == [j for j in range(m.cols) if j not in pivots]
-    assert linalg.rank(m) == oracle.rank(m)
-    assert linalg.nullspace(m) == oracle.nullspace(m)
+    assert api.rank(m) == oracle.rank(m)
+    assert api.nullspace(m) == oracle.nullspace(m)
 
 
 def image_product(a: Matrix, b: Matrix) -> Matrix:
@@ -151,7 +154,7 @@ def test_image_transpose_and_equality_match_oracle(data):
     real = linalg._is_real(a.entries + b.entries) and data.draw(st.booleans(), label="real layout")
     (rows, den), (brows, bden) = linalg._image(a, real), linalg._image(b, real)
     assert linalg._matrix(rows, den, a.cols) == a
-    assert linalg._matrix(linalg._transpose(rows, a.cols), den, a.rows) == a.transpose()
+    assert linalg._matrix(linalg._transpose(rows, a.cols), den, a.rows) == oracle.transpose(a)
     assert linalg._matrix(linalg._transpose(rows, a.cols, conj=True), den, a.rows) == oracle.conj_transpose(a)
     assert linalg._equal(rows, den, brows, bden) == (a == b)
     # the same values over a larger denominator
@@ -161,8 +164,8 @@ def test_image_transpose_and_equality_match_oracle(data):
 @SETTINGS
 @given(hermitian())
 def test_psd_matches_oracle(m):
-    assert linalg.psd_check(m) == oracle.psd_check(m)
-    assert linalg.ldlh_psd(m) == oracle.ldlh_psd(m)
+    assert api.psd_check(m) == oracle.psd_check(m)
+    assert api.ldlh_psd(m) == oracle.ldlh_psd(m)
 
 
 PIVOT_DIM = 12
@@ -266,26 +269,27 @@ def test_upper_triangle_pivoting_matches_oracle(kind, data):
     `build_representation` and `compress_representation` rely on."""
     m = data.draw(pivoting_cases(kind), label="m")
     want = oracle.ldlh_psd(m)
-    assert linalg.psd_check(m) == (want is not None)
-    assert linalg.ldlh_psd(m) == want
+    assert api.psd_check(m) == (want is not None)
+    assert api.ldlh_psd(m) == want
     if want is not None:
-        assert tuple(p for p, *_ in linalg._psd_pivots(m, "ldlh_psd")) == oracle.rref(m)[1]
+        assert tuple(p for p, *_ in linalg._psd_pivots(m)) == oracle.rref(m)[1]
 
 
 @SETTINGS
 @given(st.data())
 def test_solve_particular_matches_oracle_rref(data):
-    """rank(a) and the RREF solution of a X = c, read off the oracle's RREF of [a | c].
+    """rank(a) and the RREF solution of a X = c by `linalg._solve`, against
+    the oracle's RREF of [a | c].
 
-    `a` is a general matrix or a hermitian one, as in the flatness test and
-    the Schur completion.
+    `a` is a general matrix or a hermitian one, as in the Schur completion
+    and the solves of a compression; real and Gaussian data.
     """
     a = data.draw(st.one_of(matrices(), hermitian()))
     if data.draw(st.booleans()):
         c = oracle.matmul(a, data.draw(matrices(rows=a.cols)))  # consistent
     else:
         c = data.draw(matrices(rows=a.rows))
-    assert linalg.solve_particular(a, c) == oracle.solve_particular(a, c)
+    assert api.solve_particular(a, c) == oracle.solve_particular(a, c)
 
 
 def _stack_kernel(a: Matrix, c: Matrix, null) -> tuple[Matrix, Matrix]:
@@ -308,10 +312,10 @@ def test_solve_in_range_matches_oracle(a, data):
     c = data.draw(matrices(rows=a.rows))
     if data.draw(st.booleans()):
         c = oracle.matmul(a, c)  # inside Ran(a)
-    null = linalg.nullspace(a)
+    null = api.nullspace(a)
     assert null == oracle.nullspace(a)
     lhs, rhs = _stack_kernel(a, c, null)
-    x = linalg.solve_particular(lhs, rhs)[1]
+    x = api.solve_particular(lhs, rhs)[1]
     assert x == oracle.solve_particular(*_stack_kernel(a, c, oracle.nullspace(a)))[1]
     aug = Matrix(a.rows, a.cols + c.cols, [e for i in range(a.rows) for e in (*a.row(i), *c.row(i))])
     assert (x is not None) == (oracle.rank(aug) == oracle.rank(a))
@@ -324,31 +328,33 @@ def test_solve_in_range_matches_oracle(a, data):
 @SETTINGS
 @given(st.data())
 def test_solve_full_rank_matches_oracle(data):
+    """The solve of an invertible system by `linalg._solve`, as a compression runs it."""
     n = data.draw(st.integers(0, MAX_DIM))
     a = data.draw(matrices(rows=n, cols=n))
     b = data.draw(matrices(rows=n))
     if oracle.rank(a) == n:
-        assert linalg.solve_full_rank(a, b) == oracle.solve_full_rank(a, b)
+        assert api.solve_full_rank(a, b) == oracle.solve_full_rank(a, b)
     else:
         with pytest.raises(InternalInvariantError):
-            linalg.solve_full_rank(a, b)
+            api.solve_full_rank(a, b)
 
 
 def test_large_entries_exact():
     """2000-bit entries survive the integer scaling unchanged."""
     big = Fraction(3**1300 + 1, 2**1100 + 7)
     m = Matrix(2, 2, [Scalar(big), Scalar(1), Scalar(0, big), Scalar(1, 1)])
-    assert linalg.nullspace(m) == oracle.nullspace(m)
-    assert linalg.solve_particular(m, m) == oracle.solve_particular(m, m)
+    assert api.nullspace(m) == oracle.nullspace(m)
+    assert api.solve_particular(m, m) == oracle.solve_particular(m, m)
     mh = oracle.conj_transpose(m)
     assert image_product(m, mh) == oracle.matmul(m, mh) == oracle.product(m, mh)
     h = oracle.matmul(m, mh)
-    assert linalg.ldlh_psd(h) == oracle.ldlh_psd(h)
+    assert api.ldlh_psd(h) == oracle.ldlh_psd(h)
 
 
 @pytest.mark.parametrize("complex_", [True, False])
 def test_elimination_stays_within_hadamard_bound(complex_, monkeypatch):
-    """No elimination row outgrows the minors of its integer input.
+    """No elimination row outgrows the minors of its integer input, in the
+    kernel and in `linalg._solve`.
 
     Every entry the engine keeps divides (in Z or Z[i]) a minor of the rows it
     was given, so its square is at most the product of their squared norms.
@@ -374,14 +380,16 @@ def test_elimination_stays_within_hadamard_bound(complex_, monkeypatch):
         return Matrix(rows, cols, [Scalar(part(), part() if complex_ else 0) for _ in range(rows * cols)])
 
     m = dense(12, 13)
-    assert linalg.nullspace(m) == oracle.nullspace(m)
+    assert api.nullspace(m) == oracle.nullspace(m)
     a, c = m.block(0, 12, 0, 10), m.block(0, 12, 10, 13)
-    assert linalg.solve_particular(a, c) == oracle.solve_particular(a, c)
+    assert api.solve_particular(a, c) == oracle.solve_particular(a, c)
     g = dense(12, 8)
     a = oracle.matmul(g, oracle.conj_transpose(g))
     c = oracle.matmul(a, dense(12, 3))
-    assert linalg.solve_particular(a, c) == oracle.solve_particular(a, c)
-    assert len(checked) == 3 and all(checked)
+    assert api.solve_particular(a, c) == oracle.solve_particular(a, c)
+    # the nullspace, then `_solve` of the inconsistent [a | c] (and rank a
+    # for the adapter's answer) and of the consistent one
+    assert len(checked) == 4 and all(checked)
 
 
 # -- against sympy's DomainMatrix over QQ<I> ---------------------------------------
@@ -416,9 +424,9 @@ def test_rref_matches_sympy(m):
             re, im = red[r, f].as_real_imag()
             v[p] = -Scalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
         want.append(tuple(v))
-    assert linalg.nullspace(m) == want
-    assert linalg.rank(m) == dm.rank()
-    for v in linalg.nullspace(m):
+    assert api.nullspace(m) == want
+    assert api.rank(m) == dm.rank()
+    for v in api.nullspace(m):
         assert (dm * _to_domain(oracle.column(v))).to_Matrix().is_zero_matrix
 
 
@@ -441,4 +449,4 @@ def test_psd_matches_principal_minors(m):
         for idx in combinations(range(m.rows), size)
     ]
     assert all(d.y == 0 for d in minors)
-    assert linalg.psd_check(m) == all(d.x >= 0 for d in minors)
+    assert api.psd_check(m) == all(d.x >= 0 for d in minors)

@@ -9,13 +9,13 @@ from quivermoment import (
     build_representation,
     expand_gram,
     gram_to_squares,
-    psd_check,
     verify_gram,
     verify_squares,
 )
 
 from conftest import elem, path, sc, state_functional
-from linalg_oracle import identity
+from linalg_oracle import col, identity, is_hermitian
+from matrix_api import psd_check
 from oracles import inner, right_action_matrix, riesz_eval
 
 
@@ -112,10 +112,10 @@ def test_representation_positivity(fix_l2_ext, example2_l4, fix_a2, fix_loop):
             rep.dim,
             rep.dim,
             [
-                inner(rep, list(action.col(j)), [sc(1) if r == i else sc(0) for r in range(rep.dim)])
+                inner(rep, list(col(action, j)), [sc(1) if r == i else sc(0) for r in range(rep.dim)])
                 for i in range(rep.dim)
                 for j in range(rep.dim)
             ],
         )
-        assert form.is_hermitian()
+        assert is_hermitian(form)
         assert psd_check(form)

@@ -107,7 +107,7 @@ def test_every_public_name_resolves_to_its_module():
     )
     from quivermoment import __all__
 
-    assert len(__all__) == 45
+    assert len(__all__) == 40
     assert lines == [f"{name} True True" for name in __all__]
 
 
