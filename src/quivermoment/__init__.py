@@ -32,10 +32,7 @@ _EXPORTS = {
     "ReductionEvent": "groebner",
     "RightGroebnerBasis": "groebner",
     "kernel_groebner": "groebner",
-    "left_divides": "groebner",
-    "normal_form": "groebner",
     "right_groebner": "groebner",
-    "total_reduce": "groebner",
     "Matrix": "linalg",
     "FlatReport": "moment",
     "MomentMatrix": "moment",
@@ -48,7 +45,6 @@ _EXPORTS = {
     "build_double": "quiver",
     "compose": "quiver",
     "enumerate_basis": "quiver",
-    "paths_of_length": "quiver",
     "Scalar": "scalar",
     "expand_gram": "sos",
     "expand_squares": "sos",

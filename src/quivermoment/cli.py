@@ -189,7 +189,7 @@ def cmd_evaluate(args) -> int:
 
     f = fileio.load_functional(args.functional)
     ext = FlatExtension(f)
-    p = fileio.parse_path(f.double, args.path)
+    p = fileio.parse_path(f.double, args.path, source="--path")
     _emit({"path": fileio.path_to_text(p), "value": str(ext.evaluate(p))})
     return 0
 

@@ -19,8 +19,9 @@ an arrow c maps the coset of p to the coset of p·c.  The inner product is
 A representation holds `Matrix` values, its I/O form.  The relation and
 adjointness checks and word products take each matrix to one integer image
 (`linalg._image`) and multiply and compare integers; no `Scalar` matrix
-product is formed.  The compression reads its systems off the functional's
-integer image and builds `Matrix` values only for its results.
+product is formed.  Both constructions read their gram off the functional's
+integer image (`TruncatedFunctional.principal`), and the compression its
+systems too; `Matrix` values are built only for the results.
 """
 
 from __future__ import annotations
@@ -106,11 +107,12 @@ def build_representation(functional: TruncatedFunctional) -> Representation:
     gb = kernel_groebner(functional)
     basis = tuple(p for p in functional.basis(functional.k - 1) if not gb.reducible(p))
     # The LDL^H pivots of B_{L_k} that decided PSD index a positive definite
-    # principal submatrix of rank_k paths; on them the gram is that submatrix.
+    # principal submatrix of rank_k paths, which is the gram (`principal`).
+    pivots = [p for p, *_ in functional._ldlh]
     window = functional.basis(functional.k)
-    if basis != tuple(window[p] for p, *_ in functional._ldlh):
+    if basis != tuple(window[p] for p in pivots):
         raise InternalInvariantError("coset basis differs from the pivot paths of the moment matrix")
-    gram = functional.moment_block(basis, basis)
+    gram = functional.principal(pivots)
     return _quotient_representation(functional.double, gb, basis, gram, functional.include_trivial)
 
 
@@ -237,7 +239,7 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     position, with P the reps' positions: F is conj(image) at P x P, the
     row of Q_b^T at u is the image row at r_u b, read at P, and L(r_i*) is
     the image row at the trivial path at r_i's end, read at P_i.  The gram
-    is the image at P x P.  Each system is solved once on integers
+    is B_{L_{d+1}} at P (`principal`).  Each system is solved once on integers
     (`linalg._solve`), and only the results become `Scalar`s.
     """
     if not functional.include_trivial:
@@ -245,7 +247,7 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     if not functional.is_psd():
         raise InputError("compress_representation requires a PSD functional")
     double = functional.double
-    image, den = functional._image
+    image, _ = functional._image
     size = len(image)
     real = not image or len(image[0]) == size
     pos = [p for p, *_ in functional._ldlh]  # P, the window positions of the reps
@@ -287,7 +289,7 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
         y_b = [_layout(y[c : c + len(s_b)], real) for y in ys]
         arrows[name] = linalg._matrix(linalg._product(y_b, s_b, n), sy * sx, n)
     cyclic = tuple(linalg._scalar(re, im, sy) for re, im in (y[-1] for y in ys))
-    gram = linalg._matrix([row((p, pos, 1)) for p in pos], den, n)
+    gram = functional.principal(pos)
     return Representation(double, basis, gram, arrows, _vertex_projections(double, basis), cyclic)
 
 

@@ -17,9 +17,10 @@ The completion serves generator input: `groebner --generators` and `gns
 build` from a basis.  It is the five-step tip-selection/total-reduction
 loop: drop zeros, select the tips not left-divided by another tip, keep
 one representative per selected tip, totally reduce the rest against the
-kept set, and repeat until every element is kept.  Left division is prefix
-division of letter words, and reduction replaces the largest reducible
-support path first, so runs are reproducible event for event.
+kept set (`_reduce`), and repeat until every element is kept.  Left
+division is prefix division of letter words, and reduction replaces the
+largest reducible support path first, so runs are reproducible event for
+event.
 
 The completion, its reducer and the normal forms run on integers, as
 `linalg` does.  An element is held as Gaussian-integer numerators
@@ -30,8 +31,9 @@ divisor by looking the prefixes of a support path up in a table
 last; each tip keeps its canonically least element.  Elements, scalars and
 paths are built once, for the output.
 
-Normal forms against a finished basis take a different route, one letter at
-a time, through the basis's `TipTable`.  Every term r of NF(p) is
+Normal forms against a finished basis (`RightGroebnerBasis.nf`, and the
+kernel check of `kernel_groebner`) take a different route, one letter at a
+time, through the basis's `TipTable`.  Every term r of NF(p) is
 irreducible, so the only tip that can left-divide r·c is r·c itself, and
 NF(p·c) = NF(NF(p)·c).  The table gives each path it meets an integer id
 and computes the move of each (id, letter) once: the id of r·c when r·c is
@@ -58,22 +60,6 @@ from .errors import InputError, InternalInvariantError
 from .linalg import _common, _scalar
 from .moment import TruncatedFunctional
 from .quiver import DoubleQuiver, Key, Path, PathOrder, Record
-
-
-def left_divides(t: Path, m: Path) -> Path | None:
-    """The cofactor b with m = t·b, or None when t is not a prefix of m.
-
-    A trivial path left-divides every path originating at its vertex (with
-    the whole path as cofactor); when m = t the cofactor is the trivial path
-    at terminal(m).
-    """
-    if t.double is not m.double:
-        raise InputError("paths live in different double quivers")
-    key, mkey = (t.vertex, t.letters), (m.vertex, m.letters)
-    if key != mkey and key not in _proper_prefixes(mkey, m.double):
-        return None
-    rest = m.letters[len(t.letters) :]
-    return Path(m.double, None, rest) if rest else m.double.trivial_paths()[m.terminal()]
 
 
 class ReductionEvent(Record):
@@ -309,10 +295,6 @@ class TipTable:
         vec, den = self._fold(key)
         return self._keyed(self._gaussian(vec), den)
 
-    def normal_form(self, terms: Numerators, den: int) -> tuple[Numerators, int]:
-        """NF(terms/den): the sum of c·NF(p) over its terms."""
-        return self._keyed(*self._nf(terms, den, {}))
-
     def reducible(self, key: Key) -> bool:
         """True iff some tip is a prefix of the path with this key, the path itself included."""
         vertex, letters = key
@@ -379,7 +361,13 @@ def _tip_table(order: PathOrder, ints: list[Numerators], folds: dict) -> TipTabl
 
 
 def _reduce(terms: Numerators, den: int, tips: dict, order: PathOrder, events: list) -> tuple[Numerators, int]:
-    """`total_reduce` of terms/den by the monic elements of {tip: element}; appends (m, tip, b) per step."""
+    """The total reduction of terms/den by the monic elements {tip: (terms, den)}.
+
+    Repeatedly rewrites the largest reducible support path m = tip·b by
+    h -= coeff·g·b, with g the element of the longest tip dividing m, and
+    appends (m, tip, b) to `events` per step.  The reduced path strictly
+    decreases in the well-order at every step, so the loop terminates.
+    """
     double = order.double
     terms = dict(terms)
     while terms:
@@ -405,32 +393,6 @@ def _reduce(terms: Numerators, den: int, tips: dict, order: PathOrder, events: l
 
 def _events(double: DoubleQuiver, events) -> list[ReductionEvent]:
     return [ReductionEvent(*(Path(double, *k) for k in ev)) for ev in events]
-
-
-def total_reduce(
-    h: Element,
-    basis: list[Element],
-    order: PathOrder,
-    trace: list[ReductionEvent] | None = None,
-) -> Element:
-    """Normal form of h against the basis, each element divided by its tip coefficient.
-
-    Repeatedly rewrites the largest reducible support path; each step strips
-    a path m = Tip(g)·b down by h -= coeff·g·b.  The divisor is the basis
-    element with the longest matching tip, ties broken by the canonical
-    element order.  Termination follows from the well-order: the reduced
-    path strictly decreases at every step.
-    """
-    tips = {}
-    for g in sorted(basis, key=lambda e: e.sort_key(order), reverse=True):
-        terms = _ints(g)[0]
-        tip = max(terms, key=order.key_of)
-        tips[tip] = _monic(terms, tip)  # the canonically least element of a tip comes last
-    events: list = []
-    terms, den = _reduce(*_ints(h), tips, order, events)
-    if trace is not None:
-        trace.extend(_events(h.double, events))
-    return _element(h.double, terms, den)
 
 
 def right_groebner(generators, order: PathOrder) -> RightGroebnerBasis:
@@ -486,11 +448,6 @@ def right_groebner(generators, order: PathOrder) -> RightGroebnerBasis:
             if r:
                 admit(h, seen, r)
     raise InternalInvariantError("right_groebner failed to terminate")
-
-
-def normal_form(f: Element, gb: RightGroebnerBasis) -> Element:
-    """Sum of c·NF(p) over the terms of f; supported on non-tips, linear, idempotent."""
-    return _element(f.double, *gb.tip_table.normal_form(*_ints(f)))
 
 
 def kernel_groebner(functional: TruncatedFunctional, trace: bool = False) -> RightGroebnerBasis:

@@ -11,12 +11,12 @@ code of each letter word and the position of each path's star
 (`quiver.window_layers`); the loader alone asks for the window's texts.
 (vertex, letters) keys are built for V_k, the part of the window B_{L_k}
 reads; the keys and `Path`s of the whole window are built only when asked
-for.  Its verdicts read B_{L_k} as an integer image gathered from those
-numerators by window position; a `Scalar` is built only for a value or a
-matrix asked for by a caller.  One
-echelon form of that image, with V_{k-1} first, gives the flatness report,
-the rank, tip-maximality and the echelon kernel, which is held as integer
-numerators and becomes `Element`s only when `kernel_basis()` is called.
+for.  B_{L_k} is gathered once from those numerators by window position,
+as an integer image, and every matrix a functional hands out is read off
+it (`principal`); a `Scalar` is built only for a value or a matrix asked
+for by a caller.  One echelon form of the image, with V_{k-1} first, gives
+the flatness report, the rank, tip-maximality and the echelon kernel, held
+as integer numerators until `kernel_basis()` builds `Element`s.
 """
 
 from __future__ import annotations
@@ -30,10 +30,7 @@ from .algebra import Element
 from .errors import InputError, InternalInvariantError, WindowError
 from .linalg import Matrix
 from .quiver import DoubleQuiver, Key, Path, PathOrder, Record, _digit, window_keys, window_layers
-from .scalar import ZERO, Scalar, from_numerators
-
-
-_MISSING = object()  # a product outside the window, in `_products`
+from .scalar import Scalar, from_numerators
 
 
 class TruncatedFunctional:
@@ -48,9 +45,8 @@ class TruncatedFunctional:
     asked for.  Its values are held in window order as numerators `_re`,
     `_im` over one denominator `_den`, with no factor common to all of them;
     `Path` objects and `Scalar` values are built only for what is asked for.
-    Every lower-order basis is a prefix of the window, because the path
-    order compares lengths first.  Its integer image of B_{L_k} and the one
-    echelon form its verdicts and its kernel read are computed once.
+    Its integer image of B_{L_k} and the one echelon form its verdicts and
+    its kernel read are computed once.
     """
 
     def __init__(
@@ -215,21 +211,6 @@ class TruncatedFunctional:
         """The number of window paths of length <= t, for t >= 0."""
         return self._ends[min(t, len(self._ends) - 1)]
 
-    def moment_block(self, rows, cols) -> Matrix:
-        """The matrix of L(p q*) over row paths p and column paths q.
-
-        Entries where p q* vanishes in the path semigroup are exact zeros.
-        Only the entries asked for are read, and each distinct value is
-        built once.
-        """
-        rows = [(p.vertex, p.letters) for p in rows]
-        cols = [(q.vertex, q.letters) for q in cols]
-        at = self._products(rows, cols)
-        re, im, den = self._re, self._im, self._den
-        made = {i: from_numerators(re[i], im[i], den) for i in set(at) if i is not None}
-        made[None] = ZERO
-        return Matrix(len(rows), len(cols), map(made.__getitem__, at))
-
     def _gather(self, rows: list[Key], cols: list[Key]) -> tuple[list[int], list[int]]:
         """The numerators (re, im) of L(p q*) over row keys p and column keys q, row-major."""
         at = self._products(rows, cols, -1)  # position -1 reads the appended zero
@@ -238,45 +219,41 @@ class TruncatedFunctional:
     def _products(self, rows: list[Key], cols: list[Key], zero=None) -> list:
         """The window position of p q* over row keys p and column keys q, row-major.
 
-        p q* is a path iff p and q end at the same vertex, and a zero
-        (`zero`) otherwise.  Only the window is read, not the values: a
-        letter word p q* is found by its code, code(p) * base ** len(q*) +
-        code(q*).
+        p q* is a path iff p and q end at the same vertex, and `zero`
+        otherwise.  Only the window is read, not the values: a letter word
+        p q* is found by its code, code(p) * base ** len(q*) + code(q*).
+        Every product asked for has length <= 2k, so it is in the window.
         """
-        double, at, trivial = self.double, self._at.get, self._trivial.get
+        double, at, trivial = self.double, self._at.__getitem__, self._trivial.__getitem__
         target, star_word = double.target, double.star_word
         # (terminal vertex of q, base ** len(q*), code of q*) per column
         stars = [(target[w[-1]], self._base ** len(w), self._code(star_word(w))) if w else (v, 1, 0) for v, w in cols]
         out = []
-        for v, word in rows:
-            if word:
-                end, c = target[word[-1]], self._code(word)
-                row = [at(c * m + s, _MISSING) if t == end else zero for t, m, s in stars]
-            else:  # e_v q* is q*, and e_v for q = e_v
-                row = [(at(s, _MISSING) if s else trivial(v, _MISSING)) if t == v else zero for t, _, s in stars]
-            if _MISSING in row:
-                _, qw = cols[row.index(_MISSING)]
-                pq = (None, word + star_word(qw)) if word or qw else (v, ())
-                raise self._outside(Path(double, *pq))
-            out += row
+        try:
+            for v, word in rows:
+                if word:
+                    end, c = target[word[-1]], self._code(word)
+                    out += [at(c * m + s) if t == end else zero for t, m, s in stars]
+                else:  # e_v q* is q*, and e_v for q = e_v
+                    out += [(at(s) if s else trivial(v)) if t == v else zero for t, _, s in stars]
+        except KeyError:
+            raise InternalInvariantError("a moment product left the window") from None
         return out
 
-    @cached_property
-    def _matrix(self) -> MomentMatrix:
-        basis = self.basis(self.k)
-        return MomentMatrix(basis, self.moment_block(basis, basis))
+    def principal(self, at) -> Matrix:
+        """B_{L_k} at the window positions `at`, as rows and as columns, read off the integer image."""
+        rows, den = self._image
+        n, at = len(rows), list(at)
+        cols = at if not rows or len(rows[0]) == n else at + [n + c for c in at]  # the real parts, then the imaginary
+        return linalg._matrix([[rows[i][c] for c in cols] for i in at], den, len(at))
 
     def moment_matrix(self, t: int | None = None) -> MomentMatrix:
         """B_{L_t}: the order-k matrix for t = k, its top-left corner for t < k."""
-        if t is None:
-            t = self.k
+        t = self.k if t is None else t
         if t > self.k:
             raise InputError(f"moment matrix order {t} exceeds functional order {self.k}")
-        full = self._matrix
-        if t == self.k:
-            return full
-        n = len(self.basis(t))
-        return MomentMatrix(full.basis[:n], full.m.block(0, n, 0, n))
+        basis = self.basis(t)
+        return MomentMatrix(basis, self.principal(range(len(basis))))
 
     # -- kernel and verdicts -------------------------------------------------------
 

@@ -464,13 +464,3 @@ def enumerate_basis(
     """All paths of length <= max_len, strictly increasing under `order`."""
     return [Path(double, *key) for key in window_keys(double, order, max_len, include_trivial)]
 
-
-def paths_of_length(double: DoubleQuiver, order: PathOrder, length: int) -> list[Path]:
-    if length < 0:
-        raise InputError("length must be >= 0")
-    if length == 0:
-        return [Path(double, v, ()) for v in order.vertex_seq]
-    words = []  # a quiver without arrows has no words
-    for words in _words(double, order, length):
-        pass
-    return [Path(double, None, w) for w in words]

@@ -19,7 +19,9 @@
   completion of the echelon kernel, then the containment check;
 * the completion and its reducer on `Scalar` elements, as they were before
   they ran on integers: every support path scanned against every basis tip
-  with `left_divides`, and h -= coeff·g·b as `Element` arithmetic;
+  with `left_divides`, a prefix test on `Path`s, and h -= coeff·g·b as
+  `Element` arithmetic;
+* the paths of one length, sliced from the window;
 * the odd-degree system of the one-step extension as it was before the
   hermitian symmetry was substituted: one complex unknown per path, the
   symmetry as extra rows, solved by the `Scalar` canonical solve;
@@ -64,9 +66,7 @@ from quivermoment import (
     build_double,
     compose,
     enumerate_basis,
-    left_divides,
     linalg,
-    paths_of_length,
 )
 from quivermoment.groebner import ReductionEvent, RightGroebnerBasis
 from quivermoment.gns import RelationReport, Representation, _adjoint_ok, _vertex_projections
@@ -356,6 +356,23 @@ def _scalar_monic(e: Element, order) -> Element:
     return e.scale(ONE / c)
 
 
+def left_divides(t: Path, m: Path) -> Path | None:
+    """The cofactor b with m = t·b, or None when t is not a prefix of m.
+
+    A trivial path left-divides every path originating at its vertex (with
+    the whole path as cofactor); when m = t the cofactor is the trivial path
+    at terminal(m).
+    """
+    if t.double is not m.double:
+        raise InputError("paths live in different double quivers")
+    if t.is_trivial() and t.origin() != m.origin():
+        return None
+    if m.letters[: len(t.letters)] != t.letters:
+        return None
+    rest = m.letters[len(t.letters) :]
+    return Path(m.double, None, rest) if rest else m.double.trivial_paths()[m.terminal()]
+
+
 def scalar_total_reduce(h: Element, basis: list[Element], order, trace: list | None = None) -> Element:
     """Normal form of h against monic basis elements.
 
@@ -478,6 +495,11 @@ def is_psd(functional: TruncatedFunctional) -> bool:
 
 
 # -- the one-step extension's odd-degree system, one unknown per path -----------
+
+
+def paths_of_length(double, order, length: int) -> list[Path]:
+    """The paths of exactly this length, in `order`: a slice of the window."""
+    return [p for p in enumerate_basis(double, order, length) if p.length() == length]
 
 
 def extension_odd_values(functional: TruncatedFunctional):
@@ -888,12 +910,12 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     # multiplication operators below rely on.
     basis = tuple(pairing.basis[j] for j in linalg_oracle.rref(pairing.m)[1])
     n = len(basis)
-    gram = functional.moment_block(basis, basis)
+    gram = compose_moment_block(functional.value, basis, basis)
     ft = linalg_oracle.transpose(gram)
 
     def coords(q: Path) -> list[Scalar]:
         """Coordinates y of the coset [q] over the reps: F^T y = (L(q r_i*))_i."""
-        rhs = linalg_oracle.transpose(functional.moment_block([q], basis))
+        rhs = linalg_oracle.transpose(compose_moment_block(functional.value, [q], basis))
         sol = linalg_oracle.solve_full_rank(ft, rhs)
         return [sol.entry(i, 0) for i in range(n)]
 

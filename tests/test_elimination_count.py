@@ -20,8 +20,8 @@ The kernel Gröbner basis is read off the echelon kernel, so no completion
 runs behind it, and `groebner --from-kernel` runs none either: it reduces
 the kernel elements that are not kept by the kept ones, once each, which
 gives the reductions its output lists.  The reducer and the kernel checks
-run on integer numerators: no `Element` product, no `left_divides` scan and
-no `Scalar` matrix product.
+run on integer numerators: no `Element` product and no `Scalar` matrix
+product.
 
 A loaded functional gathers the integer image of its order-k moment matrix
 once, by window position, from the numerators it holds.  Every verdict and
@@ -101,18 +101,24 @@ def test_flatness_and_kernel_share_one_echelon_form(flat, pd_two_loops, eliminat
 
 @pytest.fixture
 def scalar_matrix_calls(monkeypatch):
-    """Comparisons of `Matrix` values.  `Matrix` has no product, transpose
+    """Comparisons of `Matrix` values, and `Scalar` moment matrices read off a
+    functional's image (`principal`).  `Matrix` has no product, transpose
     or hermitian test left to count: it is an I/O type, and those run on
     integer images."""
     assert not any(hasattr(linalg.Matrix, name) for name in ("__mul__", "transpose", "conjugate", "is_hermitian"))
     calls = []
-    fn = linalg.Matrix.__eq__
+    fn, principal = linalg.Matrix.__eq__, TruncatedFunctional.principal
 
     def counted(*args):
         calls.append("__eq__")
         return fn(*args)
 
+    def counted_principal(self, at):
+        calls.append("principal")
+        return principal(self, at)
+
     monkeypatch.setattr(linalg.Matrix, "__eq__", counted)
+    monkeypatch.setattr(TruncatedFunctional, "principal", counted_principal)
     return calls
 
 
@@ -220,10 +226,10 @@ def test_one_step_extension_forms_no_scalar_product(images, scalar_matrix_calls)
 
 @pytest.fixture
 def completions(monkeypatch):
-    """Calls of right_groebner, total_reduce and the per-element reducer
-    `_reduce` behind both, under every module binding."""
+    """Calls of right_groebner and the per-element reducer `_reduce`, under
+    every module binding."""
     calls = []
-    for name in ("right_groebner", "total_reduce", "_reduce"):
+    for name in ("right_groebner", "_reduce"):
         fn = getattr(groebner, name)
 
         def counted(*args, fn=fn, name=name, **kwargs):
@@ -295,26 +301,26 @@ def compose_calls(monkeypatch):
 
 @pytest.fixture
 def assemblies(monkeypatch):
-    """Integer gathers of moment entries, `Scalar` moment blocks and `Matrix`
-    images, each with its shape, in call order."""
+    """Integer gathers of moment entries, `Scalar` principal submatrices
+    read off the image and `Matrix` images, each with its size, in call order."""
     calls = []
-    gather, block, image = TruncatedFunctional._gather, TruncatedFunctional.moment_block, linalg._image
+    gather, principal, image = TruncatedFunctional._gather, TruncatedFunctional.principal, linalg._image
 
     def counted_gather(self, rows, cols):
         calls.append(("gather", len(rows), len(cols)))
         return gather(self, rows, cols)
 
-    def counted_block(self, rows, cols):
-        rows, cols = list(rows), list(cols)
-        calls.append(("moment_block", len(rows), len(cols)))
-        return block(self, rows, cols)
+    def counted_principal(self, at):
+        at = list(at)
+        calls.append(("principal", len(at)))
+        return principal(self, at)
 
     def counted_image(m, real=None):
         calls.append(("image", m.rows, m.cols))
         return image(m, real)
 
     monkeypatch.setattr(TruncatedFunctional, "_gather", counted_gather)
-    monkeypatch.setattr(TruncatedFunctional, "moment_block", counted_block)
+    monkeypatch.setattr(TruncatedFunctional, "principal", counted_principal)
     monkeypatch.setattr(linalg, "_image", counted_image)
     return calls
 
@@ -346,15 +352,23 @@ def test_loaded_functional_assembles_its_moment_matrix_once(rank3_two_loops_file
 def test_compress_reads_its_systems_off_the_image(complex_, tmp_path, capsys, assemblies):
     # A PD state on two loops with k = 2, read from its file: the gram, F and
     # every right-hand side are read off the one 21x21 integer image by
-    # window position.  No `Scalar` moment block is built and no `Matrix` is
-    # taken to integers.
+    # window position; the gram is its principal submatrix at the 21 reps.
+    # No `Matrix` is taken to integers.
     f = pd_functional(TWO_LOOPS, 2, True, random.Random(5), complex_=complex_)
     fpath = tmp_path / "f.json"
     fpath.write_text(json.dumps(fileio.functional_to_dict(f)), encoding="utf-8")
     del assemblies[:]  # the state's own draw
     assert cli.main(["gns", "compress", str(fpath)]) == 0
     assert json.loads(capsys.readouterr().out)["basis"]
-    assert assemblies == [("gather", 21, 21)]
+    assert assemblies == [("gather", 21, 21), ("principal", 21)]
+
+
+def test_build_reads_its_gram_off_the_image(rank3_two_loops_file, assemblies, capsys):
+    # `gns build` of a flat rank-3 state: the gram is B_{L_k} at the three
+    # LDL^H pivots, read off the one 85x85 integer image.
+    assert cli.main(["gns", "build", str(rank3_two_loops_file)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["gram"]) == 3
+    assert assemblies == [("gather", 85, 85), ("principal", 3)]
 
 
 @pytest.mark.parametrize(
@@ -373,24 +387,18 @@ def test_verdict_commands_build_no_scalar_moment_matrix(argv, rank3_two_loops_fi
 
 @pytest.fixture
 def algebra_calls(monkeypatch):
-    """Calls of Element.__mul__ and left_divides, under every module binding.
+    """Calls of Element.__mul__.
 
     `Matrix` has no product: it is an I/O type."""
     assert not hasattr(linalg.Matrix, "__mul__")
     calls = []
+    fn = algebra.Element.__mul__
 
-    def counting(fn, name):
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append("Element.__mul__")
+        return fn(*args, **kwargs)
 
-        return counted
-
-    monkeypatch.setattr(algebra.Element, "__mul__", counting(algebra.Element.__mul__, "Element.__mul__"))
-    fn = groebner.left_divides
-    for module in (groebner, cli):
-        if getattr(module, "left_divides", None) is fn:
-            monkeypatch.setattr(module, "left_divides", counting(fn, "left_divides"))
+    monkeypatch.setattr(algebra.Element, "__mul__", counted)
     return calls
 
 
@@ -457,6 +465,7 @@ def test_sos_verify_pivots_the_gram_once(tmp_path, capsys, psd_pivotings, scalar
     }
     cpath = tmp_path / "cert.json"
     cpath.write_text(json.dumps(cert), encoding="utf-8")
+    del scalar_matrix_calls[:]  # the certificate's own construction
     assert cli.main(["sos", "verify", str(cpath)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["valid"] is True and len(out["squares"]) == 21

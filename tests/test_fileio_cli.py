@@ -59,6 +59,22 @@ def test_path_grammar(fix_a2):
         fileio.parse_path(fix_a2, "x x")  # not composable
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("e:v", "error: --path: unknown vertex 'v'\n"),
+        ("x x", "error: --path: non-composable path 'x x' at token 'x'\n"),
+        ("x q", "error: --path: unknown arrow 'q' in path 'x q'\n"),
+        ("  ", "error: --path: empty path text\n"),
+    ],
+)
+def test_cli_evaluate_names_the_path_option_in_its_errors(tmp_path, capsys, text, message):
+    # The path of `evaluate` comes from the command line, not from the file.
+    assert main(["evaluate", "--functional", functional_file(tmp_path), "--path", text]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+
+
 def test_element_unit_token(fix_a2):
     e = fileio.element_from_dict(fix_a2, {"terms": [{"path": "1", "coeff": "2"}]})
     assert e == elem(fix_a2, ("e:e1", 2), ("e:e2", 2))

@@ -300,6 +300,28 @@ def test_compress_matches_basis_completion_oracle(name, complex_, data):
     assert new.cyclic == old.cyclic
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(COMPRESS_QUIVERS)), st.booleans(), st.data())
+def test_build_gram_is_the_moment_pairing_at_the_pivot_paths(name, complex_, data):
+    """The gram of `build_representation`, read off the integer image at the
+    LDL^H pivots, is L(p q*) over the coset basis built through `compose`,
+    and the coset basis is the pivot paths, on real and Gaussian flat PSD
+    states (with or without trivial paths, some vertex dimensions 0)."""
+    quiver, orders = COMPRESS_QUIVERS[name]
+    double = build_double(quiver)
+    k = data.draw(st.sampled_from(orders), label="k")
+    n_v = double.n_vertices()
+    dims = data.draw(st.lists(st.integers(0, 2), min_size=n_v, max_size=n_v), label="dims")
+    include_trivial = data.draw(st.booleans(), label="include_trivial")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    f = state_functional(double, k, include_trivial, dims, random.Random(seed), complex_)
+    assume(f.is_flat().flat)
+    rep = build_representation(f)
+    window = f.basis(k)
+    assert rep.basis == tuple(window[p] for p, *_ in f._ldlh)
+    assert rep.gram == oracles.compose_moment_block(f.value, rep.basis, rep.basis)
+
+
 @pytest.mark.parametrize("complex_", [False, True])
 def test_compress_matches_basis_completion_oracle_on_pd_state(complex_):
     """The two-loop, k = 2 shape of the benchmark: a full-rank 21x21 gram."""

@@ -21,15 +21,14 @@ from quivermoment import (
     flat_extend_tip_maximal,
     groebner,
     kernel_groebner,
-    left_divides,
-    normal_form,
     right_groebner,
-    total_reduce,
 )
 
 from conftest import elem, hermitian_functional, path, pd_functional, sc, state_functional
+from groebner_api import normal_form, total_reduce
 from oracles import (
     completion_kernel_groebner,
+    left_divides,
     pairing,
     scalar_fold,
     scalar_normal_form,

@@ -7,7 +7,7 @@ window position.  `oracles.load_path_keyed` reads each literal into a
 `Scalar`, closes the values through `p.star()` with `Scalar` comparisons and
 builds B_{L_k} as a `Scalar` matrix through `compose`.  On every file both
 must raise the same error class with the same message, or give the same
-values, moment matrices and blocks (inside V_k and beyond it), an integer
+values, moment matrices and principal submatrices of B_{L_k}, an integer
 image equal to the `Scalar` B_{L_k} scaled back to integers, and the same
 flat, PSD and tip-maximal verdicts.  Literals are integers, rationals and
 Gaussian rationals over mixed denominators, written in and out of lowest
@@ -105,11 +105,10 @@ def functional_files(draw):
         "include_trivial": include_trivial,
         "entries": [{"path": str(p), "value": spell(draw, v)} for p, v in entries],
     }
-    # Rows and columns for `moment_block`: any window paths, so that some
-    # products leave the window.
-    rows = draw(st.lists(st.sampled_from(window), max_size=4)) if window else []
-    cols = draw(st.lists(st.sampled_from(window), max_size=4)) if window else []
-    return data, rows, cols, longer[:1]
+    # Positions for `principal`: paths of V_k, in any order, with repeats.
+    vk = [p for p in window if p.length() <= k]
+    at = draw(st.lists(st.sampled_from(vk), max_size=6)) if vk else []
+    return data, at, longer[:1]
 
 
 def outcome(fn, *args):
@@ -122,7 +121,7 @@ def outcome(fn, *args):
 @SETTINGS
 @given(functional_files())
 def test_integer_functional_matches_the_scalar_route(case):
-    data, rows, cols, outside = case
+    data, at, outside = case
     got = outcome(functional_from_dict, data, ".", SOURCE)
     want = outcome(oracles.load_path_keyed, data, SOURCE)
     if got[0] != "value" or want[0] != "value":
@@ -139,12 +138,8 @@ def test_integer_functional_matches_the_scalar_route(case):
         m = len(f.basis(t))
         assert f.moment_matrix(t).m == pk.matrix.block(0, m, 0, m)
 
-    def value(p):
-        if p not in pk.values:
-            raise WindowError(f"path {p} outside the length <= {2 * f.k} window")
-        return pk.values[p]
-
-    assert outcome(f.moment_block, rows, cols) == outcome(oracles.compose_moment_block, value, rows, cols)
+    basis = f.basis(f.k)
+    assert f.principal(map(basis.index, at)) == oracles.compose_moment_block(pk.values.__getitem__, at, at)
 
     (rows_i, den_i), (rows_s, den_s) = f._image, oracles.scalar_image(f)
     assert [len(r) for r in rows_i] == [len(r) for r in rows_s]

@@ -185,6 +185,21 @@ def test_window_ordered_files_match_the_path_keyed_construction(data):
     assert outcome(data) == oracle_outcome(data)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(window_ordered_files())
+def test_every_moment_matrix_is_the_compose_built_block(data):
+    # B_{L_t} for -1 <= t <= k, read off the integer image, against the
+    # matrix of L(p q*) built through `compose` from the values.
+    try:
+        f = functional_from_dict(data, ".", SOURCE)
+    except InputError:
+        return
+    for t in range(-1, f.k + 1):
+        basis = f.basis(t)
+        mm = f.moment_matrix(t)
+        assert mm.basis == basis and mm.m == oracles.compose_moment_block(f.value, basis, basis)
+
+
 LOOP2 = quiver_to_dict(QUIVERS["two_loops"])
 
 

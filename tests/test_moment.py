@@ -8,6 +8,7 @@ import oracles
 from quivermoment import (
     Element,
     InputError,
+    InternalInvariantError,
     Matrix,
     Quiver,
     Scalar,
@@ -319,24 +320,26 @@ def test_lower_orders_and_blocks_are_slices_of_the_order_k_matrix(fix_l2, fix_l2
         new = tuple(p for p in enumerate_basis(f.double, f.order, f.k, f.include_trivial) if p not in old)
         blocks = block_decompose(f)
         assert (blocks.old_basis, blocks.new_basis) == (old, new)
-        assert blocks.a == f.moment_block(old, old) == compose_moment_block(f.value, old, old)
-        assert blocks.c == f.moment_block(old, new) == compose_moment_block(f.value, old, new)
-        assert blocks.b == f.moment_block(new, new) == compose_moment_block(f.value, new, new)
+        assert blocks.a == compose_moment_block(f.value, old, old)
+        assert blocks.c == compose_moment_block(f.value, old, new)
+        assert blocks.b == f.principal(range(len(old), len(old) + len(new))) == compose_moment_block(f.value, new, new)
 
 
-def test_moment_block_reads_v_k_and_looks_up_longer_paths(fix_chain):
-    # Rows and columns in V_k come off the order-k matrix, in any order and
-    # with repeats; a longer row takes the lookup, and a product outside the
-    # window raises the WindowError value() raises.
-    f = pd_functional(fix_chain, 2, True, random.Random(4))
-    window = f.basis(4)
-    short, longer = list(f.basis(2)), [p for p in window if p.length() > 2]
-    rows = short[::-1] + short[:3]
-    assert f.moment_block(rows, short) == compose_moment_block(f.value, rows, short)
-    assert f.moment_block(longer, short[:1]) == compose_moment_block(f.value, longer, short[:1])
-    assert f.moment_block([], short) == Matrix(0, len(short), [])
-    with pytest.raises(WindowError, match="outside the length <= 4 window"):
-        f.moment_block(longer, longer)
+@pytest.mark.parametrize("complex_", [False, True])
+def test_principal_reads_any_window_positions(fix_chain, complex_):
+    # Positions of V_k in any order and with repeats, read off the integer
+    # image as rows and as columns; no position gives the 0x0 matrix.  No
+    # caller asks for a product longer than 2k: one is an internal fault.
+    f = pd_functional(fix_chain, 2, True, random.Random(4), complex_=complex_)
+    basis = f.basis(2)
+    at = [len(basis) - 1 - i for i in range(len(basis))] + [0, 3, 0]
+    paths = [basis[i] for i in at]
+    assert f.principal(at) == compose_moment_block(f.value, paths, paths)
+    assert f.principal(iter(at)) == f.principal(at)
+    assert f.principal([]) == Matrix(0, 0, [])
+    longer = [(p.vertex, p.letters) for p in f.basis(4) if p.length() > 2]
+    with pytest.raises(InternalInvariantError, match="a moment product left the window"):
+        f._gather(longer, longer)
 
 
 # -- flatness and PSD against the `Scalar` blocks ------------------------------

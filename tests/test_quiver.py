@@ -14,7 +14,6 @@ from quivermoment import (
     build_double,
     compose,
     enumerate_basis,
-    paths_of_length,
 )
 from quivermoment import quiver
 from oracles import embed_matrix_free, free_dagger, free_matmul
@@ -131,8 +130,6 @@ def test_enumeration_follows_any_order(fixture_name, request):
             double.target[a] == double.source[b] for a, b in zip(w, w[1:]))]
         trivial = sorted(double.trivial_paths(), key=o.key)
         assert enumerate_basis(double, o, 4, include_trivial=True) == trivial + sorted(paths, key=o.key)
-        assert paths_of_length(double, o, 0) == trivial
-        assert paths_of_length(double, o, 3) == sorted((p for p in paths if p.length() == 3), key=o.key)
 
 
 def random_paths(double, max_len, rng, count):
@@ -214,7 +211,6 @@ def test_window_past_the_limit_is_refused_before_it_is_built(fix_two_loops):
     order = fix_two_loops.default_order()
     refused = [
         lambda: enumerate_basis(fix_two_loops, order, 80),
-        lambda: paths_of_length(fix_two_loops, order, 80),
         lambda: TruncatedFunctional(fix_two_loops, 40, {}),
     ]
     for build in refused:
@@ -258,7 +254,6 @@ def test_arrowless_quiver_has_no_words():
     double = build_double(Quiver(["v", "w"], []))
     order = double.default_order()
     assert next(quiver._words(double, order, 10**9), None) is None
-    assert paths_of_length(double, order, 1) == paths_of_length(double, order, 10**9) == []
     assert enumerate_basis(double, order, 10**9) == double.trivial_paths()
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,8 +108,21 @@ def test_every_public_name_resolves_to_its_module():
     )
     from quivermoment import __all__
 
-    assert len(__all__) == 40
+    assert len(__all__) == 36
     assert lines == [f"{name} True True" for name in __all__]
+
+
+def test_readme_lists_exactly_the_public_names():
+    # The README paragraph on the public surface names each of `__all__`
+    # once, and nothing else.
+    from quivermoment import __all__
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("The public surface is `quivermoment.__all__`")
+    paragraph = readme[start : readme.index("\n\n", start)]
+    names = re.findall(r"`([A-Za-z_]\w*)`", paragraph)
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(__all__)
 
 
 def test_star_import_binds_every_public_name():
