@@ -105,7 +105,7 @@ def cmd_moment(args) -> int:
 
     f = fileio.load_functional(args.functional)
     if args.verdict == "rank":
-        # rank B_{L_k}: the pivot count of its echelon form
+        # rank B_{L_k}: the pivot count of its LDL^H pivoting, or of its echelon form off PSD data
         _emit({"rank": f.is_flat().rank_k, "order": f.k})
         return 0
     if args.verdict == "psd":
@@ -259,21 +259,24 @@ def cmd_sos_verify(args) -> int:
     double, target, kind, payload = fileio.certificate_from_dict(
         fileio.load_json(path), path.parent, str(path)
     )
-    if kind == "squares":
-        squares, weights, degree = payload
-        ok = verify_squares(target, squares, degree, weights)
-        _emit({"valid": ok, "kind": "squares"})
-    else:
-        basis, gram, degree = payload
-        pivots = gram_pivots(target, basis, gram, degree)
-        ok = pivots is not None
-        out = {"valid": ok, "kind": "gram"}
-        if ok:
-            out["squares"] = [
-                {"weight": str(w), "element": fileio.element_to_dict(g)}
-                for w, g in gram_to_squares(basis, gram, pivots)
-            ]
-        _emit(out)
+    try:  # the library's messages, prefixed with the file they came from
+        if kind == "squares":
+            squares, weights, degree = payload
+            ok = verify_squares(target, squares, degree, weights)
+            _emit({"valid": ok, "kind": "squares"})
+        else:
+            basis, gram, degree = payload
+            pivots = gram_pivots(target, basis, gram, degree)
+            ok = pivots is not None
+            out = {"valid": ok, "kind": "gram"}
+            if ok:
+                out["squares"] = [
+                    {"weight": str(w), "element": fileio.element_to_dict(g)}
+                    for w, g in gram_to_squares(basis, gram, pivots)
+                ]
+            _emit(out)
+    except InputError as e:
+        raise InputError(f"{path}: {e}") from None
     return 0 if ok else 1
 
 

@@ -449,5 +449,7 @@ def certificate_from_dict(data: dict, base_dir=".", source: str | None = None):
     if "gram" in data and "basis" in data:
         basis = [parse_path(double, t, source) for t in _texts(data["basis"], "basis", source)]
         gram = matrix_from_rows(data["gram"], source, literals=literals)
+        if gram.rows != len(basis) or gram.cols != len(basis):
+            raise InputError(f"{_ctx(source)}'gram' is not {len(basis)}x{len(basis)}")
         return double, target, "gram", (basis, gram, degree)
     raise InputError(f"{_ctx(source)}certificate needs either 'squares' or 'basis'+'gram'")

@@ -24,14 +24,15 @@ solution of A X = C scaled to integers, or shows that C leaves Ran A
 solves read it.
 
 A hermitian matrix [[A, C], [C^H, B]] held as one integer image gets its
-rank, flatness and kernel from one echelon form (`_block_echelon`): the
-top rows [A | C] are eliminated first, which gives rank A and the range
-test, and each lower row [C^H | B] is reduced against their pivot rows.
-Once Ran C <= Ran A a reduced lower row is [0 | B - C^H X] up to a nonzero
-factor, with A X = C, so B = C^H X iff every residual is zero; only
-nonzero residuals are eliminated again, and no X or product is formed.
-The kernel is read off the echelon rows as integer numerators
-(`_null_terms`).
+rank, flatness and kernel from its PSD pivoting when that succeeds
+(`_psd_null_terms` reads the kernel off the pivots), and otherwise from
+one echelon form (`_block_echelon`): the top rows [A | C] are eliminated
+first, which gives rank A and the range test, and each lower row
+[C^H | B] is reduced against their pivot rows.  Once Ran C <= Ran A a
+reduced lower row is [0 | B - C^H X] up to a nonzero factor, with
+A X = C, so B = C^H X iff every residual is zero; only nonzero residuals
+are eliminated again, and no X or product is formed.  The kernel is read
+off the echelon rows as integer numerators (`_null_terms`).
 
 Positive semidefiniteness is decided by LDL^H diagonal pivoting in index
 order (`_image_psd`) on the upper triangle of the rows still active, each
@@ -377,6 +378,36 @@ def _null_terms(rows: list[list[int]], pivots: list[int], ncols: int) -> list[tu
         if g > 1:
             den, terms = den // g, [(c, (re // g, im // g)) for c, (re, im) in terms]
         out.append((terms, den))
+    return out
+
+
+def _psd_null_terms(pivots, n: int) -> list[tuple[list, int]]:
+    """`_null_terms` of conj(m) for an n x n PSD m, read off its `_image_psd` pivots.
+
+    Each index the pivoting dropped, f, gives x with x_f = 1, zero at the
+    other dropped indices and, walking the pivots back, x_p = -(sum of
+    (cr + i ci)_t x_active[t]) / d; each x_p is zero for p > f.  x is held
+    as Gaussian integers over one scale.
+    """
+    cols = [(p, d, {i: c for i, *c in zip(active, cr, ci) if c != [0, 0]}) for p, _, d, active, cr, ci in pivots]
+    out = []
+    for f in sorted(set(range(n)).difference(p for p, *_ in pivots)):
+        x, den = {f: (1, 0)}, 1
+        for p, d, col in reversed(cols):
+            if p > f:
+                continue
+            sr = si = 0
+            for i, (vr, vi) in x.items():
+                if i in col:
+                    a, b = col[i]
+                    sr, si = sr + a * vr - b * vi, si + a * vi + b * vr
+            if sr or si:
+                g = gcd(d, sr, si)
+                if (s := d // g) > 1:
+                    x, den = {i: (vr * s, vi * s) for i, (vr, vi) in x.items()}, den * s
+                x[p] = (-sr // g, -si // g)
+        g = gcd(den, *(v for c in x.values() for v in c))
+        out.append(([(c, (re // g, im // g)) for c, (re, im) in sorted(x.items())], den // g))
     return out
 
 

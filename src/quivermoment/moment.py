@@ -14,9 +14,10 @@ reads; the keys and `Path`s of the whole window are built only when asked
 for.  B_{L_k} is gathered once from those numerators by window position,
 as an integer image, and every matrix a functional hands out is read off
 it (`principal`); a `Scalar` is built only for a value or a matrix asked
-for by a caller.  One echelon form of the image, with V_{k-1} first, gives
+for by a caller.  One LDL^H pivoting of the image decides PSD and gives
 the flatness report, the rank, tip-maximality and the echelon kernel, held
-as integer numerators until `kernel_basis()` builds `Element`s.
+as integer numerators until `kernel_basis()` builds `Element`s; only data
+that is not PSD takes one echelon form, with V_{k-1} first.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class TruncatedFunctional:
     asked for.  Its values are held in window order as numerators `_re`,
     `_im` over one denominator `_den`, with no factor common to all of them;
     `Path` objects and `Scalar` values are built only for what is asked for.
-    Its integer image of B_{L_k} and the one echelon form its verdicts and
-    its kernel read are computed once.
+    Its integer image of B_{L_k} and the one pivoting (or, off PSD data,
+    echelon form) its verdicts and its kernel read are computed once.
     """
 
     def __init__(
@@ -305,20 +306,26 @@ class TruncatedFunctional:
 
     @cached_property
     def _echelon(self) -> tuple[list[int], int, bool, list[tuple[dict[Key, tuple[int, int]], int]]]:
-        """One elimination of conj(B_{L_k}), V_{k-1} first (`linalg._block_echelon`).
+        """The pivot columns of B_{L_k}, rank B_{L_{k-1}}, whether Ran C <= Ran A, and the echelon kernel.
 
-        Returns its pivot columns, rank B_{L_{k-1}}, whether Ran C <= Ran A,
-        and the echelon kernel: per free column, numerators {key: (re, im)}
-        in window order, its tip last, over one denominator (see
-        `linalg._null_terms`).  The kernel is checked exactly without the
-        elimination: conj(B_{L_k}) times the sum of its numerator vectors
-        is zero.
+        On PSD data they are read off the LDL^H pivots (`_ldlh`), which come
+        in window order: rank A counts those in V_{k-1}, and Ran C <= Ran A
+        holds for every PSD block matrix (Albert 1969).  Otherwise they come
+        from one elimination of conj(B_{L_k}) (`linalg._block_echelon`).
+        The kernel, per free column numerators {key: (re, im)} in window
+        order, its tip last, over one denominator (`linalg._null_terms`), is
+        checked exactly: conj(B_{L_k}) times the sum of its vectors is zero.
         """
         rows, _ = self._image
-        n = len(rows)
+        n, m = len(rows), self._end(self.k - 1)
         conj = [row[:n] + [-x for x in row[n:]] for row in rows] if rows and len(rows[0]) > n else rows
-        top, pivots, rank_km1, range_ok = linalg._block_echelon(conj, self._end(self.k - 1), n)
-        null = linalg._null_terms(top, pivots, n)
+        if self._ldlh is None:
+            top, pivots, rank_km1, range_ok = linalg._block_echelon(conj, m, n)
+            null = linalg._null_terms(top, pivots, n)
+        else:
+            pivots = [p for p, *_ in self._ldlh]
+            rank_km1, range_ok = sum(p < m for p in pivots), True
+            null = linalg._psd_null_terms(self._ldlh, n)
         total = [[0, 0] for _ in range(n)]
         for terms, _ in null:
             for c, (re, im) in terms:
@@ -345,17 +352,13 @@ class TruncatedFunctional:
         )
 
     def is_flat(self) -> FlatReport:
-        """Both flatness criteria, from one echelon form of B_{L_k}.
+        """Both flatness criteria, read off `_echelon`.
 
         Rank criterion: rank B_{L_k} = rank B_{L_{k-1}}.  Block criterion:
         Ran(C) <= Ran(A) and B equals the exact Schur completion C^H X with
-        A X = C.  The top rows [A | C] of B_{L_k}'s integer image are
-        eliminated first, which gives rank A and the range test; each lower
-        row [C^H | B] is then reduced against their pivot rows, and B = C^H X
-        iff every residual is zero.  Nonzero residuals are the only rows
-        eliminated again, and the pivot count is rank B_{L_k}.  For
-        hermitian data the two criteria are the same fact, read off one
-        elimination.
+        A X = C.  For hermitian data the two are the same fact.  Off PSD
+        data each lower row [C^H | B] is reduced against the pivot rows of
+        [A | C], and B = C^H X iff every residual is zero.
         """
         pivots, rank_km1, range_ok, _ = self._echelon
         return FlatReport(len(pivots) == rank_km1, len(pivots), rank_km1, range_ok)
@@ -364,8 +367,8 @@ class TruncatedFunctional:
         """True iff every kernel pivot path has length exactly k.
 
         Equivalent to ker B_{L_k} meeting V_{k-1} trivially: a kernel tip is
-        a free column of the echelon form, so the verdict holds iff every
-        column of V_{k-1} is a pivot column.
+        a free column, so the verdict holds iff every column of V_{k-1} is a
+        pivot column of `_echelon`.
         """
         m = self._end(self.k - 1)
         return self._echelon[0][:m] == list(range(m))

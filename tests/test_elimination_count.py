@@ -1,20 +1,23 @@
 """Each matrix a verdict or a construction needs is eliminated once.
 
-The count is of calls to the one Gauss-Jordan engine in `linalg`.  A fresh
-functional's flatness report, rank, tip-maximality and kernel come from one
-echelon form of the integer image of B_{L_k}, with V_{k-1} first: one
-elimination of its top rows [A | C] (rank A and range containment), then
-each lower row [C^H | B] reduced against those pivot rows.  A flat
-functional's residuals are all zero and it needs no other elimination; a
-non-flat one eliminates its nonzero residuals once more, with the top pivot
-rows.  No solution X, no product and no `Scalar` comparison of matrices is
-formed; the PSD verdict checks the hermitian property on the same integers
-it pivots.  Compression reads its coset reps off that PSD pivoting, with no
-kernel elimination, and adds one elimination of the gram and one of its
-kept block per base arrow.  A one-step extension adds one of its odd-degree
-system and one of the Schur block [A | C], both built as integer rows from
-window positions, with no `Scalar` matrix, and one for the flatness of the
-result.
+The counts are of calls to the one Gauss-Jordan engine in `linalg` and to
+the LDL^H pivoting `linalg._image_psd`.  A fresh PSD functional's flatness
+report, rank, tip-maximality, kernel and PSD verdict all come from one
+pivoting of the integer image of B_{L_k}, with V_{k-1} first, and no
+elimination.  A functional that is not PSD has its pivoting refuted first;
+its verdicts and kernel then come from one echelon form: one elimination of
+its top rows [A | C] (rank A and range containment), then each lower row
+[C^H | B] reduced against those pivot rows.  A flat one's residuals are all
+zero and it needs no other elimination; a non-flat one eliminates its
+nonzero residuals once more, with the top pivot rows.  No solution X, no
+product and no `Scalar` comparison of matrices is formed; the PSD verdict
+checks the hermitian property on the same integers it pivots.  Compression
+reads its coset reps off that PSD pivoting, with no kernel elimination, and
+adds one elimination of the gram and one of its kept block per base arrow.
+A one-step extension adds one elimination of its odd-degree system and one
+of the Schur block [A | C], both built as integer rows from window
+positions, with no `Scalar` matrix, and one pivoting for the flatness of
+the result.
 
 The kernel Gröbner basis is read off the echelon kernel, so no completion
 runs behind it, and `groebner --from-kernel` runs none either: it reduces
@@ -87,16 +90,56 @@ def fresh(f: TruncatedFunctional) -> TruncatedFunctional:
 
 
 @pytest.mark.parametrize("flat", [True, False])
-def test_flatness_and_kernel_share_one_echelon_form(flat, pd_two_loops, eliminations):
-    # A rank-1 state is flat with a singular A: its top rows [A | C] are
-    # eliminated once and every lower row reduces to zero.  The PD state is
-    # not flat: its nonzero residuals are eliminated once more.
+def test_flatness_and_kernel_share_one_echelon_form(flat, pd_two_loops, eliminations, psd_pivotings):
+    # A rank-1 state is flat with a singular A; the PD state is not flat.
+    # Both are PSD: one pivoting gives every verdict and the kernel.
     f = state_functional(ONE_LOOP, 2, True, [1], random.Random(3)) if flat else fresh(pd_two_loops)
     report = f.is_flat()
     f.kernel_basis()
     f.is_tip_maximal()
+    assert f.is_psd()
     assert report.flat == flat
-    assert len(eliminations) == (1 if flat else 2)
+    assert eliminations == []
+    assert psd_pivotings == [len(f.basis(f.k))]
+
+
+@pytest.mark.parametrize("verdict", ["is_flat", "is_psd", "is_tip_maximal", "kernel_basis"])
+def test_each_psd_verdict_pivots_once(verdict, eliminations, psd_pivotings):
+    # A rank-3 state on two loops, k = 3 (85-path window), each verdict asked first.
+    f = state_functional(TWO_LOOPS, 3, True, [3], random.Random(11))
+    getattr(f, verdict)()
+    assert psd_pivotings == [85]
+    assert eliminations == []
+
+
+@pytest.mark.parametrize("flat", [True, False])
+def test_non_psd_verdicts_pivot_then_eliminate(flat, pd_two_loops, monkeypatch):
+    # The negated states of the test above are not PSD: their first pivot
+    # is negative.  The refuted pivoting comes first, then the echelon form:
+    # one elimination when flat, two when not.
+    calls = []
+    engine, pivoting = linalg._gauss_jordan, linalg._image_psd
+
+    def counted(rows, ncols):
+        calls.append(("eliminate", ncols))
+        return engine(rows, ncols)
+
+    def counted_psd(rows, den):
+        calls.append(("pivot", len(rows)))
+        return pivoting(rows, den)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counted)
+    monkeypatch.setattr(linalg, "_image_psd", counted_psd)
+    g = state_functional(ONE_LOOP, 2, True, [1], random.Random(3)) if flat else pd_two_loops
+    f = TruncatedFunctional(g.double, g.k, {p: -v for p, v in g.values.items()}, g.include_trivial, g.order)
+    del calls[:]  # the state's own draw
+    report = f.is_flat()
+    f.kernel_basis()
+    f.is_tip_maximal()
+    assert not f.is_psd()
+    assert report.flat == flat
+    n = len(f.basis(f.k))
+    assert calls == [("pivot", n)] + [("eliminate", n)] * (1 if flat else 2)
 
 
 @pytest.fixture
@@ -136,18 +179,19 @@ def psd_pivotings(monkeypatch):
     return calls
 
 
-def test_loaded_verdicts_form_no_scalar_product(tmp_path, eliminations, scalar_matrix_calls):
+def test_loaded_verdicts_form_no_scalar_product(tmp_path, eliminations, psd_pivotings, scalar_matrix_calls):
     # The shape of a flat_gns instance: a rank-3 state on two loops with
     # trivial paths and k = 3, read from its file.
     fpath = tmp_path / "f.json"
     state = state_functional(TWO_LOOPS, 3, True, [3], random.Random(11))
     fpath.write_text(json.dumps(fileio.functional_to_dict(state)), encoding="utf-8")
     f = fileio.load_functional(fpath)
-    del eliminations[:], scalar_matrix_calls[:]
+    del eliminations[:], psd_pivotings[:], scalar_matrix_calls[:]
     assert f.is_flat() == moment.FlatReport(True, 3, 3, True)
     assert len(f.kernel_basis()) == 85 - 3
     assert f.is_psd()
-    assert len(eliminations) == 1
+    assert eliminations == []
+    assert psd_pivotings == [85]
     assert scalar_matrix_calls == []
 
 
@@ -161,12 +205,12 @@ def test_compress_eliminates_once_per_matrix(pd_two_loops, eliminations, psd_piv
 
 
 def test_build_pivots_once(eliminations, psd_pivotings):
-    # A rank-3 state on two loops, k = 3 (85-path window): the echelon form
-    # decides flatness, the LDL^H pivoting PSD; the gram is the pivoted
-    # submatrix, which is pivoted no second time.
+    # A rank-3 state on two loops, k = 3 (85-path window): the LDL^H
+    # pivoting decides flatness and PSD and gives the kernel; the gram is
+    # the pivoted submatrix, which is pivoted no second time.
     rep = build_representation(state_functional(TWO_LOOPS, 3, True, [3], random.Random(11)))
     assert rep.dim == 3
-    assert len(eliminations) == 1
+    assert eliminations == []
     assert psd_pivotings == [85]
 
 
@@ -189,27 +233,31 @@ def test_compress_of_a_singular_state_eliminates_no_kernel(eliminations, psd_piv
     assert psd_pivotings == [21]
 
 
-def test_one_step_extension_solves_one_unknown_per_star_pair(eliminations):
-    # A rank-2 state of order 1 on two loops, which is not flat: the two
-    # eliminations of its echelon form (5 columns), the odd-degree system,
-    # the Schur block (5 x 21), then the one elimination of the extension's
-    # echelon form, which is flat (21 columns).  The odd system has a u
-    # column per star pair of the 64 paths of length 3, plus the right-hand
-    # side: on real data the v half is block-diagonal, with canonical
-    # solution v = 0, and is not built.
+def test_one_step_extension_solves_one_unknown_per_star_pair(eliminations, psd_pivotings):
+    # A rank-2 state of order 1 on two loops, which is not flat: the
+    # pivoting of its image (5 paths) gives its kernel, then the odd-degree
+    # system and the Schur block (5 x 21) are eliminated, and the pivoting
+    # of the extension's image (21 paths) shows it flat.  The odd system has
+    # a u column per star pair of the 64 paths of length 3, plus the
+    # right-hand side: on real data the v half is block-diagonal, with
+    # canonical solution v = 0, and is not built.
     f = state_functional(TWO_LOOPS, 1, True, [2], random.Random(0))
+    del psd_pivotings[:]  # the state's own draw
     ext = flat_extend_tip_maximal(f)
     ext.kernel_basis()
-    assert eliminations == [5, 5, 32 + 1, 21, 21]
+    assert eliminations == [32 + 1, 21]
+    assert psd_pivotings == [5, 21]
 
 
-def test_one_step_extension_keeps_both_halves_on_gaussian_data(eliminations):
+def test_one_step_extension_keeps_both_halves_on_gaussian_data(eliminations, psd_pivotings):
     # The same shape with Gaussian values: a u and a v column per star pair.
     f = state_functional(TWO_LOOPS, 1, True, [2], random.Random(0), complex_=True)
     assert any(not v.is_real() for v in f.values.values())
+    del psd_pivotings[:]
     ext = flat_extend_tip_maximal(f)
     ext.kernel_basis()
-    assert eliminations == [5, 5, 2 * 32 + 1, 21, 21]
+    assert eliminations == [2 * 32 + 1, 21]
+    assert psd_pivotings == [5, 21]
 
 
 def test_one_step_extension_forms_no_scalar_product(images, scalar_matrix_calls):

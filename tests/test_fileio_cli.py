@@ -798,6 +798,21 @@ def test_kernel_routes_reproduce_the_committed_stdout(capsys):
     assert "".join(stdout) == (fixtures / "kernel_routes_stdout.txt").read_text(encoding="utf-8")
 
 
+def test_nonpsd_routes_reproduce_the_committed_stdout(capsys):
+    # CI runs these calls without site-packages.  The functionals are not
+    # PSD, so their verdicts and kernels come from the echelon form: an
+    # indefinite one with a two-element kernel whose C block leaves Ran A,
+    # and the two refuted at a pivot.  The expected file, exit codes
+    # included, was written when every functional took the echelon route.
+    fixtures = FsPath(__file__).parent / "fixtures"
+    stdout = []
+    for name in ("fix_indefinite_loop", "fix_nonpsd_loop", "fix_gauss_nonpsd_loop"):
+        for cmd in ("kernel", "moment flat", "moment rank", "moment tipmax", "groebner --from-kernel"):
+            code = main([*cmd.split(), str(fixtures / f"{name}.json")])
+            stdout.append(f"{capsys.readouterr().out}{cmd} {name} exit code: {code}\n")
+    assert "".join(stdout) == (fixtures / "nonpsd_routes_stdout.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("degree", ["2", [2], 2.5, True, -1, {"d": 2}], ids=repr)
 def test_certificate_degree_must_be_a_non_negative_integer(degree, tmp_path, capsys):
     fixtures = FsPath(__file__).parent / "fixtures"
@@ -818,6 +833,31 @@ def test_certificate_degree_may_be_absent_or_null(degree, tmp_path, capsys):
         cert["degree"] = degree
     assert main(["sos", "verify", write(tmp_path, "cert.json", cert)]) == 0
     assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+def _chain_certificate(**changes):
+    fixtures = FsPath(__file__).parent / "fixtures"
+    cert = json.loads((fixtures / "fix_psd_chain_certificate.json").read_text(encoding="utf-8"))
+    return {**cert, **changes}
+
+
+@pytest.mark.parametrize(
+    "cert, message",
+    [
+        pytest.param(_chain_certificate(degree=1), "basis path x x* exceeds the degree bound 1", id="degree_bound"),
+        pytest.param(
+            _chain_certificate(gram=_chain_certificate()["gram"][:12]), "'gram' is not 13x13", id="gram_12x13"
+        ),
+        pytest.param(_chain_certificate(basis=[], gram=[]), "empty certificate basis", id="empty_basis"),
+        pytest.param({**SQUARES, "degree": 0}, "square of degree 1 exceeds the bound 0", id="square_degree"),
+    ],
+)
+def test_sos_verify_refusals_name_the_file(cert, message, tmp_path, capsys):
+    cpath = write(tmp_path, "cert.json", cert)
+    assert main(["sos", "verify", cpath]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cpath}: {message}\n"
 
 
 @pytest.mark.parametrize("gram", [[], [["1"]], [["1", "0", "0", "0"]] * 3], ids=["0x0", "1x1", "3x4"])
