@@ -58,6 +58,14 @@ def _window_flag(value: str) -> bool:
     raise InputError(f"--window must be 'trivial' or 'nontrivial', not {value!r}")
 
 
+def _from(path, fn, *args):
+    """fn(*args), with the input file prefixed to the library's InputErrors."""
+    try:
+        return fn(*args)
+    except InputError as e:
+        raise InputError(f"{path}: {e}") from None
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -157,7 +165,7 @@ def cmd_groebner(args) -> int:
         f = fileio.load_functional(args.from_kernel)
         double = f.double
         # The output lists the reductions of the other kernel elements by the kept ones.
-        gb = kernel_groebner(f, trace=True)
+        gb = _from(args.from_kernel, kernel_groebner, f, True)
     if args.trace:
         for ev in gb.trace:
             _emit(
@@ -178,7 +186,7 @@ def cmd_extend(args) -> int:
     if not args.tip_maximal:
         raise InputError("only --tip-maximal extension is available")
     f = fileio.load_functional(args.functional)
-    ext = flat_extend_tip_maximal(f, allow_general_quiver=args.general_quiver)
+    ext = _from(args.functional, flat_extend_tip_maximal, f, args.general_quiver)
     _write_or_emit(fileio.functional_to_dict(ext), args.output)
     return 0
 
@@ -188,9 +196,9 @@ def cmd_evaluate(args) -> int:
     from .extension import FlatExtension
 
     f = fileio.load_functional(args.functional)
-    ext = FlatExtension(f)
+    ext = _from(args.functional, FlatExtension, f)
     p = fileio.parse_path(f.double, args.path, source="--path")
-    _emit({"path": fileio.path_to_text(p), "value": str(ext.evaluate(p))})
+    _emit({"path": fileio.path_to_text(p), "value": str(_from(args.functional, ext.evaluate, p))})
     return 0
 
 
@@ -211,7 +219,7 @@ def cmd_gns_build(args) -> int:
         rep = build_from_groebner(double, gb, gram, include_trivial)
     else:
         f = fileio.functional_from_dict(data, path.parent, str(path))
-        rep = build_representation(f)
+        rep = _from(path, build_representation, f)
     _write_or_emit(fileio.representation_to_dict(rep), args.output)
     return 0
 
@@ -221,7 +229,7 @@ def cmd_gns_compress(args) -> int:
     from .gns import compress_representation
 
     f = fileio.load_functional(args.functional)
-    rep = compress_representation(f)
+    rep = _from(args.functional, compress_representation, f)
     _write_or_emit(fileio.representation_to_dict(rep), args.output)
     return 0
 
@@ -240,6 +248,8 @@ def cmd_gns_kernel(args) -> int:
     from . import fileio
     from .gns import rep_kernel
 
+    if args.degree < 1:
+        raise InputError(f"--degree must be >= 1, not {args.degree}")
     rep = fileio.load_representation(args.representation)
     elems = rep_kernel(rep, args.degree, include_trivial=_window_flag(args.window))
     data = {
@@ -259,25 +269,24 @@ def cmd_sos_verify(args) -> int:
     double, target, kind, payload = fileio.certificate_from_dict(
         fileio.load_json(path), path.parent, str(path)
     )
-    try:  # the library's messages, prefixed with the file they came from
+
+    def verdict() -> dict:
         if kind == "squares":
             squares, weights, degree = payload
-            ok = verify_squares(target, squares, degree, weights)
-            _emit({"valid": ok, "kind": "squares"})
-        else:
-            basis, gram, degree = payload
-            pivots = gram_pivots(target, basis, gram, degree)
-            ok = pivots is not None
-            out = {"valid": ok, "kind": "gram"}
-            if ok:
-                out["squares"] = [
-                    {"weight": str(w), "element": fileio.element_to_dict(g)}
-                    for w, g in gram_to_squares(basis, gram, pivots)
-                ]
-            _emit(out)
-    except InputError as e:
-        raise InputError(f"{path}: {e}") from None
-    return 0 if ok else 1
+            return {"valid": verify_squares(target, squares, degree, weights), "kind": "squares"}
+        basis, gram, degree = payload
+        pivots = gram_pivots(target, basis, gram, degree)
+        out = {"valid": pivots is not None, "kind": "gram"}
+        if pivots is not None:
+            out["squares"] = [
+                {"weight": str(w), "element": fileio.element_to_dict(g)}
+                for w, g in gram_to_squares(basis, gram, pivots)
+            ]
+        return out
+
+    out = _from(path, verdict)
+    _emit(out)
+    return 0 if out["valid"] else 1
 
 
 # -- argument parsing ------------------------------------------------------------

@@ -385,6 +385,8 @@ def representation_from_dict(data: dict, base_dir=".", source: str | None = None
     n = len(basis)
     if gram.rows != n or gram.cols != n:
         raise InputError(f"{_ctx(source)}'gram' is not {n}x{n}")
+    if cyclic is not None and len(cyclic) != n:
+        raise InputError(f"{_ctx(source)}'cyclic' has {len(cyclic)} entries, not {n}")
     for name, m in list(arrows.items()) + list(vertices.items()):
         if m.rows != n or m.cols != n:
             raise InputError(f"{_ctx(source)}matrix for {name!r} is not {n}x{n}")

@@ -239,8 +239,11 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     position, with P the reps' positions: F is conj(image) at P x P, the
     row of Q_b^T at u is the image row at r_u b, read at P, and L(r_i*) is
     the image row at the trivial path at r_i's end, read at P_i.  The gram
-    is B_{L_{d+1}} at P (`principal`).  Each system is solved once on integers
-    (`linalg._solve`), and only the results become `Scalar`s.
+    is B_{L_{d+1}} at P (`principal`).  Every system is a substitution
+    through the LDL^H pivots that decided PSD (`linalg._psd_solve`): those
+    of P factor F, and those of K factor F[K,K], since a pivot at another
+    vertex has a zero column on K and the reps of length d+1 come after K.
+    Nothing is eliminated, and only the results become `Scalar`s.
     """
     if not functional.include_trivial:
         raise InputError("compress_representation needs the trivial-path window")
@@ -250,7 +253,8 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     image, _ = functional._image
     size = len(image)
     real = not image or len(image[0]) == size
-    pos = [p for p, *_ in functional._ldlh]  # P, the window positions of the reps
+    pivots = functional._ldlh
+    pos = [p for p, *_ in pivots]  # P, the window positions of the reps
     window = functional.basis(functional.k)
     basis = tuple(window[p] for p in pos)
     n = len(basis)
@@ -271,39 +275,30 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
         if not k_idx:
             continue
         at = [functional._index((None, basis[u].letters + b.letters)) for u in k_idx]
-        # [F[K,K] | F[K,:] | conj(Q_b^T)] with F = conj(image) at P x P: X = [S_b | F[K,K]^-1 Q_b^H]
+        # F[K,K] X = [F[K,:] | conj(Q_b^T)] with F = conj(image) at P x P: X = [S_b | F[K,K]^-1 Q_b^H]
         kk = [pos[u] for u in k_idx]
-        rows = [row((p, kk, -1), (p, pos, -1), (j, pos, -1)) for p, j in zip(kk, at)]
-        xs, sx = _solve_invertible(rows, len(kk), len(kk) + 2 * n)
+        xs, sx = linalg._psd_solve(pivots, kk, [row((p, pos, -1), (j, pos, -1)) for p, j in zip(kk, at)], 2 * n)
         star = [[0] * (n if real else 2 * n) for _ in range(n)]
         for u, x in zip(k_idx, xs):
-            star[u] = _layout(x[n:], real)
+            star[u] = _cut(x, n, 2 * n, 2 * n)
         arrows[arrow.name + "*"] = linalg._matrix(star, sx, n)
-        kept.append((arrow.name, len(q_at), [_layout(x[:n], real) for x in xs], sx))
+        kept.append((arrow.name, len(q_at), [_cut(x, 0, n, 2 * n) for x in xs], sx))
         q_at += at
-    # [F | Q_b ... | unit]: Q_b[i][u] = L(r_u b r_i*), and the unit's entry i is L(r_i*)
+    # F Y = [Q_b ... | unit]: Q_b[i][u] = L(r_u b r_i*), and the unit's entry i is L(r_i*)
     units = [functional._index((r.terminal(), ())) for r in basis]
-    rows = [row((p, pos, -1), *((j, [p], 1) for j in q_at + [e])) for p, e in zip(pos, units)]
-    ys, sy = _solve_invertible(rows, n, n + len(q_at) + 1)
+    m = len(q_at) + 1
+    ys, sy = linalg._psd_solve(pivots, pos, [row(*((j, [p], 1) for j in q_at + [e])) for p, e in zip(pos, units)], m)
     for name, c, s_b, sx in kept:
-        y_b = [_layout(y[c : c + len(s_b)], real) for y in ys]
+        y_b = [_cut(y, c, c + len(s_b), m) for y in ys]
         arrows[name] = linalg._matrix(linalg._product(y_b, s_b, n), sy * sx, n)
-    cyclic = tuple(linalg._scalar(re, im, sy) for re, im in (y[-1] for y in ys))
+    cyclic = linalg._matrix([_cut(y, m - 1, m, m) for y in ys], sy, 1).entries
     gram = functional.principal(pos)
     return Representation(double, basis, gram, arrows, _vertex_projections(double, basis), cyclic)
 
 
-def _solve_invertible(rows: list[list[int]], n: int, ncols: int) -> tuple[list[list[tuple[int, int]]], int]:
-    """s X and s for the solution X of A X = C, from the integer rows of [A | C] with A invertible n x n."""
-    solved = linalg._solve(rows, n, ncols)
-    if solved is None or len(solved[0]) < n:
-        raise InternalInvariantError("matrix expected to be invertible is singular")
-    return solved[1], solved[2]
-
-
-def _layout(pairs: list[tuple[int, int]], real: bool) -> list[int]:
-    """Gaussian integers (re, im) as one integer row: the real parts, then, unless real, the imaginary parts."""
-    return [x for x, _ in pairs] if real else [x for x, _ in pairs] + [y for _, y in pairs]
+def _cut(row: list[int], c0: int, c1: int, ncols: int) -> list[int]:
+    """Columns c0..c1-1 of an integer row of ncols columns, in either layout (see `linalg._image`)."""
+    return row[c0:c1] + row[ncols + c0 : ncols + c1]
 
 
 # -- diagnostics --------------------------------------------------------------

@@ -20,8 +20,7 @@ always the first nonzero entry of a column, scanning rows top-down, so
 outputs are deterministic bit for bit and equal those of elimination over
 `Scalar`.  One elimination of the primitive rows of [A | C] gives the RREF
 solution of A X = C scaled to integers, or shows that C leaves Ran A
-(`_solve`); the Schur completion C^H X (`_schur`) and a compression's
-solves read it.
+(`_solve`); the Schur completion C^H X (`_schur`) reads it.
 
 A hermitian matrix [[A, C], [C^H, B]] held as one integer image gets its
 rank, flatness and kernel from its PSD pivoting when that succeeds
@@ -40,7 +39,11 @@ later row of a Schur complement one list comprehension divided exactly by
 the previous pivot.  A pivot is handed out as its index, its weight, its
 diagonal and its column at the indices still active.  The image is trusted
 to be hermitian: a functional's is by construction, and a gram from a file
-is checked on its integers first (`_hermitian`, in `_psd_pivots`).
+is checked on its integers first (`_hermitian`, in `_psd_pivots`).  The
+pivots also solve: a system on pivot indices is swept forward with the
+Bareiss step and solved back through the pivot rows (`_psd_solve`), and the
+kernel of a PSD image is the back substitution of the dropped indices
+(`_psd_null_terms`), both on integers with exact divisions.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from .errors import InternalInvariantError
 from .scalar import ONE, ZERO, Scalar
 from .scalar import from_numerators as _scalar
 
@@ -381,33 +385,144 @@ def _null_terms(rows: list[list[int]], pivots: list[int], ncols: int) -> list[tu
     return out
 
 
+def _back_substitute(steps, rows) -> None:
+    """Back substitution through the upper triangular system of `steps`, in place.
+
+    steps[r] is (d_r, coupled_r), coupled_r the pairs (t, a, b) with t > r,
+    and rows[r] is (re, im), integer lists over the right-hand sides (im
+    empty on real data).  From the last row up, rows[r] becomes
+    (rows[r] - sum of (a + i b) rows[t]) / d_r, a division the caller
+    knows to be exact.
+    """
+    for r in reversed(range(len(steps))):
+        d, coupled = steps[r]
+        re, im = rows[r]
+        for t, a, b in coupled:
+            yr, yi = rows[t]
+            if b:
+                re = [s - a * x + b * y for s, x, y in zip(re, yr, yi)]
+                im = [s - a * y - b * x for s, x, y in zip(im, yr, yi)]
+            else:
+                re = [s - a * x for s, x in zip(re, yr)]
+                im = [s - a * y for s, y in zip(im, yi)]
+        rows[r] = [x // d for x in re], [x // d for x in im]
+
+
+def _psd_solve(pivots, at: list[int], rhs: list[list[int]], ncols: int) -> tuple[list[list[int]], int]:
+    """s X and s > 0 for the solution X of conj(m)[at, at] X = rhs, from the `_image_psd` pivots of m.
+
+    `at` are pivot indices in increasing order and rhs one integer row per
+    index, ncols columns in either layout (see `_image`); the rows returned
+    are in the same layout.  No pivot at or below at[-1] may couple an index
+    of `at` to a pivot outside it (InternalInvariantError), so m[at, at] is
+    the positive definite block the pivots of `at` factor, scaled by the
+    diagonals of the others.  Each pivot p, in order, sweeps the rows of `at`
+    after it forward with Bareiss's step c_t <- (d c_t - conj(a_t) c_p) /
+    prev, a_t its column at t, where a pivot outside `at` has a_t = 0 and
+    only scales; then the pivot rows of conj(m), a_t at t, are solved back
+    (`_back_substitute`) with s the last d, the minor of the pivots up to
+    at[-1], so that every division is exact (Cramer).
+    """
+    if not at:
+        return [], 1
+    index = {p: r for r, p in enumerate(at)}
+    known = {p for p, *_ in pivots}
+    if not index.keys() <= known or any(b <= a for a, b in zip(at, at[1:])):
+        raise InternalInvariantError("a solved index is not an LDL^H pivot")
+    last = at[-1]
+    cs = [(row[:ncols], row[ncols:]) for row in rhs]
+    steps, prev, done = [], 1, 0  # done: the rows of `at` pivoted so far
+    for p, _, d, active, cr, ci in pivots:
+        if p > last:
+            break
+        if d <= 0:
+            raise InternalInvariantError("a pivot of a positive definite block is not positive")
+        r = index.get(p)
+        coupled = []
+        for i, a, b in zip(active, cr, ci):
+            if i > last:
+                break
+            if a or b:
+                t = index.get(i)
+                if t is not None and r is not None:
+                    coupled.append((t, a, b))
+                elif t is not None or (r is not None and i in known):
+                    raise InternalInvariantError("a pivot couples the solved indices to one outside them")
+        if r is not None:
+            done += 1
+            steps.append((d, coupled))
+            yr, yi = cs[r]
+            for t, a, b in coupled:  # conj(a + i b) c_p = (a yr + b yi) + i (a yi - b yr)
+                xr, xi = cs[t]
+                if b:
+                    cs[t] = (
+                        [(d * x - a * u - b * v) // prev for x, u, v in zip(xr, yr, yi)],
+                        [(d * x - a * v + b * u) // prev for x, u, v in zip(xi, yr, yi)],
+                    )
+                else:
+                    cs[t] = (
+                        [(d * x - a * u) // prev for x, u in zip(xr, yr)],
+                        [(d * x - a * v) // prev for x, v in zip(xi, yi)],
+                    )
+        if d != prev:  # the rows after p that p did not touch
+            swept = {t for t, *_ in coupled}
+            for t in range(done, len(at)):
+                if t not in swept:
+                    cs[t] = tuple([d * x // prev for x in part] for part in cs[t])
+        prev = d
+    rows = [([prev * x for x in xr], [prev * x for x in xi]) for xr, xi in cs]
+    _back_substitute(steps, rows)
+    return [xr + xi for xr, xi in rows], prev
+
+
 def _psd_null_terms(pivots, n: int) -> list[tuple[list, int]]:
     """`_null_terms` of conj(m) for an n x n PSD m, read off its `_image_psd` pivots.
 
-    Each index the pivoting dropped, f, gives x with x_f = 1, zero at the
-    other dropped indices and, walking the pivots back, x_p = -(sum of
-    (cr + i ci)_t x_active[t]) / d; each x_p is zero for p > f.  x is held
-    as Gaussian integers over one scale.
+    Each index the pivoting dropped, f, gives the x with x_f = 1, zero at
+    the other dropped indices and, by `_back_substitute` through the pivot
+    rows of conj(m), d x_p = -(sum of a_i x_i) over the column a of pivot p;
+    x_p = 0 for p > f.  Every dropped index is one right-hand side of the
+    same pass, x_f scaled by s_f, the last d below f: the minor of the
+    pivots below f, so s_f x is integral (Cramer).
     """
-    cols = [(p, d, {i: c for i, *c in zip(active, cr, ci) if c != [0, 0]}) for p, _, d, active, cr, ci in pivots]
+    free = sorted(set(range(n)).difference(p for p, *_ in pivots))
+    if not free:
+        return []
+    column = {f: c for c, f in enumerate(free)}
+    index = {p: r for r, (p, *_) in enumerate(pivots)}
+    real = not any(any(ci) for *_, ci in pivots)
+    scales, r, s = [], 0, 1
+    for f in free:
+        while r < len(pivots) and pivots[r][0] < f:
+            s, r = pivots[r][2], r + 1
+        scales.append(s)
+    steps, rows = [], []
+    for p, _, d, active, cr, ci in pivots:
+        re, im = [0] * len(free), [] if real else [0] * len(free)
+        coupled = []
+        for i, a, b in zip(active, cr, ci):
+            if a or b:
+                if i in index:
+                    coupled.append((index[i], a, b))
+                else:
+                    c = column[i]
+                    re[c] = -a * scales[c]
+                    if b:
+                        im[c] = -b * scales[c]
+        steps.append((d, coupled))
+        rows.append((re, im))
+    _back_substitute(steps, rows)
+    keys = list(index)
     out = []
-    for f in sorted(set(range(n)).difference(p for p, *_ in pivots)):
-        x, den = {f: (1, 0)}, 1
-        for p, d, col in reversed(cols):
-            if p > f:
-                continue
-            sr = si = 0
-            for i, (vr, vi) in x.items():
-                if i in col:
-                    a, b = col[i]
-                    sr, si = sr + a * vr - b * vi, si + a * vi + b * vr
-            if sr or si:
-                g = gcd(d, sr, si)
-                if (s := d // g) > 1:
-                    x, den = {i: (vr * s, vi * s) for i, (vr, vi) in x.items()}, den * s
-                x[p] = (-sr // g, -si // g)
-        g = gcd(den, *(v for c in x.values() for v in c))
-        out.append(([(c, (re // g, im // g)) for c, (re, im) in sorted(x.items())], den // g))
+    re_cols = list(zip(*(xr for xr, _ in rows))) or [()] * len(free)  # per dropped index, x at the pivots
+    if real:
+        for f, s, xr in zip(free, scales, re_cols):
+            g = gcd(s, *xr)
+            out.append(([(p, (x // g, 0)) for p, x in zip(keys, xr) if x] + [(f, (s // g, 0))], s // g))
+        return out
+    for f, s, xr, xi in zip(free, scales, re_cols, zip(*(xi for _, xi in rows))):
+        g = gcd(s, *xr, *xi)
+        out.append(([(p, (x // g, y // g)) for p, x, y in zip(keys, xr, xi) if x or y] + [(f, (s // g, 0))], s // g))
     return out
 
 

@@ -12,8 +12,9 @@ zero and it needs no other elimination; a non-flat one eliminates its
 nonzero residuals once more, with the top pivot rows.  No solution X, no
 product and no `Scalar` comparison of matrices is formed; the PSD verdict
 checks the hermitian property on the same integers it pivots.  Compression
-reads its coset reps off that PSD pivoting, with no kernel elimination, and
-adds one elimination of the gram and one of its kept block per base arrow.
+reads its coset reps off that PSD pivoting and solves every system, the
+gram's and each kept block's, by substitution through the same pivots: no
+elimination at all.
 A one-step extension adds one elimination of its odd-degree system and one
 of the Schur block [A | C], both built as integer rows from window
 positions, with no `Scalar` matrix, and one pivoting for the flatness of
@@ -196,11 +197,12 @@ def test_loaded_verdicts_form_no_scalar_product(tmp_path, eliminations, psd_pivo
 
 
 def test_compress_eliminates_once_per_matrix(pd_two_loops, eliminations, psd_pivotings):
-    # The PSD pivoting of B_{L_k} gives the verdict and the coset reps; then
-    # one solve per base arrow on its kept block and one of the gram.
+    # The PSD pivoting of B_{L_k} gives the verdict and the coset reps; the
+    # gram's system and each base arrow's kept block are solved through its
+    # pivots, so nothing is eliminated.
     rep = compress_representation(fresh(pd_two_loops))
     assert rep.dim == 21
-    assert len(eliminations) == 1 + len(TWO_LOOPS.base.arrows)
+    assert eliminations == []
     assert psd_pivotings == [21]
 
 
@@ -229,7 +231,7 @@ def test_compress_of_a_singular_state_eliminates_no_kernel(eliminations, psd_piv
     # A rank-5 state: its kernel tips are the indices the PSD pivoting drops.
     rep = compress_representation(state_functional(TWO_LOOPS, 2, True, [5], random.Random(2)))
     assert rep.dim == 5
-    assert len(eliminations) == 1 + len(TWO_LOOPS.base.arrows)
+    assert eliminations == []
     assert psd_pivotings == [21]
 
 
@@ -397,18 +399,19 @@ def test_loaded_functional_assembles_its_moment_matrix_once(rank3_two_loops_file
 
 
 @pytest.mark.parametrize("complex_", [False, True])
-def test_compress_reads_its_systems_off_the_image(complex_, tmp_path, capsys, assemblies):
+def test_compress_reads_its_systems_off_the_image(complex_, tmp_path, capsys, assemblies, eliminations):
     # A PD state on two loops with k = 2, read from its file: the gram, F and
     # every right-hand side are read off the one 21x21 integer image by
     # window position; the gram is its principal submatrix at the 21 reps.
-    # No `Matrix` is taken to integers.
+    # No `Matrix` is taken to integers, and `gns compress` eliminates nothing.
     f = pd_functional(TWO_LOOPS, 2, True, random.Random(5), complex_=complex_)
     fpath = tmp_path / "f.json"
     fpath.write_text(json.dumps(fileio.functional_to_dict(f)), encoding="utf-8")
-    del assemblies[:]  # the state's own draw
+    del assemblies[:], eliminations[:]  # the state's own draw
     assert cli.main(["gns", "compress", str(fpath)]) == 0
     assert json.loads(capsys.readouterr().out)["basis"]
     assert assemblies == [("gather", 21, 21), ("principal", 21)]
+    assert eliminations == []
 
 
 def test_build_reads_its_gram_off_the_image(rank3_two_loops_file, assemblies, capsys):

@@ -867,3 +867,61 @@ def test_representation_gram_must_be_n_by_n(gram, tmp_path, capsys):
     rpath = write(tmp_path, "rep.json", {**rep, "gram": gram})
     assert main(["gns", "check", rpath]) == 2
     assert capsys.readouterr().err == f"error: {rpath}: 'gram' is not 4x4\n"
+
+
+@pytest.mark.parametrize("entries", [3, 5])
+def test_representation_cyclic_must_have_one_entry_per_basis_path(entries, tmp_path, capsys):
+    fixtures = FsPath(__file__).parent / "fixtures"
+    rep = json.loads((fixtures / "fix_psd_chain_compressed.json").read_text(encoding="utf-8"))
+    cyclic = (rep["cyclic"] + ["1"])[:entries]
+    rpath = write(tmp_path, "rep.json", {**rep, "cyclic": cyclic})
+    assert main(["gns", "check", rpath]) == 2
+    assert capsys.readouterr() == ("", f"error: {rpath}: 'cyclic' has {entries} entries, not 4\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gns", "compress", "fix_nonpsd_loop.json"], "compress_representation requires a PSD functional"),
+        (["gns", "build", "fix_pd_two_loops.json"], "build_representation requires a flat functional"),
+        (["groebner", "--from-kernel", "fix_pd_two_loops.json"], "kernel_groebner requires a flat functional"),
+        (
+            ["extend", "fix_indefinite_loop.json", "--tip-maximal"],
+            "flat_extend_tip_maximal requires a tip-maximal functional",
+        ),
+        (
+            ["evaluate", "--functional", "fix_pd_two_loops.json", "--path", "x"],
+            "FlatExtension requires a flat base functional",
+        ),
+    ],
+    ids=["gns_compress", "gns_build", "groebner", "extend", "evaluate"],
+)
+def test_library_refusals_name_the_functional_file(argv, message, capsys):
+    # The library's message is unchanged; the command prefixes its input file.
+    fixtures = FsPath(__file__).parent / "fixtures"
+    argv = [str(fixtures / a) if a.endswith(".json") else a for a in argv]
+    source = next(a for a in argv if a.endswith(".json"))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {source}: {message}\n")
+
+
+@pytest.mark.parametrize("degree", [0, -3])
+def test_gns_kernel_names_a_degree_below_one(degree, capsys):
+    fixtures = FsPath(__file__).parent / "fixtures"
+    argv = ["gns", "kernel", str(fixtures / "fix_psd_chain_compressed.json"), "--degree", str(degree)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: --degree must be >= 1, not {degree}\n")
+
+
+def test_pd_two_loops_compression_reproduces_the_committed_output(tmp_path, capsys):
+    # CI replays this without site-packages: a full-rank state on two loops,
+    # k = 2, two arrows and a 21x21 gram.  The expected file was written by
+    # the Gauss-Jordan solves the pivot substitution replaced.
+    fixtures = FsPath(__file__).parent / "fixtures"
+    rpath = tmp_path / "rep.json"
+    assert main(["gns", "compress", str(fixtures / "fix_pd_two_loops.json"), "-o", str(rpath)]) == 0
+    capsys.readouterr()
+    assert rpath.read_bytes() == (fixtures / "fix_pd_two_loops_compressed.json").read_bytes()
+    assert len(json.loads(rpath.read_text(encoding="utf-8"))["basis"]) == 21
+    assert main(["gns", "check", str(rpath)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"passed": True, "failures": [], "checks": 15}

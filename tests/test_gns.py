@@ -332,6 +332,49 @@ def test_compress_matches_basis_completion_oracle_on_pd_state(complex_):
     assert (new.basis, new.gram, new.arrows, new.cyclic) == (old.basis, old.gram, old.arrows, old.cyclic)
 
 
+# Named states for the compression: the quiver, k and the vertex dimensions
+# of a singular state; the full-rank state of each is `pd_functional`'s.
+# No path ends at e1 in the singular chain state, so the arrow x keeps no
+# coset (K empty) and acts as zero.
+COMPRESS_STATES = {
+    "one_loop": ("one_loop", 2, [2]),
+    "two_loops": ("two_loops", 2, [5]),
+    "two_vertex": ("xyz", 2, [2, 2]),
+    "chain": ("chain", 2, [0, 2, 2]),
+}
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "gauss"])
+@pytest.mark.parametrize("full_rank", [True, False], ids=["full_rank", "singular"])
+@pytest.mark.parametrize("name", sorted(COMPRESS_STATES))
+def test_compress_of_named_states_matches_the_oracle(name, full_rank, complex_, monkeypatch):
+    """The compression, solved through the LDL^H pivots with no elimination,
+    equals the basis completion of `oracles`, entry for entry."""
+    from quivermoment import linalg
+
+    quiver_name, k, dims = COMPRESS_STATES[name]
+    double = build_double(COMPRESS_QUIVERS[quiver_name][0])
+    rng = random.Random(24)
+    if full_rank:
+        f = pd_functional(double, k, True, rng, complex_=complex_)
+    else:
+        f = state_functional(double, k, True, dims, rng, complex_)
+    eliminations = []
+    engine = linalg._gauss_jordan
+    monkeypatch.setattr(linalg, "_gauss_jordan", lambda rows, ncols: eliminations.append(ncols) or engine(rows, ncols))
+    new = compress_representation(f)
+    monkeypatch.undo()
+    old = oracles.compress_representation(f)
+    assert eliminations == []
+    assert (new.dim == len(f.basis(k))) == full_rank
+    assert (new.basis, new.gram, new.arrows, new.cyclic) == (old.basis, old.gram, old.arrows, old.cyclic)
+    if name == "chain" and not full_rank:
+        assert not any(r.terminal() == 0 for r in new.basis)
+        assert new.arrows["x"] == new.arrows["x*"] == Matrix.zeros(new.dim, new.dim)
+    if complex_:
+        assert any(e.im for m in new.arrows.values() for e in m.entries)
+
+
 def _with_entry(m: Matrix, i: int, j: int, value: Scalar) -> Matrix:
     entries = list(m.entries)
     entries[i * m.cols + j] = value

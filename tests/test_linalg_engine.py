@@ -328,7 +328,7 @@ def test_solve_in_range_matches_oracle(a, data):
 @SETTINGS
 @given(st.data())
 def test_solve_full_rank_matches_oracle(data):
-    """The solve of an invertible system by `linalg._solve`, as a compression runs it."""
+    """The solve of an invertible system by `linalg._solve`."""
     n = data.draw(st.integers(0, MAX_DIM))
     a = data.draw(matrices(rows=n, cols=n))
     b = data.draw(matrices(rows=n))
@@ -337,6 +337,89 @@ def test_solve_full_rank_matches_oracle(data):
     else:
         with pytest.raises(InternalInvariantError):
             api.solve_full_rank(a, b)
+
+
+def _gaussian_rows(rng: Random, rows: int, cols: int, complex_: bool, bits: int) -> list[list[int]]:
+    """Random integer rows in the layout of `linalg._image`."""
+    width = 2 * cols if complex_ else cols
+    return [[rng.randint(-(2**bits), 2**bits) for _ in range(width)] for _ in range(rows)]
+
+
+def _vertex_graded_psd(rng: Random, labels: list[int], ranks: list[int], complex_: bool, bits: int) -> list[list[int]]:
+    """The integer image of a PSD matrix that is zero between indices of different labels.
+
+    Per label b, G G^H on its indices for a random integer G with ranks[b]
+    columns, as in a moment matrix graded by terminal vertex.
+    """
+    n = len(labels)
+    re, im = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    for b, r in enumerate(ranks):
+        at = [i for i, x in enumerate(labels) if x == b]
+        g = _gaussian_rows(rng, len(at), r, complex_, bits)
+        for s, i in enumerate(at):
+            for t, j in enumerate(at):  # sum of g[s] conj(g[t])
+                gs, gt = g[s], g[t]
+                re[i][j] = sum(gs[c] * gt[c] + (gs[r + c] * gt[r + c] if complex_ else 0) for c in range(r))
+                im[i][j] = sum(gs[r + c] * gt[c] - gs[c] * gt[r + c] for c in range(r)) if complex_ else 0
+    return [re[i] + im[i] if complex_ else re[i] for i in range(n)]
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.data())
+def test_pivot_solve_matches_the_elimination(data):
+    """`linalg._psd_solve` against `linalg._solve` of [conj(m)[at, at] | c], as rationals.
+
+    m is PSD, full rank or singular, and zero between indices of different
+    labels (the vertices of a moment matrix); `at` is every LDL^H pivot, or
+    the pivots of label 0 below a cut, the shape of the kept cosets of an
+    arrow.  The right-hand sides are random; real and Gaussian data.
+    """
+    rng = Random(data.draw(st.integers(0, 2**32), label="seed"))
+    complex_ = data.draw(st.booleans(), label="complex")
+    bits = data.draw(st.sampled_from([2, 5, 64]), label="bits")
+    n = data.draw(st.integers(1, 8), label="n")
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="labels")
+    ranks = [data.draw(st.integers(0, labels.count(b)), label=f"rank{b}") for b in (0, 1)]
+    rows = _vertex_graded_psd(rng, labels, ranks, complex_, bits)
+    pivots = linalg._image_psd(rows, 1)
+    assert pivots is not None and len(pivots) == sum(ranks)
+    if data.draw(st.booleans(), label="all pivots"):
+        at = [p for p, *_ in pivots]
+    else:
+        cut = data.draw(st.integers(0, n), label="cut")
+        at = [p for p, *_ in pivots if labels[p] == 0 and p < cut]
+    m = data.draw(st.integers(0, 4), label="columns")
+    c = _gaussian_rows(rng, len(at), m, complex_, bits)
+    xs, s = linalg._psd_solve(pivots, at, c, m)
+    got = [[Fraction(x, s) for x in row] for row in xs]
+    if not at:
+        assert got == []
+        return
+    k = len(at)
+    lhs = [[rows[p][q] for q in at] + ([-rows[p][n + q] for q in at] if complex_ else []) for p in at]
+    aug = [a[:k] + b[:m] + a[k:] + b[m:] for a, b in zip(lhs, c)]
+    solved, xr, scale = linalg._solve(aug, k, k + m)
+    assert solved == list(range(k))
+    want = [[Fraction(x, scale) for x, _ in row] + [Fraction(y, scale) for _, y in row if complex_] for row in xr]
+    assert got == want
+
+
+def test_pivot_solve_refuses_what_the_pivots_do_not_factor():
+    """An index that is no pivot, or one coupled to a pivot outside the
+    solved set, is an internal fault; so is a pivot that is not positive."""
+    dense = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+    pivots = linalg._image_psd(dense, 1)
+    assert [p for p, *_ in pivots] == [0, 1, 2]
+    for at in ([1], [0, 2], [2, 1]):
+        with pytest.raises(InternalInvariantError):
+            linalg._psd_solve(pivots, at, [[1]] * len(at), 1)
+    assert linalg._psd_solve(pivots, [0, 1], [[1], [0]], 1) == ([[2], [-1]], 3)  # a leading block
+    singular = linalg._image_psd([[1, 1], [1, 1]], 1)
+    assert [p for p, *_ in singular] == [0]
+    with pytest.raises(InternalInvariantError):
+        linalg._psd_solve(singular, [1], [[1]], 1)
+    with pytest.raises(InternalInvariantError):
+        linalg._psd_solve([(0, Fraction(0), 0, (), [], [])], [0], [[1]], 1)
 
 
 def test_large_entries_exact():
