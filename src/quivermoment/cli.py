@@ -262,8 +262,7 @@ def cmd_gns_kernel(args) -> int:
 
 
 def cmd_sos_verify(args) -> int:
-    from . import fileio
-    from .sos import gram_pivots, gram_to_squares, verify_squares
+    from . import fileio, sos
 
     path = FsPath(args.certificate)
     double, target, kind, payload = fileio.certificate_from_dict(
@@ -273,15 +272,13 @@ def cmd_sos_verify(args) -> int:
     def verdict() -> dict:
         if kind == "squares":
             squares, weights, degree = payload
-            return {"valid": verify_squares(target, squares, degree, weights), "kind": "squares"}
+            return {"valid": sos.verify_squares(target, squares, degree, weights), "kind": "squares"}
+        # integers from the file to the output: the target's numerators, the gram's image, its pivots
         basis, gram, degree = payload
-        pivots = gram_pivots(target, basis, gram, degree)
+        pivots = sos._certify(target, basis, gram, degree)
         out = {"valid": pivots is not None, "kind": "gram"}
         if pivots is not None:
-            out["squares"] = [
-                {"weight": str(w), "element": fileio.element_to_dict(g)}
-                for w, g in gram_to_squares(basis, gram, pivots)
-            ]
+            out["squares"] = sos._square_dicts(basis, pivots)
         return out
 
     out = _from(path, verdict)

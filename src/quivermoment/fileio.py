@@ -3,9 +3,12 @@ and certificates.
 
 Scalars use the text grammar of :mod:`quivermoment.scalar` everywhere; no
 floating point appears in any interface.  Parse errors name the file and the
-offending token.  A functional's values are read straight to Gaussian-integer
-numerators over a denominator (`scalar.parse_literal`), the form the
-functional holds; the other loaders read `Scalar` values.  Loading a
+offending token.  A functional's values, every matrix and the target of a
+Gram certificate are read straight to Gaussian-integer numerators over a
+denominator (`scalar.parse_literal`): a matrix is held as its integer image
+(`linalg._matrix`), and matrices and functionals are written from their
+numerators (`scalar.numerator_text`).  Elements, square weights and a
+representation's cyclic vector are read as `Scalar` values.  Loading a
 functional loads neither `gns` nor `groebner`: the representation loader
 imports `gns` when it is called.
 """
@@ -13,14 +16,16 @@ imports `gns` when it is called.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from math import lcm
 from pathlib import Path as FsPath
 
 from .algebra import Element
 from .errors import InputError
-from .linalg import Matrix
+from .linalg import Matrix, _matrix
 from .moment import TruncatedFunctional
 from .quiver import DoubleQuiver, Key, Path, PathOrder, Quiver, build_double, window_layers
-from .scalar import Scalar, from_numerators, parse_literal
+from .scalar import Scalar, from_numerators, numerator_text, parse_literal
 
 
 def load_json(path) -> dict:
@@ -202,6 +207,26 @@ def element_from_dict(
 ) -> Element:
     if literals is None:
         literals = _Literals(source)
+    return Element.from_terms(double, _terms(double, data, source, literals, parse_path))
+
+
+def _element_numerators(
+    double: DoubleQuiver, data: dict, source: str | None, literals: _Literals
+) -> tuple[dict[Key, tuple[int, int]], int]:
+    """`element_from_dict` as numerators: {path key: (re, im)} over one den, zero terms dropped."""
+    pairs = _terms(double, data, source, literals, path_key)
+    den = lcm(*{d for _, (_, _, d) in pairs})
+    acc: dict[Key, tuple[int, int]] = {}
+    for key, (re, im, d) in pairs:
+        s = den // d
+        have = acc.get(key)
+        acc[key] = (re * s, im * s) if have is None else (have[0] + re * s, have[1] + im * s)
+    return {key: c for key, c in acc.items() if c != (0, 0)}, den
+
+
+def _terms(double: DoubleQuiver, data: dict, source: str | None, literals: _Literals, read) -> list[tuple]:
+    """An element's terms as (read(double, path text, source), literal value) pairs, in file
+    order: `read` is `parse_path` or `path_key`.  "1" gives every trivial path."""
     terms = []
     for t in _list(_object(data, "element", source).get("terms", []), "terms", source):
         try:
@@ -211,10 +236,10 @@ def element_from_dict(
         _text(ptext, "element path", source)
         coeff = literals[_text(ctext, "element coefficient", source)]
         if ptext.strip() == "1":
-            terms.extend((e, coeff) for e in double.trivial_paths())
+            terms.extend((read(double, f"e:{v}"), coeff) for v in double.vertices)
         else:
-            terms.append((parse_path(double, ptext, source), coeff))
-    return Element.from_terms(double, terms)
+            terms.append((read(double, ptext, source), coeff))
+    return terms
 
 
 def element_to_dict(e: Element) -> dict:
@@ -239,20 +264,31 @@ def elements_from_list(
 def matrix_from_rows(
     rows, source: str | None = None, key: str = "gram", literals: _Literals | None = None
 ) -> Matrix:
+    """The matrix of a list of rows of literals, held as its integer image.
+
+    `literals`, when given, reads numerators (`_Literals(..., numerators=True)`).
+    Every row must be as long as the first (rows counted from 0).
+    """
     if not _list(rows, key, source):
         return Matrix(0, 0, [])
     if literals is None:
-        literals = _Literals(source)
+        literals = _Literals(source, numerators=True)
     parsed = []
-    width = None
-    for r in rows:
-        vals = [literals[x] for x in _texts(r, key, source)]
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
-            raise InputError(f"{_ctx(source)}ragged matrix rows")
+    for i, r in enumerate(rows):
+        try:  # a row that is a list of strings is read at once
+            vals = [literals[x] for x in _list(r, key, source)]
+        except (TypeError, InputError):
+            _texts(r, key, source)  # an entry that is not a string is named before a malformed literal
+            raise
+        if parsed and len(vals) != len(parsed[0]):
+            raise InputError(f"{_ctx(source)}'{key}' row {i} has {len(vals)} entries, not {len(parsed[0])}")
         parsed.append(vals)
-    return Matrix.from_rows(parsed)
+    entries = list(chain.from_iterable(parsed))
+    den, real = lcm(*{d for _, _, d in entries}), not any(b for _, b, _ in entries)
+    image = [
+        [a * (den // d) for a, _, d in row] + ([] if real else [b * (den // d) for _, b, d in row]) for row in parsed
+    ]
+    return _matrix(image, den, len(parsed[0]))
 
 
 def _named_matrices(data, key: str, source: str | None, literals: _Literals) -> dict[str, Matrix]:
@@ -263,7 +299,12 @@ def _named_matrices(data, key: str, source: str | None, literals: _Literals) -> 
 
 
 def matrix_to_rows(m: Matrix) -> list[list[str]]:
-    return [[str(e) for e in m.row(i)] for i in range(m.rows)]
+    """The entries' texts, row by row, formatted from the matrix's integer image."""
+    rows, den = m._integers()
+    n = m.cols
+    if m._real():
+        return [[numerator_text(x, 0, den) for x in row] for row in rows]
+    return [[numerator_text(x, y, den) for x, y in zip(row[:n], row[n:])] for row in rows]
 
 
 # -- functionals -------------------------------------------------------------------
@@ -342,9 +383,7 @@ def functional_to_dict(f: TruncatedFunctional) -> dict:
     window's texts (`quiver.window_layers`) and the numerators; no `Path` is built."""
     texts = window_layers(f.double, f.order, 2 * f.k, f.include_trivial, named=True)[3]
     den = f._den
-    entries = [
-        {"path": t, "value": str(from_numerators(a, b, den))} for t, a, b in zip(texts, f._re, f._im) if a or b
-    ]
+    entries = [{"path": t, "value": numerator_text(a, b, den)} for t, a, b in zip(texts, f._re, f._im) if a or b]
     return {
         "quiver": quiver_to_dict(f.double.base),
         "k": f.k,
@@ -376,12 +415,12 @@ def representation_from_dict(data: dict, base_dir=".", source: str | None = None
         raise InputError(f"{_ctx(source)}representation needs a 'quiver'")
     double = resolve_quiver(data["quiver"], base_dir, source)
     basis = tuple(parse_path(double, t, source) for t in _texts(data.get("basis", []), "basis", source))
-    literals = _Literals(source)
+    literals = _Literals(source, numerators=True)
     gram = matrix_from_rows(data.get("gram", []), source, literals=literals)
     arrows = _named_matrices(data.get("arrows", {}), "arrows", source, literals)
     vertices = _named_matrices(data.get("vertices", {}), "vertices", source, literals)
     cyc = data.get("cyclic")
-    cyclic = None if cyc is None else tuple(literals[c] for c in _texts(cyc, "cyclic", source))
+    cyclic = None if cyc is None else tuple(from_numerators(*literals[c]) for c in _texts(cyc, "cyclic", source))
     n = len(basis)
     if gram.rows != n or gram.cols != n:
         raise InputError(f"{_ctx(source)}'gram' is not {n}x{n}")
@@ -432,13 +471,22 @@ def groebner_to_dict(gb, double: DoubleQuiver) -> dict:
 
 
 def certificate_from_dict(data: dict, base_dir=".", source: str | None = None):
-    """Returns (double, target, kind, payload): kind is 'squares' or 'gram'."""
+    """Returns (double, target, kind, payload): kind is 'squares' or 'gram'.
+
+    The target of a 'gram' certificate is given as numerators, (terms, den)
+    with terms {path key: (re, im)} over den (zero terms dropped), and its gram
+    as a `Matrix` holding its integer image; otherwise it is an `Element`.
+    """
     _object(data, "certificate", source)
     if "quiver" not in data or "target" not in data:
         raise InputError(f"{_ctx(source)}certificate needs 'quiver' and 'target'")
     double = resolve_quiver(data["quiver"], base_dir, source)
-    literals = _Literals(source)
-    target = element_from_dict(double, data["target"], source, literals)
+    gram_kind = "squares" not in data and "gram" in data and "basis" in data
+    literals = _Literals(source, numerators=gram_kind)
+    if gram_kind:
+        target = _element_numerators(double, data["target"], source, literals)
+    else:
+        target = element_from_dict(double, data["target"], source, literals)
     degree = data.get("degree")
     if degree is not None and (type(degree) is not int or degree < 0):
         raise InputError(f"{_ctx(source)}'degree' must be a non-negative integer or null, not {degree!r}")

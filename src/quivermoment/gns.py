@@ -17,11 +17,13 @@ an arrow c maps the coset of p to the coset of p·c.  The inner product is
 <u, v> = sum_{i,j} u_i conj(v_j) gram[i][j] with gram[i][j] = L(b_i b_j*).
 
 A representation holds `Matrix` values, its I/O form.  The relation and
-adjointness checks and word products take each matrix to one integer image
-(`linalg._image`) and multiply and compare integers; no `Scalar` matrix
-product is formed.  Both constructions read their gram off the functional's
-integer image (`TruncatedFunctional.principal`), and the compression its
-systems too; `Matrix` values are built only for the results.
+adjointness checks and word products read the integer image each matrix
+holds (`linalg._image`) and multiply and compare integers; no `Scalar`
+matrix product is formed.  Both constructions read their gram off the
+functional's integer image (`TruncatedFunctional.principal`), and the
+compression its systems too.  The gram, the compression's arrows and every
+vertex projection are handed over as integer images (`linalg._matrix`), so
+a compression builds no `Scalar` but its cyclic vector.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .groebner import RightGroebnerBasis, kernel_groebner
 from .linalg import Matrix
 from .moment import TruncatedFunctional
 from .quiver import ZERO_PATH, DoubleQuiver, Path, Record, compose, enumerate_basis
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ZERO, Scalar
 
 
 class Representation(Record):
@@ -187,15 +189,7 @@ def _vertex_projections(double: DoubleQuiver, basis: tuple[Path, ...]) -> dict[s
     """Per vertex v, the diagonal 0/1 matrix selecting the basis paths ending at v."""
     n = len(basis)
     return {
-        v: Matrix(
-            n,
-            n,
-            [
-                ONE if i == j and basis[i].terminal() == vi else ZERO
-                for i in range(n)
-                for j in range(n)
-            ],
-        )
+        v: linalg._matrix([[int(i == j and basis[i].terminal() == vi) for j in range(n)] for i in range(n)], 1, n)
         for vi, v in enumerate(double.vertices)
     }
 
@@ -327,8 +321,9 @@ def check_relations(rep: Representation) -> RelationReport:
     The generator family is the trivial paths plus all arrows of the double;
     products are taken in the right-action sense, so X_c2 X_c1 realizes right
     multiplication by the path c1 c2 and must vanish exactly when that path
-    does.  Each matrix is taken to one integer image, all in one layout, so
-    every product is an integer product and every comparison an integer one.
+    does.  Each matrix's integer image is read once, all in one layout (the
+    real one iff every image held is real), so every product is an integer
+    product and every comparison an integer one.
     """
     report = RelationReport()
     double = rep.double
@@ -339,8 +334,9 @@ def check_relations(rep: Representation) -> RelationReport:
     for letter in double.letters():
         name = double.letter_name(letter)
         gens.append((name, double.path([letter]), rep.letter_matrix(name)))
-    real = all(linalg._is_real(m.entries) for *_, m in gens) and linalg._is_real(rep.gram.entries)
-    images = [linalg._image(m, real) for *_, m in gens]
+    mats = [m for *_, m in gens] + [rep.gram]
+    real = all(m._real() for m in mats)
+    *images, gram = (linalg._image(m, real) for m in mats)
 
     for (name1, p1, _), (r1, d1) in zip(gens, images):
         for (name2, p2, _), (r2, d2) in zip(gens, images):
@@ -362,7 +358,6 @@ def check_relations(rep: Representation) -> RelationReport:
     identity = [[int(i == j) for j in range(len(row))] for i, row in enumerate(psum)]
     report.record("vertex projections sum to identity", linalg._equal(psum, den, identity, 1))
 
-    gram = linalg._image(rep.gram, real)
     hermitian = rep.gram.rows == rep.gram.cols and linalg._hermitian(gram[0])
     psd = hermitian and linalg._image_psd(*gram) is not None
     report.record("gram hermitian", hermitian)

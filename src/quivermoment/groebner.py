@@ -57,9 +57,10 @@ from math import gcd, lcm
 
 from .algebra import Element
 from .errors import InputError, InternalInvariantError
-from .linalg import _common, _scalar
 from .moment import TruncatedFunctional
 from .quiver import DoubleQuiver, Key, Path, PathOrder, Record
+from .scalar import _common
+from .scalar import from_numerators as _scalar
 
 
 class ReductionEvent(Record):

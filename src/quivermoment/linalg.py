@@ -1,26 +1,26 @@
 """Exact linear algebra over the Gaussian rationals, run on Python integers.
 
 `Matrix` is the I/O type, with readers and constructors but no arithmetic.
-The kernels take integer images in and give integers out; a `Matrix`
-crosses only at the boundary, to integers (`_image`, `_images`,
-`_psd_pivots`) and back (`_matrix`, `_ldlh`).  An image is the matrix times
-one positive common denominator, as integer rows: plain ``int`` entries, or
-real parts followed by imaginary parts when some entry is non-real.  A
-product is the integer product of two images over the product of their
-denominators; two images are equal iff their numerators agree after each is
-multiplied by the other's denominator.  Nothing is floating point.
+It holds an integer image or `Scalar` entries, whichever it was built from,
+and derives the other on demand: a file's matrix and a kernel's result hold
+the image, and no `Scalar` is built unless an entry is read.  The kernels
+take integer images in and give integers out: `_image` and `_images` hand
+out the image a matrix holds, `_psd_pivots` pivots it, and `_matrix` wraps
+integer rows as a `Matrix`.  An image is the matrix times one positive
+common denominator, as integer rows: plain ``int`` entries, or real parts
+followed by imaginary parts when some entry is non-real.  A product is the
+integer product of two images over the product of their denominators; two
+images are equal iff their numerators agree after each is multiplied by the
+other's denominator.  Nothing is floating point.
 
-One fraction-free Gauss-Jordan engine backs every elimination.  On real
-data a row with a nonzero entry in the pivot column is replaced by the
-primitive part of an integer combination of itself and the pivot row; rows
-the pivot does not touch are left alone.  On non-real data every row is
-updated and divided exactly by the previous pivot in Z[i] (Bareiss 1968).
-Either way every entry divides a minor of the scaled input.  The pivot is
-always the first nonzero entry of a column, scanning rows top-down, so
-outputs are deterministic bit for bit and equal those of elimination over
-`Scalar`.  One elimination of the primitive rows of [A | C] gives the RREF
-solution of A X = C scaled to integers, or shows that C leaves Ran A
-(`_solve`); the Schur completion C^H X (`_schur`) reads it.
+One fraction-free Gauss-Jordan engine backs every elimination
+(`_gauss_jordan`); every entry it makes divides a minor of the scaled input.
+The pivot is always the first nonzero entry of a column, scanning rows
+top-down, so outputs are deterministic bit for bit and equal those of
+elimination over `Scalar`.  One elimination of the primitive rows of
+[A | C] gives the RREF solution of A X = C scaled to integers, or shows
+that C leaves Ran A (`_solve`); the Schur completion C^H X (`_schur`)
+reads it.
 
 A hermitian matrix [[A, C], [C^H, B]] held as one integer image gets its
 rank, flatness and kernel from its PSD pivoting when that succeeds
@@ -49,33 +49,36 @@ kernel of a PSD image is the back substitution of the dropped indices
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
 from .errors import InternalInvariantError
-from .scalar import ONE, ZERO, Scalar
+from .scalar import Scalar, _common
 from .scalar import from_numerators as _scalar
 
-_F0 = Fraction(0)
+_set, _new = object.__setattr__, object.__new__
 
 
 class Matrix:
-    """Immutable dense matrix of `Scalar`, stored row-major: the I/O type.
+    """Immutable dense matrix over Q(i), row-major: the I/O type.
 
-    It carries values in and out (files, the public API, representations)
-    and is read entry by entry; it has no arithmetic, no transpose and no
-    hermitian test.  Those run on its integer image (`_image`).
+    It holds the form it was built from, `Scalar` entries or an integer
+    image (`_matrix`), and derives the other once, when first read.  The
+    image is canonical (see `_integers`), so equal matrices have equal
+    images and `==` and the hash agree whichever form each was built from.
+    It has no arithmetic, no transpose and no hermitian test: those run on
+    the image.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_entries", "_img")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        for name, value in zip(Matrix.__slots__, (rows, cols, entries, None)):
+            _set(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -83,18 +86,37 @@ class Matrix:
     @staticmethod
     def from_rows(rows_data) -> Matrix:
         rows_data = [list(r) for r in rows_data]
-        nrows = len(rows_data)
-        ncols = len(rows_data[0]) if nrows else 0
-        flat = []
-        for r in rows_data:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return Matrix(nrows, ncols, flat)
+        ncols = len(rows_data[0]) if rows_data else 0
+        if any(len(r) != ncols for r in rows_data):
+            raise ValueError("ragged rows")
+        return Matrix(len(rows_data), ncols, [e for r in rows_data for e in r])
 
     @staticmethod
     def zeros(rows: int, cols: int) -> Matrix:
-        return Matrix(rows, cols, [ZERO] * (rows * cols))
+        return _matrix([[0] * cols for _ in range(rows)], 1, cols)
+
+    @property
+    def entries(self) -> tuple[Scalar, ...]:
+        if self._entries is None:
+            (rows, den), n = self._img, self.cols
+            real = self._real()
+            _set(self, "_entries", tuple(_scalar(r[j], 0 if real else r[n + j], den) for r in rows for j in range(n)))
+        return self._entries
+
+    def _integers(self) -> tuple[list[list[int]], int]:
+        """The canonical image (rows, den): den > 0 and no factor common to den and every
+        numerator, in the real layout iff no entry is non-real (see `_image`).  Not to be changed."""
+        if self._img is None:
+            es, n = self._entries, self.cols
+            real = not any(e.im for e in es)
+            flat, den = _common([e.re for e in es] if real else [e.re for e in es] + [e.im for e in es])
+            im = [] if real else flat[len(es) :]
+            _set(self, "_img", ([flat[i * n : i * n + n] + im[i * n : i * n + n] for i in range(self.rows)], den))
+        return self._img
+
+    def _real(self) -> bool:
+        rows = self._integers()[0]
+        return not rows or len(rows[0]) == self.cols
 
     def entry(self, i: int, j: int) -> Scalar:
         return self.entries[i * self.cols + j]
@@ -104,16 +126,21 @@ class Matrix:
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> Matrix:
         """The submatrix of rows r0..r1-1 and columns c0..c1-1."""
-        n = self.cols
-        return Matrix(r1 - r0, c1 - c0, [e for i in range(r0, r1) for e in self.entries[i * n + c0 : i * n + c1]])
+        n, es = self.cols, self.entries
+        return Matrix(r1 - r0, c1 - c0, [e for i in range(r0, r1) for e in es[i * n + c0 : i * n + c1]])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self.entries == other.entries
+        if self.rows != other.rows or self.cols != other.cols:
+            return False
+        if self._entries is not None and other._entries is not None:
+            return self._entries == other._entries
+        return self._integers() == other._integers()
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        rows, den = self._integers()
+        return hash((self.rows, self.cols, den, *map(tuple, rows)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
@@ -121,26 +148,6 @@ class Matrix:
 
 
 # -- integer boundary -------------------------------------------------------------
-
-
-def _is_real(entries) -> bool:
-    return not any(e.im for e in entries)
-
-
-def _scaled(entries, real: bool) -> tuple[list[int], int]:
-    """Integers over one positive common denominator: (numerators, denominator).
-
-    Real data gives one int per entry; otherwise real parts come first, then
-    imaginary parts.
-    """
-    return _common([e.re for e in entries] if real else [e.re for e in entries] + [e.im for e in entries])
-
-
-def _common(parts: list[Fraction]) -> tuple[list[int], int]:
-    den = lcm(*[x.denominator for x in parts])
-    if den == 1:
-        return [x.numerator for x in parts], 1
-    return [x.numerator * (den // x.denominator) for x in parts], den
 
 
 def _entry(row: list[int], col: int, ncols: int) -> tuple[int, int]:
@@ -190,8 +197,7 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
     Real rows: a row with a nonzero entry in the pivot column becomes the
     primitive part of a*row - b*pivot_row; rows the pivot does not touch stay
     as they are.  Rows in the (re, im) layout: every row becomes
-    (a*row - b*pivot_row) / previous pivot, Bareiss's exact division in Z[i]
-    (a gcd in Z[i] would need a Euclidean algorithm run in Python).
+    (a*row - b*pivot_row) / previous pivot, Bareiss's exact division in Z[i].
     """
     pivots: list[int] = []
     nrows = len(rows)
@@ -229,28 +235,37 @@ def _image(m: Matrix, real: bool | None = None) -> tuple[list[list[int]], int]:
 
     Real data gives one int per entry; otherwise each row holds its real
     parts, then its imaginary parts, the layout `_gauss_jordan` reads.
-    `real=False` asks for the second layout on real data too.
+    `real=False` asks for the second layout on real data too.  The rows are
+    a copy of the image `m` holds.
     """
-    n = m.cols
-    real = _is_real(m.entries) if real is None else real
-    flat, den = _scaled(m.entries, real)
-    if real:
-        return [flat[i * n : (i + 1) * n] for i in range(m.rows)], den
-    size = m.rows * n
-    return [flat[i * n : (i + 1) * n] + flat[size + i * n : size + (i + 1) * n] for i in range(m.rows)], den
+    rows, den = m._integers()
+    if real is False and m._real():
+        return [r + [0] * m.cols for r in rows], den
+    return [r[:] for r in rows], den
 
 
 def _images(*ms: Matrix) -> list[tuple[list[list[int]], int]]:
     """`_image` of each matrix, all in one layout: one int per entry unless some entry is non-real."""
-    real = all(_is_real(m.entries) for m in ms)
+    real = all(m._real() for m in ms)
     return [_image(m, real) for m in ms]
 
 
 def _matrix(rows: list[list[int]], den: int, ncols: int) -> Matrix:
-    """The `Matrix` of integer rows over den, in either layout (see `_image`)."""
-    real = not rows or len(rows[0]) == ncols
-    entries = [_scalar(row[j], 0 if real else row[ncols + j], den) for row in rows for j in range(ncols)]
-    return Matrix(len(rows), ncols, entries)
+    """The `Matrix` of integer rows over a nonzero den, in either layout (see `_image`).
+
+    No `Scalar` is built: the matrix holds the image, made canonical here.
+    """
+    g = gcd(den, *chain.from_iterable(rows))
+    if den < 0:
+        g = -g
+    if g != 1:
+        rows, den = [[x // g for x in r] for r in rows], den // g
+    if rows and len(rows[0]) > ncols and not any(any(r[ncols:]) for r in rows):
+        rows = [r[:ncols] for r in rows]
+    m = _new(Matrix)
+    for name, value in zip(Matrix.__slots__, (len(rows), ncols, None, (rows, den))):
+        _set(m, name, value)
+    return m
 
 
 def _transpose(rows: list[list[int]], ncols: int, conj: bool = False) -> list[list[int]]:
@@ -268,12 +283,8 @@ def _product(a: list[list[int]], b: list[list[int]], ncols: int) -> list[list[in
 
     Real factors with many zero entries (a 0/1 vertex projection, say) skip
     them: each row of a sums the nonzero entries of the rows of b at its own
-    nonzero entries.  Otherwise, and on Gaussian rows, each row is dotted
-    with each column of b, the faster loop once the nonzero fractions of a
-    and b multiply to more than 1/2: on 3x3 to 40x40 factors of 4- to
-    400-bit entries (one Xeon core), the skipping loop takes 0.2-0.9 of the
-    time of the dotting loop when half or fewer of the entries of each factor
-    are nonzero, and 1.0-1.5 times it when none is zero.
+    nonzero entries, the faster loop while the nonzero fractions of a and b
+    multiply to at most 1/2.  Otherwise each row is dotted with each column.
     """
     if not b:
         return [[0] * ncols for _ in a]
@@ -310,7 +321,7 @@ def _nonzero(rows: list[list[int]]) -> int:
 
 def _equal(a: list[list[int]], da: int, b: list[list[int]], db: int) -> bool:
     """a / da == b / db for integer rows of one shape and layout."""
-    return all(x * db == y * da for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return all([x * db for x in ra] == [y * da for y in rb] for ra, rb in zip(a, b))
 
 
 def _block_echelon(rows: list[list[int]], n: int, ncols: int) -> tuple[list[list[int]], list[int], int, bool]:
@@ -603,18 +614,6 @@ def _psd_pivots(m: Matrix):
     return _image_psd(rows, den)
 
 
-def _ldlh(pivots, n: int) -> list[tuple[Scalar, tuple[Scalar, ...]]]:
-    """The pairs (d, v), d > 0 rational, with m = sum d v v^H, from the `_image_psd` pivots of n x n m."""
-    out = []
-    for p, weight, d, active, cr, ci in pivots:
-        vec = [ZERO] * n
-        vec[p] = ONE
-        for i, x, y in zip(active, cr, ci):
-            vec[i] = _scalar(x, y, d)
-        out.append((Scalar._make(weight, _F0), tuple(vec)))
-    return out
-
-
 def _image_psd(rows: list[list[int]], den: int):
     """LDL^H pivots of the hermitian matrix rows / den, from its integer image (see `_image`), or None.
 
@@ -633,7 +632,7 @@ def _image_psd(rows: list[list[int]], den: int):
     Each pivot is (p, w, d, active, cr, ci): weight w = d / scale (a
     `Fraction`), `active` the indices still to be pivoted, and column p at
     them, cr[t] + i ci[t] at active[t].  The LDL^H vector is 1 at p, that
-    column over d at `active` and zero elsewhere; `_ldlh` builds the `Scalar`s.
+    column over d at `active` and zero elsewhere.
     """
     n = len(rows)
     real = not rows or len(rows[0]) == n

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -141,22 +141,40 @@ _set_re, _set_im = Scalar.re.__set__, Scalar.im.__set__
 
 
 def _text(x: Fraction) -> str:
-    """str(x), also for parts past Python's int-to-string digit limit.
-
-    Such integers are formatted through an exact `decimal` context, which
-    does not go through int.__str__; shorter ones give the same bytes.
-    `decimal` is imported only then, as it adds to every start-up.
-    """
+    """str(x), also for parts past Python's int-to-string digit limit (see `_part`)."""
     try:
         return str(x)
+    except ValueError:
+        return _part(x.numerator, x.denominator)
+
+
+def numerator_text(re: int, im: int, den: int) -> str:
+    """str(from_numerators(re, im, den)) for den > 0, with no `Scalar` built."""
+    if not im:
+        return _part(re, den)
+    im_txt = _part(im, den)
+    return f"{_part(re, den)}{im_txt if im < 0 else '+' + im_txt} i"
+
+
+def _part(x: int, den: int) -> str:
+    """str(Fraction(x, den)) for den > 0.
+
+    Integers past Python's int-to-string digit limit are formatted through
+    an exact `decimal` context, which does not go through int.__str__;
+    shorter ones give the same bytes.  `decimal` is imported only then, as
+    it adds to every start-up.
+    """
+    g = gcd(x, den)
+    if g > 1:
+        x, den = x // g, den // g
+    try:
+        return str(x) if den == 1 else f"{x}/{den}"
     except ValueError:
         import decimal
 
         exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
-        num = format(exact.create_decimal(x.numerator), "f")
-        if x.denominator == 1:
-            return num
-        return f"{num}/{format(exact.create_decimal(x.denominator), 'f')}"
+        num = format(exact.create_decimal(x), "f")
+        return num if den == 1 else f"{num}/{format(exact.create_decimal(den), 'f')}"
 
 
 def parse_literal(text: str) -> tuple[int, int, int]:
@@ -180,11 +198,15 @@ def _parts(text: str) -> tuple[int, int, int, int]:
     """
     if not isinstance(text, str):
         raise InputError(f"scalar literal must be a string, not {text!r}")
-    # The commonest literal, a signed decimal integer, skips the regex.
-    # `isdecimal` accepts exactly the characters the regex's \d does.
-    if (text[1:] if text[:1] in ("+", "-") else text).isdecimal():
+    # The commonest literals, a signed decimal integer p and a fraction p/q of
+    # decimal integers, skip the regex.  `isdecimal` accepts exactly the
+    # characters the regex's \d does.
+    num, slash, den = text.partition("/")
+    if (num[1:] if num[:1] in ("+", "-") else num).isdecimal() and (den.isdecimal() or not slash):
         try:
-            return int(text), 1, 0, 1
+            q = int(den) if slash else 1
+            if q:  # a zero denominator is refused below
+                return int(num), q, 0, 1
         except ValueError:  # past Python's int conversion limit: refused below
             pass
     compact = _SPACE_RE.sub("", text)
@@ -212,6 +234,14 @@ def _rational(num: str | None, den: str | None) -> tuple[int, int]:
     if not d:
         raise ZeroDivisionError
     return n, d
+
+
+def _common(parts: list[Fraction]) -> tuple[list[int], int]:
+    """Fractions as integers over their least common denominator: (numerators, denominator)."""
+    den = lcm(*[x.denominator for x in parts])
+    if den == 1:
+        return [x.numerator for x in parts], 1
+    return [x.numerator * (den // x.denominator) for x in parts], den
 
 
 def from_numerators(re: int, im: int, den: int) -> Scalar:

@@ -31,13 +31,24 @@ from quivermoment.linalg import (
     _combine,
     _entry,
     _gauss_jordan,
-    _is_real,
     _primitive,
     _scalar,
-    _scaled,
 )
 from quivermoment.moment import FlatReport
-from quivermoment.scalar import ONE, ZERO, Scalar
+from quivermoment.scalar import ONE, ZERO, Scalar, _common
+
+
+def _is_real(entries) -> bool:
+    return not any(e.im for e in entries)
+
+
+def _scaled(entries, real: bool) -> tuple[list[int], int]:
+    """Integers over one positive common denominator: (numerators, denominator).
+
+    Real data gives one int per entry; otherwise real parts come first, then
+    imaginary parts.
+    """
+    return _common([e.re for e in entries] if real else [e.re for e in entries] + [e.im for e in entries])
 
 
 def product(a: Matrix, b: Matrix) -> Matrix:

@@ -10,8 +10,8 @@ builds the `Matrix` or `Scalar` result, with the signature of its
 * `rank` and `nullspace`: `_gauss_jordan`, and `_null_terms` on its rows;
 * `solve_particular` and `solve_full_rank`: `_solve` of [a | c];
 * `psd_check` and `ldlh_psd`: `_psd_pivots` (hermitian check, then
-  `_image_psd`) and `_ldlh`, each refusing a non-hermitian matrix in its
-  own words;
+  `_image_psd`), each refusing a non-hermitian matrix in its own words;
+  `ldlh_psd` builds the LDL^H vectors off the pivots;
 * `schur_complete`: `_schur` of [a | c].
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 from quivermoment import linalg
 from quivermoment.errors import InternalInvariantError, NotFlatError
 from quivermoment.linalg import Matrix
-from quivermoment.scalar import ZERO, Scalar, from_numerators
+from quivermoment.scalar import ONE, ZERO, Scalar, from_numerators
 
 
 def _beside(a: Matrix, c: Matrix) -> tuple[list[list[int]], int]:
@@ -76,8 +76,18 @@ def psd_check(m: Matrix) -> bool:
 
 
 def ldlh_psd(m: Matrix) -> list[tuple[Scalar, tuple[Scalar, ...]]] | None:
+    """The pairs (d, v), d > 0 rational, with m = sum d v v^H, from the `_image_psd` pivots of m."""
     pivots = _pivots(m, "ldlh_psd")
-    return None if pivots is None else linalg._ldlh(pivots, m.rows)
+    if pivots is None:
+        return None
+    out = []
+    for p, weight, d, active, cr, ci in pivots:
+        vec = [ZERO] * m.rows
+        vec[p] = ONE
+        for i, x, y in zip(active, cr, ci):
+            vec[i] = from_numerators(x, y, d)
+        out.append((Scalar(weight), tuple(vec)))
+    return out
 
 
 def schur_complete(a: Matrix, c: Matrix) -> Matrix:

@@ -62,6 +62,7 @@ from quivermoment import (
     quiver,
     sos,
 )
+from quivermoment.scalar import Scalar
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ONE_LOOP = build_double(Quiver(["e"], [("x", "e", "e")]))
@@ -522,3 +523,67 @@ def test_sos_verify_pivots_the_gram_once(tmp_path, capsys, psd_pivotings, scalar
     assert out["valid"] is True and len(out["squares"]) == 21
     assert psd_pivotings == [21]
     assert scalar_matrix_calls == []
+
+
+@pytest.fixture
+def scalars_built(monkeypatch):
+    """`Scalar`s built: calls of the constructor and of `Scalar._make`, which
+    every parse, `from_numerators` and arithmetic step goes through."""
+    calls = []
+    make, init = Scalar._make, Scalar.__init__
+
+    def counted_make(re, im):
+        calls.append("_make")
+        return make(re, im)
+
+    def counted_init(self, re=0, im=0):
+        calls.append("__init__")
+        init(self, re, im)
+
+    monkeypatch.setattr(Scalar, "_make", staticmethod(counted_make))
+    monkeypatch.setattr(Scalar, "__init__", counted_init)
+    return calls
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_psd_compress_commands_build_no_scalar_matrix(complex_, tmp_path, capsys, scalars_built):
+    # The shape of a psd_compress instance: a PD state on two loops with
+    # k = 2, its compression, the relation check of the compression read
+    # back, its Gram certificate and a copy with one target coefficient
+    # raised by one.  Matrices cross the files as integer images: no command
+    # builds a `Scalar` of a matrix, a target or a square.  The one vector
+    # of `Scalar`s is a representation's cyclic vector, a public tuple of
+    # `Scalar`: `gns compress` builds it to print it, and `gns check` reads
+    # it back; each builds one per nonzero entry.
+    f = pd_functional(TWO_LOOPS, 2, True, random.Random(5), complex_=complex_)
+    basis, gram = f.basis(2), f.moment_matrix().m
+    target = fileio.element_to_dict(sos.expand_gram(list(basis), gram))
+    cert = {
+        "quiver": fileio.quiver_to_dict(TWO_LOOPS.base),
+        "target": target,
+        "degree": 2,
+        "basis": [fileio.path_to_text(p) for p in basis],
+        "gram": fileio.matrix_to_rows(gram),
+    }
+    raised = [dict(t) for t in target["terms"]]
+    raised[5]["coeff"] = str(Scalar.parse(raised[5]["coeff"]) + Scalar(1))
+    fpath, rpath = tmp_path / "f.json", tmp_path / "rep.json"
+    good, bad = tmp_path / "cert.json", tmp_path / "tampered.json"
+    fpath.write_text(json.dumps(fileio.functional_to_dict(f)), encoding="utf-8")
+    good.write_text(json.dumps(cert), encoding="utf-8")
+    bad.write_text(json.dumps({**cert, "target": {"terms": raised}}), encoding="utf-8")
+    built = {}
+    for name, argv, code in [
+        ("compress", ["gns", "compress", str(fpath), "-o", str(rpath)], 0),
+        ("check", ["gns", "check", str(rpath)], 0),
+        ("verify", ["sos", "verify", str(good)], 0),
+        ("verify tampered", ["sos", "verify", str(bad)], 1),
+    ]:
+        del scalars_built[:]
+        assert cli.main(argv) == code
+        capsys.readouterr()
+        built[name] = len(scalars_built)
+    cyclic = json.loads(rpath.read_text(encoding="utf-8"))["cyclic"]
+    nonzero = sum(c != "0" for c in cyclic)
+    assert 0 < nonzero <= 21
+    assert built == {"compress": nonzero, "check": nonzero, "verify": 0, "verify tampered": 0}

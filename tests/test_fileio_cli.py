@@ -642,14 +642,19 @@ def test_representation_and_certificate_loads_parse_each_literal_text_once(tmp_p
     rep = json.loads((tmp_path / "rep.json").read_text())
     cert = {"quiver": LOOP, "target": {"terms": [{"path": "x x*", "coeff": "2"}, {"path": "x* x", "coeff": "2"}]},
             "squares": [{"terms": [TERM_X]}, {"terms": [{"path": "x*", "coeff": "1"}]}], "weights": ["2", "1"]}
+    gram_target = {"terms": [{"path": "x x*", "coeff": "2"}, {"path": "x* x", "coeff": "1/2"}]}
+    gram_cert = {"quiver": LOOP, "target": gram_target, "basis": ["x", "x*"], "gram": [["2", "1/2"], ["1/2", "-1+2i"]]}
     # the quiver's names and the basis are no literals; every value text is one
     cases = [
         (load, data, _literal_texts({k: v for k, v in data.items() if k not in ("quiver", "basis")}))
-        for load, data in [(fileio.representation_from_dict, rep), (fileio.certificate_from_dict, cert)]
+        for load, data in [(fileio.representation_from_dict, rep), (fileio.certificate_from_dict, cert),
+                           (fileio.certificate_from_dict, gram_cert)]
     ]
+    # a literal is read by `_Literals` when first looked up: as a `Scalar`
+    # (`Scalar.parse`) or as numerators (`parse_literal`, or `int` alone)
     calls = []
-    parse = Scalar.parse
-    monkeypatch.setattr(Scalar, "parse", staticmethod(lambda text: calls.append(text) or parse(text)))
+    missing = fileio._Literals.__missing__
+    monkeypatch.setattr(fileio._Literals, "__missing__", lambda self, text: calls.append(text) or missing(self, text))
     for load, data, texts in cases:
         calls.clear()
         load(data, tmp_path, "f.json")
@@ -925,3 +930,40 @@ def test_pd_two_loops_compression_reproduces_the_committed_output(tmp_path, caps
     assert len(json.loads(rpath.read_text(encoding="utf-8"))["basis"]) == 21
     assert main(["gns", "check", str(rpath)]) == 0
     assert json.loads(capsys.readouterr().out) == {"passed": True, "failures": [], "checks": 15}
+
+
+@pytest.mark.parametrize(
+    "fixture, command, at, row, message",
+    [
+        ("fix_pd_two_loops_compressed.json", ["gns", "check"], ("arrows", "x"), 3, "'x' row 3 has 20 entries, not 21"),
+        ("fix_pd_two_loops_compressed.json", ["gns", "kernel", "--degree", "1"], ("vertices", "e"), 20,
+         "'e' row 20 has 20 entries, not 21"),
+        ("fix_pd_two_loops_compressed.json", ["gns", "check"], ("gram",), 1, "'gram' row 1 has 20 entries, not 21"),
+        ("fix_pd_two_loops_certificate.json", ["sos", "verify"], ("gram",), 7, "'gram' row 7 has 20 entries, not 21"),
+        ("fix_groebner_gram.json", ["gns", "build"], ("gram",), 1, None),
+    ],
+)
+def test_ragged_matrix_rows_name_the_matrix_and_the_row(tmp_path, capsys, fixture, command, at, row, message):
+    # One short row, the first row's width expected (rows counted from 0).
+    data = json.loads((FsPath(__file__).parent / "fixtures" / fixture).read_text(encoding="utf-8"))
+    rows = data
+    for key in at:
+        rows = rows[key]
+    width = len(rows[0])
+    if message is None:
+        message = f"'gram' row {row} has {width - 1} entries, not {width}"
+    rows[row].pop()
+    fpath = tmp_path / "in.json"
+    fpath.write_text(json.dumps(data), encoding="utf-8")
+    assert main(command + [str(fpath)]) == 2
+    assert capsys.readouterr().err == f"error: {fpath}: {message}\n"
+
+
+def test_matrix_rows_without_entries_read_as_matrices_without_columns():
+    from quivermoment.linalg import Matrix
+
+    assert fileio.matrix_from_rows([]) == Matrix(0, 0, [])
+    for n in (1, 3):
+        m = fileio.matrix_from_rows([[] for _ in range(n)])
+        assert (m.rows, m.cols, m.entries) == (n, 0, ())
+        assert m == Matrix(n, 0, []) and fileio.matrix_to_rows(m) == [[] for _ in range(n)]

@@ -108,7 +108,7 @@ def test_rref_rank_nullspace_match_oracle(m):
 
 def image_product(a: Matrix, b: Matrix) -> Matrix:
     """a·b as `linalg` forms it: the integer product of two images in one layout."""
-    real = linalg._is_real(a.entries) and linalg._is_real(b.entries)
+    real = oracle._is_real(a.entries) and oracle._is_real(b.entries)
     (ra, da), (rb, db) = linalg._image(a, real), linalg._image(b, real)
     return linalg._matrix(linalg._product(ra, rb, b.cols), da * db, b.cols)
 
@@ -145,13 +145,49 @@ def test_product_with_projection_factors_matches_oracle(data):
         assert image_product(a, b) == oracle.matmul(a, b) == oracle.product(a, b)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_a_matrix_held_as_an_image_equals_the_matrix_of_its_scalars(data):
+    """`linalg._matrix` of an integer image and `Matrix` of the same `Scalar`s
+    are equal, with equal hashes, one canonical image and the same entries,
+    in both layouts: whatever nonzero factor scales the image given, and
+    with real data also given in the (re, im) layout."""
+    m = data.draw(matrices(), label="m")
+    real = oracle._is_real(m.entries)
+    flat, den = oracle._scaled(m.entries, real)
+    size, n = m.rows * m.cols, m.cols
+    im = [] if real else flat[size:]
+    rows = [flat[i * n : (i + 1) * n] + im[i * n : (i + 1) * n] for i in range(m.rows)]
+    if real and data.draw(st.booleans(), label="(re, im) layout"):
+        rows = [r + [0] * n for r in rows]
+    k = data.draw(st.sampled_from([1, -1, 2, -6, 3**40]), label="factor")
+    held = linalg._matrix([[k * x for x in r] for r in rows], k * den, n)
+    built = Matrix(m.rows, n, m.entries)
+    assert held == built and built == held
+    assert hash(held) == hash(built)
+    assert held._integers() == built._integers()
+    assert held._real() == real
+    assert held.entries == m.entries
+    if size:  # one entry moved by one: not equal
+        moved = [[x + (i == j == 0) * k * den for j, x in enumerate(r)] for i, r in enumerate(rows)]
+        other = linalg._matrix(moved, k * den, n)
+        assert other != built and built != other
+
+
+def test_zeros_hold_the_zero_image():
+    for r, c in [(0, 0), (0, 3), (2, 0), (3, 2)]:
+        z = Matrix.zeros(r, c)
+        assert z == Matrix(r, c, [Scalar(0)] * (r * c)) and hash(z) == hash(Matrix(r, c, [Scalar(0)] * (r * c)))
+        assert z._integers() == ([[0] * c for _ in range(r)], 1)
+
+
 @SETTINGS
 @given(st.data())
 def test_image_transpose_and_equality_match_oracle(data):
     """Transposes and comparisons on images, in both layouts, agree with `Scalar` ones."""
     a = data.draw(matrices())
     b = data.draw(st.one_of(st.just(a), matrices(rows=a.rows, cols=a.cols)), label="b")
-    real = linalg._is_real(a.entries + b.entries) and data.draw(st.booleans(), label="real layout")
+    real = oracle._is_real(a.entries + b.entries) and data.draw(st.booleans(), label="real layout")
     (rows, den), (brows, bden) = linalg._image(a, real), linalg._image(b, real)
     assert linalg._matrix(rows, den, a.cols) == a
     assert linalg._matrix(linalg._transpose(rows, a.cols), den, a.rows) == oracle.transpose(a)

@@ -1,9 +1,13 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivermoment import InputError, Scalar
+from quivermoment.scalar import from_numerators, numerator_text
 
 
 def test_parse_rational_forms():
@@ -85,3 +89,56 @@ def test_lowest_terms_after_every_operation():
     assert s.re.denominator == 2 and s.re.numerator == 1
     t = Scalar(Fraction(1, 3)) + Scalar(Fraction(2, 3))
     assert t.re.denominator == 1
+
+
+BIG = 10**4400 + 7  # a part past Python's 4300-digit int-to-string limit
+
+
+def fraction_text(x: int, den: int) -> str:
+    """str(Fraction(x, den)) with the int-to-string digit limit lifted: the oracle."""
+    limit = getattr(sys, "set_int_max_str_digits", None)
+    if limit is None:  # a Python without the limit
+        return str(Fraction(x, den))
+    old = sys.get_int_max_str_digits()
+    limit(0)
+    try:
+        return str(Fraction(x, den))
+    finally:
+        limit(old)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(-(10**30), 10**30) | st.sampled_from([0, 1, -1, BIG, -BIG]),
+    st.integers(-(10**30), 10**30) | st.sampled_from([0, 1, -1, BIG, -BIG]),
+    st.integers(1, 10**20) | st.sampled_from([1, 2, BIG]),
+)
+def test_numerator_text_is_the_text_of_the_scalar(re, im, den):
+    # The writers format numerators without building the `Scalar`: the text
+    # is the scalar's, zero, negative and Gaussian parts, den 1 and parts
+    # past the digit limit (the `decimal` route) included.
+    text = numerator_text(re, im, den)
+    assert text == str(from_numerators(re, im, den))
+    if not im:
+        assert text == fraction_text(re, den)
+    else:
+        im_text = fraction_text(im, den)
+        assert text == f"{fraction_text(re, den)}{im_text if im < 0 else '+' + im_text} i"
+
+
+@pytest.mark.parametrize(
+    "re, im, den, text",
+    [
+        (0, 0, 1, "0"),
+        (0, 0, 7, "0"),
+        (6, 0, 4, "3/2"),
+        (-6, 0, 3, "-2"),
+        (0, 3, 6, "0+1/2 i"),
+        (2, -4, 6, "1/3-2/3 i"),
+        (BIG, 0, 1, "1" + "0" * 4399 + "7"),
+        (2, -BIG, 1, "2-1" + "0" * 4399 + "7 i"),
+    ],
+    ids=["zero", "zero over 7", "reduced", "negative", "imaginary", "gaussian", "long", "long imaginary"],
+)
+def test_numerator_text_examples(re, im, den, text):
+    assert numerator_text(re, im, den) == text

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -119,3 +120,88 @@ def test_representation_positivity(fix_l2_ext, example2_l4, fix_a2, fix_loop):
         )
         assert is_hermitian(form)
         assert psd_check(form)
+
+
+def _scalar_route(double, target, basis, gram, degree):
+    """`sos verify` of a Gram certificate as it ran on `Scalar`s: the expansion
+    as an `Element`, compared with the target, and the squares built as
+    `Element`s off the LDL^H vectors and written by `element_to_dict`."""
+    from quivermoment import Element, compose, fileio
+    from matrix_api import ldlh_psd
+
+    expansion = Element.from_terms(
+        double, ((compose(p, q.star()), gram.entry(i, j)) for i, p in enumerate(basis) for j, q in enumerate(basis))
+    )
+    pairs = ldlh_psd(gram)
+    if pairs is None or expansion != target or any(p.length() > degree for p in basis):
+        return {"valid": False, "kind": "gram"}
+    squares = [{"weight": str(w), "element": fileio.element_to_dict(Element.from_terms(double, zip(basis, v)))}
+               for w, v in pairs]
+    return {"valid": True, "kind": "gram", "squares": squares}
+
+
+@pytest.mark.parametrize("quiver", ["fix_xyz", "fix_two_loops", "fix_a2"])
+def test_gram_certificates_verify_as_on_scalars(quiver, request, tmp_path, capsys):
+    # Derandomized certificates on integers from the file to the output
+    # against the `Scalar` route: bases with repeated and trivial paths and
+    # paths that do not compose, PSD grams and indefinite ones, real and
+    # Gaussian, target terms split into repeated paths or written as "1",
+    # and one coefficient moved.
+    import json
+
+    from linalg_oracle import conj_transpose, matmul, sub
+    from quivermoment import Element, compose, enumerate_basis, fileio
+    from quivermoment.cli import main
+
+    double = request.getfixturevalue(quiver)
+    window = list(enumerate_basis(double, double.default_order(), 2, True))
+    rng, verdicts = random.Random(2501), []
+    for case in range(24):
+        complex_ = case % 2 == 1
+        basis = [rng.choice(window) for _ in range(rng.randint(1, 6))]
+        n, r = len(basis), rng.randint(0, 4)
+
+        def draw(rows, cols):
+            def entry():
+                re = Scalar(rng.randint(-4, 4) if rng.random() < 0.7 else Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+                return re + Scalar(0, rng.randint(-3, 3) if complex_ else 0)
+
+            return Matrix(rows, cols, [entry() for _ in range(rows * cols)])
+
+        g = draw(n, r)
+        gram = matmul(g, conj_transpose(g))
+        if case % 3 == 2:
+            h = draw(n, 1)
+            gram = sub(gram, matmul(h, conj_transpose(h)))
+        expansion = Element.from_terms(
+            double, ((compose(p, q.star()), gram.entry(i, j)) for i, p in enumerate(basis) for j, q in enumerate(basis))
+        )
+        terms = fileio.element_to_dict(expansion)["terms"]
+        if terms and case % 4 == 1:  # a coefficient split over a repeated path
+            c = Scalar.parse(terms[0]["coeff"])
+            rest = str(c - Scalar(Fraction(1, 3)))
+            terms = [{**terms[0], "coeff": "1/3"}, {**terms[0], "coeff": rest}] + terms[1:]
+        if case % 4 == 3:  # "1" adds 2 at every trivial path, which the terms take back
+            terms = [{"path": "1", "coeff": "2"}] + terms + [{"path": f"e:{v}", "coeff": "-2"} for v in double.vertices]
+        if terms and case % 5 == 4:  # one coefficient moved
+            terms[-1] = {**terms[-1], "coeff": str(Scalar.parse(terms[-1]["coeff"]) + Scalar(0, 1))}
+        data = {
+            "quiver": fileio.quiver_to_dict(double.base),
+            "target": {"terms": terms},
+            "degree": rng.choice([None, 1, 2]),
+            "basis": [fileio.path_to_text(p) for p in basis],
+            "gram": fileio.matrix_to_rows(gram),
+        }
+        fpath = tmp_path / f"cert{case}.json"
+        fpath.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["sos", "verify", str(fpath)])
+        out, err = capsys.readouterr()
+        degree = 99 if data["degree"] is None else data["degree"]
+        if any(p.length() > degree for p in basis):
+            assert code == 2 and "exceeds the degree bound" in err
+            continue
+        file_target = fileio.element_from_dict(double, data["target"])
+        want = _scalar_route(double, file_target, basis, gram, degree)
+        assert (code, json.loads(out)) == (0 if want["valid"] else 1, want)
+        verdicts.append(want["valid"])
+    assert True in verdicts and False in verdicts
