@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -967,3 +968,22 @@ def test_matrix_rows_without_entries_read_as_matrices_without_columns():
         m = fileio.matrix_from_rows([[] for _ in range(n)])
         assert (m.rows, m.cols, m.entries) == (n, 0, ())
         assert m == Matrix(n, 0, []) and fileio.matrix_to_rows(m) == [[] for _ in range(n)]
+
+
+@pytest.mark.parametrize("name", ["fix_nonpsd_loop", "fix_gauss_nonpsd_loop", "fix_pd_two_loops"])
+def test_extensions_reproduce_the_committed_outputs(name, tmp_path, capsys):
+    # CI replays these without site-packages.  Two tip-maximal bases that are
+    # not PSD, real and Gaussian, and a full-rank state on two loops (k = 2,
+    # an 85-path extension), whose output is pinned by its sha256.  The
+    # expected outputs were written when a second elimination of [A | C] and
+    # a pivoting of the whole extension followed the odd-degree solve.
+    fixtures = FsPath(__file__).parent / "fixtures"
+    opath = tmp_path / "ext.json"
+    assert main(["extend", str(fixtures / f"{name}.json"), "--tip-maximal", "-o", str(opath)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"written": str(opath)}
+    pinned = fixtures / f"{name}_extended.json"
+    if pinned.exists():
+        assert opath.read_bytes() == pinned.read_bytes()
+    else:
+        digest = (fixtures / f"{name}_extended.sha256").read_text(encoding="utf-8").split()[0]
+        assert hashlib.sha256(opath.read_bytes()).hexdigest() == digest
