@@ -12,10 +12,14 @@ one integer row over the base values' common denominator.  On real data
 the system is block-diagonal: every kernel coefficient and every value is
 real, so the imaginary rows touch only the v columns and have right-hand
 side 0, and their canonical solution is v = 0; only the real rows over the
-u columns are built.  The top degree is the Schur completion C^H X of the
-integer rows of [A | C] (`linalg._schur`), with no `Scalar` product.  The
-base values are read as the numerators the functional holds, and the
-extension is placed from integers, so no value is a `Scalar` on the way.
+u columns are built.  The top degree is the Schur completion C^H X with
+A X = C, A = B_{L_{k-1}} (Šmul'jan 1959): it is solved on the pivots of A
+that the base's verdicts already hold, through its LDL^H pivots on PSD
+data, and certified by one integer product over every row of A
+(`_flat_block`).  Once the certificate holds the result is flat by that
+lemma, so it is not pivoted again.  The base values are read as the
+numerators the functional holds, and the extension is placed from
+integers, so no value is a `Scalar` on the way.
 """
 
 from __future__ import annotations
@@ -43,12 +47,16 @@ def flat_extend_tip_maximal(
     member later in the path order, and the other member takes conj(z).  The
     system is solved canonically (reduced echelon form, free variables zero)
     in one elimination, and the top degree-2k block is filled by the Schur
-    completion.  The old window is a prefix of the new one, so every path is
-    addressed by its position in the new window.
+    completion C^H X, solved on the base's pivots and certified by
+    A X = C (`_flat_block`).  The old window is a prefix of the new one, so
+    every path is addressed by its position in the new window.
 
     The construction is proved for free *-algebras (single-vertex quivers);
-    pass allow_general_quiver=True to run it on any path *-algebra, in which
-    case flatness of the result is verified at runtime.
+    pass allow_general_quiver=True to run it on any path *-algebra.  There
+    the odd system may be inconsistent or C may leave Ran A, and either
+    raises ExtensionObstructed; on a free *-algebra each is an
+    InternalInvariantError.  Once A X = C holds, [[A, C], [C^H, C^H X]] has
+    the rank of A, so the result is flat without a runtime check.
     """
     free_algebra = functional.double.n_vertices() == 1
     if not free_algebra and not allow_general_quiver:
@@ -123,33 +131,67 @@ def flat_extend_tip_maximal(
         im.append(0 if real else sign * w[npairs + j])
     den *= scale
 
-    # Degree-2k block through the Schur completion of the new C block.
-    prods, parts = ext._products(keys[:n], keys[:nk]), (re,) if real else (re, im)
-    ac = [[0 if i is None else x[i] for x in parts for i in prods[at : at + nk]] for at in range(0, len(prods), nk)]
-    b = linalg._schur(ac, den, n, nk)
+    # Degree-2k block: the Schur completion of the new C block over A = B_{L_{k-1}}.
+    prods, w = ext._products(keys[:n], new), nk - n
+    parts = (re,) if real else (re, im)
+    c = [[0 if i is None else x[i] for x in parts for i in prods[r * w : r * w + w]] for r in range(n)]
+    b = _flat_block(functional, c, w)
     if b is None:
         if free_algebra:
             raise InternalInvariantError("range containment failed on a free *-algebra extension")
         raise ExtensionObstructed("extended C block left the range of A on this quiver")
 
-    # Every value over one denominator: the Schur block's and den's lcm.
-    b, bden = b
-    common = lcm(den, bden)
-    s, t = common // den, common // bden
+    # Every value over one denominator: den * s * scale, C^H X's.
+    b, s = b
+    s *= scale
     re = [x * s for x in re] + [0] * (len(star) - top)
     im = [x * s for x in im] + [0] * (len(star) - top)
-    for i, (x, y) in zip(ext._products(new, new), b):
+    for i, (x, y) in zip(ext._products(new, new), (linalg._entry(row, j, w) for row in b for j in range(w))):
         if i is not None:
-            re[i], im[i] = x * t, y * t
+            re[i], im[i] = x, y
         elif x or y:
             raise ExtensionObstructed("Schur completion forces a nonzero value on a zero product")
 
-    ext._place({i: (x, y, common) for i, (x, y) in enumerate(zip(re, im))}, star)
-    if not ext.is_flat().flat:
-        if free_algebra:
-            raise InternalInvariantError("one-step extension produced a non-flat functional")
-        raise ExtensionObstructed("one-step extension is not flat on this quiver")
+    ext._place({i: (x, y, den * s) for i, (x, y) in enumerate(zip(re, im))}, star)
     return ext
+
+
+def _flat_block(functional: TruncatedFunctional, c: list[list[int]], w: int) -> tuple[list[list[int]], int] | None:
+    """C^H X and s > 0 with A X = s C, for A the image of B_{L_{k-1}}, or None if Ran C is not inside Ran A.
+
+    c holds the integer rows of C (w columns, the image's layout).  The pivot
+    columns P of the base's `_echelon` span Ran A, and A[P, P] is
+    nonsingular (A is hermitian).  On PSD data A[P, P] Y = s C[P, :] is
+    solved through the base's LDL^H pivots (`linalg._psd_solve`, on
+    conjugates), otherwise by one elimination of [A[P, P] | C[P, :]]
+    (`linalg._solve`).  The product A[:, P] Y = s C over every row of A
+    certifies Y: then X = Y on P and 0 elsewhere solves A X = s C, and
+    C^H X = C[P, :]^H Y, whichever solution X is.
+    """
+    rows, _ = functional._image
+    n, at = len(rows), functional._echelon[0]
+    # C is Gaussian when some odd value is, though A may be real without trivial paths
+    real = not c or len(c[0]) == w
+    cols = at if real else at + [n + p for p in at]
+    if not real and len(rows[0]) == n:
+        rows = [row + [0] * n for row in rows]
+    a, cp = [[row[p] for p in cols] for row in rows], [c[p] for p in at]
+    if functional._ldlh is not None:
+        conj = cp if real else [row[:w] + [-x for x in row[w:]] for row in cp]
+        y, s = linalg._psd_solve(functional._ldlh, at, conj, w)
+        y = y if real else [row[:w] + [-x for x in row[w:]] for row in y]
+    else:
+        r = len(at)
+        solved = linalg._solve([x[:r] + cx[:w] + x[r:] + cx[w:] for x, cx in zip((a[p] for p in at), cp)], r, r + w)
+        if solved is None:
+            return None
+        pivots, xs, s = solved
+        y = [[0] * (w if real else 2 * w) for _ in at]
+        for p, x in zip(pivots, xs):
+            y[p] = [u for u, _ in x] + ([] if real else [v for _, v in x])
+    if not linalg._equal(linalg._product(a, y, w), s, c, 1):
+        return None
+    return linalg._product(linalg._transpose(cp, w, conj=True), y, w), s
 
 
 class FlatExtension:

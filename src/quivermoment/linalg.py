@@ -19,8 +19,7 @@ The pivot is always the first nonzero entry of a column, scanning rows
 top-down, so outputs are deterministic bit for bit and equal those of
 elimination over `Scalar`.  One elimination of the primitive rows of
 [A | C] gives the RREF solution of A X = C scaled to integers, or shows
-that C leaves Ran A (`_solve`); the Schur completion C^H X (`_schur`)
-reads it.
+that C leaves Ran A (`_solve`).
 
 A hermitian matrix [[A, C], [C^H, B]] held as one integer image gets its
 rank, flatness and kernel from its PSD pivoting when that succeeds
@@ -571,28 +570,6 @@ def _solve(rows: list[list[int]], n: int, ncols: int) -> tuple[list[int], list[l
         f, parts = scale // (ar * ar + ai * ai), [_entry(row, c, ncols) for c in range(n, ncols)]
         xs.append([((x * ar + y * ai) * f, (y * ar - x * ai) * f) for x, y in parts])
     return pivots, xs, scale
-
-
-def _schur(rows: list[list[int]], den: int, n: int, ncols: int) -> tuple[list[tuple[int, int]], int] | None:
-    """C^H X with A X = C for the integer rows of [A | C] over den, or None if Ran C is not inside Ran A.
-
-    Returns the entries of C^H X, row-major, as numerators (re, im), and
-    their denominator.  A is hermitian of size n and C has ncols - n
-    columns; X is the `_solve` solution, s times its nonzero rows.  Each
-    entry of C^H X is one integer sum over den * s.
-    """
-    solved = _solve(rows, n, ncols)
-    if solved is None:
-        return None
-    pivots, xs, scale = solved
-    out = []
-    for i in range(n, ncols):
-        cs = [_entry(rows[p], i, ncols) for p in pivots]  # conj(C) entries a - i b
-        for j in range(ncols - n):
-            re = sum(a * x[j][0] + b * x[j][1] for (a, b), x in zip(cs, xs))
-            im = sum(a * x[j][1] - b * x[j][0] for (a, b), x in zip(cs, xs))
-            out.append((re, im))
-    return out, den * scale
 
 
 # -- PSD pivoting ------------------------------------------------------------------------

@@ -8,10 +8,10 @@ LDL^H decomposition; certificate search is out of scope.
 
 A Gram certificate runs on integers from the file to the output
 (`_certify`): its target is numerators over one denominator, its gram an
-integer image, checked there to be hermitian and pivoted once.  That
-pivoting decides PSD and gives the squares (`_squares`); the expansion
+integer image, checked there to be hermitian.  The expansion
 sum gram[i][j] p_i q_j* is summed on the image and compared with the
-target's numerators.  `expand_gram`, `gram_pivots`, `verify_gram` and
+target's numerators first; only a gram that matches is pivoted, once, and
+that pivoting decides PSD and gives the squares (`_squares`).  `expand_gram`, `gram_pivots`, `verify_gram` and
 `gram_to_squares` are adapters over the same core.
 """
 
@@ -108,28 +108,39 @@ def gram_pivots(target: Element, basis: list[Path], gram: Matrix, d: int | None 
 def _certify(target: Numerators, basis: list[Path], gram: Matrix, d: int | None):
     """The `linalg._image_psd` pivots of a gram that certifies the target, or None.
 
-    The gram's integer image decides hermitian (else `InputError`), then one
-    pivoting decides PSD; the degree bound is checked in between, and the
-    expansion is compared with the target only on PSD grams.
+    In this order: the gram's integer image must be hermitian (else
+    `InputError`), the basis must keep the degree bound, the expansion must
+    equal the target, and only then is the gram pivoted, which decides PSD.
+    A gram whose size is not the basis's, or an empty basis, is pivoted
+    first, as before a comparison: `_expansion` refuses it, but a false PSD
+    verdict comes first.
     """
-    try:
-        pivots = linalg._psd_pivots(gram)
-    except ValueError:
-        raise InputError("certificate gram must be hermitian") from None
+    rows, den = gram._integers()
+    if gram.rows != gram.cols or not linalg._hermitian(rows):
+        raise InputError("certificate gram must be hermitian")
     if d is not None:
         for p in basis:
             if p.length() > d:
                 raise InputError(f"basis path {p} exceeds the degree bound {d}")
-    if pivots is None:
+    shaped = gram.rows == len(basis) and basis  # else `_expansion` refuses, after a false PSD verdict
+    if shaped and not _matches(_expansion(basis, gram), target):
         return None
-    (terms, den), (want, wden) = _expansion(basis, gram), target
+    pivots = linalg._image_psd(rows, den)
+    if pivots is not None and not shaped:
+        _expansion(basis, gram)  # raises
+    return pivots
+
+
+def _matches(expansion: Numerators, target: Numerators) -> bool:
+    """Whether two combinations of paths, as numerators over their denominators, are equal."""
+    (terms, den), (want, wden) = expansion, target
     if terms.keys() != want.keys():
-        return None
+        return False
     for p, (re, im) in terms.items():
         wre, wim = want[p]
         if re * wden != wre * den or im * wden != wim * den:
-            return None
-    return pivots
+            return False
+    return True
 
 
 def _squares(basis: list[Path], pivots) -> list[tuple]:

@@ -12,7 +12,7 @@ builds the `Matrix` or `Scalar` result, with the signature of its
 * `psd_check` and `ldlh_psd`: `_psd_pivots` (hermitian check, then
   `_image_psd`), each refusing a non-hermitian matrix in its own words;
   `ldlh_psd` builds the LDL^H vectors off the pivots;
-* `schur_complete`: `_schur` of [a | c].
+* `schur_complete`: C^H X from `_solve` of [a | c], formed here.
 """
 
 from __future__ import annotations
@@ -94,8 +94,17 @@ def schur_complete(a: Matrix, c: Matrix) -> Matrix:
     """The flat bottom-right block C^H X with A X = C, for hermitian A."""
     if a.rows != a.cols or not linalg._hermitian(linalg._image(a)[0]):
         raise ValueError("schur_complete requires a hermitian A")
-    b = linalg._schur(*_beside(a, c), a.cols, a.cols + c.cols)
-    if b is None:
+    rows, den = _beside(a, c)
+    n, ncols = a.cols, a.cols + c.cols
+    solved = linalg._solve(rows, n, ncols)
+    if solved is None:
         raise NotFlatError("Ran(C) is not contained in Ran(A); no flat completion exists")
-    entries, den = b
-    return Matrix(c.cols, c.cols, [from_numerators(x, y, den) for x, y in entries])
+    pivots, xs, scale = solved
+    entries = []  # each entry of C^H X is one integer sum over den * scale
+    for i in range(n, ncols):
+        cs = [linalg._entry(rows[p], i, ncols) for p in pivots]  # conj(C) entries a - i b
+        for j in range(c.cols):
+            re = sum(x * y[j][0] + z * y[j][1] for (x, z), y in zip(cs, xs))
+            im = sum(x * y[j][1] - z * y[j][0] for (x, z), y in zip(cs, xs))
+            entries.append(from_numerators(re, im, den * scale))
+    return Matrix(c.cols, c.cols, entries)

@@ -15,10 +15,12 @@ checks the hermitian property on the same integers it pivots.  Compression
 reads its coset reps off that PSD pivoting and solves every system, the
 gram's and each kept block's, by substitution through the same pivots: no
 elimination at all.
-A one-step extension adds one elimination of its odd-degree system and one
-of the Schur block [A | C], both built as integer rows from window
-positions, with no `Scalar` matrix, and one pivoting for the flatness of
-the result.
+A one-step extension adds one elimination of its odd-degree system, built
+as integer rows from window positions, with no `Scalar` matrix.  Its Schur
+step is solved on the pivots of the base's verdicts: through its LDL^H
+pivots on PSD data, with no elimination, and otherwise by one elimination
+of [A[P, P] | C[P, :]] at the pivots P.  The result is not pivoted: its own
+pivoting is what its verdicts or its kernel cost afterwards.
 
 The kernel Gröbner basis is read off the echelon kernel, so no completion
 runs behind it, and `groebner --from-kernel` runs none either: it reduces
@@ -238,17 +240,19 @@ def test_compress_of_a_singular_state_eliminates_no_kernel(eliminations, psd_piv
 
 def test_one_step_extension_solves_one_unknown_per_star_pair(eliminations, psd_pivotings):
     # A rank-2 state of order 1 on two loops, which is not flat: the
-    # pivoting of its image (5 paths) gives its kernel, then the odd-degree
-    # system and the Schur block (5 x 21) are eliminated, and the pivoting
-    # of the extension's image (21 paths) shows it flat.  The odd system has
-    # a u column per star pair of the 64 paths of length 3, plus the
-    # right-hand side: on real data the v half is block-diagonal, with
-    # canonical solution v = 0, and is not built.
+    # pivoting of its image (5 paths) gives its kernel and the pivots of the
+    # Schur step, then only the odd-degree system is eliminated.  The odd
+    # system has a u column per star pair of the 64 paths of length 3, plus
+    # the right-hand side: on real data the v half is block-diagonal, with
+    # canonical solution v = 0, and is not built.  The extension's own
+    # pivoting (21 paths) is what its kernel costs afterwards.
     f = state_functional(TWO_LOOPS, 1, True, [2], random.Random(0))
     del psd_pivotings[:]  # the state's own draw
     ext = flat_extend_tip_maximal(f)
+    assert eliminations == [32 + 1]
+    assert psd_pivotings == [5]
     ext.kernel_basis()
-    assert eliminations == [32 + 1, 21]
+    assert eliminations == [32 + 1]
     assert psd_pivotings == [5, 21]
 
 
@@ -258,9 +262,26 @@ def test_one_step_extension_keeps_both_halves_on_gaussian_data(eliminations, psd
     assert any(not v.is_real() for v in f.values.values())
     del psd_pivotings[:]
     ext = flat_extend_tip_maximal(f)
+    assert eliminations == [2 * 32 + 1]
+    assert psd_pivotings == [5]
     ext.kernel_basis()
-    assert eliminations == [2 * 32 + 1, 21]
     assert psd_pivotings == [5, 21]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_one_step_extension_of_a_base_that_is_not_psd_eliminates_the_pivot_block(
+    complex_, eliminations, psd_pivotings
+):
+    # The negated rank-2 state: its pivoting is refuted at once, its echelon
+    # form (two eliminations, as it is not flat) gives the kernel and the two
+    # pivots P, and after the odd system the Schur step eliminates the 2 x 18
+    # block [A[P, P] | C[P, :]] (16 new paths).
+    g = state_functional(TWO_LOOPS, 1, True, [2], random.Random(0), complex_=complex_)
+    f = TruncatedFunctional(g.double, g.k, {p: -v for p, v in g.values.items()}, g.include_trivial, g.order)
+    del eliminations[:], psd_pivotings[:]
+    flat_extend_tip_maximal(f)
+    assert psd_pivotings == [5]
+    assert eliminations == [5, 5, (2 if complex_ else 1) * 32 + 1, 2 + 16]
 
 
 def test_one_step_extension_forms_no_scalar_product(images, scalar_matrix_calls):
@@ -523,6 +544,17 @@ def test_sos_verify_pivots_the_gram_once(tmp_path, capsys, psd_pivotings, scalar
     assert out["valid"] is True and len(out["squares"]) == 21
     assert psd_pivotings == [21]
     assert scalar_matrix_calls == []
+
+
+def test_sos_verify_compares_before_it_pivots(capsys, psd_pivotings):
+    # The two-loop Gram certificate (a 21-path basis, 341 target terms) and
+    # its copy with one target coefficient raised by one: the tampered
+    # target misses the expansion, so its gram is not pivoted at all.
+    for name, code, pivotings in [("fix_pd_two_loops_tampered", 1, []), ("fix_pd_two_loops_certificate", 0, [21])]:
+        del psd_pivotings[:]
+        assert cli.main(["sos", "verify", str(FIXTURES / f"{name}.json")]) == code
+        assert json.loads(capsys.readouterr().out)["valid"] is (code == 0)
+        assert psd_pivotings == pivotings
 
 
 @pytest.fixture

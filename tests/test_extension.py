@@ -9,7 +9,6 @@ from quivermoment import (
     Element,
     ExtensionObstructed,
     FlatExtension,
-    FlatReport,
     InputError,
     InternalInvariantError,
     Matrix,
@@ -21,7 +20,7 @@ from quivermoment import (
     flat_extend_tip_maximal,
     right_groebner,
 )
-from quivermoment import groebner, linalg
+from quivermoment import extension, groebner, linalg
 from matrix_api import rank, schur_complete, solve_particular
 from quivermoment.scalar import ONE
 
@@ -231,27 +230,33 @@ def extend_or_error(extend, f):
         return type(e), str(e)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=160, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(EXTENSION_QUIVERS)), st.booleans(), st.data())
 def test_one_step_extension_matches_the_scalar_route(name, complex_, data):
     """Every value of the extension, in window order, or the error's type and message.
 
     Full-rank (positive-definite states), low-rank (states of small
     dimension) and indefinite bases (random hermitian values, or the
-    difference of two small states), real and Gaussian; many of the
-    indefinite ones are not tip-maximal.
+    difference of two small states), real and Gaussian, on one vertex and,
+    with allow_general_quiver, on two; many of the indefinite ones are not
+    tip-maximal.  A negated state is tip-maximal when the state is, and not
+    PSD, so its Schur step takes the elimination route.  Neither route
+    pivots its result: every extension is checked flat here, and PSD
+    exactly when its base is.
     """
     quiver, orders = EXTENSION_QUIVERS[name]
     double = build_double(quiver)
     k = data.draw(st.sampled_from(orders), label="k")
-    kind = data.draw(st.sampled_from(["full", "low", "hermitian", "difference"]), label="kind")
+    kind = data.draw(st.sampled_from(["full", "low", "negated", "hermitian", "difference"]), label="kind")
     include_trivial = data.draw(st.booleans(), label="include_trivial")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     dims = [rng.randint(0, 2) for _ in double.vertices]
     if kind == "full":
         base = pd_functional(double, k, include_trivial, rng, complex_=complex_)
-    elif kind == "low":
+    elif kind in ("low", "negated"):
         base = state_functional(double, k, include_trivial, dims, rng, complex_)
+        if kind == "negated":
+            base = TruncatedFunctional(double, k, {p: -v for p, v in base.values.items()}, include_trivial)
     else:
         base = hermitian_functional(
             double, k, include_trivial, rng, complex_, dims if kind == "difference" else None
@@ -262,6 +267,9 @@ def test_one_step_extension_matches_the_scalar_route(name, complex_, data):
     if isinstance(new, dict):
         assert list(new) == list(old)
         assert any(not v.is_real() for v in new.values()) <= complex_
+        ext = TruncatedFunctional(double, k + 1, new, include_trivial)
+        assert ext.is_flat().flat
+        assert ext.is_psd() == base.is_psd()
 
 
 @pytest.fixture(params=["integer", "scalar"])
@@ -271,7 +279,7 @@ def extend_route(request):
 
 def force_range_failure(monkeypatch):
     """Make the Schur step of both routes find Ran C outside Ran A."""
-    monkeypatch.setattr(linalg, "_schur", lambda *args: None)
+    monkeypatch.setattr(extension, "_flat_block", lambda *args: None)
     solve = linalg_oracle.solve_particular
     calls = []
 
@@ -285,30 +293,25 @@ def force_range_failure(monkeypatch):
 
 def force_nonzero_top(monkeypatch):
     """Make the Schur step of both routes return the all-ones block."""
-    monkeypatch.setattr(linalg, "_schur", lambda rows, den, n, ncols: ([(1, 0)] * (ncols - n) ** 2, 1))
+    monkeypatch.setattr(extension, "_flat_block", lambda f, c, w: ([[1] * w for _ in range(w)], 1))
     monkeypatch.setattr(linalg_oracle, "product", lambda a, b: Matrix(a.rows, b.cols, [ONE] * (a.rows * b.cols)))
-
-
-def force_not_flat(monkeypatch):
-    monkeypatch.setattr(TruncatedFunctional, "is_flat", lambda self: FlatReport(False, 1, 0, True))
 
 
 # A seeded search over 3000 random quivers (1-3 vertices, 1-3 arrows), path
 # orders and real or Gaussian bases (states of every rank, random hermitian
-# values) reached none of these three guards.  Once the odd system is solved,
+# values) reached none of these guards.  Once the odd system is solved,
 # every kernel element of A pairs to zero with every column of C, so
-# Ran C <= Ran A; A and C vanish off the blocks of paths with a common
-# terminal vertex, so C^H X vanishes wherever u v* = 0; and the B block is
-# then exactly C^H X, so the result is flat.  The guards are reached here by
-# forcing the step before them.
+# Ran C <= Ran A; and A and C vanish off the blocks of paths with a common
+# terminal vertex, so C^H X vanishes wherever u v* = 0.  The guards are
+# reached here by forcing the Schur step (`extension._flat_block`).  Once
+# A X = C holds the result is flat, so no flatness guard follows them:
+# `test_one_step_extension_matches_the_scalar_route` checks every result.
 @pytest.mark.parametrize(
     "force, shape, error, message",
     [
         (force_range_failure, "a2", ExtensionObstructed, "extended C block left the range of A on this quiver"),
         (force_range_failure, "loop", InternalInvariantError, "range containment failed on a free *-algebra extension"),
         (force_nonzero_top, "a2", ExtensionObstructed, "Schur completion forces a nonzero value on a zero product"),
-        (force_not_flat, "a2", ExtensionObstructed, "one-step extension is not flat on this quiver"),
-        (force_not_flat, "loop", InternalInvariantError, "one-step extension produced a non-flat functional"),
     ],
 )
 def test_extension_guards(force, shape, error, message, extend_route, fix_l2, fix_loop, monkeypatch):
@@ -318,6 +321,56 @@ def test_extension_guards(force, shape, error, message, extend_route, fix_l2, fi
     with pytest.raises(error) as info:
         extend_route(base, allow_general_quiver=True)
     assert str(info.value) == message
+
+
+def corrupt_the_solution(monkeypatch) -> list:
+    """Raise one entry of the solution Y of A[P, P] Y = s C[P, :] by one, on
+    the LDL^H route and on the elimination route; returns the routes taken."""
+    taken, psd_solve, solve = [], linalg._psd_solve, linalg._solve
+
+    def pivoted(*args):
+        taken.append("psd")
+        y, s = psd_solve(*args)
+        y[0][0] += 1
+        return y, s
+
+    def eliminated(*args):
+        taken.append("eliminate")
+        pivots, xs, s = solve(*args)
+        re, im = xs[0][0]
+        xs[0][0] = (re + 1, im)
+        return pivots, xs, s
+
+    monkeypatch.setattr(linalg, "_psd_solve", pivoted)
+    monkeypatch.setattr(linalg, "_solve", eliminated)
+    return taken
+
+
+@pytest.mark.parametrize("psd", [True, False], ids=["psd", "negated"])
+@pytest.mark.parametrize(
+    "shape, error, message",
+    [
+        ("a2", ExtensionObstructed, "extended C block left the range of A on this quiver"),
+        ("loop", InternalInvariantError, "range containment failed on a free *-algebra extension"),
+    ],
+)
+def test_the_certificate_catches_a_corrupted_solution(shape, error, message, psd, fix_l2, fix_loop, monkeypatch):
+    # The product A[:, P] Y = s C over every row of A is the one check behind
+    # the Schur step: one entry of Y off by one is caught, with the error of
+    # a C block outside Ran A.  A PSD base and its negation, which is not
+    # PSD and has the same kernel, so it takes the elimination route.
+    base = fix_l2 if shape == "a2" else pd_functional(fix_loop, 1, True, random.Random(19))
+    if not psd:
+        base = TruncatedFunctional(
+            base.double, base.k, {p: -v for p, v in base.values.items()}, base.include_trivial, base.order
+        )
+    assert base.is_psd() == psd and base.is_tip_maximal()
+    assert flat_extend_tip_maximal(base, allow_general_quiver=True).is_flat().flat
+    taken = corrupt_the_solution(monkeypatch)
+    with pytest.raises(error) as info:
+        flat_extend_tip_maximal(base, allow_general_quiver=True)
+    assert str(info.value) == message
+    assert taken == ["psd" if psd else "eliminate"]
 
 
 def test_pd_preserving_flat_output(fix_loop):

@@ -1,16 +1,19 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path as FsPath
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quivermoment import InputError, Scalar
+from quivermoment import InputError, Quiver, Scalar, build_double, kernel_groebner
 from quivermoment.cli import main
-from quivermoment import fileio
+from quivermoment import cli, fileio, gns
 
-from conftest import FIX_H4_TERMS, elem, path, sc
+from conftest import FIX_H4_TERMS, elem, path, pd_functional, sc, state_functional
 import oracles
 from oracles import digits
 
@@ -987,3 +990,60 @@ def test_extensions_reproduce_the_committed_outputs(name, tmp_path, capsys):
     else:
         digest = (fixtures / f"{name}_extended.sha256").read_text(encoding="utf-8").split()[0]
         assert hashlib.sha256(opath.read_bytes()).hexdigest() == digest
+
+
+JSON_LEAVES = (
+    st.text(st.characters(codec="utf-8"), max_size=6)
+    | st.integers(-(10**30), 10**30)
+    | st.none()
+    | st.booleans()
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+def test_output_files_are_written_as_json_dumps_with_indent_2(value):
+    # Nested lists and dicts, empty ones too, and every leaf a file can hold:
+    # strings with control and non-ASCII characters, integers, null, booleans.
+    assert cli._indented(value, "\n") == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_each_writer_writes_the_bytes_of_json_dumps_with_indent_2(gaussian, tmp_path, capsys):
+    # The writers' own shapes on a quiver with a non-ASCII vertex name: a
+    # functional, its kernel, its Gröbner basis with reductions, its
+    # compression with `"cyclic": null` beside it, the kernel of a
+    # representation at degree 2 and one with no elements, and the
+    # representation of a quiver without arrows (empty lists and dicts).
+    double = build_double(Quiver(["é", "頂"], [("x", "é", "頂"), ("z", "é", "é")]))
+    f = state_functional(double, 2, True, [2, 1], random.Random(5), complex_=gaussian)
+    rep = gns.compress_representation(f)
+    bare = gns.compress_representation(pd_functional(build_double(Quiver(["v"], [])), 1, True, random.Random(1)))
+    dicts = [
+        fileio.functional_to_dict(f),
+        {"quiver": fileio.quiver_to_dict(double.base), "elements": [fileio.element_to_dict(e) for e in f.kernel_basis()]},
+        fileio.groebner_to_dict(kernel_groebner(f, True), double),
+        fileio.representation_to_dict(rep),
+        {**fileio.representation_to_dict(rep), "cyclic": None},
+        {"quiver": fileio.quiver_to_dict(double.base), "degree": 2,
+         "elements": [fileio.element_to_dict(e) for e in gns.rep_kernel(rep, 2)]},
+        {"quiver": fileio.quiver_to_dict(double.base), "degree": 1, "elements": []},
+        fileio.representation_to_dict(bare),
+    ]
+    assert any("\\u" in json.dumps(d) for d in dicts)
+    assert any(not Scalar.parse(e["value"]).is_real() for e in dicts[0]["entries"]) == gaussian
+    assert dicts[2]["reductions"] and dicts[7]["arrows"] == {} and dicts[7]["quiver"]["arrows"] == []
+    for d in dicts:
+        assert cli._indented(d, "\n") == json.dumps(d, indent=2)
+    # and through a command: the file `extend -o` writes
+    opath = tmp_path / "ext.json"
+    fpath = write(tmp_path, "f.json", fileio.functional_to_dict(pd_functional(double, 1, True, random.Random(2))))
+    assert main(["extend", fpath, "--tip-maximal", "--general-quiver", "-o", str(opath)]) == 0
+    capsys.readouterr()
+    data = json.loads(opath.read_text(encoding="utf-8"))
+    assert opath.read_bytes() == (json.dumps(data, indent=2) + "\n").encode("utf-8")

@@ -66,6 +66,27 @@ def test_verify_gram_rejects_non_hermitian(fix_loop):
         verify_gram(q, [path(fix_loop, "x")], Matrix.from_rows([[Scalar(0, 1)]]))
 
 
+def test_verify_gram_refusals_keep_their_order(fix_loop):
+    # The comparison comes before the pivoting, but the order of verdicts and
+    # errors is kept: a gram that is not hermitian is refused first, then a
+    # basis past the degree bound; a gram whose size is not the basis's, or
+    # an empty basis, is refused only when the gram is PSD, and is otherwise
+    # a false verdict.
+    q = elem(fix_loop, ("x x*", 1))
+    one, two = [path(fix_loop, "x")], [path(fix_loop, "x"), path(fix_loop, "x*")]
+    indef = Matrix.from_rows([[sc(1), sc(0)], [sc(0), sc(-1)]])
+    with pytest.raises(InputError, match="hermitian"):
+        verify_gram(q, [path(fix_loop, "x x")], Matrix.from_rows([[Scalar(0, 1)]]), 1)
+    with pytest.raises(InputError, match="degree bound"):
+        verify_gram(q, [path(fix_loop, "x x")], indef, 1)
+    assert verify_gram(q, one, indef) is False
+    with pytest.raises(InputError, match="gram size must match the basis"):
+        verify_gram(q, one, identity(2))
+    assert verify_gram(q, two, identity(2)) is False  # the expansion is x x* + x* x
+    with pytest.raises(InputError, match="empty certificate basis"):
+        verify_gram(q, [], Matrix(0, 0, []))
+
+
 def test_gram_to_squares_round_trip(fix_a2, fix_loop):
     cases = [
         (
