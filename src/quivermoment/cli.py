@@ -32,31 +32,12 @@ def _emit(data) -> None:
     print(json.dumps(data))
 
 
-_text = json.encoder.encode_basestring_ascii
-
-
-def _indented(value, pad: str) -> str:
-    """json.dumps(value, indent=2) as it reads after the line break and indent `pad`.
-
-    The same bytes, with every string through the C encoder: dicts (str
-    keys) and lists nest, and each other leaf is `json.dumps` of it.
-    """
-    if type(value) is str:
-        return _text(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items = [_text(k) + ": " + (_text(v) if type(v) is str else _indented(v, inner)) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        items = [_text(v) if type(v) is str else _indented(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
-    return json.dumps(value)
-
-
 def _write_or_emit(data, out) -> None:
     if out:
+        from . import fileio
+
         try:
-            FsPath(out).write_text(_indented(data, "\n") + "\n", encoding="utf-8")
+            FsPath(out).write_text(fileio.dumps_indented(data) + "\n", encoding="utf-8")
         except OSError as e:
             raise InputError(f"{out}: {e}") from None
         _emit({"written": str(out)})

@@ -47,16 +47,13 @@ def flat_extend_tip_maximal(
     member later in the path order, and the other member takes conj(z).  The
     system is solved canonically (reduced echelon form, free variables zero)
     in one elimination, and the top degree-2k block is filled by the Schur
-    completion C^H X, solved on the base's pivots and certified by
-    A X = C (`_flat_block`).  The old window is a prefix of the new one, so
-    every path is addressed by its position in the new window.
+    completion (`_flat_block`).  The old window is a prefix of the new one,
+    so every path is addressed by its position in the new window.
 
     The construction is proved for free *-algebras (single-vertex quivers);
-    pass allow_general_quiver=True to run it on any path *-algebra.  There
-    the odd system may be inconsistent or C may leave Ran A, and either
-    raises ExtensionObstructed; on a free *-algebra each is an
-    InternalInvariantError.  Once A X = C holds, [[A, C], [C^H, C^H X]] has
-    the rank of A, so the result is flat without a runtime check.
+    pass allow_general_quiver=True to run it on any path *-algebra, where an
+    inconsistent odd system or a C block outside Ran A raises
+    ExtensionObstructed (InternalInvariantError on a free *-algebra).
     """
     free_algebra = functional.double.n_vertices() == 1
     if not free_algebra and not allow_general_quiver:
@@ -132,21 +129,22 @@ def flat_extend_tip_maximal(
     den *= scale
 
     # Degree-2k block: the Schur completion of the new C block over A = B_{L_{k-1}}.
-    prods, w = ext._products(keys[:n], new), nk - n
+    prods, nc = ext._products(keys[:n], new), nk - n
     parts = (re,) if real else (re, im)
-    c = [[0 if i is None else x[i] for x in parts for i in prods[r * w : r * w + w]] for r in range(n)]
-    b = _flat_block(functional, c, w)
+    c = [[0 if i is None else x[i] for x in parts for i in prods[r * nc : r * nc + nc]] for r in range(n)]
+    b = _flat_block(functional, c, nc)
     if b is None:
         if free_algebra:
             raise InternalInvariantError("range containment failed on a free *-algebra extension")
         raise ExtensionObstructed("extended C block left the range of A on this quiver")
 
-    # Every value over one denominator: den * s * scale, C^H X's.
+    # Every value over den * s, the denominator of C^H X: A X = s C over the
+    # base's den, and den is that times the odd system's scale.
     b, s = b
     s *= scale
     re = [x * s for x in re] + [0] * (len(star) - top)
     im = [x * s for x in im] + [0] * (len(star) - top)
-    for i, (x, y) in zip(ext._products(new, new), (linalg._entry(row, j, w) for row in b for j in range(w))):
+    for i, (x, y) in zip(ext._products(new, new), (linalg._entry(row, j, nc) for row in b for j in range(nc))):
         if i is not None:
             re[i], im[i] = x, y
         elif x or y:
@@ -159,7 +157,7 @@ def flat_extend_tip_maximal(
 def _flat_block(functional: TruncatedFunctional, c: list[list[int]], w: int) -> tuple[list[list[int]], int] | None:
     """C^H X and s > 0 with A X = s C, for A the image of B_{L_{k-1}}, or None if Ran C is not inside Ran A.
 
-    c holds the integer rows of C (w columns, the image's layout).  The pivot
+    c holds the integer rows of C (w columns, either layout).  The pivot
     columns P of the base's `_echelon` span Ran A, and A[P, P] is
     nonsingular (A is hermitian).  On PSD data A[P, P] Y = s C[P, :] is
     solved through the base's LDL^H pivots (`linalg._psd_solve`, on

@@ -40,6 +40,27 @@ def load_json(path) -> dict:
         raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
 
 
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def dumps_indented(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2), the same bytes, with every string through the C encoder.
+
+    `pad` is the line break and indent the value starts after.  Dicts (str
+    keys) and lists nest; each other leaf is `json.dumps` of it.
+    """
+    if type(value) is str:
+        return _ascii(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [_ascii(k) + ": " + (_ascii(v) if type(v) is str else dumps_indented(v, inner)) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_ascii(v) if type(v) is str else dumps_indented(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    return json.dumps(value)
+
+
 def _ctx(source: str | None) -> str:
     return f"{source}: " if source else ""
 

@@ -1010,7 +1010,7 @@ JSON_VALUES = st.recursive(
 def test_output_files_are_written_as_json_dumps_with_indent_2(value):
     # Nested lists and dicts, empty ones too, and every leaf a file can hold:
     # strings with control and non-ASCII characters, integers, null, booleans.
-    assert cli._indented(value, "\n") == json.dumps(value, indent=2)
+    assert fileio.dumps_indented(value) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
@@ -1039,7 +1039,7 @@ def test_each_writer_writes_the_bytes_of_json_dumps_with_indent_2(gaussian, tmp_
     assert any(not Scalar.parse(e["value"]).is_real() for e in dicts[0]["entries"]) == gaussian
     assert dicts[2]["reductions"] and dicts[7]["arrows"] == {} and dicts[7]["quiver"]["arrows"] == []
     for d in dicts:
-        assert cli._indented(d, "\n") == json.dumps(d, indent=2)
+        assert fileio.dumps_indented(d) == json.dumps(d, indent=2)
     # and through a command: the file `extend -o` writes
     opath = tmp_path / "ext.json"
     fpath = write(tmp_path, "f.json", fileio.functional_to_dict(pd_functional(double, 1, True, random.Random(2))))
