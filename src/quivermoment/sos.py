@@ -11,8 +11,9 @@ A Gram certificate runs on integers from the file to the output
 integer image, checked there to be hermitian.  The expansion
 sum gram[i][j] p_i q_j* is summed on the image and compared with the
 target's numerators first; only a gram that matches is pivoted, once, and
-that pivoting decides PSD and gives the squares (`_squares`).  `expand_gram`, `gram_pivots`, `verify_gram` and
-`gram_to_squares` are adapters over the same core.
+that pivoting decides PSD and gives the squares (`_squares`).
+`expand_gram`, `gram_pivots`, `verify_gram` and `gram_to_squares` are
+adapters over the same core.
 """
 
 from __future__ import annotations
@@ -111,9 +112,8 @@ def _certify(target: Numerators, basis: list[Path], gram: Matrix, d: int | None)
     In this order: the gram's integer image must be hermitian (else
     `InputError`), the basis must keep the degree bound, the expansion must
     equal the target, and only then is the gram pivoted, which decides PSD.
-    A gram whose size is not the basis's, or an empty basis, is pivoted
-    first, as before a comparison: `_expansion` refuses it, but a false PSD
-    verdict comes first.
+    `_expansion` refuses a gram whose size is not the basis's, or an empty
+    basis, and only once the gram is pivoted PSD: a false verdict comes first.
     """
     rows, den = gram._integers()
     if gram.rows != gram.cols or not linalg._hermitian(rows):
@@ -122,25 +122,17 @@ def _certify(target: Numerators, basis: list[Path], gram: Matrix, d: int | None)
         for p in basis:
             if p.length() > d:
                 raise InputError(f"basis path {p} exceeds the degree bound {d}")
-    shaped = gram.rows == len(basis) and basis  # else `_expansion` refuses, after a false PSD verdict
-    if shaped and not _matches(_expansion(basis, gram), target):
-        return None
+    shaped = gram.rows == len(basis) and basis
+    if shaped:
+        (terms, den_x), (want, wden) = _expansion(basis, gram), target
+        if terms.keys() != want.keys() or any(
+            re * wden != want[p][0] * den_x or im * wden != want[p][1] * den_x for p, (re, im) in terms.items()
+        ):
+            return None
     pivots = linalg._image_psd(rows, den)
     if pivots is not None and not shaped:
         _expansion(basis, gram)  # raises
     return pivots
-
-
-def _matches(expansion: Numerators, target: Numerators) -> bool:
-    """Whether two combinations of paths, as numerators over their denominators, are equal."""
-    (terms, den), (want, wden) = expansion, target
-    if terms.keys() != want.keys():
-        return False
-    for p, (re, im) in terms.items():
-        wre, wim = want[p]
-        if re * wden != wre * den or im * wden != wim * den:
-            return False
-    return True
 
 
 def _squares(basis: list[Path], pivots) -> list[tuple]:
