@@ -563,8 +563,10 @@ def scalar_flat_extend_tip_maximal(
     is built in full on real data too and solved by `linalg_oracle.solve_particular`;
     the top block is C^H X with X from one more `solve_particular`, formed as
     a `Matrix` product; the values go through the `Path`-keyed constructor.
-    Same checks, in the same order, with the same errors; neither route
-    pivots its result, whose flatness the comparison test checks.
+    Same checks, in the same order, with the same errors.  Its result is
+    then pivoted once more and refused if not flat, a check the integer
+    route does without: there A X = C is certified, which makes the result
+    flat (Šmul'jan 1959).
     """
     free_algebra = functional.double.n_vertices() == 1
     if not free_algebra and not allow_general_quiver:
@@ -651,7 +653,12 @@ def scalar_flat_extend_tip_maximal(
                 continue
             values[word] = b.entry(i, j)
 
-    return TruncatedFunctional(double, k, values, functional.include_trivial, order)
+    extended = TruncatedFunctional(double, k, values, functional.include_trivial, order)
+    if not extended.is_flat().flat:
+        if free_algebra:
+            raise InternalInvariantError("one-step extension produced a non-flat functional")
+        raise ExtensionObstructed("one-step extension is not flat on this quiver")
+    return extended
 
 
 # -- normal forms on `Scalar` before the integer fold ----------------------------

@@ -9,6 +9,7 @@ from quivermoment import (
     Element,
     ExtensionObstructed,
     FlatExtension,
+    FlatReport,
     InputError,
     InternalInvariantError,
     Matrix,
@@ -272,11 +273,6 @@ def test_one_step_extension_matches_the_scalar_route(name, complex_, data):
         assert ext.is_psd() == base.is_psd()
 
 
-@pytest.fixture(params=["integer", "scalar"])
-def extend_route(request):
-    return flat_extend_tip_maximal if request.param == "integer" else scalar_flat_extend_tip_maximal
-
-
 def force_range_failure(monkeypatch):
     """Make the Schur step of both routes find Ran C outside Ran A."""
     monkeypatch.setattr(extension, "_flat_block", lambda *args: None)
@@ -297,6 +293,13 @@ def force_nonzero_top(monkeypatch):
     monkeypatch.setattr(linalg_oracle, "product", lambda a, b: Matrix(a.rows, b.cols, [ONE] * (a.rows * b.cols)))
 
 
+def force_not_flat(monkeypatch):
+    """Make the `Scalar` route's closing pivoting find its result not flat."""
+    monkeypatch.setattr(TruncatedFunctional, "is_flat", lambda self: FlatReport(False, 1, 0, True))
+
+
+EXTEND_ROUTES = {"integer": flat_extend_tip_maximal, "scalar": scalar_flat_extend_tip_maximal}
+
 # A seeded search over 3000 random quivers (1-3 vertices, 1-3 arrows), path
 # orders and real or Gaussian bases (states of every rank, random hermitian
 # values) reached none of these guards.  Once the odd system is solved,
@@ -304,22 +307,31 @@ def force_nonzero_top(monkeypatch):
 # Ran C <= Ran A; and A and C vanish off the blocks of paths with a common
 # terminal vertex, so C^H X vanishes wherever u v* = 0.  The guards are
 # reached here by forcing the Schur step (`extension._flat_block`).  Once
-# A X = C holds the result is flat, so no flatness guard follows them:
-# `test_one_step_extension_matches_the_scalar_route` checks every result.
+# A X = C holds the result is flat, so the integer route has no flatness
+# guard after them: `test_one_step_extension_matches_the_scalar_route`
+# checks every result.  The `Scalar` route keeps its closing pivoting,
+# reached by forcing `is_flat`.
+GUARDS = [
+    (force_range_failure, "a2", ExtensionObstructed, "extended C block left the range of A on this quiver"),
+    (force_range_failure, "loop", InternalInvariantError, "range containment failed on a free *-algebra extension"),
+    (force_nonzero_top, "a2", ExtensionObstructed, "Schur completion forces a nonzero value on a zero product"),
+]
+SCALAR_GUARDS = [
+    (force_not_flat, "a2", ExtensionObstructed, "one-step extension is not flat on this quiver"),
+    (force_not_flat, "loop", InternalInvariantError, "one-step extension produced a non-flat functional"),
+]
+
+
 @pytest.mark.parametrize(
-    "force, shape, error, message",
-    [
-        (force_range_failure, "a2", ExtensionObstructed, "extended C block left the range of A on this quiver"),
-        (force_range_failure, "loop", InternalInvariantError, "range containment failed on a free *-algebra extension"),
-        (force_nonzero_top, "a2", ExtensionObstructed, "Schur completion forces a nonzero value on a zero product"),
-    ],
+    "route, force, shape, error, message",
+    [(route, *guard) for route in EXTEND_ROUTES for guard in GUARDS] + [("scalar", *guard) for guard in SCALAR_GUARDS],
 )
-def test_extension_guards(force, shape, error, message, extend_route, fix_l2, fix_loop, monkeypatch):
+def test_extension_guards(route, force, shape, error, message, fix_l2, fix_loop, monkeypatch):
     base = fix_l2 if shape == "a2" else pd_functional(fix_loop, 1, True, random.Random(19))
     base.kernel_basis()
     force(monkeypatch)
     with pytest.raises(error) as info:
-        extend_route(base, allow_general_quiver=True)
+        EXTEND_ROUTES[route](base, allow_general_quiver=True)
     assert str(info.value) == message
 
 
