@@ -1047,3 +1047,47 @@ def test_each_writer_writes_the_bytes_of_json_dumps_with_indent_2(gaussian, tmp_
     capsys.readouterr()
     data = json.loads(opath.read_text(encoding="utf-8"))
     assert opath.read_bytes() == (json.dumps(data, indent=2) + "\n").encode("utf-8")
+
+
+VERTEX_BLOCK_FIXTURES = ("fix_two_vertex", "fix_isolated_vertex", "fix_isolated_vertex_notrivial",
+                         "fix_two_vertex_nonpsd", "fix_two_vertex_tipmax")
+VERTEX_BLOCK_COMMANDS = ("moment flat", "moment psd", "moment rank", "moment tipmax", "kernel",
+                         "groebner --trace --from-kernel", "gns build", "extend --tip-maximal --general-quiver",
+                         "evaluate")
+
+
+def test_vertex_blocks_reproduce_the_committed_outputs(tmp_path, capsys, monkeypatch):
+    # CI replays these calls without site-packages, with the same relative
+    # input paths, which the refusals name.  Multi-vertex functionals: the
+    # flat_gns two-vertex shape (k = 3, blocks of 57 and 35 paths), a
+    # three-vertex quiver whose isolated vertex has state dimension 0 (e:e3
+    # is a kernel tip) and its copy without trivial paths (the e3 block is
+    # empty), a Gaussian two-vertex functional that is not PSD (flat, a
+    # negative e:e2) and a tip-maximal Gaussian two-vertex base.  The
+    # expected stdout, stderr, exit codes and -o files were written when
+    # B_{L_k} was gathered and pivoted whole; an -o command's "written" line
+    # names a temporary path and is not logged.
+    root = FsPath(__file__).parent.parent
+    fixtures = root / "tests" / "fixtures"
+    monkeypatch.chdir(root)
+    stdout, stderr = [], []
+    for name in VERTEX_BLOCK_FIXTURES:
+        fpath = f"tests/fixtures/{name}.json"
+        word = "x y y y x*" if name.startswith("fix_isolated_vertex") else "x y z x y z x y"
+        for cmd in VERTEX_BLOCK_COMMANDS:
+            argv = [*cmd.split(), fpath]
+            if cmd == "evaluate":
+                argv = ["evaluate", "--functional", fpath, "--path", word]
+            elif cmd.split()[0] in ("kernel", "groebner", "gns", "extend"):
+                argv += ["-o", str(tmp_path / f"{name}_{argv[0]}.json")]
+            code = main(argv)
+            captured = capsys.readouterr()
+            out = "".join(line for line in captured.out.splitlines(True) if not line.startswith('{"written": '))
+            stdout.append(f"{out}{cmd} {name} exit code: {code}\n")
+            stderr.append(captured.err)
+    assert "".join(stdout) == (fixtures / "vertex_blocks_stdout.txt").read_text(encoding="utf-8")
+    assert "".join(stderr) == (fixtures / "vertex_blocks_stderr.txt").read_text(encoding="utf-8")
+    pinned = sorted(p.name for p in (fixtures / "vertex_blocks").iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == pinned
+    for name in pinned:
+        assert (tmp_path / name).read_bytes() == (fixtures / "vertex_blocks" / name).read_bytes(), name
