@@ -1,9 +1,9 @@
 """Command-line orchestration.
 
 Exit codes: 0 for pass/true verdicts, 1 for false verdicts (including
-obstructed extensions), 2 for input errors, 3 for internal invariant
-failures and any other internal error (one line on stderr, no
-traceback).  All numeric output uses the exact scalar grammar.
+obstructed extensions), 2 for input errors (an output that cannot be
+written among them, stdout included), 3 for internal invariant failures
+and any other internal error (one line on stderr, no traceback).  All numeric output uses the exact scalar grammar.
 
 Importing this module loads only what parsing the arguments needs and
 `errors`.  Each command imports the modules it runs when it is called:
@@ -378,10 +378,16 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (NotFlatError, ExtensionObstructed) as e:
-        _emit({"error": str(e)})
-        return 1
+        try:
+            code = args.func(args)
+        except (NotFlatError, ExtensionObstructed) as e:
+            _emit({"error": str(e)})
+            code = 1
+        sys.stdout.flush()  # a stdout nobody reads fails here, not at exit
+        return code
+    except BrokenPipeError as e:  # as an -o file that cannot be written
+        print(f"error: stdout: {e}", file=sys.stderr)
+        return 2
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -395,4 +401,11 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # reported by main; what is still buffered goes nowhere at exit
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -160,26 +160,25 @@ def _flat_block(functional: TruncatedFunctional, c: list[list[int]], w: int) -> 
     c holds the integer rows of C (w columns, either layout).  The pivot
     columns P of the base's `_echelon` span Ran A, and A[P, P] is
     nonsingular (A is hermitian).  On PSD data A[P, P] Y = s C[P, :] is
-    solved through the base's LDL^H pivots (`linalg._psd_solve`, on
-    conjugates), otherwise by one elimination of [A[P, P] | C[P, :]]
-    (`linalg._solve`).  The product A[:, P] Y = s C over every row of A
+    solved through the base's LDL^H pivots, block by block
+    (`TruncatedFunctional._psd_solve`, on conjugates), otherwise by one
+    elimination of [A[P, P] | C[P, :]] (`linalg._solve`).  A[:, P] is read
+    off the base's blocks.  The product A[:, P] Y = s C over every row of A
     certifies Y: then X = Y on P and 0 elsewhere solves A X = s C, and
     C^H X = C[P, :]^H Y, whichever solution X is.
     """
-    rows, _ = functional._image
-    n, at = len(rows), functional._echelon[0]
+    at = functional._echelon[0]
+    r, a = len(at), functional._entries(range(functional._end(functional.k)), at)
     # C is Gaussian when some odd value is, though A may be real without trivial paths
     real = not c or len(c[0]) == w
-    cols = at if real else at + [n + p for p in at]
-    if not real and len(rows[0]) == n:
-        rows = [row + [0] * n for row in rows]
-    a, cp = [[row[p] for p in cols] for row in rows], [c[p] for p in at]
+    if real or functional._real:
+        a = [row[:r] if real else row + [0] * r for row in a]
+    cp = [c[p] for p in at]
     if functional._ldlh is not None:
         conj = cp if real else [row[:w] + [-x for x in row[w:]] for row in cp]
-        y, s = linalg._psd_solve(functional._ldlh, at, conj, w)
+        y, s = functional._psd_solve(at, conj, w)
         y = y if real else [row[:w] + [-x for x in row[w:]] for row in y]
     else:
-        r = len(at)
         solved = linalg._solve([x[:r] + cx[:w] + x[r:] + cx[w:] for x, cx in zip((a[p] for p in at), cp)], r, r + w)
         if solved is None:
             return None

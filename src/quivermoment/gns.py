@@ -110,7 +110,7 @@ def build_representation(functional: TruncatedFunctional) -> Representation:
     basis = tuple(p for p in functional.basis(functional.k - 1) if not gb.reducible(p))
     # The LDL^H pivots of B_{L_k} that decided PSD index a positive definite
     # principal submatrix of rank_k paths, which is the gram (`principal`).
-    pivots = [p for p, *_ in functional._ldlh]
+    pivots = functional._pivots
     window = functional.basis(functional.k)
     if basis != tuple(window[p] for p in pivots):
         raise InternalInvariantError("coset basis differs from the pivot paths of the moment matrix")
@@ -234,9 +234,10 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     row of Q_b^T at u is the image row at r_u b, read at P, and L(r_i*) is
     the image row at the trivial path at r_i's end, read at P_i.  The gram
     is B_{L_{d+1}} at P (`principal`).  Every system is a substitution
-    through the LDL^H pivots that decided PSD (`linalg._psd_solve`): those
-    of P factor F, and those of K factor F[K,K], since a pivot at another
-    vertex has a zero column on K and the reps of length d+1 come after K.
+    through the LDL^H pivots that decided PSD, block by block
+    (`TruncatedFunctional._psd_solve`): those of P factor F, and those of K
+    factor F[K,K], since K lies in one vertex's block and the reps of length
+    d+1 come after K.
     Nothing is eliminated, and only the results become `Scalar`s.
     """
     if not functional.include_trivial:
@@ -244,20 +245,18 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     if not functional.is_psd():
         raise InputError("compress_representation requires a PSD functional")
     double = functional.double
-    image, _ = functional._image
-    size = len(image)
-    real = not image or len(image[0]) == size
-    pivots = functional._ldlh
-    pos = [p for p, *_ in pivots]  # P, the window positions of the reps
+    real = functional._real
+    pos = functional._pivots  # P, the window positions of the reps
     window = functional.basis(functional.k)
     basis = tuple(window[p] for p in pos)
     n = len(basis)
 
-    def row(*blocks) -> list[int]:
-        """One integer row in the image's layout: per block (i, cols, sign), image row i
+    def row(*parts) -> list[int]:
+        """One integer row in the image's layout: per part (i, cols, sign), image row i
         at window positions cols, its imaginary parts times sign."""
-        re = [image[i][c] for i, cols, _ in blocks for c in cols]
-        return re if real else re + [sign * image[i][size + c] for i, cols, sign in blocks for c in cols]
+        read = [(functional._entries([i], cols)[0], len(cols), sign) for i, cols, sign in parts]
+        re = [x for entries, c, _ in read for x in entries[:c]]
+        return re if real else re + [sign * x for entries, c, sign in read for x in entries[c:]]
 
     arrows: dict[str, Matrix] = {}
     kept = []  # (name, first column of Q_b in the solve of F, S_b, its denominator) per arrow with nonempty K
@@ -271,7 +270,7 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
         at = [functional._index((None, basis[u].letters + b.letters)) for u in k_idx]
         # F[K,K] X = [F[K,:] | conj(Q_b^T)] with F = conj(image) at P x P: X = [S_b | F[K,K]^-1 Q_b^H]
         kk = [pos[u] for u in k_idx]
-        xs, sx = linalg._psd_solve(pivots, kk, [row((p, pos, -1), (j, pos, -1)) for p, j in zip(kk, at)], 2 * n)
+        xs, sx = functional._psd_solve(kk, [row((p, pos, -1), (j, pos, -1)) for p, j in zip(kk, at)], 2 * n)
         star = [[0] * (n if real else 2 * n) for _ in range(n)]
         for u, x in zip(k_idx, xs):
             star[u] = _cut(x, n, 2 * n, 2 * n)
@@ -281,7 +280,7 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     # F Y = [Q_b ... | unit]: Q_b[i][u] = L(r_u b r_i*), and the unit's entry i is L(r_i*)
     units = [functional._index((r.terminal(), ())) for r in basis]
     m = len(q_at) + 1
-    ys, sy = linalg._psd_solve(pivots, pos, [row(*((j, [p], 1) for j in q_at + [e])) for p, e in zip(pos, units)], m)
+    ys, sy = functional._psd_solve(pos, [row(*((j, [p], 1) for j in q_at + [e])) for p, e in zip(pos, units)], m)
     for name, c, s_b, sx in kept:
         y_b = [_cut(y, c, c + len(s_b), m) for y in ys]
         arrows[name] = linalg._matrix(linalg._product(y_b, s_b, n), sy * sx, n)
@@ -358,8 +357,9 @@ def check_relations(rep: Representation) -> RelationReport:
     identity = [[int(i == j) for j in range(len(row))] for i, row in enumerate(psum)]
     report.record("vertex projections sum to identity", linalg._equal(psum, den, identity, 1))
 
-    hermitian = rep.gram.rows == rep.gram.cols and linalg._hermitian(gram[0])
-    psd = hermitian and linalg._image_psd(*gram) is not None
+    tri = linalg._upper(gram[0]) if rep.gram.rows == rep.gram.cols else None
+    hermitian = tri is not None
+    psd = hermitian and linalg._image_psd(tri, gram[1]) is not None
     report.record("gram hermitian", hermitian)
     report.record("gram PSD", psd)
     named = {name: image for (name, *_), image in zip(gens, images)}  # letters come after the vertices

@@ -36,9 +36,9 @@ Positive semidefiniteness is decided by LDL^H diagonal pivoting in index
 order (`_image_psd`) on the upper triangle of the rows still active, each
 later row of a Schur complement one list comprehension divided exactly by
 the previous pivot.  A pivot is handed out as its index, its weight, its
-diagonal and its column at the indices still active.  The image is trusted
-to be hermitian: a functional's is by construction, and a gram from a file
-is checked on its integers first (`_hermitian`, in `_psd_pivots`).  The
+diagonal and its column at the indices still active.  The triangle is
+trusted to be hermitian: a functional's blocks are by construction, and a
+gram from a file is checked on its integers as it is read (`_upper`).  The
 pivots also solve: a system on pivot indices is swept forward with the
 Bareiss step and solved back through the pivot rows (`_psd_solve`), and the
 kernel of a PSD image is the back substitution of the dropped indices
@@ -575,32 +575,35 @@ def _solve(rows: list[list[int]], n: int, ncols: int) -> tuple[list[int], list[l
 # -- PSD pivoting ------------------------------------------------------------------------
 
 
-def _hermitian(rows: list[list[int]]) -> bool:
-    """True iff the square integer image (either layout) is hermitian."""
+def _upper(rows: list[list[int]]) -> list[list[list[int]]] | None:
+    """The upper triangle of a square integer image (either layout), as `_image_psd` reads it, or None
+    unless the image is hermitian: each row from its diagonal rightwards, real parts, then imaginary ones."""
     n = len(rows)
     re = [row[:n] for row in rows]
     im = [row[n:] for row in rows] if rows and len(rows[0]) > n else []
-    return re == [list(col) for col in zip(*re)] and im == [[-x for x in col] for col in zip(*im)]
+    if re != [list(col) for col in zip(*re)] or im != [[-x for x in col] for col in zip(*im)]:
+        return None
+    return [[row[i:] for i, row in enumerate(part)] for part in ([re, im] if im else [re])]
 
 
 def _psd_pivots(m: Matrix):
     """`_image_psd` of a matrix from a file; ValueError unless its integer image is hermitian."""
     rows, den = _image(m)
-    if m.rows != m.cols or not _hermitian(rows):
+    if m.rows != m.cols or (tri := _upper(rows)) is None:
         raise ValueError("matrix is not hermitian")
-    return _image_psd(rows, den)
+    return _image_psd(tri, den)
 
 
-def _image_psd(rows: list[list[int]], den: int):
-    """LDL^H pivots of the hermitian matrix rows / den, from its integer image (see `_image`), or None.
+def _image_psd(tri: list[list[list[int]]], den: int):
+    """LDL^H pivots of a hermitian matrix over den, from the upper triangle of its integer image, or None.
 
-    Only the upper triangle of the image is read, and the image is not
-    changed; callers that do not build it hermitian check it first.
-    The matrix S still to be pivoted, (re + i im) / scale on the active
-    indices, is held compacted as an upper triangle: each active row from
-    its diagonal rightwards.  A negative diagonal refutes; a zero one
-    refutes if its row or its column in the rows above is nonzero and is
-    dropped otherwise, and once every diagonal is zero what is left decides.
+    `tri` holds the real parts, and the imaginary parts if the matrix has
+    any, each row from its diagonal rightwards (see `_upper`); it is not
+    changed.  The matrix S still to be pivoted, (re + i im) / scale on the
+    active indices, is held so compacted.  A negative diagonal refutes; a
+    zero one refutes if its row or its column in the rows above is nonzero
+    and is dropped otherwise, and once every diagonal is zero what is left
+    decides.
     The first active row p, with diagonal d, is pivoted out: each later row
     i becomes d*S[i][j] - conj(S[p][i])*S[p][j], one list comprehension per
     row and part, divided exactly by the previous d (Bareiss 1968: every
@@ -611,13 +614,9 @@ def _image_psd(rows: list[list[int]], den: int):
     them, cr[t] + i ci[t] at active[t].  The LDL^H vector is 1 at p, that
     column over d at `active` and zero elsewhere.
     """
-    n = len(rows)
-    real = not rows or len(rows[0]) == n
-    tri = [[row[i:n] for i, row in enumerate(rows)]]
-    if not real:
-        tri.append([row[n + i :] for i, row in enumerate(rows)])
+    real = len(tri) == 1
     scale, prev = Fraction(den), 1
-    active = list(range(n))
+    active = list(range(len(tri[0])))
     out = []
     while active:
         diag = [row[0] for row in tri[0]]

@@ -11,13 +11,26 @@ code of each letter word and the position of each path's star
 (`quiver.window_layers`); the loader alone asks for the window's texts.
 (vertex, letters) keys are built for V_k, the part of the window B_{L_k}
 reads; the keys and `Path`s of the whole window are built only when asked
-for.  B_{L_k} is gathered once from those numerators by window position,
-as an integer image, and every matrix a functional hands out is read off
-it (`principal`); a `Scalar` is built only for a value or a matrix asked
-for by a caller.  One LDL^H pivoting of the image decides PSD and gives
-the flatness report, the rank, tip-maximality and the echelon kernel, held
-as integer numerators until `kernel_basis()` builds `Element`s; only data
-that is not PSD takes one echelon form, with V_{k-1} first.
+for.
+
+The trivial paths are orthogonal idempotents, so L(p q*) = 0 unless p and
+q end at the same vertex: grouped by terminal vertex (e_v ends at v, a
+word at the target of its last letter), V_k splits into blocks, each in
+window order, and B_{L_k} is the direct sum of its principal submatrices
+at the blocks.  Each nonempty block is gathered once from the numerators
+by window position, as the upper triangle of an integer image (the values
+are closed under the star, so the block is hermitian), and pivoted on its
+own.  The verdicts combine: B_{L_k} is PSD iff every block is, its rank is
+the sum of theirs, and it is flat or tip-maximal iff every block is.  The
+pivots merge back into window order; the kernel is per block, each
+element within the block of its tip.  Full rows are rebuilt from the
+triangles for the readers that need them: every matrix a functional hands
+out is read off them (`principal`), and a `Scalar` is built only for a
+value or a matrix asked for by a caller.  The LDL^H pivoting decides PSD
+and gives the flatness report, the rank, tip-maximality and the echelon
+kernel, held as integer numerators until `kernel_basis()` builds
+`Element`s; only data that is not PSD takes one echelon form of the whole
+matrix, with V_{k-1} first.
 """
 
 from __future__ import annotations
@@ -46,8 +59,10 @@ class TruncatedFunctional:
     asked for.  Its values are held in window order as numerators `_re`,
     `_im` over one denominator `_den`, with no factor common to all of them;
     `Path` objects and `Scalar` values are built only for what is asked for.
-    Its integer image of B_{L_k} and the one pivoting (or, off PSD data,
-    echelon form) its verdicts and its kernel read are computed once.
+    Its integer image of B_{L_k}, one upper triangle per terminal-vertex
+    block (`_blocks`, `_image`), and the pivoting of each block (or, off PSD
+    data, the echelon form) its verdicts and its kernel read are computed
+    once.
     """
 
     def __init__(
@@ -212,18 +227,31 @@ class TruncatedFunctional:
         """The number of window paths of length <= t, for t >= 0."""
         return self._ends[min(t, len(self._ends) - 1)]
 
-    def _gather(self, rows: list[Key], cols: list[Key]) -> tuple[list[int], list[int]]:
-        """The numerators (re, im) of L(p q*) over row keys p and column keys q, row-major."""
-        at = self._products(rows, cols, -1)  # position -1 reads the appended zero
-        return list(map((self._re + [0]).__getitem__, at)), list(map((self._im + [0]).__getitem__, at))
+    def _gather(self, keys: list[Key]) -> list[list[list[int]]]:
+        """The numerators of L(p q*) over the keys of one block, as its upper triangle.
 
-    def _products(self, rows: list[Key], cols: list[Key], zero=None) -> list:
+        The real parts, then the imaginary parts (see `linalg._upper`): row
+        r holds L(p_r q*) for q the keys from the r-th on.
+        """
+        at = self._products(keys, keys, upper=True)
+        rows = []
+        for values in (self._re, self._im):
+            flat, o, part = list(map(values.__getitem__, at)), 0, []
+            for m in range(len(keys), 0, -1):
+                part.append(flat[o : o + m])
+                o += m
+            rows.append(part)
+        return rows
+
+    def _products(self, rows: list[Key], cols: list[Key], zero=None, upper=False) -> list:
         """The window position of p q* over row keys p and column keys q, row-major.
 
         p q* is a path iff p and q end at the same vertex, and `zero`
         otherwise.  Only the window is read, not the values: a letter word
         p q* is found by its code, code(p) * base ** len(q*) + code(q*).
         Every product asked for has length <= 2k, so it is in the window.
+        With `upper`, rows and cols are the keys of one block, which end at
+        one vertex, and row r is read from column r on.
         """
         double, at, trivial = self.double, self._at.__getitem__, self._trivial.__getitem__
         target, star_word = double.target, double.star_word
@@ -231,22 +259,39 @@ class TruncatedFunctional:
         stars = [(target[w[-1]], self._base ** len(w), self._code(star_word(w))) if w else (v, 1, 0) for v, w in cols]
         out = []
         try:
-            for v, word in rows:
-                if word:
+            for r, (v, word) in enumerate(rows):
+                if upper and word:
+                    c = self._code(word)
+                    out += [at(c * m + s) for _, m, s in stars[r:]]
+                elif word:
                     end, c = target[word[-1]], self._code(word)
                     out += [at(c * m + s) if t == end else zero for t, m, s in stars]
                 else:  # e_v q* is q*, and e_v for q = e_v
-                    out += [(at(s) if s else trivial(v)) if t == v else zero for t, _, s in stars]
+                    out += [(at(s) if s else trivial(v)) if t == v else zero for t, _, s in stars[r if upper else 0 :]]
         except KeyError:
             raise InternalInvariantError("a moment product left the window") from None
         return out
 
     def principal(self, at) -> Matrix:
         """B_{L_k} at the window positions `at`, as rows and as columns, read off the integer image."""
-        rows, den = self._image
-        n, at = len(rows), list(at)
-        cols = at if not rows or len(rows[0]) == n else at + [n + c for c in at]  # the real parts, then the imaginary
-        return linalg._matrix([[rows[i][c] for c in cols] for i in at], den, len(at))
+        at = list(at)
+        return linalg._matrix(self._entries(at, at), self._image[1], len(at))
+
+    def _entries(self, rows, cols) -> list[list[int]]:
+        """The image of B_{L_k} at window positions rows x cols, as integer rows in its layout (see `linalg._image`).
+
+        An entry is read off its block's rows (`_full`), and is zero between
+        blocks.
+        """
+        full, where, real = self._full, self._where, self._real
+        cols = [where[c] for c in cols]
+        out = []
+        for i in rows:
+            b, r = where[i]
+            row, m = full[b][r], len(self._blocks[b])
+            re = [row[s] if c == b else 0 for c, s in cols]
+            out.append(re if real else re + [row[m + s] if c == b else 0 for c, s in cols])
+        return out
 
     def moment_matrix(self, t: int | None = None) -> MomentMatrix:
         """B_{L_t}: the order-k matrix for t = k, its top-left corner for t < k."""
@@ -268,71 +313,129 @@ class TruncatedFunctional:
         return list(self._kernel)
 
     @cached_property
-    def _image(self) -> tuple[list[list[int]], int]:
-        """B_{L_k} times the values' denominator, as integer rows, and that denominator.
+    def _blocks(self) -> list[list[int]]:
+        """The positions of V_k grouped by terminal vertex, each group in window order.
 
-        The numerators are gathered by window position.  The echelon form
-        and the PSD verdict read the rows; see `linalg._image` for the
-        layout, real unless some entry is non-real.
+        e_v ends at v and a word at the target of its last letter.  L(p q*)
+        is zero unless p and q end at one vertex, so B_{L_k} is the direct
+        sum of its principal submatrices at the groups.  Only nonempty
+        groups are kept, in the order of their first positions.
         """
-        n = self._end(self.k)
-        keys = self._keys[:n]
-        re, im = self._gather(keys, keys)
-        if any(im):
-            return [re[i * n : (i + 1) * n] + im[i * n : (i + 1) * n] for i in range(n)], self._den
-        return [re[i * n : (i + 1) * n] for i in range(n)], self._den
+        target, groups = self.double.target, {}
+        for i, (v, word) in enumerate(self._keys[: self._end(self.k)]):
+            groups.setdefault(target[word[-1]] if word else v, []).append(i)
+        return list(groups.values())
+
+    @cached_property
+    def _where(self) -> list[tuple[int, int]]:
+        """Per position of V_k, its block and its index in the block."""
+        where = [(0, 0)] * self._end(self.k)
+        for b, block in enumerate(self._blocks):
+            for r, i in enumerate(block):
+                where[i] = (b, r)
+        return where
+
+    @cached_property
+    def _image(self) -> tuple[list[list[list[list[int]]]], int]:
+        """Per block, B_{L_k} there times the values' denominator, as its upper triangle; and that denominator.
+
+        Each block is gathered once, its upper triangle only (`_gather`).
+        The triangles hold imaginary parts iff some entry is non-real, in
+        every block alike; `linalg._image_psd` pivots them as they are.
+        """
+        tris = [self._gather([self._keys[i] for i in block]) for block in self._blocks]
+        if not any(any(map(any, im)) for _, im in tris):
+            tris = [[re] for re, _ in tris]
+        return tris, self._den
+
+    @cached_property
+    def _real(self) -> bool:
+        """Whether the image is held without imaginary parts."""
+        return all(len(tri) == 1 for tri in self._image[0])
+
+    @cached_property
+    def _full(self) -> list[list[list[int]]]:
+        """Per block, its image as full integer rows in the layout of `linalg._image`.
+
+        Row r is the block's column r above the diagonal, conjugated, then
+        its row r of the triangle.
+        """
+        out = []
+        for tri in self._image[0]:
+            re, *im = ([[0] * r + row for r, row in enumerate(part)] for part in tri)
+            rows = [[*col[:r], *row[r:]] for r, (col, row) in enumerate(zip(zip(*re), re))]
+            if im:
+                rows = [x + [-y for y in col[:r]] + row[r:] for r, (x, col, row) in enumerate(zip(rows, zip(*im[0]), im[0]))]
+            out.append(rows)
+        return out
 
     def first_pairing(self, terms: dict[Key, tuple[int, int]]) -> int | None:
         """The first position j of V_k with L(g q_j*) != 0, or None.
 
         g is given by numerators {key: (re, im)} over any denominator, on
         V_k.  Its pairings are the combination of the image's rows at its
-        support: row p of B_{L_k} holds L(p q*) over the window paths q.
+        support: row p of B_{L_k} holds L(p q*) over the window paths q,
+        nonzero only in the block of p.  A kernel element ends at one vertex
+        (it is right uniform), so its rows lie in one block.
         """
-        rows, _ = self._image
-        n = len(rows)
-        if rows and len(rows[0]) == n and not any(ci for _, ci in terms.values()):  # one product per entry
-            acc = [0] * n
-            for key, (cr, _) in terms.items():
-                acc = [s + cr * x for s, x in zip(acc, rows[self._index(key)])]
-            return next((j for j, s in enumerate(acc) if s), None)
-        re, im = [0] * n, [0] * n
+        full, where, blocks = self._full, self._where, self._blocks
+        plain = self._real and not any(ci for _, ci in terms.values())  # one product per entry
+        sums: dict[int, tuple[list[int], list[int]]] = {}  # per block, the pairings' (re, im)
         for key, (cr, ci) in terms.items():
-            row = rows[self._index(key)]
-            br, bi = row[:n], row[n:] or [0] * n  # a real image has no imaginary parts
-            re = [s + cr * x - ci * y for s, x, y in zip(re, br, bi)]
-            im = [s + ci * x + cr * y for s, x, y in zip(im, br, bi)]
-        return next((j for j in range(n) if re[j] or im[j]), None)
+            b, r = where[self._index(key)]
+            row, m = full[b][r], len(blocks[b])
+            re, im = sums.get(b) or ([0] * m, [0] * m)
+            if plain:
+                sums[b] = [s + cr * x for s, x in zip(re, row)], im
+                continue
+            br, bi = row[:m], row[m:] or [0] * m  # a real image has no imaginary parts
+            sums[b] = (
+                [s + cr * x - ci * y for s, x, y in zip(re, br, bi)],
+                [s + ci * x + cr * y for s, x, y in zip(im, br, bi)],
+            )
+        firsts = [next((blocks[b][j] for j, xy in enumerate(zip(re, im)) if any(xy)), None) for b, (re, im) in sums.items()]
+        return min((j for j in firsts if j is not None), default=None)
 
     @cached_property
     def _echelon(self) -> tuple[list[int], int, bool, list[tuple[dict[Key, tuple[int, int]], int]]]:
         """The pivot columns of B_{L_k}, rank B_{L_{k-1}}, whether Ran C <= Ran A, and the echelon kernel.
 
-        On PSD data they are read off the LDL^H pivots (`_ldlh`), which come
-        in window order: rank A counts those in V_{k-1}, and Ran C <= Ran A
-        holds for every PSD block matrix (Albert 1969).  Otherwise they come
-        from one elimination of conj(B_{L_k}) (`linalg._block_echelon`).
-        The kernel, per free column numerators {key: (re, im)} in window
-        order, its tip last, over one denominator (`linalg._null_terms`), is
-        checked exactly: conj(B_{L_k}) times the sum of its vectors is zero.
+        On PSD data they are read off the LDL^H pivots of the blocks
+        (`_ldlh`), merged into window order: rank A counts those in V_{k-1},
+        and Ran C <= Ran A holds for every PSD block matrix (Albert 1969).
+        Otherwise they come from one elimination of conj(B_{L_k}), its rows
+        rebuilt whole from the blocks (`linalg._block_echelon`).  The kernel,
+        per free column numerators {key: (re, im)} in window order, its tip
+        last, over one denominator (`linalg._null_terms`), is checked
+        exactly, block by block: conj(B_{L_k}) times the sum of its vectors
+        is zero.
         """
-        rows, _ = self._image
-        n, m = len(rows), self._end(self.k - 1)
-        conj = [row[:n] + [-x for x in row[n:]] for row in rows] if rows and len(rows[0]) > n else rows
+        n, m = self._end(self.k), self._end(self.k - 1)
+        blocks, real = self._blocks, self._real
         if self._ldlh is None:
+            conj = self._entries(range(n), range(n))
+            if not real:
+                conj = [row[:n] + [-x for x in row[n:]] for row in conj]
             top, pivots, rank_km1, range_ok = linalg._block_echelon(conj, m, n)
             null = linalg._null_terms(top, pivots, n)
         else:
-            pivots = [p for p, *_ in self._ldlh]
+            pivots = self._pivots
             rank_km1, range_ok = sum(p < m for p in pivots), True
-            null = linalg._psd_null_terms(self._ldlh, n)
+            null = sorted(
+                (([(block[c], v) for c, v in terms], den) for block, ldlh in zip(blocks, self._ldlh)
+                 for terms, den in linalg._psd_null_terms(ldlh, len(block))),
+                key=lambda vec: vec[0][-1][0],  # by tip, as the echelon form gives them
+            )
         total = [[0, 0] for _ in range(n)]
         for terms, _ in null:
             for c, (re, im) in terms:
                 total[c][0] += re
                 total[c][1] += im
-        if not linalg._annihilates(conj, total, n):
-            raise InternalInvariantError("the echelon kernel is not annihilated by the moment matrix")
+        for block, rows in zip(blocks, self._full):
+            w = len(block)
+            conj = rows if real else [row[:w] + [-x for x in row[w:]] for row in rows]
+            if not linalg._annihilates(conj, [total[i] for i in block], w):
+                raise InternalInvariantError("the echelon kernel is not annihilated by the moment matrix")
         keys = self._keys
         return pivots, rank_km1, range_ok, [({keys[c]: v for c, v in terms}, den) for terms, den in null]
 
@@ -378,14 +481,49 @@ class TruncatedFunctional:
         return self._ldlh is not None
 
     @cached_property
-    def _ldlh(self) -> list[tuple] | None:
-        """The integer LDL^H pivot data of B_{L_k} (`linalg._image_psd`), or None.
+    def _ldlh(self) -> list[list[tuple]] | None:
+        """Per block, the integer LDL^H pivot data of its triangle (`linalg._image_psd`), or None.
 
-        On PSD data an index is dropped with a zero diagonal iff its column lies
-        in the span of the columns pivoted before it: the pivots are the pivot
-        columns, the rest the kernel tips.
+        None unless every block is PSD; the pivot indices are the block's
+        own.  On PSD data an index is dropped with a zero diagonal iff its
+        column lies in the span of the columns pivoted before it: the pivots
+        are the pivot columns, the rest the kernel tips.
         """
-        return linalg._image_psd(*self._image)
+        tris, den = self._image
+        out = []
+        for tri in tris:
+            pivots = linalg._image_psd(tri, den)
+            if pivots is None:
+                return None
+            out.append(pivots)
+        return out
+
+    @cached_property
+    def _pivots(self) -> list[int]:
+        """The window positions of the LDL^H pivots of every block, in window order (PSD data only)."""
+        return sorted(block[p] for block, pivots in zip(self._blocks, self._ldlh) for p, *_ in pivots)
+
+    def _psd_solve(self, at: list[int], rhs: list[list[int]], ncols: int) -> tuple[list[list[int]], int]:
+        """s X and s > 0 for the solution X of conj(B_{L_k})[at, at] X = rhs, on PSD data.
+
+        `at` are pivot positions in window order, rhs one integer row per
+        position (see `linalg._psd_solve`).  The system is the direct sum
+        of its blocks' systems: each is solved through its own block's
+        pivots, and the solutions are brought to one s.
+        """
+        where, parts = self._where, {}
+        for t, p in enumerate(at):
+            parts.setdefault(where[p][0], []).append(t)
+        solved = [
+            (ts, *linalg._psd_solve(self._ldlh[b], [where[at[t]][1] for t in ts], [rhs[t] for t in ts], ncols))
+            for b, ts in parts.items()
+        ]
+        s = lcm(*(sb for *_, sb in solved))
+        out = [[]] * len(at)
+        for ts, xs, sb in solved:
+            for t, x in zip(ts, xs):
+                out[t] = x if sb == s else [s // sb * v for v in x]
+        return out, s
 
 
 class MomentMatrix(Record):

@@ -116,7 +116,7 @@ def _certify(target: Numerators, basis: list[Path], gram: Matrix, d: int | None)
     basis, and only once the gram is pivoted PSD: a false verdict comes first.
     """
     rows, den = gram._integers()
-    if gram.rows != gram.cols or not linalg._hermitian(rows):
+    if gram.rows != gram.cols or (tri := linalg._upper(rows)) is None:
         raise InputError("certificate gram must be hermitian")
     if d is not None:
         for p in basis:
@@ -129,7 +129,7 @@ def _certify(target: Numerators, basis: list[Path], gram: Matrix, d: int | None)
             re * wden != want[p][0] * den_x or im * wden != want[p][1] * den_x for p, (re, im) in terms.items()
         ):
             return None
-    pivots = linalg._image_psd(rows, den)
+    pivots = linalg._image_psd(tri, den)
     if pivots is not None and not shaped:
         _expansion(basis, gram)  # raises
     return pivots

@@ -391,7 +391,9 @@ def two_eliminations(functional) -> tuple[FlatReport, list[Element], bool]:
     flatness criteria must agree.  Tip-maximal iff every kernel tip has
     length k.
     """
-    rows, _ = functional._image
+    from oracles import whole_image
+
+    rows, _ = whole_image(functional)
     n = len(rows)
     conjugate = [row[:n] + [-x for x in row[n:]] for row in rows]
     vecs = null_vectors(conjugate, n)

@@ -92,7 +92,7 @@ def ldlh_psd(m: Matrix) -> list[tuple[Scalar, tuple[Scalar, ...]]] | None:
 
 def schur_complete(a: Matrix, c: Matrix) -> Matrix:
     """The flat bottom-right block C^H X with A X = C, for hermitian A."""
-    if a.rows != a.cols or not linalg._hermitian(linalg._image(a)[0]):
+    if a.rows != a.cols or linalg._upper(linalg._image(a)[0]) is None:
         raise ValueError("schur_complete requires a hermitian A")
     rows, den = _beside(a, c)
     n, ncols = a.cols, a.cols + c.cols

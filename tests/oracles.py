@@ -39,6 +39,11 @@
 * normal forms as they were before the integer fold: the `Scalar` tip table
   and the letter-by-letter `Scalar` fold through it;
 * the decimal text of an integer without int.__str__;
+* the whole-image route of B_{L_k}, before the vertex blocks: all n^2
+  entries gathered as whole rows, cross-vertex zeros included, one LDL^H
+  pivoting of the whole matrix (or one echelon form off PSD data), and the
+  readers of that image (principal submatrices, first pairings, solves
+  through the pivots);
 * `compress_representation` as it was before the closed form: coset reps
   from the RREF of the order-k matrix, one solve of the gram per path, and per
   arrow a completion of the kept cosets to a basis by their gram-orthogonal
@@ -884,6 +889,103 @@ def scalar_verdicts(matrix: Matrix, n_km1: int) -> tuple[FlatReport, bool, bool]
     tip_maximal = linalg_oracle.rank(matrix.block(0, n, 0, n_km1)) == n_km1
     report = FlatReport(rank_k == rank_km1, rank_k, rank_km1, range_ok)
     return report, linalg_oracle.psd_check(matrix), tip_maximal
+
+
+# -- the whole image of B_{L_k}, before the vertex blocks --------------------------
+
+
+@dataclass
+class WholeRoute:
+    """What the whole-image route decides: the PSD verdict, the pivot
+    columns in window order, each LDL^H pivot with its weight (PSD data
+    only), the flatness report, tip-maximality and the echelon kernel."""
+
+    psd: bool
+    pivots: list[int]
+    weights: list[tuple[int, Fraction]]
+    report: FlatReport
+    tip_maximal: bool
+    null: list[tuple[dict, int]]
+
+
+def whole_image(functional: TruncatedFunctional) -> tuple[list[list[int]], int]:
+    """B_{L_k} times the values' denominator as whole integer rows, and that
+    denominator, as the functional gathered it before its vertex blocks: all
+    n^2 products by window position, the zeros between vertices included;
+    real parts, then imaginary parts iff some entry is non-real."""
+    n = functional._end(functional.k)
+    keys = functional._keys[:n]
+    at = functional._products(keys, keys, -1)  # position -1 reads the appended zero
+    re = list(map((functional._re + [0]).__getitem__, at))
+    im = list(map((functional._im + [0]).__getitem__, at))
+    if any(im):
+        return [re[i * n : (i + 1) * n] + im[i * n : (i + 1) * n] for i in range(n)], functional._den
+    return [re[i * n : (i + 1) * n] for i in range(n)], functional._den
+
+
+def whole_ldlh(functional: TruncatedFunctional):
+    """The LDL^H pivots of the whole image, in window order, or None."""
+    rows, den = whole_image(functional)
+    return linalg._image_psd(linalg._upper(rows), den)
+
+
+def whole_route(functional: TruncatedFunctional) -> WholeRoute:
+    """The verdicts and the kernel off one pivoting of the whole image, or
+    off one echelon form of its conjugate when that is not PSD, the kernel
+    checked against the whole conjugate image."""
+    rows, _ = whole_image(functional)
+    n, m = len(rows), functional._end(functional.k - 1)
+    conj = [row[:n] + [-x for x in row[n:]] for row in rows] if rows and len(rows[0]) > n else rows
+    ldlh = whole_ldlh(functional)
+    if ldlh is None:
+        top, pivots, rank_km1, range_ok = linalg._block_echelon(conj, m, n)
+        null = linalg._null_terms(top, pivots, n)
+    else:
+        pivots = [p for p, *_ in ldlh]
+        rank_km1, range_ok = sum(p < m for p in pivots), True
+        null = linalg._psd_null_terms(ldlh, n)
+    total = [[0, 0] for _ in range(n)]
+    for terms, _ in null:
+        for c, (re, im) in terms:
+            total[c][0] += re
+            total[c][1] += im
+    assert linalg._annihilates(conj, total, n)
+    keys = functional._keys
+    return WholeRoute(
+        ldlh is not None,
+        pivots,
+        [(p, w) for p, w, *_ in ldlh or []],
+        FlatReport(len(pivots) == rank_km1, len(pivots), rank_km1, range_ok),
+        pivots[:m] == list(range(m)),
+        [({keys[c]: v for c, v in terms}, den) for terms, den in null],
+    )
+
+
+def whole_principal(functional: TruncatedFunctional, at) -> Matrix:
+    """B_{L_k} at the window positions `at`, read off the whole image."""
+    rows, den = whole_image(functional)
+    n, at = len(rows), list(at)
+    cols = at if not rows or len(rows[0]) == n else at + [n + c for c in at]
+    return linalg._matrix([[rows[i][c] for c in cols] for i in at], den, len(at))
+
+
+def whole_first_pairing(functional: TruncatedFunctional, terms: dict) -> int | None:
+    """The first position j of V_k with L(g q_j*) != 0, or None, for g given
+    by numerators {key: (re, im)}: the combination of whole image rows."""
+    rows, _ = whole_image(functional)
+    n = len(rows)
+    re, im = [0] * n, [0] * n
+    for key, (cr, ci) in terms.items():
+        row = rows[functional._index(key)]
+        br, bi = row[:n], row[n:] or [0] * n
+        re = [s + cr * x - ci * y for s, x, y in zip(re, br, bi)]
+        im = [s + ci * x + cr * y for s, x, y in zip(im, br, bi)]
+    return next((j for j in range(n) if re[j] or im[j]), None)
+
+
+def whole_psd_solve(functional: TruncatedFunctional, at: list[int], rhs: list[list[int]], ncols: int):
+    """`linalg._psd_solve` of conj(B_{L_k})[at, at] X = rhs through the whole image's pivots."""
+    return linalg._psd_solve(whole_ldlh(functional), at, rhs, ncols)
 
 
 # -- compression by basis completion ------------------------------------------

@@ -3,8 +3,8 @@
 The counts are of calls to the one Gauss-Jordan engine in `linalg` and to
 the LDL^H pivoting `linalg._image_psd`.  A fresh PSD functional's flatness
 report, rank, tip-maximality, kernel and PSD verdict all come from one
-pivoting of the integer image of B_{L_k}, with V_{k-1} first, and no
-elimination.  A functional that is not PSD has its pivoting refuted first;
+pivoting of the integer image of B_{L_k} per terminal-vertex block, in
+window order, and no elimination.  A functional that is not PSD has its pivoting refuted first;
 its verdicts and kernel then come from one echelon form: one elimination of
 its top rows [A | C] (rank A and range containment), then each lower row
 [C^H | B] reduced against those pivot rows.  A flat one's residuals are all
@@ -30,9 +30,10 @@ run on integer numerators: no `Element` product and no `Scalar` matrix
 product.
 
 A loaded functional gathers the integer image of its order-k moment matrix
-once, by window position, from the numerators it holds.  Every verdict and
-the kernel check read that image: no `Scalar` moment matrix is assembled,
-no `Matrix` is taken to integers and no `compose` is called.
+once, by window position, from the numerators it holds: per terminal-vertex
+block, its upper triangle, pivoted once per nonempty block.  Every verdict
+and the kernel check read that image: no `Scalar` moment matrix is
+assembled, no `Matrix` is taken to integers and no `compose` is called.
 """
 
 from __future__ import annotations
@@ -128,9 +129,9 @@ def test_non_psd_verdicts_pivot_then_eliminate(flat, pd_two_loops, monkeypatch):
         calls.append(("eliminate", ncols))
         return engine(rows, ncols)
 
-    def counted_psd(rows, den):
-        calls.append(("pivot", len(rows)))
-        return pivoting(rows, den)
+    def counted_psd(tri, den):
+        calls.append(("pivot", len(tri[0])))
+        return pivoting(tri, den)
 
     monkeypatch.setattr(linalg, "_gauss_jordan", counted)
     monkeypatch.setattr(linalg, "_image_psd", counted_psd)
@@ -171,13 +172,13 @@ def scalar_matrix_calls(monkeypatch):
 
 @pytest.fixture
 def psd_pivotings(monkeypatch):
-    """Calls of the PSD pivoting `linalg._image_psd`, with the size of each image."""
+    """Calls of the PSD pivoting `linalg._image_psd`, with the size of each triangle."""
     calls = []
     fn = linalg._image_psd
 
-    def counted(rows, den):
-        calls.append(len(rows))
-        return fn(rows, den)
+    def counted(tri, den):
+        calls.append(len(tri[0]))
+        return fn(tri, den)
 
     monkeypatch.setattr(linalg, "_image_psd", counted)
     return calls
@@ -224,10 +225,57 @@ def test_low_rank_image_pivots_once_per_rank(psd_pivotings):
     # tuples, at the pivot columns of the echelon form; every other index is
     # dropped with a zero diagonal, and those are the kernel tips.
     f = state_functional(TWO_LOOPS, 3, True, [3], random.Random(11))
-    pivots = f._ldlh
+    (pivots,) = f._ldlh  # one vertex, one block
     assert psd_pivotings == [85]
     assert [p for p, *_ in pivots] == f._echelon[0] == [0, 1, 2]
     assert {f._index(next(reversed(terms))) for terms, _ in f._null} == set(range(3, 85))
+
+
+@pytest.mark.parametrize(
+    "name, report, blocks",
+    [
+        # the flat_gns two-vertex shape: a rank-5 state (3 + 2) on x, y, z at
+        # k = 3, whose 92-path V_k ends 57 times at e1 and 35 times at e2
+        ("fix_two_vertex", moment.FlatReport(True, 5, 5, True), [57, 35]),
+        # an isolated vertex e3 of state dimension 0: its block is e:e3 alone,
+        # and without trivial paths it is empty and not pivoted at all; the
+        # first word, x, ends at e2, so the e2 block comes first there
+        ("fix_isolated_vertex", moment.FlatReport(True, 3, 3, True), [5, 11, 1]),
+        ("fix_isolated_vertex_notrivial", moment.FlatReport(True, 2, 2, True), [10, 4]),
+    ],
+)
+def test_multi_vertex_verdicts_gather_and_pivot_once_per_block(
+    name, report, blocks, eliminations, psd_pivotings, assemblies
+):
+    # Every verdict and the kernel of a PSD functional come from one gather
+    # and one pivoting per nonempty terminal-vertex block, in the order of
+    # the blocks' first window positions.
+    f = fileio.load_functional(FIXTURES / f"{name}.json")
+    assert f.is_flat() == report
+    assert len(f.kernel_basis()) == sum(blocks) - report.rank_k
+    assert f.is_psd() and not f.is_tip_maximal()
+    assert psd_pivotings == blocks
+    assert assemblies == [("gather", n) for n in blocks]
+    assert eliminations == []
+
+
+def test_two_vertex_gather_reads_each_block_upper_triangle(monkeypatch):
+    # The flat_gns two-vertex shape: the verdicts read the window positions of
+    # sum n_v (n_v + 1) / 2 products over its blocks of 57 and 35 paths, not
+    # the 92^2 of the whole image with its cross-vertex zeros.
+    read = []
+    products = TruncatedFunctional._products
+
+    def counted(self, *args, **kwargs):
+        out = products(self, *args, **kwargs)
+        read.append(len(out))
+        return out
+
+    monkeypatch.setattr(TruncatedFunctional, "_products", counted)
+    f = fileio.load_functional(FIXTURES / "fix_two_vertex.json")
+    del read[:]  # the loader's own
+    assert f.is_flat().flat and f.is_psd()
+    assert sum(read) == 57 * 58 // 2 + 35 * 36 // 2
 
 
 def test_compress_of_a_singular_state_eliminates_no_kernel(eliminations, psd_pivotings):
@@ -373,14 +421,15 @@ def compose_calls(monkeypatch):
 
 @pytest.fixture
 def assemblies(monkeypatch):
-    """Integer gathers of moment entries, `Scalar` principal submatrices
-    read off the image and `Matrix` images, each with its size, in call order."""
+    """Integer gathers of a block's moment entries, `Scalar` principal
+    submatrices read off the image and `Matrix` images, each with its size,
+    in call order."""
     calls = []
     gather, principal, image = TruncatedFunctional._gather, TruncatedFunctional.principal, linalg._image
 
-    def counted_gather(self, rows, cols):
-        calls.append(("gather", len(rows), len(cols)))
-        return gather(self, rows, cols)
+    def counted_gather(self, keys):
+        calls.append(("gather", len(keys)))
+        return gather(self, keys)
 
     def counted_principal(self, at):
         at = list(at)
@@ -417,7 +466,7 @@ def test_loaded_functional_assembles_its_moment_matrix_once(rank3_two_loops_file
     gb = kernel_groebner(f)
     assert gb.elements
     assert compose_calls == []
-    assert assemblies == [("gather", 85, 85)]
+    assert assemblies == [("gather", 85)]
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -432,7 +481,7 @@ def test_compress_reads_its_systems_off_the_image(complex_, tmp_path, capsys, as
     del assemblies[:], eliminations[:]  # the state's own draw
     assert cli.main(["gns", "compress", str(fpath)]) == 0
     assert json.loads(capsys.readouterr().out)["basis"]
-    assert assemblies == [("gather", 21, 21), ("principal", 21)]
+    assert assemblies == [("gather", 21), ("principal", 21)]
     assert eliminations == []
 
 
@@ -441,7 +490,7 @@ def test_build_reads_its_gram_off_the_image(rank3_two_loops_file, assemblies, ca
     # LDL^H pivots, read off the one 85x85 integer image.
     assert cli.main(["gns", "build", str(rank3_two_loops_file)]) == 0
     assert len(json.loads(capsys.readouterr().out)["gram"]) == 3
-    assert assemblies == [("gather", 85, 85), ("principal", 3)]
+    assert assemblies == [("gather", 85), ("principal", 3)]
 
 
 @pytest.mark.parametrize(
@@ -455,7 +504,7 @@ def test_verdict_commands_build_no_scalar_moment_matrix(argv, rank3_two_loops_fi
     code = 1 if argv[-1] == "tipmax" else 0
     assert cli.main(argv + [str(rank3_two_loops_file)]) == code
     capsys.readouterr()
-    assert assemblies == [("gather", 85, 85)]
+    assert assemblies == [("gather", 85)]
 
 
 @pytest.fixture

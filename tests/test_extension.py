@@ -382,7 +382,10 @@ def test_the_certificate_catches_a_corrupted_solution(shape, error, message, psd
     with pytest.raises(error) as info:
         flat_extend_tip_maximal(base, allow_general_quiver=True)
     assert str(info.value) == message
-    assert taken == ["psd" if psd else "eliminate"]
+    # the LDL^H route solves once per block that holds a pivot (two on A2)
+    blocks = len({base._where[p][0] for p in base._echelon[0]})
+    assert taken == (["psd"] * blocks if psd else ["eliminate"])
+    assert blocks == (2 if shape == "a2" else 1)
 
 
 def test_pd_preserving_flat_output(fix_loop):

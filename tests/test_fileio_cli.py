@@ -1091,3 +1091,36 @@ def test_vertex_blocks_reproduce_the_committed_outputs(tmp_path, capsys, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == pinned
     for name in pinned:
         assert (tmp_path / name).read_bytes() == (fixtures / "vertex_blocks" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["moment", "flat", "tests/fixtures/fix_l2_ext.json"],
+     # an output larger than a pipe's buffer fails while it is printed
+     ["groebner", "--trace", "--from-kernel", "tests/fixtures/fix_two_vertex.json"]],
+    ids=["short", "long"],
+)
+def test_a_closed_stdout_is_an_input_error(argv):
+    # stdout is a pipe whose read end is closed before the command starts:
+    # exit 2 and one line on stderr that names stdout, as for an -o file
+    # that cannot be written; nothing is printed at interpreter shutdown.
+    import os
+    import subprocess
+    import sys
+
+    root = FsPath(__file__).parent.parent
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quivermoment.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            cwd=root,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "error: stdout: [Errno 32] Broken pipe\n"

@@ -92,7 +92,7 @@ def test_build_representation_refuses_a_coset_basis_off_the_pivots(fix_l2_ext, m
     # a pivoting that dropped one of them is an internal fault.
     f = fix_l2_ext
     assert f.is_psd()
-    monkeypatch.setattr(f, "_ldlh", f._ldlh[:-1])
+    monkeypatch.setattr(f, "_pivots", f._pivots[:-1])
     with pytest.raises(InternalInvariantError, match="^coset basis differs from the pivot paths of the moment matrix$"):
         build_representation(f)
 
@@ -318,7 +318,7 @@ def test_build_gram_is_the_moment_pairing_at_the_pivot_paths(name, complex_, dat
     assume(f.is_flat().flat)
     rep = build_representation(f)
     window = f.basis(k)
-    assert rep.basis == tuple(window[p] for p, *_ in f._ldlh)
+    assert rep.basis == tuple(window[p] for p in f._pivots)
     assert rep.gram == oracles.compose_moment_block(f.value, rep.basis, rep.basis)
 
 

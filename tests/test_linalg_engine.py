@@ -417,8 +417,9 @@ def test_pivot_solve_matches_the_elimination(data):
     labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="labels")
     ranks = [data.draw(st.integers(0, labels.count(b)), label=f"rank{b}") for b in (0, 1)]
     rows = _vertex_graded_psd(rng, labels, ranks, complex_, bits)
-    pivots = linalg._image_psd(rows, 1)
-    assert pivots is not None and len(pivots) == sum(ranks)
+    pivots = linalg._image_psd(linalg._upper(rows), 1)
+    # a drawn G may lack full column rank: the pivots count the rank by elimination
+    assert pivots is not None and len(pivots) == len(linalg._gauss_jordan([row[:] for row in rows], n)) <= sum(ranks)
     if data.draw(st.booleans(), label="all pivots"):
         at = [p for p, *_ in pivots]
     else:
@@ -444,13 +445,13 @@ def test_pivot_solve_refuses_what_the_pivots_do_not_factor():
     """An index that is no pivot, or one coupled to a pivot outside the
     solved set, is an internal fault; so is a pivot that is not positive."""
     dense = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
-    pivots = linalg._image_psd(dense, 1)
+    pivots = linalg._image_psd(linalg._upper(dense), 1)
     assert [p for p, *_ in pivots] == [0, 1, 2]
     for at in ([1], [0, 2], [2, 1]):
         with pytest.raises(InternalInvariantError):
             linalg._psd_solve(pivots, at, [[1]] * len(at), 1)
     assert linalg._psd_solve(pivots, [0, 1], [[1], [0]], 1) == ([[2], [-1]], 3)  # a leading block
-    singular = linalg._image_psd([[1, 1], [1, 1]], 1)
+    singular = linalg._image_psd(linalg._upper([[1, 1], [1, 1]]), 1)
     assert [p for p, *_ in singular] == [0]
     with pytest.raises(InternalInvariantError):
         linalg._psd_solve(singular, [1], [[1]], 1)

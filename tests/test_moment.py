@@ -339,7 +339,7 @@ def test_principal_reads_any_window_positions(fix_chain, complex_):
     assert f.principal([]) == Matrix(0, 0, [])
     longer = [(p.vertex, p.letters) for p in f.basis(4) if p.length() > 2]
     with pytest.raises(InternalInvariantError, match="a moment product left the window"):
-        f._gather(longer, longer)
+        f._products(longer, longer)
 
 
 # -- flatness and PSD against the `Scalar` blocks ------------------------------
@@ -409,16 +409,16 @@ def test_first_pairing_of_a_real_image_matches_the_gaussian_route(case, data):
     in the (re, im) layout takes the Gaussian route, and both give the same
     position: None for the kernel elements, and for combinations of window
     rows with real or Gaussian numerators the first nonzero pairing.  The
-    image's first columns are zeroed, so that the positions vary."""
+    image's first columns are zeroed in every block's rows, so that the
+    positions vary."""
     shape, k, include_trivial, kind, _, seed = case
     f = drawn_functional(shape, k, include_trivial, kind, False, seed)
-    rows, den = f._image
-    n = len(rows)
+    n = f._end(f.k)
     t = data.draw(st.integers(0, n - 1), label="zeroed columns")
-    rows = [[0] * t + row[t:] for row in rows]
+    full = [[[0 if i < t else x for i, x in zip(block, row)] for row in rows] for block, rows in zip(f._blocks, f._full)]
     real, gauss = (TruncatedFunctional(f.double, f.k, f.values, f.include_trivial, f.order) for _ in range(2))
-    vars(real)["_image"] = (rows, den)
-    vars(gauss)["_image"] = ([row + [0] * n for row in rows], den)
+    vars(real).update(_full=full, _real=True)
+    vars(gauss).update(_full=[[row + [0] * len(row) for row in rows] for rows in full], _real=False)
     for terms, _ in f._null:
         assert real.first_pairing(terms) is None
         assert gauss.first_pairing(terms) is None

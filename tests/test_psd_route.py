@@ -5,9 +5,9 @@ tip-maximality and the echelon kernel off the pivots of `linalg._image_psd`
 (`linalg._psd_null_terms`), and runs no elimination.  Here that route is
 compared with the echelon route it replaces on such data:
 `linalg._block_echelon` and `linalg._null_terms`, called directly on the
-conjugated integer image.  Both must give the same report, the same pivot
-columns, the same tip-maximality and the same kernel numerators, key order
-included.  A few cases are also checked against the `Scalar` nullspace of
+conjugated whole integer image (`oracles.whole_image`).  Both must give the
+same report, the same pivot columns, the same tip-maximality and the same
+kernel numerators, key order included.  A few cases are also checked against the `Scalar` nullspace of
 `linalg_oracle`.  The data are vector states, so PSD: real and Gaussian,
 flat and not, of rank 0 and of full rank, on one loop, two loops, a
 two-vertex quiver and a quiver with an isolated vertex, with and without
@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle
+import oracles
 from conftest import pd_functional, state_functional
 from quivermoment import Quiver, TruncatedFunctional, build_double, linalg
 from quivermoment.linalg import Matrix
@@ -40,7 +41,7 @@ QUIVERS = {
 
 def echelon_route(f: TruncatedFunctional):
     """The report, pivot columns, tip-maximality and kernel of f from one echelon form."""
-    rows, _ = f._image
+    rows, _ = oracles.whole_image(f)
     n, m = len(rows), f._end(f.k - 1)
     conj = [row[:n] + [-x for x in row[n:]] for row in rows] if rows and len(rows[0]) > n else rows
     top, pivots, rank_km1, range_ok = linalg._block_echelon(conj, m, n)
