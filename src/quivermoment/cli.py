@@ -3,7 +3,8 @@
 Exit codes: 0 for pass/true verdicts, 1 for false verdicts (including
 obstructed extensions), 2 for input errors (an output that cannot be
 written among them, stdout included), 3 for internal invariant failures
-and any other internal error (one line on stderr, no traceback).  All numeric output uses the exact scalar grammar.
+and any other internal error (one line on stderr, no traceback).  All
+numeric output uses the exact scalar grammar.
 
 Importing this module loads only what parsing the arguments needs and
 `errors`.  Each command imports the modules it runs when it is called:

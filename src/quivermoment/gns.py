@@ -245,7 +245,8 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     if not functional.is_psd():
         raise InputError("compress_representation requires a PSD functional")
     double = functional.double
-    real = functional._real
+    real, size = functional._real, functional._end(functional.k)
+    image: dict[int, list[int]] = {}  # image rows by window position, rebuilt from the blocks once each
     pos = functional._pivots  # P, the window positions of the reps
     window = functional.basis(functional.k)
     basis = tuple(window[p] for p in pos)
@@ -254,9 +255,11 @@ def compress_representation(functional: TruncatedFunctional) -> Representation:
     def row(*parts) -> list[int]:
         """One integer row in the image's layout: per part (i, cols, sign), image row i
         at window positions cols, its imaginary parts times sign."""
-        read = [(functional._entries([i], cols)[0], len(cols), sign) for i, cols, sign in parts]
-        re = [x for entries, c, _ in read for x in entries[:c]]
-        return re if real else re + [sign * x for entries, c, sign in read for x in entries[c:]]
+        for i, _, _ in parts:
+            if i not in image:
+                image[i] = functional._entries([i], range(size))[0]
+        re = [image[i][c] for i, cols, _ in parts for c in cols]
+        return re if real else re + [sign * image[i][size + c] for i, cols, sign in parts for c in cols]
 
     arrows: dict[str, Matrix] = {}
     kept = []  # (name, first column of Q_b in the solve of F, S_b, its denominator) per arrow with nonempty K
