@@ -250,8 +250,8 @@ class TruncatedFunctional:
         otherwise.  Only the window is read, not the values: a letter word
         p q* is found by its code, code(p) * base ** len(q*) + code(q*).
         Every product asked for has length <= 2k, so it is in the window.
-        With `upper`, rows and cols are the keys of one block, which end at
-        one vertex, and row r is read from column r on.
+        With `upper`, rows and cols are one list and row r is read from
+        column r on.
         """
         double, at, trivial = self.double, self._at.__getitem__, self._trivial.__getitem__
         target, star_word = double.target, double.star_word
@@ -260,14 +260,12 @@ class TruncatedFunctional:
         out = []
         try:
             for r, (v, word) in enumerate(rows):
-                if upper and word:
-                    c = self._code(word)
-                    out += [at(c * m + s) for _, m, s in stars[r:]]
-                elif word:
+                tail = stars[r:] if upper else stars
+                if word:
                     end, c = target[word[-1]], self._code(word)
-                    out += [at(c * m + s) if t == end else zero for t, m, s in stars]
+                    out += [at(c * m + s) if t == end else zero for t, m, s in tail]
                 else:  # e_v q* is q*, and e_v for q = e_v
-                    out += [(at(s) if s else trivial(v)) if t == v else zero for t, _, s in stars[r if upper else 0 :]]
+                    out += [(at(s) if s else trivial(v)) if t == v else zero for t, _, s in tail]
         except KeyError:
             raise InternalInvariantError("a moment product left the window") from None
         return out
