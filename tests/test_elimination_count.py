@@ -4,14 +4,15 @@ The counts are of calls to the one Gauss-Jordan engine in `linalg` and to
 the LDL^H pivoting `linalg._image_psd`.  A fresh PSD functional's flatness
 report, rank, tip-maximality, kernel and PSD verdict all come from one
 pivoting of the integer image of B_{L_k} per terminal-vertex block, in
-window order, and no elimination.  A functional that is not PSD has its pivoting refuted first;
-its verdicts and kernel then come from one echelon form: one elimination of
-its top rows [A | C] (rank A and range containment), then each lower row
-[C^H | B] reduced against those pivot rows.  A flat one's residuals are all
-zero and it needs no other elimination; a non-flat one eliminates its
-nonzero residuals once more, with the top pivot rows.  No solution X, no
-product and no `Scalar` comparison of matrices is formed; the PSD verdict
-checks the hermitian property on the same integers it pivots.  Compression
+window order, and no elimination.  A functional that is not PSD has its
+pivoting refuted first; its verdicts and kernel then come from one echelon
+form: one elimination of its top rows [A | C] (rank A and range
+containment), then each lower row [C^H | B] reduced against those pivot
+rows.  A flat one's residuals are all zero and it needs no other
+elimination; a non-flat one eliminates its nonzero residuals once more,
+with the top pivot rows.  No solution X, no product and no `Scalar`
+comparison of matrices is formed; the PSD verdict checks the hermitian
+property on the same integers it pivots.  Compression
 reads its coset reps off that PSD pivoting and solves every system, the
 gram's and each kept block's, by substitution through the same pivots: no
 elimination at all.
