@@ -66,7 +66,8 @@ def flat_extend_tip_maximal(
 
     k = functional.k + 1
     ext = TruncatedFunctional.__new__(TruncatedFunctional)
-    star, _ = ext._open(functional.double, k, functional.include_trivial, functional.order)
+    # The texts are kept for the file of the extension (`fileio.functional_to_dict`).
+    star, ext._texts = ext._open(functional.double, k, functional.include_trivial, functional.order, named=True)
     keys, ends = ext._keys, ext._ends  # the keys of V_k, all that is read
     # window positions: V_{k-1} ends at n, V_k at nk; lengths 2k-1 start at odd, 2k at top
     n, nk, odd, top = (ends[min(t, len(ends) - 1)] for t in (k - 1, k, 2 * k - 2, 2 * k - 1))
@@ -150,7 +151,7 @@ def flat_extend_tip_maximal(
         elif x or y:
             raise ExtensionObstructed("Schur completion forces a nonzero value on a zero product")
 
-    ext._place({i: (x, y, den * s) for i, (x, y) in enumerate(zip(re, im))}, star)
+    ext._place(range(len(star)), re, im, den * s, star)
     return ext
 
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 import json
 from itertools import chain
 from math import lcm
+from operator import itemgetter
 from pathlib import Path as FsPath
 
 from .algebra import Element
 from .errors import InputError
 from .linalg import Matrix, _matrix
-from .moment import TruncatedFunctional
+from .moment import TruncatedFunctional, _columns
 from .quiver import DoubleQuiver, Key, Path, PathOrder, Quiver, build_double, window_layers
 from .scalar import Scalar, from_numerators, numerator_text, parse_literal
 
@@ -334,15 +335,23 @@ def matrix_to_rows(m: Matrix) -> list[list[str]]:
 def functional_from_dict(data: dict, base_dir=".", source: str | None = None) -> TruncatedFunctional:
     """The functional a file lists, read straight into window positions.
 
-    An entry whose path text is one the window writes (tokens joined by
-    single spaces, as `functional_to_dict` writes them) takes its position
-    from the window's text table; any other text goes through `path_key`
-    and the window's key table, and a path outside the window keeps its
-    key.  Each distinct value text is parsed once, to numerators over a
-    denominator, and values are compared as such.  Errors name the file,
-    in this order: a malformed entry or a conflicting duplicate, in file
+    The bulk pass reads the entries a column at a time: the positions are
+    one `map` of the path texts through the window's text table (the texts
+    `functional_to_dict` writes, tokens joined by single spaces), and when
+    every value text is a signed decimal integer (the joined texts hold
+    only digits and signs) the values are one `map(int, ...)`; any other
+    file parses each distinct value text once (`_Literals`), to numerators
+    over a denominator.  When the bulk pass meets anything else (a text the
+    table lacks, an entry or a value that is not a string, a malformed
+    literal, a literal `int` refuses, or a position given twice) the
+    ordered entry loop reads the file instead, and it alone names an entry
+    error: there any other path text goes through `path_key` and the
+    window's key table, a path outside the window keeps its key, and
+    repeated values are compared as numerators.  Errors name the file, in
+    this order: a malformed entry or a conflicting duplicate, in file
     order; then, from the functional, an order below 1 or an over-large
-    window, a path outside the window, and a hermitian conflict.
+    window, a path outside the window, and a hermitian conflict (see
+    `TruncatedFunctional._place`).
     """
     if "quiver" not in _object(data, "functional", source) or "k" not in data:
         raise InputError(f"{_ctx(source)}functional needs 'quiver' and 'k'")
@@ -355,8 +364,18 @@ def functional_from_dict(data: dict, base_dir=".", source: str | None = None) ->
     include_trivial = read_flag(data, "include_trivial", True, source)
     double = resolve_quiver(data["quiver"], base_dir, source)
 
-    def read(at: dict[str, int], index) -> dict:
+    def read(at: dict[str, int], index) -> tuple:
         literals = _Literals(None, numerators=True)  # the file is named below
+        try:
+            slots = list(map(at.__getitem__, map(itemgetter("path"), entries)))
+            texts = list(map(itemgetter("value"), entries))
+            if len(set(slots)) == len(slots):
+                if "".join(texts).replace("+", "").replace("-", "").isdecimal():
+                    return slots, list(map(int, texts)), None, 1
+                return _columns(slots, map(literals.__getitem__, texts))
+        except (KeyError, TypeError, ValueError, InputError):
+            pass
+        # The ordered entry loop: the entry errors, in file order.
         given: dict = {}
         for ent in entries:
             # The common entry: a text the window writes and a string value.
@@ -368,7 +387,7 @@ def functional_from_dict(data: dict, base_dir=".", source: str | None = None) ->
             have = given.setdefault(slot, v)
             if have is not v and have != v:
                 raise InputError(f"conflicting values for path {ent['path']!r}")
-        return given
+        return _columns(list(given), given.values())
 
     try:
         return TruncatedFunctional.from_texts(double, k, read, include_trivial)
@@ -401,8 +420,12 @@ def load_functional(path) -> TruncatedFunctional:
 
 def functional_to_dict(f: TruncatedFunctional) -> dict:
     """The file of a functional: its nonzero values in window order, from the
-    window's texts (`quiver.window_layers`) and the numerators; no `Path` is built."""
-    texts = window_layers(f.double, f.order, 2 * f.k, f.include_trivial, named=True)[3]
+    window's texts and the numerators; no `Path` is built.  The texts are the
+    ones the functional kept (the one-step extension keeps them), or else are
+    enumerated (`quiver.window_layers`)."""
+    texts = f._texts
+    if texts is None:
+        texts = window_layers(f.double, f.order, 2 * f.k, f.include_trivial, named=True)[3]
     den = f._den
     entries = [{"path": t, "value": numerator_text(a, b, den)} for t, a, b in zip(texts, f._re, f._im) if a or b]
     return {

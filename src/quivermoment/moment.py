@@ -8,10 +8,10 @@ p q* vanishes in the path semigroup are exact zeros.
 A functional holds its values as Gaussian-integer numerators (re, im) over
 one common denominator, from the loader on, and its window as integers: the
 code of each letter word and the position of each path's star
-(`quiver.window_layers`); the loader alone asks for the window's texts.
-(vertex, letters) keys are built for V_k, the part of the window B_{L_k}
-reads; the keys and `Path`s of the whole window are built only when asked
-for.
+(`quiver.window_layers`); only the loader and the one-step extension ask
+for the window's texts.  (vertex, letters) keys are built for V_k, the part
+of the window B_{L_k} reads; the keys and `Path`s of the whole window are
+built only when asked for.
 
 The trivial paths are orthogonal idempotents, so L(p q*) = 0 unless p and
 q end at the same vertex: grouped by terminal vertex (e_v ends at v, a
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, neg
 
 from . import linalg
 from .algebra import Element
@@ -65,6 +65,10 @@ class TruncatedFunctional:
     once.
     """
 
+    # The window's texts, kept only by a functional built to be written (the
+    # one-step extension); a loaded functional holds none.
+    _texts: list[str] | None = None
+
     def __init__(
         self,
         double: DoubleQuiver,
@@ -75,8 +79,8 @@ class TruncatedFunctional:
     ):
         given = {(p.vertex, p.letters): v.numerators() for p, v in dict(values).items()}
         star, _ = self._open(double, k, include_trivial, order)
-        slots = map(self._index, given)
-        self._place({key if i is None else i: v for i, (key, v) in zip(slots, given.items())}, star)
+        slots = [key if i is None else i for key, i in zip(given, map(self._index, given))]
+        self._place(*_columns(slots, given.values()), star)
 
     @classmethod
     def from_texts(cls, double, k, read, include_trivial=True, order=None):
@@ -85,12 +89,12 @@ class TruncatedFunctional:
         `read(texts, index)` is handed the window position of every window
         path's text (as `str(Path)` writes it), and `index(key)`, the window
         position of a (vertex, letters) key or None.  It returns the given
-        values as (re, im, den) triples (see `scalar.parse_literal`), keyed
-        by window position, or by key for a path outside the window, in the
-        order given.  When the window cannot be built (an order below 1, an
-        over-large window) the text table is empty and no key has a
-        position, and that error is raised after `read` returns, so the
-        errors `read` raises come first.
+        values as the columns `_place` takes: their window positions, or
+        keys for paths outside the window, each once, in the order given,
+        and their numerators over one denominator (see `_columns`).  When
+        the window cannot be built (an order below 1, an over-large window)
+        the text table is empty and no key has a position, and that error is
+        raised after `read` returns, so the errors `read` raises come first.
         """
         f = cls.__new__(cls)
         try:
@@ -98,7 +102,7 @@ class TruncatedFunctional:
         except InputError:
             read({}, lambda key: None)
             raise
-        f._place(read(dict(zip(texts, range(len(texts)))), f._index), star)
+        f._place(*read(dict(zip(texts, range(len(texts)))), f._index), star)
         return f
 
     def _open(self, double, k, include_trivial, order, named=False) -> tuple[list[int], list[str] | None]:
@@ -146,43 +150,52 @@ class TruncatedFunctional:
         vertex, word = key
         return self._at.get(self._code(word)) if word else self._trivial.get(vertex)
 
-    def _place(self, given: dict, star: list[int]) -> None:
+    def _place(self, slots: list, re: list[int], im: list[int] | None, den: int, star: list[int]) -> None:
         """Place the given values and close them under the star.
 
-        `given` maps a window position, or a key for a path outside the
-        window, to a value (re, im, den); `star` is the position of each
-        window position's star.  The values are brought to the lcm of
-        their denominators.  Errors in this order: a path outside the window
-        (the first one given), then a hermitian conflict between the member of
-        a star pair given first and its partner.  An omitted partner takes the
-        conjugate value; each pair is looked at once.
+        `slots` holds the window position of each given value, or its key
+        for a path outside the window, each once, in the order given; `re`
+        and `im` hold their numerators over `den`, with `im` None when every
+        value is real; `star` is the position of each window position's
+        star.  The bulk pass scatters the columns, then, only when some
+        position is omitted, gives each omitted one the conjugate of its
+        partner (zero when both are omitted), and checks the star closure
+        with two list comparisons, re o star == re and -im o star == im (the
+        second only with an imaginary column).  Errors in this order: a path
+        outside the window (the first one given), then a hermitian conflict,
+        named by the ordered loop that runs only when a comparison fails:
+        the first member given of a pair in conflict, and its partner.  The
+        numerators are then divided by the factor common to all of them.
         """
-        den = lcm(*set(map(itemgetter(2), given.values())))
-        re, im = [0] * len(star), [0] * len(star)
-        state = bytearray(len(star))  # 1: given; 2: given, star pair already checked
+        n = len(star)
+        values = [0] * n
         try:
-            for i, (a, b, d) in given.items():
-                if d != den:
-                    a, b = a * (den // d), b * (den // d)
-                re[i], im[i] = a, b
-                state[i] = 1
+            for i, a in zip(slots, re):
+                values[i] = a
         except TypeError:  # i is a key, not a position: the first path given outside
             raise self._outside(Path(self.double, *i)) from None
-        for i in given:
-            if state[i] == 2:
-                continue
-            j = star[i]
-            if not state[j]:
-                re[j], im[j] = re[i], -im[i]
-                continue
-            if re[j] != re[i] or im[j] != -im[i]:
-                p, ps = (Path(self.double, *self._window_keys[x]) for x in (i, j))
-                raise InputError(f"hermitian conflict between {p} and {ps}")
-            state[j] = 2
-        g = gcd(den, *re, *im) if den > 1 else 1
+        imag = [0] * n
+        if im is not None:
+            for i, b in zip(slots, im):
+                imag[i] = b
+        if len(slots) < n:
+            # An omitted position whose partner is omitted too stays zero.
+            for j in set(range(n)).difference(slots):
+                values[j], imag[j] = values[star[j]], -imag[star[j]]
+        if list(map(values.__getitem__, star)) != values or (
+            im is not None and list(map(neg, map(imag.__getitem__, star))) != imag
+        ):
+            # Omitted positions agree with their partners now, so the
+            # conflict is between two given values, or a self-star non-real one.
+            for i in slots:
+                j = star[i]
+                if values[j] != values[i] or imag[j] != -imag[i]:
+                    p, ps = (Path(self.double, *self._window_keys[x]) for x in (i, j))
+                    raise InputError(f"hermitian conflict between {p} and {ps}")
+        g = gcd(den, *values, *imag) if den > 1 else 1
         if g > 1:
-            den, re, im = den // g, [x // g for x in re], [x // g for x in im]
-        self._re, self._im, self._den = re, im, den
+            den, values, imag = den // g, [x // g for x in values], [x // g for x in imag]
+        self._re, self._im, self._den = values, imag, den
 
     # -- evaluation ------------------------------------------------------------
 
@@ -230,12 +243,13 @@ class TruncatedFunctional:
     def _gather(self, keys: list[Key]) -> list[list[list[int]]]:
         """The numerators of L(p q*) over the keys of one block, as its upper triangle.
 
-        The real parts, then the imaginary parts (see `linalg._upper`): row
-        r holds L(p_r q*) for q the keys from the r-th on.
+        The real parts, then, when some value is non-real, the imaginary
+        parts (see `linalg._upper`): row r holds L(p_r q*) for q the keys
+        from the r-th on.
         """
         at = self._products(keys, keys, upper=True)
         rows = []
-        for values in (self._re, self._im):
+        for values in (self._re, self._im) if any(self._im) else (self._re,):
             flat, o, part = list(map(values.__getitem__, at)), 0, []
             for m in range(len(keys), 0, -1):
                 part.append(flat[o : o + m])
@@ -337,13 +351,14 @@ class TruncatedFunctional:
     def _image(self) -> tuple[list[list[list[list[int]]]], int]:
         """Per block, B_{L_k} there times the values' denominator, as its upper triangle; and that denominator.
 
-        Each block is gathered once, its upper triangle only (`_gather`).
-        The triangles hold imaginary parts iff some entry is non-real, in
-        every block alike; `linalg._image_psd` pivots them as they are.
+        Each block is gathered once, its upper triangle only (`_gather`),
+        its imaginary parts only when some value is non-real.  The triangles
+        hold imaginary parts iff some entry is non-real, in every block
+        alike; `linalg._image_psd` pivots them as they are.
         """
         tris = [self._gather([self._keys[i] for i in block]) for block in self._blocks]
-        if not any(any(map(any, im)) for _, im in tris):
-            tris = [[re] for re, _ in tris]
+        if not any(any(map(any, tri[1])) for tri in tris if len(tri) > 1):
+            tris = [tri[:1] for tri in tris]
         return tris, self._den
 
     @cached_property
@@ -522,6 +537,24 @@ class TruncatedFunctional:
             for t, x in zip(ts, xs):
                 out[t] = x if sb == s else [s // sb * v for v in x]
         return out, s
+
+
+def _columns(slots: list, triples) -> tuple[list, list[int], list[int] | None, int]:
+    """Given values as the columns `TruncatedFunctional._place` takes.
+
+    `triples` holds the (re, im, den) of each slot's value (see
+    `scalar.parse_literal`); the numerators are brought to the lcm of the
+    denominators, and the imaginary column is None when every value is real.
+    """
+    triples = list(triples)
+    den = lcm(*set(map(itemgetter(2), triples)))
+    re, im = [], []
+    for a, b, d in triples:
+        if d != den:
+            a, b = a * (den // d), b * (den // d)
+        re.append(a)
+        im.append(b)
+    return slots, re, im if any(im) else None, den
 
 
 class MomentMatrix(Record):

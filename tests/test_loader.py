@@ -144,10 +144,13 @@ def test_loader_matches_the_path_keyed_construction(data):
 
 
 @st.composite
-def window_ordered_files(draw):
+def window_ordered_files(draw, integer_conflict=False):
     """Every window path in window order, as single-space texts, with the
     values of a hermitian assignment (zeros left out or not), and rarely a
-    hermitian conflict, a repeated entry or a path outside the window."""
+    hermitian conflict (a value raised by i or, so that an all-integer file
+    holds one too, by 1), a repeated entry or a path outside the window.
+    With `integer_conflict` every value is an integer and one is always
+    raised by 1."""
     name = draw(st.sampled_from(sorted(WINDOW_QUIVERS)))
     double = build_double(WINDOW_QUIVERS[name])
     k = draw(st.integers(1, WINDOW_MAX_K[name]))
@@ -155,7 +158,7 @@ def window_ordered_files(draw):
     paths = enumerate_basis(double, double.default_order(), 2 * k + 1, include_trivial)
     window = [p for p in paths if p.length() <= 2 * k]
     longer = [p for p in paths if p.length() > 2 * k]
-    complex_ = draw(st.booleans())
+    complex_ = not integer_conflict and draw(st.booleans())
     values = {}
     for p in window:
         if p not in values:
@@ -163,9 +166,10 @@ def window_ordered_files(draw):
             values[p], values[p.star()] = v, v.conjugate()
     skip_zeros = draw(st.booleans())
     entries = [(p, values[p]) for p in window if not (skip_zeros and values[p].is_zero())]
-    if entries and draw(st.integers(0, 5)) == 1:
+    if entries and (integer_conflict or draw(st.integers(0, 5)) == 1):
         i = draw(st.integers(0, len(entries) - 1))
-        entries[i] = (entries[i][0], entries[i][1] + Scalar(0, 1))
+        raised = Scalar(1) if integer_conflict else draw(st.sampled_from([Scalar(0, 1), Scalar(1)]))
+        entries[i] = (entries[i][0], entries[i][1] + raised)
     if entries and draw(st.integers(0, 5)) == 1:
         p, v = draw(st.sampled_from(entries))
         entries.append((p, v if draw(st.booleans()) else v + Scalar(2)))
@@ -182,6 +186,14 @@ def window_ordered_files(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(window_ordered_files())
 def test_window_ordered_files_match_the_path_keyed_construction(data):
+    assert outcome(data) == oracle_outcome(data)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(window_ordered_files(integer_conflict=True))
+def test_all_integer_window_files_with_a_raised_value_match_the_path_keyed_construction(data):
+    # The integer column's closure comparison fails on a hermitian conflict,
+    # and the ordered loop names it, or a fault before it, as the oracle does.
     assert outcome(data) == oracle_outcome(data)
 
 
@@ -234,6 +246,28 @@ def entries(*pairs):
             [("e:e", "1i"), ("x y", "1"), ("y* x*", "2")],
             "f.json: hermitian conflict between e:e and e:e",
             id="hermitian_self_star_first",
+        ),
+        # All-integer files whose first fault is a repeated window text,
+        # with a later value the integer column cannot read.
+        pytest.param(
+            [("x", "1"), ("x*", "2"), ("y", "3"), ("y", "4"), ("x y", "1_0")],
+            "f.json: conflicting values for path 'y'",
+            id="integer_repeat_before_malformed_literal",
+        ),
+        pytest.param(
+            [("x", "1"), ("x*", "2"), ("y", "3"), ("y", "4"), ("x y", " 5")],
+            "f.json: conflicting values for path 'y'",
+            id="integer_repeat_before_spaced_literal",
+        ),
+        pytest.param(
+            [("x", "1"), ("x*", "2"), ("y", "3"), ("y", "4"), ("x y", "1" * 4301)],
+            "f.json: conflicting values for path 'y'",
+            id="integer_repeat_before_digit_limit",
+        ),
+        pytest.param(
+            [("x", "1"), ("y", "3"), ("y", "3"), ("x y", "1"), ("x*", "2")],
+            "f.json: hermitian conflict between x and x*",
+            id="integer_equal_repeat_then_hermitian",
         ),
     ],
 )
@@ -304,12 +338,12 @@ def test_entry_faults_come_before_the_order_and_window_errors(k, pairs, message)
     assert (kind, text) == oracle_outcome(data)
 
 
-def _window_ordered(name, k):
+def _window_ordered(name, k, integers=False):
     double = build_double(QUIVERS[name])
     window = enumerate_basis(double, double.default_order(), 2 * k, True)
     value = {}
     for i, p in enumerate(window):
-        value.setdefault(p, Scalar(i % 7 - 3, i % 3 - 1 if p != p.star() else 0))
+        value.setdefault(p, Scalar(i % 7 - 3, i % 3 - 1 if p != p.star() and not integers else 0))
         value.setdefault(p.star(), value[p].conjugate())
     data = {
         "quiver": quiver_to_dict(double.base),
@@ -319,14 +353,24 @@ def _window_ordered(name, k):
     return data, {e["value"] for e in data["entries"]}
 
 
-@pytest.mark.parametrize("name, k", [("two_loops", 3), ("xyz", 2), ("one_loop", 3)])
-def test_window_ordered_file_needs_no_parser_and_parses_each_value_text_once(name, k, monkeypatch):
-    data, texts = _window_ordered(name, k)
-    # Each distinct value text is read once by the literal table, straight
-    # to numerators: a decimal integer by `int`, any other literal by the
-    # literal parser.  No `Scalar` is parsed.
-    calls = {"path_key": 0, "literal table": 0, "parse_literal": 0, "Scalar.parse": 0}
-    path_key, parse_literal, parse = fileio.path_key, fileio.parse_literal, Scalar.parse
+@pytest.mark.parametrize(
+    "name, k, integers",
+    [
+        pytest.param("two_loops", 3, False, id="two_loops-3"),
+        pytest.param("xyz", 2, False, id="xyz-2"),
+        pytest.param("one_loop", 3, False, id="one_loop-3"),
+        pytest.param("two_loops", 3, True, id="two_loops-3-integers"),
+    ],
+)
+def test_window_ordered_file_needs_no_parser_and_parses_each_value_text_once(name, k, integers, monkeypatch):
+    data, texts = _window_ordered(name, k, integers)
+    # No entry takes the ordered loop.  In a file that holds a non-integer
+    # text, each distinct value text is read once by the literal table,
+    # straight to numerators: a decimal integer by `int`, any other literal
+    # by the literal parser.  An all-integer file is one `int` column: the
+    # literal table reads nothing.  No `Scalar` is parsed.
+    calls = {"path_key": 0, "_entry": 0, "literal table": 0, "parse_literal": 0, "Scalar.parse": 0}
+    path_key, entry, parse_literal, parse = fileio.path_key, fileio._entry, fileio.parse_literal, Scalar.parse
     missing = fileio._Literals.__missing__
 
     def counting(fn, name):
@@ -337,16 +381,19 @@ def test_window_ordered_file_needs_no_parser_and_parses_each_value_text_once(nam
         return counted
 
     monkeypatch.setattr(fileio, "path_key", counting(path_key, "path_key"))
+    monkeypatch.setattr(fileio, "_entry", counting(entry, "_entry"))
     monkeypatch.setattr(fileio._Literals, "__missing__", counting(missing, "literal table"))
     monkeypatch.setattr(fileio, "parse_literal", counting(parse_literal, "parse_literal"))
     monkeypatch.setattr(Scalar, "parse", staticmethod(counting(parse, "Scalar.parse")))
     f = functional_from_dict(data, ".", SOURCE)
-    integers = {t for t in texts if t.lstrip("-").isdecimal()}
-    assert integers and integers != texts
+    decimal = {t for t in texts if t.lstrip("-").isdecimal()}
+    assert decimal and (decimal == texts) == integers
+    table = 0 if integers else len(texts)
     assert calls == {
         "path_key": 0,
-        "literal table": len(texts),
-        "parse_literal": len(texts - integers),
+        "_entry": 0,
+        "literal table": table,
+        "parse_literal": len(texts - decimal),
         "Scalar.parse": 0,
     }
     assert [str(p) for p in f.values] == [e["path"] for e in data["entries"]]
