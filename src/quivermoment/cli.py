@@ -169,16 +169,11 @@ def cmd_groebner(args) -> int:
         double = f.double
         # The output lists the reductions of the other kernel elements by the kept ones.
         gb = _from(args.from_kernel, kernel_groebner, f, True)
+    data = fileio.groebner_to_dict(gb, double)
     if args.trace:
-        for ev in gb.trace:
-            _emit(
-                {
-                    "target": fileio.path_to_text(ev.target),
-                    "by": fileio.path_to_text(ev.by),
-                    "cofactor": fileio.path_to_text(ev.cofactor),
-                }
-            )
-    _write_or_emit(fileio.groebner_to_dict(gb, double), args.output)
+        for ev in data["reductions"]:
+            _emit(ev)
+    _write_or_emit(data, args.output)
     return 0
 
 

@@ -335,16 +335,19 @@ def matrix_to_rows(m: Matrix) -> list[list[str]]:
 def functional_from_dict(data: dict, base_dir=".", source: str | None = None) -> TruncatedFunctional:
     """The functional a file lists, read straight into window positions.
 
-    The bulk pass reads the entries a column at a time: the positions are
-    one `map` of the path texts through the window's text table (the texts
-    `functional_to_dict` writes, tokens joined by single spaces), and when
-    every value text is a signed decimal integer (the joined texts hold
-    only digits and signs) the values are one `map(int, ...)`; any other
-    file parses each distinct value text once (`_Literals`), to numerators
-    over a denominator.  When the bulk pass meets anything else (a text the
-    table lacks, an entry or a value that is not a string, a malformed
-    literal, a literal `int` refuses, or a position given twice) the
-    ordered entry loop reads the file instead, and it alone names an entry
+    The bulk pass reads the entries a column at a time.  A path column
+    equal to the window's texts (the whole window in window order, as
+    `functional_to_dict` writes a functional with no zero value) gives the
+    positions `range(n)`; any other is one `map` through the window's text
+    table (the texts `functional_to_dict` writes, tokens joined by single
+    spaces), built only then.  When every value text is a signed decimal
+    integer (the joined texts hold only digits and signs) the values are
+    one `map(int, ...)`; any other file parses each distinct value text
+    once (`_Literals`), to numerators over a denominator.  When the bulk
+    pass meets anything else (a text the table lacks, an entry or a value
+    that is not a string, a malformed literal, a literal `int` refuses, or
+    a position given twice) the ordered entry loop reads the file instead,
+    building the table if the bulk pass did not, and it alone names an entry
     error: there any other path text goes through `path_key` and the
     window's key table, a path outside the window keeps its key, and
     repeated values are compared as numerators.  Errors name the file, in
@@ -364,18 +367,26 @@ def functional_from_dict(data: dict, base_dir=".", source: str | None = None) ->
     include_trivial = read_flag(data, "include_trivial", True, source)
     double = resolve_quiver(data["quiver"], base_dir, source)
 
-    def read(at: dict[str, int], index) -> tuple:
+    def read(texts: list[str], index) -> tuple:
         literals = _Literals(None, numerators=True)  # the file is named below
+        at = None  # the window's text table, built only when the path column is not `texts`
         try:
-            slots = list(map(at.__getitem__, map(itemgetter("path"), entries)))
-            texts = list(map(itemgetter("value"), entries))
-            if len(set(slots)) == len(slots):
-                if "".join(texts).replace("+", "").replace("-", "").isdecimal():
-                    return slots, list(map(int, texts)), None, 1
-                return _columns(slots, map(literals.__getitem__, texts))
+            paths = list(map(itemgetter("path"), entries))
+            if paths == texts:  # the whole window in window order; the lengths are compared first
+                slots = range(len(texts))
+            else:
+                at = dict(zip(texts, range(len(texts))))
+                slots = list(map(at.__getitem__, paths))
+            values = list(map(itemgetter("value"), entries))
+            if at is None or len(set(slots)) == len(slots):
+                if "".join(values).replace("+", "").replace("-", "").isdecimal():
+                    return slots, list(map(int, values)), None, 1
+                return _columns(slots, map(literals.__getitem__, values))
         except (KeyError, TypeError, ValueError, InputError):
             pass
         # The ordered entry loop: the entry errors, in file order.
+        if at is None:
+            at = dict(zip(texts, range(len(texts))))
         given: dict = {}
         for ent in entries:
             # The common entry: a text the window writes and a string value.
@@ -499,17 +510,13 @@ def generators_from_dict(data: dict, base_dir=".", source: str | None = None):
 
 
 def groebner_to_dict(gb, double: DoubleQuiver) -> dict:
-    """The file of a `groebner.RightGroebnerBasis` over `double`."""
+    """The file of a `groebner.RightGroebnerBasis` over `double`, with one text per distinct trace path."""
+    text = {p: path_to_text(p) for p in {p for ev in gb.trace for p in (ev.target, ev.by, ev.cofactor)}}
     return {
         "quiver": quiver_to_dict(double.base),
         "elements": [element_to_dict(e) for e in gb.elements],
         "reductions": [
-            {
-                "target": path_to_text(ev.target),
-                "by": path_to_text(ev.by),
-                "cofactor": path_to_text(ev.cofactor),
-            }
-            for ev in gb.trace
+            {"target": text[ev.target], "by": text[ev.by], "cofactor": text[ev.cofactor]} for ev in gb.trace
         ],
     }
 

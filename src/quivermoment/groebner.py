@@ -11,7 +11,9 @@ The kernel elements are read as integer numerators, and `Element`s are
 built only for the kept ones.  `groebner --from-kernel` lists reductions:
 those of the other kernel elements by the kept ones, each reduced once
 (`kernel_groebner` with `trace`), which is the one round the completion of
-the kernel basis would run.
+the kernel basis would run.  Each is one descending pass over the
+functional's window positions (`_descend`); `_reduce` serves only the
+completion.
 
 The completion serves generator input: `groebner --generators` and `gns
 build` from a basis.  It is the five-step tip-selection/total-reduction
@@ -28,8 +30,9 @@ The completion, its reducer and the normal forms run on integers, as
 factor, so equal elements are held equally.  The reducer finds its
 divisor by looking the prefixes of a support path up in a table
 {tip: monic element}, longest first and the trivial path at its origin
-last; each tip keeps its canonically least element.  Elements, scalars and
-paths are built once, for the output.
+last (`_step`); each tip keeps its canonically least element.  Elements
+and scalars are built once, for the output, and a trace one path per
+distinct path it names.
 
 Normal forms against a finished basis (`RightGroebnerBasis.nf`, and the
 kernel check of `kernel_groebner`) take a different route, one letter at a
@@ -361,39 +364,53 @@ def _tip_table(order: PathOrder, ints: list[Numerators], folds: dict) -> TipTabl
 # -- the completion --------------------------------------------------------------
 
 
+def _step(m: Key, tips: dict, double: DoubleQuiver) -> tuple | None:
+    """The reduction step at the path m by the monic elements {tip: (terms, den)}.
+
+    g is the element of the longest tip dividing m (its longest prefix in
+    `tips`, the trivial path at its origin last) and m = tip·b.  Returns the
+    event (m, tip, b), the numerators of g·b, without the terms of g that do
+    not compose with b, and g's denominator; None when no tip divides m.
+    """
+    tip = next((t for t in [m, *reversed(_proper_prefixes(m, double))] if t in tips), None)
+    if tip is None:
+        return None
+    w, end = m[1][len(tip[1]) :], _end(tip, double)
+    g, gden = tips[tip]
+    gb = {(None, q[1] + w) if w else q: c for q, c in g.items() if _end(q, double) == end}
+    return (m, tip, (None, w) if w else (end, ())), gb, gden
+
+
 def _reduce(terms: Numerators, den: int, tips: dict, order: PathOrder, events: list) -> tuple[Numerators, int]:
     """The total reduction of terms/den by the monic elements {tip: (terms, den)}.
 
     Repeatedly rewrites the largest reducible support path m = tip·b by
-    h -= coeff·g·b, with g the element of the longest tip dividing m, and
-    appends (m, tip, b) to `events` per step.  The reduced path strictly
-    decreases in the well-order at every step, so the loop terminates.
+    h -= coeff·g·b (`_step`) and appends (m, tip, b) to `events` per step.
+    The reduced path strictly decreases in the well-order at every step, so
+    the loop terminates.
     """
     double = order.double
     terms = dict(terms)
     while terms:
         for m in sorted(terms, key=order.key_of, reverse=True):
-            # the longest tip dividing m: its longest prefix in `tips`, the trivial path last
-            tip = next((t for t in [m, *reversed(_proper_prefixes(m, double))] if t in tips), None)
-            if tip is not None:
+            step = _step(m, tips, double)
+            if step is not None:
                 break
         else:
             break
-        w, end = m[1][len(tip[1]) :], _end(tip, double)
-        b = (None, w) if w else (end, ())
-        g, gden = tips[tip]
-        # g·b, without the terms of g that do not compose with b
-        gb = {(None, q[1] + w) if w else q: c for q, c in g.items() if _end(q, double) == end}
+        event, gb, gden = step
         cr, ci = terms[m]
         acc = _times(terms, gden)
         _add_scaled(acc, -cr, -ci, gb)
         terms, den = _reduced(acc, den * gden)
-        events.append((m, tip, b))
+        events.append(event)
     return terms, den
 
 
 def _events(double: DoubleQuiver, events) -> list[ReductionEvent]:
-    return [ReductionEvent(*(Path(double, *k) for k in ev)) for ev in events]
+    """The events of (target, by, cofactor) keys, with one `Path` per distinct key."""
+    paths = {k: Path(double, *k) for k in {k for ev in events for k in ev}}
+    return [ReductionEvent(*map(paths.__getitem__, ev)) for ev in events]
 
 
 def right_groebner(generators, order: PathOrder) -> RightGroebnerBasis:
@@ -451,6 +468,34 @@ def right_groebner(generators, order: PathOrder) -> RightGroebnerBasis:
     raise InternalInvariantError("right_groebner failed to terminate")
 
 
+# -- the kernel ideal ------------------------------------------------------------
+
+
+def _descend(vec: dict[int, tuple[int, int]], rewrite, events: list) -> bool:
+    """Whether {window position: (re, im)} reduces to zero by the kept elements.
+
+    Takes the positions in decreasing order.  `rewrite(p)` is the step at p
+    (see `_step`) with g·b minus its tip keyed by position, or None when p
+    is irreducible; a reducible position appends its event, scales the
+    other terms by g's denominator and subtracts c·(g·b).  Every term of g·b
+    is below the target, and window order is path order, so this is the
+    largest-reducible-first order of `_reduce`, event for event.  A nonzero
+    irreducible position is never rewritten, so it ends the pass.
+    """
+    for p in range(max(vec, default=-1), -1, -1):
+        c = vec.pop(p, None)
+        if c is None or not (c[0] or c[1]):
+            continue
+        step = rewrite(p)
+        if step is None:
+            return False
+        event, gb, gden = step
+        events.append(event)
+        vec = _times(vec, gden)
+        _add_scaled(vec, -c[0], -c[1], gb)
+    return True
+
+
 def kernel_groebner(functional: TruncatedFunctional, trace: bool = False) -> RightGroebnerBasis:
     """Reduced right Gröbner basis of the kernel ideal of a flat functional.
 
@@ -465,11 +510,12 @@ def kernel_groebner(functional: TruncatedFunctional, trace: bool = False) -> Rig
     Flatness guarantees both.  Both run on integers.
 
     With `trace`, the other kernel elements are reduced by the kept monic
-    elements through `_reduce`, in kernel order, and the reductions are the
-    basis's trace: the one round the completion of the kernel basis runs,
-    without the completion.  Otherwise their normal forms are folded
-    through the kept elements' tip table, which the basis keeps, each
-    distinct support path once.
+    elements, in kernel order, and the reductions are the basis's trace:
+    the one round the completion of the kernel basis runs, without the
+    completion.  Each is one descending pass over its window positions
+    (`_descend`), and the step at a position is computed once per call.
+    Otherwise their normal forms are folded through the kept elements' tip
+    table, which the basis keeps, each distinct support path once.
     """
     report = functional.is_flat()
     if not report.flat:
@@ -483,8 +529,19 @@ def kernel_groebner(functional: TruncatedFunctional, trace: bool = False) -> Rig
     events: list = []
     if trace:
         monic = {tip: (terms, den) for tip, terms, den in kept}  # each tip's numerator is den
+        keys, index, steps = functional._keys, functional._index, {}
+
+        def rewrite(p: int):
+            if p not in steps:
+                m = keys[p] if p < len(keys) else functional._window_keys[p]  # beyond V_k only if tampered
+                step = _step(m, monic, double)
+                steps[p] = step and (step[0], {index(q): c for q, c in step[1].items() if q != m}, step[2])
+            return steps[p]
+
         table = None
-        reduced = (_reduce(terms, den, monic, order, events)[0] for _, terms, den in rest)
+        reduced = (
+            not _descend({index(k): c for k, c in terms.items()}, rewrite, events) for _, terms, _ in rest
+        )
     else:
         folds: dict = {}  # each support path is folded once, for the table and the check
         table = _tip_table(order, [terms for _, terms, _ in kept], folds)

@@ -86,23 +86,24 @@ class TruncatedFunctional:
     def from_texts(cls, double, k, read, include_trivial=True, order=None):
         """The functional of the values `read` gives, as a file lists them.
 
-        `read(texts, index)` is handed the window position of every window
-        path's text (as `str(Path)` writes it), and `index(key)`, the window
+        `read(texts, index)` is handed the text of every window path in
+        window order (as `str(Path)` writes it), and `index(key)`, the window
         position of a (vertex, letters) key or None.  It returns the given
-        values as the columns `_place` takes: their window positions, or
+        values as the columns `_place` takes: their window positions (a
+        `range` when the values are the whole window in window order), or
         keys for paths outside the window, each once, in the order given,
         and their numerators over one denominator (see `_columns`).  When
         the window cannot be built (an order below 1, an over-large window)
-        the text table is empty and no key has a position, and that error is
+        there are no texts and no key has a position, and that error is
         raised after `read` returns, so the errors `read` raises come first.
         """
         f = cls.__new__(cls)
         try:
             star, texts = f._open(double, k, include_trivial, order, named=True)
         except InputError:
-            read({}, lambda key: None)
+            read([], lambda key: None)
             raise
-        f._place(*read(dict(zip(texts, range(len(texts)))), f._index), star)
+        f._place(*read(texts, f._index), star)
         return f
 
     def _open(self, double, k, include_trivial, order, named=False) -> tuple[list[int], list[str] | None]:
@@ -150,14 +151,16 @@ class TruncatedFunctional:
         vertex, word = key
         return self._at.get(self._code(word)) if word else self._trivial.get(vertex)
 
-    def _place(self, slots: list, re: list[int], im: list[int] | None, den: int, star: list[int]) -> None:
+    def _place(self, slots, re: list[int], im: list[int] | None, den: int, star: list[int]) -> None:
         """Place the given values and close them under the star.
 
         `slots` holds the window position of each given value, or its key
-        for a path outside the window, each once, in the order given; `re`
-        and `im` hold their numerators over `den`, with `im` None when every
-        value is real; `star` is the position of each window position's
-        star.  The bulk pass scatters the columns, then, only when some
+        for a path outside the window, each once, in the order given, or is
+        `range(len(star))` when the values are the whole window in window
+        order; `re` and `im` hold their numerators over `den`, with `im` None
+        when every value is real, and are taken over, not copied; `star` is
+        the position of each window position's star.  The bulk pass scatters
+        the columns (a whole window needs no scatter), then, only when some
         position is omitted, gives each omitted one the conjugate of its
         partner (zero when both are omitted), and checks the star closure
         with two list comparisons, re o star == re and -im o star == im (the
@@ -168,16 +171,19 @@ class TruncatedFunctional:
         numerators are then divided by the factor common to all of them.
         """
         n = len(star)
-        values = [0] * n
-        try:
-            for i, a in zip(slots, re):
-                values[i] = a
-        except TypeError:  # i is a key, not a position: the first path given outside
-            raise self._outside(Path(self.double, *i)) from None
-        imag = [0] * n
-        if im is not None:
-            for i, b in zip(slots, im):
-                imag[i] = b
+        if slots == range(n):  # the whole window, in window order
+            values, imag = re, [0] * n if im is None else im
+        else:
+            values = [0] * n
+            try:
+                for i, a in zip(slots, re):
+                    values[i] = a
+            except TypeError:  # i is a key, not a position: the first path given outside
+                raise self._outside(Path(self.double, *i)) from None
+            imag = [0] * n
+            if im is not None:
+                for i, b in zip(slots, im):
+                    imag[i] = b
         if len(slots) < n:
             # An omitted position whose partner is omitted too stays zero.
             for j in set(range(n)).difference(slots):

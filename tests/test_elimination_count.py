@@ -25,10 +25,11 @@ pivoting is what its verdicts or its kernel cost afterwards.
 
 The kernel Gröbner basis is read off the echelon kernel, so no completion
 runs behind it, and `groebner --from-kernel` runs none either: it reduces
-the kernel elements that are not kept by the kept ones, once each, which
-gives the reductions its output lists.  The reducer and the kernel checks
-run on integer numerators: no `Element` product and no `Scalar` matrix
-product.
+the kernel elements that are not kept by the kept ones, once each, in one
+descending pass over window positions that computes the step at each
+position once, which gives the reductions its output lists.  The pass and
+the kernel checks run on integer numerators: no `Element` product and no
+`Scalar` matrix product.
 
 A loaded functional gathers the integer image of its order-k moment matrix
 once, by window position, from the numerators it holds: per terminal-vertex
@@ -346,11 +347,11 @@ def test_one_step_extension_forms_no_scalar_product(images, scalar_matrix_calls)
 
 
 @pytest.fixture
-def completions(monkeypatch):
-    """Calls of right_groebner and the per-element reducer `_reduce`, under
-    every module binding."""
+def reductions(monkeypatch):
+    """Calls of right_groebner, its per-element reducer `_reduce` and the
+    kernel's descending pass `_descend`, under every module binding."""
     calls = []
-    for name in ("right_groebner", "_reduce"):
+    for name in ("right_groebner", "_reduce", "_descend"):
         fn = getattr(groebner, name)
 
         def counted(*args, fn=fn, name=name, **kwargs):
@@ -363,10 +364,11 @@ def completions(monkeypatch):
     return calls
 
 
-def test_kernel_routes_run_no_completion(completions, tmp_path, capsys):
+def test_kernel_routes_run_no_completion(reductions, tmp_path, capsys):
     # A flat rank-2 state on two loops: 19 kernel elements, 12 of them not
     # kept.  `groebner --from-kernel` reduces each of the 12 once, by the
-    # kept elements, and runs no completion.
+    # kept elements, in one descending pass over window positions, and runs
+    # no completion and no `_reduce`.
     f = state_functional(TWO_LOOPS, 2, True, [2], random.Random(7))
     assert f.is_flat().flat
     gb = kernel_groebner(f)
@@ -374,14 +376,14 @@ def test_kernel_routes_run_no_completion(completions, tmp_path, capsys):
     build_representation(f)
     ext = FlatExtension(f)
     ext.evaluate(TWO_LOOPS.path([(0, False), (1, True)] * 4))
-    assert completions == []
+    assert reductions == []
 
     fpath = tmp_path / "f.json"
     fpath.write_text(json.dumps(fileio.functional_to_dict(f)), encoding="utf-8")
     assert cli.main(["groebner", "--from-kernel", str(fpath)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["elements"]) == len(gb.elements)
-    assert completions == ["_reduce"] * 12
+    assert reductions == ["_descend"] * 12
 
 
 def test_rep_kernel_builds_each_element_from_its_nonzero_terms(monkeypatch):
@@ -525,12 +527,40 @@ def algebra_calls(monkeypatch):
     return calls
 
 
-def test_groebner_from_kernel_forms_no_element_product(rank3_two_loops_file, algebra_calls, completions, capsys):
+def test_groebner_from_kernel_forms_no_element_product(rank3_two_loops_file, algebra_calls, reductions, capsys):
     assert cli.main(["groebner", "--from-kernel", str(rank3_two_loops_file)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["reductions"]) > 300
-    assert "right_groebner" not in completions
+    assert "right_groebner" not in reductions
     assert algebra_calls == []
+
+
+def test_groebner_trace_computes_each_step_and_each_path_once(rank3_two_loops_file, monkeypatch, capsys):
+    # The flat_gns two-loop shape: the 330 reductions of the kernel
+    # elements that are not kept hit 82 distinct targets and name 85
+    # distinct paths.  `groebner --trace --from-kernel` computes the step at
+    # each target once (not once per event), builds one `Path` per distinct
+    # trace path (not three per event), and the trace lines and the file
+    # share one text per distinct path.
+    steps, built, texts = [], [], []
+    step, events, text = groebner._step, groebner._events, fileio.path_to_text
+    monkeypatch.setattr(groebner, "_step", lambda m, *args: steps.append(m) or step(m, *args))
+    monkeypatch.setattr(fileio, "path_to_text", lambda p: texts.append(p) or text(p))
+
+    def spied(double, evs):
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "Path", lambda *args: built.append(args[1:]) or quiver.Path(*args))
+            return events(double, evs)
+
+    monkeypatch.setattr(groebner, "_events", spied)
+    assert cli.main(["groebner", "--trace", "--from-kernel", str(rank3_two_loops_file)]) == 0
+    *lines, last = capsys.readouterr().out.splitlines()
+    trace, data = [json.loads(line) for line in lines], json.loads(last)
+    assert len(trace) == 330 and data["reductions"] == trace
+    paths = {p for ev in trace for p in ev.values()}
+    assert len(steps) == len(set(steps)) == len({ev["target"] for ev in trace}) == 82
+    assert len(built) == len(set(built)) == len(paths) == 85
+    assert len(texts) == len(paths) + sum(len(e["terms"]) for e in data["elements"])
 
 
 def test_kernel_groebner_forms_no_scalar_product(rank3_two_loops_file, algebra_calls):

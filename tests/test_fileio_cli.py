@@ -728,13 +728,13 @@ def test_cli_groebner_from_kernel_refuses_a_kernel_element_left_over(tmp_path, c
     # to zero; a remainder is an internal fault, exit 3, with no output.
     from quivermoment import groebner
 
-    reduce = groebner._reduce
+    descend = groebner._descend
 
-    def leftover(terms, den, tips, order, events):
-        reduce(terms, den, tips, order, events)
-        return terms, den
+    def leftover(vec, rewrite, events):
+        descend(dict(vec), rewrite, events)
+        return False
 
-    monkeypatch.setattr(groebner, "_reduce", leftover)
+    monkeypatch.setattr(groebner, "_descend", leftover)
     fixture = FsPath(__file__).parent / "fixtures" / "example2_l4.json"  # 19 kernel elements, 15 kept
     assert main(["groebner", "--from-kernel", str(fixture)]) == 3
     captured = capsys.readouterr()

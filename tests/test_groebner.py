@@ -424,19 +424,25 @@ def test_total_reduce_matches_the_scalar_reducer(data, fix_a2, fix_loop, fix_cha
     assert trace == want_trace
 
 
-def test_groebner_from_kernel_bytes_match_the_scalar_completion(tmp_path, capsys, fix_two_loops):
-    # The size of a flat_gns instance: a rank-3 state on two loops with
-    # trivial paths and k = 3, whose completion makes 300+ reductions.
+@pytest.mark.parametrize("shape", ["two_loops", "two_loops_gaussian", "two_vertex"])
+def test_groebner_from_kernel_bytes_match_the_scalar_completion(shape, tmp_path, capsys, fix_two_loops):
+    # The sizes of flat_gns instances, whose completions make 300+
+    # reductions: a rank-3 state on two loops with trivial paths and k = 3,
+    # real and Gaussian, and the two-vertex rank-5 state (3 + 2) on x, y, z
+    # at k = 3, whose V_k ends 57 times at e1 and 35 times at e2.
     from quivermoment import cli
 
-    f = state_functional(fix_two_loops, 3, True, [3], random.Random(11))
+    if shape == "two_vertex":
+        f = fileio.load_functional(FsPath(__file__).parent / "fixtures" / "fix_two_vertex.json")
+    else:
+        f = state_functional(fix_two_loops, 3, True, [3], random.Random(11), complex_=shape.endswith("gaussian"))
     fpath, opath = tmp_path / "f.json", tmp_path / "gb.json"
     fpath.write_text(json.dumps(fileio.functional_to_dict(f)), encoding="utf-8")
     assert cli.main(["groebner", "--from-kernel", str(fpath), "--trace", "-o", str(opath)]) == 0
     out = capsys.readouterr().out
     oracle = scalar_right_groebner(f.kernel_basis(), f.order)
     assert len(oracle.trace) > 300
-    data = fileio.groebner_to_dict(oracle, fix_two_loops)
+    data = fileio.groebner_to_dict(oracle, f.double)
     lines = [json.dumps(ev) for ev in data["reductions"]] + [json.dumps({"written": str(opath)})]
     assert out == "".join(line + "\n" for line in lines)
     assert opath.read_text(encoding="utf-8") == json.dumps(data, indent=2) + "\n"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path as FsPath
 
 import pytest
 from hypothesis import given, settings
@@ -219,6 +220,12 @@ def entries(*pairs):
     return [{"path": p, "value": v} for p, v in pairs]
 
 
+def fixture_pairs(name):
+    """The (path, value) texts of a committed functional file, in file order."""
+    data = json.loads((FsPath(__file__).parent / "fixtures" / f"{name}.json").read_text(encoding="utf-8"))
+    return [(e["path"], e["value"]) for e in data["entries"]]
+
+
 @pytest.mark.parametrize(
     "pairs, message",
     [
@@ -268,6 +275,14 @@ def entries(*pairs):
             [("x", "1"), ("y", "3"), ("y", "3"), ("x y", "1"), ("x*", "2")],
             "f.json: hermitian conflict between x and x*",
             id="integer_equal_repeat_then_hermitian",
+        ),
+        # The whole window in window order, which the bulk pass reads
+        # without the text table, with one malformed value after two
+        # hermitian conflicts: the ordered loop builds the table and names it.
+        pytest.param(
+            fixture_pairs("fix_refuse_literal_window_order"),
+            "f.json: malformed scalar literal '1.5'",
+            id="window_order_malformed_after_hermitian",
         ),
     ],
 )
@@ -368,8 +383,17 @@ def test_window_ordered_file_needs_no_parser_and_parses_each_value_text_once(nam
     # text, each distinct value text is read once by the literal table,
     # straight to numerators: a decimal integer by `int`, any other literal
     # by the literal parser.  An all-integer file is one `int` column: the
-    # literal table reads nothing.  No `Scalar` is parsed.
+    # literal table reads nothing.  No `Scalar` is parsed.  The path column
+    # is the window's texts, so the positions are `range(n)`: no text table
+    # and no scatter.
     calls = {"path_key": 0, "_entry": 0, "literal table": 0, "parse_literal": 0, "Scalar.parse": 0}
+    placed, place = [], TruncatedFunctional._place
+
+    def spy(self, slots, *columns):
+        placed.append(slots)
+        return place(self, slots, *columns)
+
+    monkeypatch.setattr(TruncatedFunctional, "_place", spy)
     path_key, entry, parse_literal, parse = fileio.path_key, fileio._entry, fileio.parse_literal, Scalar.parse
     missing = fileio._Literals.__missing__
 
@@ -396,6 +420,7 @@ def test_window_ordered_file_needs_no_parser_and_parses_each_value_text_once(nam
         "parse_literal": len(texts - decimal),
         "Scalar.parse": 0,
     }
+    assert placed == [range(len(data["entries"]))]
     assert [str(p) for p in f.values] == [e["path"] for e in data["entries"]]
     assert [str(v) for v in f.values.values()] == [e["value"] for e in data["entries"]]
 
