@@ -701,6 +701,31 @@ def test_psd_pipeline_reproduces_the_committed_outputs(tmp_path, capsys):
     assert "".join(stdout) == (fixtures / "psd_pipeline_stdout.txt").read_text(encoding="utf-8")
 
 
+def test_squares_certificates_reproduce_the_committed_outputs(capsys, monkeypatch):
+    # CI replays these calls without site-packages, with the same relative
+    # input paths, which the refusals name.  A weighted squares certificate
+    # on two vertices (Gaussian coefficients, a repeated path and a "1"
+    # term), a copy with one target coefficient raised by one (exit 1), and
+    # refusals (exit 2) of an over-degree square with a negative weight,
+    # misaligned weights with a negative one, a malformed weight literal with
+    # an over-degree square, and a non-real weight with a false target.  The
+    # expected files were written by the `Element` route.
+    root = FsPath(__file__).parent.parent
+    fixtures = root / "tests" / "fixtures"
+    monkeypatch.chdir(root)
+    stdout, stderr = [], []
+    for name in ("fix_squares_certificate", "fix_squares_tampered"):
+        code = main(["sos", "verify", f"tests/fixtures/{name}.json"])
+        stdout.append(f"{capsys.readouterr().out}sos verify {name} exit code: {code}\n")
+    for name in ("degree", "align", "literal", "weight"):
+        assert main(["sos", "verify", f"tests/fixtures/fix_squares_refuse_{name}.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        stderr.append(captured.err)
+    assert "".join(stdout) == (fixtures / "squares_stdout.txt").read_text(encoding="utf-8")
+    assert "".join(stderr) == (fixtures / "squares_refusals_stderr.txt").read_text(encoding="utf-8")
+
+
 def test_groebner_build_and_rep_kernel_reproduce_the_committed_outputs(capsys):
     # CI replays these without site-packages: `gns build` from a Gröbner
     # basis file with the moment gram of its quotient, the same file with a
