@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .errors import InputError
 from .quiver import ZERO_PATH, DoubleQuiver, Path, PathOrder, compose
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar, _common
 
 
 class Element:
@@ -167,3 +167,11 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({self!s})"
+
+
+def _numerators(e: Element) -> tuple[dict[tuple, tuple[int, int]], int]:
+    """e as numerators {(vertex, letters): (re, im)} over one denominator; gcd 1 by construction."""
+    cs = e.terms.values()
+    nums, den = _common([c.re for c in cs] + [c.im for c in cs])
+    n = len(cs)
+    return {(p.vertex, p.letters): c for p, c in zip(e.terms, zip(nums[:n], nums[n:]))}, den

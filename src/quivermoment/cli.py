@@ -268,10 +268,10 @@ def cmd_sos_verify(args) -> int:
     )
 
     def verdict() -> dict:
+        # integers from the file to the output: the target's numerators, the squares' or the gram's image
         if kind == "squares":
             squares, weights, degree = payload
-            return {"valid": sos.verify_squares(target, squares, degree, weights), "kind": "squares"}
-        # integers from the file to the output: the target's numerators, the gram's image, its pivots
+            return {"valid": sos._verify_squares(double, target, squares, weights, degree), "kind": "squares"}
         basis, gram, degree = payload
         pivots = sos._certify(target, basis, gram, degree)
         out = {"valid": pivots is not None, "kind": "gram"}

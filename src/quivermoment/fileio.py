@@ -3,14 +3,14 @@ and certificates.
 
 Scalars use the text grammar of :mod:`quivermoment.scalar` everywhere; no
 floating point appears in any interface.  Parse errors name the file and the
-offending token.  A functional's values, every matrix and the target of a
-Gram certificate are read straight to Gaussian-integer numerators over a
+offending token.  A functional's values, every matrix and every literal of
+a certificate are read straight to Gaussian-integer numerators over a
 denominator (`scalar.parse_literal`): a matrix is held as its integer image
 (`linalg._matrix`), and matrices and functionals are written from their
-numerators (`scalar.numerator_text`).  Elements, square weights and a
-representation's cyclic vector are read as `Scalar` values.  Loading a
-functional loads neither `gns` nor `groebner`: the representation loader
-imports `gns` when it is called.
+numerators (`scalar.numerator_text`).  Generator and Gröbner-basis
+elements and a representation's cyclic vector are read as `Scalar` values.
+Loading a functional loads neither `gns` nor `groebner`: the representation
+loader imports `gns` when it is called.
 """
 
 from __future__ import annotations
@@ -292,7 +292,7 @@ def matrix_from_rows(
     Every row must be as long as the first (rows counted from 0).
     """
     if not _list(rows, key, source):
-        return Matrix(0, 0, [])
+        return _matrix([], 1, 0)
     if literals is None:
         literals = _Literals(source, numerators=True)
     parsed = []
@@ -524,25 +524,22 @@ def groebner_to_dict(gb, double: DoubleQuiver) -> dict:
 def certificate_from_dict(data: dict, base_dir=".", source: str | None = None):
     """Returns (double, target, kind, payload): kind is 'squares' or 'gram'.
 
-    The target of a 'gram' certificate is given as numerators, (terms, den)
-    with terms {path key: (re, im)} over den (zero terms dropped), and its gram
-    as a `Matrix` holding its integer image; otherwise it is an `Element`.
+    Every literal is read as numerators.  The target is (terms, den) with
+    terms {path key: (re, im)} over den (zero terms dropped), and so is each
+    square; weights are (re, im, den) triples, or None.  A gram is a
+    `Matrix` holding its integer image.
     """
     _object(data, "certificate", source)
     if "quiver" not in data or "target" not in data:
         raise InputError(f"{_ctx(source)}certificate needs 'quiver' and 'target'")
     double = resolve_quiver(data["quiver"], base_dir, source)
-    gram_kind = "squares" not in data and "gram" in data and "basis" in data
-    literals = _Literals(source, numerators=gram_kind)
-    if gram_kind:
-        target = _element_numerators(double, data["target"], source, literals)
-    else:
-        target = element_from_dict(double, data["target"], source, literals)
+    literals = _Literals(source, numerators=True)
+    target = _element_numerators(double, data["target"], source, literals)
     degree = data.get("degree")
     if degree is not None and (type(degree) is not int or degree < 0):
         raise InputError(f"{_ctx(source)}'degree' must be a non-negative integer or null, not {degree!r}")
     if "squares" in data:
-        squares = elements_from_list(double, data["squares"], "squares", source, literals)
+        squares = [_element_numerators(double, e, source, literals) for e in _list(data["squares"], "squares", source)]
         weights = None
         if "weights" in data:
             weights = [literals[w] for w in _texts(data["weights"], "weights", source)]

@@ -4,7 +4,7 @@ Two constructions live here.  ``build_representation`` quotients the order-k
 window by the kernel ideal of a flat PSD functional: the coset basis is the
 set of window paths irreducible under the kernel Gröbner basis, the gram
 matrix is the moment pairing on those cosets, and each arrow of the double
-acts by right multiplication followed by normal-form re-expression.
+acts by right multiplication followed by the integer normal form.
 ``compress_representation`` cuts a finite-dimensional representation out of a
 merely positive functional of order d+1: right multiplication is kept on the
 low-degree coset spaces and zeroed on their gram-orthogonal complements, and
@@ -21,9 +21,9 @@ adjointness checks and word products read the integer image each matrix
 holds (`linalg._image`) and multiply and compare integers; no `Scalar`
 matrix product is formed.  Both constructions read their gram off the
 functional's integer image (`TruncatedFunctional.principal`), and the
-compression its systems too.  The gram, the compression's arrows and every
-vertex projection are handed over as integer images (`linalg._matrix`), so
-a compression builds no `Scalar` but its cyclic vector.
+compression its systems too.  The gram, every arrow and every vertex
+projection are handed over as integer images (`linalg._matrix`), so both
+constructions build no `Scalar` but their cyclic vectors.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .groebner import RightGroebnerBasis, kernel_groebner
 from .linalg import Matrix
 from .moment import TruncatedFunctional
 from .quiver import ZERO_PATH, DoubleQuiver, Path, Record, compose, enumerate_basis
-from .scalar import ZERO, Scalar
 
 
 class Representation(Record):
@@ -153,35 +152,38 @@ def _quotient_representation(
     gram: Matrix,
     cyclic: bool,
 ) -> Representation:
-    """The right action on the cosets of `basis`; with `cyclic`, the unit coset as cyclic vector."""
-    index = {p: i for i, p in enumerate(basis)}
-    n = len(basis)
+    """The right action on the cosets of `basis`, column p of letter c the integer fold NF(p·c) of the
+    tip table; with `cyclic`, the unit coset as cyclic vector, the one vector made of `Scalar`s."""
+    table, n = gb.tip_table, len(basis)
+    index = {(p.vertex, p.letters): i for i, p in enumerate(basis)}
 
-    def express(f: Element) -> list[Scalar]:
-        coords = [ZERO] * n
-        for p, c in f.terms.items():
-            if p not in index:
+    def coords(terms, den) -> tuple[list[tuple[int, int, int]], int]:
+        """A normal form as (basis index, re, im) over its denominator."""
+        for q in terms:
+            if q not in index:
                 raise InputError(
-                    "quotient is not finite-dimensional over the window "
-                    f"(irreducible path {p} escapes the coset basis)"
+                    f"quotient is not finite-dimensional over the window (irreducible path {Path(double, *q)} "
+                    "escapes the coset basis)"
                 )
-            coords[index[p]] = c
-        return coords
+        return [(index[q], re, im) for q, (re, im) in terms.items()], den
 
     arrows: dict[str, Matrix] = {}
     for letter in double.letters():
-        cols = []
-        for p in basis:
-            pc = compose(p, double.path([letter]))
-            if pc is ZERO_PATH:
-                cols.append([ZERO] * n)
-            else:
-                cols.append(express(gb.nf(pc)))
-        arrows[double.letter_name(letter)] = Matrix(
-            n, n, [cols[j][i] for i in range(n) for j in range(n)]
-        )
+        start = double.source[letter]
+        cols = [coords(*table.fold((None, p.letters + (letter,)))) if p.terminal() == start else ([], 1) for p in basis]
+        den = lcm(*(d for _, d in cols))
+        image = [[0] * (2 * n) for _ in range(n)]
+        for j, (col, d) in enumerate(cols):
+            for i, re, im in col:
+                image[i][j], image[i][n + j] = re * (den // d), im * (den // d)
+        arrows[double.letter_name(letter)] = linalg._matrix(image, den, n)
 
-    xi = _cyclic_vector(double, basis, gb) if cyclic else None
+    xi = None
+    if cyclic:  # NF of the unit, the sum of the trivial paths
+        unit = {(v, ()): (1, 0) for v in range(len(double.vertices))}
+        col, den = coords(*table._keyed(*table._nf(unit, 1, {})))
+        at = {i: (re, im) for i, re, im in col}
+        xi = tuple(linalg._scalar(*at.get(i, (0, 0)), den) for i in range(n))
     return Representation(double, basis, gram, arrows, _vertex_projections(double, basis), xi)
 
 
@@ -192,15 +194,6 @@ def _vertex_projections(double: DoubleQuiver, basis: tuple[Path, ...]) -> dict[s
         v: linalg._matrix([[int(i == j and basis[i].terminal() == vi) for j in range(n)] for i in range(n)], 1, n)
         for vi, v in enumerate(double.vertices)
     }
-
-
-def _cyclic_vector(double: DoubleQuiver, basis: tuple[Path, ...], gb: RightGroebnerBasis) -> tuple[Scalar, ...]:
-    index = {p: i for i, p in enumerate(basis)}
-    coords = [ZERO] * len(basis)
-    for e in double.trivial_paths():
-        for p, c in gb.nf(e).terms.items():
-            coords[index[p]] = coords[index[p]] + c
-    return tuple(coords)
 
 
 # -- compression of a positive (not necessarily flat) functional -------------

@@ -58,11 +58,10 @@ from __future__ import annotations
 from functools import cached_property
 from math import gcd, lcm
 
-from .algebra import Element
+from .algebra import Element, _numerators
 from .errors import InputError, InternalInvariantError
 from .moment import TruncatedFunctional
 from .quiver import DoubleQuiver, Key, Path, PathOrder, Record
-from .scalar import _common
 from .scalar import from_numerators as _scalar
 
 
@@ -73,14 +72,6 @@ class ReductionEvent(Record):
 
 
 Numerators = dict[Key, tuple[int, int]]
-
-
-def _ints(e: Element) -> tuple[Numerators, int]:
-    """e as numerators over one denominator, from one `_common` call; gcd 1 by construction."""
-    cs = e.terms.values()
-    nums, den = _common([c.re for c in cs] + [c.im for c in cs])
-    n = len(cs)
-    return {(p.vertex, p.letters): c for p, c in zip(e.terms, zip(nums[:n], nums[n:]))}, den
 
 
 def _element(double: DoubleQuiver, terms: Numerators, den: int) -> Element:
@@ -332,7 +323,7 @@ class RightGroebnerBasis(Record):
         of a tail is below its tip, so only the rules already in the table can
         divide the paths its fold meets.
         """
-        return _tip_table(self.order, [terms for terms, _ in map(_ints, self.elements)], {})
+        return _tip_table(self.order, [terms for terms, _ in map(_numerators, self.elements)], {})
 
     def nf(self, p: Path) -> Element:
         """Normal form of a single path."""
@@ -438,7 +429,7 @@ def right_groebner(generators, order: PathOrder) -> RightGroebnerBasis:
     seen: set = set()
     for gen in generators:
         parts: dict[int, Numerators] = {}
-        for k, c in _ints(gen)[0].items():
+        for k, c in _numerators(gen)[0].items():
             parts.setdefault(_end(k, double), {})[k] = c
         for v in sorted(parts):
             admit(h, seen, parts[v])

@@ -1,11 +1,10 @@
 """Exact linear algebra over the Gaussian rationals, run on Python integers.
 
 `Matrix` is the I/O type, with readers and constructors but no arithmetic.
-It holds an integer image or `Scalar` entries, whichever it was built from,
-and derives the other on demand: a file's matrix and a kernel's result hold
-the image, and no `Scalar` is built unless an entry is read.  The kernels
-take integer images in and give integers out: `_image` and `_images` hand
-out the image a matrix holds, `_psd_pivots` pivots it, and `_matrix` wraps
+It holds one form, its canonical integer image; its `Scalar` entries are
+derived when read, and no `Scalar` is built otherwise.  The kernels take
+integer images in and give integers out: `_image` and `_images` hand out
+the image a matrix holds, `_psd_pivots` pivots it, and `_matrix` wraps
 integer rows as a `Matrix`.  An image is the matrix times one positive
 common denominator, as integer rows: plain ``int`` entries, or real parts
 followed by imaginary parts when some entry is non-real.  A product is the
@@ -62,22 +61,22 @@ _set, _new = object.__setattr__, object.__new__
 class Matrix:
     """Immutable dense matrix over Q(i), row-major: the I/O type.
 
-    It holds the form it was built from, `Scalar` entries or an integer
-    image (`_matrix`), and derives the other once, when first read.  The
-    image is canonical (see `_integers`), so equal matrices have equal
-    images and `==` and the hash agree whichever form each was built from.
-    It has no arithmetic, no transpose and no hermitian test: those run on
-    the image.
+    It holds one form, its canonical integer image (see `_integers`): built
+    from `Scalar` entries it takes them to the image at once, and `entries`
+    are derived from the image when read.  Equal matrices have equal images,
+    which `==` and the hash compare.  It has no arithmetic, no transpose and
+    no hermitian test: those run on the image.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_img")
+    __slots__ = ("rows", "cols", "_img")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        for name, value in zip(Matrix.__slots__, (rows, cols, entries, None)):
-            _set(self, name, value)
+        es = tuple(entries)
+        if len(es) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(es)}")
+        flat, den = _common([e.re for e in es] + [e.im for e in es])
+        im = flat[len(es) :]
+        _hold(self, [flat[i * cols : (i + 1) * cols] + im[i * cols : (i + 1) * cols] for i in range(rows)], den, cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -96,49 +95,37 @@ class Matrix:
 
     @property
     def entries(self) -> tuple[Scalar, ...]:
-        if self._entries is None:
-            (rows, den), n = self._img, self.cols
-            real = self._real()
-            _set(self, "_entries", tuple(_scalar(r[j], 0 if real else r[n + j], den) for r in rows for j in range(n)))
-        return self._entries
+        return tuple(e for i in range(self.rows) for e in self.row(i))
 
     def _integers(self) -> tuple[list[list[int]], int]:
         """The canonical image (rows, den): den > 0 and no factor common to den and every
         numerator, in the real layout iff no entry is non-real (see `_image`).  Not to be changed."""
-        if self._img is None:
-            es, n = self._entries, self.cols
-            real = not any(e.im for e in es)
-            flat, den = _common([e.re for e in es] if real else [e.re for e in es] + [e.im for e in es])
-            im = [] if real else flat[len(es) :]
-            _set(self, "_img", ([flat[i * n : i * n + n] + im[i * n : i * n + n] for i in range(self.rows)], den))
         return self._img
 
     def _real(self) -> bool:
-        rows = self._integers()[0]
+        rows = self._img[0]
         return not rows or len(rows[0]) == self.cols
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self.entries[i * self.cols + j]
+        (rows, den), n = self._img, self.cols
+        return _scalar(rows[i][j], 0 if len(rows[i]) == n else rows[i][n + j], den)
 
     def row(self, i: int) -> tuple[Scalar, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(self.entry(i, j) for j in range(self.cols))
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> Matrix:
         """The submatrix of rows r0..r1-1 and columns c0..c1-1."""
-        n, es = self.cols, self.entries
-        return Matrix(r1 - r0, c1 - c0, [e for i in range(r0, r1) for e in es[i * n + c0 : i * n + c1]])
+        rows, den = self._img
+        n = self.cols
+        return _matrix([r[c0:c1] + r[n + c0 : n + c1] for r in rows[r0:r1]], den, c1 - c0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.rows != other.rows or self.cols != other.cols:
-            return False
-        if self._entries is not None and other._entries is not None:
-            return self._entries == other._entries
-        return self._integers() == other._integers()
+        return self.rows == other.rows and self.cols == other.cols and self._img == other._img
 
     def __hash__(self):
-        rows, den = self._integers()
+        rows, den = self._img
         return hash((self.rows, self.cols, den, *map(tuple, rows)))
 
     def __repr__(self) -> str:
@@ -250,10 +237,14 @@ def _images(*ms: Matrix) -> list[tuple[list[list[int]], int]]:
 
 
 def _matrix(rows: list[list[int]], den: int, ncols: int) -> Matrix:
-    """The `Matrix` of integer rows over a nonzero den, in either layout (see `_image`).
+    """The `Matrix` of integer rows over a nonzero den, in either layout (see `_image`); no `Scalar` is built."""
+    m = _new(Matrix)
+    _hold(m, rows, den, ncols)
+    return m
 
-    No `Scalar` is built: the matrix holds the image, made canonical here.
-    """
+
+def _hold(m: Matrix, rows: list[list[int]], den: int, ncols: int) -> None:
+    """Set the slots of m to the canonical image of integer rows over den (see `_matrix`)."""
     g = gcd(den, *chain.from_iterable(rows))
     if den < 0:
         g = -g
@@ -261,10 +252,8 @@ def _matrix(rows: list[list[int]], den: int, ncols: int) -> Matrix:
         rows, den = [[x // g for x in r] for r in rows], den // g
     if rows and len(rows[0]) > ncols and not any(any(r[ncols:]) for r in rows):
         rows = [r[:ncols] for r in rows]
-    m = _new(Matrix)
-    for name, value in zip(Matrix.__slots__, (len(rows), ncols, None, (rows, den))):
+    for name, value in zip(Matrix.__slots__, (len(rows), ncols, (rows, den))):
         _set(m, name, value)
-    return m
 
 
 def _transpose(rows: list[list[int]], ncols: int, conj: bool = False) -> list[list[int]]:

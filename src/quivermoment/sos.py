@@ -6,14 +6,15 @@ weights) or a hermitian PSD Gram matrix over a path basis.  A passing Gram
 witness is converted to explicit weighted squares through the exact rational
 LDL^H decomposition; certificate search is out of scope.
 
-A Gram certificate runs on integers from the file to the output
-(`_certify`): its target is numerators over one denominator, its gram an
-integer image, checked there to be hermitian.  The expansion
-sum gram[i][j] p_i q_j* is summed on the image and compared with the
-target's numerators first; only a gram that matches is pivoted, once, and
-that pivoting decides PSD and gives the squares (`_squares`).
-`expand_gram`, `gram_pivots`, `verify_gram` and `gram_to_squares` are
-adapters over the same core.
+Both kinds run on integers from the file to the output, the target as
+numerators over one denominator.  A Gram certificate's gram is an integer
+image, checked there to be hermitian (`_certify`).  Squares g_i with
+weights w_i are the gram G = sum w_i c_i c_i^H over the union of their
+supports, c_i the coefficients of g_i (`_squares_gram`), PSD by
+construction.  The expansion sum G[i][j] p_i q_j* is summed on the image
+(`_expansion`) and compared with the target (`_matches`); only a Gram
+certificate that matches is pivoted, once, which decides PSD and gives the
+squares (`_squares`).  The public functions are adapters over this core.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from __future__ import annotations
 from math import lcm
 
 from . import linalg
-from .algebra import Element
+from .algebra import Element, _numerators
 from .errors import InputError
 from .linalg import Matrix
-from .quiver import Key, Path
-from .scalar import ONE, Scalar, from_numerators, numerator_text
+from .quiver import DoubleQuiver, Key, Path
+from .scalar import Scalar, from_numerators, numerator_text
 
 # A linear combination of paths as numerators: {path key: (re, im)} over
 # one positive denominator, zero terms left out.
@@ -33,32 +34,57 @@ Numerators = tuple[dict[Key, tuple[int, int]], int]
 
 
 def expand_squares(squares, weights=None) -> Element:
+    """sum w_i g_i g_i*, with every w_i = 1 when no weights are given."""
     squares = list(squares)
-    if weights is None:
-        weights = [ONE] * len(squares)
-    if len(weights) != len(squares):
-        raise InputError("weights and squares must align")
-    if not squares:
+    if not squares and not weights:
         raise InputError("empty square list")
-    acc = Element.zero(squares[0].double)
-    for w, g in zip(weights, squares):
-        if not (w.is_real() and w.re > 0):
-            raise InputError("square weights must be positive rationals")
-        acc = acc + (g * g.star()).scale(w)
-    return acc
+    double = squares[0].double if squares else None
+    basis, gram = _squares_gram(double, [_numerators(g) for g in squares], _weights(weights), None)
+    return expand_gram(basis, gram) if basis else Element.zero(double)
 
 
 def verify_squares(target: Element, squares, d: int | None = None, weights=None) -> bool:
     """Exact check that target = sum w_i g_i g_i* (degree-bounded when d given)."""
-    squares = list(squares)
+    nums = [_numerators(g) for g in squares]
+    return _verify_squares(target.double, _numerators(target), nums, _weights(weights), d)
+
+
+def _weights(weights) -> list[tuple[int, int, int]] | None:
+    return None if weights is None else [w.numerators() for w in weights]
+
+
+def _verify_squares(double: DoubleQuiver, target: Numerators, squares: list[Numerators], weights, d) -> bool:
+    """Whether the target is sum w_i g_i g_i* for squares and weights as numerators (see `_squares_gram`)."""
+    basis, gram = _squares_gram(double, squares, weights, d)
+    return _matches(target, _expansion(basis, gram)) if basis else not target[0]
+
+
+def _squares_gram(double: DoubleQuiver, squares: list[Numerators], weights, d: int | None) -> tuple[list[Path], Matrix]:
+    """The union of the squares' supports, as paths, and the gram G = sum w_i c_i c_i^H over it.
+
+    Weights are (re, im, den) triples, or None for every w_i = 1.  Refused in
+    this order: the first square past the degree bound d, weights that do not
+    align with the squares, and a weight that is not a positive rational.
+    """
     if d is not None:
-        for g in squares:
-            deg = g.degree()
-            if deg is not None and deg > d:
+        for terms, _ in squares:
+            if terms and (deg := max(len(letters) for _, letters in terms)) > d:
                 raise InputError(f"square of degree {deg} exceeds the bound {d}")
-    if not squares:
-        return target.is_zero()
-    return expand_squares(squares, weights) == target
+    weights = [(1, 0, 1)] * len(squares) if weights is None else weights
+    if len(weights) != len(squares):
+        raise InputError("weights and squares must align")
+    if any(im or re <= 0 for re, im, _ in weights):
+        raise InputError("square weights must be positive rationals")
+    index = {key: i for i, key in enumerate(dict.fromkeys(key for terms, _ in squares for key in terms))}
+    n, den = len(index), lcm(*(wd * sd * sd for (_, _, wd), (_, sd) in zip(weights, squares)))
+    rows = [[0] * (2 * n) for _ in range(n)]  # real parts, then imaginary parts
+    for (w, _, wd), (terms, sd) in zip(weights, squares):
+        f, vec = w * (den // (wd * sd * sd)), [(index[key], x, y) for key, (x, y) in terms.items()]
+        for i, x, y in vec:  # row i gains f c_i conj(c_j) = f (x + iy)(u - iv)
+            for j, u, v in vec:
+                rows[i][j] += f * (x * u + y * v)
+                rows[i][n + j] += f * (y * u - x * v)
+    return [Path(double, *key) for key in index], linalg._matrix(rows, den, n)
 
 
 def expand_gram(basis: list[Path], gram: Matrix) -> Element:
@@ -99,10 +125,7 @@ def verify_gram(target: Element, basis: list[Path], gram: Matrix, d: int | None 
 
 def gram_pivots(target: Element, basis: list[Path], gram: Matrix, d: int | None = None):
     """The LDL^H pivots of a gram that certifies the target (see `verify_gram`), or None."""
-    parts = [c.numerators() for c in target.terms.values()]
-    den = lcm(*{q for *_, q in parts})
-    terms = {(p.vertex, p.letters): (re * (den // q), im * (den // q)) for p, (re, im, q) in zip(target.terms, parts)}
-    pivots = _certify((terms, den), basis, gram, d)
+    pivots = _certify(_numerators(target), basis, gram, d)
     return pivots if pivots is None or target.double is basis[0].double else None
 
 
@@ -123,16 +146,20 @@ def _certify(target: Numerators, basis: list[Path], gram: Matrix, d: int | None)
             if p.length() > d:
                 raise InputError(f"basis path {p} exceeds the degree bound {d}")
     shaped = gram.rows == len(basis) and basis
-    if shaped:
-        (terms, den_x), (want, wden) = _expansion(basis, gram), target
-        if terms.keys() != want.keys() or any(
-            re * wden != want[p][0] * den_x or im * wden != want[p][1] * den_x for p, (re, im) in terms.items()
-        ):
-            return None
+    if shaped and not _matches(target, _expansion(basis, gram)):
+        return None
     pivots = linalg._image_psd(tri, den)
     if pivots is not None and not shaped:
         _expansion(basis, gram)  # raises
     return pivots
+
+
+def _matches(target: Numerators, expansion: Numerators) -> bool:
+    """Whether two linear combinations given as numerators are equal."""
+    (want, wden), (terms, den) = target, expansion
+    return terms.keys() == want.keys() and all(
+        re * wden == want[p][0] * den and im * wden == want[p][1] * den for p, (re, im) in terms.items()
+    )
 
 
 def _squares(basis: list[Path], pivots) -> list[tuple]:

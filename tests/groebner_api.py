@@ -3,7 +3,7 @@
 The package reduces integer numerators: the completion through `_reduce`,
 normal forms through a basis's `TipTable`.  Only the tests compare them with
 whole `Element` results, those of the `Scalar` oracles in `oracles.py`.
-Each function here takes its elements to numerators (`groebner._ints`), runs
+Each function here takes its elements to numerators (`algebra._numerators`), runs
 one kernel and builds the `Element` result:
 
 * `total_reduce`: `_reduce` by the monic basis elements, each tip keeping
@@ -14,7 +14,8 @@ one kernel and builds the `Element` result:
 from __future__ import annotations
 
 from quivermoment import Element, PathOrder, ReductionEvent, RightGroebnerBasis
-from quivermoment.groebner import _element, _events, _ints, _monic, _reduce
+from quivermoment.algebra import _numerators as _ints
+from quivermoment.groebner import _element, _events, _monic, _reduce
 
 
 def total_reduce(

@@ -103,22 +103,23 @@ def column(values) -> Matrix:
 
 
 def col(m: Matrix, j: int) -> tuple[Scalar, ...]:
-    return tuple(m.entries[i * m.cols + j] for i in range(m.rows))
+    return m.entries[j :: m.cols] if m.cols else ()
 
 
 def transpose(m: Matrix) -> Matrix:
-    return Matrix(m.cols, m.rows, [m.entry(i, j) for j in range(m.cols) for i in range(m.rows)])
+    return Matrix(m.cols, m.rows, [e for j in range(m.cols) for e in col(m, j)])
 
 
 def conj_transpose(m: Matrix) -> Matrix:
-    return Matrix(m.cols, m.rows, [m.entry(i, j).conjugate() for j in range(m.cols) for i in range(m.rows)])
+    return Matrix(m.cols, m.rows, [e.conjugate() for j in range(m.cols) for e in col(m, j)])
 
 
 def is_hermitian(m: Matrix) -> bool:
     """`Scalar` comparison of every entry with the conjugate of its mirror."""
     if m.rows != m.cols:
         return False
-    return all(m.entry(i, j) == m.entry(j, i).conjugate() for i in range(m.rows) for j in range(i, m.cols))
+    es, n = m.entries, m.cols
+    return all(es[i * n + j] == es[j * n + i].conjugate() for i in range(n) for j in range(i, n))
 
 
 def is_zero(m: Matrix) -> bool:
@@ -129,7 +130,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     """The product a*b, summed entry by entry."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.rows}x{a.cols} * {b.rows}x{b.cols}")
-    out = []
+    out, bs = [], b.entries
     for i in range(a.rows):
         ri = a.row(i)
         for j in range(b.cols):
@@ -137,25 +138,31 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
             for k in range(a.cols):
                 x = ri[k]
                 if x:
-                    acc = acc + x * b.entry(k, j)
+                    acc = acc + x * bs[k * b.cols + j]
             out.append(acc)
     return Matrix(a.rows, b.cols, out)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns.
+    """Reduced row echelon form and pivot columns (see `_rref`)."""
+    data, pivots = _rref([list(m.row(i)) for i in range(m.rows)], m.cols)
+    return Matrix(m.rows, m.cols, [e for row_ in data for e in row_]), pivots
+
+
+def _rref(data: list[list[Scalar]], ncols: int) -> tuple[list[list[Scalar]], tuple[int, ...]]:
+    """The rows of the reduced row echelon form, computed in place, and the pivot columns.
 
     Pivot choice: first nonzero entry in the current column, lowest row index
     first.  Pivots are scaled to 1 and cleared above and below.
     """
-    data = [list(m.row(i)) for i in range(m.rows)]
+    nrows = len(data)
     pivots: list[int] = []
     prow = 0
-    for col in range(m.cols):
-        if prow >= m.rows:
+    for col in range(ncols):
+        if prow >= nrows:
             break
         sel = None
-        for r in range(prow, m.rows):
+        for r in range(prow, nrows):
             if data[r][col]:
                 sel = r
                 break
@@ -166,23 +173,22 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         pv = data[prow][col]
         if pv != ONE:
             inv_row = data[prow]
-            for c in range(col, m.cols):
+            for c in range(col, ncols):
                 if inv_row[c]:
                     inv_row[c] = inv_row[c] / pv
-        for r in range(m.rows):
+        for r in range(nrows):
             if r == prow:
                 continue
             f = data[r][col]
             if f:
                 src = data[prow]
                 dst = data[r]
-                for c in range(col, m.cols):
+                for c in range(col, ncols):
                     if src[c]:
                         dst[c] = dst[c] - f * src[c]
         pivots.append(col)
         prow += 1
-    flat = [e for row_ in data for e in row_]
-    return Matrix(m.rows, m.cols, flat), tuple(pivots)
+    return data, tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -218,27 +224,21 @@ def solve_particular(a: Matrix, c: Matrix) -> tuple[int, Matrix | None]:
     """rank(a) and the solution of a*X = c read off the RREF of [a | c]: row r
     of the RREF goes to the row of X at its pivot column, free rows are zero.
     None when the RREF has a pivot in the c block."""
-    aug = Matrix(a.rows, a.cols + c.cols, [e for i in range(a.rows) for e in (*a.row(i), *c.row(i))])
-    red, pivots = rref(aug)
+    red, pivots = _rref([[*a.row(i), *c.row(i)] for i in range(a.rows)], a.cols + c.cols)
     if any(p >= a.cols for p in pivots):
         return rank(a), None
     x = [[ZERO] * c.cols for _ in range(a.cols)]
     for r, p in enumerate(pivots):
-        x[p] = list(red.row(r)[a.cols :])
+        x[p] = red[r][a.cols :]
     return len(pivots), Matrix(a.cols, c.cols, [e for row in x for e in row])
 
 
 def solve_full_rank(a: Matrix, b: Matrix) -> Matrix:
     """Solve a*X = b for invertible `a` (raises if singular)."""
-    aug = Matrix(
-        a.rows,
-        a.cols + b.cols,
-        [e for i in range(a.rows) for e in (*a.row(i), *b.row(i))],
-    )
-    red, pivots = rref(aug)
+    red, pivots = _rref([[*a.row(i), *b.row(i)] for i in range(a.rows)], a.cols + b.cols)
     if len(pivots) != a.cols or any(p >= a.cols for p in pivots):
         raise InternalInvariantError("matrix expected to be invertible is singular")
-    return Matrix(a.cols, b.cols, [red.entry(i, a.cols + j) for i in range(a.cols) for j in range(b.cols)])
+    return Matrix(a.cols, b.cols, [e for row in red[: a.cols] for e in row[a.cols :]])
 
 
 def psd_check(m: Matrix) -> bool:

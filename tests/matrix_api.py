@@ -17,6 +17,8 @@ builds the `Matrix` or `Scalar` result, with the signature of its
 
 from __future__ import annotations
 
+from math import lcm
+
 from quivermoment import linalg
 from quivermoment.errors import InternalInvariantError, NotFlatError
 from quivermoment.linalg import Matrix
@@ -27,8 +29,14 @@ def _beside(a: Matrix, c: Matrix) -> tuple[list[list[int]], int]:
     """The integer image of [a | c]: its rows and their denominator."""
     if a.rows != c.rows:
         raise ValueError("row count mismatch")
-    m = Matrix(a.rows, a.cols + c.cols, [x for i in range(a.rows) for x in a.row(i) + c.row(i)])
-    return linalg._image(m)
+    (ra, da), (rc, dc) = linalg._images(a, c)
+    den = lcm(da, dc)
+    sa, sc = den // da, den // dc
+    if a._real() and c._real():
+        return [[x * sa for x in r] + [y * sc for y in t] for r, t in zip(ra, rc)], den
+    n, m = a.cols, c.cols
+    return [[x * sa for x in r[:n]] + [y * sc for y in t[:m]] + [x * sa for x in r[n:]] + [y * sc for y in t[m:]]
+            for r, t in zip(ra, rc)], den
 
 
 def rank(m: Matrix) -> int:

@@ -8,6 +8,9 @@
   before integer images: `Scalar` matrix products and `Matrix ==`;
 * `Element.from_terms` as it was before new paths were stored directly:
   one `Scalar` addition and one zero test per term;
+* the expansion and the verdict of weighted squares as they were before
+  the integer gram: `Element` arithmetic, with the empty square list
+  decided before the weights were checked;
 * reassembly of a block decomposition, truncation of an element, the
   restriction of a functional to a lower order, the Riesz functional L(f)
   and the moment pairing L(f g*) computed through the algebra product;
@@ -308,6 +311,38 @@ def element_from_terms(double, pairs) -> Element:
         else:
             acc[p] = cur
     return Element(double, acc)
+
+
+def element_expand_squares(squares, weights=None) -> Element:
+    """sum w_i g_i g_i* as `sos.expand_squares` computed it before the integer gram:
+    `Element` products, stars, scalings and sums."""
+    squares = list(squares)
+    if weights is None:
+        weights = [ONE] * len(squares)
+    if len(weights) != len(squares):
+        raise InputError("weights and squares must align")
+    if not squares:
+        raise InputError("empty square list")
+    acc = Element.zero(squares[0].double)
+    for w, g in zip(weights, squares):
+        if not (w.is_real() and w.re > 0):
+            raise InputError("square weights must be positive rationals")
+        acc = acc + (g * g.star()).scale(w)
+    return acc
+
+
+def element_verify_squares(target: Element, squares, d: int | None = None, weights=None) -> bool:
+    """`sos.verify_squares` before the integer gram, on `element_expand_squares`.  An empty
+    square list returned whether the target is zero before the weights were checked."""
+    squares = list(squares)
+    if d is not None:
+        for g in squares:
+            deg = g.degree()
+            if deg is not None and deg > d:
+                raise InputError(f"square of degree {deg} exceeds the bound {d}")
+    if not squares:
+        return target.is_zero()
+    return element_expand_squares(squares, weights) == target
 
 
 def truncate(f: Element, d: int) -> Element:

@@ -699,3 +699,52 @@ def test_psd_compress_commands_build_no_scalar_matrix(complex_, tmp_path, capsys
     nonzero = sum(c != "0" for c in cyclic)
     assert 0 < nonzero <= 21
     assert built == {"compress": nonzero, "check": nonzero, "verify": 0, "verify tampered": 0}
+
+
+def test_sos_verify_of_squares_builds_no_scalar_and_no_element_arithmetic(capsys, scalars_built, monkeypatch):
+    # A weighted squares certificate with Gaussian coefficients and its copy
+    # with one target coefficient raised by one: the target, the squares and
+    # the weights are read as numerators and the squares' gram is built on
+    # integers, so no `Scalar` is built and no `Element` is added,
+    # multiplied, scaled or starred.
+    ops = []
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "scale", "star"):
+        fn = getattr(algebra.Element, name)
+        monkeypatch.setattr(algebra.Element, name, lambda *args, _name=name, _fn=fn: ops.append(_name) or _fn(*args))
+    for name, code in [("fix_squares_certificate", 0), ("fix_squares_tampered", 1)]:
+        del scalars_built[:]
+        assert cli.main(["sos", "verify", str(FIXTURES / f"{name}.json")]) == code
+        assert json.loads(capsys.readouterr().out) == {"valid": code == 0, "kind": "squares"}
+        assert scalars_built == []
+    assert ops == []
+
+
+@pytest.mark.parametrize("source", ["functional", "groebner"])
+def test_gns_build_builds_scalars_only_for_the_cyclic_vector(
+    source, rank3_two_loops_file, tmp_path, capsys, scalars_built, monkeypatch
+):
+    # `gns build` of the flat_gns two-loop shape (trivial paths, so a cyclic
+    # vector) and of a quotient rebuilt from a Gröbner-basis file and a gram
+    # (no trivial paths, no cyclic vector).  Once the Gröbner basis is there
+    # (its elements are public `Element`s), the quotient is built on
+    # integers: each arrow column is an integer fold of the tip table, no
+    # `Element` normal form is taken, and the one vector of `Scalar`s is
+    # the cyclic vector, one per nonzero entry.
+    built = []
+    quotient = gns._quotient_representation
+
+    def counted(*args):
+        del scalars_built[:]
+        rep = quotient(*args)
+        built.append(len(scalars_built))
+        return rep
+
+    monkeypatch.setattr(gns, "_quotient_representation", counted)
+    monkeypatch.setattr(groebner.RightGroebnerBasis, "nf", lambda *args: pytest.fail("an Element normal form"))
+    fpath = rank3_two_loops_file if source == "functional" else FIXTURES / "fix_groebner_gram.json"
+    rpath = tmp_path / "rep.json"
+    assert cli.main(["gns", "build", str(fpath), "-o", str(rpath)]) == 0
+    capsys.readouterr()
+    cyclic = json.loads(rpath.read_text(encoding="utf-8"))["cyclic"]
+    assert (cyclic is None) == (source == "groebner")
+    assert built == [sum(c != "0" for c in cyclic or [])]

@@ -748,6 +748,20 @@ def test_groebner_build_and_rep_kernel_reproduce_the_committed_outputs(capsys):
     assert capsys.readouterr().out == (fixtures / "rep_kernel_stdout.txt").read_text(encoding="utf-8")
 
 
+def test_gns_build_refuses_a_quotient_that_escapes_the_window(tmp_path, capsys):
+    # One loop with the basis {x* + 2 e:e}: its tip x* has length 1, so the
+    # window is the trivial path, but x is irreducible, so the arrow x takes
+    # the coset of e:e out of the coset basis.
+    data = {"quiver": LOOP, "groebner": [{"terms": [{"path": "x*", "coeff": "1"}, {"path": "e:e", "coeff": "2"}]}],
+            "gram": [["1"]], "include_trivial": True}
+    assert main(["gns", "build", write(tmp_path, "gb.json", data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: quotient is not finite-dimensional over the window (irreducible path x escapes the coset basis)\n"
+    )
+
+
 def test_cli_groebner_from_kernel_refuses_a_kernel_element_left_over(tmp_path, capsys, monkeypatch):
     # The one reduction pass must take every kernel element that is not kept
     # to zero; a remainder is an internal fault, exit 3, with no output.

@@ -50,6 +50,7 @@ LOADERS = {
         ("fix_psd_chain_certificate.json", ["sos", "verify"]),
         ("fix_gauss_pd_loop_certificate.json", ["sos", "verify"]),
         ("fix_nonpsd_certificate.json", ["sos", "verify"]),
+        ("fix_squares_certificate.json", ["sos", "verify"]),
     ],
     "generators": [("example2_l4_groebner.json", ["groebner", "--trace", "--generators"])],
     "groebner_gram": [("fix_groebner_gram.json", ["gns", "build"])],

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from quivermoment import (
     Element,
+    algebra,
     fileio,
     ExtensionObstructed,
     InputError,
@@ -598,7 +599,7 @@ def test_right_ideal_members_reduce_to_zero(data, fix_a2, fix_loop, fix_chain):
 def integer_kernel_entry(f, g):
     """g as an entry of the functional's integer kernel `_null`: numerators
     {key: (re, im)} in path order, the tip last, over one denominator."""
-    terms, den = groebner._ints(g)
+    terms, den = algebra._numerators(g)
     return dict(sorted(terms.items(), key=lambda t: f.order.key_of(t[0]))), den
 
 

@@ -2,18 +2,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quivermoment import (
     InputError,
     Matrix,
+    Quiver,
     Scalar,
+    build_double,
     build_representation,
+    enumerate_basis,
     expand_gram,
     gram_to_squares,
     verify_gram,
     verify_squares,
 )
 
+import oracles
 from conftest import elem, path, sc, state_functional
 from linalg_oracle import col, identity, is_hermitian
 from matrix_api import psd_check
@@ -226,3 +232,117 @@ def test_gram_certificates_verify_as_on_scalars(quiver, request, tmp_path, capsy
         assert (code, json.loads(out)) == (0 if want["valid"] else 1, want)
         verdicts.append(want["valid"])
     assert True in verdicts and False in verdicts
+
+
+# -- squares certificates: the integer gram against the `Element` route ---------------
+
+SQUARE_QUIVERS = {
+    "one_loop": build_double(Quiver(["e"], [("x", "e", "e")])),
+    "two_vertex": build_double(Quiver(["u", "v"], [("x", "u", "v"), ("y", "v", "v")])),
+}
+
+
+@st.composite
+def square_certificates(draw):
+    """Weighted Gaussian squares over a one-loop or a two-vertex quiver: up to
+    three squares of up to four terms on paths of length <= 2 (repeated paths
+    and terms that cancel included), weights that are positive, negative,
+    zero, non-real, misaligned or absent, a degree bound of 0-2 or none, and
+    a target that is the squares' expansion, that plus a drawn element, or drawn."""
+    double = SQUARE_QUIVERS[draw(st.sampled_from(sorted(SQUARE_QUIVERS)), label="quiver")]
+    window = list(enumerate_basis(double, double.default_order(), 2, True))
+    part = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    coeff = st.builds(Scalar, part, st.one_of(st.just(0), part))
+
+    def element(label):
+        terms = draw(st.lists(st.tuples(st.sampled_from(window), coeff), max_size=4), label=label)
+        return oracles.element_from_terms(double, terms)
+
+    squares = [element(f"square {i}") for i in range(draw(st.integers(0, 3), label="squares"))]
+    weight = st.one_of(st.builds(Scalar, st.builds(Fraction, st.integers(1, 9), st.integers(1, 5))), coeff)
+    weights = draw(st.one_of(st.none(), st.lists(weight, min_size=len(squares), max_size=len(squares)),
+                             st.lists(weight, max_size=4)), label="weights")
+    degree = draw(st.sampled_from([None, 0, 1, 2]), label="degree")
+    kind = draw(st.sampled_from(["expansion", "moved", "drawn"]), label="target")
+    target = element("target")
+    if kind != "drawn":
+        try:
+            target = oracles.element_expand_squares(squares, weights)
+        except InputError:
+            pass
+        if kind == "moved":
+            target = target + element("moved by")
+    return double, target, squares, weights, degree
+
+
+def _element_verdict(target, squares, degree, weights):
+    """The `Element` route's verdict or refusal text; an empty square list checks its weights first."""
+    try:
+        if not squares and weights:
+            raise InputError("weights and squares must align")
+        return oracles.element_verify_squares(target, squares, degree, weights)
+    except InputError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(square_certificates())
+def test_squares_certificates_verify_as_on_elements(tmp_path_factory, capsys, cert):
+    # The integer gram of the squares, through the library adapter and
+    # through `sos verify` of the certificate file, against the `Element`
+    # route: the same verdicts and the same refusal texts, in their order.
+    import json
+
+    from quivermoment import fileio
+    from quivermoment.cli import main
+
+    double, target, squares, weights, degree = cert
+    want = _element_verdict(target, squares, degree, weights)
+    try:
+        got = verify_squares(target, squares, degree, weights)
+    except InputError as e:
+        got = str(e)
+    assert got == want
+    data = {
+        "quiver": fileio.quiver_to_dict(double.base),
+        "target": fileio.element_to_dict(target),
+        "degree": degree,
+        "squares": [fileio.element_to_dict(g) for g in squares],
+    }
+    if weights is not None:
+        data["weights"] = [str(w) for w in weights]
+    fpath = tmp_path_factory.mktemp("squares") / "cert.json"
+    fpath.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["sos", "verify", str(fpath)])
+    out, err = capsys.readouterr()
+    if isinstance(want, str):
+        assert (code, out, err) == (2, "", f"error: {fpath}: {want}\n")
+    else:
+        assert (code, json.loads(out), err) == (0 if want else 1, {"valid": want, "kind": "squares"}, "")
+
+
+@pytest.mark.parametrize("weights, code", [(["-1"], 2), (["1"], 2), ([], 0), (None, 0)])
+def test_an_empty_square_list_checks_its_weights(weights, code, tmp_path, capsys):
+    # With no squares, the weights are still checked: one weight for no
+    # square is refused (exit 2) however it reads, and then the target
+    # must be zero.
+    import json
+
+    from quivermoment.cli import main
+
+    cert = {"quiver": {"vertices": ["e"], "arrows": [{"name": "x", "from": "e", "to": "e"}]},
+            "target": {"terms": []}, "squares": []}
+    if weights is not None:
+        cert["weights"] = weights
+    fpath = tmp_path / "cert.json"
+    fpath.write_text(json.dumps(cert), encoding="utf-8")
+    assert main(["sos", "verify", str(fpath)]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert (out, err) == ("", f"error: {fpath}: weights and squares must align\n")
+    else:
+        assert (json.loads(out), err) == ({"valid": True, "kind": "squares"}, "")
+        fpath.write_text(json.dumps({**cert, "target": {"terms": [{"path": "x", "coeff": "1"}]}}), encoding="utf-8")
+        assert main(["sos", "verify", str(fpath)]) == 1
+        assert json.loads(capsys.readouterr().out) == {"valid": False, "kind": "squares"}
