@@ -846,6 +846,19 @@ def test_kernel_routes_reproduce_the_committed_stdout(capsys):
     assert "".join(stdout) == (fixtures / "kernel_routes_stdout.txt").read_text(encoding="utf-8")
 
 
+def test_completion_reproduces_the_committed_trace(capsys):
+    # CI replays this call without site-packages.  The kernel of the
+    # two-vertex fixture, read as generators (`kernel -o` wrote the file),
+    # completes in 322 reductions; the expected file, trace lines and basis,
+    # was written when the completion re-sorted the support at every step.
+    fixtures = FsPath(__file__).parent / "fixtures"
+    argv = ["groebner", "--generators", str(fixtures / "fix_two_vertex_generators.json"), "--trace"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 323
+    assert out == (fixtures / "completion_trace_stdout.txt").read_text(encoding="utf-8")
+
+
 def test_nonpsd_routes_reproduce_the_committed_stdout(capsys):
     # CI runs these calls without site-packages.  The functionals are not
     # PSD, so their verdicts and kernels come from the echelon form: an
