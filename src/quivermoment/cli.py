@@ -214,7 +214,7 @@ def cmd_gns_build(args) -> int:
         gb = right_groebner(gens, order)
         gram = fileio.matrix_from_rows(data.get("gram", []), str(path))
         include_trivial = fileio.read_flag(data, "include_trivial", False, str(path))
-        rep = build_from_groebner(double, gb, gram, include_trivial)
+        rep = _from(path, build_from_groebner, double, gb, gram, include_trivial)
     else:
         f = fileio.functional_from_dict(data, path.parent, str(path))
         rep = _from(path, build_representation, f)

@@ -5,39 +5,39 @@ kernel elements whose tips have no proper prefix among the other kernel
 tips have prefix-free tips, so they are a right Gröbner basis of the ideal
 they generate; flatness puts every other kernel element in it (checked
 exactly), so they are the reduced basis of the kernel ideal, which is
-unique (Green 1999).
-
-The kernel elements are read as integer numerators, and `Element`s are
-built only for the kept ones.  `groebner --from-kernel` lists reductions:
-those of the other kernel elements by the kept ones, each reduced once
-(`kernel_groebner` with `trace`), which is the one round the completion of
-the kernel basis would run.  Each is one descending pass over the
-functional's window positions (`_descend`); `_reduce` serves only the
-completion.
+unique (Green 1999).  The kernel elements are read as integer numerators,
+and `Element`s are built only for the kept ones.
 
 The completion serves generator input: `groebner --generators` and `gns
 build` from a basis.  It is the five-step tip-selection/total-reduction
 loop: drop zeros, select the tips not left-divided by another tip, keep
 one representative per selected tip, totally reduce the rest against the
-kept set (`_reduce`), and repeat until every element is kept.  Left
-division is prefix division of letter words, and reduction replaces the
-largest reducible support path first, so runs are reproducible event for
-event.
+kept set, and repeat until every element is kept.  Left division is
+prefix division of letter words.
 
-The completion, its reducer and the normal forms run on integers, as
-`linalg` does.  An element is held as Gaussian-integer numerators
-{(vertex, letters): (re, im)} over one positive denominator with no common
-factor, so equal elements are held equally.  The reducer finds its
-divisor by looking the prefixes of a support path up in a table
-{tip: monic element}, longest first and the trivial path at its origin
-last (`_step`); each tip keeps its canonically least element.  Elements
-and scalars are built once, for the output, and a trace one path per
-distinct path it names.
+One reducer (`_reduce`) makes every reduction that is output: the
+completion's, and those of `groebner --from-kernel`, which reduces the
+other kernel elements once by the kept ones (`kernel_groebner` with
+`trace`), the one round the completion of the kernel basis would run.  It
+pops the support paths from a heap, largest first, by their integer order
+keys, and rewrites each reducible one by the element of its longest
+dividing tip.  Every term of g·b lies below the rewritten path, so a path
+left irreducible stays irreducible, and the events come largest reducible
+path first: runs are reproducible event for event.
+
+The reducer and the normal forms run on integers, as `linalg` does.  An
+element is held as Gaussian-integer numerators {(vertex, letters): (re,
+im)} over one positive denominator with no common factor, so equal
+elements are held equally.  The reducer finds its divisor by looking the
+prefixes of a support path up in a table {tip: monic element}, longest
+first and the trivial path at its origin last (`_step`); each tip keeps
+its canonically least element.  Elements and scalars are built once, for
+the output, and a trace one path per distinct path it names.
 
 Normal forms against a finished basis (`RightGroebnerBasis.nf`, and the
-kernel check of `kernel_groebner`) take a different route, one letter at a
-time, through the basis's `TipTable`.  Every term r of NF(p) is
-irreducible, so the only tip that can left-divide r·c is r·c itself, and
+kernel check of `kernel_groebner` without `trace`) take another route, one
+letter at a time, through the basis's `TipTable`.  Every term r of NF(p)
+is irreducible, so the only tip that can left-divide r·c is r·c itself, and
 NF(p·c) = NF(NF(p)·c).  The table gives each path it meets an integer id
 and computes the move of each (id, letter) once: the id of r·c when r·c is
 no tip, else the tip's tail, held over one denominator D shared by the
@@ -56,6 +56,7 @@ result equals the `Scalar` fold exactly.
 from __future__ import annotations
 
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .algebra import Element, _numerators
@@ -352,50 +353,69 @@ def _tip_table(order: PathOrder, ints: list[Numerators], folds: dict) -> TipTabl
     return table
 
 
-# -- the completion --------------------------------------------------------------
+# -- the reducer ----------------------------------------------------------------
 
 
-def _step(m: Key, tips: dict, double: DoubleQuiver) -> tuple | None:
+def _step(m: Key, tips: dict, order: PathOrder) -> tuple | None:
     """The reduction step at the path m by the monic elements {tip: (terms, den)}.
 
     g is the element of the longest tip dividing m (its longest prefix in
     `tips`, the trivial path at its origin last) and m = tip·b.  Returns the
-    event (m, tip, b), the numerators of g·b, without the terms of g that do
-    not compose with b, and g's denominator; None when no tip divides m.
+    event (m, tip, b), the terms of g·b other than m as (heap key, path, re,
+    im), without the terms of g that do not compose with b, and g's
+    denominator; None when no tip divides m.
     """
+    double, okey = order.double, order.key_of
     tip = next((t for t in [m, *reversed(_proper_prefixes(m, double))] if t in tips), None)
     if tip is None:
         return None
     w, end = m[1][len(tip[1]) :], _end(tip, double)
     g, gden = tips[tip]
-    gb = {(None, q[1] + w) if w else q: c for q, c in g.items() if _end(q, double) == end}
-    return (m, tip, (None, w) if w else (end, ())), gb, gden
+    gb = {(None, q[1] + w) if w else q: c for q, c in g.items() if q != tip and _end(q, double) == end}
+    return (m, tip, (None, w) if w else (end, ())), [(okey(q), q, *c) for q, c in gb.items()], gden
 
 
-def _reduce(terms: Numerators, den: int, tips: dict, order: PathOrder, events: list) -> tuple[Numerators, int]:
+def _reduce(
+    terms: Numerators, den: int, tips: dict, order: PathOrder, events: list, steps: dict
+) -> tuple[Numerators, int]:
     """The total reduction of terms/den by the monic elements {tip: (terms, den)}.
 
-    Repeatedly rewrites the largest reducible support path m = tip·b by
-    h -= coeff·g·b (`_step`) and appends (m, tip, b) to `events` per step.
-    The reduced path strictly decreases in the well-order at every step, so
-    the loop terminates.
+    A heap holds the support paths by their order keys (`PathOrder.key_of`)
+    and each step pops the largest.  When a tip divides it, m = tip·b
+    (`_step`), the step appends the event (m, tip, b) to `events`, scales
+    the other terms by g's denominator and subtracts c·g·b, whose term at m
+    is c.  Every term of g·b lies below m, so a path left irreducible stays
+    irreducible: the events come largest reducible path first, and the
+    popped path strictly decreases, so the loop ends.  `steps` holds the
+    step at each heap key for one `tips` dict.  The remainder is made
+    canonical once, at the end.
     """
-    double = order.double
-    terms = dict(terms)
-    while terms:
-        for m in sorted(terms, key=order.key_of, reverse=True):
-            step = _step(m, tips, double)
-            if step is not None:
-                break
-        else:
-            break
+    okey = order.key_of
+    paths = {okey(k): k for k in terms}
+    vec = {i: terms[k] for i, k in paths.items()}
+    heap = [-i for i in vec]
+    heapify(heap)
+    while heap:
+        i = -heappop(heap)
+        cr, ci = vec[i]
+        if not (cr or ci):  # `_reduced` drops it
+            continue
+        if i not in steps:
+            steps[i] = _step(paths[i], tips, order)
+        step = steps[i]
+        if step is None:
+            continue
         event, gb, gden = step
-        cr, ci = terms[m]
-        acc = _times(terms, gden)
-        _add_scaled(acc, -cr, -ci, gb)
-        terms, den = _reduced(acc, den * gden)
         events.append(event)
-    return terms, den
+        del vec[i]
+        vec, den = _times(vec, gden), den * gden
+        for j, q, a, b in gb:
+            if j not in vec:
+                vec[j], paths[j] = (0, 0), q
+                heappush(heap, -j)
+            re, im = vec[j]
+            vec[j] = (re + ci * b - cr * a, im - cr * b - ci * a)
+    return _reduced({paths[i]: c for i, c in vec.items()}, den)
 
 
 def _events(double: DoubleQuiver, events) -> list[ReductionEvent]:
@@ -449,42 +469,17 @@ def right_groebner(generators, order: PathOrder) -> RightGroebnerBasis:
             kept.sort(key=lambda e: okey(e[0]))
             elements = tuple(_element(double, terms, den) for _, terms, den in kept)
             return RightGroebnerBasis(elements, order, tuple(_events(double, events)))
-        tips = {tip: (terms, den) for tip, terms, den in kept}
+        tips, steps = {tip: (terms, den) for tip, terms, den in kept}, {}
         h = list(kept)
         seen = {(frozenset(terms.items()), den) for _, terms, den in kept}
         for _, terms, den in to_reduce:
-            r, _ = _reduce(terms, den, tips, order, events)
+            r, _ = _reduce(terms, den, tips, order, events, steps)
             if r:
                 admit(h, seen, r)
     raise InternalInvariantError("right_groebner failed to terminate")
 
 
 # -- the kernel ideal ------------------------------------------------------------
-
-
-def _descend(vec: dict[int, tuple[int, int]], rewrite, events: list) -> bool:
-    """Whether {window position: (re, im)} reduces to zero by the kept elements.
-
-    Takes the positions in decreasing order.  `rewrite(p)` is the step at p
-    (see `_step`) with g·b minus its tip keyed by position, or None when p
-    is irreducible; a reducible position appends its event, scales the
-    other terms by g's denominator and subtracts c·(g·b).  Every term of g·b
-    is below the target, and window order is path order, so this is the
-    largest-reducible-first order of `_reduce`, event for event.  A nonzero
-    irreducible position is never rewritten, so it ends the pass.
-    """
-    for p in range(max(vec, default=-1), -1, -1):
-        c = vec.pop(p, None)
-        if c is None or not (c[0] or c[1]):
-            continue
-        step = rewrite(p)
-        if step is None:
-            return False
-        event, gb, gden = step
-        events.append(event)
-        vec = _times(vec, gden)
-        _add_scaled(vec, -c[0], -c[1], gb)
-    return True
 
 
 def kernel_groebner(functional: TruncatedFunctional, trace: bool = False) -> RightGroebnerBasis:
@@ -501,10 +496,8 @@ def kernel_groebner(functional: TruncatedFunctional, trace: bool = False) -> Rig
     Flatness guarantees both.  Both run on integers.
 
     With `trace`, the other kernel elements are reduced by the kept monic
-    elements, in kernel order, and the reductions are the basis's trace:
-    the one round the completion of the kernel basis runs, without the
-    completion.  Each is one descending pass over its window positions
-    (`_descend`), and the step at a position is computed once per call.
+    elements through `_reduce`, in kernel order, and the reductions are the
+    basis's trace; the step at a path is computed once per call.
     Otherwise their normal forms are folded through the kept elements' tip
     table, which the basis keeps, each distinct support path once.
     """
@@ -519,20 +512,9 @@ def kernel_groebner(functional: TruncatedFunctional, trace: bool = False) -> Rig
         (kept if tips.isdisjoint(_proper_prefixes(e[0], double)) else rest).append(e)
     events: list = []
     if trace:
-        monic = {tip: (terms, den) for tip, terms, den in kept}  # each tip's numerator is den
-        keys, index, steps = functional._keys, functional._index, {}
-
-        def rewrite(p: int):
-            if p not in steps:
-                m = keys[p] if p < len(keys) else functional._window_keys[p]  # beyond V_k only if tampered
-                step = _step(m, monic, double)
-                steps[p] = step and (step[0], {index(q): c for q, c in step[1].items() if q != m}, step[2])
-            return steps[p]
-
+        monic, steps = {tip: (terms, den) for tip, terms, den in kept}, {}  # each tip's numerator is den
         table = None
-        reduced = (
-            not _descend({index(k): c for k, c in terms.items()}, rewrite, events) for _, terms, _ in rest
-        )
+        reduced = (_reduce(terms, den, monic, order, events, steps)[0] for _, terms, den in rest)
     else:
         folds: dict = {}  # each support path is folded once, for the table and the check
         table = _tip_table(order, [terms for _, terms, _ in kept], folds)

@@ -287,8 +287,9 @@ class PathOrder:
             if sorted(letters) != sorted(double.letters()):
                 raise InputError("arrow order must list every double arrow exactly once")
         self.letter_seq = tuple(letters)
-        self._vrank = {v: i for i, v in enumerate(self.vertex_seq)}
-        self._lrank = {l: i for i, l in enumerate(letters)}
+        self._vkey = {v: i - len(vertices) for i, v in enumerate(self.vertex_seq)}
+        self._digit = {l: i + 1 for i, l in enumerate(letters)}
+        self._base = len(letters) + 1
 
     def _resolve_letter(self, name: str) -> Letter:
         letter = self.double.letter_of.get(name) if isinstance(name, str) else None
@@ -296,15 +297,25 @@ class PathOrder:
             raise InputError(f"unknown arrow {name!r} in order specification")
         return letter
 
-    def key(self, p: Path):
+    def key(self, p: Path) -> int:
         return self.key_of((p.vertex, p.letters))
 
-    def key_of(self, key: Key):
-        """`key` of the path with this (vertex, letters) key."""
+    def key_of(self, key: Key) -> int:
+        """The path with this (vertex, letters) key as an int that sorts as the order does.
+
+        A word is its letters' ranks + 1 as digits in base (letters + 1),
+        first letter first: no digit is 0, so a longer word has more digits
+        and a larger value, and words of one length compare letter by
+        letter.  A trivial path is its vertex rank minus the number of
+        vertices, below every word.
+        """
         vertex, letters = key
         if not letters:
-            return (0, (self._vrank[vertex],))
-        return (len(letters), tuple(map(self._lrank.__getitem__, letters)))
+            return self._vkey[vertex]
+        base, k = self._base, 0
+        for d in map(self._digit.__getitem__, letters):
+            k = k * base + d
+        return k
 
     def compare(self, p: Path, q: Path) -> int:
         kp, kq = self.key(p), self.key(q)

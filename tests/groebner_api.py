@@ -1,8 +1,9 @@
 """The integer reducer and normal forms of `quivermoment.groebner` behind `Element` signatures.
 
-The package reduces integer numerators: the completion through `_reduce`,
-normal forms through a basis's `TipTable`.  Only the tests compare them with
-whole `Element` results, those of the `Scalar` oracles in `oracles.py`.
+The package reduces integer numerators: the completion and the kernel trace
+through `_reduce`, normal forms through a basis's `TipTable`.  Only the
+tests compare them with whole `Element` results, those of the `Scalar`
+oracles in `oracles.py`.
 Each function here takes its elements to numerators (`algebra._numerators`), runs
 one kernel and builds the `Element` result:
 
@@ -35,7 +36,7 @@ def total_reduce(
         tip = max(terms, key=order.key_of)
         tips[tip] = _monic(terms, tip)  # the canonically least element of a tip comes last
     events: list = []
-    terms, den = _reduce(*_ints(h), tips, order, events)
+    terms, den = _reduce(*_ints(h), tips, order, events, {})
     if trace is not None:
         trace.extend(_events(h.double, events))
     return _element(h.double, terms, den)

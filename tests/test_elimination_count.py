@@ -348,10 +348,10 @@ def test_one_step_extension_forms_no_scalar_product(images, scalar_matrix_calls)
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """Calls of right_groebner, its per-element reducer `_reduce` and the
-    kernel's descending pass `_descend`, under every module binding."""
+    """Calls of right_groebner and of the per-element reducer `_reduce`, which
+    the completion and the kernel trace share, under every module binding."""
     calls = []
-    for name in ("right_groebner", "_reduce", "_descend"):
+    for name in ("right_groebner", "_reduce"):
         fn = getattr(groebner, name)
 
         def counted(*args, fn=fn, name=name, **kwargs):
@@ -367,8 +367,8 @@ def reductions(monkeypatch):
 def test_kernel_routes_run_no_completion(reductions, tmp_path, capsys):
     # A flat rank-2 state on two loops: 19 kernel elements, 12 of them not
     # kept.  `groebner --from-kernel` reduces each of the 12 once, by the
-    # kept elements, in one descending pass over window positions, and runs
-    # no completion and no `_reduce`.
+    # kept elements, and runs no completion; the other routes reduce
+    # nothing.
     f = state_functional(TWO_LOOPS, 2, True, [2], random.Random(7))
     assert f.is_flat().flat
     gb = kernel_groebner(f)
@@ -383,7 +383,7 @@ def test_kernel_routes_run_no_completion(reductions, tmp_path, capsys):
     assert cli.main(["groebner", "--from-kernel", str(fpath)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["elements"]) == len(gb.elements)
-    assert reductions == ["_descend"] * 12
+    assert reductions == ["_reduce"] * 12
 
 
 def test_rep_kernel_builds_each_element_from_its_nonzero_terms(monkeypatch):

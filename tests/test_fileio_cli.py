@@ -726,19 +726,22 @@ def test_squares_certificates_reproduce_the_committed_outputs(capsys, monkeypatc
     assert "".join(stderr) == (fixtures / "squares_refusals_stderr.txt").read_text(encoding="utf-8")
 
 
-def test_groebner_build_and_rep_kernel_reproduce_the_committed_outputs(capsys):
-    # CI replays these without site-packages: `gns build` from a Gröbner
-    # basis file with the moment gram of its quotient, the same file with a
-    # gram that is not hermitian (its upper triangle unchanged) and with one
-    # that is hermitian but not PSD, and `gns kernel` of a compression at
-    # degree 12.  The expected files were written by the `Scalar` matrix
-    # route.
-    fixtures = FsPath(__file__).parent / "fixtures"
+def test_groebner_build_and_rep_kernel_reproduce_the_committed_outputs(capsys, monkeypatch):
+    # CI replays these without site-packages, with the same relative input
+    # paths, which the refusals name: `gns build` from a Gröbner basis file
+    # with the moment gram of its quotient, the same file with a gram that
+    # is not hermitian (its upper triangle unchanged) and with one that is
+    # hermitian but not PSD, and `gns kernel` of a compression at degree 12.
+    # The expected files were written by the `Scalar` matrix route, the
+    # refusals before they named the file.
+    root = FsPath(__file__).parent.parent
+    fixtures = root / "tests" / "fixtures"
+    monkeypatch.chdir(root)
     assert main(["gns", "build", str(fixtures / "fix_groebner_gram.json")]) == 0
     assert capsys.readouterr().out == (fixtures / "groebner_build_stdout.txt").read_text(encoding="utf-8")
     stderr = []
     for name in ("nonhermitian", "nonpsd"):
-        assert main(["gns", "build", str(fixtures / f"fix_groebner_gram_{name}.json")]) == 2
+        assert main(["gns", "build", f"tests/fixtures/fix_groebner_gram_{name}.json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         stderr.append(captured.err)
@@ -754,11 +757,13 @@ def test_gns_build_refuses_a_quotient_that_escapes_the_window(tmp_path, capsys):
     # the coset of e:e out of the coset basis.
     data = {"quiver": LOOP, "groebner": [{"terms": [{"path": "x*", "coeff": "1"}, {"path": "e:e", "coeff": "2"}]}],
             "gram": [["1"]], "include_trivial": True}
-    assert main(["gns", "build", write(tmp_path, "gb.json", data)]) == 2
+    fpath = write(tmp_path, "gb.json", data)
+    assert main(["gns", "build", fpath]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: quotient is not finite-dimensional over the window (irreducible path x escapes the coset basis)\n"
+        f"error: {fpath}: quotient is not finite-dimensional over the window"
+        " (irreducible path x escapes the coset basis)\n"
     )
 
 
@@ -767,13 +772,13 @@ def test_cli_groebner_from_kernel_refuses_a_kernel_element_left_over(tmp_path, c
     # to zero; a remainder is an internal fault, exit 3, with no output.
     from quivermoment import groebner
 
-    descend = groebner._descend
+    reduce = groebner._reduce
 
-    def leftover(vec, rewrite, events):
-        descend(dict(vec), rewrite, events)
-        return False
+    def leftover(terms, den, *args):
+        reduce(terms, den, *args)
+        return dict(terms), den
 
-    monkeypatch.setattr(groebner, "_descend", leftover)
+    monkeypatch.setattr(groebner, "_reduce", leftover)
     fixture = FsPath(__file__).parent / "fixtures" / "example2_l4.json"  # 19 kernel elements, 15 kept
     assert main(["groebner", "--from-kernel", str(fixture)]) == 3
     captured = capsys.readouterr()

@@ -68,6 +68,12 @@ def test_total_reduce_examples(fix_loop):
     trace = []
     assert total_reduce(elem(fix_loop, ("x x", 1)), [elem(fix_loop, ("x", 2))], o, trace).is_zero()
     assert [(str(e.target), str(e.by), str(e.cofactor)) for e in trace] == [("x x", "x", "x")]
+    # A term that cancels to zero is not reduced, though a tip divides it:
+    # x* x - x x - (x* - x)·x leaves 0·x x, and x x = x·x.
+    trace = []
+    basis = [elem(fix_loop, ("x*", 1), ("x", -1)), elem(fix_loop, ("x", 1), ("e:e", -2))]
+    assert total_reduce(elem(fix_loop, ("x* x", 1), ("x x", -1)), basis, o, trace).is_zero()
+    assert [(str(e.target), str(e.by), str(e.cofactor)) for e in trace] == [("x* x", "x*", "x")]
 
 
 def test_right_groebner_printed_example(fix_h4, fix_g4, fix_loop):

@@ -132,6 +132,44 @@ def test_enumeration_follows_any_order(fixture_name, request):
         assert enumerate_basis(double, o, 4, include_trivial=True) == trivial + sorted(paths, key=o.key)
 
 
+@pytest.mark.parametrize("fixture_name", ["fix_a2", "fix_loop", "fix_chain", "fix_two_loops"])
+def test_integer_order_key_matches_deg_lex(fixture_name, request):
+    # `PathOrder.key_of` is one int per path.  Comparing two of them, and
+    # `compare`, must agree with deg-lex written here from the names the
+    # order was given: trivial paths first, by the vertex sequence, then
+    # words by length, then letter by letter.
+    double = request.getfixturevalue(fixture_name)
+    rng = random.Random(31)
+    names = [double.letter_name(l) for l in double.letters()]
+
+    def walk(length):
+        if length == 0:
+            return double.trivial(rng.choice(double.vertices))
+        word = [rng.choice(double.letters())]
+        while len(word) < length:
+            word.append(rng.choice([l for l in double.letters() if double.source[l] == double.target[word[-1]]]))
+        return double.path(word)
+
+    for _ in range(5):
+        vertices = rng.sample(list(double.vertices), len(double.vertices))
+        letters = rng.sample(names, len(names))
+        o = PathOrder(double, vertices, letters)
+
+        def deg_lex(p):
+            if p.is_trivial():
+                return (0, (vertices.index(double.vertices[p.vertex]),))
+            return (p.length(), tuple(letters.index(double.letter_name(l)) for l in p.letters))
+
+        for _ in range(300):
+            p, q = (walk(rng.choice([0, 0, 1, 2, 3, 5, 8, 13])) for _ in range(2))
+            kp, kq = o.key_of((p.vertex, p.letters)), o.key_of((q.vertex, q.letters))
+            assert type(kp) is int and type(kq) is int
+            want = (deg_lex(p) > deg_lex(q)) - (deg_lex(p) < deg_lex(q))
+            assert (kp > kq) - (kp < kq) == want
+            assert o.compare(p, q) == want
+            assert (kp == kq) == (p == q)
+
+
 def random_paths(double, max_len, rng, count):
     pool = enumerate_basis(double, double.default_order(), max_len, include_trivial=True)
     return [rng.choice(pool) for _ in range(count)]
