@@ -832,6 +832,25 @@ def test_long_evaluate_reproduces_the_committed_stdout(capsys):
     assert "".join(stdout) == (fixtures / "long_evaluate_stdout.txt").read_text(encoding="utf-8")
 
 
+def test_two_vertex_long_evaluate_reproduces_the_committed_stdout(capsys):
+    # CI runs these calls without site-packages: seeded words of 599 and
+    # 600 letters on two vertices, real (a denominator of 8 bits) and
+    # Gaussian data that is not PSD.  The expected file was written when
+    # `evaluate` folded every letter through the tip table.
+    from long_words import long_word
+
+    fixtures = FsPath(__file__).parent / "fixtures"
+    stdout = []
+    for name in ("fix_two_vertex", "fix_two_vertex_nonpsd"):
+        fpath = fixtures / f"{name}.json"
+        quiver = json.loads(fpath.read_text(encoding="utf-8"))["quiver"]
+        for length, seed in ((599, 3), (600, 4)):
+            word = long_word(quiver, length, seed)
+            assert main(["evaluate", "--functional", str(fpath), "--path", word]) == 0
+            stdout.append(capsys.readouterr().out)
+    assert "".join(stdout) == (fixtures / "two_vertex_long_evaluate_stdout.txt").read_text(encoding="utf-8")
+
+
 def test_kernel_routes_reproduce_the_committed_stdout(capsys):
     # CI runs these calls without site-packages.  The kernel, tip-maximality,
     # rank and Gröbner reductions read one echelon form of B_{L_k}; the
