@@ -5,6 +5,17 @@ block is the exact Schur completion (the flat choice of the bottom-right
 block), and the lazy full extension that evaluates any path through
 Gröbner normal forms.
 
+The full extension of a flat functional is unique and its quotient is
+finite: the normal words all lie in V_{k-1}.  So the finished tip table is
+compiled once into one dense integer matrix per letter on the quotient's
+ids, over the table's denominator, and a long word is folded two letters
+per step through the products of letter pairs, each formed once.  The
+tip table (`groebner.TipTable`) stays the normal-form engine for
+everything else (`RightGroebnerBasis.nf`, the columns of `gns build`, the
+kernel checks): it makes its ids and moves lazily and folds sparse
+vectors, so it also serves bases whose quotient is infinite, such as a
+completion of generators, where no dense matrix exists.
+
 The one-step extension runs on the window of the extended functional and on
 Gaussian-integer numerators.  Its odd-degree system holds one unknown per
 star pair, so hermitian symmetry holds by substitution, and each equation is
@@ -24,7 +35,9 @@ integers, so no value is a `Scalar` on the way.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd, lcm
+from operator import add, mul, sub
 
 from . import linalg
 from .errors import ExtensionObstructed, InputError, InternalInvariantError
@@ -197,8 +210,12 @@ class FlatExtension:
 
     Every path reduces through the kernel Gröbner basis into the V_{k-1}
     window, where the base functional takes over; values are cached.  The
-    normal form of a path is folded letter by letter through the basis's
-    tip table (`groebner.TipTable`), on the table's path ids.
+    first letter of a path is folded through the basis's tip table
+    (`groebner.TipTable`).  The rest act on the finite quotient, the table
+    ids that letters reach from there, by integer letter matrices compiled
+    once from the table: two letters per step through their product,
+    formed once per pair, with an odd last letter alone.  The result is
+    the table's canonical normal form, on its ids.
 
     The base values on V_{k-1} are held as Gaussian-integer numerators over
     one denominator, looked up by the ids of the table the first time a
@@ -219,11 +236,116 @@ class FlatExtension:
         self._den = base._den // g
         self._window = {key: (a // g, b // g) for key, a, b in zip(base._keys, re, im)}
         self._moments: dict[int, tuple[int, int]] = {}  # table id -> value numerators
+        self._pairs: dict = {}  # (letter, letter) -> the step columns of their matrices' product
 
     def evaluate(self, p: Path) -> Scalar:
         if p in self.cache:
             return self.cache[p]
-        return self._value(p, *self.gb.tip_table._fold((p.vertex, p.letters)))
+        return self._value(p, *self._fold(p))
+
+    def _fold(self, p: Path) -> tuple[dict, int]:
+        """NF(p) in the tip table's layout, exactly as `TipTable._fold` gives it.
+
+        The first letter runs through the table; the vector then takes the
+        rest two letters per step, through the product of their matrices,
+        and an odd last letter alone.  Each letter scales the denominator by
+        the table's D, whose common factor with the vector is divided out
+        every `_GCD_EVERY` letters and, canonically, at the end.
+        """
+        table, letters = self.gb.tip_table, p.letters
+        if len(letters) < 2:
+            return table._fold((p.vertex, letters))
+        vec, den = table._run(*table._start(table.double.source[letters[0]]), letters[:1])
+        index, ids, _, single = self._quotient
+        r, real = len(ids), table.real
+
+        def dense(vec: dict) -> list[int]:  # [re | im] on Gaussian data
+            v = [0] * (r if real else 2 * r)
+            for i, c in vec.items():
+                if real:
+                    v[index[i]] = c
+                else:
+                    v[index[i]], v[r + index[i]] = c
+            return v
+
+        def canonical(v: list[int], den: int) -> tuple[dict, int]:
+            if real:
+                return table._canonical({i: c for i, c in zip(ids, v) if c}, den)
+            return table._canonical({i: (a, b) for i, a, b in zip(ids, v, v[r:]) if a or b}, den)
+
+        v, step = dense(vec), _step if real else _gaussian_step
+        d, pairs, since = table.den, self._pairs, 0
+        rest = letters[1:]
+        for ab in zip(rest[::2], rest[1::2]):
+            cols = pairs.get(ab)
+            v = step(v, self._pair(*ab) if cols is None else cols)
+            den *= d * d
+            since += 2
+            if since >= table._GCD_EVERY:
+                vec, den = canonical(v, den)
+                v, since = dense(vec), 0
+        if len(rest) % 2:
+            v = step(v, single[rest[-1]])
+            den *= d
+        return canonical(v, den)
+
+    @cached_property
+    def _quotient(self) -> tuple[dict[int, int], list[int], dict, dict]:
+        """The quotient's table ids, and each letter's integer matrix on them, whole and as step columns.
+
+        The quotient holds the ids of the letters' normal forms and every id
+        a composable letter moves one of them to; flatness keeps them in
+        V_{k-1}, with at most one trivial path per vertex outside it.  The
+        row of an id is D·e_j for a re-key to id j and the tip's tail for a
+        tip, over the table's D, and zero for a letter that does not
+        compose.  A matrix is held as (re rows, im rows), im None while
+        every tail is real, and as the columns a step reads (`_columns`).
+        """
+        table = self.gb.tip_table
+        double, real, d = table.double, table.real, table.den
+        bound = self.base._end(self.base.k - 1) + double.n_vertices()
+        ids: list[int] = []
+        for a in table._letters:
+            vec, _ = table._run(*table._start(double.source[a]), (a,))
+            ids.extend(i for i in vec if i not in ids)
+        index = {i: at for at, i in enumerate(ids)}
+        moves = []  # (id, letter, move)
+        for i in ids:  # ids grows as it is read
+            vertex, word = table._keys[i]
+            end = double.target[word[-1]] if word else vertex
+            for n, a in enumerate(table._letters):
+                if double.source[a] != end:
+                    continue
+                m = table._moves[n][i]
+                if m is None:
+                    m = table._move(i, n)
+                moves.append((i, a, m))
+                for j in (m,) if m.__class__ is int else (j for j, _ in m) if real else m:
+                    if j not in index:
+                        index[j] = len(ids)
+                        ids.append(j)
+            if len(ids) > bound:
+                raise InternalInvariantError(f"the flat extension's quotient escaped the V_{self.base.k - 1} window")
+        r = len(ids)
+        mats = {a: ([[0] * r for _ in ids], None if real else [[0] * r for _ in ids]) for a in table._letters}
+        for i, a, m in moves:
+            re, im = mats[a]
+            x = index[i]
+            if m.__class__ is int:
+                re[x][index[m]] = d
+            elif real:
+                for j, c in m:
+                    re[x][index[j]] = c
+            else:
+                for j, (c, e) in m.items():
+                    re[x][index[j]], im[x][index[j]] = c, e
+        return index, ids, mats, {a: _columns(m) for a, m in mats.items()}
+
+    def _pair(self, a, b) -> list:
+        """The step columns of M_a·M_b, over D², formed once per pair of letters."""
+        mats = self._quotient[2]
+        pair = self._pairs[a, b] = _columns(_product(mats[a], mats[b]))
+        return pair
 
     def _value(self, p: Path, vec: dict, den: int) -> Scalar:
         """L(NF(p)) for NF(p) = vec/den, a vector of the tip table's layout; cached."""
@@ -276,3 +398,46 @@ class FlatExtension:
                 vals[p] = self._value(p, *nf)
             parents = layer
         return TruncatedFunctional(double, m, vals, self.base.include_trivial, order)
+
+
+def _product(m: tuple, n: tuple) -> tuple:
+    """The product of two square matrices held as (re rows, im rows), im None on real data."""
+
+    def times(x, y):
+        cols = list(zip(*y))
+        return [[sum(map(mul, row, col)) for col in cols] for row in x]
+
+    (ar, ai), (br, bi) = m, n
+    if ai is None:
+        return times(ar, br), None
+    re = [list(map(sub, *rows)) for rows in zip(times(ar, br), times(ai, bi))]
+    return re, [list(map(add, *rows)) for rows in zip(times(ar, bi), times(ai, br))]
+
+
+def _columns(m: tuple) -> list:
+    """A matrix as its step columns: each column, or on Gaussian data (re, im, re + im) per column."""
+    re, im = m
+    if im is None:
+        return [list(col) for col in zip(*re)]
+    return [(list(cr), list(ci), list(map(add, cr, ci))) for cr, ci in zip(zip(*re), zip(*im))]
+
+
+def _step(v: list[int], cols: list[list[int]]) -> list[int]:
+    """The row vector v times the matrix with these columns."""
+    return [sum(map(mul, v, col)) for col in cols]
+
+
+def _gaussian_step(v: list[int], cols: list) -> list[int]:
+    """[x | y] times R + iI, for x + iy: three products per column, not four.
+
+    With t1 = x·R_j and t2 = y·I_j, the column's re part is t1 - t2 and its
+    im part (x + y)·(R_j + I_j) - t1 - t2.
+    """
+    r = len(cols)
+    x, y = v[:r], v[r:]
+    s, re, im = list(map(add, x, y)), [], []
+    for cr, ci, cs in cols:
+        t1, t2 = sum(map(mul, x, cr)), sum(map(mul, y, ci))
+        re.append(t1 - t2)
+        im.append(sum(map(mul, s, cs)) - t1 - t2)
+    return re + im

@@ -218,6 +218,8 @@ class TruncatedFunctional:
         return from_numerators(self._re[i], self._im[i], self._den)
 
     def _outside(self, p: Path) -> WindowError:
+        if not p.letters and not self.include_trivial:
+            return WindowError(f"path {p} is trivial and the window holds no trivial paths")
         return WindowError(f"path {p} outside the length <= {2 * self.k} window")
 
     # -- windows and matrices ----------------------------------------------------

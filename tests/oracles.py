@@ -838,6 +838,12 @@ def compose_moment_block(value, rows, cols) -> Matrix:
     return Matrix(len(rows), len(cols), ents)
 
 
+def _outside(p, k, include_trivial) -> WindowError:
+    if p.length() == 0 and not include_trivial:
+        return WindowError(f"path {p} is trivial and the window holds no trivial paths")
+    return WindowError(f"path {p} outside the length <= {2 * k} window")
+
+
 def path_keyed_functional(double, k, values, include_trivial=True, order=None) -> PathKeyedFunctional:
     """The window as paths, the hermitian closure through `p.star()` and `Scalar`
     comparisons of every given path, and B_{L_k} through `compose`."""
@@ -851,7 +857,7 @@ def path_keyed_functional(double, k, values, include_trivial=True, order=None) -
     if len(vals) != len(window):
         window_set = set(window)
         outside = next(p for p in given if p not in window_set)
-        raise WindowError(f"path {outside} outside the length <= {2 * k} window")
+        raise _outside(outside, k, include_trivial)
     for p, v in given.items():
         ps = p.star()
         want = v.conjugate()
@@ -865,7 +871,7 @@ def path_keyed_functional(double, k, values, include_trivial=True, order=None) -
         try:
             return vals[p]
         except KeyError:
-            raise WindowError(f"path {p} outside the length <= {2 * k} window") from None
+            raise _outside(p, k, include_trivial) from None
 
     basis = [p for p in window if p.length() <= k]
     return PathKeyedFunctional(tuple(window), vals, compose_moment_block(value, basis, basis))

@@ -31,6 +31,11 @@ position once, which gives the reductions its output lists.  The pass and
 the kernel checks run on integer numerators: no `Element` product and no
 `Scalar` matrix product.
 
+A flat extension evaluates an n-letter word by taking its first letter
+through the tip table and the rest in ceil((n - 1) / 2) integer vector
+steps, through the product of two letters' matrices, each product formed
+once per extension.
+
 A loaded functional gathers the integer image of its order-k moment matrix
 once, by window position, from the numerators it holds: per terminal-vertex
 block, its upper triangle, pivoted once per nonempty block.  Every verdict
@@ -384,6 +389,42 @@ def test_kernel_routes_run_no_completion(reductions, tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert len(out["elements"]) == len(gb.elements)
     assert reductions == ["_reduce"] * 12
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_evaluate_steps_two_letters_at_a_time(complex_, monkeypatch):
+    # A flat rank-3 state on two loops (four letters): an n-letter word
+    # takes its first letter through the tip table and the rest in
+    # ceil((n - 1) / 2) vector steps, and the product of each distinct
+    # pair of letters the steps meet is formed once per FlatExtension.
+    f = state_functional(TWO_LOOPS, 2, True, [3], random.Random(11), complex_)
+    assert f.is_flat().flat
+    ext = FlatExtension(f)
+    assert ext.gb.tip_table.real != complex_
+    steps, pairs = [], []
+    for name in ("_step", "_gaussian_step"):
+        fn = getattr(extension, name)
+
+        def counted(v, cols, fn=fn):
+            steps.append(len(v))
+            return fn(v, cols)
+
+        monkeypatch.setattr(extension, name, counted)
+    pair = FlatExtension._pair
+
+    def formed(self, a, b):
+        pairs.append((a, b))
+        return pair(self, a, b)
+
+    monkeypatch.setattr(FlatExtension, "_pair", formed)
+    rng, met = random.Random(12), set()
+    for n in (1, 2, 3, 4, 5, 40, 41, 599, 600):
+        letters = [rng.choice(TWO_LOOPS.letters()) for _ in range(n)]
+        met.update(zip(letters[1::2], letters[2::2]))
+        steps.clear()
+        ext.evaluate(TWO_LOOPS.path(letters))
+        assert len(steps) == n // 2
+    assert len(pairs) == len(set(pairs)) == len(met) == 16
 
 
 def test_rep_kernel_builds_each_element_from_its_nonzero_terms(monkeypatch):

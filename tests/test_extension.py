@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path as FsPath
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -21,7 +23,7 @@ from quivermoment import (
     flat_extend_tip_maximal,
     right_groebner,
 )
-from quivermoment import extension, groebner, linalg
+from quivermoment import cli, extension, fileio, groebner, linalg
 from matrix_api import rank, schur_complete, solve_particular
 from quivermoment.scalar import ONE
 
@@ -36,6 +38,9 @@ from oracles import (
     scalar_fold,
     scalar_tip_table,
 )
+
+
+FIXTURES = FsPath(__file__).parent / "fixtures"
 
 
 def m_int(rows):
@@ -480,7 +485,7 @@ def test_truncated_view_matches_per_path_evaluate(shape, complex_, fix_loop, fix
 def test_truncated_view_matches_per_path_evaluate_on_flat_states(data, fix_loop, fix_two_loops, fix_xyz):
     # Flat states of low rank, real or Gaussian, with or without trivial
     # paths: the view steps each word from its parent's normal form, and
-    # `evaluate` folds it from its first letter through the same table.
+    # `evaluate` steps it two letters at a time through the letter matrices.
     gaussian = data.draw(st.booleans(), label="gaussian")
     include_trivial = data.draw(st.booleans(), label="trivial paths")
     double, dims, m = data.draw(
@@ -527,6 +532,75 @@ def test_long_evaluate_computes_each_move_once(complex_, fix_loop, monkeypatch):
     value = ext.evaluate(p)
     assert len(computed) == len(set(computed)) <= len(table._keys) * len(fix_loop.letters())
     assert value == riesz_eval(flat, Element(fix_loop, scalar_fold(p, scalar_tip_table(ext.gb))))
+
+
+# The fixtures that load as flat: real and Gaussian, with and without
+# trivial paths, on up to three vertices, PSD or not.
+FLAT_FIXTURES = [
+    "example2_l4", "fix_gauss_loop", "fix_gauss_nonpsd_loop_extended", "fix_gauss_pd_loop_extended",
+    "fix_isolated_vertex", "fix_isolated_vertex_notrivial", "fix_l2_ext", "fix_l2_ext_extended",
+    "fix_nonpsd_loop_extended", "fix_psd_chain", "fix_two_vertex", "fix_two_vertex_nonpsd",
+]
+
+
+@pytest.mark.parametrize("name", FLAT_FIXTURES)
+def test_pair_fold_matches_the_table_fold(name):
+    # `evaluate` folds through the flat extension's letter matrices, two
+    # letters per step; its normal form, numerators and denominator, is
+    # the one the tip table's letter-by-letter fold gives, to the byte.
+    f = fileio.load_functional(str(FIXTURES / f"{name}.json"))
+    assert f.is_flat().flat
+    ext = FlatExtension(f)
+    table = ext.gb.tip_table
+    rng = random.Random(name)
+    for length in (1, 2, 3, 599, 600):
+        for _ in range(2):
+            p = random_word(f.double, rng, length)
+            assert ext._fold(p) == table._fold((p.vertex, p.letters)), (length, str(p)[:40])
+
+
+def test_pair_fold_refuses_a_quotient_outside_the_window(monkeypatch):
+    # A flat extension's quotient holds at most |V_{k-1}| + vertices ids;
+    # one that seems to hold more is an internal invariant failure.
+    f = fileio.load_functional(str(FIXTURES / "fix_two_vertex.json"))
+    ext = FlatExtension(f)
+    monkeypatch.setattr(f, "_end", lambda t: 0)
+    with pytest.raises(InternalInvariantError, match="quotient escaped the V_2 window"):
+        ext.evaluate(random_word(f.double, random.Random(5), 4))
+
+
+@pytest.mark.parametrize(
+    "quiver, dims, gaussian, include_trivial",
+    [
+        ({"vertices": ["e"], "arrows": [{"name": "x", "from": "e", "to": "e"}]}, {"e": 3}, True, False),
+        (
+            {"vertices": ["u", "v"], "arrows": [{"name": "a", "from": "u", "to": "v"},
+                                                {"name": "b", "from": "v", "to": "u"},
+                                                {"name": "c", "from": "v", "to": "v"}]},
+            {"u": 1, "v": 2}, False, True,
+        ),
+    ],
+    ids=["gaussian_loop", "real_two_vertices"],
+)
+def test_long_evaluate_matches_the_vector_state(tmp_path, capsys, quiver, dims, gaussian, include_trivial):
+    # A flat order-3 truncation of a vector state L(w) = <T_w xi, xi>:
+    # `evaluate` prints, on 600-letter words, the value the state's own
+    # integer matrices give (`vector_state`, which imports nothing from the
+    # package).
+    from long_words import long_word
+    from vector_state import VectorState, parse_value
+
+    state = VectorState(quiver, dims, 2, gaussian)
+    fpath = tmp_path / "state.json"
+    fpath.write_text(json.dumps(state.functional(3, include_trivial)), encoding="utf-8")
+    assert cli.main(["moment", "flat", str(fpath)]) == 0
+    assert json.loads(capsys.readouterr().out)["flat"] is True
+    for seed in range(1, 4):
+        word = long_word(quiver, 600, seed)
+        want = state.value(word)
+        assert want != (0, 0)
+        assert cli.main(["evaluate", "--functional", str(fpath), "--path", word]) == 0
+        assert parse_value(json.loads(capsys.readouterr().out)["value"]) == want
 
 
 def test_truncated_view_requires_larger_order(fix_l2_ext):

@@ -261,6 +261,24 @@ def test_cli_malformed_loader_input_exit_2(tmp_path, capsys, command, data, toke
     assert captured.err.startswith("error: ") and "bad.json" in captured.err and token in captured.err
 
 
+def test_cli_refuses_a_trivial_path_in_a_window_without_them(tmp_path, capsys):
+    # A trivial path has length 0: `evaluate --path e:e1` and an `e:e1`
+    # entry in an `include_trivial: false` file are refused because the
+    # window holds no trivial paths, not for a length they do not have.
+    fixture = str(FsPath(__file__).parent / "fixtures" / "fix_l2_ext.json")
+    assert main(["evaluate", "--functional", fixture, "--path", "e:e1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {fixture}: path e:e1 is trivial and the window holds no trivial paths\n"
+    data = json.loads(FsPath(fixture).read_text(encoding="utf-8"))
+    data["entries"].append({"path": "e:e1", "value": "1"})
+    fpath = write(tmp_path, "f.json", data)
+    assert main(["moment", "flat", fpath]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {fpath}: path e:e1 is trivial and the window holds no trivial paths\n"
+
+
 @pytest.mark.parametrize(
     "vertices, arrows, name",
     [
