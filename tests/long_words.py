@@ -2,8 +2,9 @@
 
     python -S tests/long_words.py FUNCTIONAL LENGTH SEED
 
-prints one word of LENGTH letters: its first vertex and each next letter
-drawn by `random.Random(SEED)` among the letters that compose.  Standard
+prints one word of LENGTH letters: its first vertex, among the vertices
+that some letter leaves, and each next letter drawn by
+`random.Random(SEED)` among the letters that compose.  Standard
 library only, so it runs without site-packages.
 """
 
@@ -16,7 +17,7 @@ def long_word(quiver: dict, length: int, seed: int) -> str:
     rng = random.Random(seed)
     letters = [(a["name"], a["from"], a["to"]) for a in quiver["arrows"]]
     letters += [(name + "*", dst, src) for name, src, dst in letters]
-    at, word = rng.choice(quiver["vertices"]), []
+    at, word = rng.choice([v for v in quiver["vertices"] if any(l[1] == v for l in letters)]), []
     for _ in range(length):
         name, _, at = rng.choice([l for l in letters if l[1] == at])
         word.append(name)

@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import json
 import random
@@ -683,92 +682,6 @@ def test_representation_and_certificate_loads_parse_each_literal_text_once(tmp_p
         assert sorted(calls) == sorted(texts)  # each distinct text parsed once
 
 
-def test_cli_groebner_from_kernel_golden(tmp_path, capsys):
-    # The flat order-4 extension of the second worked example: 17 kernel
-    # elements, whose completion records the two printed reductions.  The
-    # expected file was written by the completion route of the kernel basis.
-    fixtures = FsPath(__file__).parent / "fixtures"
-    opath = tmp_path / "gb.json"
-    assert main(["groebner", "--from-kernel", str(fixtures / "example2_l4.json"), "-o", str(opath)]) == 0
-    capsys.readouterr()
-    expected = (fixtures / "example2_l4_groebner.json").read_text(encoding="utf-8")
-    assert opath.read_text(encoding="utf-8") == expected
-    assert len(json.loads(expected)["reductions"]) == 2
-
-
-def test_psd_pipeline_reproduces_the_committed_outputs(tmp_path, capsys):
-    # CI runs this pipeline without site-packages.  A real singular order-2
-    # state on a three-vertex chain and a Gaussian positive-definite one on
-    # a loop: compression, relation check, kernel and Gram certificate, then
-    # a certificate with one target coefficient raised by one (exit 1).  The
-    # expected files were written by the `Scalar` matrix route.
-    fixtures = FsPath(__file__).parent / "fixtures"
-    stdout = []
-    for name in ("fix_psd_chain", "fix_gauss_pd_loop"):
-        rpath = tmp_path / f"{name}_rep.json"
-        assert main(["gns", "compress", str(fixtures / f"{name}.json"), "-o", str(rpath)]) == 0
-        capsys.readouterr()
-        assert rpath.read_bytes() == (fixtures / f"{name}_compressed.json").read_bytes()
-        for argv in (["gns", "check", str(rpath)], ["gns", "kernel", str(rpath), "--degree", "2"]):
-            assert main(argv) == 0
-            stdout.append(capsys.readouterr().out)
-        assert main(["sos", "verify", str(fixtures / f"{name}_certificate.json")]) == 0
-        stdout.append(capsys.readouterr().out)
-    assert main(["sos", "verify", str(fixtures / "fix_gauss_pd_loop_tampered.json")]) == 1
-    stdout.append(capsys.readouterr().out)
-    assert "".join(stdout) == (fixtures / "psd_pipeline_stdout.txt").read_text(encoding="utf-8")
-
-
-def test_squares_certificates_reproduce_the_committed_outputs(capsys, monkeypatch):
-    # CI replays these calls without site-packages, with the same relative
-    # input paths, which the refusals name.  A weighted squares certificate
-    # on two vertices (Gaussian coefficients, a repeated path and a "1"
-    # term), a copy with one target coefficient raised by one (exit 1), and
-    # refusals (exit 2) of an over-degree square with a negative weight,
-    # misaligned weights with a negative one, a malformed weight literal with
-    # an over-degree square, and a non-real weight with a false target.  The
-    # expected files were written by the `Element` route.
-    root = FsPath(__file__).parent.parent
-    fixtures = root / "tests" / "fixtures"
-    monkeypatch.chdir(root)
-    stdout, stderr = [], []
-    for name in ("fix_squares_certificate", "fix_squares_tampered"):
-        code = main(["sos", "verify", f"tests/fixtures/{name}.json"])
-        stdout.append(f"{capsys.readouterr().out}sos verify {name} exit code: {code}\n")
-    for name in ("degree", "align", "literal", "weight"):
-        assert main(["sos", "verify", f"tests/fixtures/fix_squares_refuse_{name}.json"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        stderr.append(captured.err)
-    assert "".join(stdout) == (fixtures / "squares_stdout.txt").read_text(encoding="utf-8")
-    assert "".join(stderr) == (fixtures / "squares_refusals_stderr.txt").read_text(encoding="utf-8")
-
-
-def test_groebner_build_and_rep_kernel_reproduce_the_committed_outputs(capsys, monkeypatch):
-    # CI replays these without site-packages, with the same relative input
-    # paths, which the refusals name: `gns build` from a Gröbner basis file
-    # with the moment gram of its quotient, the same file with a gram that
-    # is not hermitian (its upper triangle unchanged) and with one that is
-    # hermitian but not PSD, and `gns kernel` of a compression at degree 12.
-    # The expected files were written by the `Scalar` matrix route, the
-    # refusals before they named the file.
-    root = FsPath(__file__).parent.parent
-    fixtures = root / "tests" / "fixtures"
-    monkeypatch.chdir(root)
-    assert main(["gns", "build", str(fixtures / "fix_groebner_gram.json")]) == 0
-    assert capsys.readouterr().out == (fixtures / "groebner_build_stdout.txt").read_text(encoding="utf-8")
-    stderr = []
-    for name in ("nonhermitian", "nonpsd"):
-        assert main(["gns", "build", f"tests/fixtures/fix_groebner_gram_{name}.json"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        stderr.append(captured.err)
-    assert "".join(stderr) == (fixtures / "groebner_refusals_stderr.txt").read_text(encoding="utf-8")
-    argv = ["gns", "kernel", str(fixtures / "fix_psd_chain_compressed.json"), "--degree", "12"]
-    assert main(argv) == 0
-    assert capsys.readouterr().out == (fixtures / "rep_kernel_stdout.txt").read_text(encoding="utf-8")
-
-
 def test_gns_build_refuses_a_quotient_that_escapes_the_window(tmp_path, capsys):
     # One loop with the basis {x* + 2 e:e}: its tip x* has length 1, so the
     # window is the trivial path, but x is irreducible, so the arrow x takes
@@ -813,107 +726,6 @@ def test_cli_groebner_output_round_trip(tmp_path, capsys):
     data = json.loads((tmp_path / "gb.json").read_text())
     double, elems = fileio.generators_from_dict(data, tmp_path)
     assert len(elems) == 2
-
-
-def test_gaussian_extended_state_reproduces_the_committed_stdout(capsys):
-    # CI runs these calls without site-packages.  The one-step extension of
-    # a Gaussian PD state holds Gaussian rationals over mixed denominators:
-    # the loader brings them to one denominator.  The expected file was
-    # written when values were read as `Scalar`s.
-    fixtures = FsPath(__file__).parent / "fixtures"
-    fpath = str(fixtures / "fix_gauss_pd_loop_extended.json")
-    stdout = []
-    for argv in (["moment", "flat", fpath], ["moment", "psd", fpath], ["moment", "rank", fpath],
-                 ["gns", "build", fpath], ["evaluate", "--functional", fpath, "--path", "x* x x"],
-                 ["evaluate", "--functional", fpath, "--path", "x x* x x x* x* x x"]):
-        assert main(argv) == 0
-        stdout.append(capsys.readouterr().out)
-    assert "".join(stdout) == (fixtures / "gauss_extended_stdout.txt").read_text(encoding="utf-8")
-
-
-def test_long_evaluate_reproduces_the_committed_stdout(capsys):
-    # CI runs these calls without site-packages: seeded words of 600 and
-    # 1500 letters (`long_words.py`) on a real extension (A2) and a Gaussian
-    # one (one loop).  The expected file was written when every fold step
-    # re-keyed nested tuples and divided out one gcd.
-    from long_words import long_word
-
-    fixtures = FsPath(__file__).parent / "fixtures"
-    stdout = []
-    for name in ("fix_l2_ext_extended", "fix_gauss_pd_loop_extended"):
-        fpath = fixtures / f"{name}.json"
-        quiver = json.loads(fpath.read_text(encoding="utf-8"))["quiver"]
-        for length, seed in ((600, 1), (1500, 2)):
-            word = long_word(quiver, length, seed)
-            assert main(["evaluate", "--functional", str(fpath), "--path", word]) == 0
-            stdout.append(capsys.readouterr().out)
-    assert "".join(stdout) == (fixtures / "long_evaluate_stdout.txt").read_text(encoding="utf-8")
-
-
-def test_two_vertex_long_evaluate_reproduces_the_committed_stdout(capsys):
-    # CI runs these calls without site-packages: seeded words of 599 and
-    # 600 letters on two vertices, real (a denominator of 8 bits) and
-    # Gaussian data that is not PSD.  The expected file was written when
-    # `evaluate` folded every letter through the tip table.
-    from long_words import long_word
-
-    fixtures = FsPath(__file__).parent / "fixtures"
-    stdout = []
-    for name in ("fix_two_vertex", "fix_two_vertex_nonpsd"):
-        fpath = fixtures / f"{name}.json"
-        quiver = json.loads(fpath.read_text(encoding="utf-8"))["quiver"]
-        for length, seed in ((599, 3), (600, 4)):
-            word = long_word(quiver, length, seed)
-            assert main(["evaluate", "--functional", str(fpath), "--path", word]) == 0
-            stdout.append(capsys.readouterr().out)
-    assert "".join(stdout) == (fixtures / "two_vertex_long_evaluate_stdout.txt").read_text(encoding="utf-8")
-
-
-def test_kernel_routes_reproduce_the_committed_stdout(capsys):
-    # CI runs these calls without site-packages.  The kernel, tip-maximality,
-    # rank and Gröbner reductions read one echelon form of B_{L_k}; the
-    # expected file was written when the kernel and the block test were two
-    # eliminations and `groebner` ran the completion.  fix_gauss_pd_loop is
-    # not flat: its `groebner` exits 2 and prints nothing.
-    fixtures = FsPath(__file__).parent / "fixtures"
-    stdout = []
-    for name, tipmax, groebner in [("example2_l4", 1, 0), ("fix_l2_ext", 0, 0), ("fix_gauss_loop", 1, 0),
-                                   ("fix_gauss_pd_loop_extended", 0, 0), ("fix_psd_chain", 1, 0),
-                                   ("fix_gauss_pd_loop", 0, 2)]:
-        fpath = str(fixtures / f"{name}.json")
-        for argv, code in ((["kernel", fpath], 0), (["moment", "tipmax", fpath], tipmax),
-                           (["moment", "rank", fpath], 0), (["groebner", "--trace", "--from-kernel", fpath], groebner)):
-            assert main(argv) == code
-            stdout.append(capsys.readouterr().out)
-    assert "".join(stdout) == (fixtures / "kernel_routes_stdout.txt").read_text(encoding="utf-8")
-
-
-def test_completion_reproduces_the_committed_trace(capsys):
-    # CI replays this call without site-packages.  The kernel of the
-    # two-vertex fixture, read as generators (`kernel -o` wrote the file),
-    # completes in 322 reductions; the expected file, trace lines and basis,
-    # was written when the completion re-sorted the support at every step.
-    fixtures = FsPath(__file__).parent / "fixtures"
-    argv = ["groebner", "--generators", str(fixtures / "fix_two_vertex_generators.json"), "--trace"]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert len(out.splitlines()) == 323
-    assert out == (fixtures / "completion_trace_stdout.txt").read_text(encoding="utf-8")
-
-
-def test_nonpsd_routes_reproduce_the_committed_stdout(capsys):
-    # CI runs these calls without site-packages.  The functionals are not
-    # PSD, so their verdicts and kernels come from the echelon form: an
-    # indefinite one with a two-element kernel whose C block leaves Ran A,
-    # and the two refuted at a pivot.  The expected file, exit codes
-    # included, was written when every functional took the echelon route.
-    fixtures = FsPath(__file__).parent / "fixtures"
-    stdout = []
-    for name in ("fix_indefinite_loop", "fix_nonpsd_loop", "fix_gauss_nonpsd_loop"):
-        for cmd in ("kernel", "moment flat", "moment rank", "moment tipmax", "groebner --from-kernel"):
-            code = main([*cmd.split(), str(fixtures / f"{name}.json")])
-            stdout.append(f"{capsys.readouterr().out}{cmd} {name} exit code: {code}\n")
-    assert "".join(stdout) == (fixtures / "nonpsd_routes_stdout.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("degree", ["2", [2], 2.5, True, -1, {"d": 2}], ids=repr)
@@ -1016,20 +828,6 @@ def test_gns_kernel_names_a_degree_below_one(degree, capsys):
     assert capsys.readouterr() == ("", f"error: --degree must be >= 1, not {degree}\n")
 
 
-def test_pd_two_loops_compression_reproduces_the_committed_output(tmp_path, capsys):
-    # CI replays this without site-packages: a full-rank state on two loops,
-    # k = 2, two arrows and a 21x21 gram.  The expected file was written by
-    # the Gauss-Jordan solves the pivot substitution replaced.
-    fixtures = FsPath(__file__).parent / "fixtures"
-    rpath = tmp_path / "rep.json"
-    assert main(["gns", "compress", str(fixtures / "fix_pd_two_loops.json"), "-o", str(rpath)]) == 0
-    capsys.readouterr()
-    assert rpath.read_bytes() == (fixtures / "fix_pd_two_loops_compressed.json").read_bytes()
-    assert len(json.loads(rpath.read_text(encoding="utf-8"))["basis"]) == 21
-    assert main(["gns", "check", str(rpath)]) == 0
-    assert json.loads(capsys.readouterr().out) == {"passed": True, "failures": [], "checks": 15}
-
-
 @pytest.mark.parametrize(
     "fixture, command, at, row, message",
     [
@@ -1065,25 +863,6 @@ def test_matrix_rows_without_entries_read_as_matrices_without_columns():
         m = fileio.matrix_from_rows([[] for _ in range(n)])
         assert (m.rows, m.cols, m.entries) == (n, 0, ())
         assert m == Matrix(n, 0, []) and fileio.matrix_to_rows(m) == [[] for _ in range(n)]
-
-
-@pytest.mark.parametrize("name", ["fix_nonpsd_loop", "fix_gauss_nonpsd_loop", "fix_pd_two_loops"])
-def test_extensions_reproduce_the_committed_outputs(name, tmp_path, capsys):
-    # CI replays these without site-packages.  Two tip-maximal bases that are
-    # not PSD, real and Gaussian, and a full-rank state on two loops (k = 2,
-    # an 85-path extension), whose output is pinned by its sha256.  The
-    # expected outputs were written when a second elimination of [A | C] and
-    # a pivoting of the whole extension followed the odd-degree solve.
-    fixtures = FsPath(__file__).parent / "fixtures"
-    opath = tmp_path / "ext.json"
-    assert main(["extend", str(fixtures / f"{name}.json"), "--tip-maximal", "-o", str(opath)]) == 0
-    assert json.loads(capsys.readouterr().out) == {"written": str(opath)}
-    pinned = fixtures / f"{name}_extended.json"
-    if pinned.exists():
-        assert opath.read_bytes() == pinned.read_bytes()
-    else:
-        digest = (fixtures / f"{name}_extended.sha256").read_text(encoding="utf-8").split()[0]
-        assert hashlib.sha256(opath.read_bytes()).hexdigest() == digest
 
 
 JSON_LEAVES = (
@@ -1141,50 +920,6 @@ def test_each_writer_writes_the_bytes_of_json_dumps_with_indent_2(gaussian, tmp_
     capsys.readouterr()
     data = json.loads(opath.read_text(encoding="utf-8"))
     assert opath.read_bytes() == (json.dumps(data, indent=2) + "\n").encode("utf-8")
-
-
-VERTEX_BLOCK_FIXTURES = ("fix_two_vertex", "fix_isolated_vertex", "fix_isolated_vertex_notrivial",
-                         "fix_two_vertex_nonpsd", "fix_two_vertex_tipmax")
-VERTEX_BLOCK_COMMANDS = ("moment flat", "moment psd", "moment rank", "moment tipmax", "kernel",
-                         "groebner --trace --from-kernel", "gns build", "extend --tip-maximal --general-quiver",
-                         "evaluate")
-
-
-def test_vertex_blocks_reproduce_the_committed_outputs(tmp_path, capsys, monkeypatch):
-    # CI replays these calls without site-packages, with the same relative
-    # input paths, which the refusals name.  Multi-vertex functionals: the
-    # flat_gns two-vertex shape (k = 3, blocks of 57 and 35 paths), a
-    # three-vertex quiver whose isolated vertex has state dimension 0 (e:e3
-    # is a kernel tip) and its copy without trivial paths (the e3 block is
-    # empty), a Gaussian two-vertex functional that is not PSD (flat, a
-    # negative e:e2) and a tip-maximal Gaussian two-vertex base.  The
-    # expected stdout, stderr, exit codes and -o files were written when
-    # B_{L_k} was gathered and pivoted whole; an -o command's "written" line
-    # names a temporary path and is not logged.
-    root = FsPath(__file__).parent.parent
-    fixtures = root / "tests" / "fixtures"
-    monkeypatch.chdir(root)
-    stdout, stderr = [], []
-    for name in VERTEX_BLOCK_FIXTURES:
-        fpath = f"tests/fixtures/{name}.json"
-        word = "x y y y x*" if name.startswith("fix_isolated_vertex") else "x y z x y z x y"
-        for cmd in VERTEX_BLOCK_COMMANDS:
-            argv = [*cmd.split(), fpath]
-            if cmd == "evaluate":
-                argv = ["evaluate", "--functional", fpath, "--path", word]
-            elif cmd.split()[0] in ("kernel", "groebner", "gns", "extend"):
-                argv += ["-o", str(tmp_path / f"{name}_{argv[0]}.json")]
-            code = main(argv)
-            captured = capsys.readouterr()
-            out = "".join(line for line in captured.out.splitlines(True) if not line.startswith('{"written": '))
-            stdout.append(f"{out}{cmd} {name} exit code: {code}\n")
-            stderr.append(captured.err)
-    assert "".join(stdout) == (fixtures / "vertex_blocks_stdout.txt").read_text(encoding="utf-8")
-    assert "".join(stderr) == (fixtures / "vertex_blocks_stderr.txt").read_text(encoding="utf-8")
-    pinned = sorted(p.name for p in (fixtures / "vertex_blocks").iterdir())
-    assert sorted(p.name for p in tmp_path.iterdir()) == pinned
-    for name in pinned:
-        assert (tmp_path / name).read_bytes() == (fixtures / "vertex_blocks" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(
