@@ -203,11 +203,12 @@ def cmd_evaluate(args) -> int:
 def cmd_gns_build(args) -> int:
     from . import fileio
     from .gns import build_from_groebner, build_representation
-    from .groebner import right_groebner
 
     path = FsPath(args.input)
     data = fileio.load_json(path)
     if isinstance(data, dict) and "groebner" in data:
+        from .groebner import right_groebner
+
         double = fileio.resolve_quiver(data.get("quiver"), path.parent, str(path))
         order = _order_for(double, args.order_file)
         gens = fileio.elements_from_list(double, data["groebner"], "groebner", str(path))

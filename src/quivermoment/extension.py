@@ -2,19 +2,21 @@
 
 Two layers: the one-step extension of a tip-maximal functional, whose top
 block is the exact Schur completion (the flat choice of the bottom-right
-block), and the lazy full extension that evaluates any path through
-Gröbner normal forms.
+block), and the lazy full extension that evaluates any path on the finite
+quotient of a flat functional.
 
-The full extension of a flat functional is unique and its quotient is
-finite: the normal words all lie in V_{k-1}.  So the finished tip table is
-compiled once into one dense integer matrix per letter on the quotient's
-ids, over the table's denominator, and a long word is folded two letters
-per step through the products of letter pairs, each formed once.  The
-tip table (`groebner.TipTable`) stays the normal-form engine for
-everything else (`RightGroebnerBasis.nf`, the columns of `gns build`, the
-kernel checks): it makes its ids and moves lazily and folds sparse
-vectors, so it also serves bases whose quotient is infinite, such as a
-completion of generators, where no dense matrix exists.
+The full extension of a flat functional is unique, and its quotient by the
+kernel ideal is the span of the pivot paths P of B_{L_k}, all in V_{k-1}.
+The class of a free path of V_k is minus the other terms of its echelon
+kernel element, which is monic there, so each letter acts on the quotient
+by one integer matrix whose row at a pivot p is the class of p·a
+(`FlatQuotient`); Laurent and Mourrain (2009) read the multiplication
+matrices of a flat moment matrix off its kernel in the same way.  A long
+word is folded two letters per step through the products of letter pairs,
+each formed once, and its value is one dot product with the base values at
+P.  No Gröbner basis is built; two exact checks on the kernel stand for
+the ones its construction makes.  `gns build` takes its arrows from the
+same quotient.
 
 The one-step extension runs on the window of the extended functional and on
 Gaussian-integer numerators.  Its odd-degree system holds one unknown per
@@ -41,10 +43,11 @@ from operator import add, mul, sub
 
 from . import linalg
 from .errors import ExtensionObstructed, InputError, InternalInvariantError
-from .groebner import RightGroebnerBasis, kernel_groebner
 from .moment import TruncatedFunctional
-from .quiver import Path, _words
+from .quiver import Key, Path, _proper_prefixes, _words
 from .scalar import Scalar
+
+_GCD_EVERY = 16  # letters between two gcd divisions of a running fold
 
 
 def flat_extend_tip_maximal(
@@ -205,21 +208,137 @@ def _flat_block(functional: TruncatedFunctional, c: list[list[int]], w: int) -> 
     return linalg._product(linalg._transpose(cp, w, conj=True), y, w), s
 
 
+class FlatQuotient:
+    """The quotient of a flat functional's unique extension, on the pivot paths of B_{L_k}.
+
+    Its basis is the pivot positions P of `TruncatedFunctional._echelon`,
+    all in V_{k-1}, and a class is an integer vector on P over a
+    denominator: [re | im] on Gaussian data, re alone while every kernel
+    element is real.  A pivot is its own class.  A free position f of V_k
+    is the tip of one echelon kernel element g, whose numerator at f is its
+    denominator, so the class of f is f - g: minus g's other terms, all on
+    P, over g's denominator.  The kernel ideal is a right ideal, so the
+    class of f·b is the class of f times the letter matrix M_b, whose row
+    at a pivot p is the class of p·b, a path of V_k, and zero when b does
+    not start where p ends.  Every matrix is held over one denominator D,
+    the lcm of the denominators of its rows and of the letters' classes, as
+    (re rows, im rows), im None while every class is real.
+
+    Two exact checks, run once, raise `InternalInvariantError`: every
+    kernel element whose tip has no proper prefix among the kernel tips
+    pairs to zero with the V_k window (the pairing check), and every other
+    free path f = f'·b has class(f) = class(f')·M_b (the closure check), so
+    the kernel ideal meets V_k in the right multiples of those elements.
+    Flatness guarantees both.
+    """
+
+    def __init__(self, base: TruncatedFunctional):
+        k, pivots, double = base.k, base._echelon[0], base.double
+        if pivots and pivots[-1] >= base._end(k - 1):
+            raise InternalInvariantError(f"the flat extension's quotient escaped the V_{k - 1} window")
+        keys, source, target = base._keys, double.source, double.target
+        tips = {next(reversed(terms)): (terms, den) for terms, den in base._null}  # each tip comes last
+        if [i for i, key in enumerate(keys) if key not in tips] != pivots:
+            raise InternalInvariantError("coset basis differs from the pivot paths of the moment matrix")
+        self.base, self.pivots, letters = base, pivots, double.letters()
+        r = len(pivots)
+        self.real = real = not any(y for terms, _ in tips.values() for _, y in terms.values())
+        self.width = r if real else 2 * r
+        self._at = at = {keys[p]: j for j, p in enumerate(pivots)}
+        self._values = [base._re[p] for p in pivots], [base._im[p] for p in pivots]  # L at P, over base._den
+        self._classes: dict[Key, tuple[list[int], int]] = {}
+        for tip, (terms, den) in tips.items():
+            v = [0] * self.width
+            for key, (x, y) in terms.items():
+                if key != tip:
+                    v[at[key]] = -x
+                    if not real:
+                        v[r + at[key]] = -y
+            self._classes[tip] = v, den
+
+        rows = {a: [] for a in letters}  # per letter, the class of p·a per pivot p, or None
+        for p in pivots:
+            vertex, word = keys[p]
+            end = target[word[-1]] if word else vertex
+            for a, out in rows.items():
+                out.append(self.cls((None, word + (a,))) if source[a] == end else None)
+        self.start = {a: self.cls((None, (a,))) for a in letters}
+        d = self.den = lcm(*(c[1] for out in rows.values() for c in out if c), *(den for _, den in self.start.values()))
+        self._probe = d**_GCD_EVERY
+        self.matrices = {}
+        for a, out in rows.items():
+            m = [[0] * self.width if c is None else [x * (d // c[1]) for x in c[0]] for c in out]
+            self.matrices[a] = (m, None) if real else ([row[:r] for row in m], [row[r:] for row in m])
+        self.single = {a: _columns(m) for a, m in self.matrices.items()}
+
+        kept = {tip: tips.keys().isdisjoint(_proper_prefixes(tip, double)) for tip in tips}
+        for tip, (terms, _) in tips.items():  # the pairing check
+            j = base.first_pairing(terms) if kept[tip] else None
+            if j is not None:
+                raise InternalInvariantError(
+                    f"pairing check: the kernel element with tip {Path(double, *tip)} pairs nontrivially"
+                    f" with {base.basis(k)[j]}"
+                )
+        for tip, (v, den) in self._classes.items():  # the closure check
+            if kept[tip]:
+                continue
+            parent, b = _proper_prefixes(tip, double)[-1], tip[1][-1]
+            u, pden = self.cls(parent)
+            if [x * pden * d for x in v] != [x * den for x in self.step(u, self.single[b])]:
+                raise InternalInvariantError(
+                    f"closure check: the class of {Path(double, *tip)} is not the class of"
+                    f" {Path(double, *parent)} times {double.letter_name(b)}"
+                )
+
+    def step(self, v: list[int], cols: list) -> list[int]:
+        """The vector v times the matrix with these step columns (`_step`, `_gaussian_step`)."""
+        return (_step if self.real else _gaussian_step)(v, cols)
+
+    def cls(self, key: Key) -> tuple[list[int], int]:
+        """The class of the path of V_k with this key, canonical, as (vector, denominator)."""
+        c = self._classes.get(key)
+        if c is None:
+            v = [0] * self.width
+            v[self._at[key]] = 1
+            c = v, 1
+        return c
+
+    def canonical(self, v: list[int], den: int) -> tuple[list[int], int]:
+        """v/den with no factor common to den and every entry.
+
+        den divides a power of D, so the common factor has only primes of
+        D: it is divided out through the gcds of D^_GCD_EVERY with den and
+        the entries, each linear in their size, until one is 1.  A fold's
+        den grows by D at every letter, and one gcd of two such numbers
+        would cost the square of their size.
+        """
+        while True:
+            g = gcd(self._probe, den, *v)
+            if g == 1:
+                return v, den
+            den //= g
+            v = [x // g for x in v]
+
+    def value(self, v: list[int], den: int) -> Scalar:
+        """L at the class v/den: one dot product with the base's numerators at P."""
+        base, r = self.base, len(self.pivots)
+        re, im = self._values
+        if self.real:
+            return linalg._scalar(sum(map(mul, v, re)), sum(map(mul, v, im)), den * base._den)
+        x, y = v[:r], v[r:]
+        dot = sum(map(mul, x, re)) - sum(map(mul, y, im)), sum(map(mul, x, im)) + sum(map(mul, y, re))
+        return linalg._scalar(*dot, den * base._den)
+
+
 class FlatExtension:
     """The rank-preserving extension of a flat functional, evaluated lazily.
 
-    Every path reduces through the kernel Gröbner basis into the V_{k-1}
-    window, where the base functional takes over; values are cached.  The
-    first letter of a path is folded through the basis's tip table
-    (`groebner.TipTable`).  The rest act on the finite quotient, the table
-    ids that letters reach from there, by integer letter matrices compiled
-    once from the table: two letters per step through their product,
-    formed once per pair, with an odd last letter alone.  The result is
-    the table's canonical normal form, on its ids.
-
-    The base values on V_{k-1} are held as Gaussian-integer numerators over
-    one denominator, looked up by the ids of the table the first time a
-    normal form meets them, so a value is one integer dot product.
+    A path acts on the base's quotient (`FlatQuotient`), built when first
+    needed: its first letter's class is stepped by the rest two letters at
+    a time, through the product of their letter matrices, formed once per
+    pair, with an odd last letter alone.  Its value is L at the class, read
+    off the base values at the pivot paths; a trivial path is read off the
+    base.  Values are cached.
     """
 
     def __init__(self, base: TruncatedFunctional):
@@ -227,175 +346,84 @@ class FlatExtension:
         if not report.flat:
             raise InputError("FlatExtension requires a flat base functional")
         self.base = base
-        self.gb: RightGroebnerBasis = kernel_groebner(base)
         self.cache: dict[Path, Scalar] = {}
-        # V_{k-1} is a prefix of the window; its values over their own lcm denominator
-        n = base._end(base.k - 1)
-        re, im = base._re[:n], base._im[:n]
-        g = gcd(base._den, *re, *im)
-        self._den = base._den // g
-        self._window = {key: (a // g, b // g) for key, a, b in zip(base._keys, re, im)}
-        self._moments: dict[int, tuple[int, int]] = {}  # table id -> value numerators
         self._pairs: dict = {}  # (letter, letter) -> the step columns of their matrices' product
 
+    @cached_property
+    def gb(self):
+        """The reduced right Gröbner basis of the kernel ideal (`groebner.kernel_groebner`), built when asked for."""
+        from .groebner import kernel_groebner
+
+        return kernel_groebner(self.base)
+
+    @cached_property
+    def _quotient(self) -> FlatQuotient:
+        return FlatQuotient(self.base)
+
     def evaluate(self, p: Path) -> Scalar:
-        if p in self.cache:
-            return self.cache[p]
-        return self._value(p, *self._fold(p))
+        value = self.cache.get(p)
+        if value is None:
+            value = self.cache[p] = self._quotient.value(*self._fold(p)) if p.letters else self.base.value(p)
+        return value
 
-    def _fold(self, p: Path) -> tuple[dict, int]:
-        """NF(p) in the tip table's layout, exactly as `TipTable._fold` gives it.
+    def _fold(self, p: Path) -> tuple[list[int], int]:
+        """The canonical class of a path of one letter or more.
 
-        The first letter runs through the table; the vector then takes the
-        rest two letters per step, through the product of their matrices,
-        and an odd last letter alone.  Each letter scales the denominator by
-        the table's D, whose common factor with the vector is divided out
-        every `_GCD_EVERY` letters and, canonically, at the end.
+        The first letter's class takes the rest two letters per step,
+        through the product of their matrices, and an odd last letter alone.
+        Each letter scales the denominator by D, whose common factor with
+        the vector is divided out every `_GCD_EVERY` letters and at the end.
         """
-        table, letters = self.gb.tip_table, p.letters
-        if len(letters) < 2:
-            return table._fold((p.vertex, letters))
-        vec, den = table._run(*table._start(table.double.source[letters[0]]), letters[:1])
-        index, ids, _, single = self._quotient
-        r, real = len(ids), table.real
-
-        def dense(vec: dict) -> list[int]:  # [re | im] on Gaussian data
-            v = [0] * (r if real else 2 * r)
-            for i, c in vec.items():
-                if real:
-                    v[index[i]] = c
-                else:
-                    v[index[i]], v[r + index[i]] = c
-            return v
-
-        def canonical(v: list[int], den: int) -> tuple[dict, int]:
-            if real:
-                return table._canonical({i: c for i, c in zip(ids, v) if c}, den)
-            return table._canonical({i: (a, b) for i, a, b in zip(ids, v, v[r:]) if a or b}, den)
-
-        v, step = dense(vec), _step if real else _gaussian_step
-        d, pairs, since = table.den, self._pairs, 0
+        q, letters = self._quotient, p.letters
+        v, den = q.start[letters[0]]
+        step, d, pairs, since = _step if q.real else _gaussian_step, q.den, self._pairs, 0
         rest = letters[1:]
         for ab in zip(rest[::2], rest[1::2]):
             cols = pairs.get(ab)
             v = step(v, self._pair(*ab) if cols is None else cols)
             den *= d * d
             since += 2
-            if since >= table._GCD_EVERY:
-                vec, den = canonical(v, den)
-                v, since = dense(vec), 0
+            if since >= _GCD_EVERY:
+                v, den = q.canonical(v, den)
+                since = 0
         if len(rest) % 2:
-            v = step(v, single[rest[-1]])
+            v = step(v, q.single[rest[-1]])
             den *= d
-        return canonical(v, den)
-
-    @cached_property
-    def _quotient(self) -> tuple[dict[int, int], list[int], dict, dict]:
-        """The quotient's table ids, and each letter's integer matrix on them, whole and as step columns.
-
-        The quotient holds the ids of the letters' normal forms and every id
-        a composable letter moves one of them to; flatness keeps them in
-        V_{k-1}, with at most one trivial path per vertex outside it.  The
-        row of an id is D·e_j for a re-key to id j and the tip's tail for a
-        tip, over the table's D, and zero for a letter that does not
-        compose.  A matrix is held as (re rows, im rows), im None while
-        every tail is real, and as the columns a step reads (`_columns`).
-        """
-        table = self.gb.tip_table
-        double, real, d = table.double, table.real, table.den
-        bound = self.base._end(self.base.k - 1) + double.n_vertices()
-        ids: list[int] = []
-        for a in table._letters:
-            vec, _ = table._run(*table._start(double.source[a]), (a,))
-            ids.extend(i for i in vec if i not in ids)
-        index = {i: at for at, i in enumerate(ids)}
-        moves = []  # (id, letter, move)
-        for i in ids:  # ids grows as it is read
-            vertex, word = table._keys[i]
-            end = double.target[word[-1]] if word else vertex
-            for n, a in enumerate(table._letters):
-                if double.source[a] != end:
-                    continue
-                m = table._moves[n][i]
-                if m is None:
-                    m = table._move(i, n)
-                moves.append((i, a, m))
-                for j in (m,) if m.__class__ is int else (j for j, _ in m) if real else m:
-                    if j not in index:
-                        index[j] = len(ids)
-                        ids.append(j)
-            if len(ids) > bound:
-                raise InternalInvariantError(f"the flat extension's quotient escaped the V_{self.base.k - 1} window")
-        r = len(ids)
-        mats = {a: ([[0] * r for _ in ids], None if real else [[0] * r for _ in ids]) for a in table._letters}
-        for i, a, m in moves:
-            re, im = mats[a]
-            x = index[i]
-            if m.__class__ is int:
-                re[x][index[m]] = d
-            elif real:
-                for j, c in m:
-                    re[x][index[j]] = c
-            else:
-                for j, (c, e) in m.items():
-                    re[x][index[j]], im[x][index[j]] = c, e
-        return index, ids, mats, {a: _columns(m) for a, m in mats.items()}
+        return q.canonical(v, den)
 
     def _pair(self, a, b) -> list:
         """The step columns of M_a·M_b, over D², formed once per pair of letters."""
-        mats = self._quotient[2]
+        mats = self._quotient.matrices
         pair = self._pairs[a, b] = _columns(_product(mats[a], mats[b]))
         return pair
-
-    def _value(self, p: Path, vec: dict, den: int) -> Scalar:
-        """L(NF(p)) for NF(p) = vec/den, a vector of the tip table's layout; cached."""
-        moments, re, im = self._moments, 0, 0
-        for i, (a, b) in self.gb.tip_table._gaussian(vec).items():
-            m = moments.get(i)
-            if m is None:
-                m = moments[i] = self._moment(p, i)
-            lr, li = m
-            re, im = re + a * lr - b * li, im + a * li + b * lr
-        value = self.cache[p] = linalg._scalar(re, im, den * self._den)
-        return value
-
-    def _moment(self, p: Path, i: int) -> tuple[int, int]:
-        """The numerators of L at the path with table id i, a term of NF(p) in V_{k-1}."""
-        key = self.gb.tip_table._keys[i]
-        m = self._window.get(key)
-        if m is None:
-            if len(key[1]) >= self.base.k:
-                raise InternalInvariantError(f"normal form of {p} escaped the V_{self.base.k - 1} window")
-            # The one short path outside V_{k-1}: a trivial path, in a
-            # window without them; value() raises its WindowError.
-            self.base.value(Path(self.base.double, *key))
-        return m
 
     def truncated_view(self, m: int) -> TruncatedFunctional:
         """Materialize the extension as an order-m functional (m >= k).
 
-        NF(p·c) = NF(NF(p)·c), and every window word extends a word of the
-        previous length, so each normal form is one fold step from its
-        parent's.  Only the layer still to be extended is held.
+        Every window word extends a word of the previous length, so its
+        class is one matrix step from its parent's.  Only the layer still to
+        be extended is held.
         """
         if m < self.base.k:
             raise InputError("truncated_view order must be >= the base order")
-        table = self.gb.tip_table
+        q = self._quotient
         double, order = self.base.double, self.base.order
-        roots = {v: table._start(v) for v in order.vertex_seq}
         vals = {}
         if self.base.include_trivial:
-            for v, nf in roots.items():
+            for v in order.vertex_seq:
                 e = Path(double, v, ())
-                vals[e] = self._value(e, *nf)
+                vals[e] = self.evaluate(e)
         parents: dict = {}
         for words in _words(double, order, 2 * m):
             layer = {}
             for w in words:
-                parent = parents[w[:-1]] if len(w) > 1 else roots[double.source[w[0]]]
-                nf = layer[w] = table._run(*parent, w[-1:])
-                p = Path(double, None, w)
-                vals[p] = self._value(p, *nf)
+                if len(w) > 1:
+                    v, den = parents[w[:-1]]
+                    c = q.canonical(q.step(v, q.single[w[-1]]), den * q.den)
+                else:
+                    c = q.start[w[0]]
+                layer[w], p = c, Path(double, None, w)
+                vals[p] = self.cache[p] = q.value(*c)
             parents = layer
         return TruncatedFunctional(double, m, vals, self.base.include_trivial, order)
 

@@ -2,9 +2,11 @@
 
 Two constructions live here.  ``build_representation`` quotients the order-k
 window by the kernel ideal of a flat PSD functional: the coset basis is the
-set of window paths irreducible under the kernel Gröbner basis, the gram
-matrix is the moment pairing on those cosets, and each arrow of the double
-acts by right multiplication followed by the integer normal form.
+pivot paths of B_{L_k}, the gram matrix is the moment pairing on those
+cosets, and each arrow of the double acts by its letter matrix in the
+functional's quotient (`extension.FlatQuotient`), read off the echelon
+kernel; ``build_from_groebner`` does the same for a Gröbner basis and a
+gram, through the basis's integer normal forms.
 ``compress_representation`` cuts a finite-dimensional representation out of a
 merely positive functional of order d+1: right multiplication is kept on the
 low-degree coset spaces and zeroed on their gram-orthogonal complements, and
@@ -30,10 +32,9 @@ from __future__ import annotations
 
 from math import lcm
 
-from . import linalg
+from . import extension, groebner, linalg
 from .algebra import Element
 from .errors import InputError, InternalInvariantError
-from .groebner import RightGroebnerBasis, kernel_groebner
 from .linalg import Matrix
 from .moment import TruncatedFunctional
 from .quiver import ZERO_PATH, DoubleQuiver, Path, Record, compose, enumerate_basis
@@ -94,32 +95,43 @@ def _word_images(rep: Representation, words) -> list[tuple[list[list[int]], int]
 def build_representation(functional: TruncatedFunctional) -> Representation:
     """GNS-style quotient representation of a flat PSD functional.
 
-    Coset basis: window paths of length <= k-1 not reducible by the kernel
-    Gröbner basis.  The dimension equals the rank of the order-k moment
-    matrix, the gram is the moment pairing, and right multiplication by each
-    arrow lands back in the basis because flatness makes every length-k path
-    reducible.
+    Coset basis: the pivot paths of the order-k moment matrix, which are
+    the LDL^H pivots that decided PSD, all of length <= k-1.  The dimension
+    equals the rank of the order-k moment matrix, the gram is the moment
+    pairing, and column j of the arrow c is the class of p_j·c in the
+    functional's quotient (`extension.FlatQuotient`), the transpose of c's
+    letter matrix; the cyclic vector, with trivial paths, is the sum of
+    their classes.
     """
     report = functional.is_flat()
     if not report.flat:
         raise InputError("build_representation requires a flat functional")
     if not functional.is_psd():
         raise InputError("build_representation requires a PSD functional")
-    gb = kernel_groebner(functional)
-    basis = tuple(p for p in functional.basis(functional.k - 1) if not gb.reducible(p))
+    quotient = extension.FlatQuotient(functional)
     # The LDL^H pivots of B_{L_k} that decided PSD index a positive definite
     # principal submatrix of rank_k paths, which is the gram (`principal`).
     pivots = functional._pivots
-    window = functional.basis(functional.k)
-    if basis != tuple(window[p] for p in pivots):
+    if quotient.pivots != pivots:
         raise InternalInvariantError("coset basis differs from the pivot paths of the moment matrix")
+    double, n = functional.double, len(pivots)
+    window = functional.basis(functional.k)
+    basis = tuple(window[p] for p in pivots)
+    images = {}
+    for letter, (re, im) in quotient.matrices.items():
+        images[letter] = linalg._transpose(re if im is None else [x + y for x, y in zip(re, im)], n), quotient.den
+    unit = None
+    if functional.include_trivial:  # the sum of the trivial paths' classes
+        units = [quotient.cls((v, ())) for v in range(len(double.vertices))]
+        den = lcm(*(d for _, d in units))
+        unit = [sum(v[i] * (den // d) for v, d in units) for i in range(quotient.width)], den
     gram = functional.principal(pivots)
-    return _quotient_representation(functional.double, gb, basis, gram, functional.include_trivial)
+    return _quotient_representation(double, basis, gram, images, unit)
 
 
 def build_from_groebner(
     double: DoubleQuiver,
-    gb: RightGroebnerBasis,
+    gb: groebner.RightGroebnerBasis,
     gram: Matrix,
     include_trivial: bool = False,
 ) -> Representation:
@@ -142,18 +154,12 @@ def build_from_groebner(
         raise InputError("gram matrix must be hermitian") from None
     if pivots is None:
         raise InputError("gram matrix must be PSD")
-    return _quotient_representation(double, gb, basis, gram, include_trivial)
+    return _quotient_representation(double, basis, gram, *_table_images(double, gb, basis, include_trivial))
 
 
-def _quotient_representation(
-    double: DoubleQuiver,
-    gb: RightGroebnerBasis,
-    basis: tuple[Path, ...],
-    gram: Matrix,
-    cyclic: bool,
-) -> Representation:
-    """The right action on the cosets of `basis`, column p of letter c the integer fold NF(p·c) of the
-    tip table; with `cyclic`, the unit coset as cyclic vector, the one vector made of `Scalar`s."""
+def _table_images(double: DoubleQuiver, gb: groebner.RightGroebnerBasis, basis: tuple[Path, ...], cyclic: bool):
+    """The arrows' images on the cosets of `basis`, column p of letter c the integer fold NF(p·c) of the
+    tip table, and with `cyclic` the NF of the unit; as `_quotient_representation` takes them."""
     table, n = gb.tip_table, len(basis)
     index = {(p.vertex, p.letters): i for i, p in enumerate(basis)}
 
@@ -167,7 +173,7 @@ def _quotient_representation(
                 )
         return [(index[q], re, im) for q, (re, im) in terms.items()], den
 
-    arrows: dict[str, Matrix] = {}
+    images = {}
     for letter in double.letters():
         start = double.source[letter]
         cols = [coords(*table.fold((None, p.letters + (letter,)))) if p.terminal() == start else ([], 1) for p in basis]
@@ -176,14 +182,28 @@ def _quotient_representation(
         for j, (col, d) in enumerate(cols):
             for i, re, im in col:
                 image[i][j], image[i][n + j] = re * (den // d), im * (den // d)
-        arrows[double.letter_name(letter)] = linalg._matrix(image, den, n)
+        images[letter] = image, den
 
-    xi = None
+    unit = None
     if cyclic:  # NF of the unit, the sum of the trivial paths
-        unit = {(v, ()): (1, 0) for v in range(len(double.vertices))}
-        col, den = coords(*table._keyed(*table._nf(unit, 1, {})))
-        at = {i: (re, im) for i, re, im in col}
-        xi = tuple(linalg._scalar(*at.get(i, (0, 0)), den) for i in range(n))
+        col, den = coords(*table._keyed(*table._nf({(v, ()): (1, 0) for v in range(len(double.vertices))}, 1, {})))
+        unit = [0] * (2 * n)
+        for i, re, im in col:
+            unit[i], unit[n + i] = re, im
+        unit = unit, den
+    return images, unit
+
+
+def _quotient_representation(double: DoubleQuiver, basis: tuple[Path, ...], gram: Matrix, images: dict, unit):
+    """The representation on the cosets of `basis`: per letter the integer image (rows, den) of its
+    arrow, in either layout (see `linalg._image`); with `unit`, the unit's coordinates (vector, den)
+    as cyclic vector, the one vector made of `Scalar`s."""
+    n = len(basis)
+    arrows = {double.letter_name(letter): linalg._matrix(rows, den, n) for letter, (rows, den) in images.items()}
+    xi = None
+    if unit is not None:
+        vec, den = unit
+        xi = tuple(linalg._scalar(*linalg._entry(vec, j, n), den) for j in range(n))
     return Representation(double, basis, gram, arrows, _vertex_projections(double, basis), xi)
 
 

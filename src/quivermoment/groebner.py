@@ -62,7 +62,7 @@ from math import gcd, lcm
 from .algebra import Element, _numerators
 from .errors import InputError, InternalInvariantError
 from .moment import TruncatedFunctional
-from .quiver import DoubleQuiver, Key, Path, PathOrder, Record
+from .quiver import DoubleQuiver, Key, Path, PathOrder, Record, _proper_prefixes
 from .scalar import from_numerators as _scalar
 
 
@@ -82,12 +82,6 @@ def _element(double: DoubleQuiver, terms: Numerators, den: int) -> Element:
 def _end(key: Key, double: DoubleQuiver) -> int:
     vertex, letters = key
     return double.target[letters[-1]] if letters else vertex
-
-
-def _proper_prefixes(key: Key, double: DoubleQuiver) -> list[Key]:
-    """The keys of the paths that left-divide a path and differ from it."""
-    _, w = key
-    return [(double.source[w[0]], ())] + [(None, w[:i]) for i in range(1, len(w))] if w else []
 
 
 def _reduced(acc: Numerators, den: int) -> tuple[Numerators, int]:

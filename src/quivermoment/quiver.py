@@ -402,6 +402,12 @@ def window_keys(
     return out
 
 
+def _proper_prefixes(key: Key, double: DoubleQuiver) -> list[Key]:
+    """The keys of the paths that left-divide a path and differ from it, shortest first."""
+    _, w = key
+    return [(double.source[w[0]], ())] + [(None, w[:i]) for i in range(1, len(w))] if w else []
+
+
 def _digit(letter: Letter) -> int:
     """A letter's digit in the code of a word: 1 + 2 * arrow index, plus 1 if starred."""
     arrow, starred = letter

@@ -353,10 +353,11 @@ def test_one_step_extension_forms_no_scalar_product(images, scalar_matrix_calls)
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """Calls of right_groebner and of the per-element reducer `_reduce`, which
-    the completion and the kernel trace share, under every module binding."""
+    """Calls of right_groebner, of the per-element reducer `_reduce`, which
+    the completion and the kernel trace share, of kernel_groebner and of the
+    tip-table builder `_tip_table`, under every module binding."""
     calls = []
-    for name in ("right_groebner", "_reduce"):
+    for name in ("right_groebner", "_reduce", "kernel_groebner", "_tip_table"):
         fn = getattr(groebner, name)
 
         def counted(*args, fn=fn, name=name, **kwargs):
@@ -371,36 +372,46 @@ def reductions(monkeypatch):
 
 def test_kernel_routes_run_no_completion(reductions, tmp_path, capsys):
     # A flat rank-2 state on two loops: 19 kernel elements, 12 of them not
-    # kept.  `groebner --from-kernel` reduces each of the 12 once, by the
-    # kept elements, and runs no completion; the other routes reduce
-    # nothing.
+    # kept.  `groebner --from-kernel` builds the kernel Gröbner basis once
+    # and reduces each of the 12 once, by the kept elements, and runs no
+    # completion; `evaluate` and `gns build`, in-process or from the CLI,
+    # read the quotient off the echelon kernel: they build no Gröbner basis
+    # and no tip table, and reduce nothing.
     f = state_functional(TWO_LOOPS, 2, True, [2], random.Random(7))
     assert f.is_flat().flat
-    gb = kernel_groebner(f)
+    gb = kernel_groebner(f)  # this module's binding, not counted; its tip table is
     assert len(f.kernel_basis()) > len(gb.elements)
+    assert reductions == ["_tip_table"]
+    reductions.clear()
     build_representation(f)
     ext = FlatExtension(f)
-    ext.evaluate(TWO_LOOPS.path([(0, False), (1, True)] * 4))
+    word = TWO_LOOPS.path([(0, False), (1, True)] * 4)
+    value = ext.evaluate(word)
     assert reductions == []
 
     fpath = tmp_path / "f.json"
     fpath.write_text(json.dumps(fileio.functional_to_dict(f)), encoding="utf-8")
+    assert cli.main(["evaluate", "--functional", str(fpath), "--path", str(word)]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == str(value)
+    assert cli.main(["gns", "build", str(fpath)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["basis"]) == f.is_flat().rank_k
+    assert reductions == []
     assert cli.main(["groebner", "--from-kernel", str(fpath)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["elements"]) == len(gb.elements)
-    assert reductions == ["_reduce"] * 12
+    assert reductions == ["kernel_groebner"] + ["_reduce"] * 12
 
 
 @pytest.mark.parametrize("complex_", [False, True])
 def test_evaluate_steps_two_letters_at_a_time(complex_, monkeypatch):
     # A flat rank-3 state on two loops (four letters): an n-letter word
-    # takes its first letter through the tip table and the rest in
+    # starts from its first letter's class and takes the rest in
     # ceil((n - 1) / 2) vector steps, and the product of each distinct
     # pair of letters the steps meet is formed once per FlatExtension.
     f = state_functional(TWO_LOOPS, 2, True, [3], random.Random(11), complex_)
     assert f.is_flat().flat
     ext = FlatExtension(f)
-    assert ext.gb.tip_table.real != complex_
+    assert ext._quotient.real != complex_
     steps, pairs = [], []
     for name in ("_step", "_gaussian_step"):
         fn = getattr(extension, name)

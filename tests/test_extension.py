@@ -21,6 +21,7 @@ from quivermoment import (
     build_double,
     enumerate_basis,
     flat_extend_tip_maximal,
+    kernel_groebner,
     right_groebner,
 )
 from quivermoment import cli, extension, fileio, groebner, linalg
@@ -456,8 +457,8 @@ def test_round_trip_restriction(fix_loop):
 @pytest.mark.parametrize("complex_", [False, True])
 @pytest.mark.parametrize("shape", ["loop", "a2", "xyz_dead_vertex"])
 def test_truncated_view_matches_per_path_evaluate(shape, complex_, fix_loop, fix_a2, fix_xyz):
-    # The view folds each path from its parent's normal form; a second
-    # extension of the same base folds every path from its first letter.
+    # The view steps each path from its parent's class; a second extension
+    # of the same base folds every path from its first letter.
     # Tip-maximal extensions of PD states on the one-loop (free) and A2
     # quivers, and a rank-3 state on x, y, z that is zero at e2, so the
     # trivial path e2 is a tip.
@@ -471,7 +472,7 @@ def test_truncated_view_matches_per_path_evaluate(shape, complex_, fix_loop, fix
     double = flat.double
     assert any(not v.is_real() for v in flat.values.values()) == complex_
     view, single = FlatExtension(flat), FlatExtension(flat)
-    assert view.gb.tip_table.den > 1
+    assert view._quotient.den > 1
     for m in (flat.k, flat.k + 1, flat.k + 2):
         tv = view.truncated_view(m)
         window = enumerate_basis(double, flat.order, 2 * m, include_trivial=True)
@@ -511,15 +512,15 @@ def random_word(double, rng, length):
 
 @pytest.mark.parametrize("complex_", [False, True])
 def test_long_evaluate_computes_each_move_once(complex_, fix_loop, monkeypatch):
-    # A 1200-letter word meets the few non-tips of a flat rank-6 state on
-    # one loop (k = 3, as in the extend_eval benchmark) over and over; each
-    # (id, letter) move is computed once.
+    # A 1200-letter word on a flat rank-6 state on one loop (k = 3, as in
+    # the extend_eval benchmark) folds on the quotient's letter matrices: it
+    # computes no (id, letter) move of a tip table, and its value is the
+    # one the scalar fold of the kernel Gröbner basis gives.
     rng = random.Random(63)
     flat = state_functional(fix_loop, 3, False, [6], rng, complex_)
     assert flat.is_flat().flat
     ext = FlatExtension(flat)
-    table = ext.gb.tip_table
-    assert table.real != complex_
+    assert ext._quotient.real != complex_
     computed = []
     move = groebner.TipTable._move
 
@@ -530,7 +531,7 @@ def test_long_evaluate_computes_each_move_once(complex_, fix_loop, monkeypatch):
     monkeypatch.setattr(groebner.TipTable, "_move", counted)
     p = random_word(fix_loop, rng, 1200)
     value = ext.evaluate(p)
-    assert len(computed) == len(set(computed)) <= len(table._keys) * len(fix_loop.letters())
+    assert computed == []
     assert value == riesz_eval(flat, Element(fix_loop, scalar_fold(p, scalar_tip_table(ext.gb))))
 
 
@@ -543,25 +544,72 @@ FLAT_FIXTURES = [
 ]
 
 
-@pytest.mark.parametrize("name", FLAT_FIXTURES)
-def test_pair_fold_matches_the_table_fold(name):
-    # `evaluate` folds through the flat extension's letter matrices, two
-    # letters per step; its normal form, numerators and denominator, is
-    # the one the tip table's letter-by-letter fold gives, to the byte.
-    f = fileio.load_functional(str(FIXTURES / f"{name}.json"))
-    assert f.is_flat().flat
-    ext = FlatExtension(f)
-    table = ext.gb.tip_table
-    rng = random.Random(name)
+def assert_pair_fold_matches_the_table_fold(f, rng):
+    """Words of 1, 2, 3, 599 and 600 letters fold to the normal form of the
+    kernel Gröbner basis's tip table: the canonical coordinates on the pivot
+    paths P, numerators and denominator, are the table's canonical vector,
+    each table id mapped to its path's pivot, to the byte."""
+    ext, table = FlatExtension(f), kernel_groebner(f).tip_table
+    quotient = ext._quotient
+    at, r = {f._keys[p]: j for j, p in enumerate(quotient.pivots)}, len(quotient.pivots)
     for length in (1, 2, 3, 599, 600):
         for _ in range(2):
             p = random_word(f.double, rng, length)
-            assert ext._fold(p) == table._fold((p.vertex, p.letters)), (length, str(p)[:40])
+            vec, den = table._fold((p.vertex, p.letters))
+            want = [0] * (r if quotient.real else 2 * r)
+            for i, (re, im) in table._gaussian(vec).items():
+                j = at[table._keys[i]]
+                want[j] = re
+                if quotient.real:
+                    assert im == 0
+                else:
+                    want[r + j] = im
+            assert ext._fold(p) == (want, den), (length, str(p)[:40])
+
+
+@pytest.mark.parametrize("name", FLAT_FIXTURES)
+def test_pair_fold_matches_the_table_fold(name):
+    # `evaluate` folds through the quotient's letter matrices, two letters
+    # per step, and the Gröbner route stays the reference engine.
+    f = fileio.load_functional(str(FIXTURES / f"{name}.json"))
+    assert f.is_flat().flat
+    assert_pair_fold_matches_the_table_fold(f, random.Random(name))
+
+
+TWO_VERTICES = {"vertices": ["u", "v"], "arrows": [{"name": "a", "from": "u", "to": "v"},
+                                                   {"name": "b", "from": "v", "to": "u"},
+                                                   {"name": "c", "from": "v", "to": "v"}]}
+
+
+@pytest.mark.parametrize(
+    "quiver, dims, gaussian, k, include_trivial, general",
+    [
+        ({"vertices": ["e"], "arrows": [{"name": "x", "from": "e", "to": "e"}]}, {"e": 3}, True, 3, False, False),
+        (TWO_VERTICES, {"u": 1, "v": 2}, False, 3, True, False),
+        (TWO_VERTICES, {"u": 2, "v": 2}, True, 3, False, False),
+        (TWO_VERTICES, {"u": 2, "v": 2}, True, 1, True, True),
+    ],
+    ids=["gaussian_loop_no_trivial", "real_two_vertices", "gaussian_two_vertices_no_trivial", "general_quiver_extension"],
+)
+def test_pair_fold_matches_the_table_fold_on_vector_states(tmp_path, quiver, dims, gaussian, k, include_trivial, general):
+    # Flat truncations of vector states (`vector_state`), and the flat
+    # extension of an order-1 one on two vertices (`extend --general-quiver`).
+    from vector_state import VectorState
+
+    fpath = tmp_path / "state.json"
+    fpath.write_text(json.dumps(VectorState(quiver, dims, 1, gaussian).functional(k, include_trivial)), encoding="utf-8")
+    f = fileio.load_functional(str(fpath))
+    if general:
+        assert f.is_tip_maximal()
+        f = flat_extend_tip_maximal(f, allow_general_quiver=True)
+    assert f.is_flat().flat
+    assert any(not v.is_real() for v in f.values.values()) == gaussian
+    assert_pair_fold_matches_the_table_fold(f, random.Random(f"{dims} {k}"))
 
 
 def test_pair_fold_refuses_a_quotient_outside_the_window(monkeypatch):
-    # A flat extension's quotient holds at most |V_{k-1}| + vertices ids;
-    # one that seems to hold more is an internal invariant failure.
+    # A flat functional's pivot paths, the quotient's basis, lie in V_{k-1};
+    # a pivot that seems to lie outside is an internal invariant failure.
     f = fileio.load_functional(str(FIXTURES / "fix_two_vertex.json"))
     ext = FlatExtension(f)
     monkeypatch.setattr(f, "_end", lambda t: 0)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from quivermoment import InputError, Quiver, Scalar, build_double, kernel_groebner
 from quivermoment.cli import main
-from quivermoment import cli, fileio, gns
+from quivermoment import fileio, gns
 
-from conftest import FIX_H4_TERMS, elem, path, pd_functional, sc, state_functional
+from conftest import FIX_H4_TERMS, elem, pd_functional, sc, state_functional
 import oracles
 from oracles import digits
 
@@ -716,6 +716,47 @@ def test_cli_groebner_from_kernel_refuses_a_kernel_element_left_over(tmp_path, c
     assert captured.out == ""
     assert captured.err.startswith("internal invariant failure: kernel element ")
     assert captured.err.endswith(" is not in the right ideal of the minimal-tip elements\n")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "gns build"])
+@pytest.mark.parametrize("kept, check", [(True, "pairing"), (False, "closure")])
+def test_cli_quotient_refuses_a_perturbed_kernel_element(command, kept, check, capsys, monkeypatch):
+    # `evaluate` and `gns build` read the quotient off the echelon kernel and
+    # check it exactly.  One kernel element of example2_l4 (19 elements, 15
+    # of them kept) is moved by its first pivot path: a kept one, whose tip
+    # has no proper prefix among the kernel tips, then pairs nontrivially
+    # with the window; a path whose parent is a kernel tip has a class that
+    # is not its parent's class times its last letter.  Either is an
+    # internal fault, exit 3, with no output.
+    from quivermoment import moment
+
+    def perturbed(f):
+        null = f._echelon[3]
+        tips = {next(reversed(terms)) for terms, _ in null}
+        source = f.double.source
+
+        def parents(tip):
+            _, w = tip
+            return {(source[w[0]], ())} | {(None, w[:i]) for i in range(1, len(w))} if w else set()
+
+        at = next(
+            i for i, (terms, _) in enumerate(null)
+            if kept == tips.isdisjoint(parents(next(reversed(terms))))
+            and (kept or (None, next(reversed(terms))[1][:-1]) in tips)
+        )
+        terms, den = null[at]
+        pivot = f._keys[f._echelon[0][0]]
+        re, im = terms.get(pivot, (0, 0))
+        moved = {pivot: (re + den, im), **{key: c for key, c in terms.items() if key != pivot}}
+        return null[:at] + [(moved, den)] + null[at + 1 :]
+
+    monkeypatch.setattr(moment.TruncatedFunctional, "_null", property(perturbed))
+    fixture = str(FsPath(__file__).parent / "fixtures" / "example2_l4.json")
+    argv = ["evaluate", "--functional", fixture, "--path", "x x* x x* x"] if command == "evaluate" else ["gns", "build", fixture]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal invariant failure: {check} check: "), captured.err
 
 
 def test_cli_groebner_output_round_trip(tmp_path, capsys):

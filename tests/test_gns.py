@@ -89,7 +89,10 @@ def test_build_representation_requires_flat_psd(fix_l2, fix_a2):
 
 def test_build_representation_refuses_a_coset_basis_off_the_pivots(fix_l2_ext, monkeypatch):
     # The coset basis is the window paths at the LDL^H pivots of B_{L_k};
-    # a pivoting that dropped one of them is an internal fault.
+    # a pivoting that dropped one of them is an internal fault, whether the
+    # quotient's echelon pivots were read before the drop (they differ from
+    # the pivots the gram is read at) or after (a kernel tip is then missing
+    # from the complement of the pivots).
     f = fix_l2_ext
     assert f.is_psd()
     monkeypatch.setattr(f, "_pivots", f._pivots[:-1])

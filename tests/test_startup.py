@@ -76,6 +76,18 @@ def test_moment_flat_loads_only_the_layers_it_runs():
     assert not {"dataclasses", "inspect"} & modules
 
 
+def test_evaluate_and_gns_build_of_a_functional_load_no_groebner():
+    """Both read the quotient off the echelon kernel (`extension`)."""
+    lines, modules = run(
+        "from quivermoment.cli import main\n"
+        f"print(main(['evaluate', '--functional', {str(FIXTURE)!r}, '--path', 'x x* x x* x x*']))\n"
+        f"print(main(['gns', 'build', {str(FIXTURE)!r}]))"
+    )
+    assert json.loads(lines[0])["value"] == "1" and lines[1] == "0" and lines[-1] == "0"
+    assert {"quivermoment.extension", "quivermoment.gns"} <= modules
+    assert "quivermoment.groebner" not in modules
+
+
 def test_no_command_loads_dataclasses(tmp_path):
     """`dataclasses` would pull in `inspect`, `ast`, `dis` and `tokenize` at every start."""
     fixtures = ROOT / "tests" / "fixtures"
